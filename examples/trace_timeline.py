@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Observability demo: a text timeline of a GSM run on a 4-PE mesh.
 
-`repro.obs` rides the platform's existing observer hooks to record a
+`repro.obs` subscribes to the platform's probe bus to record a
 typed event timeline in *simulated* time: per-PE task spans and
 ``ctx.span`` workload annotations, per-master fabric transaction spans,
 cache fills/writebacks, IRQ instants and a periodic metrics counter

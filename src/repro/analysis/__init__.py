@@ -26,7 +26,7 @@ from .metrics import (
 )
 from ..obs.export import chrome_trace, write_trace
 from ..obs.timeline import longest_spans, render_timeline
-from .sweep import best_point, expand_grid, run_sweep, sweep_table
+from .sweep import best_point, expand_grid, sweep_table
 
 
 def __getattr__(name):
@@ -54,7 +54,6 @@ __all__ = [
     "overhead",
     "percent",
     "render_timeline",
-    "run_sweep",
     "speedup",
     "summarize",
     "sweep_table",

@@ -1,68 +1,18 @@
-"""Parameter sweep driver for platform experiments (back-compat shim).
+"""Sweep-point helpers: tables and best-point selection.
 
-This module predates :mod:`repro.api`; its sweep loop now delegates to the
-declarative scenario/runner layer.  New code should build scenarios with
-:func:`repro.api.scenario_grid` and run them with
-:class:`repro.api.ExperimentRunner` (which adds process sharding, per-run
-timeouts and structured JSON/CSV output); :func:`run_sweep` remains for
-existing callers and emits a :class:`DeprecationWarning`.
+Sweeps themselves are built with :func:`repro.api.scenario_grid` and run
+with :class:`repro.api.ExperimentRunner`; this module renders and ranks
+the resulting :class:`~repro.soc.stats.SweepPoint` lists.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import warnings
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
-from ..api.runner import run_scenario
-from ..api.scenario import Scenario, expand_grid
-from ..soc.config import PlatformConfig
+from ..api.scenario import expand_grid
 from ..soc.stats import SimulationReport, SweepPoint, format_table
 
-__all__ = ["TaskListFactory", "best_point", "expand_grid", "run_sweep",
-           "sweep_table"]
-
-#: A factory producing the task list for one configuration point.
-TaskListFactory = Callable[[PlatformConfig], Sequence]
-
-
-def run_sweep(base_config: PlatformConfig, grid: Dict[str, Sequence],
-              task_factory: TaskListFactory,
-              max_time: Optional[int] = None) -> List[SweepPoint]:
-    """Deprecated shim: run the platform for every grid combination.
-
-    Every grid key must be a field of :class:`PlatformConfig`; the base
-    configuration supplies all other fields.  Delegates to
-    :class:`repro.api.ExperimentRunner`; use that (with
-    :func:`repro.api.scenario_grid`) in new code.
-    """
-    warnings.warn(
-        "analysis.sweep.run_sweep() is deprecated; use "
-        "repro.api.scenario_grid() with repro.api.ExperimentRunner",
-        DeprecationWarning, stacklevel=2,
-    )
-    scenarios: List[Scenario] = []
-    for overrides in expand_grid(grid):
-        config = dataclasses.replace(base_config, **overrides)
-        label = ",".join(f"{name}={value}"
-                         for name, value in sorted(overrides.items()))
-        scenarios.append(Scenario(
-            name=label or "base",
-            config=config,
-            workload=lambda cfg, **_params: list(task_factory(cfg)),
-            max_time=max_time,
-            expect_finished=False,
-            overrides=dict(overrides),
-        ))
-    points: List[SweepPoint] = []
-    for index, scenario in enumerate(scenarios):
-        # Fail-fast with the original exception type, exactly as the old
-        # hand-written sweep loop did.
-        result = run_scenario(scenario, index=index, capture_errors=False)
-        points.append(SweepPoint(label=scenario.name,
-                                 parameters=dict(scenario.overrides),
-                                 report=result.report))
-    return points
+__all__ = ["best_point", "expand_grid", "sweep_table"]
 
 
 def sweep_table(points: Iterable[SweepPoint],

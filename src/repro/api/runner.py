@@ -66,7 +66,7 @@ def run_scenario(scenario: Scenario, *, index: int = 0,
 
     With ``capture_errors=False`` exceptions from the workload factory or
     the simulation propagate to the caller instead of being recorded in
-    ``result.error`` (fail-fast mode, used by the ``run_sweep`` shim).
+    ``result.error`` (fail-fast mode).
     """
     start = time.perf_counter()
     result = ScenarioResult(
@@ -476,8 +476,8 @@ class ExperimentRunner:
 def run_tasks(config, tasks, max_time: Optional[int] = None, host=None):
     """Build a platform for ``config``, place ``tasks`` and run it.
 
-    The programmatic one-shot entry point (used by the ``run_platform``
-    back-compat shim); returns the :class:`SimulationReport`.
+    The programmatic one-shot entry point; returns the
+    :class:`SimulationReport`.
     """
     platform = Platform(config, host=host)
     platform.add_tasks(list(tasks))

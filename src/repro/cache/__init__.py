@@ -20,9 +20,18 @@ Enable them declaratively::
 
 from .coherence import CoherenceDomain, DomainStats, SharedAllocation
 from .geometry import CacheConfig, CacheError, CacheGeometry, WritePolicy
-from .l1 import CachedPort, CacheLine, CacheStats, L1Cache, MSIState, canonical_word
+from .l1 import (
+    CACHE_TAG_SUFFIXES,
+    CachedPort,
+    CacheLine,
+    CacheStats,
+    L1Cache,
+    MSIState,
+    canonical_word,
+)
 
 __all__ = [
+    "CACHE_TAG_SUFFIXES",
     "CacheConfig",
     "CacheError",
     "CacheGeometry",

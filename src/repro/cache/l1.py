@@ -59,6 +59,13 @@ from .coherence import CoherenceDomain, SharedAllocation
 from .geometry import CacheConfig, WritePolicy
 
 
+#: Tag suffixes of cache-internal transfers (line fills, writebacks, I/O
+#: array restages), appended to the cache's name.  They move data on
+#: behalf of *some* master through *some* port and carry no software-level
+#: ordering, so instrumentation tells them apart from PE traffic by tag.
+CACHE_TAG_SUFFIXES = (".fill", ".writeback", ".restage")
+
+
 def canonical_word(value: int, data_type: DataType) -> int:
     """The raw word the wrapper would return for a stored ``value``.
 
@@ -293,6 +300,8 @@ class L1Cache:
         clock_period: int,
     ) -> None:
         self.name = name
+        self._fill_tag, self._writeback_tag, self._restage_tag = (
+            name + suffix for suffix in CACHE_TAG_SUFFIXES)
         self.config = config
         self.geometry = config.geometry
         self.policy = config.policy
@@ -934,7 +943,7 @@ class L1Cache:
                  ) -> Generator[object, None, None]:
         yield from self._raw.burst_write(
             base + IO_ARRAY_BASE, [word & 0xFFFFFFFF for word in words],
-            tag=f"{self.name}.restage")
+            tag=self._restage_tag)
 
     # -- fills, installs, evictions ------------------------------------------------------
     def _is_resident(self, line: CacheLine) -> bool:
@@ -980,12 +989,12 @@ class L1Cache:
         try:
             ack = yield from self._raw.burst_write(
                 base + REG_COMMAND, fill_command.to_words(),
-                tag=f"{self.name}.fill")
+                tag=self._fill_tag)
             if not ack.ok:
                 self._drop_if_empty(line)
                 return first, None, None
             payload = yield from self._raw.burst_read(
-                base + IO_ARRAY_BASE, count, tag=f"{self.name}.fill")
+                base + IO_ARRAY_BASE, count, tag=self._fill_tag)
         finally:
             self.domain.end_fill(guard)
         if not payload.ok or len(payload.burst_data) != count:
@@ -1116,11 +1125,11 @@ class L1Cache:
                     offset=first_element, data=written[0])
                 response = yield from port.burst_write(
                     base + REG_COMMAND, command.to_words(),
-                    tag=f"{self.name}.writeback")
+                    tag=self._writeback_tag)
             else:
                 stage = yield from port.burst_write(
                     base + IO_ARRAY_BASE, written,
-                    tag=f"{self.name}.writeback")
+                    tag=self._writeback_tag)
                 if not stage.ok:
                     return False
                 if self.domain.find_alloc(line.mem_index,
@@ -1131,7 +1140,7 @@ class L1Cache:
                     vptr=alloc.vptr, offset=first_element, dim=length)
                 response = yield from port.burst_write(
                     base + REG_COMMAND, command.to_words(),
-                    tag=f"{self.name}.writeback")
+                    tag=self._writeback_tag)
             if not response.ok:
                 return False
             for slot in range(slot_start, slot_start + length):

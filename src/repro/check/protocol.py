@@ -1,4 +1,4 @@
-"""Cheap protocol checkers riding the sanitizer suite's observer hooks.
+"""Cheap protocol checkers riding the sanitizer suite's probe subscriptions.
 
 Unlike the happens-before analysis these are simple state machines:
 

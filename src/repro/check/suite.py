@@ -1,16 +1,13 @@
-"""The sanitizer suite: observer-hook glue between platform and checkers.
+"""The sanitizer suite: probe-bus glue between platform and checkers.
 
 One :class:`SanitizerSuite` per sanitized :class:`~repro.soc.platform.Platform`.
-The platform registers its actors (PE programs, DMA engines, timers), its
-memory and device windows, its interrupt controller and its L1 caches;
-the suite consumes three observation streams —
-
-* fabric port hooks (:meth:`on_port_issue` / :meth:`on_port_complete`,
-  installed via :meth:`~repro.fabric.base.Fabric.add_port_observer`),
-* the kernel's sync-event observer (``Simulator._sync_observer``),
-* the interrupt controller's check observer (raise/claim) —
-
-and feeds the race detector, the protocol checkers and the coherence
+:meth:`SanitizerSuite.attach` (called once, from ``Platform.prepare_run``)
+reads the actors (PE programs, DMA engines), the L1 caches and the
+address map off the platform and subscribes to five points of its
+:class:`~repro.kernel.probes.Probes` bus — ``port_issue`` /
+``port_complete`` (fabric transfers), ``sync`` (kernel event
+notify/wake) and ``irq_raise`` / ``irq_claim`` (interrupt controller) —
+feeding the race detector, the protocol checkers and the coherence
 checker.  A private :class:`~repro.cache.coherence.CoherenceDomain` acts
 as the *shadow allocation map*: it replays ALLOC/FREE/RESERVE/RELEASE
 commands observed on the fabric, so word state is keyed by allocation
@@ -30,10 +27,10 @@ races hidden by caching.  The coherence checker covers cached platforms.
 
 from __future__ import annotations
 
-import bisect
 from typing import Dict, List, Optional
 
-from ..cache.coherence import CoherenceDomain
+from ..cache import CACHE_TAG_SUFFIXES, CoherenceDomain
+from ..fabric.address_map import Region
 from ..fabric.transaction import WORD_SIZE, BusOp, BusRequest, BusResponse
 from ..memory.protocol import (
     IO_ARRAY_BASE,
@@ -63,11 +60,6 @@ _DEVICE_READONLY = {
     "irq_controller": frozenset({2}),     # LEVEL (wire state)
 }
 
-#: Tags of cache-internal transfers (fills, writebacks, restages): the
-#: race detector skips them — they move data on behalf of *some* master
-#: through *some* port and carry no software-level ordering.
-_CACHE_TAG_SUFFIXES = (".fill", ".writeback", ".restage")
-
 
 def _mask_lines(mask: int) -> List[int]:
     lines = []
@@ -93,30 +85,11 @@ def workload_frames(process) -> List[Frame]:
     return frames
 
 
-class _Window:
-    """One decoded address window (memory module or device)."""
-
-    __slots__ = ("base", "size", "kind", "name", "mem_index", "device_actor",
-                 "readonly")
-
-    def __init__(self, base: int, size: int, kind: str, name: str,
-                 mem_index: int = -1, device_actor: Optional[Actor] = None,
-                 readonly: frozenset = frozenset()) -> None:
-        self.base = base
-        self.size = size
-        self.kind = kind
-        self.name = name
-        self.mem_index = mem_index
-        self.device_actor = device_actor
-        self.readonly = readonly
-
-
 class SanitizerSuite:
     """Runtime sanitizers of one platform run (see module docstring)."""
 
-    def __init__(self, config: CheckConfig, fabric) -> None:
+    def __init__(self, config: CheckConfig) -> None:
         self.config = config
-        self._fabric = fabric
         self.sink = ReportSink(config.max_reports)
         self.race: Optional[RaceDetector] = (
             RaceDetector(self.sink) if config.race else None)
@@ -125,71 +98,55 @@ class SanitizerSuite:
         self.coherence: Optional[CoherenceChecker] = None
         #: Shadow allocation map replayed from observed fabric commands.
         self.shadow = CoherenceDomain()
-        self._windows: List[_Window] = []
-        self._window_bases: List[int] = []
         self._actor_of_process: Dict[object, Actor] = {}
         self._process_of_actor: Dict[Actor, object] = {}
         self._labels: Dict[Actor, str] = {}
-        self._controller_base: Optional[int] = None
-        self._simulator = None
         self._finished = False
 
-    # -- registration (called by the platform while building) ---------------------
-    def register_actor(self, actor: Actor, label: str,
-                       process=None) -> None:
-        """Declare a synchronisation-carrying actor (PE, DMA engine...)."""
+    # -- wiring ----------------------------------------------------------------------
+    def attach(self, platform) -> None:
+        """Read the built platform and subscribe to its probe bus.
+
+        Called once from ``Platform.prepare_run``, when processors, caches
+        and simulator all exist.
+        """
+        interconnect = platform.interconnect
+        self._now = interconnect.sim_now
+        self._find_region = interconnect.address_map.find_region
+        #: Memory-window base -> memory index; any other region is a device.
+        self._mem_index = {
+            platform.config.memory_base(index): index
+            for index in range(platform.config.num_memories)}
+        self._simulator = platform.simulator
+        controller = platform.irq_controller
+        self._controller_base: Optional[int] = (
+            interconnect.address_map.base_of(controller)
+            if controller is not None else None)
+        for engine in platform.dma_engines:
+            self._add_actor(engine.port.master_id, engine.name,
+                            engine.processes[0])
+        for pe_index, processor in zip(platform.pe_indices,
+                                       platform.processors):
+            self._add_actor(pe_index, processor.name, processor.processes[0])
+        if self.config.coherence and platform.caches:
+            self.coherence = CoherenceChecker(self.sink, platform.caches)
+        platform.probes.subscribe(
+            port_issue=self.on_port_issue,
+            port_complete=self.on_port_complete,
+            sync=self.on_kernel_sync,
+            irq_raise=self.irq_raised,
+            irq_claim=self.irq_claimed,
+        )
+
+    def _add_actor(self, actor: Actor, label: str, process) -> None:
+        """Declare a synchronisation-carrying actor (PE, DMA engine)."""
         self._labels[actor] = label
         if self.race is not None:
             self.race.register_actor(actor, label)
-        if process is not None:
-            self._actor_of_process[process] = actor
-            self._process_of_actor[actor] = process
-
-    def register_memory_window(self, base: int, size: int,
-                               mem_index: int) -> None:
-        self._add_window(_Window(base, size, "mem", f"smem{mem_index}",
-                                 mem_index=mem_index))
-
-    def register_device_window(self, base: int, size: int, kind: str,
-                               name: str,
-                               device_actor: Optional[Actor] = None) -> None:
-        self._add_window(_Window(
-            base, size, kind, name, device_actor=device_actor,
-            readonly=_DEVICE_READONLY.get(kind, frozenset())))
-        if kind == "irq_controller":
-            self._controller_base = base
-
-    def _add_window(self, window: _Window) -> None:
-        index = bisect.bisect_left(self._window_bases, window.base)
-        self._window_bases.insert(index, window.base)
-        self._windows.insert(index, window)
-
-    def register_controller(self, controller) -> None:
-        """Install this suite as the controller's check observer."""
-        controller.check_observer = self
-
-    def register_caches(self, caches: List[object]) -> None:
-        if self.config.coherence and caches:
-            self.coherence = CoherenceChecker(self.sink, caches)
-
-    def install(self, simulator) -> None:
-        """Bind the kernel's sync-event observer to this suite."""
-        self._simulator = simulator
-        simulator._sync_observer = self.on_kernel_sync
+        self._actor_of_process[process] = actor
+        self._process_of_actor[actor] = process
 
     # -- shared helpers ------------------------------------------------------------
-    def _find_window(self, address: int) -> Optional[_Window]:
-        index = bisect.bisect_right(self._window_bases, address) - 1
-        if index < 0:
-            return None
-        window = self._windows[index]
-        if address < window.base + window.size:
-            return window
-        return None
-
-    def _now(self) -> int:
-        return self._fabric.sim_now()
-
     def _label(self, actor: Actor) -> str:
         return self._labels.get(actor, f"master{actor}")
 
@@ -204,7 +161,7 @@ class SanitizerSuite:
                           mem_index=mem_index, vptr=vptr, element=element,
                           traceback=traceback)
 
-    # -- fabric port hooks -----------------------------------------------------------
+    # -- fabric port probes ----------------------------------------------------------
     def on_port_issue(self, port, request: BusRequest) -> None:
         time = self._now()
         if self.protocol is not None:
@@ -216,13 +173,16 @@ class SanitizerSuite:
         actor = request.master_id
         if not race.is_actor(actor):
             return
-        window = self._find_window(request.address)
-        if window is None or window.kind == "mem":
+        region = self._find_region(request.address)
+        if region is None or region.base in self._mem_index:
             return
         # A doorbell: the writer's clock is published at *issue* time —
         # deliberately early (the device may act any time after), which
         # can only under-approximate the edge, never invent one.
-        race.device_write_edge(actor, window.base, window.device_actor)
+        device = region.slave
+        race.device_write_edge(
+            actor, region.base,
+            device.port.master_id if device.kind == "dma" else None)
 
     def on_port_complete(self, port, request: BusRequest,
                          response: BusResponse) -> None:
@@ -231,13 +191,14 @@ class SanitizerSuite:
             self.protocol.port_completed(port,
                                          self._port_label(port, request),
                                          time)
-        window = self._find_window(request.address)
-        if window is None:
+        region = self._find_region(request.address)
+        if region is None:
             return
-        if window.kind == "mem":
-            self._memory_access(window, request, response, time)
+        mem_index = self._mem_index.get(region.base)
+        if mem_index is not None:
+            self._memory_access(region, mem_index, request, response, time)
         else:
-            self._device_access(window, request, time)
+            self._device_access(region, request, time)
 
     @staticmethod
     def _port_label(port, request: BusRequest) -> str:
@@ -245,7 +206,7 @@ class SanitizerSuite:
         return name or f"master{request.master_id}"
 
     # -- device-window accesses --------------------------------------------------------
-    def _device_access(self, window: _Window, request: BusRequest,
+    def _device_access(self, window: Region, request: BusRequest,
                        time: int) -> None:
         if self.protocol is None:
             return
@@ -260,7 +221,8 @@ class SanitizerSuite:
             return
         if request.op is BusOp.WRITE and not request.is_burst \
                 and offset % WORD_SIZE == 0 \
-                and offset // WORD_SIZE in window.readonly:
+                and offset // WORD_SIZE in _DEVICE_READONLY.get(
+                    window.slave.kind, ()):
             self.protocol.register_misuse(
                 f"{self._label(actor)}: write to read-only register "
                 f"{window.name}+{offset:#x} (silently ignored by the "
@@ -268,8 +230,9 @@ class SanitizerSuite:
                 self._site(actor, "read-only write", time))
 
     # -- memory-window accesses --------------------------------------------------------
-    def _memory_access(self, window: _Window, request: BusRequest,
-                       response: BusResponse, time: int) -> None:
+    def _memory_access(self, window: Region, mem_index: int,
+                       request: BusRequest, response: BusResponse,
+                       time: int) -> None:
         offset = request.address - window.base
         actor = request.master_id
         if self.protocol is not None and offset < IO_ARRAY_BASE:
@@ -292,8 +255,8 @@ class SanitizerSuite:
             command = MemCommand.from_words(list(request.burst_data))
         except ProtocolError:
             return
-        self._memory_command(window.mem_index, actor, command, request,
-                             response, time)
+        self._memory_command(mem_index, actor, command, request, response,
+                             time)
 
     def _memory_command(self, mem_index: int, actor: Actor,
                         command: MemCommand, request: BusRequest,
@@ -303,7 +266,7 @@ class SanitizerSuite:
         shadow = self.shadow
         race = self.race
         tracked = race is not None and race.is_actor(actor)
-        cache_internal = request.tag.endswith(_CACHE_TAG_SUFFIXES)
+        cache_internal = request.tag.endswith(CACHE_TAG_SUFFIXES)
         if tracked and not cache_internal:
             race.begin_op(actor)
 
@@ -395,7 +358,7 @@ class SanitizerSuite:
                                 self._site(actor, "array read", time,
                                            mem_index, command.vptr, start))
 
-    # -- kernel sync-event observer ----------------------------------------------------
+    # -- kernel ``sync`` probe ---------------------------------------------------------
     def on_kernel_sync(self, kind: str, event, process) -> None:
         race = self.race
         if race is None or process is None:
@@ -408,16 +371,12 @@ class SanitizerSuite:
         else:
             race.kernel_wake(actor, event)
 
-    # -- interrupt-controller observer (see dev.irq) -----------------------------------
+    # -- interrupt-controller probes (see dev.irq) -------------------------------------
     def irq_raised(self, mask: int) -> None:
         race = self.race
         if race is None:
             return
-        raiser: Optional[Actor] = None
-        if self._simulator is not None:
-            process = getattr(self._simulator, "_current_process", None)
-            if process is not None:
-                raiser = self._actor_of_process.get(process)
+        raiser = self._actor_of_process.get(self._simulator.current_process)
         race.irq_raised(_mask_lines(mask), raiser, self._controller_base)
 
     def irq_claimed(self, pe_id: int, mask: int) -> None:

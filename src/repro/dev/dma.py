@@ -34,6 +34,9 @@ Channel register map (word offsets)::
 
 Programming is burst-friendly: ``SRC_MEM..COUNT`` are contiguous, so a
 driver programs a whole channel with one burst write and then sets GO.
+
+Each transfer is bracketed by the ``dma_begin`` / ``dma_end`` points of
+the platform's :class:`~repro.kernel.probes.Probes` bus.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from __future__ import annotations
 from typing import Generator, List, Optional
 
 from ..fabric import MasterPort
-from ..kernel import Event, Module
+from ..kernel import Event, Module, Probes
 from ..wrapper.api import IO_ARRAY_WORDS, SharedMemoryAPI
 from .irq import InterruptController
 from .peripheral import RegisterFilePeripheral
@@ -85,8 +88,10 @@ class DmaEngine(RegisterFilePeripheral):
         irq_line: int,
         burst_words: int = 64,
         parent: Optional[Module] = None,
+        probes: Optional[Probes] = None,
     ) -> None:
         super().__init__(name, NUM_REGS, parent=parent)
+        self.probes = probes if probes is not None else Probes()
         if burst_words < 1:
             raise ValueError("burst_words must be >= 1")
         self.port = port
@@ -102,9 +107,6 @@ class DmaEngine(RegisterFilePeripheral):
         self.words_copied = 0
         self.transfers = 0
         self.errors = 0
-        #: Observability hook (:class:`repro.obs.ObsSuite` when the
-        #: platform runs with obs on): sees transfer begin/end.
-        self.obs_observer = None
         self._go_event = Event(f"{name}_go")
         self.add_event(self._go_event)
         self.add_process(self._run, name="engine")
@@ -140,12 +142,13 @@ class DmaEngine(RegisterFilePeripheral):
             if self.status != STATUS_BUSY:
                 yield self._go_event
                 continue
-            if self.obs_observer is not None:
-                self.obs_observer.dma_begin(self, self._regs[REG_COUNT])
+            probe = self.probes.dma_begin
+            if probe is not None:
+                probe(self, self._regs[REG_COUNT])
             ok = yield from self._transfer()
-            if self.obs_observer is not None:
-                self.obs_observer.dma_end(self, ok,
-                                          self._regs[REG_WORDS_DONE])
+            probe = self.probes.dma_end
+            if probe is not None:
+                probe(self, ok, self._regs[REG_WORDS_DONE])
             if ok:
                 self._regs[REG_STATUS] = STATUS_DONE
                 self.transfers += 1

@@ -25,13 +25,19 @@ Register map (word offsets)::
 The ``PENDING`` write path is the doorbell used for inter-processor
 interrupts: any master (a PE, a DMA engine) can raise a line with one bus
 write, which is what the ``producer_consumer_irq`` workload builds on.
+
+Instrumentation sees the controller through three points of the
+platform's :class:`~repro.kernel.probes.Probes` bus: ``irq_raise`` (every
+edge or rising level, from whichever process raised it), ``irq_wait``
+(a PE starts a blocking wait) and ``irq_claim`` (the wait returns a
+claimed mask).
 """
 
 from __future__ import annotations
 
 from typing import Generator, Iterable, Optional, Union
 
-from ..kernel import Event, Module
+from ..kernel import Event, Module, Probes
 from .config import MAX_IRQ_LINES
 from .peripheral import RegisterFilePeripheral
 
@@ -67,10 +73,12 @@ class InterruptController(RegisterFilePeripheral):
         num_pes: int,
         lines: int = MAX_IRQ_LINES,
         parent: Optional[Module] = None,
+        probes: Optional[Probes] = None,
     ) -> None:
         if not 1 <= lines <= MAX_IRQ_LINES:
             raise ValueError(f"lines must be 1..{MAX_IRQ_LINES}, got {lines}")
         super().__init__(name, REG_ENABLE_BASE + num_pes, parent=parent)
+        self.probes = probes if probes is not None else Probes()
         self.num_pes = num_pes
         self.lines = lines
         self.line_mask = (1 << lines) - 1
@@ -91,13 +99,6 @@ class InterruptController(RegisterFilePeripheral):
         self.soft_raises = 0
         self.acks = 0
         self.wakeups = 0
-        #: Sanitizer hook (:class:`repro.check.SanitizerSuite` when the
-        #: platform runs with sanitizers on): sees every raise and claim.
-        self.check_observer = None
-        #: Observability hook (:class:`repro.obs.ObsSuite` when the
-        #: platform runs with obs on): a parallel slot, so sanitizers and
-        #: tracing coexist.  Sees raises, claims and wait begin/end.
-        self.obs_observer = None
 
     # -- hardware-side wires -----------------------------------------------------
     @property
@@ -113,13 +114,8 @@ class InterruptController(RegisterFilePeripheral):
     def raise_irq(self, lines: LinesArg) -> None:
         """Latch an edge on ``lines`` and wake any enabled waiting PE."""
         mask = lines_to_mask(lines, self.lines)
-        self.raises += 1
         self._latched |= mask
-        if self.check_observer is not None:
-            self.check_observer.irq_raised(mask)
-        if self.obs_observer is not None:
-            self.obs_observer.irq_raised(mask)
-        self._notify_targets(mask)
+        self._raised(mask)
 
     def set_level(self, line: int, asserted: bool) -> None:
         """Drive the wire of a level-configured ``line``."""
@@ -128,12 +124,7 @@ class InterruptController(RegisterFilePeripheral):
             rising = mask & ~self._level_state
             self._level_state |= mask
             if rising:
-                self.raises += 1
-                if self.check_observer is not None:
-                    self.check_observer.irq_raised(mask)
-                if self.obs_observer is not None:
-                    self.obs_observer.irq_raised(mask)
-                self._notify_targets(mask)
+                self._raised(mask)
         else:
             self._level_state &= ~mask
 
@@ -142,7 +133,12 @@ class InterruptController(RegisterFilePeripheral):
         self.acks += 1
         self._latched &= ~mask
 
-    def _notify_targets(self, mask: int) -> None:
+    def _raised(self, mask: int) -> None:
+        """Count one raise, emit ``irq_raise`` and wake the enabled targets."""
+        self.raises += 1
+        probe = self.probes.irq_raise
+        if probe is not None:
+            probe(mask)
         for pe, enabled in enumerate(self.enable):
             if enabled & mask:
                 event = self._pe_events[pe]
@@ -257,15 +253,15 @@ class IrqClient:
                 f"pe{self.pe_id} waits on masked interrupt lines "
                 f"{mask:#x} (enabled {self.enabled_mask:#x})"
             )
-        if controller.obs_observer is not None:
-            controller.obs_observer.irq_wait_begin(self.pe_id)
+        probe = controller.probes.irq_wait
+        if probe is not None:
+            probe(self.pe_id)
         while True:
             hit = controller.pending_mask & self.enabled_mask & mask
             if hit:
-                if controller.check_observer is not None:
-                    controller.check_observer.irq_claimed(self.pe_id, hit)
-                if controller.obs_observer is not None:
-                    controller.obs_observer.irq_claimed(self.pe_id, hit)
+                probe = controller.probes.irq_claim
+                if probe is not None:
+                    probe(self.pe_id, hit)
                 controller.ack_mask(hit)
                 controller.wakeups += 1
                 return hit

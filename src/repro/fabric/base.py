@@ -10,7 +10,9 @@ common, so a topology only implements transport timing:
   port registration, request posting, response delivery and per-master
   wait accounting;
 * snooper registration, fired once per completed transfer at the
-  topology's completion point (cache coherence hooks, protocol checkers);
+  topology's completion point (functional MSI coherence);
+* the ``port_issue`` / ``port_complete`` probe points of the platform's
+  :class:`~repro.kernel.probes.Probes` bus (instrumentation);
 * decode-error accounting and the immediate-completion error path;
 * uniform :class:`~repro.fabric.stats.BusStats` accounting plus a
   per-transaction latency sample, emitted by :meth:`interconnect_stats`
@@ -32,7 +34,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, Union
 
-from ..kernel import Event, Module
+from ..kernel import Event, Module, Probes
 from .address_map import AddressMap, Region
 from .transaction import (
     BusOp,
@@ -83,6 +85,8 @@ class Fabric(Module):
         policy-kind string, a ready :class:`ArbitrationPolicy` instance
         (single-arbitration-point topologies only) or ``None`` for the
         round-robin default.
+    probes:
+        The platform's probe bus (a private, unsubscribed one by default).
     """
 
     def __init__(
@@ -92,8 +96,10 @@ class Fabric(Module):
         arbitration_cycles: int = 1,
         arbitration: Union[ArbitrationSpec, ArbitrationPolicy, str, None] = None,
         parent: Optional[Module] = None,
+        probes: Optional[Probes] = None,
     ) -> None:
         super().__init__(name, parent)
+        self.probes = probes if probes is not None else Probes()
         if period <= 0:
             raise ValueError(f"{type(self).__name__} period must be positive")
         if arbitration_cycles < 0:
@@ -115,10 +121,6 @@ class Fabric(Module):
         self.stats = BusStats()
         self._master_ports: Dict[int, MasterPort] = {}
         self._snoopers: List = []
-        #: Port-lifecycle observers (sanitizers): issue hooks fire when a
-        #: master posts a request, complete hooks when it is delivered.
-        self._issue_hooks: List = []
-        self._complete_hooks: List = []
         #: ``total_cycles`` of every completed transaction, in completion
         #: order — the uniform latency column of ``interconnect_stats``.
         #: A packed int64 array: one machine word per transaction, so
@@ -199,26 +201,13 @@ class Fabric(Module):
     def add_snooper(self, snooper) -> None:
         """Register ``snooper(request, response)``, called once per
         completed transfer at the topology's completion point (cache
-        coherence hooks, protocol checkers)."""
+        coherence; instrumentation subscribes to :attr:`probes`)."""
         self._snoopers.append(snooper)
 
     def _fire_snoopers(self, request: BusRequest,
                        response: BusResponse) -> None:
         for snooper in self._snoopers:
             snooper(request, response)
-
-    def add_port_observer(self, on_issue=None, on_complete=None) -> None:
-        """Register port-lifecycle hooks.
-
-        ``on_issue(port, request)`` fires when a master posts a request
-        (before transport); ``on_complete(port, request, response)`` fires
-        at delivery, after snoopers — including the decode-error path
-        (which snoopers never see).  Used by :mod:`repro.check`.
-        """
-        if on_issue is not None:
-            self._issue_hooks.append(on_issue)
-        if on_complete is not None:
-            self._complete_hooks.append(on_complete)
 
     def _register_port(self, port: MasterPort) -> None:
         if port.master_id in self._master_ports:
@@ -269,11 +258,13 @@ class Fabric(Module):
 
     def _finish(self, port: MasterPort, request: BusRequest,
                 response: BusResponse) -> None:
-        """Complete a transfer: account, snoop, deliver, wake the master."""
+        """Complete a transfer: account, snoop, probe, deliver, wake the
+        master."""
         self._account(request, response)
         self._fire_snoopers(request, response)
-        for hook in self._complete_hooks:
-            hook(port, request, response)
+        probe = self.probes.port_complete
+        if probe is not None:
+            probe(port, request, response)
         port._response = response
         port._completion.notify()
 
@@ -286,15 +277,16 @@ class Fabric(Module):
         happens when the master first waits on it), so it is bound
         explicitly here.  The failed transfer is accounted per master
         exactly like a served one, so topology comparisons see the same
-        columns.
+        columns, and ``port_complete`` fires (snoopers never see it).
         """
         self.stats.decode_errors += 1
         response = decode_error_response()
         response.slave_cycles = 1
         response.total_cycles = 1
         self._account(request, response)
-        for hook in self._complete_hooks:
-            hook(port, request, response)
+        probe = self.probes.port_complete
+        if probe is not None:
+            probe(port, request, response)
         port._response = response
         assert self._anchor_event is not None
         sim = self._anchor_event._sim

@@ -75,10 +75,9 @@ class MasterPort:
         """Issue ``request`` and suspend until it completes (``yield from``)."""
         if request.master_id != self.master_id:
             request.master_id = self.master_id
-        hooks = self._interconnect._issue_hooks
-        if hooks:
-            for hook in hooks:
-                hook(self, request)
+        probe = self._interconnect.probes.port_issue
+        if probe is not None:
+            probe(self, request)
         post_time = self._interconnect.sim_now()
         self._interconnect._post(self, request)
         yield self._completion

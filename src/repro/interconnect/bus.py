@@ -39,7 +39,7 @@ from ..fabric import (
     MasterPort,
     decode_error_response,
 )
-from ..kernel import Event, Module
+from ..kernel import Event, Module, Probes
 from ..kernel.simtime import NS
 
 __all__ = [
@@ -75,6 +75,7 @@ class SharedBus(Fabric):
         arbiter: Optional[ArbitrationPolicy] = None,
         parent: Optional[Module] = None,
         arbitration: Union[ArbitrationSpec, str, None] = None,
+        probes: Optional[Probes] = None,
     ) -> None:
         if arbiter is not None and arbitration is not None:
             raise ValueError("pass either arbiter= or arbitration=, not both")
@@ -82,7 +83,7 @@ class SharedBus(Fabric):
                          arbitration_cycles=arbitration_cycles,
                          arbitration=arbiter if arbiter is not None
                          else arbitration,
-                         parent=parent)
+                         parent=parent, probes=probes)
         #: The single arbitration point of the serialized channel.
         self.arbiter = self.new_policy()
         self._pending: Dict[int, Tuple[MasterPort, BusRequest]] = {}

@@ -26,7 +26,7 @@ from ..fabric import (
     MasterPort,
     Region,
 )
-from ..kernel import Event, Module
+from ..kernel import Event, Module, Probes
 from ..kernel.simtime import NS
 
 
@@ -54,10 +54,12 @@ class Crossbar(Fabric):
         arbitration_cycles: int = 1,
         parent: Optional[Module] = None,
         arbitration: Union[ArbitrationSpec, str, None] = None,
+        probes: Optional[Probes] = None,
     ) -> None:
         super().__init__(name, period,
                          arbitration_cycles=arbitration_cycles,
-                         arbitration=arbitration, parent=parent)
+                         arbitration=arbitration, parent=parent,
+                         probes=probes)
         self._channels: List[_Channel] = []
         self._slave_to_channel: Dict[int, _Channel] = {}
         self._anchor_event = self.add_event(Event(f"{name}.decode_error"))

@@ -39,6 +39,7 @@ from .event import Event, EventQueue
 from .fsm import CycleTrueFsm, FsmStateError
 from .module import Module
 from .port import InOutPort, InputPort, OutputPort
+from .probes import Probes
 from .process import Process, WaitAny, WaitCycles, WaitDelta, WaitEvent, WaitTime
 from .signal import Signal, SignalVector
 from .simtime import MS, NS, PS, SEC, US, ClockPeriod, format_time, parse_time
@@ -62,6 +63,7 @@ __all__ = [
     "NS",
     "OutputPort",
     "PortBindingError",
+    "Probes",
     "Process",
     "ProcessError",
     "PS",

@@ -18,6 +18,11 @@ reached, or :meth:`Simulator.stop` is called.  Like SystemC's ``sc_start``
 ``now`` at ``start + duration`` — even when activity drains early — unless
 the run was stopped explicitly.
 
+Instrumentation: the kernel emits the ``sync`` point of its
+:class:`~repro.kernel.probes.Probes` bus on every event notify and every
+event-driven wake, and exposes :attr:`Simulator.current_process` so
+subscribers of any probe can attribute what they see.
+
 Scheduler fast paths (semantics-preserving; see ``tests/perf``):
 
 * **Per-process timer reuse** — ``yield n`` / ``yield WaitTime(n)`` pushes
@@ -45,6 +50,7 @@ from typing import List, Optional
 from .errors import DeltaCycleLimitExceeded, ProcessError, SchedulerError
 from .event import Event, EventQueue
 from .module import Module
+from .probes import Probes
 from .process import (
     Process,
     WaitAny,
@@ -88,7 +94,8 @@ class Simulator:
     #: Safety valve against combinational loops.
     MAX_DELTA_CYCLES_PER_TIMESTEP = 10_000
 
-    def __init__(self, top: Optional[Module] = None) -> None:
+    def __init__(self, top: Optional[Module] = None,
+                 probes: Optional[Probes] = None) -> None:
         self._tops: List[Module] = []
         self.now: int = 0
         #: Time of the last processed timed step (or run start) — the point
@@ -107,14 +114,11 @@ class Simulator:
         self._processes: List[Process] = []
         #: Scheduling generation for runnable dedup (see ``_dedup_runnable``).
         self._generation = 0
-        #: Sync-event observer: ``observer(kind, event, process)`` with kind
-        #: ``"notify"`` (the currently running process notified ``event``)
-        #: or ``"wake"`` (``event`` woke ``process``).  Installed by the
-        #: sanitizer suite (:mod:`repro.check`); ``None`` costs one hoisted
-        #: ``is not None`` test per wake in the hot loop and never perturbs
-        #: scheduling (observers must not notify events or create processes).
-        self._sync_observer = None
-        #: The process being evaluated right now (observer attribution).
+        #: The probe bus; the kernel emits ``sync`` (every event notify and
+        #: every event-driven wake).  Unsubscribed, that costs one hoisted
+        #: ``is not None`` test per wake in the hot loop.
+        self.probes = probes if probes is not None else Probes()
+        #: The process being evaluated right now (see :attr:`current_process`).
         self._current_process: Optional[Process] = None
         self.stats = SimulationStats()
         if top is not None:
@@ -167,27 +171,27 @@ class Simulator:
 
     # -- hooks used by events/signals ------------------------------------------
     def _schedule_timed_event(self, event: Event, when: int, epoch: int = 0) -> None:
-        sync_observer = self._sync_observer
-        if sync_observer is not None:
-            sync_observer("notify", event, self._current_process)
+        sync = self.probes.sync
+        if sync is not None:
+            sync("notify", event, self._current_process)
         self._timed_events.push(when, event, epoch)
 
     def _schedule_delta_event(self, event: Event, epoch: int = 0) -> None:
-        sync_observer = self._sync_observer
-        if sync_observer is not None:
-            sync_observer("notify", event, self._current_process)
+        sync = self.probes.sync
+        if sync is not None:
+            sync("notify", event, self._current_process)
         self._delta_queue.append((event, epoch))
 
     def _trigger_event_now(self, event: Event) -> None:
         self.stats.events_fired += 1
-        sync_observer = self._sync_observer
-        if sync_observer is not None:
-            sync_observer("notify", event, self._current_process)
+        sync = self.probes.sync
+        if sync is not None:
+            sync("notify", event, self._current_process)
         runnable = self._immediate_runnable
         for process in event._collect_triggered():
             if not process._terminated:
-                if sync_observer is not None:
-                    sync_observer("wake", event, process)
+                if sync is not None:
+                    sync("wake", event, process)
                 runnable.append(process)
 
     def _schedule_signal_update(self, signal: Signal) -> None:
@@ -276,10 +280,10 @@ class Simulator:
         runnable = self._immediate_runnable
         delta_queue = self._delta_queue
         wake = runnable.append
-        # Sanitizer hook (``None`` on unsanitized runs): one hoisted test
+        # The ``sync`` probe (``None`` with no subscriber): one hoisted test
         # per event-driven wake; timer fast-path wakes resume the same
         # process and carry no cross-process edge, so they skip it.
-        sync_observer = self._sync_observer
+        sync = self.probes.sync
         n_deltas = n_steps = n_activations = n_fired = 0
         clean_exit = False
         try:
@@ -300,8 +304,8 @@ class Simulator:
                                     n_fired += 1
                                     for p in event._collect_triggered():
                                         if not p._terminated:
-                                            if sync_observer is not None:
-                                                sync_observer("wake", event, p)
+                                            if sync is not None:
+                                                sync("wake", event, p)
                                             wake(p)
                             else:  # a process woken by a direct delta wait
                                 n_fired += 1
@@ -402,8 +406,8 @@ class Simulator:
                         n_fired += 1
                         for p in payload._collect_triggered():
                             if not p._terminated:
-                                if sync_observer is not None:
-                                    sync_observer("wake", payload, p)
+                                if sync is not None:
+                                    sync("wake", payload, p)
                                 wake(p)
                     if not heap or heap[0][0] > now:
                         break
@@ -475,6 +479,12 @@ class Simulator:
         if self._immediate_runnable or self._delta_queue:
             return self.now
         return self._timed_events.next_time()
+
+    @property
+    def current_process(self) -> Optional[Process]:
+        """The process being evaluated right now (``None`` before the first
+        activation); how probe subscribers attribute what they observe."""
+        return self._current_process
 
     @property
     def runnable_depth(self) -> int:

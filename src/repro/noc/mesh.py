@@ -54,7 +54,7 @@ from ..fabric import (
     Region,
     RoundRobinArbiter,
 )
-from ..kernel import Event, Module
+from ..kernel import Event, Module, Probes
 from ..kernel.simtime import NS
 from .config import NocConfig
 from .packet import (
@@ -140,11 +140,13 @@ class MeshNoc(Fabric):
         config: Optional[NocConfig] = None,
         parent: Optional[Module] = None,
         arbitration: Union[ArbitrationSpec, str, None] = None,
+        probes: Optional[Probes] = None,
     ) -> None:
         # The mesh has no per-transfer address phase: its overhead is the
         # modelled router/link traversal, so arbitration_cycles is 0.
         super().__init__(name, period, arbitration_cycles=0,
-                         arbitration=arbitration, parent=parent)
+                         arbitration=arbitration, parent=parent,
+                         probes=probes)
         config = config if config is not None else NocConfig(rows=2, cols=2)
         if not config.has_dims:
             config = config.resolve(1, 1)
@@ -422,8 +424,9 @@ class MeshNoc(Fabric):
         self.noc_stats.record_latency(response.total_cycles)
         self._inflight.discard(packet.request.master_id)
         port = self._master_ports[packet.request.master_id]
-        for hook in self._complete_hooks:
-            hook(port, packet.request, response)
+        probe = self.probes.port_complete
+        if probe is not None:
+            probe(port, packet.request, response)
         port._response = response
         port._completion.notify()
 

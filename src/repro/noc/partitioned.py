@@ -33,7 +33,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from ..fabric import ArbitrationSpec
 from ..fabric.transaction import BusOp
-from ..kernel import Module
+from ..kernel import Module, Probes
 from ..kernel.simtime import NS
 from ..memory.protocol import REG_COMMAND, REG_OPCODE, MemOpcode
 from .config import NocConfig
@@ -166,6 +166,7 @@ class PartitionedMeshNoc(MeshNoc):
         arbitration: Union[ArbitrationSpec, str, None] = None,
         partition: Optional[PartitionContext] = None,
         runtime: Optional[BoundaryRuntime] = None,
+        probes: Optional[Probes] = None,
     ) -> None:
         if partition is None or runtime is None:
             raise ValueError(
@@ -173,7 +174,7 @@ class PartitionedMeshNoc(MeshNoc):
                 "BoundaryRuntime"
             )
         super().__init__(name, period, config=config, parent=parent,
-                         arbitration=arbitration)
+                         arbitration=arbitration, probes=probes)
         self.partition = partition
         self.runtime = runtime
         self._owned_nodes = partition.owned_nodes

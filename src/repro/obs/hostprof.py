@@ -44,7 +44,7 @@ class HostProfiler:
         now = time.perf_counter()
         elapsed = now - self._last
         self._last = now
-        process = getattr(self._simulator, "_current_process", None)
+        process = self._simulator.current_process
         name = process.name if process is not None else "kernel"
         self.buckets[name] = self.buckets.get(name, 0.0) + elapsed
 

@@ -1,15 +1,15 @@
-"""The observability suite: one object wired into every hook point.
+"""The observability suite: one subscriber of the platform's probe bus.
 
 :class:`ObsSuite` is the platform-facing façade over the three heads
 (:class:`~repro.obs.trace.TraceCollector`,
 :class:`~repro.obs.metrics.MetricsSampler`,
-:class:`~repro.obs.hostprof.HostProfiler`).  ``Platform._build_obs``
-registers it on the same zero-overhead-when-off hook points the
-sanitizers use — ``Fabric.add_port_observer`` for transactions, a
-parallel ``obs_observer`` slot on the interrupt controller and the DMA
-engines (the single-slot ``check_observer`` stays owned by
-``repro.check``) — and injects it into each :class:`TaskContext` so
-workloads can annotate phases with ``ctx.span``.
+:class:`~repro.obs.hostprof.HostProfiler`).  :meth:`ObsSuite.attach`
+(called once, from ``Platform.prepare_run``) reads processors, caches,
+interrupt controller and simulator off the platform and subscribes to
+its :class:`~repro.kernel.probes.Probes` bus: ``port_issue`` /
+``port_complete`` for transactions, ``irq_raise`` / ``irq_wait`` /
+``irq_claim``, ``dma_begin`` / ``dma_end``, and ``task_span`` for the
+phases workloads annotate with ``ctx.span``.
 
 Everything here is strictly read-only with respect to the simulation:
 the suite never notifies events, never creates processes, and never
@@ -34,24 +34,18 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..cache import CACHE_TAG_SUFFIXES
 from .config import ObsConfig
 from .hostprof import HostProfiler
 from .metrics import MetricsSampler
 from .trace import TraceCollector
 
-#: Request tags of L1/coherence traffic (mirrors the sanitizers' view of
-#: the cache protocol) — transactions with these suffixes trace as
-#: category ``cache`` instead of ``fabric``.
-_CACHE_TAG_SUFFIXES = (".fill", ".writeback", ".restage")
-
 
 class ObsSuite:
     """Collects timeline events, metrics rows and host-time buckets."""
 
-    def __init__(self, config: ObsConfig, interconnect,
-                 clock_period: int) -> None:
+    def __init__(self, config: ObsConfig, clock_period: int) -> None:
         self.config = config
-        self.interconnect = interconnect
         self.clock_period = clock_period
         self.trace: Optional[TraceCollector] = (
             TraceCollector(max_events=config.max_events,
@@ -69,10 +63,6 @@ class ObsSuite:
                 derive=self._derive_row,
                 collector=self.trace,
             )
-        self.simulator = None
-        self._processors: List[object] = []
-        self._caches: List[object] = []
-        self._controller = None
         #: In-flight transactions: id(request) -> issue timestamp.  Keyed
         #: per request (not per master) because coherence writebacks can
         #: ride a holder's port while that PE's own transfer is in flight.
@@ -81,50 +71,49 @@ class ObsSuite:
         self._outstanding: Dict[str, int] = {}
         #: pe_id -> IRQ wait-begin timestamp (open wait spans).
         self._irq_waits: Dict[int, int] = {}
-        #: pe_id -> PE track lane (from the registered processors).
-        self._pe_lanes: Dict[int, str] = {}
         #: engine name -> DMA transfer-begin (timestamp, programmed count).
         self._dma_starts: Dict[str, Tuple[int, int]] = {}
 
-    # -- registration (mirrors SanitizerSuite's wiring surface) -------------------------
-    def register_processor(self, processor) -> None:
-        """Track a PE; its context gains ``ctx.span`` support."""
-        self._processors.append(processor)
-        self._pe_lanes[processor.context.pe_id] = processor.name
-        processor.context.obs = self
+    # -- wiring -------------------------------------------------------------------------
+    def attach(self, platform) -> None:
+        """Read the built platform and subscribe to its probe bus.
 
-    def register_controller(self, controller) -> None:
-        """Observe IRQ raise/claim edges (parallel ``obs_observer`` slot)."""
-        self._controller = controller
-        controller.obs_observer = self
-
-    def register_dma(self, engine) -> None:
-        """Observe an engine's transfer begin/end."""
-        engine.obs_observer = self
-
-    def register_caches(self, caches) -> None:
-        """Caches feed the sampler's hit-rate columns."""
-        self._caches = list(caches)
-
-    def install(self, simulator) -> None:
-        """Bind the run's simulator (runnable-depth gauge, host clock)."""
-        self.simulator = simulator
+        Called once from ``Platform.prepare_run``, when processors, caches
+        and simulator all exist.
+        """
+        self.interconnect = platform.interconnect
+        #: Current simulated time in picoseconds.
+        self.now = platform.interconnect.sim_now
+        #: Runnable-depth gauge and host-profile attribution.
+        self.simulator = platform.simulator
+        self._processors = platform.processors
+        #: pe_id -> PE track lane.
+        self._pe_lanes = {processor.context.pe_id: processor.name
+                          for processor in platform.processors}
+        #: Caches feed the sampler's hit-rate columns.
+        self._caches = platform.caches
+        self._controller = platform.irq_controller
         if self.host is not None:
-            self.host.install(simulator)
-
-    # -- clock --------------------------------------------------------------------------
-    def now(self) -> int:
-        """Current simulated time in picoseconds."""
-        return self.interconnect.sim_now()
+            self.host.install(platform.simulator)
+        platform.probes.subscribe(
+            port_issue=self.on_port_issue,
+            port_complete=self.on_port_complete,
+            irq_raise=self.irq_raised,
+            irq_wait=self.irq_wait_begin,
+            irq_claim=self.irq_claimed,
+            dma_begin=self.dma_begin,
+            dma_end=self.dma_end,
+            task_span=self.task_span,
+        )
 
     def _observe(self, now: int) -> None:
-        """Per-hook bookkeeping shared by every observation point."""
+        """Per-probe bookkeeping shared by every observation point."""
         if self.sampler is not None:
             self.sampler.tick(now)
         if self.host is not None:
             self.host.observe()
 
-    # -- fabric hooks -------------------------------------------------------------------
+    # -- fabric probes ------------------------------------------------------------------
     def on_port_issue(self, port, request) -> None:
         now = self.now()
         self._issue_times[id(request)] = now
@@ -139,7 +128,7 @@ class ObsSuite:
             self._outstanding[port.name] = held - 1
         if self.trace is not None:
             tag = request.tag or ""
-            suffix = next((s for s in _CACHE_TAG_SUFFIXES
+            suffix = next((s for s in CACHE_TAG_SUFFIXES
                            if tag.endswith(s)), None)
             if suffix is not None:
                 cat, name = "cache", suffix[1:]
@@ -156,7 +145,7 @@ class ObsSuite:
                                 ("fabric", port.name), **args)
         self._observe(now)
 
-    # -- interrupt hooks ----------------------------------------------------------------
+    # -- interrupt probes ---------------------------------------------------------------
     def irq_raised(self, mask: int) -> None:
         now = self.now()
         if self.trace is not None:
@@ -180,7 +169,7 @@ class ObsSuite:
                                mask=f"{mask:#x}")
         self._observe(now)
 
-    # -- DMA hooks ----------------------------------------------------------------------
+    # -- DMA probes ---------------------------------------------------------------------
     def dma_begin(self, engine, count: int) -> None:
         now = self.now()
         self._dma_starts[engine.name] = (now, count)
@@ -225,8 +214,7 @@ class ObsSuite:
 
     def _sample_gauges(self) -> Dict[str, float]:
         gauges: Dict[str, float] = {}
-        if self.simulator is not None:
-            gauges["runnable"] = self.simulator.runnable_depth
+        gauges["runnable"] = self.simulator.runnable_depth
         if self._controller is not None:
             gauges["irq_pending"] = self._controller.pending_mask
         gauges["outstanding"] = sum(self._outstanding.values())

@@ -158,9 +158,7 @@ class PartitionSim:
                 and sim.now > self._last_real_time):
             sim.now = self._last_real_time
             sim.stats.end_time = self._last_real_time
-        sim.finalize()
-        if platform.obs is not None:
-            platform.obs.finish(sim.now)
+        platform.finalize()
         self.wallclock += _wallclock.perf_counter() - start
 
         noc = platform.interconnect

@@ -6,7 +6,7 @@ from .config import (
     MemoryKind,
     PlatformConfig,
 )
-from .platform import MemoryIdleTicker, Platform, run_platform
+from .platform import MemoryIdleTicker, Platform
 from .stats import (
     SimulationReport,
     SweepPoint,
@@ -25,7 +25,6 @@ __all__ = [
     "SimulationReport",
     "SweepPoint",
     "format_table",
-    "run_platform",
     "speed_degradation",
     "wallclock_overhead",
 ]

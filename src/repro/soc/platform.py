@@ -24,7 +24,6 @@ Typical use::
 from __future__ import annotations
 
 import time as _wallclock
-import warnings
 from typing import List, Optional, Union
 
 from ..cache.coherence import CoherenceDomain
@@ -44,7 +43,7 @@ from ..noc.partitioned import (
     PartitionedMeshNoc,
 )
 from ..obs.suite import ObsSuite
-from ..kernel import Event, Module, Simulator
+from ..kernel import Event, Module, Probes, Simulator
 from ..memory.host_memory import HostMemory
 from ..memory.modeled_dynamic_memory import ModeledDynamicMemory
 from ..memory.protocol import REGISTER_WINDOW_BYTES
@@ -141,6 +140,10 @@ class Platform:
                  partition: Optional[PartitionContext] = None) -> None:
         self.config = config
         self.top = Module(config.name)
+        #: The one instrumentation hook surface, handed to every emitter
+        #: (simulator, fabric, interrupt controller, DMA engines, task
+        #: contexts); every point stays ``None`` unless a suite subscribes.
+        self.probes = Probes()
         self.host = host if host is not None else HostMemory()
         #: PDES shard identity (``None`` on an ordinary sequential platform).
         self.partition = partition
@@ -182,13 +185,17 @@ class Platform:
         if self._device_layout is not None:
             self._build_devices(self._device_layout)
         #: Runtime sanitizers (``config.check``), timing-transparent.
-        self.check_suite: Optional[SanitizerSuite] = None
-        if config.check is not None:
-            self.check_suite = self._build_check_suite()
+        self.check_suite: Optional[SanitizerSuite] = (
+            SanitizerSuite(config.check) if config.check is not None
+            else None)
         #: Observability (``config.obs``), timing-transparent.
-        self.obs: Optional[ObsSuite] = None
-        if config.obs is not None:
-            self.obs = self._build_obs()
+        self.obs: Optional[ObsSuite] = (
+            ObsSuite(config.obs, config.clock_period)
+            if config.obs is not None else None)
+        #: The suites this platform runs with: attached to :attr:`probes`
+        #: by :meth:`prepare_run`, finished by :meth:`finalize`.
+        self._suites = [suite for suite in (self.check_suite, self.obs)
+                        if suite is not None]
         self.processors: List[TaskProcessor] = []
         #: Global PE index of each entry of :attr:`processors` (in a
         #: partitioned shard the two differ: foreign PEs are skipped).
@@ -218,17 +225,21 @@ class Platform:
                     config=config.resolved_noc(),
                     arbitration=arbitration, parent=self.top,
                     partition=self.partition, runtime=self.boundary,
+                    probes=self.probes,
                 )
             return MeshNoc("noc", period=config.clock_period,
                            config=config.resolved_noc(),
-                           arbitration=arbitration, parent=self.top)
+                           arbitration=arbitration, parent=self.top,
+                           probes=self.probes)
         if config.interconnect is InterconnectKind.CROSSBAR:
             return Crossbar("xbar", period=config.clock_period,
                             arbitration_cycles=config.arbitration_cycles,
-                            arbitration=arbitration, parent=self.top)
+                            arbitration=arbitration, parent=self.top,
+                            probes=self.probes)
         return SharedBus("bus", period=config.clock_period,
                          arbitration_cycles=config.arbitration_cycles,
-                         arbitration=arbitration, parent=self.top)
+                         arbitration=arbitration, parent=self.top,
+                         probes=self.probes)
 
     def _build_memory(self, index: int) -> DynamicMemory:
         config = self.config
@@ -257,6 +268,7 @@ class Platform:
         controller = InterruptController(
             layout.controller.name, num_pes=config.num_pes,
             lines=layout.controller.config.lines, parent=self.top,
+            probes=self.probes,
         )
         self.irq_controller = controller
         built = {layout.controller.name: controller}
@@ -277,6 +289,7 @@ class Platform:
                 built[slot.name] = DmaEngine(
                     slot.name, port, apis, controller, slot.irq_line,
                     burst_words=slot.config.burst_words, parent=self.top,
+                    probes=self.probes,
                 )
             elif slot.kind == "timer":
                 built[slot.name] = TimerPeripheral(
@@ -294,56 +307,6 @@ class Platform:
                                            device.window_bytes(), device)
         self.dma_engines = [built[slot.name] for slot in layout.dmas]
         self.timers = [built[slot.name] for slot in layout.timers]
-
-    def _build_check_suite(self) -> SanitizerSuite:
-        """Assemble the sanitizer suite and register the static topology.
-
-        PE actors join in :meth:`add_task` (they do not exist yet) and the
-        L1 caches + kernel observer bind in :meth:`run`.
-        """
-        config = self.config
-        assert config.check is not None
-        suite = SanitizerSuite(config.check, self.interconnect)
-        for index in range(config.num_memories):
-            suite.register_memory_window(config.memory_base(index),
-                                         REGISTER_WINDOW_BYTES, index)
-        layout = self._device_layout
-        if layout is not None:
-            for slot, device in zip(layout.slots, self.devices):
-                # device.kind, not slot.kind: the layout spells the
-                # controller "irq", the peripheral classes "irq_controller".
-                suite.register_device_window(
-                    slot.base, device.window_bytes(), device.kind, slot.name,
-                    device_actor=(slot.master_id if device.kind == "dma"
-                                  else None),
-                )
-            assert self.irq_controller is not None
-            suite.register_controller(self.irq_controller)
-            for slot, engine in zip(layout.dmas, self.dma_engines):
-                suite.register_actor(slot.master_id, slot.name,
-                                     process=engine.processes[0])
-        self.interconnect.add_port_observer(on_issue=suite.on_port_issue,
-                                            on_complete=suite.on_port_complete)
-        return suite
-
-    def _build_obs(self) -> ObsSuite:
-        """Assemble the observability suite on the same hook surface.
-
-        PEs register in :meth:`add_task` and the caches + simulator bind
-        in :meth:`run`.  The interrupt controller and the DMA engines get
-        the suite on their ``obs_observer`` slot — parallel to (never
-        displacing) the sanitizers' ``check_observer``.
-        """
-        config = self.config
-        assert config.obs is not None
-        suite = ObsSuite(config.obs, self.interconnect, config.clock_period)
-        self.interconnect.add_port_observer(on_issue=suite.on_port_issue,
-                                            on_complete=suite.on_port_complete)
-        if self.irq_controller is not None:
-            suite.register_controller(self.irq_controller)
-        for engine in self.dma_engines:
-            suite.register_dma(engine)
-        return suite
 
     # -- task placement ------------------------------------------------------------------
     def add_task(self, task: TaskFunction, pe_index: Optional[int] = None,
@@ -398,14 +361,10 @@ class Platform:
             parent=self.top,
             irq=irq,
             devices=self._device_layout,
+            probes=self.probes,
         )
         self.processors.append(processor)
         self.pe_indices.append(pe_index)
-        if self.check_suite is not None:
-            self.check_suite.register_actor(pe_index, processor.name,
-                                            process=processor.processes[0])
-        if self.obs is not None:
-            self.obs.register_processor(processor)
         return processor
 
     def add_tasks(self, tasks: List[TaskFunction]) -> List[TaskProcessor]:
@@ -416,31 +375,30 @@ class Platform:
 
     # -- execution ----------------------------------------------------------------------------
     def prepare_run(self) -> Simulator:
-        """Create the simulator and bind the check/obs suites.
+        """Create the simulator and attach the check/obs suites to the
+        probe bus (processors, caches and simulator all exist by now).
 
         Split out of :meth:`run` so the PDES partition driver
         (:mod:`repro.pdes.partition`) can own the kernel windows itself.
         """
         if not self.processors and self.partition is None:
             raise RuntimeError("no tasks were added to the platform")
-        self.simulator = Simulator(self.top)
-        if self.check_suite is not None:
-            self.check_suite.register_caches(self.caches)
-            self.check_suite.install(self.simulator)
-        if self.obs is not None:
-            self.obs.register_caches(self.caches)
-            self.obs.install(self.simulator)
+        self.simulator = Simulator(self.top, probes=self.probes)
+        for suite in self._suites:
+            suite.attach(self)
         return self.simulator
+
+    def finalize(self) -> None:
+        """End-of-simulation module callbacks, then every suite's finish."""
+        assert self.simulator is not None
+        self.simulator.finalize()
+        for suite in self._suites:
+            suite.finish(self.simulator.now)
 
     def finish_run(self, wallclock_seconds: float) -> SimulationReport:
         """End-of-simulation callbacks plus the report (counterpart of
         :meth:`prepare_run`)."""
-        assert self.simulator is not None
-        self.simulator.finalize()
-        if self.check_suite is not None:
-            self.check_suite.finish(self.simulator.now)
-        if self.obs is not None:
-            self.obs.finish(self.simulator.now)
+        self.finalize()
         return self._build_report(wallclock_seconds)
 
     def run(self, max_time: Optional[int] = None) -> SimulationReport:
@@ -528,20 +486,3 @@ class Platform:
             finished={p.name: p.finished for p in self.processors},
         )
 
-
-def run_platform(config: PlatformConfig, tasks: List[TaskFunction],
-                 max_time: Optional[int] = None,
-                 host: Optional[HostMemory] = None) -> SimulationReport:
-    """Deprecated shim: build a platform, place ``tasks`` and run it.
-
-    Use :func:`repro.api.run_tasks` (same signature) or, for named
-    workloads and sweeps, :class:`repro.api.ExperimentRunner`.
-    """
-    warnings.warn(
-        "run_platform() is deprecated; use repro.api.run_tasks() or "
-        "repro.api.ExperimentRunner",
-        DeprecationWarning, stacklevel=2,
-    )
-    from ..api.runner import run_tasks
-
-    return run_tasks(config, tasks, max_time=max_time, host=host)

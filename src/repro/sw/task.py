@@ -24,7 +24,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable, Generator, List, Optional
 
-from ..kernel import WaitCycles
+from ..kernel import Probes, WaitCycles
 from ..kernel.process import WaitCycleCache
 from ..wrapper.api import SharedMemoryAPI
 from .instruction_costs import ARM7_LIKE, CostModel
@@ -48,6 +48,7 @@ class TaskContext:
         port=None,
         irq=None,
         devices=None,
+        probes: Optional[Probes] = None,
     ) -> None:
         if not apis:
             raise TaskError("a task context needs at least one shared memory API")
@@ -75,10 +76,8 @@ class TaskContext:
         self.compute_calls = 0
         #: Free-form log a task may append progress records to.
         self.log: List[str] = []
-        #: Observability suite (:class:`repro.obs.ObsSuite`) when the
-        #: platform runs with tracing on; ``None`` makes :meth:`span` a
-        #: no-op, so annotated workloads run unchanged everywhere.
-        self.obs = None
+        #: The platform's probe bus; :meth:`span` emits ``task_span``.
+        self.probes = probes if probes is not None else Probes()
 
     # -- shared memory access ------------------------------------------------------
     def smem(self, index: int = 0) -> SharedMemoryAPI:
@@ -216,19 +215,20 @@ class TaskContext:
                 yield from ctx.compute(1200)
 
         The span covers the simulated time the block consumed and lands
-        in the trace as a ``task``-category event.  Without observability
-        (``self.obs is None``) this is a zero-cost no-op — annotations
-        never change the simulation.
+        in the trace as a ``task``-category event.  With no ``task_span``
+        subscriber this is a zero-cost no-op — annotations never change
+        the simulation.
         """
-        obs = self.obs
-        if obs is None:
+        probe = self.probes.task_span
+        if probe is None:
             yield
             return
-        began = obs.now()
+        now = self.port._interconnect.sim_now
+        began = now()
         try:
             yield
         finally:
-            obs.task_span(self, name, began, obs.now())
+            probe(self, name, began, now())
 
 
 #: Type of a task body: a generator function taking the context.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Generator, List, Optional
 
 from ..fabric import MasterPort
-from ..kernel import Module
+from ..kernel import Module, Probes
 from ..wrapper.api import SharedMemoryAPI
 from .instruction_costs import ARM7_LIKE, CostModel
 from .task import TaskContext, TaskFunction
@@ -55,6 +55,7 @@ class TaskProcessor(Module):
         parent: Optional[Module] = None,
         irq=None,
         devices=None,
+        probes: Optional[Probes] = None,
     ) -> None:
         super().__init__(name, parent)
         self.port = port
@@ -70,6 +71,7 @@ class TaskProcessor(Module):
             port=port,
             irq=irq,
             devices=devices,
+            probes=probes,
         )
         self.stats = TaskProcessorStats()
         self.add_process(self._run, name="program")

@@ -1,4 +1,4 @@
-"""Tests for the analysis metrics and the sweep driver."""
+"""Tests for the analysis metrics and the sweep-point helpers."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,13 +11,12 @@ from repro.analysis import (
     harmonic_mean,
     overhead,
     percent,
-    run_sweep,
     speedup,
     summarize,
     sweep_table,
 )
-from repro.soc import PlatformConfig
-from repro.sw.workloads import make_fir_task
+from repro.api import ExperimentRunner, scenario_grid
+from repro.soc import PlatformConfig, SweepPoint
 
 
 class TestMetrics:
@@ -70,16 +69,16 @@ class TestSweep:
         assert grid == [{"a": 1, "b": "x"}, {"a": 2, "b": "x"}]
         assert expand_grid({}) == [{}]
 
-    def test_run_sweep_over_memory_counts(self):
-        samples = list(range(16))
-        taps = [1, 2, 1]
-
-        def tasks(config):
-            return [make_fir_task(samples, taps) for _ in range(config.num_pes)]
-
+    def test_sweep_points_over_memory_counts(self):
         base = PlatformConfig(num_pes=1, num_memories=1)
-        with pytest.warns(DeprecationWarning):
-            points = run_sweep(base, {"num_memories": [1, 2]}, tasks)
+        scenarios = scenario_grid("fir", base, "fir",
+                                  config_grid={"num_memories": [1, 2]},
+                                  params={"num_samples": 16,
+                                          "taps": (1, 2, 1)})
+        results = ExperimentRunner(scenarios).run()
+        points = [SweepPoint(label=result.scenario,
+                             parameters=dict(result.overrides),
+                             report=result.report) for result in results]
         assert len(points) == 2
         assert all(point.report.all_pes_finished for point in points)
         table = sweep_table(points)

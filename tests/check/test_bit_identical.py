@@ -9,7 +9,6 @@ the same scenario (only host wall-clock may differ) — and the default
 
 import pytest
 
-import repro.sw.catalog  # noqa: F401  (registers the workloads)
 from repro.api import PlatformBuilder, run_tasks
 from repro.sw.registry import workload
 

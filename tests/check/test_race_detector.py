@@ -150,7 +150,6 @@ def test_platform_reports_planted_race_with_both_sites():
 
 
 def test_platform_clean_producer_consumer_has_no_reports():
-    import repro.sw.catalog  # noqa: F401  (registers the workloads)
     from repro.sw.registry import workload
 
     config = PlatformBuilder().pes(2).wrapper_memories(1).sanitize().build()

@@ -3,7 +3,6 @@ seeded mutations are caught by the matching checker (negative tests)."""
 
 import pytest
 
-import repro.sw.catalog  # noqa: F401  (registers the workloads)
 from repro.api import PlatformBuilder, run_tasks
 from repro.sw.registry import workload
 

@@ -65,32 +65,40 @@ class TestObsConfig:
             ObsConfig(metrics_interval_cycles=-1)
 
 
+class _FakeFabric:
+    """The one thing ``ctx.span`` reads off the port: a clock."""
+
+    def __init__(self):
+        self.clock = 0
+
+    def sim_now(self):
+        self.clock += 100
+        return self.clock
+
+
+class _FakePort:
+    def __init__(self):
+        self._interconnect = _FakeFabric()
+
+
 class _FakeApi:
     port = None
 
 
 def test_ctx_span_is_a_noop_without_obs():
     context = TaskContext(pe_id=0, apis=[_FakeApi()], clock_period=10)
-    assert context.obs is None
+    assert context.probes.task_span is None
     with context.span("phase"):
         pass  # must not raise and must not require a fabric
 
 
 def test_ctx_span_records_through_a_recording_stub():
-    class _Stub:
-        def __init__(self):
-            self.spans = []
-            self.clock = 0
-
-        def now(self):
-            self.clock += 100
-            return self.clock
-
-        def task_span(self, context, name, began, ended):
-            self.spans.append((context.name, name, began, ended))
-
-    context = TaskContext(pe_id=1, apis=[_FakeApi()], clock_period=10)
-    context.obs = _Stub()
+    spans = []
+    context = TaskContext(pe_id=1, apis=[_FakeApi()], clock_period=10,
+                          port=_FakePort())
+    context.probes.subscribe(
+        task_span=lambda ctx, name, began, ended: spans.append(
+            (ctx.name, name, began, ended)))
     with context.span("lpc"):
         pass
-    assert context.obs.spans == [("pe1", "lpc", 100, 200)]
+    assert spans == [("pe1", "lpc", 100, 200)]
