@@ -143,7 +143,9 @@ class DynamicMemorySlave(BusSlave):
     # -- subclass hooks -------------------------------------------------------
     def _execute(self, command: MemCommand, io_words: List[int],
                  master_id: int) -> MemResult:
-        """Perform the operation functionally and return its result."""
+        """Perform the operation functionally and return its result.
+
+        ``io_words`` is the requester's live I/O array: read-only here."""
         raise NotImplementedError
 
     def _cycles_for(self, command: MemCommand, result: MemResult) -> int:
@@ -209,7 +211,7 @@ class DynamicMemorySlave(BusSlave):
         if command.sm_addr != self.sm_addr:
             result = MemResult(MemStatus.ERR_BAD_SM_ADDR)
         else:
-            result = self._execute(command, list(io_array), master_id)
+            result = self._execute(command, io_array, master_id)
         self.last_status = result.status
         self.last_result = result.value
         self.op_counts[command.opcode] += 1

@@ -14,11 +14,18 @@ bytes, and the very first Vptr is zero (an optional ``base_vptr`` shifts the
 whole virtual range, which platforms use to give every shared memory its own
 virtual window).  On deallocation the entry is removed and the table is
 re-compacted; surviving Vptrs never change.
+
+That rule keeps the table strictly sorted by Vptr with disjoint ranges (a
+new entry starts where the last survivor ends), so one sorted Vptr list
+searched with ``bisect`` serves exact-base lookup and interior-pointer
+resolve alike: both O(log live), byte accounting O(1) (a running counter),
+removal O(log live) plus the list compaction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..memory.host_memory import HostBlock
@@ -26,30 +33,30 @@ from ..memory.protocol import DATA_TYPE_SIZES, DataType
 from .errors import PointerTableError
 
 
-@dataclass
+@dataclass(slots=True)
 class PointerEntry:
-    """One row of the pointer table."""
+    """One row of the pointer table.
+
+    ``vptr``, ``dim`` and ``data_type`` never change once the row exists, so
+    the sizes derived from them are fixed at construction.
+    """
 
     vptr: int
     hptr: HostBlock
     dim: int
     data_type: DataType
     reserved_by: Optional[int] = None
+    #: Size in bytes of one element of this allocation.
+    element_size: int = field(init=False)
+    #: Total payload size of the allocation in bytes.
+    size_bytes: int = field(init=False)
+    #: First virtual address *after* this allocation.
+    end_vptr: int = field(init=False)
 
-    @property
-    def element_size(self) -> int:
-        """Size in bytes of one element of this allocation."""
-        return DATA_TYPE_SIZES[self.data_type]
-
-    @property
-    def size_bytes(self) -> int:
-        """Total payload size of the allocation in bytes."""
-        return self.dim * self.element_size
-
-    @property
-    def end_vptr(self) -> int:
-        """First virtual address *after* this allocation."""
-        return self.vptr + self.size_bytes
+    def __post_init__(self) -> None:
+        self.element_size = DATA_TYPE_SIZES[self.data_type]
+        self.size_bytes = self.dim * self.element_size
+        self.end_vptr = self.vptr + self.size_bytes
 
     @property
     def reserved(self) -> bool:
@@ -70,6 +77,9 @@ class PointerTable:
         self.capacity_bytes = capacity_bytes
         self.base_vptr = base_vptr
         self._entries: List[PointerEntry] = []
+        #: ``_entries[i].vptr`` for every row: the strictly increasing search index.
+        self._vptrs: List[int] = []
+        self._used_bytes = 0
         #: Running counters used by the evaluation benches.
         self.total_allocations = 0
         self.total_frees = 0
@@ -79,19 +89,19 @@ class PointerTable:
     # -- size accounting -----------------------------------------------------------
     def used_bytes(self) -> int:
         """Sum of the live allocations' sizes."""
-        return sum(entry.size_bytes for entry in self._entries)
+        return self._used_bytes
 
     def free_bytes(self) -> Optional[int]:
         """Remaining capacity, or ``None`` when the table is unlimited."""
         if self.capacity_bytes is None:
             return None
-        return self.capacity_bytes - self.used_bytes()
+        return self.capacity_bytes - self._used_bytes
 
     def would_fit(self, size_bytes: int) -> bool:
         """True if an allocation of ``size_bytes`` respects the capacity limit."""
         if self.capacity_bytes is None:
             return True
-        return self.used_bytes() + size_bytes <= self.capacity_bytes
+        return self._used_bytes + size_bytes <= self.capacity_bytes
 
     # -- Vptr generation ---------------------------------------------------------------
     def next_vptr(self) -> int:
@@ -102,8 +112,7 @@ class PointerTable:
         """
         if not self._entries:
             return self.base_vptr
-        last = self._entries[-1]
-        return last.vptr + last.size_bytes
+        return self._entries[-1].end_vptr
 
     # -- table operations ------------------------------------------------------------------
     def insert(self, hptr: HostBlock, dim: int, data_type: DataType) -> PointerEntry:
@@ -118,31 +127,36 @@ class PointerTable:
             )
         entry = PointerEntry(self.next_vptr(), hptr, dim, data_type)
         self._entries.append(entry)
+        self._vptrs.append(entry.vptr)
+        self._used_bytes += size_bytes
         self.total_allocations += 1
         self.peak_entries = max(self.peak_entries, len(self._entries))
-        self.peak_used_bytes = max(self.peak_used_bytes, self.used_bytes())
+        self.peak_used_bytes = max(self.peak_used_bytes, self._used_bytes)
         return entry
+
+    def _base_index(self, vptr: int) -> int:
+        """Position of the entry whose Vptr is exactly ``vptr``."""
+        index = bisect_right(self._vptrs, vptr) - 1
+        if index < 0 or self._vptrs[index] != vptr:
+            raise PointerTableError(f"no allocation with Vptr {vptr:#x}")
+        return index
 
     def remove(self, vptr: int) -> PointerEntry:
         """Remove the entry whose Vptr is exactly ``vptr`` and re-compact.
 
         Re-compaction preserves the order and the Vptrs of the surviving
-        entries (only the list is compacted, as in the paper); the freed
-        bytes are subtracted from the used total implicitly.
+        entries (only the lists are compacted, as in the paper).
         """
-        for index, entry in enumerate(self._entries):
-            if entry.vptr == vptr:
-                del self._entries[index]
-                self.total_frees += 1
-                return entry
-        raise PointerTableError(f"no allocation with Vptr {vptr:#x}")
+        index = self._base_index(vptr)
+        entry = self._entries.pop(index)
+        del self._vptrs[index]
+        self._used_bytes -= entry.size_bytes
+        self.total_frees += 1
+        return entry
 
     def lookup(self, vptr: int) -> PointerEntry:
         """Find the entry whose Vptr is exactly ``vptr``."""
-        for entry in self._entries:
-            if entry.vptr == vptr:
-                return entry
-        raise PointerTableError(f"no allocation with Vptr {vptr:#x}")
+        return self._entries[self._base_index(vptr)]
 
     def resolve(self, vptr: int) -> Tuple[PointerEntry, int]:
         """Resolve a possibly-interior pointer to ``(entry, byte_offset)``.
@@ -151,9 +165,11 @@ class PointerTable:
         is not in the table is matched against the allocation that contains
         it, and the host pointer is later offset accordingly.
         """
-        for entry in self._entries:
-            if entry.contains(vptr):
-                return entry, vptr - entry.vptr
+        # Ranges are disjoint: only the last entry starting at or below
+        # ``vptr`` can contain it.
+        index = bisect_right(self._vptrs, vptr) - 1
+        if index >= 0 and self._entries[index].contains(vptr):
+            return self._entries[index], vptr - self._vptrs[index]
         raise PointerTableError(f"Vptr {vptr:#x} does not fall in any allocation")
 
     def try_resolve(self, vptr: int) -> Optional[Tuple[PointerEntry, int]]:
@@ -199,19 +215,24 @@ class PointerTable:
         return len(self._entries)
 
     def check_consistency(self) -> None:
-        """Verify the table invariants (disjoint ranges, capacity respected).
+        """Verify the table invariants in one pass over the sorted order.
 
-        Note that Vptr ranges may legitimately be *reused* after frees (the
-        paper's cumulative generation rule restarts from the last surviving
-        entry), so disjointness is only required among live entries.
+        Vptrs strictly increase and no range reaches into the next one, the
+        search index and the byte counter agree with the rows, and the
+        capacity is respected.  Only live entries count: Vptr ranges are
+        legitimately *reused* after frees (see the generation rule).
         """
-        for index, entry in enumerate(self._entries):
+        if self._vptrs != [entry.vptr for entry in self._entries]:
+            raise PointerTableError("Vptr index out of step with the entries")
+        floor = self.base_vptr
+        for entry in self._entries:
             if entry.dim <= 0:
                 raise PointerTableError("entry with non-positive dimension")
-            for other in self._entries[index + 1:]:
-                if entry.vptr < other.end_vptr and other.vptr < entry.end_vptr:
-                    raise PointerTableError(
-                        f"overlapping virtual ranges {entry.vptr:#x} and {other.vptr:#x}"
-                    )
-        if self.capacity_bytes is not None and self.used_bytes() > self.capacity_bytes:
+            if entry.vptr < floor:
+                raise PointerTableError(
+                    f"virtual range at {entry.vptr:#x} starts below {floor:#x}")
+            floor = entry.end_vptr
+        if self._used_bytes != sum(entry.size_bytes for entry in self._entries):
+            raise PointerTableError("used-bytes counter out of step with the entries")
+        if self.capacity_bytes is not None and self._used_bytes > self.capacity_bytes:
             raise PointerTableError("capacity limit exceeded")

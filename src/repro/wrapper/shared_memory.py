@@ -19,8 +19,9 @@ storing the application data in *host* memory:
 
 Timing comes from the cycle-true FSM (:class:`~repro.wrapper.wrapper_fsm.WrapperFsm`)
 parameterised by :class:`~repro.wrapper.delays.WrapperDelays`; the host work
-per operation is O(1) in the number of live allocations (a dict-backed
-pointer table), which is what makes the model fast on the host.
+per operation grows only with the pointer table's costs (exact and interior
+lookup O(log live), byte accounting O(1), removal O(log live) plus list
+compaction), which is what makes the model fast on the host.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memory import DataType, HostMemory
+from repro.memory import DATA_TYPE_SIZES, DataType, HostMemory
 from repro.wrapper import PointerTable, PointerTableError
 
 
@@ -188,24 +188,238 @@ class TestStatsAndConsistency:
             insert(table, host, dim)
         table.check_consistency()
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.booleans(), st.integers(min_value=1, max_value=64)),
-                    min_size=1, max_size=80))
-    def test_live_ranges_never_overlap(self, operations):
-        """Property: the paper's Vptr generation never overlaps live allocations."""
+    def test_consistency_check_catches_a_stale_index_and_counter(self):
         table, host = make_table()
-        live = []
-        for is_alloc, dim in operations:
-            if is_alloc or not live:
-                entry = insert(table, host, dim)
-                live.append(entry)
-            else:
-                victim = live.pop(dim % len(live))
-                table.remove(victim.vptr)
+        insert(table, host, 4)
+        insert(table, host, 4)
+        table._used_bytes += 1
+        with pytest.raises(PointerTableError, match="counter"):
             table.check_consistency()
-        # Used bytes equals the sum of live allocation sizes.
-        assert table.used_bytes() == sum(e.size_bytes for e in live)
-        # Every live entry can be found back through resolve().
-        for entry in live:
-            found, offset = table.resolve(entry.vptr)
-            assert found is entry and offset == 0
+        table._used_bytes -= 1
+        table._vptrs[1] += 4
+        with pytest.raises(PointerTableError, match="index"):
+            table.check_consistency()
+        table._vptrs[1] -= 4
+        table._entries.reverse()
+        table._vptrs.reverse()
+        with pytest.raises(PointerTableError, match="starts below"):
+            table.check_consistency()
+
+
+class NaiveTable:
+    """Reference model: the unindexed list the pointer table used to be.
+
+    Every question is answered by walking ``rows`` and every byte count by
+    re-summing them, so it is obviously right and obviously linear.
+    """
+
+    def __init__(self, capacity=None, base_vptr=0):
+        self.capacity, self.base_vptr = capacity, base_vptr
+        self.rows = []  # [vptr, size_bytes, reserved_by], oldest first
+        self.peak_entries = self.peak_used_bytes = 0
+
+    def used_bytes(self):
+        return sum(size for _, size, _ in self.rows)
+
+    def insert(self, dim, data_type):
+        size = dim * DATA_TYPE_SIZES[data_type]
+        if self.capacity is not None and self.used_bytes() + size > self.capacity:
+            raise PointerTableError("full")
+        vptr = self.rows[-1][0] + self.rows[-1][1] if self.rows else self.base_vptr
+        self.rows.append([vptr, size, None])
+        self.peak_entries = max(self.peak_entries, len(self.rows))
+        self.peak_used_bytes = max(self.peak_used_bytes, self.used_bytes())
+        return vptr
+
+    def lookup(self, vptr):
+        for row in self.rows:
+            if row[0] == vptr:
+                return row
+        raise PointerTableError("unknown")
+
+    def remove(self, vptr):
+        self.rows.remove(self.lookup(vptr))
+        return vptr
+
+    def resolve(self, vptr):
+        for base, size, _ in self.rows:
+            if base <= vptr < base + size:
+                return base, vptr - base
+        raise PointerTableError("outside")
+
+    def set_reservation(self, vptr, master_id, holder):
+        row = self.lookup(vptr)
+        if row[2] not in (None, master_id):
+            raise PointerTableError("reserved")
+        row[2] = holder
+        return holder
+
+
+def row_of(entry):
+    """A table entry in the model's row shape."""
+    return [entry.vptr, entry.size_bytes, entry.reserved_by]
+
+
+def outcome(call):
+    """What a table call produced: its value, or that it was refused."""
+    try:
+        return call()
+    except PointerTableError:
+        return PointerTableError
+
+
+#: One step of a random program: (operation, pointer source, pick, delta,
+#: master).  The pointer is a live base, a live base plus ``delta`` (interior,
+#: or past the end into the next range or a gap), a live range's end (the next
+#: base, a gap, or one past the table), a Vptr freed earlier (stale, or
+#: reissued since), or ``base_vptr + pick - 8`` (mostly never issued,
+#: sometimes below the window).
+STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["alloc", "alloc", "free", "free", "lookup", "resolve",
+                         "reserve", "release"]),
+        st.sampled_from(["base", "base", "base", "interior", "end", "freed", "raw"]),
+        st.integers(min_value=0, max_value=400),
+        st.integers(min_value=1, max_value=70),
+        st.integers(min_value=0, max_value=2),
+    ),
+    min_size=1, max_size=80,
+)
+ELEMENT_TYPES = (DataType.UINT8, DataType.INT16, DataType.UINT32)
+
+
+class TestAgainstNaiveModel:
+    @settings(max_examples=150, deadline=None)
+    @given(STEPS, st.sampled_from([None, 96, 400]), st.sampled_from([0, 0x1000]))
+    def test_live_ranges_never_overlap(self, steps, capacity, base_vptr):
+        """Property: every step agrees with the naive model — same Vptrs,
+        offsets, refusals and byte/entry peaks — and the invariants (live
+        ranges of the paper's Vptr generation never overlap) hold throughout.
+        """
+        table, host = make_table(capacity, base_vptr)
+        model = NaiveTable(capacity, base_vptr)
+        freed = []
+        for operation, source, pick, delta, master in steps:
+            if source in ("base", "interior", "end") and model.rows:
+                vptr, size, _ = model.rows[pick % len(model.rows)]
+                vptr += {"base": 0, "interior": delta, "end": size}[source]
+            elif source == "freed" and freed:
+                vptr = freed[pick % len(freed)]
+            else:
+                vptr = base_vptr + pick - 8
+            if operation == "alloc":
+                dim, data_type = 1 + delta % 16, ELEMENT_TYPES[pick % 3]
+                got = outcome(lambda: insert(table, host, dim, data_type).vptr)
+                want = outcome(lambda: model.insert(dim, data_type))
+            elif operation == "free":
+                got = outcome(lambda: table.remove(vptr).vptr)
+                want = outcome(lambda: model.remove(vptr))
+                if want == vptr:
+                    freed.append(vptr)
+            elif operation == "lookup":
+                got = outcome(lambda: row_of(table.lookup(vptr)))
+                want = outcome(lambda: model.lookup(vptr))
+            elif operation == "resolve":
+                got = outcome(lambda: table.resolve(vptr))
+                if got is not PointerTableError:
+                    got = (got[0].vptr, got[1])
+                want = outcome(lambda: model.resolve(vptr))
+                assert (table.try_resolve(vptr) is None) == (want is PointerTableError)
+            elif operation == "reserve":
+                got = outcome(lambda: table.reserve(vptr, master).reserved_by)
+                want = outcome(lambda: model.set_reservation(vptr, master, master))
+            else:
+                got = outcome(lambda: table.release(vptr, master).reserved_by)
+                want = outcome(lambda: model.set_reservation(vptr, master, None))
+            assert got == want, (operation, vptr)
+            table.check_consistency()
+            assert [row_of(entry) for entry in table.entries] == model.rows
+            assert table.used_bytes() == model.used_bytes()
+            assert table.free_bytes() == (None if capacity is None
+                                          else capacity - model.used_bytes())
+            assert table.peak_used_bytes == model.peak_used_bytes
+            assert table.peak_entries == model.peak_entries
+
+
+LIVE = 4096
+#: Generous O(log n): bisect needs 13 comparisons at 4096 entries.
+LOG_BOUND = 4 * LIVE.bit_length()
+
+
+def counted_int():
+    """A fresh ``int`` subclass counting every comparison and arithmetic
+    operation made on its instances — by Python code and by ``bisect``'s C
+    loop alike — in ``ops``.  Sums, differences and products stay counted,
+    so Vptrs derived from a counted base and counted dimensions are too.
+    """
+
+    class Counted(int):
+        ops = 0
+
+    def counting(name, keep):
+        plain = getattr(int, name)
+
+        def method(self, other):
+            Counted.ops += 1
+            result = plain(self, other)
+            return Counted(result) if keep and result is not NotImplemented else result
+        return method
+
+    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__ne__"):
+        setattr(Counted, name, counting(name, keep=False))
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        setattr(Counted, name, counting(name, keep=True))
+    return Counted
+
+
+class TestCostDoesNotGrowWithLiveEntries:
+    """Counts, not timings: operations on the table's integers with 4 096
+    live entries.  A linear scan or re-sum needs thousands."""
+
+    @pytest.fixture()
+    def filled(self):
+        number = counted_int()
+        host = HostMemory()
+        table = PointerTable(capacity_bytes=number(1 << 30), base_vptr=number(0x100))
+        entries = [table.insert(host.calloc(3, 4), number(3), DataType.UINT32)
+                   for _ in range(LIVE)]
+        number.ops = 0
+        return table, entries, number, host
+
+    def test_exact_lookup_compares_logarithmically_many(self, filled):
+        table, entries, number, _ = filled
+        for entry in (entries[0], entries[LIVE // 2], entries[-1]):
+            number.ops = 0
+            assert table.lookup(entry.vptr) is entry
+            assert 1 <= number.ops <= LOG_BOUND
+        number.ops = 0
+        with pytest.raises(PointerTableError):
+            table.lookup(entries[-1].vptr + number(4))
+        assert 1 <= number.ops <= LOG_BOUND
+
+    def test_interior_resolve_compares_logarithmically_many(self, filled):
+        table, entries, number, _ = filled
+        for entry in (entries[0], entries[LIVE // 2], entries[-1]):
+            number.ops = 0
+            assert table.resolve(entry.vptr + number(8)) == (entry, 8)
+            assert 1 <= number.ops <= LOG_BOUND
+        number.ops = 0
+        assert table.try_resolve(entries[-1].end_vptr) is None
+        assert 1 <= number.ops <= LOG_BOUND
+
+    def test_byte_accounting_touches_no_entry(self, filled):
+        table, _, number, _ = filled
+        used = table.used_bytes()
+        assert number.ops == 0
+        fits, free = table.would_fit(number(8)), table.free_bytes()
+        assert number.ops <= 3
+        assert (used, fits, free) == (LIVE * 12, True, (1 << 30) - LIVE * 12)
+
+    def test_insert_and_remove_touch_no_other_entry(self, filled):
+        table, entries, number, host = filled
+        entry = table.insert(host.calloc(5, 4), number(5), DataType.UINT32)
+        assert entry.vptr == entries[-1].end_vptr
+        assert 1 <= number.ops <= 16
+        number.ops = 0
+        assert table.remove(entries[LIVE // 2].vptr) is entries[LIVE // 2]
+        assert 1 <= number.ops <= LOG_BOUND
