@@ -29,7 +29,7 @@ are), which matches the dedicated snoop networks of bus-based MPSoCs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..memory.protocol import (
@@ -46,7 +46,11 @@ from ..fabric import BusOp, BusRequest, BusResponse, Fabric
 
 @dataclass
 class SharedAllocation:
-    """Shadow-map row mirroring one live pointer-table entry."""
+    """Shadow-map row mirroring one live pointer-table entry.
+
+    ``vptr``, ``dim`` and ``data_type`` never change once the row exists, so
+    the sizes derived from them are fixed at construction.
+    """
 
     #: Monotonically increasing identity: vptr ranges are *reused* after
     #: frees (the wrapper restarts generation from the last surviving
@@ -57,21 +61,14 @@ class SharedAllocation:
     dim: int
     data_type: DataType
     reserved_by: Optional[int] = None
+    element_size: int = field(init=False)
+    size_bytes: int = field(init=False)
+    end_vptr: int = field(init=False)
 
-    @property
-    def element_size(self) -> int:
-        return DATA_TYPE_SIZES[self.data_type]
-
-    @property
-    def size_bytes(self) -> int:
-        return self.dim * self.element_size
-
-    @property
-    def end_vptr(self) -> int:
-        return self.vptr + self.size_bytes
-
-    def contains(self, vptr: int) -> bool:
-        return self.vptr <= vptr < self.end_vptr
+    def __post_init__(self) -> None:
+        self.element_size = DATA_TYPE_SIZES[self.data_type]
+        self.size_bytes = self.dim * self.element_size
+        self.end_vptr = self.vptr + self.size_bytes
 
     def element_byte(self, index: int) -> int:
         """Byte address (in vptr space) of element ``index``."""
@@ -136,6 +133,8 @@ class CoherenceDomain:
 
     def __init__(self) -> None:
         self._caches: List[object] = []
+        #: Master ids that own a cache in this domain.
+        self._cached_master_ids: set = set()
         #: mem_index -> list of live allocations (wrapper table order).
         self._allocs: Dict[int, List[SharedAllocation]] = {}
         self._next_uid = 1
@@ -150,6 +149,7 @@ class CoherenceDomain:
     def register_cache(self, cache) -> None:
         """Add one L1 cache to the snoop set."""
         self._caches.append(cache)
+        self._cached_master_ids.add(cache.master_id)
 
     @property
     def caches(self) -> List[object]:
@@ -190,7 +190,7 @@ class CoherenceDomain:
         """True when a master other than ``master_id`` holds the semaphore
         of the allocation containing ``vptr`` (no-copy hot-path helper)."""
         for alloc in self._allocs.get(mem_index, ()):
-            if alloc.contains(vptr):
+            if alloc.vptr <= vptr < alloc.end_vptr:
                 return (alloc.reserved_by is not None
                         and alloc.reserved_by != master_id)
         return False
@@ -211,7 +211,7 @@ class CoherenceDomain:
         ``PointerTable.resolve`` plus the wrapper's bounds check).
         """
         for alloc in self._allocs.get(mem_index, ()):
-            if alloc.contains(vptr):
+            if alloc.vptr <= vptr < alloc.end_vptr:
                 index = (vptr - alloc.vptr) // alloc.element_size + offset
                 if 0 <= index < alloc.dim:
                     return alloc, index
@@ -224,7 +224,7 @@ class CoherenceDomain:
         if dim <= 0:
             return None
         for alloc in self._allocs.get(mem_index, ()):
-            if alloc.contains(vptr):
+            if alloc.vptr <= vptr < alloc.end_vptr:
                 start = (vptr - alloc.vptr) // alloc.element_size + offset
                 if start >= 0 and start + dim <= alloc.dim:
                     return alloc, start
@@ -435,24 +435,24 @@ class CoherenceDomain:
         self._windows.update(windows)
         interconnect.add_snooper(self._on_bus_transfer)
 
-    def _cached_master_ids(self):
-        return {cache.master_id for cache in self._caches}
+    def window_of(self, address: int) -> Optional[Tuple[int, int, int]]:
+        """``(base, mem_index, offset)`` when ``address`` hits a memory window."""
+        for base, mem_index in self._windows.items():
+            if base <= address < base + REGISTER_WINDOW_BYTES:
+                return base, mem_index, address - base
+        return None
 
     def _on_bus_transfer(self, request: BusRequest, response: BusResponse) -> None:
         if not response.ok:
             return
         if request.op is not BusOp.WRITE or request.burst_data is None:
             return
-        mem_index = None
-        for base, index in self._windows.items():
-            if base <= request.address < base + REGISTER_WINDOW_BYTES:
-                if request.address - base == REG_COMMAND:
-                    mem_index = index
-                break
-        if mem_index is None:
+        window = self.window_of(request.address)
+        if window is None or window[2] != REG_COMMAND:
             return
+        mem_index = window[1]
         try:
-            command = MemCommand.from_words(list(request.burst_data))
+            command = MemCommand.from_words(request.burst_data)
         except ProtocolError:
             return
         self.stats.bus_snoops += 1
@@ -480,7 +480,7 @@ class CoherenceDomain:
             return
         # Data writes: cached masters ran the full MSI protocol already;
         # only uncached traffic needs the conservative invalidation.
-        if request.master_id in self._cached_master_ids():
+        if request.master_id in self._cached_master_ids:
             return
         if opcode == MemOpcode.WRITE:
             located = self.resolve(mem_index, command.vptr, command.offset)

@@ -17,6 +17,14 @@ interface, and the cache decodes the command bursts flowing through it:
   the coherence domain's shadow allocation map — the wrapper FSM command
   region itself is never cached, only the *data* behind it.
 
+Structure: *probe, then generator*.  :meth:`L1Cache.transfer` decodes a
+command burst once; for a scalar READ or WRITE the plain method
+:meth:`L1Cache.probe` resolves ``vptr + offset`` in the shadow map, looks
+the line up and answers a hit on the spot.  Only what it cannot serve (a
+miss, a SHARED line awaiting the upgrade snoop, a write that must reach
+memory, array transfers, barriers) enters the per-opcode generators, which
+take over the probe's resolution instead of resolving again.
+
 Cached words are stored in the exact canonical form the wrapper returns
 (element encode/decode round trip, i.e. ``to_signed(value) & 0xFFFFFFFF``),
 so cache-served reads are bit-identical with wrapper-served ones.
@@ -49,7 +57,6 @@ from ..memory.dynamic_base import to_signed
 from ..memory.protocol import (
     IO_ARRAY_BASE,
     REG_COMMAND,
-    REGISTER_WINDOW_BYTES,
     DataType,
     MemCommand,
     MemOpcode,
@@ -123,6 +130,12 @@ class CacheLine:
         return 0 <= element_index - self.first_index < self.n_slots
 
     # -- state -------------------------------------------------------------------
+    def store(self, slot: int, word: int) -> None:
+        """Hold ``word`` (canonical form) in ``slot`` as newer than memory."""
+        self.words[slot] = word
+        self.present[slot] = True
+        self.dirty[slot] = True
+
     def has_dirty(self) -> bool:
         return any(self.dirty)
 
@@ -307,8 +320,8 @@ class L1Cache:
         self.policy = config.policy
         self._raw = port
         self.domain = domain
-        #: window base address -> memory index, and the reverse.
-        self._windows = dict(windows)
+        #: memory index -> window base address (the forward map, address ->
+        #: window, is the domain's :meth:`CoherenceDomain.window_of`).
         self._window_base = {mem: base for base, mem in windows.items()}
         self._hit_wait = config.hit_cycles * clock_period
         #: Back-off while a foreign reservation blocks a write, and the
@@ -346,8 +359,9 @@ class L1Cache:
                 ) -> Optional[CacheLine]:
         ways = self._sets[self.geometry.set_index(line_no)]
         for position, line in enumerate(ways):
-            if (line.line_no == line_no and line.alloc.uid == alloc_uid
-                    and line.mem_index == mem_index):
+            alloc = line.alloc
+            if (line.line_no == line_no and alloc.uid == alloc_uid
+                    and alloc.mem_index == mem_index):
                 if position:  # move to MRU
                     ways.pop(position)
                     ways.insert(0, line)
@@ -429,13 +443,6 @@ class L1Cache:
         return first, max(0, last - first + 1)
 
     # -- request classification ------------------------------------------------------
-    def _window_of(self, address: int) -> Optional[Tuple[int, int, int]]:
-        """``(base, mem_index, offset)`` when ``address`` hits a memory window."""
-        for base, mem_index in self._windows.items():
-            if base <= address < base + REGISTER_WINDOW_BYTES:
-                return base, mem_index, address - base
-        return None
-
     @staticmethod
     def _is_command(request: BusRequest, offset: int) -> bool:
         return (offset == REG_COMMAND and request.op is BusOp.WRITE
@@ -452,7 +459,7 @@ class L1Cache:
     def transfer(self, request: BusRequest
                  ) -> Generator[object, None, BusResponse]:
         """The CachedPort's transfer: decode, serve or forward ``request``."""
-        window = self._window_of(request.address)
+        window = self.domain.window_of(request.address)
 
         # 1. An absorbed READ_ARRAY left its payload staged for the io fetch.
         if self._pending_fetch is not None:
@@ -473,19 +480,43 @@ class L1Cache:
         if self._pending_stage is not None and not is_command:
             yield from self._flush_stage()
 
-        # 3. Command bursts: decode and dispatch.
+        # 3. Command bursts: decode once, then probe (scalars) or dispatch.
         if is_command:
             base, mem_index, _offset = window
-            command = None
+            opcode = None  # stays None for what only the wrapper can answer
             try:
-                command = MemCommand.from_words(list(request.burst_data))
+                command = MemCommand.from_words(request.burst_data)
+                if command.sm_addr == mem_index:
+                    opcode = command.opcode
             except ProtocolError:
                 pass
-            if command is not None and command.sm_addr == mem_index:
+            # Only a well-formed WRITE_ARRAY consumes the buffered stage.
+            if (self._pending_stage is not None
+                    and opcode is not MemOpcode.WRITE_ARRAY):
+                yield from self._flush_stage()
+            if opcode is MemOpcode.READ or opcode is MemOpcode.WRITE:
+                # The probe answers a hit before any per-opcode generator
+                # exists; a miss hands its resolution to the fill / upgrade
+                # code.  A write refused by a foreign reservation (``None``)
+                # stalls, then starts over from the probe.
+                for _attempt in range(self._max_stalls):
+                    response, located = self.probe(command, mem_index)
+                    if response is not None:
+                        yield self._hit_wait
+                        return response
+                    if located is None:
+                        break  # not a live element: the wrapper answers
+                    if opcode is MemOpcode.READ:
+                        return (yield from self._op_read(request, *located))
+                    response = yield from self._op_write_once(
+                        command, request, *located)
+                    if response is not None:
+                        return response
+                    self.stats.reservation_stalls += 1
+                    yield self._stall_wait
+            elif opcode is not None:
                 return (yield from self._dispatch(command, request, base,
                                                   mem_index))
-            if self._pending_stage is not None:
-                yield from self._flush_stage()
             self.stats.uncached_ops += 1
             return (yield from self._raw.transfer(request))
 
@@ -529,12 +560,6 @@ class L1Cache:
     def _dispatch(self, command: MemCommand, request: BusRequest, base: int,
                   mem_index: int) -> Generator[object, None, BusResponse]:
         opcode = command.opcode
-        if opcode is not MemOpcode.WRITE_ARRAY and self._pending_stage is not None:
-            yield from self._flush_stage()
-        if opcode is MemOpcode.READ:
-            return (yield from self._op_read(command, request, mem_index))
-        if opcode is MemOpcode.WRITE:
-            return (yield from self._op_write(command, request, mem_index))
         if opcode is MemOpcode.READ_ARRAY:
             return (yield from self._op_read_array(command, request, mem_index))
         if opcode is MemOpcode.WRITE_ARRAY:
@@ -562,22 +587,49 @@ class L1Cache:
         self.stats.uncached_ops += 1
         return (yield from self._raw.transfer(request))
 
-    # -- scalar read ----------------------------------------------------------------------
-    def _op_read(self, command: MemCommand, request: BusRequest, mem_index: int
-                 ) -> Generator[object, None, BusResponse]:
+    # -- scalar accesses ------------------------------------------------------------------
+    def probe(self, command: MemCommand, mem_index: int) -> Tuple[
+            Optional[BusResponse], Optional[Tuple[SharedAllocation, int]]]:
+        """Synchronous front of a scalar READ/WRITE: ``(response, located)``.
+
+        A plain method (no generator, no simulator).  Resolves the access in
+        the shadow map once and serves a hit from the line directory: a READ
+        of a present slot, or a write-back WRITE (stored here) to a resident
+        MODIFIED line of an unreserved allocation; the caller owes the hit
+        latency.  Otherwise ``response`` is ``None`` and ``located`` —
+        ``(allocation, index)``, or ``None`` for no live element — goes on
+        to the miss path.
+        """
         located = self.domain.resolve(mem_index, command.vptr, command.offset)
         if located is None:
-            self.stats.uncached_ops += 1
-            return (yield from self._raw.transfer(request))
+            return None, None
         alloc, index = located
-        line_no = self.geometry.line_number(alloc.element_byte(index))
-        line = self._lookup(mem_index, alloc.uid, line_no)
-        if line is not None and line.covers(index) \
-                and line.present[line.slot_of(index)]:
-            self.stats.hits += 1
-            yield self._hit_wait
-            return self._local(data=line.words[line.slot_of(index)])
+        store = command.opcode is MemOpcode.WRITE
+        if store and (self.policy is not WritePolicy.WRITE_BACK
+                      or alloc.reserved_by is not None):
+            return None, located  # goes to memory or stalls: no lookup
+        line = self._lookup(mem_index, alloc.uid, self.geometry.line_number(
+            alloc.vptr + index * alloc.element_size))
+        if line is None:
+            return None, located
+        slot = index - line.first_index
+        if store:
+            if line.state is not MSIState.MODIFIED:
+                return None, located  # resident but SHARED: upgrade first
+            line.store(slot, canonical_word(command.data, alloc.data_type))
+            data = 0
+        elif 0 <= slot < len(line.present) and line.present[slot]:
+            data = line.words[slot]
+        else:
+            return None, located
+        self.stats.hits += 1
+        return self._local(data), located
+
+    def _op_read(self, request: BusRequest, alloc: SharedAllocation,
+                 index: int) -> Generator[object, None, BusResponse]:
+        """Scalar read the probe missed: fill the line, answer from it."""
         self.stats.misses += 1
+        line_no = self.geometry.line_number(alloc.element_byte(index))
         first, words, _line = yield from self._fill(alloc, line_no)
         if words is None or not first <= index < first + len(words):
             self.stats.fallbacks += 1
@@ -587,10 +639,15 @@ class L1Cache:
         # read serialized at the moment the burst completed on the bus.
         return self._local(data=words[index - first])
 
-    # -- scalar write ---------------------------------------------------------------------
-    def _op_write(self, command: MemCommand, request: BusRequest, mem_index: int
-                  ) -> Generator[object, None, BusResponse]:
-        """Scalar write with reservation-aware retry.
+    def _foreign_reserved(self, mem_index: int, vptr: int) -> bool:
+        """True when a *different* master currently holds the semaphore."""
+        return self.domain.is_foreign_reserved(mem_index, vptr, self.master_id)
+
+    def _op_write_once(self, command: MemCommand, request: BusRequest,
+                       alloc: SharedAllocation, index: int
+                       ) -> Generator[object, None, Optional[BusResponse]]:
+        """One attempt at a scalar write the probe did not serve; ``None``
+        asks :meth:`transfer` to stall and retry.
 
         A foreign master may hold (or acquire, while this write is in
         flight on the bus) the allocation's coherence semaphore; the
@@ -600,29 +657,7 @@ class L1Cache:
         errors — after the retry bound the write is forwarded and the
         wrapper's NACK surfaces.
         """
-        for _attempt in range(self._max_stalls):
-            response = yield from self._op_write_once(command, request,
-                                                      mem_index)
-            if response is not None:
-                return response
-            self.stats.reservation_stalls += 1
-            yield self._stall_wait
-        self.stats.uncached_ops += 1
-        return (yield from self._raw.transfer(request))
-
-    def _foreign_reserved(self, mem_index: int, vptr: int) -> bool:
-        """True when a *different* master currently holds the semaphore."""
-        return self.domain.is_foreign_reserved(mem_index, vptr, self.master_id)
-
-    def _op_write_once(self, command: MemCommand, request: BusRequest,
-                       mem_index: int
-                       ) -> Generator[object, None, Optional[BusResponse]]:
-        """One attempt of :meth:`_op_write`; ``None`` asks for a retry."""
-        located = self.domain.resolve(mem_index, command.vptr, command.offset)
-        if located is None:
-            self.stats.uncached_ops += 1
-            return (yield from self._raw.transfer(request))
-        alloc, index = located
+        mem_index = alloc.mem_index
         if alloc.reserved_by is not None and alloc.reserved_by != self.master_id:
             return None
         value = canonical_word(command.data, alloc.data_type)
@@ -657,10 +692,10 @@ class L1Cache:
             self.stats.misses += 1
             _first, _words, line = yield from self._fill(alloc, line_no)
         else:
-            self.stats.hits += 1
+            self.stats.hits += 1  # resident but SHARED (else the probe stored)
         if self._foreign_reserved(mem_index, command.vptr):
             return None  # reservation acquired while the fill was on the bus
-        if line is not None and line.state is not MSIState.MODIFIED:
+        if line is not None:
             yield from self.domain.acquire_exclusive(
                 self, alloc, line.first_index, line.n_slots)
             if self._foreign_reserved(mem_index, command.vptr):
@@ -694,10 +729,7 @@ class L1Cache:
         # acquire_exclusive returns with no surviving remote copy and no
         # trailing yield, so taking MODIFIED here cannot race a remote fill.
         line.state = MSIState.MODIFIED
-        slot = line.slot_of(index)
-        line.words[slot] = value
-        line.present[slot] = True
-        line.dirty[slot] = True
+        line.store(line.slot_of(index), value)
         yield self._hit_wait
         return self._local()
 
@@ -773,7 +805,7 @@ class L1Cache:
                         base: int, mem_index: int
                         ) -> Generator[object, None, BusResponse]:
         """Array write with the same reservation-aware retry as scalar
-        writes (see :meth:`_op_write`); the staged words survive retries."""
+        writes (see :meth:`_op_write_once`); the staged words survive retries."""
         staged: Optional[List[int]] = None
         if self._pending_stage is not None:
             stage_mem, stage_request = self._pending_stage

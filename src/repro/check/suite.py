@@ -252,7 +252,7 @@ class SanitizerSuite:
                 or request.burst_data is None):
             return
         try:
-            command = MemCommand.from_words(list(request.burst_data))
+            command = MemCommand.from_words(request.burst_data)
         except ProtocolError:
             return
         self._memory_command(mem_index, actor, command, request, response,

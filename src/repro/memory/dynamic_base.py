@@ -190,7 +190,7 @@ class DynamicMemorySlave(BusSlave):
     def _handle_command(self, request: BusRequest):
         assert request.burst_data is not None
         try:
-            command = MemCommand.from_words(list(request.burst_data))
+            command = MemCommand.from_words(request.burst_data)
         except ProtocolError:
             self.last_status = MemStatus.ERR_MALFORMED
             self.last_result = 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 
 class MemOpcode(enum.IntEnum):
@@ -144,6 +144,29 @@ IO_ARRAY_BYTES = 0x400
 REGISTER_WINDOW_BYTES = IO_ARRAY_BASE + IO_ARRAY_BYTES
 
 
+#: Operand words following ``[opcode, sm_addr]`` on the wire, per opcode.
+#: ALLOC carries ``(dim, data_type)``; every other opcode a prefix of
+#: ``(vptr, offset, third)``, where ``third`` is ``data`` for WRITE and
+#: ``dim`` for the array opcodes.
+OPERAND_COUNT = {
+    MemOpcode.NOP: 0,
+    MemOpcode.ALLOC: 2,
+    MemOpcode.FREE: 1,
+    MemOpcode.WRITE: 3,
+    MemOpcode.READ: 2,
+    MemOpcode.WRITE_ARRAY: 3,
+    MemOpcode.READ_ARRAY: 3,
+    MemOpcode.RESERVE: 1,
+    MemOpcode.RELEASE: 1,
+    MemOpcode.QUERY: 1,
+}
+
+# Wire value -> enum member: a dict probe, not an ``Enum(...)`` call, because
+# every command is decoded by each layer it crosses (cache, wrapper, snooper).
+_OPCODE_OF = {int(member): member for member in MemOpcode}
+_DATA_TYPE_OF = {int(member): member for member in DataType}
+
+
 @dataclass
 class MemCommand:
     """A decoded dynamic-memory command (opcode + operands)."""
@@ -162,57 +185,43 @@ class MemCommand:
         Word order matches the paper's transaction format: opcode and
         sm_addr first, then the operands needed by the opcode.
         """
-        words = [int(self.opcode), self.sm_addr]
-        if self.opcode == MemOpcode.ALLOC:
-            words += [self.dim, int(self.data_type)]
-        elif self.opcode in (MemOpcode.FREE, MemOpcode.RESERVE, MemOpcode.RELEASE,
-                             MemOpcode.QUERY):
-            words += [self.vptr]
-        elif self.opcode == MemOpcode.WRITE:
-            words += [self.vptr, self.offset, self.data]
-        elif self.opcode == MemOpcode.READ:
-            words += [self.vptr, self.offset]
-        elif self.opcode in (MemOpcode.WRITE_ARRAY, MemOpcode.READ_ARRAY):
-            words += [self.vptr, self.offset, self.dim]
-        return words
+        opcode = self.opcode
+        if opcode is MemOpcode.ALLOC:
+            return [int(opcode), self.sm_addr, self.dim, int(self.data_type)]
+        third = self.data if opcode is MemOpcode.WRITE else self.dim
+        return [int(opcode), self.sm_addr, self.vptr, self.offset,
+                third][:2 + OPERAND_COUNT.get(opcode, 0)]
 
     @classmethod
-    def from_words(cls, words: List[int]) -> "MemCommand":
+    def from_words(cls, words: Sequence[int]) -> "MemCommand":
         """Decode a word sequence received on the command port.
 
-        Raises :class:`ProtocolError` when the sequence is malformed.
+        ``words`` is only read (callers hand over the live burst); words
+        past the opcode's operands are ignored.  Raises
+        :class:`ProtocolError` when the sequence is malformed.
         """
         if len(words) < 2:
             raise ProtocolError("command needs at least opcode and sm_addr")
-        try:
-            opcode = MemOpcode(words[0])
-        except ValueError:
-            raise ProtocolError(f"unknown opcode {words[0]:#x}") from None
-        command = cls(opcode=opcode, sm_addr=words[1])
-        operands = words[2:]
-        try:
-            if opcode == MemOpcode.ALLOC:
-                command.dim = operands[0]
-                command.data_type = DataType(operands[1])
-            elif opcode in (MemOpcode.FREE, MemOpcode.RESERVE, MemOpcode.RELEASE,
-                            MemOpcode.QUERY):
-                command.vptr = operands[0]
-            elif opcode == MemOpcode.WRITE:
-                command.vptr, command.offset, command.data = operands[:3]
-                if len(operands) < 3:
-                    raise IndexError
-            elif opcode == MemOpcode.READ:
-                command.vptr, command.offset = operands[:2]
-                if len(operands) < 2:
-                    raise IndexError
-            elif opcode in (MemOpcode.WRITE_ARRAY, MemOpcode.READ_ARRAY):
-                command.vptr, command.offset, command.dim = operands[:3]
-                if len(operands) < 3:
-                    raise IndexError
-        except (IndexError, ValueError):
-            raise ProtocolError(
-                f"malformed operand list {operands!r} for opcode {opcode.name}"
-            ) from None
+        opcode = _OPCODE_OF.get(words[0])
+        if opcode is None:
+            raise ProtocolError(f"unknown opcode {words[0]:#x}")
+        count = OPERAND_COUNT[opcode]
+        if len(words) < 2 + count:
+            raise _malformed(opcode, words)
+        if opcode is MemOpcode.ALLOC:
+            data_type = _DATA_TYPE_OF.get(words[3])
+            if data_type is None:
+                raise _malformed(opcode, words)
+            return cls(opcode, words[1], dim=words[2], data_type=data_type)
+        command = cls(opcode, words[1])
+        if count > 0:
+            command.vptr = words[2]
+        if count > 1:
+            command.offset = words[3]
+        if count > 2 and opcode is MemOpcode.WRITE:
+            command.data = words[4]
+        elif count > 2:
+            command.dim = words[4]
         return command
 
 
@@ -232,3 +241,8 @@ class MemResult:
 
 class ProtocolError(Exception):
     """Raised when a command cannot be encoded or decoded."""
+
+
+def _malformed(opcode: MemOpcode, words: Sequence[int]) -> ProtocolError:
+    return ProtocolError(
+        f"malformed operand list {list(words[2:])!r} for opcode {opcode.name}")

@@ -38,6 +38,11 @@ from .errors import ApiError
 #: Maximum number of words one I/O-array transfer can stage.
 IO_ARRAY_WORDS = IO_ARRAY_BYTES // 4
 
+#: Every operation name that tags a transaction (``<tag_prefix>.<name>``).
+_OPERATIONS = ("alloc", "free", "query", "write", "read", "write_array",
+               "read_array", "reserve", "release", "status", "io_stage",
+               "io_fetch")
+
 
 class SharedMemoryAPI:
     """C-formalism dynamic memory API bound to one memory module's window."""
@@ -55,6 +60,8 @@ class SharedMemoryAPI:
         self.sm_addr = sm_addr
         self.raise_on_error = raise_on_error
         self.tag_prefix = tag_prefix
+        #: Operation name -> transaction tag, formatted once per API object.
+        self._tags = {op: f"{tag_prefix}.{op}" for op in _OPERATIONS}
         #: Status of the most recent operation (updated on every call).
         self.last_status: MemStatus = MemStatus.OK
         #: Count of API calls issued, for reports.
@@ -72,19 +79,18 @@ class SharedMemoryAPI:
         self.calls += 1
         command.sm_addr = self.sm_addr
         response = yield from self.port.burst_write(
-            self._command_address(), command.to_words(),
-            tag=f"{self.tag_prefix}.{tag}",
+            self._command_address(), command.to_words(), tag=self._tags[tag],
         )
-        yield from self._update_status(response, tag)
-        return response
-
-    def _update_status(self, response: BusResponse, tag: str
-                       ) -> Generator[object, None, None]:
         if response.ok:
             self.last_status = MemStatus.OK
-            return
+        else:
+            yield from self._fetch_error_status(tag)
+        return response
+
+    def _fetch_error_status(self, tag: str) -> Generator[object, None, None]:
+        """Read the status register after a refused command (and raise)."""
         status_response = yield from self.port.read(
-            self.base_address + REG_STATUS, tag=f"{self.tag_prefix}.status"
+            self.base_address + REG_STATUS, tag=self._tags["status"]
         )
         try:
             self.last_status = MemStatus(status_response.data)
@@ -150,7 +156,7 @@ class SharedMemoryAPI:
             chunk = values[position:position + IO_ARRAY_WORDS]
             yield from self.port.burst_write(
                 self._io_array_address(), [v & 0xFFFFFFFF for v in chunk],
-                tag=f"{self.tag_prefix}.io_stage",
+                tag=self._tags["io_stage"],
             )
             response = yield from self._send(
                 MemCommand(MemOpcode.WRITE_ARRAY, vptr=vptr,
@@ -178,7 +184,7 @@ class SharedMemoryAPI:
                 return None
             data = yield from self.port.burst_read(
                 self._io_array_address(), chunk_len,
-                tag=f"{self.tag_prefix}.io_fetch",
+                tag=self._tags["io_fetch"],
             )
             values.extend(data.burst_data)
             position += chunk_len
@@ -229,7 +235,7 @@ class SharedMemoryAPI:
     def status(self) -> Generator[object, None, MemStatus]:
         """Read the memory module's status register."""
         response = yield from self.port.read(self.base_address + REG_STATUS,
-                                             tag=f"{self.tag_prefix}.status")
+                                             tag=self._tags["status"])
         try:
             return MemStatus(response.data)
         except ValueError:

@@ -50,6 +50,11 @@ def golden_scenarios():
              "alloc_churn",
              {"iterations": 8, "block_words": 16, "gsm_frames": 1, "seed": 9},
              9),
+        # The one cached scenario: scalar traffic served by write-back L1s.
+        scen("golden-stencil-l1wb",
+             PlatformBuilder().pes(2).wrapper_memories(2).crossbar()
+             .l1_cache(sets=8, ways=2, line_bytes=16, policy="write_back"),
+             "stencil", {"size": 32, "iterations": 2, "seed": 7}, 7),
     ]
 
 
@@ -76,8 +81,19 @@ def test_scheduler_counters_match_golden(scenario, golden, results):
     report = results[scenario].report
     observed = {name: report.kernel_stats[name] for name in COMPARED_COUNTERS}
     observed["simulated_time"] = report.simulated_time
-    expected = golden[scenario]
+    expected = {name: golden[scenario][name] for name in observed}
     assert observed == expected, (
         f"scheduler counters changed for fixed-seed scenario {scenario!r} — "
         f"the kernel fast path altered simulation semantics"
     )
+
+
+def test_cache_counters_match_golden(golden, results):
+    """An L1 host-speed change must leave every per-PE cache counter alone."""
+    expected = golden["golden-stencil-l1wb"]["cache_reports"]
+    reports = results["golden-stencil-l1wb"].report.cache_reports
+    observed = {
+        cache["name"]: {name: cache[name] for name in expected[cache["name"]]}
+        for cache in reports
+    }
+    assert observed == expected
