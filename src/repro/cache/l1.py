@@ -243,9 +243,10 @@ class CachedPort:
     """
 
     def __init__(self, cache: "L1Cache", port) -> None:
-        self._cache = cache
         self._port = port
-        self._last_response: Optional[BusResponse] = None
+        #: ``transfer`` is the cache's own bound method: a facade generator
+        #: in between would cost every access a frame and add nothing.
+        self.transfer = cache.transfer
 
     @property
     def master_id(self) -> int:
@@ -259,19 +260,7 @@ class CachedPort:
     def _interconnect(self):
         return self._port._interconnect
 
-    @property
-    def last_response(self) -> Optional[BusResponse]:
-        """The most recently completed transfer — including transfers the
-        cache served locally, which never reach the raw port."""
-        return self._last_response
-
     # -- MasterPort protocol -----------------------------------------------------
-    def transfer(self, request: BusRequest
-                 ) -> Generator[object, None, BusResponse]:
-        response = yield from self._cache.transfer(request)
-        self._last_response = response
-        return response
-
     def read(self, address: int, size: int = 4, tag: str = ""
              ) -> Generator[object, None, BusResponse]:
         return self.transfer(

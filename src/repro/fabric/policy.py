@@ -82,11 +82,12 @@ class RoundRobinArbiter(ArbitrationPolicy):
     def grant(self, requesters: Sequence[int]) -> Optional[int]:
         if not requesters:
             return None
-        ordered = sorted(requesters)
-        if self._last_granted is None:
-            winner = ordered[0]
+        if len(requesters) == 1:
+            winner = requesters[0]  # whatever the rotation says: no sort
         else:
-            after = [m for m in ordered if m > self._last_granted]
+            ordered = sorted(requesters)
+            last = self._last_granted
+            after = [] if last is None else [m for m in ordered if m > last]
             winner = after[0] if after else ordered[0]
         self._last_granted = winner
         self.grant_counts[winner] = self.grant_counts.get(winner, 0) + 1

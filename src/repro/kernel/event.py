@@ -108,12 +108,15 @@ class Event:
         waiters = self._waiters
         waiters.append((process, process._wait_token))
         if len(waiters) >= self._compact_at:
-            # Drop registrations of processes that have since been woken
-            # through another event; amortized O(1) per registration.
-            self._waiters = waiters = [
-                pair for pair in waiters if pair[0]._wait_token == pair[1]
-            ]
-            self._compact_at = max(_MIN_COMPACT, 2 * len(waiters))
+            self._compact_waiters()
+
+    def _compact_waiters(self) -> None:
+        """Drop registrations of processes that have since been woken
+        through another event; amortized O(1) per registration."""
+        self._waiters = waiters = [
+            pair for pair in self._waiters if pair[0]._wait_token == pair[1]
+        ]
+        self._compact_at = max(_MIN_COMPACT, 2 * len(waiters))
 
     # -- notification ----------------------------------------------------
     def notify(self, delay: Optional[int] = None) -> None:

@@ -247,9 +247,6 @@ class Process:
             self._terminated = True
             raise ProcessError(f"process {self.name!r} raised {exc!r}") from exc
 
-    def _register_dynamic_wait(self, event: Event) -> None:
-        event._add_waiter(self)
-
     def __repr__(self) -> str:  # pragma: no cover
         kind = "method" if self.is_method else "thread"
         return f"Process({self.name!r}, {kind})"

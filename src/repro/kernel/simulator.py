@@ -33,6 +33,9 @@ Scheduler fast paths (semantics-preserving; see ``tests/perf``):
   process on the delta queue instead of routing through ``Event.notify(0)``.
   Delta-queue entries preserve exact notification order (events and process
   wakes interleave as they were scheduled).
+* **Inline event waits and notifies** — a bare ``yield event`` registers
+  the waiter inside the loop, and an immediate ``notify()`` wakes straight
+  from the waiter list, building nothing when nobody waits.
 * **Generation-counter dedup** — the per-delta-cycle runnable set is built
   by stamping each process with the current scheduling generation instead
   of building an id-set.
@@ -48,7 +51,7 @@ from heapq import heappop, heappush
 from typing import List, Optional
 
 from .errors import DeltaCycleLimitExceeded, ProcessError, SchedulerError
-from .event import Event, EventQueue
+from .event import _NOT_PENDING, Event, EventQueue
 from .module import Module
 from .probes import Probes
 from .process import (
@@ -183,13 +186,25 @@ class Simulator:
         self._delta_queue.append((event, epoch))
 
     def _trigger_event_now(self, event: Event) -> None:
+        """Immediate notification: fire ``event`` (cancelling any pending
+        notification) and make its waiters runnable in this evaluation
+        phase.  With nobody waiting — most notifies — nothing is built."""
         self.stats.events_fired += 1
         sync = self.probes.sync
         if sync is not None:
             sync("notify", event, self._current_process)
+        event._pending_at = _NOT_PENDING
+        event._epoch += 1
+        waiters = event._waiters
+        if waiters:
+            event._waiters = []
+        static = event._static_sensitive
+        if static:
+            # Statically sensitive processes wake first, on every fire.
+            waiters = [(p, p._wait_token) for p in static] + waiters
         runnable = self._immediate_runnable
-        for process in event._collect_triggered():
-            if not process._terminated:
+        for process, token in waiters:
+            if process._wait_token == token and not process._terminated:
                 if sync is not None:
                     sync("wake", event, process)
                 runnable.append(process)
@@ -208,7 +223,7 @@ class Simulator:
         self._timed_events.push(self.now + duration, process, process._wait_token)
 
     def _apply_wait(self, process: Process, request: Yieldable) -> None:
-        """Translate a yielded wait request (slow path: non-int, non-WaitTime)."""
+        """Translate a yielded wait request (slow path: not an exact int/Event)."""
         if isinstance(request, WaitTime):
             if request.duration == 0:
                 self._delta_queue.append(process)
@@ -372,6 +387,14 @@ class Simulator:
                                 delta_queue.append(process)
                             else:
                                 raise ValueError("wait duration must be >= 0")
+                        elif request.__class__ is Event:
+                            # Bare ``yield event``, the dominant wait of
+                            # event-driven models: ``_add_waiter`` inlined.
+                            request._sim = self
+                            waiters = request._waiters
+                            waiters.append((process, process._wait_token))
+                            if len(waiters) >= request._compact_at:
+                                request._compact_waiters()
                         elif request is not None:
                             self._apply_wait(process, request)
                         # ``None``: generator finished or a method process

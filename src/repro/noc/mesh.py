@@ -33,6 +33,15 @@ Internally it is a ``rows x cols`` grid of wormhole routers:
   synchronously, in slave service order — which is what keeps the MSI
   coherence domain's shadow state authoritative.
 
+In scheduler terms every port is one process and a *port visit* — one
+packet through one port — is one wake on the port's event, one scan of its
+lane queues, one grant, then ``router_cycles`` timed waits, the head-flit
+link wait and (for a multi-flit packet) one tail wait; a credit wait is
+added only when the downstream buffer is full.  Those activations are what
+``tests/perf/golden_sched_stats.json`` and ``perfbench/golden.json`` pin,
+so merging the waits is a re-gold, not a refactor.  Routes are static and
+memoized per ``(source, destination, injection lane)``.
+
 Per-link, per-router and end-to-end latency counters are collected in a
 :class:`~repro.noc.stats.NocStats` and surfaced through the platform's
 ``interconnect_stats["noc"]`` block.
@@ -93,9 +102,6 @@ class _OutputPort:
         self.occupancy = 0
         self.stats = stats
 
-    def has_room(self) -> bool:
-        return self.capacity is None or self.occupancy < self.capacity
-
     def enqueue(self, lane: int, packet: Packet) -> None:
         queue = self.queues.get(lane)
         if queue is None:
@@ -103,16 +109,6 @@ class _OutputPort:
         queue.append(packet)
         self.occupancy += 1
         self.event.notify()
-
-    def waiting_lanes(self) -> List[int]:
-        queues = self.queues
-        if len(queues) == 1:
-            # Fast path: most ports only ever see a single input lane (an
-            # injection port with one local master, a link port fed from
-            # one entry side), so skip the sort and the genexpr.
-            for lane, queue in queues.items():
-                return [lane] if queue else []
-        return sorted(lane for lane, queue in queues.items() if queue)
 
 
 class _SlaveServer:
@@ -156,6 +152,7 @@ class MeshNoc(Fabric):
         self.num_nodes = self.rows * self.cols
         self.noc_stats = NocStats()
         self._inflight: set = set()
+        self._routes: Dict[Tuple[int, int, int], Tuple[List, List]] = {}
         self._servers: Dict[int, _SlaveServer] = {}
         self._slave_count = 0
         #: One port dict per physical network ("req" carries requests
@@ -282,8 +279,13 @@ class MeshNoc(Fabric):
 
         Returns the ordered port keys and, for each, the input lane the
         packet occupies there (master/originator id at injection, the
-        entry side everywhere else).
+        entry side everywhere else).  Routes are static: each is computed
+        once and its two lists are shared by every packet that takes it,
+        so nothing may mutate a packet's ``path``/``lanes``.
         """
+        route = self._routes.get((src, dst, lane0))
+        if route is not None:
+            return route
         cols = self.cols
         path: List[Tuple] = [("inj", src)]
         lanes: List[int] = [lane0]
@@ -307,7 +309,8 @@ class MeshNoc(Fabric):
             node = row * cols + col
         path.append(("ej", node))
         lanes.append(lane)
-        return path, lanes
+        self._routes[src, dst, lane0] = route = (path, lanes)
+        return route
 
     def _inject(self, label: str, packet: Packet) -> None:
         self.noc_stats.record_packet(packet.flits, packet.hops)
@@ -317,61 +320,77 @@ class MeshNoc(Fabric):
     # -- per-port router process ---------------------------------------------------
     def _run_port(self, label: str, port: _OutputPort):
         period = self.period
-        config = self.config
-        net = self._nets[label]
-        # Hoisted out of the per-packet path: these never change after
-        # construction, and the products were recomputed for every hop.
-        router_cycles = config.router_cycles
-        link_cycles = config.link_cycles
+        # Hoisted out of the per-visit path (see the module docstring):
+        # none of these change after construction.
+        router_cycles = self.config.router_cycles
+        link_cycles = self.config.link_cycles
+        router_waits = range(router_cycles)
         head_link_time = link_cycles * period
+        queues = port.queues
+        wake = port.event
+        grant = port.arbiter.grant
+        stats = port.stats
+        return_credit = port.credit_event.notify
+        hand_over = self._hand_over
+        terminal = port.key[0] == "ej"  # paths end at an ejection port
         while True:
-            lanes = port.waiting_lanes()
+            lanes = []
+            for lane, queue in queues.items():
+                if queue:
+                    lanes.append(lane)
             if not lanes:
-                yield port.event
+                yield wake
                 continue
             if len(lanes) > 1:
-                port.stats.contended_grants += 1
-                waiting = sum(len(port.queues[lane]) for lane in lanes) - 1
+                stats.contended_grants += 1
+                waiting = sum(len(queues[lane]) for lane in lanes) - 1
                 self.noc_stats.record_contention(port.node, waiting)
-            winner = port.arbiter.grant(lanes)
-            packet = port.queues[winner].popleft()
+            packet = queues[grant(lanes)].popleft()
             # Router pipeline: route computation, VC and switch allocation.
-            for _ in range(router_cycles):
+            for _ in router_waits:
                 yield period
             # The head flit crosses the link...
             yield head_link_time
-            tail_cycles = (packet.flits - 1) * link_cycles
-            if packet.hop + 1 < len(packet.path):
+            flits = packet.flits
+            tail_time = (flits - 1) * link_cycles * period
+            if terminal:
+                # Ejection port: the payload is in the body flits, so
+                # delivery happens once the tail arrived.
+                if tail_time:
+                    yield tail_time
+                self._eject(packet)
+            else:
                 # ...and is handed downstream while the body flits still
                 # stream over this channel (wormhole pipelining).  A full
                 # downstream buffer blocks the worm here.
-                yield from self._forward(net, port, packet)
-                if tail_cycles:
-                    yield tail_cycles * period
-            else:
-                # Terminal (ejection) port: the payload is in the body
-                # flits, so delivery happens once the tail arrived.
-                if tail_cycles:
-                    yield tail_cycles * period
-                self._eject(packet)
-            port.stats.busy_cycles += (router_cycles
-                                       + packet.flits * link_cycles)
-            port.stats.packets += 1
-            port.stats.flits += packet.flits
+                full = hand_over(label, packet)
+                while full is not None:
+                    blocked_from = self.sim_now()
+                    yield full.credit_event
+                    stats.blocked_cycles += (
+                        self.sim_now() - blocked_from) // period
+                    full = hand_over(label, packet)
+                if tail_time:
+                    yield tail_time
+            stats.busy_cycles += router_cycles + flits * link_cycles
+            stats.packets += 1
+            stats.flits += flits
             port.occupancy -= 1
-            port.credit_event.notify()
+            return_credit()
 
-    def _forward(self, net: Dict[Tuple, _OutputPort], port: _OutputPort,
-                 packet: Packet):
-        next_port = net[packet.path[packet.hop + 1]]
-        while not next_port.has_room():
-            blocked_from = self.sim_now()
-            yield next_port.credit_event
-            port.stats.blocked_cycles += (
-                (self.sim_now() - blocked_from) // self.period
-            )
-        packet.hop += 1
-        next_port.enqueue(packet.lanes[packet.hop], packet)
+    def _hand_over(self, label: str, packet: Packet
+                   ) -> Optional[_OutputPort]:
+        """Move ``packet`` into the next port of its path; when that port's
+        buffer is full, move nothing and return it (the caller waits for
+        its credit)."""
+        hop = packet.hop + 1
+        next_port = self._nets[label][packet.path[hop]]
+        capacity = next_port.capacity
+        if capacity is not None and next_port.occupancy >= capacity:
+            return next_port
+        packet.hop = hop
+        next_port.enqueue(packet.lanes[hop], packet)
+        return None
 
     def _eject(self, packet: Packet) -> None:
         if packet.is_response:

@@ -29,7 +29,7 @@ Locked workloads must keep each lock's contenders inside one partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import FrozenSet, List, Optional, Tuple, Union
 
 from ..fabric import ArbitrationSpec
 from ..fabric.transaction import BusOp
@@ -178,23 +178,19 @@ class PartitionedMeshNoc(MeshNoc):
         self.partition = partition
         self.runtime = runtime
         self._owned_nodes = partition.owned_nodes
-        self._net_labels: Dict[int, str] = {
-            id(net): label for label, net in self._nets.items()
-        }
 
-    def _forward(self, net: Dict[Tuple, _OutputPort], port: _OutputPort,
-                 packet: Packet):
+    def _hand_over(self, label: str, packet: Packet
+                   ) -> Optional[_OutputPort]:
         # Port keys are ("inj", node) / ("ej", node) / ("link", node, dir):
         # key[1] is always the node owning the port.
-        next_key = packet.path[packet.hop + 1]
-        if next_key[1] in self._owned_nodes:
-            yield from MeshNoc._forward(self, net, port, packet)
-            return
+        if packet.path[packet.hop + 1][1] in self._owned_nodes:
+            return super()._hand_over(label, packet)
         # The downstream port lives in another partition: hand the packet
         # to the coordinator instead of the neighbour's input buffer.  No
         # credit wait — the cut ingress is unbounded by design.
         packet.hop += 1
-        self.runtime.emit(self._net_labels[id(net)], packet, self.sim_now())
+        self.runtime.emit(label, packet, self.sim_now())
+        return None
 
     def deliver(self, flit: BoundaryFlit) -> None:
         """Inject an inbound boundary flit at its first owned port.

@@ -12,6 +12,8 @@ Policies are verified at three levels:
   on every topology and the workload still produces correct results.
 """
 
+import random
+
 import pytest
 
 from repro.api import ExperimentRunner, PlatformBuilder, Scenario
@@ -185,6 +187,49 @@ class TestWeightedRoundRobinUnit:
         arb.reset()
         assert arb.grant_counts == {}
         assert arb.grant([0, 1]) == 0
+
+
+class TestRoundRobinAgainstReference:
+    """``RoundRobinArbiter.grant`` answers a lone requester without sorting;
+    the sort-everything rotation it must stay indistinguishable from is
+    kept here as the reference."""
+
+    @staticmethod
+    def reference_grant(state, requesters):
+        if not requesters:
+            return None
+        ordered = sorted(requesters)
+        after = ([m for m in ordered if m > state["last"]]
+                 if state["last"] is not None else [])
+        winner = after[0] if after else ordered[0]
+        state["last"] = winner
+        state["counts"][winner] = state["counts"].get(winner, 0) + 1
+        return winner
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_requester_sequences(self, seed):
+        rng = random.Random(seed)
+        arb = RoundRobinArbiter()
+        state = {"last": None, "counts": {}}
+        previous = [0]
+        for step in range(400):
+            shape = rng.random()
+            if shape < 0.45:      # singleton: the fast path
+                requesters = [rng.randrange(6)]
+            elif shape < 0.55:    # the same requesters again
+                requesters = list(previous)
+            elif shape < 0.60:
+                requesters = []
+            else:                 # several, unsorted
+                requesters = rng.sample(range(6), rng.randint(2, 6))
+            previous = requesters
+            expected = self.reference_grant(state, requesters)
+            assert arb.grant(requesters) == expected, (seed, step, requesters)
+            assert arb._last_granted == state["last"]
+            assert arb.grant_counts == state["counts"]
+            if rng.random() < 0.01:
+                arb.reset()
+                state = {"last": None, "counts": {}}
 
 
 class TestArbitrationSpec:

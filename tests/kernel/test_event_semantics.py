@@ -7,6 +7,9 @@ Covers the corner cases the epoch-checked queues were introduced for:
 * delta-overrides-timed (the stale timed heap entry must not fire — the
   historical double-wake);
 * earlier-timed-overrides-later (with the stale later entry ignored);
+* immediate ``notify()`` over every waiter-list shape (none, static-only,
+  stale token, terminated, probed) — the wake order, the ``sync`` probe's
+  call sequence and ``events_fired``;
 * ``run(duration)`` / ``run_until`` end-time invariants: ``now`` always
   lands on the requested deadline (SystemC ``sc_start`` semantics), and
   ``stats.end_time`` equals the final ``now``.
@@ -14,7 +17,15 @@ Covers the corner cases the epoch-checked queues were introduced for:
 
 import pytest
 
-from repro.kernel import Event, Module, Simulator, WaitCycles, WaitDelta
+from repro.kernel import (
+    Event,
+    Module,
+    Probes,
+    Simulator,
+    WaitAny,
+    WaitCycles,
+    WaitDelta,
+)
 
 
 def build(top_builder):
@@ -377,3 +388,143 @@ class TestDeltaWaitOrdering:
         # direct delta wake fires first, exactly as the per-wait waker event
         # did before the fast path.
         assert order == ["delta", "event"]
+
+class TestImmediateNotify:
+    """``notify()`` with no delay: who wakes, what the ``sync`` probe sees
+    and what ``events_fired`` counts — for every shape of waiter list the
+    single wake loop in ``Simulator._trigger_event_now`` has to handle."""
+
+    def test_no_waiter_fires_counts_and_cancels_the_pending_one(self):
+        wakes = []
+
+        def builder(top):
+            mod = Module("m", parent=top)
+            ev = mod.add_event(Event("go"))
+
+            def late_waiter():
+                yield 5
+                yield ev
+                wakes.append(sim.now)
+
+            def driver():
+                yield 2
+                ev.notify(10)  # heap entry @12
+                ev.notify()    # nobody waits: fires, and @12 is now stale
+                yield 18
+                ev.notify()    # @20
+
+            mod.add_process(late_waiter)
+            mod.add_process(driver)
+
+        sim = build(builder)
+        stats = sim.run()
+        assert wakes == [20]
+        # Three timer wakes and the two immediate fires; the stale @12
+        # entry pops without firing.
+        assert stats.events_fired == 5
+
+    def test_static_only_wakes_on_every_fire(self):
+        runs = []
+
+        def builder(top):
+            mod = Module("m", parent=top)
+            ev = mod.add_event(Event("go"))
+            mod.add_method(lambda: runs.append(sim.now), sensitivity=[ev])
+
+            def driver():
+                for _ in range(3):
+                    yield 4
+                    ev.notify()
+
+            mod.add_process(driver)
+
+        sim = build(builder)
+        sim.run()
+        assert runs == [0, 4, 8, 12]  # once at time zero, then per fire
+
+    def test_stale_token_waiter_is_not_woken(self):
+        wakes = []
+
+        def builder(top):
+            mod = Module("m", parent=top)
+            a, b, c = (mod.add_event(Event(n)) for n in "abc")
+
+            def waiter():
+                yield WaitAny(a, b)
+                wakes.append(("any", sim.now))
+                yield c  # b still holds the registration made above
+                wakes.append(("c", sim.now))
+
+            def driver():
+                yield 1
+                a.notify()
+                yield 1
+                b.notify()  # stale: the waiter moved on to c
+                yield 1
+                c.notify()
+
+            mod.add_process(waiter)
+            mod.add_process(driver)
+
+        sim = build(builder)
+        sim.run()
+        assert wakes == [("any", 1), ("c", 3)]
+
+    def test_terminated_static_thread_is_skipped(self):
+        def builder(top):
+            mod = Module("m", parent=top)
+            ev = mod.add_event(Event("go"))
+
+            def one_shot():
+                yield 1  # then returns: terminated, still statically listed
+
+            def driver():
+                yield 3
+                ev.notify()
+
+            builder.one_shot = mod.add_process(one_shot, sensitivity=[ev])
+            mod.add_process(driver)
+
+        sim = build(builder)
+        sim.run()
+        assert builder.one_shot.terminated
+        assert builder.one_shot.activation_count == 2
+
+    def test_sync_probe_sees_one_notify_then_the_wakes_in_order(self):
+        calls = []
+
+        def builder(top):
+            mod = Module("m", parent=top)
+            ev = mod.add_event(Event("go"))
+            idle = mod.add_event(Event("idle"))
+            mod.add_method(lambda: None, sensitivity=[ev], name="static")
+
+            def first():
+                yield ev
+
+            def second():
+                yield ev
+
+            def driver():
+                yield 1
+                idle.notify()  # no waiter at all
+                ev.notify()
+
+            for body in (first, second, driver):
+                mod.add_process(body)
+
+        probes = Probes()
+        probes.subscribe(sync=lambda kind, event, process: calls.append(
+            (kind, event.name, process.name.rsplit(".", 1)[-1])))
+        top = Module("top")
+        builder(top)
+        sim = Simulator(top, probes=probes)
+        stats = sim.run()
+        assert calls == [
+            ("notify", "idle", "driver"),
+            ("notify", "go", "driver"),
+            ("wake", "go", "static"),   # static sensitivities first,
+            ("wake", "go", "first"),    # then waiters in registration order
+            ("wake", "go", "second"),
+        ]
+        assert stats.events_fired == 3  # driver's timer + the two notifies

@@ -9,7 +9,8 @@ counts twice) around 256 hitting reads on a 1-PE write-back platform.
 The bound fails when the command is decoded through the enum constructors
 again, when ``SharedAllocation`` geometry goes back to properties, or when
 a hit is answered from inside per-opcode generators: the path before the
-synchronous probe cost 48 calls per read (PR 13), the probe path costs 30.
+synchronous probe cost 48 calls per read (PR 13), the probe path cost 30,
+and 28 once ``CachedPort.transfer`` stopped being a generator of its own.
 It belongs beside ``test_kernel_fastpath_smoke``: a host-speed guard that a
 loaded CI host cannot flake.
 """
@@ -21,8 +22,8 @@ from repro.memory import DataType
 from repro.soc import Platform
 
 READS = 256
-#: 30 calls per hitting read on the probe path, plus ~25 % headroom.
-MAX_CALLS_PER_READ = 38
+#: 28 calls per hitting read on the probe path, plus ~25 % headroom.
+MAX_CALLS_PER_READ = 35
 
 
 def test_l1_hit_read_stays_within_the_call_budget():

@@ -55,6 +55,12 @@ def golden_scenarios():
              PlatformBuilder().pes(2).wrapper_memories(2).crossbar()
              .l1_cache(sets=8, ways=2, line_bytes=16, policy="write_back"),
              "stencil", {"size": 32, "iterations": 2, "seed": 7}, 7),
+        # The one mesh scenario, sized so router ports both arbitrate between
+        # lanes and stall on a full downstream buffer (credit wait).
+        scen("golden-stencil-mesh",
+             PlatformBuilder().pes(8).wrapper_memories(2)
+             .mesh(3, 3, buffer_packets=2, flit_bytes=2),
+             "stencil", {"size": 32, "iterations": 2, "seed": 7}, 7),
     ]
 
 
@@ -96,4 +102,16 @@ def test_cache_counters_match_golden(golden, results):
         cache["name"]: {name: cache[name] for name in expected[cache["name"]]}
         for cache in reports
     }
+    assert observed == expected
+
+
+def test_noc_counters_match_golden(golden, results):
+    """A mesh host-speed change must leave the whole NoC block alone: every
+    link's counters, the contention map, hop and latency figures — on a run
+    that exercised both lane arbitration and the credit-wait path."""
+    expected = golden["golden-stencil-mesh"]["noc"]
+    observed = results["golden-stencil-mesh"].report.interconnect_stats["noc"]
+    links = observed["links"].values()
+    assert sum(link["blocked_cycles"] for link in links) > 0
+    assert sum(link["contended_grants"] for link in links) > 0
     assert observed == expected
