@@ -60,16 +60,22 @@ def main():
     baseline = results["quadrants-p1"].report
     print(baseline.summary())
     print(f"\n{'scenario':<16} {'parts':>5} {'cycles':>8} {'rounds':>7} "
-          f"{'boundary':>9} {'identical':>10}")
+          f"{'boundary':>9} {'sync wait':>10} {'identical':>13}")
     for name, result in results.items():
         report = result.report
         pdes = report.pdes or {}
         identical = (report.results == baseline.results
                      and report.simulated_time == baseline.simulated_time)
+        # Host time the slowest-to-sync worker spent exchanging window
+        # messages with its peers (zero in-process: nobody to wait for).
+        sync_wait = max((part["sync_wait_seconds"]
+                         for part in pdes.get("per_partition", ())),
+                        default=0.0)
         print(f"{name:<16} {pdes.get('partitions', 1):>5} "
               f"{report.simulated_cycles:>8} {pdes.get('rounds', 0):>7} "
               f"{pdes.get('boundary_messages', 0):>9} "
-              f"{'yes' if identical else 'results-only':>10}")
+              f"{sync_wait * 1e3:>7.1f} ms "
+              f"{'yes' if identical else 'results-only':>13}")
 
     crossing = results["far-corner-p2"].report
     assert crossing.results == baseline.results  # values, not timing

@@ -8,9 +8,9 @@ conservatively at link-latency epochs:
   the NoC, PE/memory ownership, epoch (lookahead) selection;
 * :class:`~repro.pdes.partition.PartitionSim` — one partition's platform
   shard plus its epoch-bounded kernel windows;
-* :func:`run_partitioned` — the coordinator: lockstep epoch barriers,
-  boundary-flit routing, null messages (empty outboxes + next-activity
-  reports), merged :class:`~repro.soc.stats.SimulationReport`;
+* :func:`run_partitioned` — the coordinator: forks the workers (they
+  swap null messages and boundary flits peer-to-peer, window by window),
+  supervises them, merges one :class:`~repro.soc.stats.SimulationReport`;
 * :class:`~repro.noc.partitioned.PartitionError` — raised for features
   that partitioning rejects (re-exported here for convenience).
 

@@ -232,6 +232,7 @@ def merge_reports(scenario, plan: PartitionPlan,
                 "simulated_time": payload.simulated_time,
                 "kernel_stats": dict(payload.kernel_stats),
                 "wallclock_seconds": payload.wallclock_seconds,
+                "sync_wait_seconds": payload.sync_wait_seconds,
                 "boundary_sent": payload.boundary_sent,
                 "boundary_received": payload.boundary_received,
             }

@@ -2,12 +2,12 @@
 
 :class:`PartitionSim` owns one :class:`~repro.soc.platform.Platform`
 built with a :class:`~repro.noc.partitioned.PartitionContext`, and drives
-its simulator in epoch-bounded windows under coordinator control:
+its simulator in epoch-bounded windows for its worker's round loop:
 
-* :meth:`advance` runs the kernel up to a horizon the coordinator proved
+* :meth:`advance` runs the kernel up to a horizon the horizon rule proved
   safe, delivering inbound boundary flits at exactly their cut-latency
-  delivery times, and reports the outbox plus the partition's next
-  activity time (the "null message" of conservative PDES);
+  delivery times, and reports the outbox sorted by owning partition plus
+  the partition's next activity time (the "null message" of PDES);
 * :meth:`finish` trims the clock back to the last real activity (the
   multi-window equivalent of the sequential
   :meth:`~repro.kernel.simulator.Simulator.trim_to_last_activity`) and
@@ -45,6 +45,8 @@ class PartitionPayload:
     wallclock_seconds: float
     boundary_sent: int
     boundary_received: int
+    #: Host time spent exchanging window messages with the peers.
+    sync_wait_seconds: float = 0.0
     #: ``(global_pe_index, report_dict, result, finished, name)`` per
     #: owned processor.
     pe_rows: List[Tuple[int, dict, object, bool, str]] = field(
@@ -94,14 +96,16 @@ class PartitionSim:
         #: horizon exactly like ``sc_start`` pads to its deadline).
         self._last_real_time = 0
         self.wallclock = 0.0
+        #: Host seconds its worker's round loop spent in peer exchanges.
+        self.sync_wait = 0.0
 
-    # -- coordinator protocol ---------------------------------------------------
+    # -- round-loop protocol ----------------------------------------------------
     def next_activity(self) -> Optional[int]:
         """Earliest time anything can happen here (``None`` = drained).
 
         Folds the undelivered inbound flits into the kernel's own bound,
-        so the coordinator's horizon stays sound without tracking
-        per-partition delivery queues itself.
+        so the horizon rule stays sound with no per-partition delivery
+        queues to track.
         """
         bound = self.sim.next_activity_time()
         if self._pending:
@@ -110,14 +114,17 @@ class PartitionSim:
         return bound
 
     def advance(self, horizon: int, inbound: List[BoundaryFlit]
-                ) -> Tuple[List[BoundaryFlit], Optional[int]]:
+                ) -> Tuple[List[List[BoundaryFlit]], Optional[int],
+                           Optional[int]]:
         """Simulate up to ``horizon``, delivering ``inbound`` on the way.
 
-        The coordinator guarantees no other partition can affect this one
+        The horizon rule guarantees no other partition can affect this one
         before ``horizon``; deliveries happen exactly when simulated time
         reaches each flit's ``deliver_time`` (flits due *at* the horizon
         are enqueued and wake their port process in the next window, at
-        the same timestamp).
+        the same timestamp).  Returns the window's outbox sorted by owning
+        partition, the earliest ``deliver_time`` in it (``None`` when it
+        is empty) and :meth:`next_activity`.
         """
         start = _wallclock.perf_counter()
         for flit in inbound:
@@ -145,9 +152,18 @@ class PartitionSim:
             if sim.now >= horizon and not (pending
                                            and pending[0][0] <= sim.now):
                 break
-        outbox = self.platform.boundary.drain()
+        outboxes: List[List[BoundaryFlit]] = [
+            [] for _ in range(self.plan.partitions)]
+        earliest = None
+        for flit in self.platform.boundary.drain():
+            # The flit's next port key names the node it enters; that
+            # node's owner is the destination partition.
+            node = flit.packet.path[flit.packet.hop][1]
+            outboxes[self.plan.node_owner[node]].append(flit)
+            if earliest is None or flit.deliver_time < earliest:
+                earliest = flit.deliver_time
         self.wallclock += _wallclock.perf_counter() - start
-        return outbox, self.next_activity()
+        return outboxes, earliest, self.next_activity()
 
     def finish(self) -> PartitionPayload:
         """Trim the clock, run end-of-simulation hooks, harvest stats."""
@@ -172,6 +188,7 @@ class PartitionSim:
             wallclock_seconds=self.wallclock,
             boundary_sent=platform.boundary.sent,
             boundary_received=platform.boundary.received,
+            sync_wait_seconds=self.sync_wait,
             bus_stats=noc.stats,
             latencies=noc._latencies,
             grant_counts=noc.merged_grant_counts(),

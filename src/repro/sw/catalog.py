@@ -16,7 +16,8 @@ the pure-Python reference implementations.
 
 from __future__ import annotations
 
-from typing import List
+import functools
+from typing import Callable, List
 
 from ..memory.protocol import DataType
 from .gsm import (
@@ -52,11 +53,19 @@ from .workloads import (
 )
 
 
-def _expect_results(expected: dict, what: str):
-    """A check asserting ``report.results`` matches ``expected`` per PE."""
+def _expect_results(expected: Callable[[], dict], what: str):
+    """A check asserting ``report.results`` matches ``expected()`` per PE.
+
+    ``expected`` is called when the check first runs, not when the
+    workload is built: a PDES partition worker rebuilds the workload and
+    never checks it, so a reference computed at build time is computed
+    once per worker for nothing.  It must not draw from ``random`` (the
+    scenario seed only covers the build).
+    """
+    reference = functools.cache(expected)
 
     def check(report):
-        for name, want in expected.items():
+        for name, want in reference().items():
             if report.results.get(name) != want:
                 return f"{name}: {what} differs from the reference"
         return True
@@ -76,8 +85,11 @@ def _fir(config, *, num_samples: int = 64, taps=(3, -1, 2, 7), seed: int = 0):
         make_fir_task(block, taps, memory_index=pe % config.num_memories)
         for pe, block in enumerate(blocks)
     ]
-    expected = {f"pe{pe}": fir_reference(block, taps)
-                for pe, block in enumerate(blocks)}
+
+    def expected():
+        return {f"pe{pe}": fir_reference(block, taps)
+                    for pe, block in enumerate(blocks)}
+
     return Workload(
         tasks=tasks,
         checks=[_expect_results(expected, "FIR output")],
@@ -105,7 +117,7 @@ def _matmul(config, *, rows: int = 4, inner: int = 3, cols: int = 3,
         expected[f"pe{worker + 1}"] = expected_product[start:end]
     return Workload(
         tasks=tasks,
-        checks=[_expect_results(expected, "matmul band")],
+        checks=[_expect_results(lambda: expected, "matmul band")],
         description=f"matmul: {rows}x{inner} @ {inner}x{cols}, {workers} workers",
     )
 
@@ -129,7 +141,7 @@ def _producer_consumer(config, *, num_items: int = 24, fifo_depth: int = 4,
         expected[f"pe{2 * pair + 1}"] = items
     return Workload(
         tasks=tasks,
-        checks=[_expect_results(expected, "FIFO item stream")],
+        checks=[_expect_results(lambda: expected, "FIFO item stream")],
         description=(f"producer_consumer: {num_items} items, "
                      f"depth {fifo_depth}, {config.num_pes // 2} pair(s)"),
     )
@@ -174,7 +186,8 @@ def _producer_consumer_irq(config, *, num_items: int = 24, fifo_depth: int = 4,
         expected[f"pe{2 * pair + 1}"] = items
     return Workload(
         tasks=tasks,
-        checks=[_expect_results(expected, "IRQ-driven FIFO item stream")],
+        checks=[_expect_results(lambda: expected,
+                                "IRQ-driven FIFO item stream")],
         description=(f"producer_consumer_irq: {num_items} items, "
                      f"depth {fifo_depth}, {config.num_pes // 2} pair(s)"),
     )
@@ -215,7 +228,8 @@ def _dma_memcpy(config, *, words: int = 256, mode: str = "dma",
         expected[f"pe{pe}"] = data
     return Workload(
         tasks=tasks,
-        checks=[_expect_results(expected, "memcpy destination buffer")],
+        checks=[_expect_results(lambda: expected,
+                                "memcpy destination buffer")],
         description=(f"dma_memcpy[{mode}]: {words} words per PE, "
                      f"compute {compute_cycles} cycles"),
     )
@@ -271,8 +285,11 @@ def _stencil(config, *, size: int = 64, iterations: int = 1, stride: int = 1,
                           memory_index=pe % config.num_memories)
         for pe, block in enumerate(blocks)
     ]
-    expected = {f"pe{pe}": stencil_reference(block, iterations)
-                for pe, block in enumerate(blocks)}
+
+    def expected():
+        return {f"pe{pe}": stencil_reference(block, iterations)
+                    for pe, block in enumerate(blocks)}
+
     return Workload(
         tasks=tasks,
         checks=[_expect_results(expected, "stencil output")],
@@ -357,7 +374,7 @@ def _stress_locked_handoff(config, *, words: int = 32, seed: int = 0,
         tasks.append(make_locked_consumer_task(
             shared, memory_index=memory_index))
         expected[f"pe{2 * pair + 1}"] = payload
-    checks = ([_expect_results(expected, "locked-handoff payload")]
+    checks = ([_expect_results(lambda: expected, "locked-handoff payload")]
               if mutate is None else [])
     return Workload(
         tasks=tasks,
@@ -402,7 +419,7 @@ def _stress_irq_handoff(config, *, words: int = 32, seed: int = 0,
             shared, line=pair, memory_index=memory_index, mutate=mutate))
         if mutate is None:
             expected[f"pe{2 * pair + 1}"] = payload
-    checks = ([_expect_results(expected, "IRQ-handoff payload")]
+    checks = ([_expect_results(lambda: expected, "IRQ-handoff payload")]
               if mutate is None else [])
     return Workload(
         tasks=tasks,
@@ -438,7 +455,7 @@ def _stress_dma_copy(config, *, words: int = 64, seed: int = 3,
             engine_index=pe, mutate=mutate))
         if mutate is None:
             expected[f"pe{pe}"] = data
-    checks = ([_expect_results(expected, "DMA-copied buffer")]
+    checks = ([_expect_results(lambda: expected, "DMA-copied buffer")]
               if mutate is None else [])
     return Workload(
         tasks=tasks,

@@ -89,3 +89,33 @@ class TestBuiltinCatalog:
             results = {"pe0": [1, 2, 3]}
         messages = [check(FakeReport()) for check in built.checks]
         assert any(isinstance(msg, str) for msg in messages)
+
+    @pytest.mark.parametrize("name,function,params", [
+        ("fir", "fir_reference", {"num_samples": 8}),
+        ("stencil", "stencil_reference", {"size": 8}),
+    ])
+    def test_reference_outputs_wait_for_the_check(self, monkeypatch, name,
+                                                  function, params):
+        """A built workload that is never checked (each PDES partition
+        worker builds one) has not computed its reference; the check
+        computes it once, however often it runs."""
+        import repro.sw.catalog as catalog
+
+        calls = []
+        real = getattr(catalog, function)
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(catalog, function, counting)
+        built = workload.create(name, _config(pes=2), **params)
+        assert calls == []
+        result = run_scenario(Scenario(
+            name="lazy", config=_config(pes=2),
+            workload=lambda config: built))
+        assert result.passed, (result.failures, result.error)
+        assert len(calls) == 2  # one per PE
+        for check in built.checks:
+            assert check(result.report) is True
+        assert len(calls) == 2

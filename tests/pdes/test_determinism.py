@@ -44,7 +44,8 @@ def run(partitions, **kwargs):
 
 
 #: Host-time fields — the only legitimately nondeterministic ones.
-_HOST_TIME_KEYS = ("wallclock_seconds", "host_seconds", "simulation_speed")
+_HOST_TIME_KEYS = ("wallclock_seconds", "host_seconds", "simulation_speed",
+                   "sync_wait_seconds")
 
 
 def strip_wallclock(value):
@@ -69,8 +70,21 @@ def test_cut_free_run_is_bit_identical_to_sequential(sequential, partitions):
     assert report.results == sequential.results
     assert report.finished == sequential.finished
     assert report.simulated_time == sequential.simulated_time
+    # The four kernel counters the perfbench goldens pin: every event
+    # fires in exactly one partition, and the other three sum the same
+    # per-partition work however many windows the run is cut into.
     assert (report.kernel_stats["events_fired"]
             == sequential.kernel_stats["events_fired"])
+    rounds = set()
+    for epoch_cycles in (32, 256, 10**6):
+        windowed = run(partitions, epoch_cycles=epoch_cycles, **CUT_FREE)
+        rounds.add(windowed.pdes["rounds"])
+        assert windowed.results == sequential.results
+        for counter in ("events_fired", "process_activations",
+                        "delta_cycles", "timed_steps"):
+            assert (windowed.kernel_stats[counter]
+                    == report.kernel_stats[counter]), (counter, epoch_cycles)
+    assert len(rounds) == 3 and min(rounds) == 1
     mine, theirs = report.interconnect_stats, sequential.interconnect_stats
     assert mine["per_master"] == theirs["per_master"]
     assert mine["transactions"] == theirs["transactions"]

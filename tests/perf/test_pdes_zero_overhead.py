@@ -11,7 +11,8 @@ import time
 
 from repro.api import PlatformBuilder, Scenario, run_scenario
 
-_HOST_TIMING_KEYS = ("wallclock_seconds", "simulation_speed", "host_seconds")
+_HOST_TIMING_KEYS = ("wallclock_seconds", "simulation_speed", "host_seconds",
+                     "sync_wait_seconds")
 
 #: Generous ceiling for the A/B smoke: both arms run the identical code
 #: path, so even a loaded host stays far under this.
