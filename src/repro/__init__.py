@@ -4,7 +4,9 @@ A Python reproduction of Villa, Schaumont, Verbauwhede, Monchiero and
 Palermo, *"Fast Dynamic Memory Integration in Co-Simulation Frameworks for
 Multiprocessor System on-Chip"*, DATE 2005.
 
-The package is organised as the paper's Figure 1:
+The package is organised as the paper's Figure 1; every sub-package loads
+its modules on first use (:mod:`repro._lazy`), so a run imports only the
+layers it names:
 
 * :mod:`repro.kernel` — SystemC-like discrete-event simulation kernel;
 * :mod:`repro.isa` / :mod:`repro.iss` — ARM-like instruction set and ISS;
@@ -16,8 +18,12 @@ The package is organised as the paper's Figure 1:
   routers, XY routing, link-level statistics);
 * :mod:`repro.memory` — host memory layer, static memories, heap, and the
   fully-modelled dynamic memory baseline;
+* :mod:`repro.cache` — per-PE L1 data caches kept coherent by a snooping
+  MSI protocol;
 * :mod:`repro.dev` — bus-attached peripherals: the interrupt controller,
   DMA engines (first-class fabric masters) and timers;
+* :mod:`repro.obs` — observability: timeline tracing, metrics
+  time-series and host-time profiling over the one probe surface;
 * :mod:`repro.check` — simulation sanitizers: the happens-before data-race
   detector, protocol checkers and the static lint for task code
   (``python -m repro.check.lint``);
@@ -27,6 +33,8 @@ The package is organised as the paper's Figure 1:
 * :mod:`repro.sw` — the software layer: task programs, the workload
   registry and the GSM 06.10 codec used by the evaluation;
 * :mod:`repro.soc` — platform composition and simulation-speed reporting;
+* :mod:`repro.pdes` — partitioned (parallel discrete-event) simulation of
+  mesh platforms, one worker process per partition;
 * :mod:`repro.api` — the declarative experiment layer: platform builder,
   scenarios, the (optionally process-sharded) experiment runner and
   structured result writers;
@@ -71,13 +79,18 @@ __version__ = "2.3.0"
 __all__ = [
     "analysis",
     "api",
+    "cache",
     "check",
+    "dev",
+    "fabric",
     "interconnect",
     "isa",
     "iss",
     "kernel",
     "memory",
     "noc",
+    "obs",
+    "pdes",
     "soc",
     "store",
     "sw",

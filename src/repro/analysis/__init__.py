@@ -8,34 +8,20 @@ here so analysis scripts have one import surface.  The sweep observatory
 CLI — run ``python -m repro.analysis.serve --help``.
 """
 
-from .bench_compare import (
-    compare_bench_entries,
-    compare_bench_files,
-    format_comparison,
-    regressions,
-)
-from .metrics import (
-    cycles_per_operation,
-    degradation,
-    geometric_mean,
-    harmonic_mean,
-    overhead,
-    percent,
-    speedup,
-    summarize,
-)
-from ..obs.export import chrome_trace, write_trace
-from ..obs.timeline import longest_spans, render_timeline
-from .sweep import best_point, expand_grid, sweep_table
+from .._lazy import lazy_exports
 
-
-def __getattr__(name):
-    # Lazy: ``python -m repro.analysis.serve`` must not find the module
-    # pre-imported (runpy would warn and execute a second copy).
-    if name == "DashboardData":
-        from .serve import DashboardData
-        return DashboardData
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".bench_compare": ["compare_bench_entries", "compare_bench_files",
+                       "format_comparison", "regressions"],
+    ".metrics": ["cycles_per_operation", "degradation", "geometric_mean",
+                 "harmonic_mean", "overhead", "percent", "speedup",
+                 "summarize"],
+    "..obs.export": ["chrome_trace", "write_trace"],
+    "..obs.timeline": ["longest_spans", "render_timeline"],
+    ".sweep": ["best_point", "sweep_table"],
+    "..api.scenario": ["expand_grid"],
+    ".serve": ["DashboardData"],
+})
 
 __all__ = [
     "DashboardData",

@@ -34,24 +34,34 @@ A complete experiment in a few lines::
         result.raise_for_status()
 """
 
-from ..sw.registry import (
-    Workload,
-    WorkloadError,
-    WorkloadRegistry,
-    as_workload,
-    workload,
-)
-from ..cache import CacheConfig, CacheGeometry, WritePolicy
-from ..check import CheckConfig
-from ..dev import DmaConfig, DmaDriver, IrqControllerConfig, TimerConfig
-from ..obs import ObsConfig, render_timeline, write_timeseries_csv, write_timeseries_json, write_trace
-from .builder import BuilderError, COST_MODELS, DELAY_PRESETS, PlatformBuilder
-from .micro import DriveResult, MemoryTestbench, drive, single_memory_testbench
-from .perf import BenchResult, PerfRecorder, PerfTimer, bench_json_path, load_bench_entries
-from .results import kernel_rates_table, results_table, write_csv, write_json
-from .runner import ExperimentRunner, run_scenario, run_tasks
-from .scenario import Scenario, ScenarioResult, expand_grid, scenario_grid
-from ..store import ResultStore, SweepMonitor, UncacheableScenarioError
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "..sw.registry": ["Workload", "WorkloadError", "WorkloadRegistry",
+                      "as_workload", "workload"],
+    "..cache.geometry": ["CacheConfig", "CacheGeometry", "WritePolicy"],
+    "..check.config": ["CheckConfig"],
+    "..dev.config": ["DmaConfig", "IrqControllerConfig", "TimerConfig"],
+    "..dev.dma": ["DmaDriver"],
+    "..obs.config": ["ObsConfig"],
+    "..obs.timeline": ["render_timeline"],
+    "..obs.metrics": ["write_timeseries_csv", "write_timeseries_json"],
+    "..obs.export": ["write_trace"],
+    ".builder": ["BuilderError", "COST_MODELS", "DELAY_PRESETS",
+                 "PlatformBuilder"],
+    ".micro": ["DriveResult", "MemoryTestbench", "drive",
+               "single_memory_testbench"],
+    ".perf": ["BenchResult", "PerfRecorder", "PerfTimer", "bench_json_path",
+              "load_bench_entries"],
+    ".results": ["kernel_rates_table", "results_table", "write_csv",
+                 "write_json"],
+    ".runner": ["ExperimentRunner", "run_scenario", "run_tasks"],
+    ".scenario": ["Scenario", "ScenarioResult", "expand_grid",
+                  "scenario_grid"],
+    "..store.store": ["ResultStore"],
+    "..store.telemetry": ["SweepMonitor"],
+    "..store.hashing": ["UncacheableScenarioError"],
+})
 
 __all__ = [
     "BenchResult",

@@ -37,6 +37,15 @@ Runs are reproducible: each scenario's ``seed`` is applied to ``random``
 immediately before its workload is instantiated, and the simulation itself
 is deterministic, so a serial run, a 2-shard run and a cached re-run of the
 same grid produce identical simulated results.
+
+Importing this module loads the scenario and store layers, not the
+simulator: :func:`run_scenario` and :func:`run_tasks` import
+:class:`~repro.soc.platform.Platform` when they build one, so a sweep
+replayed from the store never pays for it.  A sharded run forks one
+process per scenario, and a child that had to import the simulator itself
+would do so once per scenario; ``_run_sharded`` therefore loads, in the
+parent and before the first fork, what its scenarios need
+(:func:`~repro.soc.platform.load_layers`), and the workers inherit it.
 """
 
 from __future__ import annotations
@@ -49,7 +58,6 @@ import time
 from multiprocessing import connection as _mp_connection
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..soc.platform import Platform
 from ..store.hashing import UncacheableScenarioError
 from ..store.store import DEFAULT_FILENAME, ResultStore
 from ..store.telemetry import SweepEvent, SweepMonitor
@@ -86,6 +94,8 @@ def run_scenario(scenario: Scenario, *, index: int = 0,
 
             report = run_partitioned(scenario)
         else:
+            from ..soc.platform import Platform
+
             platform = Platform(scenario.config)
             platform.add_tasks(bundle.tasks)
             report = platform.run(max_time=scenario.max_time)
@@ -145,6 +155,18 @@ def _run_check(check, report) -> List[str]:
     if verdict is False:
         return [f"{label}: failed"]
     return [str(verdict)]
+
+
+def _preload(scenario: Scenario) -> None:
+    """Import here, in the process about to fork, everything a worker
+    running ``scenario`` would otherwise import on its own."""
+    partitioned = scenario.config.partitions > 1
+    if partitioned:
+        # A daemon worker cannot fork again: it runs the partitions itself.
+        from ..pdes import coordinator  # noqa: F401
+    from ..soc.platform import load_layers
+
+    load_layers(scenario.config, scenario.workload, partitioned)
 
 
 def _cacheable_report(report) -> bool:
@@ -316,6 +338,8 @@ class ExperimentRunner:
     def _run_sharded(self, pending: List[int], keys: List[Optional[str]],
                      results: List[Optional[ScenarioResult]]) -> None:
         context = multiprocessing.get_context(self.start_method)
+        for index in pending:
+            _preload(self.scenarios[index])
         position = 0
         #: index -> (process, parent connection, start timestamp)
         active: Dict[int, tuple] = {}
@@ -479,6 +503,8 @@ def run_tasks(config, tasks, max_time: Optional[int] = None, host=None):
     The programmatic one-shot entry point; returns the
     :class:`SimulationReport`.
     """
+    from ..soc.platform import Platform
+
     platform = Platform(config, host=host)
     platform.add_tasks(list(tasks))
     return platform.run(max_time=max_time)

@@ -18,17 +18,14 @@ Enable them declaratively::
               .build())
 """
 
-from .coherence import CoherenceDomain, DomainStats, SharedAllocation
-from .geometry import CacheConfig, CacheError, CacheGeometry, WritePolicy
-from .l1 import (
-    CACHE_TAG_SUFFIXES,
-    CachedPort,
-    CacheLine,
-    CacheStats,
-    L1Cache,
-    MSIState,
-    canonical_word,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".coherence": ["CoherenceDomain", "DomainStats", "SharedAllocation"],
+    ".geometry": ["CacheConfig", "CacheError", "CacheGeometry", "WritePolicy"],
+    ".l1": ["CACHE_TAG_SUFFIXES", "CachedPort", "CacheLine", "CacheStats",
+            "L1Cache", "MSIState", "canonical_word"],
+})
 
 __all__ = [
     "CACHE_TAG_SUFFIXES",

@@ -15,12 +15,16 @@ Two heads:
   ``release`` in workload/task code.
 """
 
-from .config import CheckConfig
-from .race import RaceDetector
-from .report import AccessSite, ReportSink, SanitizerReport
-from .protocol import CoherenceChecker, ProtocolChecker
-from .suite import SanitizerSuite, workload_frames
-from .vclock import VectorClock
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".config": ["CheckConfig"],
+    ".race": ["RaceDetector"],
+    ".report": ["AccessSite", "ReportSink", "SanitizerReport"],
+    ".protocol": ["CoherenceChecker", "ProtocolChecker"],
+    ".suite": ["SanitizerSuite", "workload_frames"],
+    ".vclock": ["VectorClock"],
+})
 
 __all__ = [
     "AccessSite",

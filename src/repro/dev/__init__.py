@@ -22,20 +22,17 @@ IRQ lines and master ids — the same resolution the platform builds from
 and driver software reads (``ctx.devices``).
 """
 
-from .config import (
-    DEVICE_CONFIG_TYPES,
-    MAX_IRQ_LINES,
-    DeviceLayout,
-    DeviceSlot,
-    DmaConfig,
-    IrqControllerConfig,
-    TimerConfig,
-    resolve_layout,
-)
-from .dma import DmaDriver, DmaEngine
-from .irq import InterruptController, IrqClient, lines_to_mask
-from .peripheral import RegisterFilePeripheral
-from .timer import TimerPeripheral
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".config": ["DEVICE_CONFIG_TYPES", "MAX_IRQ_LINES", "DeviceLayout",
+                "DeviceSlot", "DmaConfig", "IrqControllerConfig",
+                "TimerConfig", "resolve_layout"],
+    ".dma": ["DmaDriver", "DmaEngine"],
+    ".irq": ["InterruptController", "IrqClient", "lines_to_mask"],
+    ".peripheral": ["RegisterFilePeripheral"],
+    ".timer": ["TimerPeripheral"],
+})
 
 __all__ = [
     "DEVICE_CONFIG_TYPES",

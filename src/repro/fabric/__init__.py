@@ -15,32 +15,22 @@ policies implement :meth:`ArbitrationPolicy.grant`, topologies implement
 :meth:`Fabric._post` plus their transport timing.
 """
 
-from .address_map import AddressDecodeError, AddressMap, AddressMapConflict, Region
-from .base import Fabric
-from .policy import (
-    POLICY_ALIASES,
-    POLICY_KINDS,
-    Arbiter,
-    ArbitrationPolicy,
-    ArbitrationSpec,
-    FixedPriorityArbiter,
-    RoundRobinArbiter,
-    TdmaArbiter,
-    WeightedRoundRobinArbiter,
-    canonical_kind,
-    make_arbiter,
-    make_policy,
-)
-from .port import BusSlave, MasterPort
-from .stats import BusStats, MasterStats, percentile_summary
-from .transaction import (
-    WORD_SIZE,
-    BusOp,
-    BusRequest,
-    BusResponse,
-    ResponseStatus,
-    decode_error_response,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".address_map": ["AddressDecodeError", "AddressMap", "AddressMapConflict",
+                     "Region"],
+    ".base": ["Fabric"],
+    ".policy": ["POLICY_ALIASES", "POLICY_KINDS", "Arbiter",
+                "ArbitrationPolicy", "ArbitrationSpec", "FixedPriorityArbiter",
+                "RoundRobinArbiter", "TdmaArbiter",
+                "WeightedRoundRobinArbiter", "canonical_kind", "make_arbiter",
+                "make_policy"],
+    ".port": ["BusSlave", "MasterPort"],
+    ".stats": ["BusStats", "MasterStats", "percentile_summary"],
+    ".transaction": ["WORD_SIZE", "BusOp", "BusRequest", "BusResponse",
+                     "ResponseStatus", "decode_error_response"],
+})
 
 __all__ = [
     "AddressDecodeError",

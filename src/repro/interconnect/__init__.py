@@ -8,9 +8,13 @@ arbitration policies, address decoding, transaction types, statistics —
 lives in :mod:`repro.fabric` and must be imported from there.
 """
 
-from .bus import SharedBus
-from .crossbar import Crossbar
-from .monitor import BusMonitor, MonitoredTransfer
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".bus": ["SharedBus"],
+    ".crossbar": ["Crossbar"],
+    ".monitor": ["BusMonitor", "MonitoredTransfer"],
+})
 
 __all__ = [
     "BusMonitor",

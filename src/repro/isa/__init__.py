@@ -1,24 +1,15 @@
 """The ALM (ARM-like machine) instruction set: encoding, decoding, assembler."""
 
-from .assembler import AssemblerError, Program, assemble
-from .encoding import EncodingError, decode, disassemble, encode
-from .instructions import (
-    NUM_REGISTERS,
-    REG_LR,
-    REG_PC,
-    REG_SP,
-    WORD_BYTES,
-    BranchOp,
-    Cond,
-    DpOp,
-    InsnClass,
-    Instruction,
-    MemOp,
-    MulOp,
-    SysOp,
-    condition_passed,
-    sign_extend,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".assembler": ["AssemblerError", "Program", "assemble"],
+    ".encoding": ["EncodingError", "decode", "disassemble", "encode"],
+    ".instructions": ["NUM_REGISTERS", "REG_LR", "REG_PC", "REG_SP",
+                      "WORD_BYTES", "BranchOp", "Cond", "DpOp", "InsnClass",
+                      "Instruction", "MemOp", "MulOp", "SysOp",
+                      "condition_passed", "sign_extend"],
+})
 
 __all__ = [
     "AssemblerError",

@@ -25,26 +25,26 @@ Typical usage::
     sim.run(1000)
 """
 
-from .clock import Clock
-from .errors import (
-    DeltaCycleLimitExceeded,
-    ElaborationError,
-    KernelError,
-    PortBindingError,
-    ProcessError,
-    SchedulerError,
-    SimulationError,
-)
-from .event import Event, EventQueue
-from .fsm import CycleTrueFsm, FsmStateError
-from .module import Module
-from .port import InOutPort, InputPort, OutputPort
-from .probes import Probes
-from .process import Process, WaitAny, WaitCycles, WaitDelta, WaitEvent, WaitTime
-from .signal import Signal, SignalVector
-from .simtime import MS, NS, PS, SEC, US, ClockPeriod, format_time, parse_time
-from .simulator import SimulationStats, Simulator
-from .trace import SignalTracer, TransactionLog, TransactionRecord
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".clock": ["Clock"],
+    ".errors": ["DeltaCycleLimitExceeded", "ElaborationError", "KernelError",
+                "PortBindingError", "ProcessError", "SchedulerError",
+                "SimulationError"],
+    ".event": ["Event", "EventQueue"],
+    ".fsm": ["CycleTrueFsm", "FsmStateError"],
+    ".module": ["Module"],
+    ".port": ["InOutPort", "InputPort", "OutputPort"],
+    ".probes": ["Probes"],
+    ".process": ["Process", "WaitAny", "WaitCycles", "WaitDelta", "WaitEvent",
+                 "WaitTime"],
+    ".signal": ["Signal", "SignalVector"],
+    ".simtime": ["MS", "NS", "PS", "SEC", "US", "ClockPeriod", "format_time",
+                 "parse_time"],
+    ".simulator": ["SimulationStats", "Simulator"],
+    ".trace": ["SignalTracer", "TransactionLog", "TransactionRecord"],
+})
 
 __all__ = [
     "Clock",

@@ -11,57 +11,27 @@ This package provides the memory substrate of the co-simulation framework:
   dynamic memory module (opcodes, status codes, register map).
 """
 
-from .dynamic_base import (
-    DynamicMemorySlave,
-    decode_element,
-    encode_element,
-    to_signed,
-)
-from .heap import (
-    HEADER_BYTES,
-    CountingAccessor,
-    FreeListHeap,
-    HeapError,
-    HeapStats,
-    WordAccessor,
-)
-from .host_memory import (
-    HostAccessError,
-    HostAllocationError,
-    HostBlock,
-    HostMemory,
-    HostMemoryStats,
-)
-from .latency import LatencyModel, make_page_hit_model, sdram_latency, sram_latency
-from .modeled_dynamic_memory import ModeledDynamicMemory
-from .protocol import (
-    DATA_TYPE_SIZES,
-    IO_ARRAY_BASE,
-    IO_ARRAY_BYTES,
-    REG_COMMAND,
-    REG_DATA_IN,
-    REG_DIM,
-    REG_GO,
-    REG_LIVE_COUNT,
-    REG_OFFSET,
-    REG_OPCODE,
-    REG_RESULT,
-    REG_SM_ADDR,
-    REG_STATUS,
-    REG_TYPE,
-    REG_USED_BYTES,
-    REG_VPTR,
-    REGISTER_WINDOW_BYTES,
-    DataType,
-    Endianness,
-    MemCommand,
-    MemOpcode,
-    MemResult,
-    MemStatus,
-    ProtocolError,
-    data_type_size,
-)
-from .static_memory import StaticMemory
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".dynamic_base": ["DynamicMemorySlave", "decode_element", "encode_element",
+                      "to_signed"],
+    ".heap": ["HEADER_BYTES", "CountingAccessor", "FreeListHeap", "HeapError",
+              "HeapStats", "WordAccessor"],
+    ".host_memory": ["HostAccessError", "HostAllocationError", "HostBlock",
+                     "HostMemory", "HostMemoryStats"],
+    ".latency": ["LatencyModel", "make_page_hit_model", "sdram_latency",
+                 "sram_latency"],
+    ".modeled_dynamic_memory": ["ModeledDynamicMemory"],
+    ".protocol": ["DATA_TYPE_SIZES", "IO_ARRAY_BASE", "IO_ARRAY_BYTES",
+                  "REG_COMMAND", "REG_DATA_IN", "REG_DIM", "REG_GO",
+                  "REG_LIVE_COUNT", "REG_OFFSET", "REG_OPCODE", "REG_RESULT",
+                  "REG_SM_ADDR", "REG_STATUS", "REG_TYPE", "REG_USED_BYTES",
+                  "REG_VPTR", "REGISTER_WINDOW_BYTES", "DataType",
+                  "Endianness", "MemCommand", "MemOpcode", "MemResult",
+                  "MemStatus", "ProtocolError", "data_type_size"],
+    ".static_memory": ["StaticMemory"],
+})
 
 __all__ = [
     "CountingAccessor",

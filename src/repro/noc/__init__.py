@@ -21,17 +21,15 @@ or standalone, with the same surface as ``SharedBus``/``Crossbar``::
     port = noc.master_port(0)
 """
 
-from .config import NocConfig
-from .mesh import MeshNoc
-from .packet import (
-    LOCAL_LANE,
-    Packet,
-    entry_lane,
-    flits_for_payload,
-    request_payload_bytes,
-    response_payload_bytes,
-)
-from .stats import LinkStats, NocStats
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".config": ["NocConfig"],
+    ".mesh": ["MeshNoc"],
+    ".packet": ["LOCAL_LANE", "Packet", "entry_lane", "flits_for_payload",
+                "request_payload_bytes", "response_payload_bytes"],
+    ".stats": ["LinkStats", "NocStats"],
+})
 
 __all__ = [
     "LOCAL_LANE",

@@ -18,22 +18,18 @@ platform installs zero hooks; enabled, the heads only observe — the
 simulation's timing and scheduler counters stay bit-identical either way.
 """
 
-from .config import TRACE_CATEGORIES, ObsConfig
-from .hostprof import HostProfiler
-from .metrics import MetricsSampler, write_timeseries_csv, write_timeseries_json
-from .suite import ObsSuite
-from .timeline import longest_spans, render_timeline
-from .trace import TraceCollector, TraceEvent
+from .._lazy import lazy_exports
 
-
-def __getattr__(name):
-    # The exporter is loaded lazily so ``python -m repro.obs.export`` does
-    # not import the module twice (once as a package attribute, once as
-    # ``__main__``), which trips runpy's double-import warning.
-    if name in ("chrome_trace", "write_trace"):
-        from . import export
-        return getattr(export, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".config": ["TRACE_CATEGORIES", "ObsConfig"],
+    ".hostprof": ["HostProfiler"],
+    ".metrics": ["MetricsSampler", "write_timeseries_csv",
+                 "write_timeseries_json"],
+    ".suite": ["ObsSuite"],
+    ".timeline": ["longest_spans", "render_timeline"],
+    ".trace": ["TraceCollector", "TraceEvent"],
+    ".export": ["chrome_trace", "write_trace"],
+})
 
 __all__ = [
     "TRACE_CATEGORIES",

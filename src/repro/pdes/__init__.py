@@ -19,9 +19,14 @@ Scenario code never calls this module directly: setting
 :func:`repro.api.run_scenario` dispatch here automatically.
 """
 
-from ..noc.partitioned import BoundaryFlit, PartitionContext, PartitionError
-from .coordinator import run_partitioned
-from .plan import DEFAULT_EPOCH_CYCLES, PartitionPlan, plan_partitions
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "..noc.partitioned": ["BoundaryFlit", "PartitionContext",
+                          "PartitionError"],
+    ".coordinator": ["run_partitioned"],
+    ".plan": ["DEFAULT_EPOCH_CYCLES", "PartitionPlan", "plan_partitions"],
+})
 
 __all__ = [
     "BoundaryFlit",

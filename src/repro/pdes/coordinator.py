@@ -44,6 +44,7 @@ from multiprocessing import connection as _mp_connection
 from typing import List, Optional, Sequence, Tuple
 
 from ..noc.partitioned import BoundaryFlit
+from ..soc.platform import load_layers
 from .merge import merge_reports
 from .partition import PartitionPayload, PartitionSim
 from .plan import PartitionPlan, plan_partitions
@@ -199,6 +200,9 @@ def _run_processes(scenario, plan: PartitionPlan
     in ``recv`` on it, are terminated, and all are reaped either way.
     """
     ctx = multiprocessing.get_context()
+    # Loaded here so the workers inherit it: each would otherwise import
+    # the platform's layers and the workload module on its own.
+    load_layers(scenario.config, scenario.workload, partitioned=True)
     count = plan.partitions
     # links[a][b] is partition a's end of the one duplex pipe between a, b.
     links: List[list] = [[None] * count for _ in range(count)]

@@ -1,19 +1,14 @@
 """SoC composition: platform configuration, builder and reporting."""
 
-from .config import (
-    ArbitrationKind,
-    InterconnectKind,
-    MemoryKind,
-    PlatformConfig,
-)
-from .platform import MemoryIdleTicker, Platform
-from .stats import (
-    SimulationReport,
-    SweepPoint,
-    format_table,
-    speed_degradation,
-    wallclock_overhead,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".config": ["ArbitrationKind", "InterconnectKind", "MemoryKind",
+                "PlatformConfig"],
+    ".platform": ["MemoryIdleTicker", "Platform"],
+    ".stats": ["SimulationReport", "SweepPoint", "format_table",
+               "speed_degradation", "wallclock_overhead"],
+})
 
 __all__ = [
     "ArbitrationKind",

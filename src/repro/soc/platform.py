@@ -19,42 +19,100 @@ Typical use::
     platform.add_task(make_fir_task(samples, taps))   # round-robin placement
     report = platform.run()
     print(report.summary())
+
+This module imports what every platform has — kernel, shared bus, wrapper,
+task processor.  The layers a configuration may or may not select (crossbar,
+mesh, partitioned mesh, modelled memory, memory monitors, L1 caches,
+devices, sanitizers, observability) are imported by :func:`load_layers`,
+from the configuration, and :class:`Platform` instantiates them only from
+what it returns: a bus + wrapper run never compiles the mesh or the cache.
 """
 
 from __future__ import annotations
 
 import time as _wallclock
-from typing import List, Optional, Union
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, List, Optional, Union
 
-from ..cache.coherence import CoherenceDomain
-from ..cache.l1 import L1Cache
-from ..check.suite import SanitizerSuite
-from ..dev.dma import DmaEngine
-from ..dev.irq import InterruptController, IrqClient
-from ..dev.peripheral import RegisterFilePeripheral
-from ..dev.timer import TimerPeripheral
 from ..interconnect.bus import SharedBus
-from ..interconnect.crossbar import Crossbar
-from ..interconnect.monitor import BusMonitor
-from ..noc.mesh import MeshNoc
-from ..noc.partitioned import (
-    BoundaryRuntime,
-    PartitionContext,
-    PartitionedMeshNoc,
-)
-from ..obs.suite import ObsSuite
 from ..kernel import Event, Module, Probes, Simulator
 from ..memory.host_memory import HostMemory
-from ..memory.modeled_dynamic_memory import ModeledDynamicMemory
 from ..memory.protocol import REGISTER_WINDOW_BYTES
+from ..sw.registry import workload as _registry
+from ..sw.task_processor import TaskProcessor
 from ..wrapper.api import SharedMemoryAPI
 from ..wrapper.shared_memory import SharedMemoryWrapper
-from ..sw.task import TaskFunction
-from ..sw.task_processor import TaskProcessor
 from .config import InterconnectKind, MemoryKind, PlatformConfig
 from .stats import SimulationReport
 
-DynamicMemory = Union[SharedMemoryWrapper, ModeledDynamicMemory]
+if TYPE_CHECKING:
+    from ..cache.coherence import CoherenceDomain
+    from ..cache.l1 import L1Cache
+    from ..check.suite import SanitizerSuite
+    from ..dev.dma import DmaEngine
+    from ..dev.irq import InterruptController
+    from ..dev.peripheral import RegisterFilePeripheral
+    from ..dev.timer import TimerPeripheral
+    from ..interconnect.monitor import BusMonitor
+    from ..memory.modeled_dynamic_memory import ModeledDynamicMemory
+    from ..noc.partitioned import BoundaryRuntime, PartitionContext
+    from ..obs.suite import ObsSuite
+    from ..sw.task import TaskFunction
+
+    DynamicMemory = Union[SharedMemoryWrapper, ModeledDynamicMemory]
+
+
+def load_layers(config: PlatformConfig, workload: object = None,
+                partitioned: bool = False) -> SimpleNamespace:
+    """Import the optional layers ``config`` selects (and the module of the
+    registry workload named ``workload``); returns the layers' classes.
+
+    The one place that decides which modules a configuration needs.
+    :class:`Platform` builds its optional parts from the namespace returned
+    here, and the two fork sites (``ExperimentRunner._run_sharded``, the
+    PDES coordinator) call it in the parent before the first fork, so every
+    worker inherits the modules it will run instead of importing — one
+    process per scenario — the simulator again.
+    """
+    layers = SimpleNamespace()
+
+    def use(*classes: type) -> None:
+        for cls in classes:
+            setattr(layers, cls.__name__, cls)
+
+    if isinstance(workload, str) and workload in _registry:
+        _registry.get(workload)
+    if partitioned:
+        from ..noc.partitioned import BoundaryRuntime, PartitionedMeshNoc
+        use(BoundaryRuntime, PartitionedMeshNoc)
+    elif config.interconnect is InterconnectKind.MESH:
+        from ..noc.mesh import MeshNoc
+        use(MeshNoc)
+    if config.interconnect is InterconnectKind.CROSSBAR:
+        from ..interconnect.crossbar import Crossbar
+        use(Crossbar)
+    if config.memory_kind is not MemoryKind.WRAPPER:
+        from ..memory.modeled_dynamic_memory import ModeledDynamicMemory
+        use(ModeledDynamicMemory)
+    if config.monitor_memories:
+        from ..interconnect.monitor import BusMonitor
+        use(BusMonitor)
+    if config.cache is not None:
+        from ..cache.coherence import CoherenceDomain
+        from ..cache.l1 import L1Cache
+        use(CoherenceDomain, L1Cache)
+    if config.devices:
+        from ..dev.dma import DmaEngine
+        from ..dev.irq import InterruptController, IrqClient
+        from ..dev.timer import TimerPeripheral
+        use(DmaEngine, InterruptController, IrqClient, TimerPeripheral)
+    if config.check is not None:
+        from ..check.suite import SanitizerSuite
+        use(SanitizerSuite)
+    if config.obs is not None:
+        from ..obs.suite import ObsSuite
+        use(ObsSuite)
+    return layers
 
 
 class MemoryIdleTicker(Module):
@@ -139,6 +197,8 @@ class Platform:
                  host: Optional[HostMemory] = None,
                  partition: Optional[PartitionContext] = None) -> None:
         self.config = config
+        #: The optional layers this configuration selects, already imported.
+        self._layers = load_layers(config, partitioned=partition is not None)
         self.top = Module(config.name)
         #: The one instrumentation hook surface, handed to every emitter
         #: (simulator, fabric, interrupt controller, DMA engines, task
@@ -148,7 +208,8 @@ class Platform:
         #: PDES shard identity (``None`` on an ordinary sequential platform).
         self.partition = partition
         self.boundary: Optional[BoundaryRuntime] = (
-            BoundaryRuntime(partition) if partition is not None else None
+            self._layers.BoundaryRuntime(partition)
+            if partition is not None else None
         )
         self.interconnect = self._build_interconnect()
         self.memories: List[DynamicMemory] = [
@@ -159,7 +220,8 @@ class Platform:
         for index, memory in enumerate(self.memories):
             slave = memory
             if config.monitor_memories:
-                slave = BusMonitor(memory, name=f"smem{index}.monitor")
+                slave = self._layers.BusMonitor(
+                    memory, name=f"smem{index}.monitor")
                 self.monitors.append(slave)
             self.interconnect.attach_slave(
                 f"smem{index}", config.memory_base(index), REGISTER_WINDOW_BYTES,
@@ -173,7 +235,7 @@ class Platform:
         self._windows = {config.memory_base(index): index
                          for index in range(config.num_memories)}
         if config.cache is not None:
-            self.coherence = CoherenceDomain()
+            self.coherence = self._layers.CoherenceDomain()
             self.coherence.attach_interconnect(self.interconnect,
                                                self._windows)
         #: Bus-attached devices (``config.devices``), window-ordered.
@@ -186,11 +248,11 @@ class Platform:
             self._build_devices(self._device_layout)
         #: Runtime sanitizers (``config.check``), timing-transparent.
         self.check_suite: Optional[SanitizerSuite] = (
-            SanitizerSuite(config.check) if config.check is not None
-            else None)
+            self._layers.SanitizerSuite(config.check)
+            if config.check is not None else None)
         #: Observability (``config.obs``), timing-transparent.
         self.obs: Optional[ObsSuite] = (
-            ObsSuite(config.obs, config.clock_period)
+            self._layers.ObsSuite(config.obs, config.clock_period)
             if config.obs is not None else None)
         #: The suites this platform runs with: attached to :attr:`probes`
         #: by :meth:`prepare_run`, finished by :meth:`finalize`.
@@ -220,22 +282,22 @@ class Platform:
         arbitration = config.arbitration_spec()
         if config.interconnect is InterconnectKind.MESH:
             if self.partition is not None:
-                return PartitionedMeshNoc(
+                return self._layers.PartitionedMeshNoc(
                     "noc", period=config.clock_period,
                     config=config.resolved_noc(),
                     arbitration=arbitration, parent=self.top,
                     partition=self.partition, runtime=self.boundary,
                     probes=self.probes,
                 )
-            return MeshNoc("noc", period=config.clock_period,
-                           config=config.resolved_noc(),
-                           arbitration=arbitration, parent=self.top,
-                           probes=self.probes)
+            return self._layers.MeshNoc(
+                "noc", period=config.clock_period,
+                config=config.resolved_noc(), arbitration=arbitration,
+                parent=self.top, probes=self.probes)
         if config.interconnect is InterconnectKind.CROSSBAR:
-            return Crossbar("xbar", period=config.clock_period,
-                            arbitration_cycles=config.arbitration_cycles,
-                            arbitration=arbitration, parent=self.top,
-                            probes=self.probes)
+            return self._layers.Crossbar(
+                "xbar", period=config.clock_period,
+                arbitration_cycles=config.arbitration_cycles,
+                arbitration=arbitration, parent=self.top, probes=self.probes)
         return SharedBus("bus", period=config.clock_period,
                          arbitration_cycles=config.arbitration_cycles,
                          arbitration=arbitration, parent=self.top,
@@ -254,7 +316,7 @@ class Platform:
                 name=f"smem{index}",
             )
         capacity = config.memory_capacity_bytes or (1 << 20)
-        return ModeledDynamicMemory(
+        return self._layers.ModeledDynamicMemory(
             size_bytes=capacity,
             sm_addr=index,
             endianness=config.endianness,
@@ -265,7 +327,7 @@ class Platform:
     def _build_devices(self, layout) -> None:
         """Instantiate and attach every device slot of the resolved layout."""
         config = self.config
-        controller = InterruptController(
+        controller = self._layers.InterruptController(
             layout.controller.name, num_pes=config.num_pes,
             lines=layout.controller.config.lines, parent=self.top,
             probes=self.probes,
@@ -286,13 +348,13 @@ class Platform:
                     )
                     for mem_index in range(config.num_memories)
                 ]
-                built[slot.name] = DmaEngine(
+                built[slot.name] = self._layers.DmaEngine(
                     slot.name, port, apis, controller, slot.irq_line,
                     burst_words=slot.config.burst_words, parent=self.top,
                     probes=self.probes,
                 )
             elif slot.kind == "timer":
-                built[slot.name] = TimerPeripheral(
+                built[slot.name] = self._layers.TimerPeripheral(
                     slot.name, controller, slot.irq_line,
                     clock_period=config.clock_period,
                     compare_cycles=slot.config.compare_cycles,
@@ -333,7 +395,7 @@ class Platform:
         port = self.interconnect.master_port(pe_index, name=f"pe{pe_index}")
         if self.coherence is not None:
             assert self.config.cache is not None
-            cache = L1Cache(
+            cache = self._layers.L1Cache(
                 f"pe{pe_index}.l1", self.config.cache, port, self.coherence,
                 self._windows, self.config.clock_period,
             )
@@ -348,7 +410,7 @@ class Platform:
             )
             for mem_index in range(self.config.num_memories)
         ]
-        irq = (IrqClient(self.irq_controller, pe_index)
+        irq = (self._layers.IrqClient(self.irq_controller, pe_index)
                if self.irq_controller is not None else None)
         processor = TaskProcessor(
             name or f"pe{pe_index}",

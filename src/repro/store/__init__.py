@@ -17,22 +17,15 @@ from fire-and-forget scripts into an incremental, observable service:
 The query front door over all of it is ``python -m repro.analysis.serve``.
 """
 
-from .hashing import (
-    CODE_VERSION,
-    UncacheableScenarioError,
-    canonical_scenario,
-    canonical_value,
-    scenario_key,
-)
-from .store import DEFAULT_FILENAME, SCHEMA_VERSION, ResultStore
-from .telemetry import (
-    EVENT_KINDS,
-    TERMINAL_KINDS,
-    SweepEvent,
-    SweepMonitor,
-    read_events,
-    sweep_progress,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".hashing": ["CODE_VERSION", "UncacheableScenarioError",
+                 "canonical_scenario", "canonical_value", "scenario_key"],
+    ".store": ["DEFAULT_FILENAME", "SCHEMA_VERSION", "ResultStore"],
+    ".telemetry": ["EVENT_KINDS", "TERMINAL_KINDS", "SweepEvent",
+                   "SweepMonitor", "read_events", "sweep_progress"],
+})
 
 __all__ = [
     "CODE_VERSION",

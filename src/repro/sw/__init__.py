@@ -7,17 +7,16 @@ element used by the large workloads; the ARM-like ISS in :mod:`repro.iss`
 is the instruction-accurate alternative.
 """
 
-from .instruction_costs import ARM7_LIKE, FAST_CORE, CostModel, estimate_loop_cycles
-from .task import TaskContext, TaskError, TaskFunction
-from .task_processor import TaskProcessor, TaskProcessorStats
-from .registry import (
-    Workload,
-    WorkloadError,
-    WorkloadRegistry,
-    as_workload,
-    workload,
-)
-from . import catalog as _catalog  # noqa: F401  (registers built-in workloads)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".instruction_costs": ["ARM7_LIKE", "FAST_CORE", "CostModel",
+                           "estimate_loop_cycles"],
+    ".task": ["TaskContext", "TaskError", "TaskFunction"],
+    ".task_processor": ["TaskProcessor", "TaskProcessorStats"],
+    ".registry": ["Workload", "WorkloadError", "WorkloadRegistry",
+                  "as_workload", "workload"],
+})
 
 __all__ = [
     "ARM7_LIKE",

@@ -9,11 +9,12 @@ platform against the pure-Python reference run.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-from .decoder import GsmDecoder
-from .encoder import GsmEncoder, GsmFrameParameters
 from .tables import FRAME_SAMPLES
+
+if TYPE_CHECKING:
+    from .encoder import GsmFrameParameters
 
 
 def generate_speech_like(num_frames: int, seed: int = 1234) -> List[int]:
@@ -53,6 +54,11 @@ def generate_silence(num_frames: int) -> List[int]:
 def encode_decode(samples: Sequence[int]
                   ) -> Tuple[List[GsmFrameParameters], List[int]]:
     """Encode then decode a sample stream with fresh codec state."""
+    # Imported here: the signal generators above are also the input of
+    # workloads that never run the codec (alloc_churn, dma_memcpy).
+    from .decoder import GsmDecoder
+    from .encoder import GsmEncoder
+
     encoder = GsmEncoder()
     decoder = GsmDecoder()
     frames = encoder.encode_stream(list(samples))

@@ -20,6 +20,7 @@ from typing import Dict, Generator, List, Sequence
 
 from ...memory.protocol import DataType
 from ..instruction_costs import estimate_loop_cycles
+from ..registry import Workload, workload
 from ..task import TaskContext
 from .codec import generate_speech_like
 from .encoder import GsmEncoder
@@ -141,3 +142,32 @@ def check_platform_results(results: Dict[str, object],
         if [list(frame) for frame in produced] != [list(f) for f in expected_frames]:
             return False
     return True
+
+
+@workload.register("gsm_encode")
+def _gsm_encode(config, *, frames: int = 1, seed: int = 42,
+                placement: str = None, channels=None):
+    """The paper's workload: one GSM 06.10 encoder channel per PE.
+
+    ``placement`` defaults to striped when the platform has several shared
+    memories and dedicated otherwise, mirroring the two platforms of the
+    paper's Section 4 experiment.
+    """
+    if channels is None:
+        channels = make_gsm_channels(config.num_pes, frames, seed=seed)
+    if placement is None:
+        placement = (PLACEMENT_STRIPED if config.num_memories > 1
+                     else PLACEMENT_DEDICATED)
+    tasks = build_gsm_tasks(channels, placement=placement)
+    reference = reference_encode(channels)
+
+    def check(report):
+        return (check_platform_results(report.results, reference)
+                or "encoded GSM parameters differ from the reference encoder")
+
+    return Workload(
+        tasks=tasks,
+        checks=[check],
+        description=(f"gsm_encode: {len(channels)} channel(s) x "
+                     f"{frames} frame(s), {placement} placement"),
+    )

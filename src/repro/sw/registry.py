@@ -19,14 +19,23 @@ Register a workload with the decorator::
         return Workload(tasks=tasks, description=f"my kernel, size={size}")
 
 and instantiate it with ``workload.create("my_kernel", config, size=128)``.
+
+The built-in workloads register themselves the same way, each in the
+module that defines its tasks; the process-wide registry only holds their
+*names* (:data:`BUILTIN_MODULES`) until one is looked up, and then imports
+that one module — a ``fir`` run never loads the GSM codec or the DMA
+driver.  Nothing here imports task or platform code at run time.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from importlib import import_module
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from .task import TaskFunction
+if TYPE_CHECKING:
+    from .task import TaskFunction
 
 
 class WorkloadError(Exception):
@@ -69,11 +78,38 @@ def as_workload(built: object) -> Workload:
     )
 
 
-class WorkloadRegistry:
-    """Name → workload-factory mapping with decorator-based registration."""
+def expect_results(expected: Callable[[], dict], what: str) -> ResultCheck:
+    """A check asserting ``report.results`` matches ``expected()`` per PE.
 
-    def __init__(self) -> None:
+    ``expected`` is called when the check first runs, not when the
+    workload is built: a PDES partition worker rebuilds the workload and
+    never checks it, so a reference computed at build time is computed
+    once per worker for nothing.  It must not draw from ``random`` (the
+    scenario seed only covers the build).
+    """
+    reference = functools.cache(expected)
+
+    def check(report):
+        for name, want in reference().items():
+            if report.results.get(name) != want:
+                return f"{name}: {what} differs from the reference"
+        return True
+
+    return check
+
+
+class WorkloadRegistry:
+    """Name → workload-factory mapping with decorator-based registration.
+
+    ``builtins`` maps a name to the module whose import registers it: such
+    a name is known (``in``, :meth:`names`, ``len``) from the start, is
+    loaded by the first :meth:`get`, and can be registered by that module
+    only.
+    """
+
+    def __init__(self, builtins: Optional[Dict[str, str]] = None) -> None:
         self._factories: Dict[str, WorkloadFactory] = {}
+        self._builtins: Dict[str, str] = dict(builtins or {})
 
     # -- registration -------------------------------------------------------------
     def register(self, name: str, factory: Optional[WorkloadFactory] = None):
@@ -82,10 +118,13 @@ class WorkloadRegistry:
             raise WorkloadError("workload names must be non-empty strings")
 
         def _register(fn: WorkloadFactory) -> WorkloadFactory:
-            if name in self._factories:
+            owner = self._builtins.get(name)
+            shadows = owner is not None and getattr(
+                fn, "__module__", None) != owner
+            if name in self._factories or shadows:
                 raise WorkloadError(
                     f"workload {name!r} is already registered "
-                    f"(by {self._factories[name]!r})"
+                    f"(by {self._factories.get(name) or owner!r})"
                 )
             self._factories[name] = fn
             return fn
@@ -97,14 +136,18 @@ class WorkloadRegistry:
     def unregister(self, name: str) -> None:
         """Remove a registration (used by tests)."""
         self._factories.pop(name, None)
+        self._builtins.pop(name, None)
 
     # -- lookup ---------------------------------------------------------------------
     def get(self, name: str) -> WorkloadFactory:
-        """The factory registered under ``name``."""
+        """The factory registered under ``name`` (a built-in's module is
+        imported on its first lookup)."""
+        if name not in self._factories and name in self._builtins:
+            import_module(self._builtins[name])
         try:
             return self._factories[name]
         except KeyError:
-            known = ", ".join(sorted(self._factories)) or "(none)"
+            known = ", ".join(self.names()) or "(none)"
             raise WorkloadError(
                 f"unknown workload {name!r}; registered workloads: {known}"
             ) from None
@@ -115,14 +158,29 @@ class WorkloadRegistry:
 
     def names(self) -> List[str]:
         """All registered workload names, sorted."""
-        return sorted(self._factories)
+        return sorted(self._factories.keys() | self._builtins.keys())
 
     def __contains__(self, name: str) -> bool:
-        return name in self._factories
+        return name in self._factories or name in self._builtins
 
     def __len__(self) -> int:
-        return len(self._factories)
+        return len(self.names())
 
+
+#: Built-in workload name → the module that defines and registers it.
+BUILTIN_MODULES = {
+    "alloc_churn": "repro.sw.workloads.alloc_churn",
+    "dma_memcpy": "repro.sw.workloads.dma",
+    "fir": "repro.sw.workloads.fir",
+    "gsm_encode": "repro.sw.gsm.mapping",
+    "matmul": "repro.sw.workloads.matmul",
+    "producer_consumer": "repro.sw.workloads.producer_consumer",
+    "producer_consumer_irq": "repro.sw.workloads.producer_consumer_irq",
+    "stencil": "repro.sw.workloads.stencil",
+    "stress_dma_copy": "repro.sw.workloads.stress",
+    "stress_irq_handoff": "repro.sw.workloads.stress",
+    "stress_locked_handoff": "repro.sw.workloads.stress",
+}
 
 #: The process-wide registry used by ``repro.api`` scenarios.
-workload = WorkloadRegistry()
+workload = WorkloadRegistry(BUILTIN_MODULES)

@@ -6,34 +6,22 @@ pure-Python reference implementation used by the tests to check that the
 simulated execution computes the right answer.
 """
 
-from .fir import fir_reference, make_fir_task
-from .matmul import (
-    flatten,
-    make_matmul_producer_task,
-    make_matmul_worker_task,
-    matmul_reference,
-)
-from .dma import make_memcpy_task
-from .producer_consumer import (
-    CTRL_DONE,
-    CTRL_HEAD,
-    CTRL_TAIL,
-    CTRL_WORDS,
-    make_consumer_task,
-    make_producer_task,
-)
-from .producer_consumer_irq import (
-    make_irq_consumer_task,
-    make_irq_producer_task,
-)
-from .stencil import coprime_stride, make_stencil_task, stencil_reference
-from .stress import (
-    make_dma_stress_task,
-    make_doorbell_consumer_task,
-    make_doorbell_producer_task,
-    make_locked_consumer_task,
-    make_locked_producer_task,
-)
+from ..._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".fir": ["fir_reference", "make_fir_task"],
+    ".matmul": ["flatten", "make_matmul_producer_task",
+                "make_matmul_worker_task", "matmul_reference"],
+    ".dma": ["make_memcpy_task"],
+    ".producer_consumer": ["CTRL_DONE", "CTRL_HEAD", "CTRL_TAIL", "CTRL_WORDS",
+                           "make_consumer_task", "make_producer_task"],
+    ".producer_consumer_irq": ["make_irq_consumer_task",
+                               "make_irq_producer_task"],
+    ".stencil": ["coprime_stride", "make_stencil_task", "stencil_reference"],
+    ".stress": ["make_dma_stress_task", "make_doorbell_consumer_task",
+                "make_doorbell_producer_task", "make_locked_consumer_task",
+                "make_locked_producer_task"],
+})
 
 __all__ = [
     "CTRL_DONE",

@@ -13,6 +13,7 @@ from typing import Generator, List, Sequence
 
 from ...memory.protocol import DataType
 from ..instruction_costs import estimate_loop_cycles
+from ..registry import Workload, expect_results, workload
 from ..task import TaskContext
 
 
@@ -73,3 +74,27 @@ def make_fir_task(samples: Sequence[int], taps: Sequence[int], memory_index: int
         return result
 
     return task
+
+
+@workload.register("fir")
+def _fir(config, *, num_samples: int = 64, taps=(3, -1, 2, 7), seed: int = 0):
+    """One FIR filter per PE, buffers striped over the shared memories."""
+    taps = list(taps)
+    blocks = [
+        [((seed * 31 + pe * 17 + i * 29) % 1024) for i in range(num_samples)]
+        for pe in range(config.num_pes)
+    ]
+    tasks = [
+        make_fir_task(block, taps, memory_index=pe % config.num_memories)
+        for pe, block in enumerate(blocks)
+    ]
+
+    def expected():
+        return {f"pe{pe}": fir_reference(block, taps)
+                    for pe, block in enumerate(blocks)}
+
+    return Workload(
+        tasks=tasks,
+        checks=[expect_results(expected, "FIR output")],
+        description=f"fir: {num_samples} samples x {len(taps)} taps per PE",
+    )

@@ -13,6 +13,7 @@ from typing import Generator, List, Sequence
 
 from ...memory.protocol import DataType
 from ..instruction_costs import estimate_loop_cycles
+from ..registry import Workload, WorkloadError, expect_results, workload
 from ..task import TaskContext
 
 
@@ -98,3 +99,28 @@ def make_matmul_worker_task(shared: dict, row_start: int, row_end: int,
         return band
 
     return task
+
+
+@workload.register("matmul")
+def _matmul(config, *, rows: int = 4, inner: int = 3, cols: int = 3,
+            seed: int = 0):
+    """PE0 publishes A and B; the remaining PEs each compute a row band."""
+    if config.num_pes < 2:
+        raise WorkloadError("matmul needs at least 2 PEs (producer + workers)")
+    a = [[(seed + i * 7 + k * 3) % 97 for k in range(inner)] for i in range(rows)]
+    b = [[(seed + k * 5 + j * 11) % 89 for j in range(cols)] for k in range(inner)]
+    shared: dict = {}
+    workers = config.num_pes - 1
+    band = -(-rows // workers)  # ceil division
+    tasks = [make_matmul_producer_task(a, b, shared)]
+    expected_product = matmul_reference(a, b)
+    expected = {}
+    for worker in range(workers):
+        start, end = worker * band, min((worker + 1) * band, rows)
+        tasks.append(make_matmul_worker_task(shared, start, end))
+        expected[f"pe{worker + 1}"] = expected_product[start:end]
+    return Workload(
+        tasks=tasks,
+        checks=[expect_results(lambda: expected, "matmul band")],
+        description=f"matmul: {rows}x{inner} @ {inner}x{cols}, {workers} workers",
+    )

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Generator, List
 
 from ...memory.protocol import DataType
+from ..registry import Workload, WorkloadError, expect_results, workload
 from ..task import TaskContext
 
 #: Layout of the FIFO control block (element offsets in a UINT32 allocation).
@@ -97,3 +98,28 @@ def make_consumer_task(shared: dict, memory_index: int = 0):
         return received
 
     return task
+
+
+@workload.register("producer_consumer")
+def _producer_consumer(config, *, num_items: int = 24, fifo_depth: int = 4,
+                       seed: int = 0):
+    """Producer/consumer FIFO pairs: PE(2k) feeds PE(2k+1)."""
+    if config.num_pes % 2:
+        raise WorkloadError("producer_consumer needs an even number of PEs")
+    tasks: List = []
+    expected = {}
+    for pair in range(config.num_pes // 2):
+        items = [((seed + pair * 13 + i * 7) & 0xFFFFFFFF)
+                 for i in range(num_items)]
+        shared: dict = {}
+        memory_index = pair % config.num_memories
+        tasks.append(make_producer_task(items, fifo_depth, shared,
+                                        memory_index=memory_index))
+        tasks.append(make_consumer_task(shared, memory_index=memory_index))
+        expected[f"pe{2 * pair + 1}"] = items
+    return Workload(
+        tasks=tasks,
+        checks=[expect_results(lambda: expected, "FIFO item stream")],
+        description=(f"producer_consumer: {num_items} items, "
+                     f"depth {fifo_depth}, {config.num_pes // 2} pair(s)"),
+    )

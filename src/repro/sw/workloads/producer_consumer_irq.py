@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Generator, List
 
 from ...memory.protocol import DataType
+from ..registry import Workload, WorkloadError, expect_results, workload
 from ..task import TaskContext
 from .producer_consumer import CTRL_DONE, CTRL_HEAD, CTRL_TAIL, CTRL_WORDS
 
@@ -104,3 +105,49 @@ def make_irq_consumer_task(shared: dict, *, data_line: int, space_line: int,
         return received
 
     return task
+
+
+@workload.register("producer_consumer_irq")
+def _producer_consumer_irq(config, *, num_items: int = 24, fifo_depth: int = 4,
+                           seed: int = 0):
+    """Interrupt-driven FIFO pairs: doorbell IRQs replace index polling.
+
+    Pair ``k`` owns line ``2k`` (data-available, producer rings) and line
+    ``2k + 1`` (space-available, consumer rings).  Needs a platform with an
+    interrupt controller exposing at least ``num_pes`` lines.
+    """
+    if config.num_pes % 2:
+        raise WorkloadError("producer_consumer_irq needs an even number of PEs")
+    layout = config.device_layout()
+    if layout is None:
+        raise WorkloadError(
+            "producer_consumer_irq needs an interrupt controller — add "
+            ".irq_controller() (or any device) to the platform builder"
+        )
+    if config.num_pes > layout.controller.config.lines:
+        raise WorkloadError(
+            f"producer_consumer_irq needs {config.num_pes} interrupt lines, "
+            f"controller has {layout.controller.config.lines}"
+        )
+    tasks: List = []
+    expected = {}
+    for pair in range(config.num_pes // 2):
+        items = [((seed + pair * 13 + i * 7) & 0xFFFFFFFF)
+                 for i in range(num_items)]
+        shared: dict = {}
+        memory_index = pair % config.num_memories
+        data_line, space_line = 2 * pair, 2 * pair + 1
+        tasks.append(make_irq_producer_task(
+            items, fifo_depth, shared, data_line=data_line,
+            space_line=space_line, memory_index=memory_index))
+        tasks.append(make_irq_consumer_task(
+            shared, data_line=data_line, space_line=space_line,
+            memory_index=memory_index))
+        expected[f"pe{2 * pair + 1}"] = items
+    return Workload(
+        tasks=tasks,
+        checks=[expect_results(lambda: expected,
+                                "IRQ-driven FIFO item stream")],
+        description=(f"producer_consumer_irq: {num_items} items, "
+                     f"depth {fifo_depth}, {config.num_pes // 2} pair(s)"),
+    )

@@ -21,6 +21,7 @@ import math
 from typing import Generator, List, Sequence
 
 from ...memory.protocol import DataType
+from ..registry import Workload, WorkloadError, expect_results, workload
 from ..task import TaskContext
 
 MASK = 0xFFFFFFFF
@@ -94,3 +95,37 @@ def make_stencil_task(values: Sequence[int], iterations: int = 1,
         return result
 
     return task
+
+
+@workload.register("stencil")
+def _stencil(config, *, size: int = 64, iterations: int = 1, stride: int = 1,
+             seed: int = 0):
+    """One 3-point stencil per PE, scalar traffic with tunable locality.
+
+    ``stride`` permutes the traversal order without changing the result
+    (see :mod:`repro.sw.workloads.stencil`): the cache-sensitivity bench
+    sweeps it to move the same workload between cache-friendly and
+    cache-hostile behaviour.
+    """
+    if size < 2:
+        raise WorkloadError("stencil needs at least 2 elements per buffer")
+    blocks = [
+        [((seed * 37 + pe * 23 + i * 11) % 4096) for i in range(size)]
+        for pe in range(config.num_pes)
+    ]
+    tasks = [
+        make_stencil_task(block, iterations=iterations, stride=stride,
+                          memory_index=pe % config.num_memories)
+        for pe, block in enumerate(blocks)
+    ]
+
+    def expected():
+        return {f"pe{pe}": stencil_reference(block, iterations)
+                    for pe, block in enumerate(blocks)}
+
+    return Workload(
+        tasks=tasks,
+        checks=[expect_results(expected, "stencil output")],
+        description=(f"stencil: {size} elements x {iterations} sweep(s), "
+                     f"stride {stride}"),
+    )

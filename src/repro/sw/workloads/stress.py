@@ -29,6 +29,7 @@ from typing import Generator, List, Optional
 
 from ...dev.dma import DmaDriver
 from ...memory.protocol import DataType
+from ..registry import Workload, WorkloadError, expect_results, workload
 from ..task import TaskContext
 
 #: Locked-handoff control block layout (UINT32 elements).
@@ -191,3 +192,117 @@ def make_dma_stress_task(data: List[int], *, src_memory: int, dst_memory: int,
         return result
 
     return task
+
+
+@workload.register("stress_locked_handoff")
+def _stress_locked_handoff(config, *, words: int = 32, seed: int = 0,
+                           mutate: str = None):
+    """Reserve/release-guarded buffer handoff per PE pair (sanitizer stress).
+
+    Clean runs are race- and leak-free on every topology; the seeded
+    mutation ``mutate="drop_release"`` removes the producer's release,
+    which the sanitizers report as a lock leak.
+    """
+    if config.num_pes % 2:
+        raise WorkloadError("stress_locked_handoff needs an even PE count")
+    tasks: List = []
+    expected = {}
+    for pair in range(config.num_pes // 2):
+        payload = [((seed + pair * 29 + i * 3) & 0xFFFFFFFF)
+                   for i in range(words)]
+        shared: dict = {}
+        memory_index = pair % config.num_memories
+        tasks.append(make_locked_producer_task(
+            payload, shared, memory_index=memory_index, mutate=mutate))
+        tasks.append(make_locked_consumer_task(
+            shared, memory_index=memory_index))
+        expected[f"pe{2 * pair + 1}"] = payload
+    checks = ([expect_results(lambda: expected, "locked-handoff payload")]
+              if mutate is None else [])
+    return Workload(
+        tasks=tasks,
+        checks=checks,
+        description=(f"stress_locked_handoff: {words} words, "
+                     f"{config.num_pes // 2} pair(s), mutate={mutate}"),
+    )
+
+
+@workload.register("stress_irq_handoff")
+def _stress_irq_handoff(config, *, words: int = 32, seed: int = 0,
+                        mutate: str = None):
+    """Doorbell-IRQ buffer handoff per PE pair (sanitizer stress).
+
+    Needs an interrupt controller with one line per pair.  The seeded
+    mutation ``mutate="drop_doorbell"`` removes the producer's raise; the
+    consumer reads after a blind delay — a deterministic data race.
+    """
+    if config.num_pes % 2:
+        raise WorkloadError("stress_irq_handoff needs an even PE count")
+    layout = config.device_layout()
+    if layout is None:
+        raise WorkloadError(
+            "stress_irq_handoff needs an interrupt controller — add "
+            ".irq_controller() to the platform builder")
+    pairs = config.num_pes // 2
+    if pairs > layout.controller.config.lines:
+        raise WorkloadError(
+            f"stress_irq_handoff needs {pairs} interrupt lines, controller "
+            f"has {layout.controller.config.lines}")
+    tasks: List = []
+    expected = {}
+    for pair in range(pairs):
+        payload = [((seed + pair * 31 + i * 5) & 0xFFFFFFFF)
+                   for i in range(words)]
+        shared: dict = {}
+        memory_index = pair % config.num_memories
+        tasks.append(make_doorbell_producer_task(
+            payload, shared, line=pair, memory_index=memory_index,
+            mutate=mutate))
+        tasks.append(make_doorbell_consumer_task(
+            shared, line=pair, memory_index=memory_index, mutate=mutate))
+        if mutate is None:
+            expected[f"pe{2 * pair + 1}"] = payload
+    checks = ([expect_results(lambda: expected, "IRQ-handoff payload")]
+              if mutate is None else [])
+    return Workload(
+        tasks=tasks,
+        checks=checks,
+        description=(f"stress_irq_handoff: {words} words, {pairs} pair(s), "
+                     f"mutate={mutate}"),
+    )
+
+
+@workload.register("stress_dma_copy")
+def _stress_dma_copy(config, *, words: int = 64, seed: int = 3,
+                     mutate: str = None):
+    """Per-PE DMA copy with completion wait (sanitizer stress).
+
+    Needs one DMA engine per PE.  The seeded mutation
+    ``mutate="drop_wait"`` skips the completion interrupt: the PE's
+    read-back races the engine's in-flight destination writes.
+    """
+    layout = config.device_layout()
+    engines = 0 if layout is None else len(layout.dmas)
+    if engines < config.num_pes:
+        raise WorkloadError(
+            f"stress_dma_copy needs one DMA engine per PE "
+            f"({config.num_pes} PEs, {engines} engine(s) configured)")
+    tasks: List = []
+    expected = {}
+    for pe in range(config.num_pes):
+        data = [((seed + pe * 17 + i * 7) & 0xFFFFFFFF) for i in range(words)]
+        src_memory = pe % config.num_memories
+        dst_memory = (pe + 1) % config.num_memories
+        tasks.append(make_dma_stress_task(
+            data, src_memory=src_memory, dst_memory=dst_memory,
+            engine_index=pe, mutate=mutate))
+        if mutate is None:
+            expected[f"pe{pe}"] = data
+    checks = ([expect_results(lambda: expected, "DMA-copied buffer")]
+              if mutate is None else [])
+    return Workload(
+        tasks=tasks,
+        checks=checks,
+        description=(f"stress_dma_copy: {words} words per PE, "
+                     f"mutate={mutate}"),
+    )

@@ -7,29 +7,19 @@ slave, :class:`SharedMemoryAPI` for the software-side API, and DESIGN.md for
 how the pieces map onto Figure 2 of the paper.
 """
 
-from .api import IO_ARRAY_WORDS, SharedMemoryAPI
-from .delays import WrapperDelays
-from .errors import (
-    ApiError,
-    CapacityError,
-    PointerTableError,
-    ReservationError,
-    TranslationError,
-    WrapperError,
-)
-from .pointer_table import PointerEntry, PointerTable
-from .shared_memory import SharedMemoryWrapper
-from .translator import Translator, TranslatorStats
-from .wrapper_fsm import (
-    S_ACCESS,
-    S_DECODE,
-    S_HOST_CALL,
-    S_IDLE,
-    S_RESPOND,
-    S_TABLE,
-    S_TRANSFER,
-    WrapperFsm,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".api": ["IO_ARRAY_WORDS", "SharedMemoryAPI"],
+    ".delays": ["WrapperDelays"],
+    ".errors": ["ApiError", "CapacityError", "PointerTableError",
+                "ReservationError", "TranslationError", "WrapperError"],
+    ".pointer_table": ["PointerEntry", "PointerTable"],
+    ".shared_memory": ["SharedMemoryWrapper"],
+    ".translator": ["Translator", "TranslatorStats"],
+    ".wrapper_fsm": ["S_ACCESS", "S_DECODE", "S_HOST_CALL", "S_IDLE",
+                     "S_RESPOND", "S_TABLE", "S_TRANSFER", "WrapperFsm"],
+})
 
 __all__ = [
     "ApiError",

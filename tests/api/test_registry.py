@@ -1,9 +1,18 @@
-"""Tests for the workload registry and the built-in catalog."""
+"""Tests for the workload registry and the built-in workloads."""
+
+import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.api import PlatformBuilder, Scenario, run_scenario
 from repro.sw import Workload, WorkloadError, WorkloadRegistry, as_workload, workload
+from repro.sw.registry import BUILTIN_MODULES
+
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
 
 def _config(pes=1, memories=1):
@@ -61,6 +70,44 @@ class TestBuiltinCatalog:
         for name in ("fir", "matmul", "producer_consumer", "gsm_encode",
                      "alloc_churn"):
             assert name in workload, name
+        assert set(BUILTIN_MODULES) <= set(workload.names())
+        assert len(workload) >= len(BUILTIN_MODULES)
+
+    def test_builtins_are_known_before_they_are_loaded(self):
+        """``names()``/``in``/``len`` answer from the table; ``get`` imports
+        the one module that registers the name (fresh interpreter: this
+        one has loaded most workloads already)."""
+        script = (
+            "import sys\n"
+            "from repro.sw import workload\n"
+            "from repro.sw.registry import BUILTIN_MODULES\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.startswith("
+            "('repro.sw.workloads.', 'repro.sw.gsm.')))\n"
+            "assert 'gsm_encode' in workload and 'nope' not in workload\n"
+            "assert workload.names() == sorted(BUILTIN_MODULES)\n"
+            "assert len(workload) == len(BUILTIN_MODULES)\n"
+            "assert loaded() == []\n"
+            "workload.get('stencil')\n"
+            "assert loaded() == ['repro.sw.workloads.stencil'], loaded()\n"
+            "workload.get('stress_irq_handoff')\n"
+            "assert 'repro.sw.workloads.stress' in loaded()\n"
+            "assert len(workload) == len(BUILTIN_MODULES)\n")
+        done = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr[-2000:]
+
+    def test_a_builtin_name_cannot_be_shadowed_before_it_loads(self):
+        registry = WorkloadRegistry({"fir": "repro.sw.workloads.fir"})
+        with pytest.raises(WorkloadError, match="already registered"):
+            registry.register("fir", lambda config: [])
+        assert registry.names() == ["fir"]
+        with pytest.raises(WorkloadError, match="unknown workload 'fri'.*fir"):
+            registry.get("fri")
+        registry.unregister("fir")
+        assert "fir" not in registry and len(registry) == 0
+        registry.register("fir", lambda config: [])  # the name is free again
 
     @pytest.mark.parametrize("name,pes,params", [
         ("fir", 2, {"num_samples": 12, "seed": 5}),
@@ -99,16 +146,17 @@ class TestBuiltinCatalog:
         """A built workload that is never checked (each PDES partition
         worker builds one) has not computed its reference; the check
         computes it once, however often it runs."""
-        import repro.sw.catalog as catalog
+        # The factory lives beside its reference, in the workload's module.
+        module = importlib.import_module(BUILTIN_MODULES[name])
 
         calls = []
-        real = getattr(catalog, function)
+        real = getattr(module, function)
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(catalog, function, counting)
+        monkeypatch.setattr(module, function, counting)
         built = workload.create(name, _config(pes=2), **params)
         assert calls == []
         result = run_scenario(Scenario(

@@ -9,7 +9,8 @@ with ``isa < iss`` beside it (``iss`` sits level with ``cache``/``dev``).
 So ``kernel/probes.py`` stays at the bottom, and the suites
 (``check``, ``obs``) are never imported by the layers they observe.
 In-function (lazy) imports may point up or sideways only when listed in
-``LAZY_UPWARD``.
+``LAZY_UPWARD``.  A package ``__init__``'s export table counts as the
+module-level imports it stands for.
 """
 
 import ast
@@ -70,6 +71,18 @@ def _module_level(body):
                 yield from _module_level(block)
 
 
+def _table_imports(tree):
+    """The ``lazy_exports`` table of an ``__init__`` as import statements."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "lazy_exports"):
+            for key, names in ast.literal_eval(node.args[1]).items():
+                module = key.lstrip(".")
+                yield ast.ImportFrom(
+                    module=module or None, level=len(key) - len(module),
+                    names=[ast.alias(name=name) for name in names])
+
+
 def _edges():
     """``(file, source package, target package, is_lazy)`` for every
     cross-package import under ``src/repro``."""
@@ -82,8 +95,9 @@ def _edges():
             with open(path) as handle:
                 tree = ast.parse(handle.read())
             package_parts = ["repro"] + parts[:-1]
-            eager = set(_module_level(tree.body))
-            for node in ast.walk(tree):
+            table = list(_table_imports(tree))
+            eager = set(_module_level(tree.body)) | set(table)
+            for node in list(ast.walk(tree)) + table:
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     for target in _targets(node, package_parts) - {parts[0]}:
                         yield "/".join(parts), parts[0], target, node not in eager
