@@ -2,24 +2,22 @@
 
 The obs layer promises *semantic* transparency (same simulated time, same
 scheduler counters — ``tests/obs/test_obs_bit_identical.py`` enforces it);
-this bench tracks its *host* cost.  The ``producer_consumer`` registry
+this bench prints its *host* cost.  The ``producer_consumer`` registry
 workload runs per topology with and without ``.trace().metrics()``; both
-rows land in ``BENCH_kernel.json`` (the traced one as
-``<topology>-traced``), so the perf trajectory shows the overhead factor
-over time.  Headline check: simulated cycles and workload results are
-identical per pair.
+rows land in the ledger (the traced one as ``<topology>-traced``), where
+the pair's equal counters are the transparency claim.  Headline check:
+simulated cycles and workload results are identical per pair.
 """
 
 from __future__ import annotations
 
 from repro.api import (
     ExperimentRunner,
-    PerfRecorder,
     PlatformBuilder,
     Scenario,
 )
 
-from common import emit, format_rows
+from common import emit, format_rows, ledger
 
 PES = 2
 NUM_ITEMS = 256
@@ -62,7 +60,7 @@ def test_e10_obs_overhead(benchmark, request):
 
     def run_sweep():
         runner = ExperimentRunner(
-            scenarios, recorder=PerfRecorder("e10_obs_overhead"))
+            scenarios, recorder=ledger("e10_obs_overhead", request))
         collected["results"] = runner.run()
         return collected["results"]
 

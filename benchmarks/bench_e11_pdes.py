@@ -9,8 +9,8 @@ sharding the event loop across 1/2/4 worker processes.
 The identity checks are unconditional.  The speedup assertion is gated on
 the host actually having >= 4 usable cores: partitioned workers on a
 single-core host time-slice one CPU and measure IPC overhead, not
-parallelism — the rows still land in ``BENCH_kernel.json`` (with a
-``cores`` column) so multi-core hosts track the scaling trajectory.
+parallelism — the printed table still carries the host seconds (with a
+``cores`` column), and the ledger rows what every partitioning simulated.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ import os
 
 from repro.api import (
     ExperimentRunner,
-    PerfRecorder,
     PlatformBuilder,
     Scenario,
 )
 
-from common import emit, format_rows
+from common import emit, format_rows, ledger
 
 #: Epoch (lookahead) window.  The placement is cut-free, so the window
 #: never changes the simulation, only how many lockstep rounds the run is
@@ -98,7 +97,7 @@ def test_e11_pdes(benchmark, request):
 
     def run_sweep():
         runner = ExperimentRunner(
-            scenarios, recorder=PerfRecorder("e11_pdes"))
+            scenarios, recorder=ledger("e11_pdes", request))
         collected["results"] = runner.run()
         return collected["results"]
 

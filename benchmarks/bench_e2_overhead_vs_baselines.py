@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import time
 
-from repro.api import ExperimentRunner, PerfRecorder, PlatformBuilder, scenario_grid
+from repro.api import ExperimentRunner, PlatformBuilder, scenario_grid
 from repro.interconnect import SharedBus
 from repro.kernel import Module, Simulator
 from repro.memory import LatencyModel, StaticMemory
 from repro.soc import MemoryKind
 from repro.sw.gsm import FRAME_SAMPLES, PARAMETERS_PER_FRAME, generate_speech_like
 
-from common import emit, format_rows
+from common import emit, format_rows, ledger
 
 CHURN_ITERATIONS = 40
 CHURN_BLOCK_WORDS = 64
@@ -104,16 +104,15 @@ def test_e2_overhead_vs_baselines(benchmark, request):
     results = {}
 
     def run_all():
-        recorder = PerfRecorder("e2_overhead_vs_baselines")
+        recorder = ledger("e2_overhead_vs_baselines", request)
         dynamic = ExperimentRunner(scenarios, recorder=recorder).run()
         for result in dynamic:
             result.raise_for_status()
         results["wrapper"], results["modeled"] = [r.report for r in dynamic]
         results["static"] = run_static(iterations)
-        recorder.record_measurement(
-            "static-baseline", results["static"]["wall"],
-            params={"iterations": iterations},
-            simulated_cycles=results["static"]["cycles"])
+        recorder.record_cycles(
+            "static-baseline", results["static"]["cycles"],
+            params={"iterations": iterations})
         recorder.flush()
         return results
 

@@ -15,11 +15,11 @@ counts are *exactly* the ones the delay parameters prescribe:
 
 from __future__ import annotations
 
-from repro.api import PerfRecorder, PerfTimer, drive
+from repro.api import drive
 from repro.memory import MemCommand, MemOpcode
 from repro.wrapper import SharedMemoryWrapper, WrapperDelays, WrapperFsm
 
-from common import emit, format_rows
+from common import emit, format_rows, ledger
 
 
 def expected_cycles(delays, command, words=0, byte_count=0):
@@ -59,11 +59,11 @@ def run_trace(delays):
     return rows, total
 
 
-def test_e3_cycle_accuracy(benchmark):
+def test_e3_cycle_accuracy(benchmark, request):
     results = {}
 
     def run_all():
-        recorder = PerfRecorder("e3_accuracy")
+        recorder = ledger("e3_accuracy", request)
         traces = [
             ("sram", WrapperDelays.sram_like()),
             ("sdram", WrapperDelays.sdram_like()),
@@ -71,11 +71,8 @@ def test_e3_cycle_accuracy(benchmark):
              WrapperDelays(data_dependent=lambda op, nbytes: nbytes // 32)),
         ]
         for label, delays in traces:
-            with PerfTimer() as timer:
-                results[label] = run_trace(delays)
-            recorder.record_measurement(
-                f"trace-{label}", timer.seconds,
-                simulated_cycles=results[label][1])
+            results[label] = run_trace(delays)
+            recorder.record_cycles(f"trace-{label}", results[label][1])
         recorder.flush()
         return results
 

@@ -25,14 +25,12 @@ from __future__ import annotations
 
 from repro.api import (
     ExperimentRunner,
-    PerfRecorder,
     PlatformBuilder,
-    kernel_rates_table,
     scenario_grid,
 )
 from repro.soc import ArbitrationKind, InterconnectKind, speed_degradation
 
-from common import emit, format_rows
+from common import emit, format_rows, ledger
 
 PE_COUNTS = [1, 2, 4, 8]
 MEMORY_COUNTS = [1, 2, 4]
@@ -80,7 +78,7 @@ def test_e4_scaling_sweep(benchmark, request):
         # Per-point workload construction happens inside this timed region;
         # the asserted metrics use report.wallclock_seconds (simulation only).
         runner = ExperimentRunner(scenarios,
-                                  recorder=PerfRecorder("e4_scaling"))
+                                  recorder=ledger("e4_scaling", request))
         collected["results"] = runner.run()
         return collected["results"]
 
@@ -112,9 +110,7 @@ def test_e4_scaling_sweep(benchmark, request):
                                    "simulation_speed"])
         + "\n\nM=1 → M=4 degradation per PE count "
         "(paper reports ≈20% at P=4):\n"
-        + format_rows(degradation_rows)
-        + "\n\nkernel throughput (also recorded in BENCH_kernel.json):\n"
-        + kernel_rates_table(results, bench="e4_scaling"),
+        + format_rows(degradation_rows),
     )
 
     # Shape checks: for every PE count, adding memories costs simulation
@@ -157,7 +153,7 @@ def test_e4_topology_sweep(benchmark, request):
 
     def run_sweep():
         runner = ExperimentRunner(scenarios,
-                                  recorder=PerfRecorder("e4_topology"))
+                                  recorder=ledger("e4_topology", request))
         collected["results"] = runner.run()
         return collected["results"]
 
@@ -231,20 +227,20 @@ def make_arbitration_scenarios():
     )
 
 
-def test_e4_arbitration_sweep(benchmark):
+def test_e4_arbitration_sweep(benchmark, request):
     """Every fabric arbitration policy on every topology (also --quick).
 
     The policy may redistribute waiting — it must never change results:
     the encoded GSM output is asserted bit-identical across all twelve
-    (topology, policy) points.  Rows land in BENCH_kernel.json under
-    ``e4_arbitration/...`` and feed the perf-smoke regression gate.
+    (topology, policy) points.  Rows land in the ledger under
+    ``e4_arbitration/...`` and feed the perf-smoke ledger gate.
     """
     scenarios = make_arbitration_scenarios()
     collected = {}
 
     def run_sweep():
-        runner = ExperimentRunner(scenarios,
-                                  recorder=PerfRecorder("e4_arbitration"))
+        runner = ExperimentRunner(
+            scenarios, recorder=ledger("e4_arbitration", request))
         collected["results"] = runner.run()
         return collected["results"]
 
@@ -272,15 +268,15 @@ def test_e4_arbitration_sweep(benchmark):
                     report.interconnect_stats["latency_percentiles"]["p95"],
                 "wait cyc/PE": "/".join(str(w) for w in waits),
                 "grants": sum(grants.values()),
+                "wall s": round(report.wallclock_seconds, 4),
+                "speed (c/s)": round(report.simulation_speed),
             })
     emit(
         "e4_arbitration",
         format_rows(rows)
         + f"\n\n{ARBITRATION_PES} PEs, {ARBITRATION_MEMORIES} shared "
         "memories, gsm_encode; identical encoder output across all "
-        "policies on every topology (asserted).\n\nkernel throughput "
-        "(also recorded in BENCH_kernel.json):\n"
-        + kernel_rates_table(collected["results"], bench="e4_arbitration"),
+        "policies on every topology (asserted).",
     )
 
     for topology in TOPOLOGIES:

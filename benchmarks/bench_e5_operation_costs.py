@@ -16,7 +16,7 @@ number of live allocations while the fully-modelled allocator walk grows.
 
 from __future__ import annotations
 
-from repro.api import PerfRecorder, PerfTimer, drive
+from repro.api import drive
 from repro.fabric import BusOp, BusRequest
 from repro.memory import (
     IO_ARRAY_BASE,
@@ -26,7 +26,7 @@ from repro.memory import (
 )
 from repro.wrapper import SharedMemoryWrapper
 
-from common import emit, format_rows
+from common import emit, format_rows, ledger
 
 POPULATED_ALLOCATIONS = 200
 ARRAY_WORDS = 32
@@ -77,23 +77,18 @@ def alloc_cycles(memory):
     return outcome.cycles
 
 
-def test_e5_operation_costs(benchmark):
+def test_e5_operation_costs(benchmark, request):
     results = {}
 
     def run_all():
-        recorder = PerfRecorder("e5_operation_costs")
-        with PerfTimer() as wrapper_timer:
-            results["wrapper_empty"] = measure_operations(SharedMemoryWrapper(),
-                                                          "wrapper (empty)")
-        with PerfTimer() as modeled_timer:
-            results["modeled_empty"] = measure_operations(
-                ModeledDynamicMemory(1 << 20), "modeled (empty)")
-        for label, timer, rows in (
-                ("wrapper-empty", wrapper_timer, results["wrapper_empty"]),
-                ("modeled-empty", modeled_timer, results["modeled_empty"])):
-            recorder.record_measurement(
-                label, timer.seconds,
-                simulated_cycles=sum(row["cycles"] for row in rows))
+        recorder = ledger("e5_operation_costs", request)
+        results["wrapper_empty"] = measure_operations(SharedMemoryWrapper(),
+                                                      "wrapper (empty)")
+        results["modeled_empty"] = measure_operations(
+            ModeledDynamicMemory(1 << 20), "modeled (empty)")
+        for label, rows in (("wrapper-empty", results["wrapper_empty"]),
+                            ("modeled-empty", results["modeled_empty"])):
+            recorder.record_cycles(label, sum(row["cycles"] for row in rows))
         recorder.flush()
         wrapper_full = SharedMemoryWrapper()
         populate(wrapper_full, POPULATED_ALLOCATIONS)

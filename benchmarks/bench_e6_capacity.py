@@ -18,7 +18,7 @@ small configured capacity the same workload is refused at the right point.
 
 from __future__ import annotations
 
-from repro.api import PerfRecorder, PerfTimer, drive
+from repro.api import drive
 from repro.memory import DataType, MemCommand, MemOpcode, ModeledDynamicMemory
 from repro.wrapper import SharedMemoryWrapper
 
@@ -65,24 +65,16 @@ def test_e6_capacity(benchmark):
     results = {}
 
     def run_all():
-        recorder = PerfRecorder("e6_capacity")
         wrapper = SharedMemoryWrapper(capacity_bytes=1 << 30)
-        with PerfTimer() as timer:
-            results["wrapper_rows"] = grow_and_release(wrapper)
-        recorder.record_measurement("wrapper-1GiB", timer.seconds)
+        results["wrapper_rows"] = grow_and_release(wrapper)
         results["wrapper_host"] = wrapper.host.stats.as_dict()
         results["wrapper_leak_free"] = wrapper.host.check_all_freed()
 
         modeled = ModeledDynamicMemory(MODELED_TABLE_BYTES)
-        with PerfTimer() as timer:
-            results["modeled_rows"] = grow_and_release(modeled)
-        recorder.record_measurement("modeled-1MiB", timer.seconds)
+        results["modeled_rows"] = grow_and_release(modeled)
 
         small = SharedMemoryWrapper(capacity_bytes=SMALL_CAPACITY_BYTES)
-        with PerfTimer() as timer:
-            results["small_rows"] = grow_and_release(small)
-        recorder.record_measurement("wrapper-small-capacity", timer.seconds)
-        recorder.flush()
+        results["small_rows"] = grow_and_release(small)
         return results
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)

@@ -14,8 +14,8 @@ traversal stride (and with it the locality) changes — across:
 
 Reported per point: shared-memory transactions observed by the per-memory
 :class:`~repro.interconnect.monitor.BusMonitor` probes, aggregate L1 hit
-rate, simulated cycles and simulation speed; every point is also recorded
-into ``BENCH_kernel.json`` through :class:`~repro.api.perf.PerfRecorder`.
+rate, simulated cycles and simulation speed; what every point simulated
+is also recorded in the ledger (``common.ledger``).
 The headline checks: an enabled cache must *strictly* reduce shared-memory
 transactions on the sequential sweep, and (full run, capacity-starved
 geometry) the hostile stride must hit less than the sequential one.
@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from repro.api import (
     ExperimentRunner,
-    PerfRecorder,
     PlatformBuilder,
     Scenario,
 )
 
-from common import emit, format_rows
+from common import emit, format_rows, ledger
 
 PE_COUNTS = [1, 2, 4]
 POLICIES = ["write_through", "write_back"]
@@ -117,7 +116,7 @@ def test_e7_cache_sensitivity(benchmark, request):
 
     def run_sweep():
         runner = ExperimentRunner(
-            scenarios, recorder=PerfRecorder("e7_cache_sensitivity"))
+            scenarios, recorder=ledger("e7_cache_sensitivity", request))
         collected["results"] = runner.run()
         return collected["results"]
 

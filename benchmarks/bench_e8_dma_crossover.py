@@ -13,9 +13,9 @@ sweep, per interconnect topology:
 Destination buffers are asserted bit-identical between modes at every
 point (the workload's reference check also verifies them against the
 generated data).  Reported per point: simulated cycles for both modes and
-the offload speedup; every point lands in ``BENCH_kernel.json`` through
-:class:`~repro.api.perf.PerfRecorder`, so the CI perf gate tracks the
-crossover shape over time.  Headline check: with enough compute to
+the offload speedup; every point lands in the ledger
+(``common.ledger``), so CI's ledger gate pins the crossover's simulated
+cycles.  Headline check: with enough compute to
 overlap (~4096 cycles), the DMA path must win at the largest buffer on
 every topology.
 """
@@ -24,12 +24,11 @@ from __future__ import annotations
 
 from repro.api import (
     ExperimentRunner,
-    PerfRecorder,
     PlatformBuilder,
     Scenario,
 )
 
-from common import emit, format_rows
+from common import emit, format_rows, ledger
 
 PES = 2
 MEMORIES = 2
@@ -74,7 +73,7 @@ def test_e8_dma_crossover(benchmark, request):
 
     def run_sweep():
         runner = ExperimentRunner(
-            scenarios, recorder=PerfRecorder("e8_dma_crossover"))
+            scenarios, recorder=ledger("e8_dma_crossover", request))
         collected["results"] = runner.run()
         return collected["results"]
 

@@ -2,24 +2,23 @@
 
 The sanitizers promise *semantic* transparency (same simulated time, same
 scheduler counters — ``tests/check/test_bit_identical.py`` enforces it);
-this bench tracks their *host* cost.  The ``producer_consumer`` registry
+this bench prints their *host* cost.  The ``producer_consumer`` registry
 workload runs per topology with and without ``.sanitize()``; both rows
-land in ``BENCH_kernel.json`` (the sanitized one as
-``<topology>-sanitized``), so the perf trajectory shows the overhead
-factor over time.  Headline check: simulated cycles are identical per
-pair, and every run stays sanitizer-clean.
+land in the ledger (the sanitized one as ``<topology>-sanitized``), where
+the pair's equal counters are the transparency claim.  Headline check:
+simulated cycles are identical per pair, and every run stays
+sanitizer-clean.
 """
 
 from __future__ import annotations
 
 from repro.api import (
     ExperimentRunner,
-    PerfRecorder,
     PlatformBuilder,
     Scenario,
 )
 
-from common import emit, format_rows
+from common import emit, format_rows, ledger
 
 PES = 2
 NUM_ITEMS = 256
@@ -61,7 +60,7 @@ def test_e9_sanitizer_overhead(benchmark, request):
 
     def run_sweep():
         runner = ExperimentRunner(
-            scenarios, recorder=PerfRecorder("e9_sanitizer_overhead"))
+            scenarios, recorder=ledger("e9_sanitizer_overhead", request))
         collected["results"] = runner.run()
         return collected["results"]
 

@@ -1,9 +1,11 @@
 """Shared helpers for the evaluation benches.
 
-Every bench regenerates one row/figure of the paper's evaluation (see the
-experiment index in DESIGN.md and the recorded numbers in EXPERIMENTS.md).
-Results are printed and also appended to ``benchmarks/results/<bench>.txt``
-so they survive pytest's output capturing.
+Every bench regenerates one row/figure of the paper's evaluation; its
+module docstring states the claim it checks, and README.md ("Tests and
+benchmarks", "Performance") says how to run them.  Results are printed and
+also written to ``benchmarks/results/<bench>.txt`` so they survive
+pytest's output capturing; what each scenario *simulated* is recorded
+through :func:`ledger`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,24 @@ def emit(bench_name: str, text: str) -> None:
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, f"{bench_name}.txt"), "w") as handle:
         handle.write(banner)
+
+
+def ledger(bench_name: str, request):
+    """The :class:`~repro.api.PerfRecorder` this run's rows belong in.
+
+    ``--quick`` rows are the committed ledger (``BENCH_kernel.json``, or
+    wherever ``REPRO_BENCH_JSON`` points), which CI regenerates and
+    compares exactly.  A full-size run simulates larger workloads under
+    some of the same scenario names, so its rows go to a git-ignored file
+    of their own: one key never names two experiments.
+    """
+    from repro.api import PerfRecorder
+
+    if request.config.getoption("--quick"):
+        return PerfRecorder(bench_name)
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    return PerfRecorder(
+        bench_name, path=os.path.join(RESULTS_DIR, "BENCH_kernel.full.json"))
 
 
 def format_rows(rows: List[Dict[str, object]], columns: Optional[List[str]] = None

@@ -1,19 +1,19 @@
-"""Diff two ``BENCH_kernel.json`` perf files.
+"""Compare two ``BENCH_kernel.json`` ledgers exactly.
 
-The perf recorder (:mod:`repro.api.perf`) accumulates one normalized
-record per ``bench/scenario`` key, but comparing two snapshots — the
-checked-in baseline against a fresh run, or two CI artifacts — was a
-by-hand affair.  :func:`compare_bench_files` pairs the entries of two
-files and computes per-key deltas; :func:`format_comparison` renders them
-as the usual aligned table; ``python -m repro.analysis.bench_compare``
-wraps both as a command line tool::
+The ledger (:mod:`repro.api.perf`) holds one row per ``bench/scenario``
+key and every field of a row is deterministic, so two ledgers written by
+the same benches are equal or simulated behaviour moved.
+:func:`compare_bench_files` lists every difference — a row on one side
+only, or a shared row whose ``params`` or counters differ;
+``python -m repro.analysis.bench_compare`` prints them and is the gate CI
+runs on the committed file against a regenerated one::
 
-    $ python -m repro.analysis.bench_compare old.json new.json
-    key                      old c/s    new c/s    delta    wallclock
-    ...
+    $ python -m repro.analysis.bench_compare committed.json BENCH_kernel.json
+    e1_gsm_degradation/gsm-M4: process_activations 8351 → 8352
+    e7_cache_sensitivity/geom4x1x16-s1: removed
 
-Rates use ``cycles_per_second`` by default (the paper's simulation-speed
-metric); any numeric field of the records can be compared instead.
+Exit status: 0 when the ledgers match, 1 when they differ, 2 when either
+file is missing, unreadable, not a ledger or holds no rows.
 """
 
 from __future__ import annotations
@@ -22,128 +22,72 @@ import argparse
 import sys
 from typing import Dict, List, Optional
 
-from ..api.perf import load_bench_entries
-from ..soc.stats import format_table
-
-#: Default metric compared between the two files.
-DEFAULT_METRIC = "cycles_per_second"
+from ..api.perf import LEDGER_FIELDS, BenchFileError, load_bench_entries
 
 
-def compare_bench_entries(old: Dict[str, dict], new: Dict[str, dict],
-                          metric: str = DEFAULT_METRIC) -> List[dict]:
-    """Pair two entry maps by key and compute per-key rows.
+def compare_bench_entries(old: Dict[str, dict], new: Dict[str, dict]
+                          ) -> List[dict]:
+    """Every difference between two entry maps, sorted by key.
 
-    Every row carries the old/new ``metric`` values, the relative delta
-    (positive = ``new`` is faster for rate metrics), the old/new
-    wall-clock and a status: ``both``, ``added`` (only in ``new``) or
-    ``removed`` (only in ``old``).  Rows are sorted by key.
+    A key on one side only gives one ``added`` (only in ``new``) or
+    ``removed`` (only in ``old``) row; a shared key gives one ``changed``
+    row per differing field, carrying ``field``, ``old`` and ``new``.
     """
     rows: List[dict] = []
     for key in sorted(set(old) | set(new)):
-        old_entry, new_entry = old.get(key), new.get(key)
-        row: dict = {"key": key}
-        if old_entry is None:
-            row["status"] = "added"
-        elif new_entry is None:
-            row["status"] = "removed"
+        if key not in old:
+            rows.append({"key": key, "status": "added"})
+        elif key not in new:
+            rows.append({"key": key, "status": "removed"})
         else:
-            row["status"] = "both"
-        row["old"] = _metric_of(old_entry, metric)
-        row["new"] = _metric_of(new_entry, metric)
-        row["delta"] = _relative_delta(row["old"], row["new"])
-        row["old_wallclock"] = _metric_of(old_entry, "wallclock_seconds")
-        row["new_wallclock"] = _metric_of(new_entry, "wallclock_seconds")
-        rows.append(row)
+            rows.extend(
+                {"key": key, "status": "changed", "field": name,
+                 "old": old[key].get(name), "new": new[key].get(name)}
+                for name in ("params",) + LEDGER_FIELDS
+                if old[key].get(name) != new[key].get(name))
     return rows
 
 
-def compare_bench_files(old_path: str, new_path: str,
-                        metric: str = DEFAULT_METRIC) -> List[dict]:
-    """Load two ``BENCH_kernel.json`` files and diff their entries."""
+def compare_bench_files(old_path: str, new_path: str) -> List[dict]:
+    """Load two ledger files and list their differences."""
     return compare_bench_entries(load_bench_entries(old_path),
-                                 load_bench_entries(new_path), metric=metric)
+                                 load_bench_entries(new_path))
 
 
-def format_comparison(rows: List[dict], metric: str = DEFAULT_METRIC) -> str:
-    """Render comparison rows as an aligned text table."""
+def format_comparison(rows: List[dict]) -> str:
+    """One line per difference: ``key: field old → new`` or ``key: status``."""
     if not rows:
-        return "(no bench entries on either side)"
-    display = []
-    for row in rows:
-        display.append({
-            "bench/scenario": row["key"],
-            f"old {metric}": _fmt_value(row["old"]),
-            f"new {metric}": _fmt_value(row["new"]),
-            "delta": _fmt_delta(row["delta"], row["status"]),
-            "old s": _fmt_value(row["old_wallclock"]),
-            "new s": _fmt_value(row["new_wallclock"]),
-        })
-    return format_table(display)
-
-
-def regressions(rows: List[dict], threshold: float) -> List[dict]:
-    """Rows of both files whose metric dropped by more than ``threshold``
-    (a fraction: 0.1 = 10% slower)."""
-    return [row for row in rows
-            if row["status"] == "both" and row["delta"] is not None
-            and row["delta"] < -threshold]
-
-
-def _metric_of(entry: Optional[dict], metric: str) -> Optional[float]:
-    if entry is None:
-        return None
-    value = entry.get(metric)
-    return value if isinstance(value, (int, float)) else None
-
-
-def _relative_delta(old: Optional[float], new: Optional[float]
-                    ) -> Optional[float]:
-    if old is None or new is None or old == 0:
-        return None
-    return (new - old) / old
-
-
-def _fmt_value(value: Optional[float]) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float) and value < 100:
-        return f"{value:.4g}"
-    return f"{value:,.0f}"
-
-
-def _fmt_delta(delta: Optional[float], status: str) -> str:
-    if delta is None:
-        return status if status != "both" else "-"
-    return f"{delta * 100:+.1f}%"
+        return "ledgers match"
+    return "\n".join(
+        f"{row['key']}: {row['field']} {row['old']} → {row['new']}"
+        if row["status"] == "changed" else f"{row['key']}: {row['status']}"
+        for row in rows)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a non-zero exit code on regressions when
-    ``--fail-threshold`` is given."""
+    """CLI entry point; see the module docstring for the exit status."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.bench_compare",
-        description="Diff two BENCH_kernel.json perf snapshots.",
+        description="Compare two BENCH_kernel.json ledgers exactly.",
     )
     parser.add_argument("old", help="baseline BENCH_kernel.json")
     parser.add_argument("new", help="candidate BENCH_kernel.json")
-    parser.add_argument("--metric", default=DEFAULT_METRIC,
-                        help=f"record field to compare "
-                             f"(default: {DEFAULT_METRIC})")
-    parser.add_argument("--fail-threshold", type=float, default=None,
-                        metavar="FRACTION",
-                        help="exit 1 when any shared key's metric dropped "
-                             "by more than this fraction (e.g. 0.2)")
     args = parser.parse_args(argv)
-    rows = compare_bench_files(args.old, args.new, metric=args.metric)
-    print(format_comparison(rows, metric=args.metric))
-    if args.fail_threshold is not None:
-        slower = regressions(rows, args.fail_threshold)
-        if slower:
-            keys = ", ".join(row["key"] for row in slower)
-            print(f"\nregressions past {args.fail_threshold * 100:.0f}%: "
-                  f"{keys}")
-            return 1
-    return 0
+    sides = []
+    for path in (args.old, args.new):
+        try:
+            entries = load_bench_entries(path)
+        except BenchFileError as error:
+            print(error, file=sys.stderr)
+            return 2
+        if not entries:
+            print(f"{path}: no ledger rows (file missing or empty)",
+                  file=sys.stderr)
+            return 2
+        sides.append(entries)
+    rows = compare_bench_entries(*sides)
+    print(format_comparison(rows))
+    return 1 if rows else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via main() tests

@@ -2,7 +2,7 @@
 
 ``python -m repro.analysis.serve`` exposes everything a sweep leaves on
 disk — the :class:`~repro.store.store.ResultStore`, the JSONL event log,
-``BENCH_kernel.json`` perf snapshots and exported ``repro.obs`` trace
+``BENCH_kernel.json`` ledgers and exported ``repro.obs`` trace
 artifacts — through one stdlib-only surface with two heads:
 
 * ``serve`` — an ``http.server`` dashboard: a server-rendered HTML page at
@@ -30,13 +30,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import List, Optional
 from urllib.parse import parse_qs, urlparse
 
-from ..api.perf import bench_json_path
+from ..api.perf import BenchFileError, bench_json_path
 from ..soc.stats import format_table
 from ..store.store import ResultStore
 from ..store.telemetry import read_events, sweep_progress
-from .bench_compare import DEFAULT_METRIC, compare_bench_files
+from .bench_compare import compare_bench_files
 
-#: Committed perf baseline the bench view diffs against by default.
+#: Committed ledger the bench view compares against by default.
 DEFAULT_BENCH_BASELINE = "BENCH_kernel.json"
 
 
@@ -105,19 +105,18 @@ class DashboardData:
         snapshot["events"] = self.events_path
         return snapshot
 
-    def bench(self, metric: str = DEFAULT_METRIC) -> dict:
-        """``bench_compare`` deltas: committed baseline vs current file."""
+    def bench(self) -> dict:
+        """``bench_compare`` mismatches: committed ledger vs current file."""
         payload = {"baseline": self.bench_baseline,
-                   "current": self.bench_current, "metric": metric}
+                   "current": self.bench_current, "rows": []}
         if not os.path.exists(self.bench_baseline):
-            payload.update(rows=[], note="no baseline bench file")
+            payload["note"] = "no baseline bench file"
             return payload
-        rows = compare_bench_files(self.bench_baseline, self.bench_current,
-                                   metric=metric)
-        payload["rows"] = rows
-        payload["regressed"] = [row["key"] for row in rows
-                                if row["delta"] is not None
-                                and row["delta"] < -0.1]
+        try:
+            payload["rows"] = compare_bench_files(self.bench_baseline,
+                                                  self.bench_current)
+        except BenchFileError as error:
+            payload["note"] = str(error)
         return payload
 
     def traces(self) -> dict:
@@ -170,9 +169,8 @@ class DashboardData:
         sections = [
             _html_section("Results", _results_table_html(results)),
             _html_section("Sweep progress", _progress_html(progress)),
-            _html_section(
-                f"Bench deltas ({html.escape(bench['metric'])})",
-                _bench_table_html(bench)),
+            _html_section("Bench ledger mismatches",
+                          _bench_table_html(bench)),
             _html_section("Trace artifacts", _traces_html(traces)),
         ]
         refresh = (f'<meta http-equiv="refresh" content="{int(refresh_s)}">'
@@ -285,17 +283,11 @@ def _progress_html(progress: dict) -> str:
 
 
 def _bench_table_html(bench: dict) -> str:
-    rows = [{
-        "key": row["key"], "status": row["status"],
-        "old": row["old"], "new": row["new"],
-        "delta": ("" if row["delta"] is None
-                  else f"{row['delta'] * 100:+.1f}%"),
-    } for row in bench.get("rows", [])]
     return _html_table(
         [("key", "bench/scenario", False), ("status", "status", False),
-         ("old", "baseline", True), ("new", "current", True),
-         ("delta", "delta", True)],
-        rows, empty=bench.get("note", "no bench data"))
+         ("field", "field", False), ("old", "baseline", True),
+         ("new", "current", True)],
+        bench["rows"], empty=bench.get("note", "ledgers match"))
 
 
 def _traces_html(traces: dict) -> str:
@@ -343,8 +335,7 @@ def make_handler(data: DashboardData, refresh_s: Optional[int] = None):
                 elif route == "/api/progress":
                     self._send_json(data.progress())
                 elif route == "/api/bench":
-                    self._send_json(data.bench(
-                        metric=query.get("metric", DEFAULT_METRIC)))
+                    self._send_json(data.bench())
                 elif route == "/api/traces":
                     self._send_json(data.traces())
                 elif route.startswith("/traces/"):
@@ -408,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.serve",
         description="Queryable dashboard over sweep stores, event logs, "
-                    "bench deltas and trace artifacts.",
+                    "bench ledger mismatches and trace artifacts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -448,7 +439,6 @@ def _build_parser() -> argparse.ArgumentParser:
     query_parser.add_argument("--status", choices=["passed", "failed"],
                               default=None)
     query_parser.add_argument("--limit", type=int, default=None)
-    query_parser.add_argument("--metric", default=DEFAULT_METRIC)
     query_parser.add_argument("--table", action="store_true",
                               help="aligned text table instead of JSON "
                                    "(results/traces only)")
@@ -473,7 +463,7 @@ def _query(data: DashboardData, args: argparse.Namespace) -> int:
     elif args.what == "progress":
         payload = data.progress()
     elif args.what == "bench":
-        payload = data.bench(metric=args.metric)
+        payload = data.bench()
     elif args.what == "traces":
         payload = data.traces()
         if args.table:

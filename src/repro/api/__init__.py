@@ -53,8 +53,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
                "single_memory_testbench"],
     ".perf": ["BenchResult", "PerfRecorder", "PerfTimer", "bench_json_path",
               "load_bench_entries"],
-    ".results": ["kernel_rates_table", "results_table", "write_csv",
-                 "write_json"],
+    ".results": ["results_table", "write_csv", "write_json"],
     ".runner": ["ExperimentRunner", "run_scenario", "run_tasks"],
     ".scenario": ["Scenario", "ScenarioResult", "expand_grid",
                   "scenario_grid"],
@@ -95,7 +94,6 @@ __all__ = [
     "bench_json_path",
     "drive",
     "expand_grid",
-    "kernel_rates_table",
     "load_bench_entries",
     "render_timeline",
     "results_table",

@@ -1,24 +1,24 @@
-"""Kernel performance tracking: normalized bench results in ``BENCH_kernel.json``.
+"""The bench ledger: what each evaluation bench *simulated*, in ``BENCH_kernel.json``.
 
-The evaluation benches measure host wall-clock, but until this module the
-numbers only lived in free-text result blocks — there was no machine-readable
-perf trajectory to compare PRs against.  This module provides:
+Every run says two things: how fast it was on this host, and what it
+simulated.  Host time is noisy and belongs to ``perfbench/`` (repeated
+runs, median and IQR); this module persists only the exact half:
 
-* :class:`PerfTimer` — a tiny context-manager stopwatch;
-* :class:`BenchResult` — one normalized perf record (wall-clock, kernel
-  scheduler stats, derived events/sec and activations/sec rates) built from
-  a :class:`~repro.soc.stats.SimulationReport`, a
-  :class:`~repro.api.scenario.ScenarioResult` or a raw measurement;
-* :class:`PerfRecorder` — a keyed, merge-on-write collector: every record
-  updates its ``bench/scenario`` entry in the JSON file, so the six benches
-  (and partial runs) compose into one ``BENCH_kernel.json``.
+* :class:`BenchResult` — one ``bench/scenario`` row: the scenario's
+  parameters, its simulated time and cycles and the four kernel scheduler
+  counters, taken from a :class:`~repro.soc.stats.SimulationReport` or a
+  :class:`~repro.api.scenario.ScenarioResult`;
+* :class:`PerfRecorder` — a keyed, merge-on-write collector, so the
+  benches (and partial runs) compose into one file;
+* :func:`load_bench_entries` — the one reader of that file.
 
-The file lives at the repository root by default (CI uploads it as an
-artifact); override with the ``REPRO_BENCH_JSON`` environment variable or
-the ``path`` argument.  Scheduler *count* stats (``delta_cycles``,
-``process_activations``) are deterministic for fixed-seed scenarios, which
-is what lets CI diff them against a golden baseline to catch semantic
-regressions of the scheduler fast path.
+Every field is deterministic for fixed-seed scenarios, so regenerating
+the file on any host gives the same bytes and a diff of it means simulated
+behaviour moved; :mod:`repro.analysis.bench_compare` is the exact
+comparator CI gates on.  The file lives at the repository root by default;
+override with the ``REPRO_BENCH_JSON`` environment variable or the ``path``
+argument.  :class:`PerfTimer` is the stopwatch the benches use for the
+host-time tables they print themselves.
 """
 
 from __future__ import annotations
@@ -31,11 +31,19 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
-SCHEMA = "repro.api.perf/v1"
+SCHEMA = "repro.api.perf/v2"
 
 #: Environment variable overriding the default output path.
 ENV_PATH = "REPRO_BENCH_JSON"
 DEFAULT_PATH = "BENCH_kernel.json"
+
+#: The deterministic fields of a row beside its key and ``params``.
+LEDGER_FIELDS = ("simulated_time", "simulated_cycles", "delta_cycles",
+                 "timed_steps", "process_activations", "events_fired")
+
+
+class BenchFileError(ValueError):
+    """A bench file exists but is not a ledger this version can read."""
 
 
 def bench_json_path(path: Optional[str] = None) -> str:
@@ -62,47 +70,23 @@ class PerfTimer:
 
 @dataclass
 class BenchResult:
-    """One normalized perf record of a bench scenario."""
+    """One ledger row: what a bench scenario simulated."""
 
     #: Bench the record belongs to (e.g. ``"e4_scaling"``).
     bench: str
     #: Scenario label, unique within the bench.
     scenario: str
-    #: Host seconds of the measured region.
-    wallclock_seconds: float
     #: Parameters / grid overrides of the scenario.
     params: Dict[str, object] = field(default_factory=dict)
-    #: Simulated time units covered (0 for host-only micro measurements).
+    #: Simulated time units covered (0 for kernel-less micro benches).
     simulated_time: int = 0
-    #: Simulated cycles covered (0 for host-only micro measurements).
+    #: Simulated cycles covered.
     simulated_cycles: int = 0
-    #: Kernel scheduler counters (empty for host-only micro measurements).
+    #: Kernel scheduler counters (0 for kernel-less micro benches).
     delta_cycles: int = 0
     timed_steps: int = 0
     process_activations: int = 0
     events_fired: int = 0
-
-    # -- derived rates -------------------------------------------------------
-    @property
-    def events_per_second(self) -> float:
-        """Fired events per host second (kernel notification throughput)."""
-        if self.wallclock_seconds <= 0:
-            return 0.0
-        return self.events_fired / self.wallclock_seconds
-
-    @property
-    def activations_per_second(self) -> float:
-        """Process activations per host second (kernel scheduling throughput)."""
-        if self.wallclock_seconds <= 0:
-            return 0.0
-        return self.process_activations / self.wallclock_seconds
-
-    @property
-    def cycles_per_second(self) -> float:
-        """Simulated cycles per host second (the paper's speed metric)."""
-        if self.wallclock_seconds <= 0:
-            return 0.0
-        return self.simulated_cycles / self.wallclock_seconds
 
     @property
     def key(self) -> str:
@@ -110,22 +94,14 @@ class BenchResult:
         return f"{self.bench}/{self.scenario}"
 
     def as_dict(self) -> dict:
-        """JSON-ready view, derived rates included."""
-        return {
+        """JSON-ready view."""
+        row = {
             "bench": self.bench,
             "scenario": self.scenario,
             "params": {key: _plain(value) for key, value in self.params.items()},
-            "wallclock_seconds": self.wallclock_seconds,
-            "simulated_time": self.simulated_time,
-            "simulated_cycles": self.simulated_cycles,
-            "delta_cycles": self.delta_cycles,
-            "timed_steps": self.timed_steps,
-            "process_activations": self.process_activations,
-            "events_fired": self.events_fired,
-            "events_per_second": round(self.events_per_second, 1),
-            "activations_per_second": round(self.activations_per_second, 1),
-            "cycles_per_second": round(self.cycles_per_second, 1),
         }
+        row.update((name, getattr(self, name)) for name in LEDGER_FIELDS)
+        return row
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -137,7 +113,6 @@ class BenchResult:
             bench=bench,
             scenario=scenario,
             params=dict(params or {}),
-            wallclock_seconds=report.wallclock_seconds,
             simulated_time=report.simulated_time,
             simulated_cycles=report.simulated_cycles,
             delta_cycles=int(kernel.get("delta_cycles", 0)),
@@ -149,17 +124,8 @@ class BenchResult:
     @classmethod
     def from_scenario_result(cls, bench: str, result) -> "BenchResult":
         """Build a record from a passed :class:`ScenarioResult`."""
-        record = cls.from_report(bench, result.scenario, result.report,
-                                 params=dict(result.overrides, **result.params))
-        return record
-
-    @classmethod
-    def from_measurement(cls, bench: str, scenario: str, seconds: float,
-                         params: Optional[Dict[str, object]] = None,
-                         simulated_cycles: int = 0) -> "BenchResult":
-        """Build a host-time-only record (micro benches without a kernel run)."""
-        return cls(bench=bench, scenario=scenario, params=dict(params or {}),
-                   wallclock_seconds=seconds, simulated_cycles=simulated_cycles)
+        return cls.from_report(bench, result.scenario, result.report,
+                               params=dict(result.overrides, **result.params))
 
 
 def _plain(value: object) -> object:
@@ -173,8 +139,8 @@ class PerfRecorder:
     """Collects :class:`BenchResult` records and merges them into the JSON file.
 
     Records are keyed by ``bench/scenario``: re-running a bench (or one
-    bench out of six) updates only its own entries, so the file accumulates
-    a complete picture across partial runs.
+    bench out of eleven) updates only its own entries, so the file
+    accumulates a complete picture across partial runs.
     """
 
     def __init__(self, bench: str, path: Optional[str] = None) -> None:
@@ -188,24 +154,17 @@ class PerfRecorder:
         self.records.append(result)
         return result
 
-    def record_report(self, scenario: str, report,
-                      params: Optional[Dict[str, object]] = None) -> BenchResult:
-        """Record a simulation report under this recorder's bench."""
-        return self.record(BenchResult.from_report(self.bench, scenario, report,
-                                                   params=params))
-
     def record_results(self, results: Iterable) -> None:
         """Record every passed scenario result of an experiment run."""
         for result in results:
             if result.report is not None:
                 self.record(BenchResult.from_scenario_result(self.bench, result))
 
-    def record_measurement(self, scenario: str, seconds: float,
-                           params: Optional[Dict[str, object]] = None,
-                           simulated_cycles: int = 0) -> BenchResult:
-        """Record a host-only timing (micro benches)."""
-        return self.record(BenchResult.from_measurement(
-            self.bench, scenario, seconds, params=params,
+    def record_cycles(self, scenario: str, simulated_cycles: int,
+                      params: Optional[Dict[str, object]] = None) -> BenchResult:
+        """Record a cycle-only row (micro benches that drive no kernel)."""
+        return self.record(BenchResult(
+            self.bench, scenario, params=dict(params or {}),
             simulated_cycles=simulated_cycles))
 
     # -- persistence ---------------------------------------------------------
@@ -217,14 +176,15 @@ class PerfRecorder:
         same file cannot drop each other's rows) and the new content lands
         via a uniquely named temp file + atomic ``os.replace`` (so a crash
         mid-write never leaves a truncated ``BENCH_kernel.json`` behind).
+        A file that exists but is not a ledger raises
+        :class:`BenchFileError` and is left as found.
         """
         with _flush_lock(self.path):
-            payload = self._load()
-            entries = payload.setdefault("entries", {})
+            entries = load_bench_entries(self.path)
             for record in self.records:
                 entries[record.key] = record.as_dict()
-            payload["schema"] = SCHEMA
-            payload["count"] = len(entries)
+            payload = {"schema": SCHEMA, "count": len(entries),
+                       "entries": entries}
             directory = os.path.dirname(os.path.abspath(self.path))
             fd, tmp_path = tempfile.mkstemp(
                 dir=directory, prefix=os.path.basename(self.path) + ".",
@@ -239,18 +199,6 @@ class PerfRecorder:
                     os.unlink(tmp_path)
                 raise
         return self.path
-
-    def _load(self) -> dict:
-        if not os.path.exists(self.path):
-            return {}
-        try:
-            with open(self.path) as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return {}
-        if not isinstance(payload, dict) or payload.get("schema") != SCHEMA:
-            return {}
-        return payload
 
 
 #: Seconds a flush waits for a competing process's lock before failing.
@@ -336,13 +284,28 @@ def _break_stale_lock(lock_path: str) -> bool:
 
 
 def load_bench_entries(path: Optional[str] = None) -> Dict[str, dict]:
-    """Load the merged entries of a ``BENCH_kernel.json`` file (empty if absent)."""
+    """The ``bench/scenario`` rows of a ledger file (empty if absent).
+
+    A file that is there but does not parse, is not a JSON object, carries
+    another schema or has no ``entries`` map raises :class:`BenchFileError`
+    naming the path and what was found.
+    """
     resolved = bench_json_path(path)
     if not os.path.exists(resolved):
         return {}
-    with open(resolved) as handle:
-        payload = json.load(handle)
+    try:
+        with open(resolved) as handle:
+            payload = json.load(handle)
+    except (OSError, ValueError) as error:
+        raise BenchFileError(f"{resolved}: unreadable ({error})") from error
     if not isinstance(payload, dict):
-        return {}
-    entries = payload.get("entries", {})
-    return entries if isinstance(entries, dict) else {}
+        found = f"a JSON {type(payload).__name__}, not an object"
+    elif payload.get("schema") != SCHEMA:
+        found = f"schema {payload.get('schema')!r}"
+    elif not isinstance(payload.get("entries"), dict):
+        found = "no 'entries' map"
+    else:
+        return payload["entries"]
+    raise BenchFileError(
+        f"{resolved}: not a {SCHEMA} ledger ({found}); regenerate it with "
+        f"`python -m pytest -q benchmarks/bench_e*.py --quick`")

@@ -13,7 +13,6 @@ import json
 from typing import Iterable, List, Optional, Sequence
 
 from ..soc.stats import format_table
-from .perf import BenchResult
 from .scenario import ScenarioResult
 
 
@@ -34,31 +33,6 @@ def results_table(results: Iterable[ScenarioResult],
     if columns is None and rows:
         columns = _columns(rows)
     return format_table(rows, columns)
-
-
-def kernel_rates_table(results: Iterable[ScenarioResult],
-                       bench: str = "") -> str:
-    """Aligned table of normalized kernel throughput per scenario.
-
-    Renders the same rates recorded into ``BENCH_kernel.json``
-    (events/sec, activations/sec, cycles/sec) for human-readable bench
-    output; results without a report are skipped.
-    """
-    rows = []
-    for result in results:
-        if result.report is None:
-            continue
-        record = BenchResult.from_scenario_result(bench, result)
-        rows.append({
-            "scenario": result.scenario,
-            "wall s": round(record.wallclock_seconds, 3),
-            "delta cycles": record.delta_cycles,
-            "activations": record.process_activations,
-            "events/s": round(record.events_per_second),
-            "activations/s": round(record.activations_per_second),
-            "cycles/s": round(record.cycles_per_second),
-        })
-    return format_table(rows)
 
 
 def write_json(results: Sequence[ScenarioResult], path: str, *,

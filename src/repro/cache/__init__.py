@@ -23,12 +23,11 @@ from .._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".coherence": ["CoherenceDomain", "DomainStats", "SharedAllocation"],
     ".geometry": ["CacheConfig", "CacheError", "CacheGeometry", "WritePolicy"],
-    ".l1": ["CACHE_TAG_SUFFIXES", "CachedPort", "CacheLine", "CacheStats",
-            "L1Cache", "MSIState", "canonical_word"],
+    ".l1": ["CachedPort", "CacheLine", "CacheStats", "L1Cache", "MSIState",
+            "canonical_word"],
 })
 
 __all__ = [
-    "CACHE_TAG_SUFFIXES",
     "CacheConfig",
     "CacheError",
     "CacheGeometry",

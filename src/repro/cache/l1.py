@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from typing import Dict, Generator, Iterator, List, Optional, Tuple
 
 from ..fabric import (
+    CACHE_TAG_SUFFIXES,
     BusOp,
     BusRequest,
     BusResponse,
@@ -64,13 +65,6 @@ from ..memory.protocol import (
 )
 from .coherence import CoherenceDomain, SharedAllocation
 from .geometry import CacheConfig, WritePolicy
-
-
-#: Tag suffixes of cache-internal transfers (line fills, writebacks, I/O
-#: array restages), appended to the cache's name.  They move data on
-#: behalf of *some* master through *some* port and carry no software-level
-#: ordering, so instrumentation tells them apart from PE traffic by tag.
-CACHE_TAG_SUFFIXES = (".fill", ".writeback", ".restage")
 
 
 def canonical_word(value: int, data_type: DataType) -> int:

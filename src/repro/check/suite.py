@@ -29,9 +29,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..cache import CACHE_TAG_SUFFIXES, CoherenceDomain
+from ..cache.coherence import CoherenceDomain
 from ..fabric.address_map import Region
-from ..fabric.transaction import WORD_SIZE, BusOp, BusRequest, BusResponse
+from ..fabric.transaction import (
+    WORD_SIZE,
+    BusOp,
+    BusRequest,
+    BusResponse,
+    cache_transfer_kind,
+)
 from ..memory.protocol import (
     IO_ARRAY_BASE,
     REG_COMMAND,
@@ -266,7 +272,7 @@ class SanitizerSuite:
         shadow = self.shadow
         race = self.race
         tracked = race is not None and race.is_actor(actor)
-        cache_internal = request.tag.endswith(CACHE_TAG_SUFFIXES)
+        cache_internal = cache_transfer_kind(request.tag) is not None
         if tracked and not cache_internal:
             race.begin_op(actor)
 

@@ -28,8 +28,9 @@ __getattr__, __dir__ = lazy_exports(globals(), {
                 "make_policy"],
     ".port": ["BusSlave", "MasterPort"],
     ".stats": ["BusStats", "MasterStats", "percentile_summary"],
-    ".transaction": ["WORD_SIZE", "BusOp", "BusRequest", "BusResponse",
-                     "ResponseStatus", "decode_error_response"],
+    ".transaction": ["CACHE_TAG_SUFFIXES", "WORD_SIZE", "BusOp", "BusRequest",
+                     "BusResponse", "ResponseStatus", "cache_transfer_kind",
+                     "decode_error_response"],
 })
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "BusResponse",
     "BusSlave",
     "BusStats",
+    "CACHE_TAG_SUFFIXES",
     "Fabric",
     "FixedPriorityArbiter",
     "MasterPort",
@@ -56,6 +58,7 @@ __all__ = [
     "TdmaArbiter",
     "WORD_SIZE",
     "WeightedRoundRobinArbiter",
+    "cache_transfer_kind",
     "canonical_kind",
     "decode_error_response",
     "make_arbiter",

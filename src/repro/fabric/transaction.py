@@ -91,6 +91,21 @@ class BusRequest:
         )
 
 
+#: Tag suffixes of cache-internal transfers (line fills, writebacks, I/O
+#: array restages), appended to the cache's name.  They move data on
+#: behalf of *some* master through *some* port and carry no software-level
+#: ordering, so instrumentation tells them apart from PE traffic by tag.
+CACHE_TAG_SUFFIXES = (".fill", ".writeback", ".restage")
+
+
+def cache_transfer_kind(tag: str) -> Optional[str]:
+    """``"fill"`` / ``"writeback"`` / ``"restage"`` when ``tag`` marks a
+    cache-internal transfer, ``None`` for a master's own traffic."""
+    if not tag.endswith(CACHE_TAG_SUFFIXES):
+        return None
+    return tag[tag.rindex(".") + 1:]
+
+
 @dataclass
 class BusResponse:
     """The slave's answer to a :class:`BusRequest`."""

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..cache import CACHE_TAG_SUFFIXES
+from ..fabric.transaction import cache_transfer_kind
 from .config import ObsConfig
 from .hostprof import HostProfiler
 from .metrics import MetricsSampler
@@ -128,10 +128,9 @@ class ObsSuite:
             self._outstanding[port.name] = held - 1
         if self.trace is not None:
             tag = request.tag or ""
-            suffix = next((s for s in CACHE_TAG_SUFFIXES
-                           if tag.endswith(s)), None)
-            if suffix is not None:
-                cat, name = "cache", suffix[1:]
+            name = cache_transfer_kind(tag)
+            if name is not None:
+                cat = "cache"
             else:
                 region = self.interconnect.address_map.find_region(
                     request.address)

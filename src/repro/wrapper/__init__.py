@@ -3,8 +3,9 @@
 The wrapper lets simulated software allocate, access and free dynamic data
 that physically lives in *host* memory, while a cycle-true FSM keeps the
 simulated timing accurate.  See :class:`SharedMemoryWrapper` for the bus
-slave, :class:`SharedMemoryAPI` for the software-side API, and DESIGN.md for
-how the pieces map onto Figure 2 of the paper.
+slave, :class:`SharedMemoryAPI` for the software-side API, and the
+``src/repro/wrapper`` row of README.md's repository layout for the pieces
+(pointer table, translator, FSM, delays).
 """
 
 from .._lazy import lazy_exports

@@ -66,13 +66,33 @@ class TestDashboardData:
         assert progress["counts"]["finished"] == 2
         assert progress["ended"]
 
-    def test_bench_deltas_against_committed_baseline(self, data):
+    def test_bench_compares_committed_ledger_with_itself(self, data):
         payload = data.bench()
-        # Both sides default to the committed BENCH_kernel.json: every
-        # shared key has delta 0 and nothing regresses.
-        assert payload["rows"], "committed baseline should have entries"
-        assert all(row["status"] == "both" for row in payload["rows"])
-        assert payload["regressed"] == []
+        # Both sides default to the committed BENCH_kernel.json.
+        assert payload["rows"] == [] and "note" not in payload
+        assert "ledgers match" in data.index_html()
+
+    def test_bench_lists_mismatching_rows(self, sweep_dir, tmp_path):
+        from repro.api import PerfRecorder
+
+        current = str(tmp_path / "current.json")
+        recorder = PerfRecorder("e3_accuracy", path=current)
+        recorder.record_cycles("trace-sram", 1)
+        recorder.flush()
+        data = DashboardData(store_path=sweep_dir["store"],
+                             bench_current=current)
+        rows = data.bench()["rows"]
+        changed = [row for row in rows if row["status"] == "changed"]
+        assert [(row["key"], row["field"], row["new"]) for row in changed] == [
+            ("e3_accuracy/trace-sram", "simulated_cycles", 1)]
+        assert {row["status"] for row in rows} == {"changed", "removed"}
+        assert "e3_accuracy/trace-sram" in data.index_html()
+
+    def test_bench_reports_an_unreadable_file_as_a_note(self, tmp_path):
+        damaged = tmp_path / "damaged.json"
+        damaged.write_text("[]")
+        payload = DashboardData(bench_current=str(damaged)).bench()
+        assert payload["rows"] == [] and str(damaged) in payload["note"]
 
     def test_traces_listing(self, data):
         payload = data.traces()
@@ -177,7 +197,9 @@ class TestQueryCli:
     def test_query_bench(self, capsys):
         rc = main(["query", "bench"])
         payload = json.loads(capsys.readouterr().out)
-        assert rc == 0 and payload["metric"] == "cycles_per_second"
+        assert rc == 0 and payload["rows"] == []
+        with pytest.raises(SystemExit):
+            main(["query", "bench", "--metric", "cycles_per_second"])
 
     def test_query_result_requires_key(self, sweep_dir, capsys):
         rc = main(["query", "result", "--store", sweep_dir["store"]])

@@ -1,4 +1,4 @@
-"""Tests for the perf subsystem: PerfTimer, BenchResult, PerfRecorder."""
+"""Tests for the bench ledger: PerfTimer, BenchResult, PerfRecorder."""
 
 import json
 import os
@@ -16,14 +16,14 @@ from repro.api import (
     bench_json_path,
     load_bench_entries,
 )
-from repro.api.perf import ENV_PATH, SCHEMA
+from repro.api.perf import ENV_PATH, LEDGER_FIELDS, SCHEMA, BenchFileError
 
 
 def _flush_many(path, rank):
     """Spawn-process body: many small racing flushes into one file."""
     for step in range(10):
         recorder = PerfRecorder(f"bench_{rank}", path=path)
-        recorder.record_measurement(f"s{step}", 0.1)
+        recorder.record_cycles(f"s{step}", step)
         recorder.flush()
 
 
@@ -39,28 +39,15 @@ class TestPerfTimer:
 
 
 class TestBenchResult:
-    def test_rates(self):
-        record = BenchResult(bench="b", scenario="s", wallclock_seconds=2.0,
-                             simulated_cycles=100, events_fired=50,
-                             process_activations=10)
-        assert record.events_per_second == 25.0
-        assert record.activations_per_second == 5.0
-        assert record.cycles_per_second == 50.0
+    def test_as_dict_holds_only_deterministic_fields(self):
+        record = BenchResult(bench="b", scenario="s", params={"n": 4},
+                             simulated_cycles=100, events_fired=50)
         assert record.key == "b/s"
-
-    def test_zero_wallclock_rates_are_zero(self):
-        record = BenchResult(bench="b", scenario="s", wallclock_seconds=0.0,
-                             events_fired=50)
-        assert record.events_per_second == 0.0
-
-    def test_as_dict_has_normalized_fields(self):
-        record = BenchResult(bench="b", scenario="s", wallclock_seconds=1.0,
-                             params={"n": 4})
         payload = record.as_dict()
-        assert payload["bench"] == "b"
+        assert set(payload) == {"bench", "scenario", "params", *LEDGER_FIELDS}
         assert payload["params"] == {"n": 4}
-        assert "events_per_second" in payload
-        assert "activations_per_second" in payload
+        assert payload["simulated_cycles"] == 100
+        assert payload["events_fired"] == 50
 
     def test_from_report_copies_kernel_stats(self):
         scenario = Scenario(
@@ -75,17 +62,17 @@ class TestBenchResult:
         assert record.process_activations == \
             result.report.kernel_stats["process_activations"]
         assert record.simulated_time == result.report.simulated_time
-        assert record.events_per_second > 0
+        assert record.events_fired == result.report.kernel_stats["events_fired"]
 
 
 class TestPerfRecorder:
     def test_merge_on_write_accumulates_benches(self, tmp_path):
         path = str(tmp_path / "BENCH_kernel.json")
         first = PerfRecorder("bench_a", path=path)
-        first.record_measurement("s1", 0.5)
+        first.record_cycles("s1", 5)
         first.flush()
         second = PerfRecorder("bench_b", path=path)
-        second.record_measurement("s2", 0.25)
+        second.record_cycles("s2", 25)
         second.flush()
         entries = load_bench_entries(path)
         assert set(entries) == {"bench_a/s1", "bench_b/s2"}
@@ -97,23 +84,39 @@ class TestPerfRecorder:
     def test_rerecording_updates_in_place(self, tmp_path):
         path = str(tmp_path / "bench.json")
         recorder = PerfRecorder("bench", path=path)
-        recorder.record_measurement("s", 1.0)
+        recorder.record_cycles("s", 1)
         recorder.flush()
         again = PerfRecorder("bench", path=path)
-        again.record_measurement("s", 2.0)
+        again.record_cycles("s", 2)
         again.flush()
         entries = load_bench_entries(path)
         assert len(entries) == 1
-        assert entries["bench/s"]["wallclock_seconds"] == 2.0
+        assert entries["bench/s"]["simulated_cycles"] == 2
 
-    def test_corrupted_file_is_replaced(self, tmp_path):
-        path = str(tmp_path / "bench.json")
-        with open(path, "w") as handle:
-            handle.write("not json{")
-        recorder = PerfRecorder("bench", path=path)
-        recorder.record_measurement("s", 1.0)
-        recorder.flush()
-        assert set(load_bench_entries(path)) == {"bench/s"}
+    @pytest.mark.parametrize("content, found", [
+        ('{"schema": "%s", "entries": {"a/b": {"simulated_cy' % SCHEMA,
+         "unreadable"),
+        ("[]", "a JSON list"),
+        ('{"schema": "other.tool/v3", "entries": {}}', "other.tool/v3"),
+        ('{"schema": "repro.api.perf/v1", "count": 0, "entries": {}}',
+         "--quick"),
+        ('{"schema": "%s", "count": 0}' % SCHEMA, "no 'entries' map"),
+    ], ids=["truncated", "list", "foreign-schema", "v1", "no-entries"])
+    def test_damaged_ledger_raises_and_is_left_as_found(self, tmp_path,
+                                                        content, found):
+        """A flush must never replace a file it could not read with only
+        the current bench's rows."""
+        path = tmp_path / "bench.json"
+        path.write_text(content)
+        with pytest.raises(BenchFileError, match=found) as raised:
+            load_bench_entries(str(path))
+        assert str(path) in str(raised.value)
+        recorder = PerfRecorder("bench", path=str(path))
+        recorder.record_cycles("s", 1)
+        with pytest.raises(BenchFileError, match=found):
+            recorder.flush()
+        assert path.read_text() == content
+        assert os.listdir(str(tmp_path)) == ["bench.json"]  # no lock, no tmp
 
     def test_env_var_overrides_default_path(self, tmp_path, monkeypatch):
         target = str(tmp_path / "custom.json")
@@ -137,7 +140,7 @@ class TestPerfRecorder:
         entry = entries["runner_bench/one"]
         assert entry["delta_cycles"] == \
             results[0].report.kernel_stats["delta_cycles"]
-        assert entry["wallclock_seconds"] > 0
+        assert set(entry) == {"bench", "scenario", "params", *LEDGER_FIELDS}
 
     def test_load_missing_file_is_empty(self, tmp_path):
         assert load_bench_entries(str(tmp_path / "absent.json")) == {}
@@ -196,7 +199,7 @@ class TestPerfRecorder:
         old = time.time() - _LOCK_STALE_S - 10
         os.utime(lock, (old, old))
         recorder = PerfRecorder("bench", path=path)
-        recorder.record_measurement("s", 1.0)
+        recorder.record_cycles("s", 1)
         recorder.flush()
         assert set(load_bench_entries(path)) == {"bench/s"}
         assert not os.path.exists(lock)
@@ -205,11 +208,11 @@ class TestPerfRecorder:
                                                       monkeypatch):
         path = str(tmp_path / "bench.json")
         recorder = PerfRecorder("bench", path=path)
-        recorder.record_measurement("s", 1.0)
+        recorder.record_cycles("s", 1)
         recorder.flush()
 
         crashing = PerfRecorder("bench", path=path)
-        crashing.record_measurement("other", 2.0)
+        crashing.record_cycles("other", 2)
         monkeypatch.setattr(os, "replace",
                             _raise_mid_replace)
         with pytest.raises(RuntimeError, match="simulated crash"):
@@ -220,3 +223,19 @@ class TestPerfRecorder:
         leftovers = [name for name in os.listdir(str(tmp_path))
                      if name != "bench.json"]
         assert leftovers == []
+
+
+def test_committed_ledger_holds_only_deterministic_fields():
+    """``BENCH_kernel.json`` at the repository root: current schema, sorted,
+    and no host time beside the counters in any row."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    path = os.path.join(root, "BENCH_kernel.json")
+    entries = load_bench_entries(path)
+    assert entries and list(entries) == sorted(entries)
+    for key, row in entries.items():
+        assert set(row) == {"bench", "scenario", "params", *LEDGER_FIELDS}, key
+        assert key == f"{row['bench']}/{row['scenario']}"
+        assert all(isinstance(row[name], int) for name in LEDGER_FIELDS), key
+    with open(path) as handle:
+        assert json.load(handle)["count"] == len(entries)

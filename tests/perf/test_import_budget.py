@@ -130,3 +130,21 @@ print(json.dumps(sorted(set(loaded()) - at_first_run[0])))
 def test_nothing_is_imported_once_the_platform_runs(name):
     """Work leaves set-up by not being done, not by hiding in the first run."""
     assert _child(_DEFERRED, name) == []
+
+
+def test_probed_platform_without_caches_does_not_load_the_l1():
+    """The suites tell cache-internal transfers by ``BusRequest.tag`` and
+    take the predicate from where the tag lives; only the sanitizer's
+    shadow map (``cache.coherence``) comes from the cache package."""
+    modules = _child(r"""
+from repro.api import run_scenario
+scenario = workloads.SPECS["stencil_mesh_probed"].scenario(
+    "stencil_mesh_probed", 11, True)
+assert scenario.config.cache is None
+assert scenario.config.check is not None and scenario.config.obs is not None
+run_scenario(scenario).raise_for_status()
+print(json.dumps(loaded()))
+""")
+    assert "repro.check.suite" in modules and "repro.obs.suite" in modules
+    assert "repro.noc.mesh" in modules
+    assert "repro.cache.l1" not in modules
