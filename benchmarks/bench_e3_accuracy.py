@@ -24,10 +24,8 @@ from common import emit, format_rows, ledger
 
 def expected_cycles(delays, command, words=0, byte_count=0):
     """Reference cycle count: FSM schedule + one cycle per command word."""
-    fsm = WrapperFsm(delays)
-    return len(fsm.schedule_for(command.opcode, words, byte_count)) + len(
-        command.to_words()
-    )
+    schedule = WrapperFsm(delays).schedule_for(command.opcode, words, byte_count)
+    return sum(cycles for _, cycles in schedule) + len(command.to_words())
 
 
 OPERATIONS = [

@@ -2,7 +2,7 @@
 
 This package reproduces, in Python, the scheduling semantics the paper's
 framework relies on (GEZEL / SystemC-style): modules with ports and signals,
-generator-based processes, delta cycles, clocks and cycle-true FSMs.
+generator-based processes, delta cycles and clocks.
 
 Typical usage::
 
@@ -33,7 +33,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
                 "PortBindingError", "ProcessError", "SchedulerError",
                 "SimulationError"],
     ".event": ["Event", "EventQueue"],
-    ".fsm": ["CycleTrueFsm", "FsmStateError"],
     ".module": ["Module"],
     ".port": ["InOutPort", "InputPort", "OutputPort"],
     ".probes": ["Probes"],
@@ -49,12 +48,10 @@ __getattr__, __dir__ = lazy_exports(globals(), {
 __all__ = [
     "Clock",
     "ClockPeriod",
-    "CycleTrueFsm",
     "DeltaCycleLimitExceeded",
     "ElaborationError",
     "Event",
     "EventQueue",
-    "FsmStateError",
     "InOutPort",
     "InputPort",
     "KernelError",

@@ -14,8 +14,8 @@ This package provides the memory substrate of the co-simulation framework:
 from .._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(globals(), {
-    ".dynamic_base": ["DynamicMemorySlave", "decode_element", "encode_element",
-                      "to_signed"],
+    ".dynamic_base": ["DynamicMemorySlave", "decode_array", "decode_element",
+                      "encode_array", "encode_element", "to_signed"],
     ".heap": ["HEADER_BYTES", "CountingAccessor", "FreeListHeap", "HeapError",
               "HeapStats", "WordAccessor"],
     ".host_memory": ["HostAccessError", "HostAllocationError", "HostBlock",
@@ -74,7 +74,9 @@ __all__ = [
     "StaticMemory",
     "WordAccessor",
     "data_type_size",
+    "decode_array",
     "decode_element",
+    "encode_array",
     "encode_element",
     "make_page_hit_model",
     "sdram_latency",

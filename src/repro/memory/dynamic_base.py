@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import struct
 from collections import Counter
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional, Sequence
 
 from ..fabric import BusSlave
 from ..fabric import BusOp, BusRequest, BusResponse, ResponseStatus
 from .protocol import (
+    ARRAY_OPCODES,
     DATA_TYPE_SIGNED,
     DATA_TYPE_SIZES,
     IO_ARRAY_BASE,
@@ -76,6 +77,59 @@ def decode_element(payload: bytes, data_type: DataType, endianness: Endianness) 
     if DATA_TYPE_SIGNED[data_type] and raw >= 1 << (8 * size - 1):
         raw -= 1 << (8 * size)
     return raw
+
+
+#: ``struct`` codes per data type: (pack, unpack).  Packing is unsigned after
+#: masking to the element width, as :func:`encode_element` does.  Unpacking
+#: INT8 / INT16 through the signed code is :func:`decode_element`'s sign
+#: extension; a 32-bit element (FLOAT32 travels as its raw pattern) already
+#: is its canonical word.
+_STRUCT_CODES = {
+    DataType.UINT8: ("B", "B"),
+    DataType.INT8: ("B", "b"),
+    DataType.UINT16: ("H", "H"),
+    DataType.INT16: ("H", "h"),
+    DataType.UINT32: ("I", "I"),
+    DataType.INT32: ("I", "I"),
+    DataType.FLOAT32: ("I", "I"),
+}
+
+#: (data type, endianness) -> (pack format, element mask, unpack format,
+#: unpacked values are negative-capable); the formats take the element count.
+_ARRAY_CODEC = {
+    (data_type, endianness): (
+        f"{prefix}%d{pack}",
+        (1 << (8 * DATA_TYPE_SIZES[data_type])) - 1,
+        f"{prefix}%d{unpack}",
+        pack != unpack,
+    )
+    for data_type, (pack, unpack) in _STRUCT_CODES.items()
+    for endianness, prefix in ((Endianness.LITTLE, "<"), (Endianness.BIG, ">"))
+}
+
+
+def encode_array(values: Sequence[int], data_type: DataType,
+                 endianness: Endianness) -> bytes:
+    """Encode ``values`` as consecutive elements: one :func:`encode_element`
+    each, packed in a single call."""
+    pack_format, mask, _, _ = _ARRAY_CODEC[data_type, endianness]
+    return struct.pack(pack_format % len(values),
+                       *[value & mask for value in values])
+
+
+def decode_array(payload: bytes, count: int, data_type: DataType,
+                 endianness: Endianness) -> List[int]:
+    """Decode ``count`` consecutive elements into canonical 32-bit words:
+    one ``decode_element(...) & 0xFFFFFFFF`` each, unpacked in a single call."""
+    size = DATA_TYPE_SIZES[data_type]
+    if len(payload) != count * size:
+        raise ValueError(f"expected {count * size} bytes for {count} x "
+                         f"{data_type.name}, got {len(payload)}")
+    _, _, unpack_format, signed = _ARRAY_CODEC[data_type, endianness]
+    words = struct.unpack(unpack_format % count, payload)
+    if signed:
+        return [word & 0xFFFFFFFF for word in words]
+    return list(words)
 
 
 def to_signed(value: int, data_type: DataType) -> int:
@@ -210,6 +264,9 @@ class DynamicMemorySlave(BusSlave):
         io_array = self.io_array_for(master_id)
         if command.sm_addr != self.sm_addr:
             result = MemResult(MemStatus.ERR_BAD_SM_ADDR)
+        elif command.opcode in ARRAY_OPCODES and command.dim > len(io_array):
+            # More words than the I/O array can stage: refuse, execute nothing.
+            result = MemResult(MemStatus.ERR_MALFORMED)
         else:
             result = self._execute(command, io_array, master_id)
         self.last_status = result.status
@@ -217,9 +274,8 @@ class DynamicMemorySlave(BusSlave):
         self.op_counts[command.opcode] += 1
         if result.burst is not None:
             # Stage read-array results in the I/O array for later burst reads.
-            for index, word in enumerate(result.burst):
-                if index < len(io_array):
-                    io_array[index] = word & 0xFFFFFFFF
+            io_array[:len(result.burst)] = [word & 0xFFFFFFFF
+                                            for word in result.burst]
         return result
 
     # -- register file handling --------------------------------------------------------
@@ -286,8 +342,8 @@ class DynamicMemorySlave(BusSlave):
         if request.op is BusOp.WRITE:
             payload = (request.burst_data if request.burst_data is not None
                        else [request.data])
-            for position, word in enumerate(payload):
-                io_array[index + position] = word & 0xFFFFFFFF
+            io_array[index:index + len(payload)] = [word & 0xFFFFFFFF
+                                                    for word in payload]
             return BusResponse(), cycles
         if request.burst_length:
             return (BusResponse(burst_data=list(

@@ -64,11 +64,11 @@ class HostBlock:
         self.freed = False
 
     # -- native accesses ---------------------------------------------------
-    def read_bytes(self, offset: int, length: int) -> bytes:
-        """Read ``length`` bytes starting at ``offset``."""
+    def read_bytes(self, offset: int, length: int) -> bytearray:
+        """Read ``length`` bytes starting at ``offset`` (a copy)."""
         self._check(offset, length)
         self._owner.stats.native_reads += 1
-        return bytes(self._data[offset:offset + length])
+        return self._data[offset:offset + length]
 
     def write_bytes(self, offset: int, payload: bytes) -> None:
         """Write ``payload`` starting at ``offset``."""

@@ -14,7 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .dynamic_base import DynamicMemorySlave, decode_element, encode_element
+from .dynamic_base import (
+    DynamicMemorySlave,
+    decode_array,
+    decode_element,
+    encode_array,
+    encode_element,
+)
 from .heap import CountingAccessor, FreeListHeap, HeapError
 from .latency import LatencyModel
 from .protocol import (
@@ -193,7 +199,7 @@ class ModeledDynamicMemory(DynamicMemorySlave):
         if isinstance(position, MemResult):
             return position
         allocation, address = position
-        raw = bytes(self.storage[address:address + allocation.element_size])
+        raw = self.storage[address:address + allocation.element_size]
         value = decode_element(raw, allocation.data_type, self.endianness)
         return MemResult(MemStatus.OK, value=value & 0xFFFFFFFF)
 
@@ -206,13 +212,12 @@ class ModeledDynamicMemory(DynamicMemorySlave):
         if allocation.reserved_by is not None and allocation.reserved_by != master_id:
             return MemResult(MemStatus.ERR_RESERVED)
         start = byte_offset // allocation.element_size + command.offset
-        if start < 0 or start + command.dim > allocation.dim:
+        if command.dim < 0 or start < 0 or start + command.dim > allocation.dim:
             return MemResult(MemStatus.ERR_OUT_OF_RANGE)
-        for index in range(command.dim):
-            value = io_words[index] if index < len(io_words) else 0
-            address = allocation.vptr + (start + index) * allocation.element_size
-            payload = encode_element(value, allocation.data_type, self.endianness)
-            self.storage[address:address + len(payload)] = payload
+        address = allocation.vptr + start * allocation.element_size
+        payload = encode_array(io_words[:command.dim], allocation.data_type,
+                               self.endianness)
+        self.storage[address:address + len(payload)] = payload
         return MemResult(MemStatus.OK, value=command.dim)
 
     def _op_read_array(self, command: MemCommand) -> MemResult:
@@ -221,14 +226,12 @@ class ModeledDynamicMemory(DynamicMemorySlave):
             return MemResult(MemStatus.ERR_INVALID_PTR)
         allocation, byte_offset = found
         start = byte_offset // allocation.element_size + command.offset
-        if start < 0 or start + command.dim > allocation.dim:
+        if command.dim < 0 or start < 0 or start + command.dim > allocation.dim:
             return MemResult(MemStatus.ERR_OUT_OF_RANGE)
-        words: List[int] = []
-        for index in range(command.dim):
-            address = allocation.vptr + (start + index) * allocation.element_size
-            raw = bytes(self.storage[address:address + allocation.element_size])
-            value = decode_element(raw, allocation.data_type, self.endianness)
-            words.append(value & 0xFFFFFFFF)
+        address = allocation.vptr + start * allocation.element_size
+        raw = self.storage[address:address + command.dim * allocation.element_size]
+        words = decode_array(raw, command.dim, allocation.data_type,
+                             self.endianness)
         return MemResult(MemStatus.OK, value=command.dim, burst=words)
 
     def _op_reserve(self, command: MemCommand, master_id: int) -> MemResult:

@@ -161,6 +161,9 @@ OPERAND_COUNT = {
     MemOpcode.QUERY: 1,
 }
 
+#: The opcodes that move ``dim`` words through the I/O array.
+ARRAY_OPCODES = (MemOpcode.READ_ARRAY, MemOpcode.WRITE_ARRAY)
+
 # Wire value -> enum member: a dict probe, not an ``Enum(...)`` call, because
 # every command is decoded by each layer it crosses (cache, wrapper, snooper).
 _OPCODE_OF = {int(member): member for member in MemOpcode}

@@ -31,6 +31,7 @@ from typing import List, Optional
 from ..memory.dynamic_base import DynamicMemorySlave
 from ..memory.host_memory import HostMemory
 from ..memory.protocol import (
+    ARRAY_OPCODES,
     DATA_TYPE_SIZES,
     Endianness,
     MemCommand,
@@ -84,8 +85,6 @@ class SharedMemoryWrapper(DynamicMemorySlave):
         self.table = PointerTable(capacity_bytes=capacity_bytes, base_vptr=base_vptr)
         self.translator = Translator(self.host, endianness)
         self.fsm = WrapperFsm(self.delays)
-        #: Words moved by the most recent operation (for the FSM schedule).
-        self._last_words = 0
 
     # -- diagnostics ------------------------------------------------------------------
     def idle_tick(self) -> None:
@@ -100,9 +99,7 @@ class SharedMemoryWrapper(DynamicMemorySlave):
         counters end up exactly as if ``idle_tick`` had run every cycle.
         """
         self.idle_cycles += cycles
-        fsm = self.fsm._fsm
-        fsm.cycles += cycles
-        fsm.occupancy["IDLE"] += cycles
+        self.fsm.account_idle(cycles)
 
     def live_count(self) -> int:
         return self.table.live_count()
@@ -118,7 +115,6 @@ class SharedMemoryWrapper(DynamicMemorySlave):
     # -- functional behaviour --------------------------------------------------------------
     def _execute(self, command: MemCommand, io_words: List[int],
                  master_id: int) -> MemResult:
-        self._last_words = 0
         opcode = command.opcode
         if opcode == MemOpcode.ALLOC:
             return self._op_alloc(command)
@@ -215,11 +211,8 @@ class SharedMemoryWrapper(DynamicMemorySlave):
         entry, byte_offset = bounds
         if not self.table.check_access(entry, master_id):
             return MemResult(MemStatus.ERR_RESERVED)
-        values = io_words[:command.dim]
-        if len(values) < command.dim:
-            values = values + [0] * (command.dim - len(values))
-        self.translator.store_array(entry.hptr, byte_offset, values, entry.data_type)
-        self._last_words = command.dim
+        self.translator.store_array(entry.hptr, byte_offset,
+                                    io_words[:command.dim], entry.data_type)
         return MemResult(MemStatus.OK, value=command.dim)
 
     def _op_read_array(self, command: MemCommand) -> MemResult:
@@ -229,7 +222,6 @@ class SharedMemoryWrapper(DynamicMemorySlave):
         entry, byte_offset = bounds
         words = self.translator.load_array(entry.hptr, byte_offset, command.dim,
                                            entry.data_type)
-        self._last_words = command.dim
         return MemResult(MemStatus.OK, value=command.dim, burst=words)
 
     def _op_reserve(self, command: MemCommand, master_id: int) -> MemResult:
@@ -259,12 +251,15 @@ class SharedMemoryWrapper(DynamicMemorySlave):
 
     # -- timing ------------------------------------------------------------------------------------
     def _cycles_for(self, command: MemCommand, result: MemResult) -> int:
-        byte_count = 0
+        words = byte_count = 0
         if command.opcode == MemOpcode.ALLOC:
             byte_count = command.dim * DATA_TYPE_SIZES[command.data_type]
-        elif command.opcode in (MemOpcode.READ_ARRAY, MemOpcode.WRITE_ARRAY):
+        elif command.opcode in ARRAY_OPCODES:
             byte_count = command.dim * 4
-        return self.fsm.run_operation(command.opcode, words=self._last_words,
+            # Only an array command that completed moved any words.
+            if result.ok:
+                words = command.dim
+        return self.fsm.run_operation(command.opcode, words=words,
                                       byte_count=byte_count)
 
     # -- reporting ----------------------------------------------------------------------------------

@@ -20,7 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..memory.dynamic_base import decode_element, encode_element, to_signed
+from ..memory.dynamic_base import (
+    decode_array,
+    decode_element,
+    encode_array,
+    encode_element,
+    to_signed,
+)
 from ..memory.host_memory import HostAllocationError, HostBlock, HostMemory
 from ..memory.protocol import DATA_TYPE_SIZES, DataType, Endianness
 from .errors import TranslationError
@@ -83,26 +89,17 @@ class Translator:
     def store_array(self, block: HostBlock, byte_offset: int, values: List[int],
                     data_type: DataType) -> int:
         """Store a list of raw element words into the host block."""
-        size = DATA_TYPE_SIZES[data_type]
-        payload = bytearray()
-        for value in values:
-            payload += encode_element(value, data_type, self.endianness)
-        block.write_bytes(byte_offset, bytes(payload))
+        payload = encode_array(values, data_type, self.endianness)
+        block.write_bytes(byte_offset, payload)
         self.stats.array_elements_moved += len(values)
-        return len(values) * size
+        return len(payload)
 
     def load_array(self, block: HostBlock, byte_offset: int, count: int,
                    data_type: DataType) -> List[int]:
         """Load ``count`` elements from the host block as raw element words."""
-        size = DATA_TYPE_SIZES[data_type]
-        payload = block.read_bytes(byte_offset, count * size)
+        payload = block.read_bytes(byte_offset, count * DATA_TYPE_SIZES[data_type])
         self.stats.array_elements_moved += count
-        values = []
-        for index in range(count):
-            chunk = payload[index * size:(index + 1) * size]
-            values.append(decode_element(chunk, data_type, self.endianness)
-                          & 0xFFFFFFFF)
-        return values
+        return decode_array(payload, count, data_type, self.endianness)
 
     # -- value reinterpretation helpers ----------------------------------------------------
     @staticmethod

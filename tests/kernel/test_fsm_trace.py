@@ -1,84 +1,7 @@
-"""Tests for the cycle-true FSM helper and the tracing utilities."""
+"""Tests for the tracing utilities."""
 
-import pytest
-
-from repro.kernel import CycleTrueFsm, FsmStateError, Module, Signal, Simulator
+from repro.kernel import Module, Signal, Simulator
 from repro.kernel.trace import SignalTracer, TransactionLog
-
-
-class TestCycleTrueFsm:
-    def make_counter_fsm(self, threshold=3):
-        state = {"count": 0}
-        fsm = CycleTrueFsm("IDLE")
-
-        def idle():
-            state["count"] = 0
-            return "COUNTING"
-
-        def counting():
-            state["count"] += 1
-            if state["count"] >= threshold:
-                return "DONE"
-            return None
-
-        def done():
-            return "IDLE"
-
-        fsm.state("IDLE", idle)
-        fsm.state("COUNTING", counting)
-        fsm.state("DONE", done)
-        return fsm, state
-
-    def test_transitions(self):
-        fsm, _ = self.make_counter_fsm()
-        seq = [fsm.step() for _ in range(6)]
-        assert seq == ["COUNTING", "COUNTING", "COUNTING", "DONE", "IDLE", "COUNTING"]
-
-    def test_occupancy_counts(self):
-        fsm, _ = self.make_counter_fsm()
-        for _ in range(10):
-            fsm.step()
-        assert fsm.cycles == 10
-        assert sum(fsm.occupancy.values()) == 10
-        assert fsm.occupancy["COUNTING"] > fsm.occupancy["IDLE"]
-
-    def test_occupancy_fraction(self):
-        fsm, _ = self.make_counter_fsm()
-        assert fsm.occupancy_fraction("IDLE") == 0.0
-        for _ in range(5):
-            fsm.step()
-        assert 0.0 <= fsm.occupancy_fraction("COUNTING") <= 1.0
-
-    def test_duplicate_state_rejected(self):
-        fsm = CycleTrueFsm("A")
-        fsm.state("A", lambda: None)
-        with pytest.raises(FsmStateError):
-            fsm.state("A", lambda: None)
-
-    def test_unknown_next_state_rejected(self):
-        fsm = CycleTrueFsm("A")
-        fsm.state("A", lambda: "GHOST")
-        with pytest.raises(FsmStateError):
-            fsm.step()
-
-    def test_unregistered_current_state_rejected(self):
-        fsm = CycleTrueFsm("MISSING")
-        with pytest.raises(FsmStateError):
-            fsm.step()
-
-    def test_reset_returns_to_initial(self):
-        fsm, _ = self.make_counter_fsm()
-        fsm.step()
-        assert fsm.current_state != "IDLE"
-        fsm.reset()
-        assert fsm.current_state == "IDLE"
-
-    def test_transition_counter(self):
-        fsm, _ = self.make_counter_fsm()
-        for _ in range(8):
-            fsm.step()
-        assert fsm.transitions[("IDLE", "COUNTING")] >= 1
-        assert fsm.transitions[("COUNTING", "DONE")] >= 1
 
 
 class TestSignalTracer:

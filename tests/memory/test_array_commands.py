@@ -1,0 +1,209 @@
+"""The array data path: bulk codec vs the per-element one, and the I/O window.
+
+``encode_array`` / ``decode_array`` move a whole I/O-array chunk with one
+``struct`` call; ``encode_element`` / ``decode_element`` are the reference
+they must agree with bit for bit — element width mask, INT8 / INT16 sign
+extension, FLOAT32 as a raw pattern, ``& 0xFFFFFFFF`` canonical words.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.fabric import BusOp, BusRequest
+from repro.memory import (
+    IO_ARRAY_BYTES,
+    REG_DIM,
+    REG_GO,
+    REG_OPCODE,
+    REG_STATUS,
+    REG_VPTR,
+    DataType,
+    Endianness,
+    MemCommand,
+    MemOpcode,
+    MemStatus,
+    ModeledDynamicMemory,
+    decode_array,
+    decode_element,
+    encode_array,
+    encode_element,
+)
+from repro.memory.protocol import DATA_TYPE_SIZES
+from repro.wrapper import S_TRANSFER, SharedMemoryWrapper
+
+IO_ARRAY_WORDS = IO_ARRAY_BYTES // 4
+
+BOUNDARY_VALUES = [
+    0, 1, 0x7F, 0x80, 0xFF, 0x7FFF, 0x8000, 0xFFFF, 0x7FFFFFFF, 0x80000000,
+    0xFFFFFFFF,
+    -1, -0x80, -0x81, -0x8000, -0x8001, -0x80000000, -0x80000001,  # negative
+    0x100, 0x1_0000, 0x1_0000_0000, 0x1_2345_6789, 1 << 64,  # wider than the element
+]
+
+CODECS = list(itertools.product(DataType, Endianness))
+
+
+def reference_encode(values, data_type, endianness):
+    return b"".join(encode_element(value, data_type, endianness)
+                    for value in values)
+
+
+def reference_decode(payload, count, data_type, endianness):
+    size = DATA_TYPE_SIZES[data_type]
+    return [decode_element(payload[index * size:(index + 1) * size],
+                           data_type, endianness) & 0xFFFFFFFF
+            for index in range(count)]
+
+
+def values_of_length(length):
+    """``length`` values cycling through the boundary set."""
+    return list(itertools.islice(itertools.cycle(BOUNDARY_VALUES), length))
+
+
+@pytest.mark.parametrize("data_type,endianness", CODECS)
+class TestBulkCodecAgainstPerElement:
+    @pytest.mark.parametrize("length", [0, 1, len(BOUNDARY_VALUES), 255, 256])
+    def test_boundary_values(self, data_type, endianness, length):
+        values = values_of_length(length)
+        payload = encode_array(values, data_type, endianness)
+        assert payload == reference_encode(values, data_type, endianness)
+        assert isinstance(payload, bytes)
+        words = decode_array(payload, length, data_type, endianness)
+        assert words == reference_decode(payload, length, data_type, endianness)
+        assert all(0 <= word <= 0xFFFFFFFF for word in words)
+
+    def test_every_byte_value_in_every_lane_decodes_alike(self, data_type, endianness):
+        size = DATA_TYPE_SIZES[data_type]
+        # Every byte value in every lane, the other lanes all-zeros / all-ones.
+        payload = b"".join(
+            bytes(value if position == lane else fill for position in range(size))
+            for value in range(256) for lane in range(size)
+            for fill in (0x00, 0xFF))
+        count = len(payload) // size
+        for view in (payload, bytearray(payload)):
+            assert (decode_array(view, count, data_type, endianness)
+                    == reference_decode(payload, count, data_type, endianness))
+
+    @pytest.mark.parametrize("wrong", [-1, 1])
+    def test_wrong_length_payload_raises(self, data_type, endianness, wrong):
+        size = DATA_TYPE_SIZES[data_type]
+        with pytest.raises(ValueError):
+            decode_element(bytes(size + wrong), data_type, endianness)
+        with pytest.raises(ValueError):
+            decode_array(bytes(4 * size + wrong), 4, data_type, endianness)
+        with pytest.raises(ValueError):
+            decode_array(bytes(4 * size), 3, data_type, endianness)
+
+
+@given(values=st.lists(st.integers(min_value=-(1 << 40), max_value=1 << 40),
+                       max_size=64),
+       codec=st.sampled_from(CODECS))
+def test_bulk_codec_property(values, codec):
+    payload = encode_array(values, *codec)
+    assert payload == reference_encode(values, *codec)
+    assert (decode_array(payload, len(values), *codec)
+            == reference_decode(payload, len(values), *codec))
+
+
+# ---------------------------------------------------------------------------
+# Array commands larger than the I/O window.
+# ---------------------------------------------------------------------------
+
+
+def serve(memory, request, offset):
+    """Drive one request through the slave; returns its response."""
+    generator = memory.serve(request, offset)
+    while True:
+        try:
+            next(generator)
+        except StopIteration as stop:
+            return stop.value
+
+
+def command(memory, **fields):
+    request = BusRequest(0, BusOp.WRITE, 0,
+                         burst_data=MemCommand(**fields).to_words())
+    response = serve(memory, request, 0)
+    return memory.last_status, response
+
+
+MEMORIES = {
+    "wrapper": lambda: SharedMemoryWrapper(),
+    "modeled": lambda: ModeledDynamicMemory(1 << 16),
+}
+
+
+@pytest.mark.parametrize("kind", MEMORIES)
+class TestArrayCommandVsIoWindow:
+    DIM = 600  # allocation and command size; the window stages 256 words
+
+    def filled(self, kind):
+        """A memory holding ``DIM`` elements ``1000 + index`` and an I/O array
+        of recognisable junk."""
+        memory = MEMORIES[kind]()
+        status, response = command(memory, opcode=MemOpcode.ALLOC, dim=self.DIM)
+        assert status is MemStatus.OK
+        vptr = response.data
+        for start in range(0, self.DIM, IO_ARRAY_WORDS):
+            chunk = list(range(1000 + start,
+                               1000 + min(self.DIM, start + IO_ARRAY_WORDS)))
+            memory.io_array_for(0)[:len(chunk)] = chunk
+            status, _ = command(memory, opcode=MemOpcode.WRITE_ARRAY, vptr=vptr,
+                                offset=start, dim=len(chunk))
+            assert status is MemStatus.OK
+        memory.io_array_for(0)[:] = [0xABCD0000 + index
+                                     for index in range(IO_ARRAY_WORDS)]
+        return memory, vptr
+
+    def element(self, memory, vptr, index):
+        status, response = command(memory, opcode=MemOpcode.READ, vptr=vptr,
+                                   offset=index)
+        assert status is MemStatus.OK
+        return response.data
+
+    @pytest.mark.parametrize("opcode", [MemOpcode.WRITE_ARRAY,
+                                        MemOpcode.READ_ARRAY])
+    def test_oversize_command_is_refused_whole(self, kind, opcode):
+        memory, vptr = self.filled(kind)
+        staged = list(memory.io_array_for(0))
+        transfer = (memory.fsm.occupancy().get(S_TRANSFER, 0)
+                    if kind == "wrapper" else None)
+        status, response = command(memory, opcode=opcode, vptr=vptr, dim=self.DIM)
+        assert status is MemStatus.ERR_MALFORMED
+        assert not response.ok and response.data == 0
+        assert memory.io_array_for(0) == staged  # nothing staged
+        for index in (0, 255, 256, 300, self.DIM - 1):  # target bytes unchanged
+            assert self.element(memory, vptr, index) == 1000 + index
+        if kind == "wrapper":  # no word moved, so no TRANSFER cycle charged
+            assert memory.fsm.occupancy().get(S_TRANSFER, 0) == transfer
+
+    def test_register_poke_launch_is_refused_too(self, kind):
+        memory, vptr = self.filled(kind)
+        for register, value in ((REG_OPCODE, int(MemOpcode.WRITE_ARRAY)),
+                                (REG_VPTR, vptr), (REG_DIM, self.DIM),
+                                (REG_GO, 1)):
+            response = serve(memory, BusRequest(0, BusOp.WRITE, 0, data=value),
+                             register)
+        assert not response.ok
+        status = serve(memory, BusRequest(0, BusOp.READ, 0), REG_STATUS)
+        assert status.data == int(MemStatus.ERR_MALFORMED)
+        assert self.element(memory, vptr, 300) == 1300
+
+    def test_full_window_command_still_moves_every_word(self, kind):
+        memory, vptr = self.filled(kind)
+        status, response = command(memory, opcode=MemOpcode.READ_ARRAY, vptr=vptr,
+                                   offset=100, dim=IO_ARRAY_WORDS)
+        assert status is MemStatus.OK and response.data == IO_ARRAY_WORDS
+        assert memory.io_array_for(0) == list(range(1100, 1100 + IO_ARRAY_WORDS))
+
+    @pytest.mark.parametrize("opcode", [MemOpcode.WRITE_ARRAY,
+                                        MemOpcode.READ_ARRAY])
+    def test_negative_dim_is_out_of_range(self, kind, opcode):
+        memory, vptr = self.filled(kind)
+        staged = list(memory.io_array_for(0))
+        status, response = command(memory, opcode=opcode, vptr=vptr, dim=-5)
+        assert status is MemStatus.ERR_OUT_OF_RANGE
+        assert not response.ok and response.data == 0
+        assert memory.io_array_for(0) == staged

@@ -51,7 +51,7 @@ def _offenders(modules, prefixes):
                    for prefix in prefixes)]
 
 
-#: The path loads 32 modules today; all of ``repro`` is 113.
+#: The path loads 32 modules today; all of ``repro`` is 112.
 MAX_SETUP_MODULES = 40
 
 
