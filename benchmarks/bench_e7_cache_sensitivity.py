@@ -12,9 +12,9 @@ traversal stride (and with it the locality) changes — across:
 * interconnect topology (bus x crossbar x mesh, caches off vs write-back —
   the L1 layer must remove shared-memory traffic on every topology).
 
-Reported per point: shared-memory transactions observed by the per-memory
-:class:`~repro.interconnect.monitor.BusMonitor` probes, aggregate L1 hit
-rate, simulated cycles and simulation speed; what every point simulated
+Reported per point: shared-memory transactions counted by the fabric's
+per-memory monitor columns (:meth:`repro.fabric.Fabric.monitor`), aggregate
+L1 hit rate, simulated cycles and simulation speed; what every point simulated
 is also recorded in the ledger (``common.ledger``).
 The headline checks: an enabled cache must *strictly* reduce shared-memory
 transactions on the sequential sweep, and (full run, capacity-starved
@@ -130,7 +130,8 @@ def test_e7_cache_sensitivity(benchmark, request):
         "e7_cache_sensitivity",
         format_rows([_row(result) for result in collected["results"]])
         + "\n\nstencil results are bit-identical at every point; mem_txns "
-        "counts shared-memory transactions seen by the BusMonitor probes.",
+        "counts shared-memory transactions in the fabric's per-memory "
+        "monitor columns.",
     )
 
     def mem_txns(name):

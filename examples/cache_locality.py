@@ -10,8 +10,8 @@ on three platforms:
 2. write-through L1 caches (reads cached, writes forwarded),
 3. write-back L1 caches (whole array transfers absorbed too),
 
-and prints the shared-memory transaction counts seen by the per-memory
-`BusMonitor` probes plus each cache's hit rate.  The computed results are
+and prints the shared-memory transaction counts in the fabric's per-memory
+monitor columns plus each cache's hit rate.  The computed results are
 bit-identical in all three runs — caches only change *where* data lives.
 
 Run with:  python examples/cache_locality.py
@@ -33,7 +33,7 @@ def make_scenario(label, policy=None):
     builder = (PlatformBuilder()
                .pes(2)
                .wrapper_memories(1)
-               .monitored())          # per-memory BusMonitor probes
+               .monitored())          # per-memory traffic columns
     if policy is not None:
         builder = builder.l1_cache(sets=16, ways=2, line_bytes=16,
                                    policy=policy)

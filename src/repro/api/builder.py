@@ -279,7 +279,7 @@ class PlatformBuilder:
         return self._set(cache=None)
 
     def monitored(self, enable: bool = True) -> "PlatformBuilder":
-        """Wrap every memory in a timing-transparent :class:`BusMonitor`
+        """Keep a timing-transparent fabric traffic column per memory
         (per-memory transaction counts and latency percentiles in reports)."""
         return self._set(monitor_memories=bool(enable))
 

@@ -7,7 +7,7 @@ wrapper protocol the PEs use — burst READ_ARRAY / WRITE_ARRAY command
 sequences through each memory's I/O array window, chunked to the engine's
 ``burst_words``.  That makes its traffic indistinguishable from PE traffic
 at every layer below: the arbitration policies grant it like any master,
-``BusMonitor`` accounts its transfers, and the MSI ``CoherenceDomain``
+the per-memory monitors count its transfers, and the MSI ``CoherenceDomain``
 snoops its writes (a DMA write invalidates matching L1 lines, superseding
 dirty copies, because the engine is an *uncached* master).
 

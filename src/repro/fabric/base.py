@@ -17,6 +17,9 @@ common, so a topology only implements transport timing:
 * uniform :class:`~repro.fabric.stats.BusStats` accounting plus a
   per-transaction latency sample, emitted by :meth:`interconnect_stats`
   with the same ``percentile_summary`` columns for every topology;
+* per-slave traffic columns for the slaves registered with
+  :meth:`monitor`: the slave cycles of every transfer they serve, recorded
+  where :meth:`_drive_slave` already counts them;
 * arbitration-policy creation from one :class:`ArbitrationSpec`, so every
   arbitration point of a topology (single bus channel, per-slave crossbar
   channels, mesh slave servers) applies the same pluggable policy.
@@ -32,7 +35,7 @@ immediate decode-error path.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..kernel import Event, Module, Probes
 from .address_map import AddressMap, Region
@@ -52,7 +55,7 @@ from .policy import (
     WeightedRoundRobinArbiter,
 )
 from .port import BusSlave, MasterPort
-from .stats import BusStats, percentile_summary
+from .stats import BusStats, monitor_block, percentile_summary
 
 
 def _infer_kind(policy: ArbitrationPolicy) -> str:
@@ -126,6 +129,8 @@ class Fabric(Module):
         #: A packed int64 array: one machine word per transaction, so
         #: million-transfer runs cost megabytes, not a list of boxed ints.
         self._latencies = array("q")
+        #: Monitored slave -> (report name, slave cycles per :class:`BusOp`).
+        self._monitors: Dict[BusSlave, Tuple[str, Dict[BusOp, array]]] = {}
         #: Subclasses must point this at one of their events; the fabric
         #: reads simulated time through it (no event of its own, so the
         #: kernel event set of each topology stays exactly as designed).
@@ -198,6 +203,11 @@ class Fabric(Module):
     def _on_attach(self, region: Region, slave: BusSlave) -> None:
         """Topology hook: build per-slave transport state (default none)."""
 
+    def monitor(self, slave: BusSlave, name: str) -> None:
+        """Keep a traffic column for ``slave``, reported under ``name`` in
+        the ``memory_monitors`` block of :meth:`interconnect_stats`."""
+        self._monitors[slave] = (name, {op: array("q") for op in BusOp})
+
     def add_snooper(self, snooper) -> None:
         """Register ``snooper(request, response)``, called once per
         completed transfer at the topology's completion point (cache
@@ -241,7 +251,8 @@ class Fabric(Module):
         """Advance ``slave.serve`` one interconnect cycle per ``yield``.
 
         Driven with ``yield from`` inside a topology's channel/server
-        process; returns ``(response, slave_cycles)``.
+        process; returns ``(response, slave_cycles)`` and appends the
+        cycles to the slave's traffic column if it is monitored.
         """
         generator = slave.serve(request, offset)
         cycles = 0
@@ -252,6 +263,8 @@ class Fabric(Module):
                 cycles += 1
                 yield self.period
                 response = stop.value if stop.value is not None else BusResponse()
+                if self._monitors and slave in self._monitors:
+                    self._monitors[slave][1][request.op].append(cycles)
                 return response, cycles
             cycles += 1
             yield self.period
@@ -329,7 +342,8 @@ class Fabric(Module):
         (with the per-master table), utilization, the end-to-end
         transaction-latency percentiles and the merged arbitration grant
         counts.  Topologies append their own blocks via
-        :meth:`_decorate_stats` (the mesh's ``"noc"`` section).
+        :meth:`_decorate_stats` (the mesh's ``"noc"`` section); the
+        monitored slaves' blocks come last.
         """
         block: Dict[str, object] = {
             **self.stats.as_dict(),
@@ -342,7 +356,18 @@ class Fabric(Module):
             },
         }
         self._decorate_stats(block, elapsed_time)
+        monitors = self.monitor_stats()
+        if monitors:
+            block["memory_monitors"] = monitors
+            block["memory_transactions"] = sum(
+                monitor["transactions"] for monitor in monitors)
         return block
+
+    def monitor_stats(self) -> List[Dict[str, object]]:
+        """One :func:`~repro.fabric.stats.monitor_block` per monitored
+        slave, in registration order."""
+        return [monitor_block(name, by_op[BusOp.READ], by_op[BusOp.WRITE])
+                for name, by_op in self._monitors.values()]
 
     def _decorate_stats(self, block: Dict[str, object],
                         elapsed_time: int) -> None:

@@ -6,16 +6,17 @@ completed transaction into the same :class:`BusStats`/:class:`MasterStats`
 counters, so topology comparisons always see the same columns.
 
 :func:`percentile_summary` is the one latency aggregator of the platform
-(per-slave monitors, the NoC's end-to-end packet statistics and the
-fabric's own transaction-latency column all use it), nearest-rank so the
-reported values are deterministic and always equal to observed samples.
+(the per-slave :func:`monitor_block`, the NoC's end-to-end packet
+statistics and the fabric's own transaction-latency column all use it),
+nearest-rank so the reported values are deterministic and always equal to
+observed samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 
 @dataclass
@@ -92,4 +93,25 @@ def percentile_summary(latencies: Iterable[int]) -> Dict[str, Optional[float]]:
         "p50": _nearest_rank(ordered, 0.50),
         "p95": _nearest_rank(ordered, 0.95),
         "max": ordered[-1],
+    }
+
+
+def monitor_block(name: str, reads: Sequence[int],
+                  writes: Sequence[int]) -> Dict[str, object]:
+    """The JSON-ready traffic block of one monitored slave.
+
+    ``reads`` / ``writes`` are the slave cycles of every read / write it
+    served.  ``latency_percentiles`` is keyed ``all`` / ``read`` /
+    ``write``, omitting an op with no transfers.
+    """
+    every = reads + writes
+    samples = {"all": every, "read": reads, "write": writes}
+    return {
+        "name": name,
+        "transactions": len(every),
+        "reads": len(reads),
+        "writes": len(writes),
+        "total_cycles": sum(every),
+        "latency_percentiles": {op: percentile_summary(sample)
+                                for op, sample in samples.items() if sample},
     }

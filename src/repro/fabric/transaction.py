@@ -57,7 +57,7 @@ class BusRequest:
     burst_data: Optional[List[int]] = None
     #: Number of words to read for burst reads.
     burst_length: int = 0
-    #: Free-form label used by monitors (e.g. "fetch", "api.alloc").
+    #: Free-form label read by instrumentation (e.g. "fetch", "api.alloc").
     tag: str = ""
 
     def __post_init__(self) -> None:

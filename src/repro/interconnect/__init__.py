@@ -1,11 +1,11 @@
-"""System interconnect topologies: shared bus, crossbar, monitors.
+"""System interconnect topologies: shared bus and crossbar.
 
 The interconnect carries memory-mapped transactions between processing
 elements and memory modules (static memories and the dynamic shared-memory
-wrappers).  This package holds the bus/crossbar topologies and the traffic
-monitor; the shared machinery — master ports, slave attachment,
-arbitration policies, address decoding, transaction types, statistics —
-lives in :mod:`repro.fabric` and must be imported from there.
+wrappers).  This package holds the bus/crossbar topologies; the shared
+machinery — master ports, slave attachment, arbitration policies, address
+decoding, transaction types, statistics, per-memory traffic columns — lives
+in :mod:`repro.fabric` and must be imported from there.
 """
 
 from .._lazy import lazy_exports
@@ -13,12 +13,9 @@ from .._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".bus": ["SharedBus"],
     ".crossbar": ["Crossbar"],
-    ".monitor": ["BusMonitor", "MonitoredTransfer"],
 })
 
 __all__ = [
-    "BusMonitor",
     "Crossbar",
-    "MonitoredTransfer",
     "SharedBus",
 ]

@@ -22,8 +22,8 @@ class SchedulerError(KernelError):
 class DeltaCycleLimitExceeded(SimulationError):
     """Too many delta cycles elapsed without time advancing.
 
-    This almost always indicates a combinational loop between signals or a
-    process that keeps notifying an event with zero delay.
+    This almost always indicates processes that keep waking each other, or
+    themselves, with zero delay.
     """
 
     def __init__(self, limit: int) -> None:
@@ -32,10 +32,6 @@ class DeltaCycleLimitExceeded(SimulationError):
             "likely a combinational feedback loop"
         )
         self.limit = limit
-
-
-class PortBindingError(KernelError):
-    """A port was used before being bound, or bound more than once."""
 
 
 class ProcessError(SimulationError):

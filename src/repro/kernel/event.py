@@ -53,9 +53,9 @@ _MIN_COMPACT = 16
 class Event:
     """A notification primitive processes can wait on.
 
-    Events are created by modules (or by signals internally) and bound to the
-    simulator lazily on first use.  Waiting is done from a process by yielding
-    the event (or a :class:`repro.kernel.process.WaitEvent` wrapping it).
+    Events are created by modules and bound to the simulator lazily on
+    first use.  Waiting is done from a process by yielding the event (or a
+    :class:`repro.kernel.process.WaitEvent` wrapping it).
     """
 
     __slots__ = (
@@ -154,17 +154,6 @@ class Event:
         self._epoch += 1
         sim._schedule_timed_event(self, target, self._epoch)
 
-    def _notify_delta(self) -> None:
-        """Delta notification without the dispatch of :meth:`notify`.
-
-        For scheduler-internal callers (signal updates) that already know
-        the event is bound and want ``notify(0)`` semantics.
-        """
-        if self._pending_at != _DELTA_PENDING:
-            self._pending_at = _DELTA_PENDING
-            self._epoch += 1
-            self._sim._schedule_delta_event(self, self._epoch)
-
     def cancel(self) -> None:
         """Cancel any pending (delta or timed) notification."""
         self._pending_at = _NOT_PENDING
@@ -217,15 +206,6 @@ class EventQueue:
     def next_time(self) -> Optional[int]:
         """Absolute time of the earliest pending notification, or ``None``."""
         return self._heap[0][0] if self._heap else None
-
-    def pop_until(self, time: int) -> List[Tuple[object, int]]:
-        """Pop every entry at or before ``time`` as ``(payload, epoch)``."""
-        fired: List[Tuple[object, int]] = []
-        heap = self._heap
-        while heap and heap[0][0] <= time:
-            __, __, payload, epoch = heapq.heappop(heap)
-            fired.append((payload, epoch))
-        return fired
 
     def __len__(self) -> int:
         return len(self._heap)

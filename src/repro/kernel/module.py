@@ -1,9 +1,9 @@
 """Hierarchical hardware modules.
 
-A :class:`Module` groups processes, ports, signals and child modules, giving
-each a hierarchical name (``top.bus.arbiter``).  Subclasses declare behaviour
-by registering processes in ``__init__`` (or in :meth:`elaborate`) with
-:meth:`add_process` / :meth:`add_method` and wiring ports to signals.
+A :class:`Module` groups processes, events and child modules, giving each a
+hierarchical name (``top.bus.arbiter``).  Subclasses declare behaviour by
+registering processes in ``__init__`` (or in :meth:`elaborate`) with
+:meth:`add_process` / :meth:`add_method`.
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from .errors import ElaborationError
 from .event import Event
-from .port import PortBase
 from .process import Process
-from .signal import Signal
 
 
 class Module:
@@ -27,8 +25,6 @@ class Module:
         self.parent = parent
         self._children: Dict[str, "Module"] = {}
         self._processes: List[Process] = []
-        self._signals: List[Signal] = []
-        self._ports: List[PortBase] = []
         self._events: List[Event] = []
         if parent is not None:
             parent._register_child(self)
@@ -106,16 +102,6 @@ class Module:
         self._processes.append(process)
         return process
 
-    def add_signal(self, signal: Signal) -> Signal:
-        """Register a signal owned by this module (for binding/tracing)."""
-        self._signals.append(signal)
-        return signal
-
-    def add_port(self, port: PortBase) -> PortBase:
-        """Register a port owned by this module (checked at elaboration)."""
-        self._ports.append(port)
-        return port
-
     def add_event(self, event: Event) -> Event:
         """Register a module-owned event so the simulator binds it."""
         self._events.append(event)
@@ -125,14 +111,6 @@ class Module:
     def elaborate(self) -> None:
         """Hook called once before simulation starts; override to finish wiring."""
 
-    def check_bindings(self) -> None:
-        """Raise :class:`ElaborationError` if any registered port is unbound."""
-        for port in self._ports:
-            if not port.bound:
-                raise ElaborationError(
-                    f"port {port.name!r} of module {self.full_name!r} is unbound"
-                )
-
     def end_of_simulation(self) -> None:
         """Hook called once after the simulation finishes; override for reports."""
 
@@ -141,11 +119,6 @@ class Module:
     def processes(self) -> Sequence[Process]:
         """Processes registered directly on this module."""
         return list(self._processes)
-
-    @property
-    def signals(self) -> Sequence[Signal]:
-        """Signals registered directly on this module."""
-        return list(self._signals)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}({self.full_name!r})"

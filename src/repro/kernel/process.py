@@ -8,7 +8,7 @@ returns to the scheduler.  Supported wait requests:
   units.
 * ``yield WaitCycles(n, period)`` — resume after ``n`` clock cycles of
   ``period`` time units each; immutable, so instances can be cached and
-  reused across yields (see :meth:`repro.kernel.clock.Clock.wait_cycles`).
+  reused across yields (see :class:`WaitCycleCache`).
 * ``yield WaitEvent(e)`` or ``yield e`` (an :class:`~repro.kernel.event.Event`)
   — resume when the event is notified.
 * ``yield WaitAny(e1, e2, ...)`` — resume when any of the events fires.
@@ -85,10 +85,9 @@ class WaitCycles(WaitTime):
 class WaitCycleCache:
     """A bounded per-clock cache of reusable :class:`WaitCycles` objects.
 
-    Shared by :class:`repro.kernel.clock.Clock` and
-    :class:`repro.sw.task.TaskContext`: models that wait a small set of
-    recurring cycle counts get the same wait object back on every call, so
-    the scheduler hot path sees no per-yield allocation.
+    Used by :class:`repro.sw.task.TaskContext`: models that wait a small
+    set of recurring cycle counts get the same wait object back on every
+    call, so the scheduler hot path sees no per-yield allocation.
     """
 
     __slots__ = ("period", "limit", "_cache")

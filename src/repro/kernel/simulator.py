@@ -2,14 +2,12 @@
 
 The scheduler follows the SystemC reference algorithm:
 
-1. *Evaluation phase*: run every runnable process.  Processes may write
-   signals (staging new values) and notify events.
-2. *Update phase*: commit staged signal values; changed signals issue delta
-   notifications.
-3. *Delta notification phase*: collect processes woken by delta
+1. *Evaluation phase*: run every runnable process.  Processes may notify
+   events, immediately, in the next delta cycle or after a delay.
+2. *Delta notification phase*: collect processes woken by delta
    notifications; if any, loop back to the evaluation phase (a new delta
    cycle at the same time).
-4. *Timed notification phase*: advance time to the earliest pending timed
+3. *Timed notification phase*: advance time to the earliest pending timed
    notification and wake its waiters.
 
 Simulation ends when there is nothing left to do, a configured time limit is
@@ -63,7 +61,6 @@ from .process import (
     WaitTime,
     Yieldable,
 )
-from .signal import Signal
 
 
 class SimulationStats:
@@ -113,7 +110,6 @@ class Simulator:
         #: tuples for ``notify(0)``, bare processes for direct delta waits.
         self._delta_queue: List[object] = []
         self._immediate_runnable: List[Process] = []
-        self._pending_signal_updates: List[Signal] = []
         self._processes: List[Process] = []
         #: Scheduling generation for runnable dedup (see ``_dedup_runnable``).
         self._generation = 0
@@ -140,7 +136,7 @@ class Simulator:
         return list(self._tops)
 
     def elaborate(self) -> None:
-        """Bind every module, signal, event and process to this simulator."""
+        """Bind every module's events and processes to this simulator."""
         if self._elaborated:
             return
         if not self._tops:
@@ -150,14 +146,8 @@ class Simulator:
                 module.elaborate()
         for top in self._tops:
             for module in top.descendants():
-                module.check_bindings()
-                for signal in module.signals:
-                    signal._bind(self)
                 for event in module._events:
                     event._bind(self)
-                for port in module._ports:
-                    if port.bound:
-                        port.signal._bind(self)
                 for process in module.processes:
                     process._bind(self)
                     self._processes.append(process)
@@ -172,7 +162,7 @@ class Simulator:
         )
         self._elaborated = True
 
-    # -- hooks used by events/signals ------------------------------------------
+    # -- hooks used by events -------------------------------------------------
     def _schedule_timed_event(self, event: Event, when: int, epoch: int = 0) -> None:
         sync = self.probes.sync
         if sync is not None:
@@ -208,9 +198,6 @@ class Simulator:
                 if sync is not None:
                     sync("wake", event, process)
                 runnable.append(process)
-
-    def _schedule_signal_update(self, signal: Signal) -> None:
-        self._pending_signal_updates.append(signal)
 
     # -- wait-request handling ---------------------------------------------------
     def _wait_timed(self, process: Process, duration: int) -> None:
@@ -399,12 +386,6 @@ class Simulator:
                             self._apply_wait(process, request)
                         # ``None``: generator finished or a method process
                         # waiting for its next trigger — nothing to schedule.
-                    # Update phase.
-                    updates = self._pending_signal_updates
-                    if updates:
-                        self._pending_signal_updates = []
-                        for signal in updates:
-                            signal._perform_update()
                 # -- timed notification phase ----------------------------------
                 if self._stop_requested or not heap:
                     break

@@ -87,7 +87,8 @@ class ModeledDynamicMemory(DynamicMemorySlave):
         self.heap = FreeListHeap(self._accessor, base=0, size_bytes=size_bytes)
         self.heap.initialize()
         self._allocations: Dict[int, _Allocation] = {}
-        #: (heap accessor reads+writes) consumed by the most recent command.
+        #: (heap accessor reads+writes) of the executed command not yet
+        #: charged by :meth:`_cycles_for`.
         self._last_heap_accesses = 0
 
     # -- word accessor over the simulated storage ----------------------------------
@@ -262,6 +263,8 @@ class ModeledDynamicMemory(DynamicMemorySlave):
     def _cycles_for(self, command: MemCommand, result: MemResult) -> int:
         model = self.latency_model
         heap_cost = self._last_heap_accesses * self.header_access_cycles
+        # Consumed here: a command refused before ``_execute`` walked nothing.
+        self._last_heap_accesses = 0
         opcode = command.opcode
         if opcode == MemOpcode.ALLOC:
             return model.alloc(command.dim) + heap_cost

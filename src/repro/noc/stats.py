@@ -1,7 +1,8 @@
 """Link-level and end-to-end statistics of the mesh interconnect.
 
-:class:`NocStats` mirrors what :class:`~repro.interconnect.monitor.BusMonitor`
-provides for a single slave, at network granularity:
+:class:`NocStats` mirrors what the fabric's per-memory monitor column
+(:func:`~repro.fabric.stats.monitor_block`) provides for a single slave, at
+network granularity:
 
 * per-link counters — busy cycles, packets, flits, blocked (backpressure)
   cycles — and from them per-link utilization;

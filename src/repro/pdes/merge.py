@@ -153,9 +153,9 @@ def merge_interconnect_stats(config, payloads: List[PartitionPayload],
         key=lambda row: row[0],
     )
     if monitor_rows:
-        block["memory_monitors"] = [stats for _, stats, _ in monitor_rows]
-        block["memory_transactions"] = sum(count for _, _, count
-                                           in monitor_rows)
+        block["memory_monitors"] = [stats for _, stats in monitor_rows]
+        block["memory_transactions"] = sum(stats["transactions"]
+                                           for _, stats in monitor_rows)
     return block
 
 

@@ -53,8 +53,8 @@ class PartitionPayload:
         default_factory=list)
     #: ``(memory_index, report_dict)`` per owned memory.
     memory_rows: List[Tuple[int, dict]] = field(default_factory=list)
-    #: ``(memory_index, stats_dict, transaction_count)`` per owned monitor.
-    monitor_rows: List[Tuple[int, dict, int]] = field(default_factory=list)
+    #: ``(memory_index, monitor_block)`` per owned monitored memory.
+    monitor_rows: List[Tuple[int, dict]] = field(default_factory=list)
     bus_stats: BusStats = field(default_factory=BusStats)
     latencies: array = field(default_factory=lambda: array("q"))
     grant_counts: Dict[int, int] = field(default_factory=dict)
@@ -201,14 +201,14 @@ class PartitionSim:
             payload.pe_rows.append((pe_index, processor.report(),
                                     processor.stats.result,
                                     processor.finished, processor.name))
+        # Every memory is registered, in index order; only owned ones serve.
+        monitors = noc.monitor_stats()
         for memory_index in owned_memories:
             payload.memory_rows.append(
                 (memory_index, self._memory_report(memory_index)))
-            if platform.monitors:
-                monitor = platform.monitors[memory_index]
+            if monitors:
                 payload.monitor_rows.append(
-                    (memory_index, monitor.stats(),
-                     monitor.transaction_count))
+                    (memory_index, monitors[memory_index]))
         if platform.obs is not None:
             if platform.obs.trace is not None:
                 payload.trace_events = list(platform.obs.trace.events)

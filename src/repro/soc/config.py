@@ -128,9 +128,10 @@ class PlatformConfig:
     #: heads are timing-transparent (they observe, they never consume
     #: simulated time or touch the scheduler).
     obs: Optional[ObsConfig] = None
-    #: Wrap every memory module in a :class:`~repro.interconnect.monitor.BusMonitor`
-    #: (timing-transparent) and surface per-memory transaction counts and
-    #: latency percentiles in ``interconnect_stats``.
+    #: Keep a fabric traffic column per memory module (:meth:`Fabric.monitor
+    #: <repro.fabric.base.Fabric.monitor>`, timing-transparent) and surface
+    #: per-memory transaction counts and latency percentiles in
+    #: ``interconnect_stats``.
     monitor_memories: bool = False
     #: Base byte address of the first memory window on the interconnect.
     memory_base_address: int = 0x1000_0000

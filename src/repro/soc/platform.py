@@ -22,10 +22,10 @@ Typical use::
 
 This module imports what every platform has — kernel, shared bus, wrapper,
 task processor.  The layers a configuration may or may not select (crossbar,
-mesh, partitioned mesh, modelled memory, memory monitors, L1 caches,
-devices, sanitizers, observability) are imported by :func:`load_layers`,
-from the configuration, and :class:`Platform` instantiates them only from
-what it returns: a bus + wrapper run never compiles the mesh or the cache.
+mesh, partitioned mesh, modelled memory, L1 caches, devices, sanitizers,
+observability) are imported by :func:`load_layers`, from the configuration,
+and :class:`Platform` instantiates them only from what it returns: a bus +
+wrapper run never compiles the mesh or the cache.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ if TYPE_CHECKING:
     from ..dev.irq import InterruptController
     from ..dev.peripheral import RegisterFilePeripheral
     from ..dev.timer import TimerPeripheral
-    from ..interconnect.monitor import BusMonitor
     from ..memory.modeled_dynamic_memory import ModeledDynamicMemory
     from ..noc.partitioned import BoundaryRuntime, PartitionContext
     from ..obs.suite import ObsSuite
@@ -94,9 +93,6 @@ def load_layers(config: PlatformConfig, workload: object = None,
     if config.memory_kind is not MemoryKind.WRAPPER:
         from ..memory.modeled_dynamic_memory import ModeledDynamicMemory
         use(ModeledDynamicMemory)
-    if config.monitor_memories:
-        from ..interconnect.monitor import BusMonitor
-        use(BusMonitor)
     if config.cache is not None:
         from ..cache.coherence import CoherenceDomain
         from ..cache.l1 import L1Cache
@@ -215,18 +211,13 @@ class Platform:
         self.memories: List[DynamicMemory] = [
             self._build_memory(index) for index in range(config.num_memories)
         ]
-        #: Timing-transparent per-memory traffic probes (``monitor_memories``).
-        self.monitors: List[BusMonitor] = []
         for index, memory in enumerate(self.memories):
-            slave = memory
-            if config.monitor_memories:
-                slave = self._layers.BusMonitor(
-                    memory, name=f"smem{index}.monitor")
-                self.monitors.append(slave)
             self.interconnect.attach_slave(
                 f"smem{index}", config.memory_base(index), REGISTER_WINDOW_BYTES,
-                slave,
+                memory,
             )
+            if config.monitor_memories:
+                self.interconnect.monitor(memory, f"smem{index}.monitor")
         #: One L1 cache per PE plus their coherence domain (``config.cache``).
         self.caches: List[L1Cache] = []
         self.coherence: Optional[CoherenceDomain] = None
@@ -503,17 +494,11 @@ class Platform:
     def _build_report(self, wallclock_seconds: float) -> SimulationReport:
         assert self.simulator is not None
         # The fabric emits the uniform counters (per-master columns,
-        # utilization, latency percentiles, arbitration grants) plus any
-        # topology block (the mesh's "noc" section) for every topology.
+        # utilization, latency percentiles, arbitration grants), any
+        # topology block (the mesh's "noc" section) and the monitored
+        # memories' traffic columns, for every topology.
         interconnect_stats = self.interconnect.interconnect_stats(
             self.simulator.now)
-        if self.monitors:
-            interconnect_stats["memory_monitors"] = [
-                monitor.stats() for monitor in self.monitors
-            ]
-            interconnect_stats["memory_transactions"] = sum(
-                monitor.transaction_count for monitor in self.monitors
-            )
         if self.coherence is not None:
             interconnect_stats["coherence"] = self.coherence.stats.as_dict()
         memory_reports = []

@@ -4,7 +4,7 @@
   ``tests/perf`` golden counters; re-checked here via the report shape);
 * caches on => ``gsm_encode`` (4 PEs — shared bus, crossbar and mesh)
   produces bit-identical encoder output versus cache-off while the
-  per-memory BusMonitor probes observe *strictly fewer* shared-memory
+  per-memory monitor columns count *strictly fewer* shared-memory
   transactions;
 * the ``producer_consumer`` ordering workload stays correct under MSI.
 """

@@ -168,8 +168,8 @@ class TestArrayTransfers:
         assert cache.stats.array_absorbs == 1
         assert cache.stats.array_hits == 1
         # Only alloc + free reached the memory.
-        monitor = platform.monitors[0]
-        assert monitor.transaction_count == 2
+        monitor = report.interconnect_stats["memory_monitors"][0]
+        assert monitor["transactions"] == 2
 
     def test_read_array_installs_then_hits(self):
         def task(ctx):

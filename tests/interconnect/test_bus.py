@@ -1,9 +1,9 @@
-"""Tests for the shared bus, crossbar and monitor using simple test slaves."""
+"""Tests for the shared bus and crossbar using simple test slaves."""
 
 import pytest
 
 from repro.fabric import BusOp, BusRequest, BusResponse, BusSlave, ResponseStatus
-from repro.interconnect import BusMonitor, Crossbar, SharedBus
+from repro.interconnect import Crossbar, SharedBus
 from repro.kernel import Module, Simulator
 
 
@@ -272,31 +272,6 @@ class TestCrossbar:
         stats = xbar.channel_stats()
         assert stats["a"]["transactions"] == 1
         assert stats["b"]["transactions"] == 1
-
-
-class TestBusMonitor:
-    def test_monitor_is_transparent_and_records(self):
-        def build(top):
-            bus = SharedBus("bus", period=10, arbitration_cycles=0, parent=top)
-            slave = ScratchSlave(cycles=2)
-            monitor = BusMonitor(slave, name="probe")
-            bus.attach_slave("ram", 0x0, 0x100, monitor)
-            port = bus.master_port(0)
-            script = [
-                BusRequest(0, BusOp.WRITE, 0x8, data=5, tag="store"),
-                BusRequest(0, BusOp.READ, 0x8, tag="load"),
-            ]
-            harness = MasterHarness("m0", port, script, parent=top)
-            return slave, monitor, harness
-
-        _, (slave, monitor, harness) = run_platform(build)
-        assert harness.responses[1].data == 5
-        assert monitor.transaction_count == 2
-        assert monitor.op_counts[BusOp.WRITE] == 1
-        assert monitor.average_latency() == pytest.approx(2.0)
-        assert monitor.histogram_by_tag() == {"store": 1, "load": 1}
-        # The monitored latency must match the slave's configured latency.
-        assert all(t.cycles == 2 for t in monitor.transfers)
 
 
 class TestBusRequestValidation:

@@ -335,15 +335,6 @@ class TestWaitCycles:
         sim.run()
         assert times == [30, 60, 90, 120]
 
-    def test_clock_wait_cycles_cache(self):
-        from repro.kernel import Clock
-
-        clock = Clock("clk", period=10)
-        wait_a = clock.wait_cycles(4)
-        wait_b = clock.wait_cycles(4)
-        assert wait_a is wait_b
-        assert wait_a.duration == 40
-
     def test_task_context_wait_cycles_cache(self):
         from repro.sw.task import TaskContext
 

@@ -1,15 +1,13 @@
-"""Tests for the discrete-event scheduler, processes, events and signals."""
+"""Tests for the discrete-event scheduler, processes, events and modules."""
 
 import pytest
 
 from repro.kernel import (
-    Clock,
     DeltaCycleLimitExceeded,
     Event,
     Module,
     ProcessError,
     SchedulerError,
-    Signal,
     Simulator,
     WaitAny,
     WaitDelta,
@@ -298,107 +296,72 @@ class TestEvents:
             sim.run()
 
 
-class TestSignals:
-    def test_delta_update_semantics(self):
+class TestDeltaCycles:
+    def test_delta_notification_wakes_at_the_same_time_one_delta_later(self):
         observed = []
 
         def builder(top):
             mod = Module("m", parent=top)
-            sig = mod.add_signal(Signal(0, name="s"))
+            ev = mod.add_event(Event("ev"))
 
             def writer():
                 yield 10
-                sig.write(7)
-                observed.append(("just after write", sig.read()))
+                ev.notify(0)
+                observed.append(("notified", sim.now))
                 yield 0
-                observed.append(("next delta", sig.read()))
+                observed.append(("writer, next delta", sim.now))
+
+            def reader():
+                yield ev
+                observed.append(("reader woke", sim.now))
 
             mod.add_process(writer)
+            mod.add_process(reader)
 
         sim, _ = build(builder)
         sim.run()
-        assert observed == [("just after write", 0), ("next delta", 7)]
+        # The notification and the direct delta wait land in one delta
+        # cycle, in the order they were scheduled.
+        assert observed == [("notified", 10), ("reader woke", 10),
+                            ("writer, next delta", 10)]
+        assert sim.stats.delta_cycles == 3
 
-    def test_changed_event_fires(self):
-        changes = []
+    def test_immediate_notification_wakes_within_the_same_time(self):
+        observed = []
 
         def builder(top):
             mod = Module("m", parent=top)
-            sig = mod.add_signal(Signal(0, name="s"))
+            ev = mod.add_event(Event("ev"))
 
             def watcher():
                 while True:
-                    yield sig.changed_event
-                    changes.append((sim.now, sig.read()))
+                    yield ev
+                    observed.append(sim.now)
 
-            def writer():
-                yield 5
-                sig.write(1)
-                yield 5
-                sig.write(1)  # no change → no event
-                yield 5
-                sig.write(2)
+            def notifier():
+                for delay in (5, 5, 5):
+                    yield delay
+                    ev.notify()
 
             mod.add_process(watcher)
-            mod.add_process(writer)
+            mod.add_process(notifier)
 
         sim, _ = build(builder)
         sim.run()
-        assert changes == [(5, 1), (15, 2)]
+        assert observed == [5, 10, 15]
 
-    def test_posedge_negedge(self):
-        edges = []
 
-        def builder(top):
-            mod = Module("m", parent=top)
-            sig = mod.add_signal(Signal(False, name="s"))
+def periodic_trigger(top, period=10):
+    """An event notified every ``period`` time units by a thread process."""
+    tick = top.add_event(Event("tick"))
 
-            def pos_watch():
-                while True:
-                    yield sig.posedge_event
-                    edges.append(("pos", sim.now))
+    def drive():
+        while True:
+            yield period
+            tick.notify()
 
-            def neg_watch():
-                while True:
-                    yield sig.negedge_event
-                    edges.append(("neg", sim.now))
-
-            def writer():
-                yield 10
-                sig.write(True)
-                yield 10
-                sig.write(False)
-
-            mod.add_process(pos_watch)
-            mod.add_process(neg_watch)
-            mod.add_process(writer)
-
-        sim, _ = build(builder)
-        sim.run()
-        assert ("pos", 10) in edges
-        assert ("neg", 20) in edges
-
-    def test_force_bypasses_delta(self):
-        sig = Signal(3, name="s")
-        sig.force(9)
-        assert sig.read() == 9
-
-    def test_write_count(self):
-        def builder(top):
-            mod = Module("m", parent=top)
-            sig = mod.add_signal(Signal(0, name="s"))
-            builder.sig = sig
-
-            def writer():
-                for value in (1, 2, 2, 3):
-                    yield 5
-                    sig.write(value)
-
-            mod.add_process(writer)
-
-        sim, _ = build(builder)
-        sim.run()
-        assert builder.sig.write_count == 3  # the duplicate write is filtered
+    top.add_process(drive)
+    return tick
 
 
 class TestMethodProcesses:
@@ -406,17 +369,37 @@ class TestMethodProcesses:
         counts = {"n": 0}
 
         def builder(top):
-            clock = Clock("clk", period=10, parent=top)
+            tick = periodic_trigger(top)
             mod = Module("m", parent=top)
 
-            def on_edge():
+            def on_tick():
                 counts["n"] += 1
 
-            mod.add_method(on_edge, sensitivity=[clock.posedge_event])
+            mod.add_method(on_tick, sensitivity=[tick])
 
         sim, _ = build(builder)
         sim.run(100)
-        assert counts["n"] >= 9
+        # Once at time zero (as in SystemC), then on every tick 10..100.
+        assert counts["n"] == 11
+        assert sim.now == 100
+
+    def test_method_process_on_a_module_counts_a_free_running_trigger(self):
+        class Counter(Module):
+            def __init__(self, name, tick, parent=None):
+                super().__init__(name, parent)
+                self.value = 0
+                self.add_method(self.count, sensitivity=[tick])
+
+            def count(self):
+                self.value += 1
+
+        top = Module("top")
+        tick = periodic_trigger(top)
+        counter = Counter("counter", tick, parent=top)
+        sim = Simulator(top)
+        sim.run(105)
+        assert counter.value == 11
+        assert sim.now == 105
 
     def test_method_requires_sensitivity(self):
         mod = Module("m")
@@ -467,39 +450,6 @@ class TestErrorHandling:
         sim, _ = build(builder)
         with pytest.raises(DeltaCycleLimitExceeded):
             sim.run()
-
-
-class TestClock:
-    def test_clock_period_and_cycles(self):
-        def builder(top):
-            builder.clock = Clock("clk", period=10, parent=top)
-
-        sim, _ = build(builder)
-        sim.run(105)
-        assert builder.clock.cycle == pytest.approx(10, abs=1)
-
-    def test_clock_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            Clock("clk", period=1)
-        with pytest.raises(ValueError):
-            Clock("clk", period=10, duty_cycle=0.0)
-
-    def test_clocked_counter(self):
-        class Counter(Module):
-            def __init__(self, name, clock, parent=None):
-                super().__init__(name, parent)
-                self.value = self.add_signal(Signal(0, name="value"))
-                self.add_method(self.tick, sensitivity=[clock.posedge_event])
-
-            def tick(self):
-                self.value.write(self.value.read() + 1)
-
-        top = Module("top")
-        clock = Clock("clk", period=10, parent=top)
-        counter = Counter("counter", clock, parent=top)
-        sim = Simulator(top)
-        sim.run(100)
-        assert counter.value.read() >= 9
 
 
 class TestModuleHierarchy:

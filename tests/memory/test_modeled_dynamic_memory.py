@@ -256,6 +256,23 @@ class TestTiming:
         )
         assert long_cycles > short_cycles
 
+    @pytest.mark.parametrize("refused", [
+        MemCommand(MemOpcode.READ, sm_addr=5),
+        MemCommand(MemOpcode.WRITE, sm_addr=5, data=1),
+        MemCommand(MemOpcode.FREE, sm_addr=5),
+    ])
+    def test_refused_command_pays_no_earlier_heap_walk(self, refused):
+        """A command refused before it executes walks no header: its cost
+        must not depend on what the previous command walked."""
+        fresh = ModeledDynamicMemory(4096)
+        _, fresh_cycles = send_command(fresh, refused)
+        busy = ModeledDynamicMemory(4096)
+        for _ in range(3):
+            send_command(busy, MemCommand(MemOpcode.ALLOC, dim=4))
+        _, busy_cycles = send_command(busy, refused)
+        assert busy.last_status == MemStatus.ERR_BAD_SM_ADDR
+        assert busy_cycles == fresh_cycles
+
     def test_heap_access_counter_exposed(self):
         memory = ModeledDynamicMemory(4096)
         send_command(memory, MemCommand(MemOpcode.ALLOC, dim=4))

@@ -15,6 +15,8 @@ separately:
   the identical report.
 """
 
+import json
+
 import pytest
 
 from repro.api import PlatformBuilder, Scenario, run_scenario
@@ -91,6 +93,27 @@ def test_cut_free_run_is_bit_identical_to_sequential(sequential, partitions):
     assert mine["latency_percentiles"] == theirs["latency_percentiles"]
     assert mine["arbitration"] == theirs["arbitration"]
     assert mine["noc"] == theirs["noc"]
+
+
+def test_monitored_cut_free_run_reports_the_sequential_monitors():
+    """Each partition reports the monitor columns of the memories it owns;
+    merged, they are the sequential run's, byte for byte."""
+    def monitors(partitions):
+        builder = (PlatformBuilder().pes(4).wrapper_memories(4).monitored()
+                   .mesh(4, 4, **CUT_FREE))
+        if partitions > 1:
+            builder = builder.partitions(partitions, epoch_cycles=256)
+        result = run_scenario(Scenario(
+            name=f"monitored-{partitions}", config=builder.build(),
+            workload="fir", params={"num_samples": 64}, seed=5))
+        result.raise_for_status()
+        stats = result.report.interconnect_stats
+        return json.dumps([stats["memory_monitors"],
+                           stats["memory_transactions"]])
+
+    sequential_json = monitors(1)
+    assert json.loads(sequential_json)[1] == 72
+    assert monitors(2) == sequential_json
 
 
 def test_cross_partition_traffic_is_correct_and_counted(sequential):
