@@ -9,11 +9,16 @@ The builder is the declarative front door for composing platforms::
               .cycle_driven(memory_work=4, pe_work=12)
               .build())
 
-Every method stages one aspect of the configuration and returns the builder,
-so platform descriptions read as a single expression.  :meth:`build`
-validates the staged values (on top of ``PlatformConfig``'s own invariant
-checks) and returns a plain :class:`PlatformConfig`; :meth:`build_platform`
-additionally instantiates the :class:`~repro.soc.platform.Platform`.
+The configs validate themselves: ``PlatformConfig`` and every layer config
+(``NocConfig``, ``CacheConfig``, ``DmaConfig``...) check their own fields
+in ``__post_init__``.  The builder only translates: each method parses
+names (``"sdram"``, ``"priority"``, ``"write_back"``), stages one aspect of
+the configuration and returns the builder, so a platform description
+reads as a single expression.  Unknown names and invalid layer configs
+raise at once; every other bad value surfaces from :meth:`build`, which
+reports ``PlatformConfig``'s error as a :class:`BuilderError` and returns
+the config (:meth:`build_platform` also instantiates the
+:class:`~repro.soc.platform.Platform`).
 """
 
 from __future__ import annotations
@@ -21,10 +26,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional, Sequence, Union
 
-from ..cache.geometry import CacheConfig, CacheError, CacheGeometry, WritePolicy
+from ..cache.geometry import CacheConfig, CacheGeometry, WritePolicy
 from ..check.config import CheckConfig
 from ..dev.config import DmaConfig, IrqControllerConfig, TimerConfig
-from ..fabric import canonical_kind
+from ..fabric import POLICY_ALIASES
 from ..memory.latency import LatencyModel
 from ..memory.protocol import Endianness
 from ..noc.config import NocConfig
@@ -51,64 +56,67 @@ COST_MODELS = {
     "fast": FAST_CORE,
 }
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(PlatformConfig)}
-
 
 class BuilderError(ValueError):
     """Raised when the builder is given inconsistent or invalid values."""
 
 
-class PlatformBuilder:
-    """Composable, validating front end for :class:`PlatformConfig`."""
+def _choice(value: object, choices, what: str) -> object:
+    """The enum member or preset-table entry the name ``value`` selects;
+    a value that is not a string passes through for ``PlatformConfig`` to
+    type-check."""
+    if not isinstance(value, str):
+        return value
+    try:
+        return choices[value] if isinstance(choices, dict) else choices(value)
+    except (KeyError, ValueError):
+        names = (sorted(choices) if isinstance(choices, dict)
+                 else [member.value for member in choices])
+        raise BuilderError(
+            f"unknown {what} {value!r}; use one of {names}") from None
 
-    def __init__(self, base: Optional[PlatformConfig] = None) -> None:
+
+def _make(cls: type, what: str, **fields: object) -> object:
+    """``cls(**fields)``, with the layer config's ``ValueError`` reported
+    as a :class:`BuilderError`."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise BuilderError(f"invalid {what} description: {exc}") from exc
+
+
+class PlatformBuilder:
+    """Composable front end for :class:`PlatformConfig`."""
+
+    def __init__(self) -> None:
         self._overrides: Dict[str, object] = {}
-        if base is not None:
-            if not isinstance(base, PlatformConfig):
-                raise BuilderError(
-                    f"base must be a PlatformConfig, got {type(base).__name__}"
-                )
-            # Shallow per-field copy (asdict() would recursively turn nested
-            # dataclasses like WrapperDelays into plain dicts).
-            self._overrides.update(
-                {f.name: getattr(base, f.name)
-                 for f in dataclasses.fields(base)}
-            )
 
     @classmethod
     def from_config(cls, config: PlatformConfig) -> "PlatformBuilder":
         """A builder pre-seeded with every field of ``config``."""
-        return cls(base=config)
+        if not isinstance(config, PlatformConfig):
+            raise BuilderError(f"from_config needs a PlatformConfig, got "
+                               f"{type(config).__name__}")
+        # Per-field copy: asdict() would also turn nested dataclasses such
+        # as WrapperDelays into plain dicts.
+        return cls()._set(**{f.name: getattr(config, f.name)
+                             for f in dataclasses.fields(config)})
 
-    # -- staging helpers -----------------------------------------------------------
     def _set(self, **fields: object) -> "PlatformBuilder":
         self._overrides.update(fields)
         return self
 
-    def _positive_int(self, value: object, what: str) -> int:
-        if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-            raise BuilderError(f"{what} must be a positive integer, got {value!r}")
-        return value
-
     # -- topology ----------------------------------------------------------------------
     def pes(self, count: int) -> "PlatformBuilder":
         """Number of processing elements."""
-        return self._set(num_pes=self._positive_int(count, "PE count"))
+        return self._set(num_pes=count)
 
     def memories(self, count: int,
                  kind: Union[MemoryKind, str] = MemoryKind.WRAPPER
                  ) -> "PlatformBuilder":
         """Number of dynamic shared memories and their model."""
-        if isinstance(kind, str):
-            try:
-                kind = MemoryKind(kind)
-            except ValueError:
-                raise BuilderError(
-                    f"unknown memory kind {kind!r}; use one of "
-                    f"{[k.value for k in MemoryKind]}"
-                ) from None
-        return self._set(num_memories=self._positive_int(count, "memory count"),
-                         memory_kind=kind)
+        return self._set(num_memories=count,
+                         memory_kind=_choice(kind, MemoryKind, "memory kind"))
 
     def wrapper_memories(self, count: int) -> "PlatformBuilder":
         """``count`` host-backed wrapper memories (the paper's model)."""
@@ -120,8 +128,6 @@ class PlatformBuilder:
 
     def capacity(self, capacity_bytes: Optional[int]) -> "PlatformBuilder":
         """Simulated capacity per memory (``None`` = unlimited wrapper)."""
-        if capacity_bytes is not None:
-            self._positive_int(capacity_bytes, "memory capacity")
         return self._set(memory_capacity_bytes=capacity_bytes)
 
     # -- interconnect -----------------------------------------------------------------
@@ -145,17 +151,14 @@ class PlatformBuilder:
         link/router pipeline latencies in cycles, the per-port input
         buffer depth (packets) and optional explicit node placements.
         """
-        try:
-            noc = NocConfig(
-                rows=rows, cols=cols, flit_bytes=flit_bytes,
-                link_cycles=link_cycles, router_cycles=router_cycles,
-                buffer_packets=buffer_packets,
-                memory_nodes=(tuple(memory_nodes)
-                              if memory_nodes is not None else None),
-                pe_nodes=tuple(pe_nodes) if pe_nodes is not None else None,
-            )
-        except ValueError as exc:
-            raise BuilderError(f"invalid mesh description: {exc}") from exc
+        noc = _make(
+            NocConfig, "mesh", rows=rows, cols=cols, flit_bytes=flit_bytes,
+            link_cycles=link_cycles, router_cycles=router_cycles,
+            buffer_packets=buffer_packets,
+            memory_nodes=(tuple(memory_nodes)
+                          if memory_nodes is not None else None),
+            pe_nodes=tuple(pe_nodes) if pe_nodes is not None else None,
+        )
         return self._set(interconnect=InterconnectKind.MESH, noc=noc)
 
     def partitions(self, count: int,
@@ -167,12 +170,6 @@ class PlatformBuilder:
         ``epoch_cycles`` overrides the conservative-sync window — the
         modelled latency of every boundary-crossing link.
         """
-        count = self._positive_int(count, "partition count")
-        if count & (count - 1):
-            raise BuilderError(
-                f"partition count must be a power of two, got {count}")
-        if epoch_cycles is not None:
-            self._positive_int(epoch_cycles, "epoch cycles")
         return self._set(partitions=count, pdes_epoch_cycles=epoch_cycles)
 
     def arbitration(self,
@@ -198,32 +195,20 @@ class PlatformBuilder:
         :meth:`~repro.soc.config.PlatformConfig.arbitration_spec`).
         """
         if isinstance(kind, str):
-            try:
-                kind = ArbitrationKind(canonical_kind(kind))
-            except ValueError:
-                raise BuilderError(
-                    f"unknown arbitration {kind!r}; use one of "
-                    f"{[k.value for k in ArbitrationKind]}"
-                ) from None
-        elif not isinstance(kind, ArbitrationKind):
-            raise BuilderError(
-                f"arbitration kind must be an ArbitrationKind or string, "
-                f"got {type(kind).__name__}"
-            )
-        staged: Dict[str, object] = {"arbitration": kind}
+            kind = POLICY_ALIASES.get(kind, kind)
+        staged: Dict[str, object] = {
+            "arbitration": _choice(kind, ArbitrationKind, "arbitration")}
         if weights is not None:
             if isinstance(weights, dict):
-                if not weights:
-                    raise BuilderError("arbitration weights must not be empty")
-                if not all(isinstance(master, int)
-                           and not isinstance(master, bool) and master >= 0
-                           for master in weights):
+                if not weights or not all(
+                        isinstance(master, int) and not isinstance(master, bool)
+                        and master >= 0 for master in weights):
                     raise BuilderError(
-                        f"arbitration weight keys must be non-negative "
-                        f"master ids, got {sorted(weights, key=repr)}"
-                    )
-                span = max(weights) + 1
-                weights = tuple(weights.get(i, 1) for i in range(span))
+                        f"arbitration weights must not be empty and their "
+                        f"keys must be non-negative master ids, got "
+                        f"{sorted(weights, key=repr)}")
+                weights = tuple(weights.get(i, 1)
+                                for i in range(max(weights) + 1))
             staged["arbitration_weights"] = tuple(weights)
         if priority_order is not None:
             staged["arbitration_priority"] = tuple(priority_order)
@@ -256,23 +241,12 @@ class PlatformBuilder:
         ``policy`` is a :class:`~repro.cache.geometry.WritePolicy` or its
         value string (``"write_back"`` / ``"write_through"``).
         """
-        if isinstance(policy, str):
-            try:
-                policy = WritePolicy(policy)
-            except ValueError:
-                raise BuilderError(
-                    f"unknown write policy {policy!r}; use one of "
-                    f"{[p.value for p in WritePolicy]}"
-                ) from None
-        try:
-            config = CacheConfig(
-                geometry=CacheGeometry(sets=sets, ways=ways,
-                                       line_bytes=line_bytes),
-                policy=policy, hit_cycles=hit_cycles,
-            )
-        except CacheError as exc:
-            raise BuilderError(f"invalid cache description: {exc}") from exc
-        return self._set(cache=config)
+        geometry = _make(CacheGeometry, "cache", sets=sets, ways=ways,
+                         line_bytes=line_bytes)
+        return self._set(cache=_make(
+            CacheConfig, "cache", geometry=geometry,
+            policy=_choice(policy, WritePolicy, "write policy"),
+            hit_cycles=hit_cycles))
 
     def no_cache(self) -> "PlatformBuilder":
         """Remove the L1 layer: the flat (bit-identical) PE -> bus model."""
@@ -296,14 +270,10 @@ class PlatformBuilder:
         every kernel counter are identical with and without them.
         Findings land in ``report.sanitizer_reports``.
         """
-        try:
-            config = CheckConfig(race=race, protocol=protocol,
-                                 coherence=coherence,
-                                 max_reports=max_reports,
-                                 capture_stacks=capture_stacks)
-        except ValueError as exc:
-            raise BuilderError(f"invalid sanitizer description: {exc}") from exc
-        return self._set(check=config)
+        return self._set(check=_make(
+            CheckConfig, "sanitizer", race=race, protocol=protocol,
+            coherence=coherence, max_reports=max_reports,
+            capture_stacks=capture_stacks))
 
     def no_sanitize(self) -> "PlatformBuilder":
         """Detach every sanitizer (the default, zero-overhead platform)."""
@@ -314,22 +284,10 @@ class PlatformBuilder:
         """Stage an :class:`ObsConfig`, merging into one already staged
         (so ``.trace().metrics(...)`` composes)."""
         staged = self._overrides.get("obs")
-        base = staged if isinstance(staged, ObsConfig) else None
-        fields = {
-            "trace": base.trace if base else False,
-            "metrics_interval_cycles": (base.metrics_interval_cycles
-                                        if base else 0),
-            "categories": base.categories if base else None,
-            "max_events": base.max_events if base else 200_000,
-            "host_profile": base.host_profile if base else False,
-        }
+        fields = (dict(vars(staged)) if isinstance(staged, ObsConfig)
+                  else {"trace": False})
         fields.update(changes)
-        try:
-            config = ObsConfig(**fields)
-        except ValueError as exc:
-            raise BuilderError(
-                f"invalid observability description: {exc}") from exc
-        return self._set(obs=config)
+        return self._set(obs=_make(ObsConfig, "observability", **fields))
 
     def trace(self, *, categories: Optional[Sequence[str]] = None,
               max_events: int = 200_000,
@@ -358,7 +316,11 @@ class PlatformBuilder:
         ``interval_cycles`` simulated clock cycles into
         ``report.timeseries``.  Composes with :meth:`trace`.
         """
-        self._positive_int(interval_cycles, "metrics interval cycles")
+        # ObsConfig reads 0 as "metrics off"; asking for metrics means >= 1.
+        if (not isinstance(interval_cycles, int)
+                or isinstance(interval_cycles, bool) or interval_cycles < 1):
+            raise BuilderError(f"metrics interval must be a positive "
+                               f"integer, got {interval_cycles!r}")
         return self._merge_obs(metrics_interval_cycles=interval_cycles)
 
     def no_obs(self) -> "PlatformBuilder":
@@ -377,41 +339,33 @@ class PlatformBuilder:
         default controller — but explicit declaration controls the line
         count.
         """
-        if any(isinstance(device, IrqControllerConfig)
-               for device in self._overrides.get("devices", ())):
-            raise BuilderError("the platform already has an interrupt "
-                               "controller")
-        try:
-            return self._add_device(IrqControllerConfig(lines=lines))
-        except ValueError as exc:
-            raise BuilderError(str(exc)) from exc
+        return self._add_device(
+            _make(IrqControllerConfig, "interrupt controller", lines=lines))
 
     def dma(self, count: int = 1, burst_words: int = 64,
             irq_line: Optional[int] = None) -> "PlatformBuilder":
         """Attach ``count`` DMA engines (each its own fabric master).
 
         ``irq_line`` pins the completion line of a single engine; with
-        ``count > 1`` lines are always auto-assigned.
+        ``count > 1`` leave it unset (two engines cannot claim one line).
         """
-        self._positive_int(count, "DMA engine count")
-        self._positive_int(burst_words, "DMA burst words")
-        if count > 1 and irq_line is not None:
-            raise BuilderError("irq_line only applies to a single DMA engine")
-        builder = self
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+            raise BuilderError(
+                f"DMA engine count must be a positive integer, got {count!r}")
+        config = _make(DmaConfig, "DMA", burst_words=burst_words,
+                       irq_line=irq_line)
         for _ in range(count):
-            builder = builder._add_device(
-                DmaConfig(burst_words=burst_words, irq_line=irq_line))
-        return builder
+            self._add_device(config)
+        return self
 
     def timer(self, compare_cycles: int = 1000, periodic: bool = False,
               auto_start: bool = False,
               irq_line: Optional[int] = None) -> "PlatformBuilder":
         """Attach one compare-match timer (IRQ on expiry)."""
-        self._positive_int(compare_cycles, "timer compare cycles")
-        return self._add_device(TimerConfig(
-            compare_cycles=compare_cycles, periodic=bool(periodic),
-            auto_start=bool(auto_start), irq_line=irq_line,
-        ))
+        return self._add_device(_make(
+            TimerConfig, "timer", compare_cycles=compare_cycles,
+            periodic=bool(periodic), auto_start=bool(auto_start),
+            irq_line=irq_line))
 
     def no_devices(self) -> "PlatformBuilder":
         """Drop every staged device: the device-free platform."""
@@ -420,7 +374,7 @@ class PlatformBuilder:
     # -- timing -----------------------------------------------------------------------
     def clock_period(self, period: int) -> "PlatformBuilder":
         """Clock period in kernel time units."""
-        return self._set(clock_period=self._positive_int(period, "clock period"))
+        return self._set(clock_period=period)
 
     def cycle_driven(self, memory_work: int = 4, pe_work: int = 12
                      ) -> "PlatformBuilder":
@@ -430,8 +384,6 @@ class PlatformBuilder:
         memory wrapper FSM and per ISS, reproducing the cost structure the
         paper's speed-degradation experiment measures.
         """
-        if memory_work < 0 or pe_work < 0:
-            raise BuilderError("per-cycle work units must be >= 0")
         return self._set(idle_tick_memories=True, idle_tick_work=memory_work,
                          pe_tick_work=pe_work)
 
@@ -443,18 +395,7 @@ class PlatformBuilder:
     def delays(self, delays: Union[WrapperDelays, str]) -> "PlatformBuilder":
         """Wrapper FSM delay parameters, or a preset name (sram/sdram)."""
         if isinstance(delays, str):
-            try:
-                delays = DELAY_PRESETS[delays]()
-            except KeyError:
-                raise BuilderError(
-                    f"unknown delay preset {delays!r}; use one of "
-                    f"{sorted(DELAY_PRESETS)}"
-                ) from None
-        if not isinstance(delays, WrapperDelays):
-            raise BuilderError(
-                f"delays must be a WrapperDelays or preset name, got "
-                f"{type(delays).__name__}"
-            )
+            delays = _choice(delays, DELAY_PRESETS, "delay preset")()
         return self._set(wrapper_delays=delays)
 
     def latency(self, model: LatencyModel) -> "PlatformBuilder":
@@ -463,51 +404,23 @@ class PlatformBuilder:
 
     def endianness(self, order: Union[Endianness, str]) -> "PlatformBuilder":
         """Byte order of the simulated architecture."""
-        if isinstance(order, str):
-            try:
-                order = Endianness(order)
-            except ValueError:
-                raise BuilderError(
-                    f"unknown endianness {order!r}; use 'little' or 'big'"
-                ) from None
-        return self._set(endianness=order)
+        return self._set(endianness=_choice(order, Endianness, "endianness"))
 
     def cost_model(self, model: Union[CostModel, str]) -> "PlatformBuilder":
         """Cost model of local PE computation, or a name (arm7/fast)."""
-        if isinstance(model, str):
-            try:
-                model = COST_MODELS[model]
-            except KeyError:
-                raise BuilderError(
-                    f"unknown cost model {model!r}; use one of "
-                    f"{sorted(COST_MODELS)}"
-                ) from None
-        return self._set(cost_model=model)
+        return self._set(cost_model=_choice(model, COST_MODELS, "cost model"))
 
     def address_map(self, base: int, stride: int) -> "PlatformBuilder":
         """Base address and stride of the memory windows on the bus."""
-        if not isinstance(base, int) or isinstance(base, bool) or base < 0:
-            raise BuilderError(
-                f"base address must be a non-negative integer, got {base!r}"
-            )
-        return self._set(
-            memory_base_address=base,
-            memory_window_stride=self._positive_int(stride, "window stride"),
-        )
+        return self._set(memory_base_address=base,
+                         memory_window_stride=stride)
 
     def named(self, name: str) -> "PlatformBuilder":
         """Name of the top module (shows up in reports)."""
-        if not name or not isinstance(name, str):
-            raise BuilderError("platform name must be a non-empty string")
         return self._set(name=name)
 
     def replace(self, **fields: object) -> "PlatformBuilder":
         """Escape hatch: stage raw ``PlatformConfig`` fields by name."""
-        unknown = set(fields) - _CONFIG_FIELDS
-        if unknown:
-            raise BuilderError(
-                f"unknown PlatformConfig field(s): {sorted(unknown)}"
-            )
         return self._set(**fields)
 
     # -- terminal operations -------------------------------------------------------------

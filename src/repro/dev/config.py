@@ -23,6 +23,18 @@ from typing import List, Optional, Tuple
 MAX_IRQ_LINES = 32
 
 
+def _check_int(config: object, name: str, lowest: int,
+               highest: Optional[int] = None) -> None:
+    """Raise ``ValueError`` unless ``config.<name>`` is an integer in
+    ``lowest..highest`` (no upper bound when ``highest`` is ``None``)."""
+    value = getattr(config, name)
+    if (not isinstance(value, int) or isinstance(value, bool) or value < lowest
+            or highest is not None and value > highest):
+        bound = f"{lowest}..{highest}" if highest is not None else f">= {lowest}"
+        raise ValueError(f"{type(config).__name__}.{name} must be an integer "
+                         f"{bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class IrqControllerConfig:
     """One platform-wide interrupt controller."""
@@ -31,6 +43,9 @@ class IrqControllerConfig:
     lines: int = MAX_IRQ_LINES
     #: Instance name (also the register window name on the fabric).
     name: str = "irqc"
+
+    def __post_init__(self) -> None:
+        _check_int(self, "lines", 1, MAX_IRQ_LINES)
 
 
 @dataclass(frozen=True)
@@ -43,6 +58,11 @@ class DmaConfig:
     irq_line: Optional[int] = None
     #: Instance name (``""`` = ``dma<k>`` by engine ordinal).
     name: str = ""
+
+    def __post_init__(self) -> None:
+        _check_int(self, "burst_words", 1)
+        if self.irq_line is not None:
+            _check_int(self, "irq_line", 0)
 
 
 @dataclass(frozen=True)
@@ -59,6 +79,11 @@ class TimerConfig:
     irq_line: Optional[int] = None
     #: Instance name (``""`` = ``timer<k>`` by timer ordinal).
     name: str = ""
+
+    def __post_init__(self) -> None:
+        _check_int(self, "compare_cycles", 1)
+        if self.irq_line is not None:
+            _check_int(self, "irq_line", 0)
 
 
 #: Every config class a ``PlatformConfig.devices`` tuple may contain.
@@ -152,11 +177,6 @@ def resolve_layout(
     if len(controllers) > 1:
         raise ValueError("a platform supports at most one interrupt controller")
     controller_config = controllers[0] if controllers else IrqControllerConfig()
-    if not 1 <= controller_config.lines <= MAX_IRQ_LINES:
-        raise ValueError(
-            f"interrupt controller lines must be 1..{MAX_IRQ_LINES}, "
-            f"got {controller_config.lines}"
-        )
 
     raisers = [c for c in devices if not isinstance(c, IrqControllerConfig)]
     claimed = set()
@@ -204,8 +224,6 @@ def resolve_layout(
         line = (config.irq_line if config.irq_line is not None
                 else next_free_line(cursor))
         if isinstance(config, DmaConfig):
-            if config.burst_words < 1:
-                raise ValueError("DMA burst_words must be >= 1")
             name = config.name or f"dma{len(dma_slots)}"
             slot = DeviceSlot(
                 kind="dma", name=name, config=config,
@@ -214,8 +232,6 @@ def resolve_layout(
             )
             dma_slots.append(slot)
         else:
-            if config.compare_cycles < 1:
-                raise ValueError("timer compare_cycles must be >= 1")
             name = config.name or f"timer{len(timer_slots)}"
             slot = DeviceSlot(
                 kind="timer", name=name, config=config,

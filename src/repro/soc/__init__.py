@@ -6,8 +6,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".config": ["ArbitrationKind", "InterconnectKind", "MemoryKind",
                 "PlatformConfig"],
     ".platform": ["MemoryIdleTicker", "Platform"],
-    ".stats": ["SimulationReport", "SweepPoint", "format_table",
-               "speed_degradation", "wallclock_overhead"],
+    ".stats": ["SimulationReport", "format_table", "speed_degradation"],
 })
 
 __all__ = [
@@ -18,8 +17,6 @@ __all__ = [
     "Platform",
     "PlatformConfig",
     "SimulationReport",
-    "SweepPoint",
     "format_table",
     "speed_degradation",
-    "wallclock_overhead",
 ]

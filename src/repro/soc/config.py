@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 from ..cache.geometry import CacheConfig
 from ..check.config import CheckConfig
 from ..obs.config import ObsConfig
-from ..dev.config import DEVICE_CONFIG_TYPES, DeviceLayout, resolve_layout
+from ..dev.config import DeviceLayout, resolve_layout
 from ..fabric import ArbitrationSpec
 from ..kernel.simtime import NS
 from ..memory.latency import LatencyModel
@@ -54,6 +54,28 @@ class ArbitrationKind(enum.Enum):
     FIXED_PRIORITY = "fixed_priority"
     WEIGHTED_ROUND_ROBIN = "weighted_round_robin"
     TDMA = "tdma"
+
+
+#: Integer fields of :class:`PlatformConfig` and the lowest value of each.
+_LOWEST = (
+    ("num_pes", 1), ("num_memories", 1), ("memory_capacity_bytes", 1),
+    ("clock_period", 1), ("arbitration_cycles", 0), ("idle_tick_work", 0),
+    ("pe_tick_work", 0), ("memory_base_address", 0),
+    ("memory_window_stride", 1), ("device_base_address", 0),
+    ("device_window_stride", 1), ("partitions", 1), ("pdes_epoch_cycles", 1),
+)
+#: Model and layer-object fields of :class:`PlatformConfig` and their types.
+_TYPES = (
+    ("memory_kind", MemoryKind), ("interconnect", InterconnectKind),
+    ("arbitration", ArbitrationKind), ("noc", NocConfig),
+    ("wrapper_delays", WrapperDelays), ("modeled_latency", LatencyModel),
+    ("endianness", Endianness), ("cost_model", CostModel),
+    ("cache", CacheConfig), ("check", CheckConfig), ("obs", ObsConfig),
+    ("name", str),
+)
+#: The fields of either table that may also be ``None``.
+_OPTIONAL = frozenset({"memory_capacity_bytes", "pdes_epoch_cycles", "noc",
+                       "cache", "check", "obs"})
 
 
 @dataclass
@@ -165,36 +187,25 @@ class PlatformConfig:
     name: str = "mpsoc"
 
     def __post_init__(self) -> None:
-        if self.num_pes <= 0:
-            raise ValueError("a platform needs at least one processing element")
-        if self.num_memories <= 0:
-            raise ValueError("a platform needs at least one shared memory")
-        if self.clock_period <= 0:
-            raise ValueError("clock period must be positive")
-        if self.idle_tick_work < 0:
-            raise ValueError("idle tick work must be >= 0")
-        if self.pe_tick_work < 0:
-            raise ValueError("PE tick work must be >= 0")
-        if self.cache is not None and not isinstance(self.cache, CacheConfig):
-            raise ValueError(
-                f"cache must be a CacheConfig or None, got "
-                f"{type(self.cache).__name__}"
-            )
-        if self.check is not None and not isinstance(self.check, CheckConfig):
-            raise ValueError(
-                f"check must be a CheckConfig or None, got "
-                f"{type(self.check).__name__}"
-            )
-        if self.obs is not None and not isinstance(self.obs, ObsConfig):
-            raise ValueError(
-                f"obs must be an ObsConfig or None, got "
-                f"{type(self.obs).__name__}"
-            )
-        if self.noc is not None and not isinstance(self.noc, NocConfig):
-            raise ValueError(
-                f"noc must be a NocConfig or None, got "
-                f"{type(self.noc).__name__}"
-            )
+        for name, lowest in _LOWEST:
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL:
+                continue
+            if (not isinstance(value, int) or isinstance(value, bool)
+                    or value < lowest):
+                raise ValueError(
+                    f"{name} must be an integer >= {lowest}, got {value!r}")
+        for name, kind in _TYPES:
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL:
+                continue
+            if not isinstance(value, kind):
+                raise ValueError(
+                    f"{name} must be a {kind.__name__}"
+                    f"{' or None' if name in _OPTIONAL else ''}, "
+                    f"got {type(value).__name__}")
+        if not self.name:
+            raise ValueError("name must be a non-empty string")
         for name in ("arbitration_weights", "arbitration_priority",
                      "arbitration_schedule"):
             value = getattr(self, name)
@@ -210,12 +221,6 @@ class PlatformConfig:
                 weight < 1 for weight in self.arbitration_weights):
             raise ValueError("arbitration weights must be >= 1")
         self.devices = tuple(self.devices)
-        for device in self.devices:
-            if not isinstance(device, DEVICE_CONFIG_TYPES):
-                raise ValueError(
-                    f"devices entries must be repro.dev config objects, got "
-                    f"{type(device).__name__}"
-                )
         if self.devices:
             memories_end = (self.memory_base_address
                             + self.num_memories * self.memory_window_stride)
@@ -226,10 +231,9 @@ class PlatformConfig:
                 )
             # Validates line assignments / names / counts eagerly.
             self.device_layout()
-        if self.partitions < 1 or self.partitions & (self.partitions - 1):
-            raise ValueError("partitions must be a power of two >= 1")
-        if self.pdes_epoch_cycles is not None and self.pdes_epoch_cycles < 1:
-            raise ValueError("pdes_epoch_cycles must be >= 1 (or None)")
+        if self.partitions & (self.partitions - 1):
+            raise ValueError(
+                f"partitions must be a power of two, got {self.partitions}")
         if self.partitions > 1:
             if self.interconnect is not InterconnectKind.MESH:
                 raise ValueError(

@@ -10,9 +10,26 @@ paper's Section 4 does.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
+
+#: Host-time keys: the only entries of :meth:`SimulationReport.as_dict`, at
+#: any depth, that may differ between two runs of the same simulation.
+HOST_TIME_KEYS = frozenset({"wallclock_seconds", "simulation_speed",
+                            "host_seconds", "sync_wait_seconds",
+                            "host_profile"})
+
+
+def _without_host_time(value: object) -> object:
+    if isinstance(value, dict):
+        return {key: _without_host_time(item) for key, item in value.items()
+                if key not in HOST_TIME_KEYS}
+    if isinstance(value, list):
+        return [_without_host_time(item) for item in value]
+    return value
 
 
 @dataclass
@@ -212,6 +229,16 @@ class SimulationReport:
             data["pdes"] = self.pdes
         return data
 
+    def observables(self) -> dict:
+        """:meth:`as_dict` without :data:`HOST_TIME_KEYS`: what two runs of
+        the same simulation must agree on exactly."""
+        return _without_host_time(self.as_dict())
+
+    def observables_sha256(self) -> str:
+        """SHA-256 of :meth:`observables` as canonical JSON."""
+        text = json.dumps(self.observables(), sort_keys=True, default=str)
+        return hashlib.sha256(text.encode()).hexdigest()
+
 
 def speed_degradation(reference: SimulationReport, other: SimulationReport) -> float:
     """Relative simulation-speed degradation of ``other`` vs. ``reference``.
@@ -223,32 +250,6 @@ def speed_degradation(reference: SimulationReport, other: SimulationReport) -> f
     if reference.simulation_speed <= 0:
         return 0.0
     return 1.0 - (other.simulation_speed / reference.simulation_speed)
-
-
-def wallclock_overhead(reference: SimulationReport, other: SimulationReport) -> float:
-    """Relative wall-clock increase of ``other`` vs. ``reference`` (same workload)."""
-    if reference.wallclock_seconds <= 0:
-        return 0.0
-    return other.wallclock_seconds / reference.wallclock_seconds - 1.0
-
-
-@dataclass
-class SweepPoint:
-    """One configuration point of a parameter sweep."""
-
-    label: str
-    parameters: Dict[str, object]
-    report: SimulationReport
-
-    def row(self) -> Dict[str, object]:
-        """Flat row used by the bench table printers."""
-        row: Dict[str, object] = {"label": self.label}
-        row.update(self.parameters)
-        row["simulated_cycles"] = self.report.simulated_cycles
-        row["wallclock_seconds"] = round(self.report.wallclock_seconds, 4)
-        speed = self.report.simulation_speed_or_none
-        row["simulation_speed"] = None if speed is None else round(speed, 1)
-        return row
 
 
 def format_table(rows: List[Dict[str, object]], columns: Optional[List[str]] = None

@@ -65,9 +65,9 @@ class TestBuilderHappyPath:
         assert config.memory_base_address == 0
         assert config.memory_window_stride == 0x1_0000
         with pytest.raises(BuilderError):
-            PlatformBuilder().address_map(-1, 0x1_0000)
+            PlatformBuilder().address_map(-1, 0x1_0000).build()
         with pytest.raises(BuilderError):
-            PlatformBuilder().address_map(0, 0)
+            PlatformBuilder().address_map(0, 0).build()
 
     def test_build_platform(self):
         platform = PlatformBuilder().pes(2).wrapper_memories(2).build_platform()
@@ -131,7 +131,7 @@ class TestArbitrationStaging:
         with pytest.raises(BuilderError, match="unknown arbitration"):
             PlatformBuilder().arbitration("lottery")
         with pytest.raises(BuilderError, match="ArbitrationKind"):
-            PlatformBuilder().arbitration(3)
+            PlatformBuilder().arbitration(3).build()
         with pytest.raises(BuilderError, match="not be empty"):
             PlatformBuilder().arbitration("weighted", weights={})
         with pytest.raises(BuilderError, match="weights must be >= 1"):
@@ -150,11 +150,11 @@ class TestBuilderValidation:
     @pytest.mark.parametrize("count", [0, -1, 1.5, True])
     def test_bad_pe_count(self, count):
         with pytest.raises(BuilderError):
-            PlatformBuilder().pes(count)
+            PlatformBuilder().pes(count).build()
 
     def test_bad_memory_count(self):
         with pytest.raises(BuilderError):
-            PlatformBuilder().wrapper_memories(0)
+            PlatformBuilder().wrapper_memories(0).build()
 
     def test_unknown_memory_kind(self):
         with pytest.raises(BuilderError, match="unknown memory kind"):
@@ -177,12 +177,12 @@ class TestBuilderValidation:
             PlatformBuilder().endianness("middle")
 
     def test_replace_unknown_field(self):
-        with pytest.raises(BuilderError, match="unknown PlatformConfig field"):
-            PlatformBuilder().replace(num_cores=4)
+        with pytest.raises(BuilderError, match="unexpected keyword argument"):
+            PlatformBuilder().replace(num_cores=4).build()
 
     def test_negative_cycle_work(self):
         with pytest.raises(BuilderError):
-            PlatformBuilder().cycle_driven(memory_work=-1)
+            PlatformBuilder().cycle_driven(memory_work=-1).build()
 
     def test_build_surfaces_config_invariants(self):
         # PlatformConfig's own validation is re-raised as BuilderError.
@@ -191,4 +191,64 @@ class TestBuilderValidation:
 
     def test_empty_name(self):
         with pytest.raises(BuilderError):
-            PlatformBuilder().named("")
+            PlatformBuilder().named("").build()
+
+
+#: Inputs the builder must reject, at least one per rule.  Unknown names,
+#: loop counts and layer configs raise while staging; every other bad
+#: value raises from build().
+REJECTED = {
+    "from_config": lambda b: PlatformBuilder.from_config("mpsoc"),
+    "pes(0)": lambda b: b.pes(0),
+    "pes(1.5)": lambda b: b.pes(1.5),
+    "pes(True)": lambda b: b.pes(True),
+    "memories(0)": lambda b: b.wrapper_memories(0),
+    "memory kind": lambda b: b.memories(1, "quantum"),
+    "capacity(0)": lambda b: b.capacity(0),
+    "capacity(1.5)": lambda b: b.capacity(1.5),
+    "partitions(0)": lambda b: b.partitions(0),
+    "partitions(6)": lambda b: b.mesh().partitions(6),
+    "epoch_cycles(0)": lambda b: b.mesh().partitions(2, epoch_cycles=0),
+    "arbitration name": lambda b: b.arbitration("lottery"),
+    "arbitration type": lambda b: b.arbitration(3),
+    "shared_bus arbitration": lambda b: b.shared_bus(arbitration="coin_flip"),
+    "empty weights": lambda b: b.arbitration("weighted", weights={}),
+    "weight key": lambda b: b.arbitration("weighted", weights={"0": 5}),
+    "weight id": lambda b: b.arbitration("weighted", weights={-1: 9}),
+    "weight value": lambda b: b.arbitration("weighted", weights=(0,)),
+    "mesh": lambda b: b.mesh(flit_bytes=0),
+    "write policy": lambda b: b.l1_cache(policy="write_sometimes"),
+    "cache geometry": lambda b: b.l1_cache(sets=0),
+    "sanitizer": lambda b: b.sanitize(max_reports=0),
+    "trace categories": lambda b: b.trace(categories=["nope"]),
+    "trace max_events": lambda b: b.trace(max_events=0),
+    "metrics(0)": lambda b: b.metrics(0),
+    "trace().metrics(0)": lambda b: b.trace().metrics(0),
+    "metrics(1.5)": lambda b: b.trace().metrics(1.5),
+    "two controllers": lambda b: b.irq_controller().irq_controller(),
+    "controller lines": lambda b: b.irq_controller(lines=33),
+    "dma(0)": lambda b: b.dma(0),
+    "dma burst": lambda b: b.dma(1, burst_words=0),
+    "dma count with line": lambda b: b.dma(2, irq_line=3),
+    "timer(0)": lambda b: b.timer(compare_cycles=0),
+    "timer(1.5)": lambda b: b.timer(compare_cycles=1.5),
+    "clock_period(0)": lambda b: b.clock_period(0),
+    "memory_work": lambda b: b.cycle_driven(memory_work=-1),
+    "pe_work": lambda b: b.cycle_driven(pe_work=-1),
+    "delay preset": lambda b: b.delays("hbm"),
+    "delays type": lambda b: b.delays(42),
+    "endianness": lambda b: b.endianness("middle"),
+    "cost model": lambda b: b.cost_model("cray"),
+    "address base": lambda b: b.address_map(-1, 0x1_0000),
+    "address stride": lambda b: b.address_map(0, 0),
+    "empty name": lambda b: b.named(""),
+    "name type": lambda b: b.named(5),
+    "unknown field": lambda b: b.replace(num_cores=4),
+    "config invariant": lambda b: b.replace(idle_tick_work=-5),
+}
+
+
+@pytest.mark.parametrize("stage", REJECTED.values(), ids=REJECTED.keys())
+def test_rejected_by_build_at_the_latest(stage):
+    with pytest.raises(BuilderError):
+        stage(PlatformBuilder()).build()

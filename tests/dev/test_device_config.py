@@ -72,7 +72,7 @@ class TestBuilderSurface:
 
     def test_duplicate_controller_rejected(self):
         with pytest.raises(BuilderError):
-            PlatformBuilder().irq_controller().irq_controller()
+            PlatformBuilder().irq_controller().irq_controller().build()
 
     def test_no_devices_resets(self):
         config = (PlatformBuilder().pes(1).wrapper_memories(1)

@@ -20,3 +20,20 @@ def test_host_profile_buckets_land_in_obs_summary():
     # out of the deterministic trace event stream.
     assert all(event.cat != "hostprof"
                for event in result.platform.obs.trace.events)
+
+
+def test_host_profiled_runs_compare_equal_by_observables():
+    config = (PlatformBuilder().pes(2).wrapper_memories(1)
+              .trace(host_profile=True).build())
+
+    def run():
+        result = run_scenario(Scenario(
+            name="hp", config=config, workload="producer_consumer",
+            params={"num_items": 8, "seed": 3}, seed=3))
+        return result.raise_for_status().report
+
+    first, second = run(), run()
+    assert first.obs_summary["host_profile"]
+    assert "host_profile" not in first.observables()["obs_summary"]
+    assert first.observables() == second.observables()
+    assert first.observables_sha256() == second.observables_sha256()

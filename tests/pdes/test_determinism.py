@@ -45,21 +45,6 @@ def run(partitions, **kwargs):
     return result.report
 
 
-#: Host-time fields — the only legitimately nondeterministic ones.
-_HOST_TIME_KEYS = ("wallclock_seconds", "host_seconds", "simulation_speed",
-                   "sync_wait_seconds")
-
-
-def strip_wallclock(value):
-    """Recursively drop host-time fields (the only nondeterministic ones)."""
-    if isinstance(value, dict):
-        return {key: strip_wallclock(item) for key, item in value.items()
-                if key not in _HOST_TIME_KEYS}
-    if isinstance(value, list):
-        return [strip_wallclock(item) for item in value]
-    return value
-
-
 @pytest.fixture(scope="module")
 def sequential():
     return run(1, **CUT_FREE)
@@ -136,8 +121,7 @@ def test_cross_partition_run_to_run_identity(partitions):
                   pe_nodes=(0, 2, 8, 10), memory_nodes=(15,))
     first = run(partitions, **kwargs)
     second = run(partitions, **kwargs)
-    assert strip_wallclock(first.as_dict()) == strip_wallclock(
-        second.as_dict())
+    assert first.observables() == second.observables()
 
 
 def test_inprocess_mode_matches_process_mode():
@@ -147,8 +131,8 @@ def test_inprocess_mode_matches_process_mode():
     across = run_partitioned(sc, mode="process")
     assert in_process.pdes["mode"] == "inprocess"
     assert across.pdes["mode"] == "process"
-    first = strip_wallclock(in_process.as_dict())
-    second = strip_wallclock(across.as_dict())
+    first = in_process.observables()
+    second = across.observables()
     first["pdes"].pop("mode")
     second["pdes"].pop("mode")
     assert first == second

@@ -17,8 +17,6 @@ from repro.api import PlatformBuilder, Scenario
 from repro.pdes import run_partitioned
 from repro.pdes.coordinator import _worker_rounds
 
-from test_determinism import strip_wallclock
-
 DEADLINE_S = 60.0
 
 
@@ -118,8 +116,7 @@ def test_far_corner_fir_across_four_workers_equals_inprocess():
     assert multiprocessing.active_children() == []
     assert across.pdes["boundary_messages"] > 1_000
     assert across.pdes["rounds"] == local.pdes["rounds"] > 100
-    first, second = (strip_wallclock(report.as_dict())
-                     for report in (across, local))
+    first, second = (report.observables() for report in (across, local))
     assert first["pdes"].pop("mode") == "process"
     assert second["pdes"].pop("mode") == "inprocess"
     assert first == second

@@ -81,7 +81,7 @@ def test_partition_count_must_be_power_of_two():
     with pytest.raises(ValueError, match="power of two"):
         dataclasses.replace(mesh_config(4, 4, 2), partitions=3)
     with pytest.raises(BuilderError, match="power of two"):
-        PlatformBuilder().partitions(6)
+        PlatformBuilder().partitions(6).build()
 
 
 def test_unsupported_features_are_rejected_eagerly():

@@ -11,21 +11,9 @@ import time
 
 from repro.api import PlatformBuilder, Scenario, run_scenario
 
-_HOST_TIMING_KEYS = ("wallclock_seconds", "simulation_speed", "host_seconds",
-                     "sync_wait_seconds")
-
 #: Generous ceiling for the A/B smoke: both arms run the identical code
 #: path, so even a loaded host stays far under this.
 MAX_OVERHEAD_RATIO = 1.5
-
-
-def _scrub_timing(value):
-    if isinstance(value, dict):
-        return {k: _scrub_timing(v) for k, v in value.items()
-                if k not in _HOST_TIMING_KEYS}
-    if isinstance(value, list):
-        return [_scrub_timing(item) for item in value]
-    return value
 
 
 def _scenario(config):
@@ -47,8 +35,7 @@ def test_partitions_1_report_is_identical_to_unpartitioned():
     assert plain.error is None and tagged.error is None
     assert tagged.report.pdes is None
     assert "pdes" not in tagged.report.as_dict()
-    assert (_scrub_timing(plain.report.as_dict())
-            == _scrub_timing(tagged.report.as_dict()))
+    assert plain.report.observables() == tagged.report.observables()
     assert base.describe() == explicit.describe()
 
 

@@ -1,5 +1,7 @@
 """Tests for platform configuration and the reporting/statistics helpers."""
 
+import dataclasses
+
 import pytest
 
 from repro.soc import (
@@ -8,10 +10,8 @@ from repro.soc import (
     MemoryKind,
     PlatformConfig,
     SimulationReport,
-    SweepPoint,
     format_table,
     speed_degradation,
-    wallclock_overhead,
 )
 
 
@@ -46,6 +46,22 @@ class TestPlatformConfig:
             PlatformConfig(clock_period=0)
         with pytest.raises(ValueError):
             PlatformConfig(idle_tick_work=-1)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("num_pes", 1.5), ("num_pes", True), ("memory_window_stride", 0),
+        ("memory_base_address", -1), ("memory_capacity_bytes", -5),
+        ("name", ""), ("arbitration_cycles", -3), ("wrapper_delays", "sdram"),
+    ])
+    def test_replace_checks_each_field(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(PlatformConfig(), **{field: bad})
+
+    def test_grid_points_are_checked(self):
+        from repro.api import scenario_grid
+
+        with pytest.raises(ValueError, match="num_pes"):
+            scenario_grid("g", PlatformConfig(), "fir",
+                          config_grid={"num_pes": [True]})
 
     def test_memory_base_addresses_are_disjoint_windows(self):
         config = PlatformConfig(num_memories=4)
@@ -89,20 +105,8 @@ class TestSimulationReport:
         faster = make_report(cycles=1000, wall=0.5)
         assert speed_degradation(fast, faster) < 0
 
-    def test_wallclock_overhead(self):
-        base = make_report(wall=1.0)
-        heavier = make_report(wall=1.3)
-        assert wallclock_overhead(base, heavier) == pytest.approx(0.3)
-
 
 class TestSweepAndTable:
-    def test_sweep_point_row(self):
-        point = SweepPoint("4pe", {"pes": 4}, make_report())
-        row = point.row()
-        assert row["label"] == "4pe"
-        assert row["pes"] == 4
-        assert "simulation_speed" in row
-
     def test_format_table_alignment(self):
         rows = [{"a": 1, "bb": "x"}, {"a": 22, "bb": "yyy"}]
         text = format_table(rows)

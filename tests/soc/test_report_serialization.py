@@ -8,7 +8,7 @@ token.  It must serialise as ``None`` instead.
 
 import json
 
-from repro.soc import SimulationReport, SweepPoint
+from repro.soc import SimulationReport
 
 
 def make_report(wall):
@@ -39,12 +39,6 @@ class TestSimulationSpeedClamping:
         assert report.simulation_speed == 2000.0
         assert report.simulation_speed_or_none == 2000.0
         assert report.as_dict()["simulation_speed"] == 2000.0
-
-    def test_sweep_point_row_clamps_too(self):
-        point = SweepPoint(label="p", parameters={}, report=make_report(0.0))
-        row = point.row()
-        assert row["simulation_speed"] is None
-        json.dumps(row, allow_nan=False)
 
     def test_scenario_result_row_clamps_too(self):
         from repro.api.scenario import ScenarioResult

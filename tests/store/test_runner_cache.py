@@ -36,19 +36,6 @@ def _terminal_counts(events):
                    if e.kind in ("cache_hit", "finished", "failed", "timeout"))
 
 
-_HOST_TIMING_KEYS = ("wallclock_seconds", "simulation_speed", "host_seconds")
-
-
-def _scrub_timing(value):
-    """Drop host-clock measurements; everything else must be deterministic."""
-    if isinstance(value, dict):
-        return {k: _scrub_timing(v) for k, v in value.items()
-                if k not in _HOST_TIMING_KEYS}
-    if isinstance(value, list):
-        return [_scrub_timing(item) for item in value]
-    return value
-
-
 class TestCachedRuns:
     def test_warm_rerun_is_all_hits_and_byte_identical(self, tmp_path):
         store = ResultStore(str(tmp_path / "s.sqlite"))
@@ -77,8 +64,7 @@ class TestCachedRuns:
         sharded = ExperimentRunner(
             _grid(), shards=2, store=str(tmp_path / "b.sqlite")).run()
         for a, b in zip(serial, sharded):
-            assert (_scrub_timing(a.report.as_dict())
-                    == _scrub_timing(b.report.as_dict()))
+            assert a.report.observables() == b.report.observables()
             assert a.cache_key == b.cache_key
 
     def test_partial_store_runs_only_missing(self, tmp_path):
