@@ -111,19 +111,19 @@ class SharedBus(Fabric):
             # Address phase / arbitration overhead.
             for _ in range(self.arbitration_cycles):
                 yield self.period
-            response, slave_cycles = yield from self._serve_request(request)
+            # Data phase, inline: a busy cycle resumes three frames.
+            try:
+                slave, offset, _region = self.address_map.decode(request.address)
+            except AddressDecodeError:
+                # The bus channel is held for the error cycle, unlike the
+                # concurrent topologies' immediate-completion decode path —
+                # a misdecoded address still occupied the shared channel.
+                yield self.period
+                self.stats.decode_errors += 1
+                response, slave_cycles = decode_error_response(), 1
+            else:
+                response, slave_cycles = yield from self._drive_slave(
+                    slave, request, offset)
             response.slave_cycles = slave_cycles
             response.total_cycles = slave_cycles + self.arbitration_cycles
             self._finish(port, request, response)
-
-    def _serve_request(self, request: BusRequest):
-        try:
-            slave, offset, _region = self.address_map.decode(request.address)
-        except AddressDecodeError:
-            # The bus channel is held for the error cycle, unlike the
-            # concurrent topologies' immediate-completion decode path —
-            # a misdecoded address still occupied the shared channel.
-            yield self.period
-            self.stats.decode_errors += 1
-            return decode_error_response(), 1
-        return (yield from self._drive_slave(slave, request, offset))

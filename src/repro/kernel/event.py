@@ -94,16 +94,6 @@ class Event:
         if process not in self._static_sensitive:
             self._static_sensitive.append(process)
 
-    def remove_static_sensitivity(self, process: "Process") -> None:
-        """Remove a previously registered static sensitivity (no-op if absent)."""
-        try:
-            index = self._static_sensitive.index(process)
-        except ValueError:
-            return
-        last = self._static_sensitive.pop()
-        if last is not process:
-            self._static_sensitive[index] = last
-
     def _add_waiter(self, process: "Process") -> None:
         waiters = self._waiters
         waiters.append((process, process._wait_token))

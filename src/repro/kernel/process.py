@@ -154,7 +154,6 @@ class Process:
         "_terminated",
         "_wait_token",
         "_runnable_gen",
-        "activation_count",
     )
 
     #: Marker used by the scheduler to discriminate timed-queue payloads
@@ -179,8 +178,6 @@ class Process:
         self._wait_token = 0
         #: Generation stamp used by the scheduler's runnable dedup.
         self._runnable_gen = 0
-        #: Number of times the process has been activated (useful in tests).
-        self.activation_count = 0
 
     # -- properties -------------------------------------------------------
     @property
@@ -221,7 +218,6 @@ class Process:
         """
         if self._terminated:
             return None
-        self.activation_count += 1
         # Waking invalidates every outstanding event registration at once.
         self._wait_token += 1
         generator = self._generator

@@ -40,6 +40,12 @@ Scheduler fast paths (semantics-preserving; see ``tests/perf``):
 * **Epoch-checked queue entries** — stale (cancelled or overridden) timed
   and delta entries are skipped by comparing the entry's scheduling epoch
   with the event's current one (see :mod:`repro.kernel.event`).
+* **Lone-timer run-ahead** — when the delta cycle ran one process, it
+  yielded an exact ``int`` > 0 without ``stop()``, nothing else is queued,
+  the heap's head (valid or stale) lies strictly after the wake time and
+  that time is within the deadline, the timed phase would pop this
+  process's own entry next: ``now`` advances, the four counters move as
+  that phase would move them, and the generator resumes in place.
 """
 
 from __future__ import annotations
@@ -130,11 +136,6 @@ class Simulator:
             raise SchedulerError("cannot add modules after elaboration")
         self._tops.append(module)
 
-    @property
-    def top_modules(self) -> List[Module]:
-        """The registered top-level modules."""
-        return list(self._tops)
-
     def elaborate(self) -> None:
         """Bind every module's events and processes to this simulator."""
         if self._elaborated:
@@ -200,22 +201,16 @@ class Simulator:
                 runnable.append(process)
 
     # -- wait-request handling ---------------------------------------------------
-    def _wait_timed(self, process: Process, duration: int) -> None:
-        """Timer fast path: the process is its own (reusable) timer.
-
-        The entry carries the process's current wait token; if the process
-        is woken early (e.g. through a static sensitivity), the token moves
-        on and the stale timer entry is skipped when it pops.
-        """
-        self._timed_events.push(self.now + duration, process, process._wait_token)
-
     def _apply_wait(self, process: Process, request: Yieldable) -> None:
-        """Translate a yielded wait request (slow path: not an exact int/Event)."""
+        """Translate a yielded wait request (slow path: not an exact int/Event).
+
+        A timed wait pushes the process as its own timer under its token."""
         if isinstance(request, WaitTime):
             if request.duration == 0:
                 self._delta_queue.append(process)
             else:
-                self._wait_timed(process, request.duration)
+                self._timed_events.push(self.now + request.duration, process,
+                                        process._wait_token)
         elif isinstance(request, WaitDelta):
             self._delta_queue.append(process)
         elif isinstance(request, WaitEvent):
@@ -232,7 +227,8 @@ class Simulator:
             # Rare non-exact int subclasses (e.g. IntEnum); bools excluded
             # from the fast path land here too.
             if request > 0:
-                self._wait_timed(process, int(request))
+                self._timed_events.push(self.now + int(request), process,
+                                        process._wait_token)
             elif request == 0:
                 self._delta_queue.append(process)
             else:
@@ -286,7 +282,9 @@ class Simulator:
         # per event-driven wake; timer fast-path wakes resume the same
         # process and carry no cross-process edge, so they skip it.
         sync = self.probes.sync
-        n_deltas = n_steps = n_activations = n_fired = 0
+        # A run-ahead step counts one delta cycle, timed step and fired
+        # timer (its activation is counted where the process resumes).
+        n_deltas = n_steps = n_activations = n_fired = n_ahead = 0
         clean_exit = False
         try:
             while True:
@@ -340,52 +338,67 @@ class Simulator:
                     for process in processes:
                         if process._terminated:
                             continue
-                        n_activations += 1
                         self._current_process = process
-                        generator = process._generator
-                        if generator is not None:
-                            # Running thread process: resume the generator
-                            # directly (equivalent to ``process.run()``).
-                            process.activation_count += 1
-                            process._wait_token += 1
-                            try:
-                                request = next(generator)
-                            except StopIteration:
-                                process._terminated = True
-                                request = None
-                            except Exception as exc:
-                                process._terminated = True
-                                raise ProcessError(
-                                    f"process {process.name!r} raised {exc!r}"
-                                ) from exc
-                        else:
-                            # First activation or method process.
-                            request = process.run()
-                        if self._stop_requested:
-                            return stats
-                        if request.__class__ is int:
-                            # Timer fast path: the dominant yield of clock-
-                            # and task-driven models.  The process doubles as
-                            # its own reusable timer entry.
-                            if request > 0:
-                                push(heap, (now + request, next(counter),
-                                            process, process._wait_token))
-                            elif request == 0:
-                                delta_queue.append(process)
+                        while True:  # re-entered only by the run-ahead below
+                            n_activations += 1
+                            generator = process._generator
+                            if generator is not None:
+                                # Running thread process: resume the generator
+                                # directly (equivalent to ``process.run()``).
+                                process._wait_token += 1
+                                try:
+                                    request = next(generator)
+                                except StopIteration:
+                                    process._terminated = True
+                                    request = None
+                                except Exception as exc:
+                                    process._terminated = True
+                                    raise ProcessError(
+                                        f"process {process.name!r} raised {exc!r}"
+                                    ) from exc
                             else:
-                                raise ValueError("wait duration must be >= 0")
-                        elif request.__class__ is Event:
-                            # Bare ``yield event``, the dominant wait of
-                            # event-driven models: ``_add_waiter`` inlined.
-                            request._sim = self
-                            waiters = request._waiters
-                            waiters.append((process, process._wait_token))
-                            if len(waiters) >= request._compact_at:
-                                request._compact_waiters()
-                        elif request is not None:
-                            self._apply_wait(process, request)
-                        # ``None``: generator finished or a method process
-                        # waiting for its next trigger — nothing to schedule.
+                                # First activation or method process.
+                                request = process.run()
+                            if self._stop_requested:
+                                return stats
+                            if request.__class__ is int:
+                                # Timer fast path: the dominant yield of clock-
+                                # and task-driven models.  The process doubles
+                                # as its own reusable timer entry.
+                                if request > 0:
+                                    when = now + request
+                                    if (count == 1 and not runnable
+                                            and not delta_queue
+                                            and (not heap or heap[0][0] > when)
+                                            and (deadline is None
+                                                 or when <= deadline)):
+                                        # Lone-timer run-ahead (see the
+                                        # module docstring): resume in place.
+                                        now = self.now = when
+                                        self.last_activity_time = when
+                                        n_ahead += 1
+                                        deltas_here = 1
+                                        continue
+                                    push(heap, (when, next(counter),
+                                                process, process._wait_token))
+                                elif request == 0:
+                                    delta_queue.append(process)
+                                else:
+                                    raise ValueError(
+                                        "wait duration must be >= 0")
+                            elif request.__class__ is Event:
+                                # Bare ``yield event``, the dominant wait of
+                                # event-driven models: ``_add_waiter`` inlined.
+                                request._sim = self
+                                waiters = request._waiters
+                                waiters.append((process, process._wait_token))
+                                if len(waiters) >= request._compact_at:
+                                    request._compact_waiters()
+                            elif request is not None:
+                                self._apply_wait(process, request)
+                            # ``None``: generator finished or a method
+                            # process awaits its trigger: nothing to schedule.
+                            break
                 # -- timed notification phase ----------------------------------
                 if self._stop_requested or not heap:
                     break
@@ -418,10 +431,10 @@ class Simulator:
             clean_exit = True
         finally:
             self._running = False
-            stats.delta_cycles += n_deltas
-            stats.timed_steps += n_steps
+            stats.delta_cycles += n_deltas + n_ahead
+            stats.timed_steps += n_steps + n_ahead
             stats.process_activations += n_activations
-            stats.events_fired += n_fired
+            stats.events_fired += n_fired + n_ahead
             stats.wallclock_seconds += _wallclock.perf_counter() - start_wall
             if (clean_exit and deadline is not None
                     and not self._stop_requested and self.now < deadline):

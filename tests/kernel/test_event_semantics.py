@@ -479,7 +479,7 @@ class TestImmediateNotify:
         sim = build(builder)
         sim.run()
         assert builder.one_shot.terminated
-        assert builder.one_shot.activation_count == 2
+        assert sim.stats.process_activations == 4
 
     def test_sync_probe_sees_one_notify_then_the_wakes_in_order(self):
         calls = []
