@@ -5,8 +5,8 @@ memory module at a time, without a full platform around it.  These helpers
 replace the per-bench copies of the command-driving loop:
 
 * :func:`drive` feeds one packed command (or raw bus request) to a memory
-  module's ``serve`` generator and reports the response, the simulated
-  slave cycles it took, and the host time spent serving it;
+  module's ``serve`` call and reports the response, the simulated slave
+  cycles it took, and the host time spent serving it;
 * :func:`single_memory_testbench` assembles the minimal bus + one-memory
   fabric used by instruction-accurate (ISS) experiments.
 """
@@ -33,7 +33,7 @@ class DriveResult:
     response: object
     #: Simulated slave cycles observed while serving the command.
     cycles: int
-    #: Host seconds spent inside the ``serve`` generator.
+    #: Host seconds spent inside the ``serve`` call.
     host_seconds: float
 
     @property
@@ -48,25 +48,16 @@ def drive(memory, command: Union[MemCommand, BusRequest], *,
 
     ``command`` is either a high-level :class:`MemCommand` (packed into a
     register-window write, as the wrapper API does) or a pre-built
-    :class:`BusRequest` (e.g. an I/O-array burst).  The cycle count follows
-    the slave handshake: one cycle per ``yield`` plus the completing cycle.
+    :class:`BusRequest` (e.g. an I/O-array burst).  The cycle count is the
+    one ``serve`` returns.
     """
     if isinstance(command, MemCommand):
         request = BusRequest(master_id, BusOp.WRITE, 0,
                              burst_data=command.to_words())
     else:
         request = command
-    generator = memory.serve(request, offset)
-    cycles = 0
     with PerfTimer() as timer:
-        while True:
-            try:
-                next(generator)
-                cycles += 1
-            except StopIteration as stop:
-                cycles += 1
-                response = stop.value
-                break
+        response, cycles = memory.serve(request, offset)
     return DriveResult(
         response=response,
         cycles=cycles,

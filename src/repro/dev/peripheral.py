@@ -12,14 +12,16 @@ behaviour through two side-effect hooks:
   transfer, a write-one-to-clear acknowledge register).
 
 Scalar and burst transactions both decode into per-word hook calls, so a
-driver can program a whole channel with one burst write.  Accesses outside
+driver can program a whole channel with one burst write.  Every hook of a
+burst runs when ``serve`` is called, at the first cycle of its window (one
+cycle per word); the transfer completes when the window ends.  Accesses outside
 the register file or misaligned answer ``SLAVE_ERROR`` without raising —
 devices must never crash the simulation on a bad software access.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..fabric import BusOp, BusRequest, BusResponse, BusSlave, ResponseStatus
 from ..fabric.transaction import WORD_SIZE
@@ -37,15 +39,11 @@ class RegisterFilePeripheral(Module, BusSlave):
         name: str,
         num_regs: int,
         parent: Optional[Module] = None,
-        access_cycles: int = 1,
     ) -> None:
         Module.__init__(self, name, parent)
         if num_regs < 1:
             raise ValueError("a register file needs at least one register")
-        if access_cycles < 1:
-            raise ValueError("access cycles must be >= 1")
         self._regs: List[int] = [0] * num_regs
-        self.access_cycles = access_cycles
         #: Words read / written over the bus (reports).
         self.reg_reads = 0
         self.reg_writes = 0
@@ -80,34 +78,32 @@ class RegisterFilePeripheral(Module, BusSlave):
         self._regs[index] = value & 0xFFFFFFFF
 
     # -- BusSlave protocol ------------------------------------------------------------
-    def latency(self, request: BusRequest) -> int:
-        return max(1, request.word_count) * self.access_cycles
-
-    def access(self, request: BusRequest, offset: int) -> BusResponse:
+    def serve(self, request: BusRequest, offset: int
+              ) -> Tuple[BusResponse, int]:
+        count = max(1, request.word_count)
         if offset % WORD_SIZE or request.size != WORD_SIZE:
             self.access_errors += 1
-            return BusResponse(status=ResponseStatus.SLAVE_ERROR)
+            return BusResponse(status=ResponseStatus.SLAVE_ERROR), count
         index = offset // WORD_SIZE
-        count = max(1, request.word_count)
         if index + count > len(self._regs):
             self.access_errors += 1
-            return BusResponse(status=ResponseStatus.SLAVE_ERROR)
+            return BusResponse(status=ResponseStatus.SLAVE_ERROR), count
         if request.op is BusOp.WRITE:
             words = (request.burst_data if request.burst_data is not None
                      else [request.data])
             for position, word in enumerate(words):
                 self.on_write(index + position, word & 0xFFFFFFFF)
             self.reg_writes += len(words)
-            return BusResponse()
+            return BusResponse(), count
         if request.burst_length:
             values = [self.on_read(index + position,
                                    self._regs[index + position]) & 0xFFFFFFFF
                       for position in range(request.burst_length)]
             self.reg_reads += len(values)
-            return BusResponse(burst_data=values)
+            return BusResponse(burst_data=values), count
         self.reg_reads += 1
-        return BusResponse(data=self.on_read(index, self._regs[index])
-                           & 0xFFFFFFFF)
+        return (BusResponse(data=self.on_read(index, self._regs[index])
+                            & 0xFFFFFFFF), count)
 
     # -- reporting ---------------------------------------------------------------------
     def report(self) -> dict:

@@ -17,9 +17,11 @@ common, so a topology only implements transport timing:
 * uniform :class:`~repro.fabric.stats.BusStats` accounting plus a
   per-transaction latency sample, emitted by :meth:`interconnect_stats`
   with the same ``percentile_summary`` columns for every topology;
+* the one call into a slave, :meth:`_serve` (the topology then holds its
+  channel for the returned cycles);
 * per-slave traffic columns for the slaves registered with
   :meth:`monitor`: the slave cycles of every transfer they serve, recorded
-  where :meth:`_drive_slave` already counts them;
+  by :meth:`_serve`;
 * arbitration-policy creation from one :class:`ArbitrationSpec`, so every
   arbitration point of a topology (single bus channel, per-slave crossbar
   channels, mesh slave servers) applies the same pluggable policy.
@@ -247,27 +249,18 @@ class Fabric(Module):
         raise NotImplementedError
 
     # -- shared transfer machinery --------------------------------------------------
-    def _drive_slave(self, slave: BusSlave, request: BusRequest, offset: int):
-        """Advance ``slave.serve`` one interconnect cycle per ``yield``.
+    def _serve(self, slave: BusSlave, request: BusRequest,
+               offset: int) -> Tuple[BusResponse, int]:
+        """Call ``slave.serve`` at the start of its service window.
 
-        Driven with ``yield from`` inside a topology's channel/server
-        process; returns ``(response, slave_cycles)`` and appends the
-        cycles to the slave's traffic column if it is monitored.
+        Returns ``(response, slave_cycles)`` and appends the cycles to the
+        slave's traffic column if it is monitored; the calling topology
+        holds its channel for those cycles.
         """
-        generator = slave.serve(request, offset)
-        cycles = 0
-        while True:
-            try:
-                next(generator)
-            except StopIteration as stop:
-                cycles += 1
-                yield self.period
-                response = stop.value if stop.value is not None else BusResponse()
-                if self._monitors and slave in self._monitors:
-                    self._monitors[slave][1][request.op].append(cycles)
-                return response, cycles
-            cycles += 1
-            yield self.period
+        response, cycles = slave.serve(request, offset)
+        if self._monitors and slave in self._monitors:
+            self._monitors[slave][1][request.op].append(cycles)
+        return response, cycles
 
     def _finish(self, port: MasterPort, request: BusRequest,
                 response: BusResponse) -> None:

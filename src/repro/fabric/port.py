@@ -3,12 +3,14 @@
 These two classes define the *one* memory-access surface of the platform:
 processing elements talk to a :class:`MasterPort`, memory modules and
 peripherals implement :class:`BusSlave` — and neither side ever sees which
-topology (shared bus, crossbar, mesh NoC) carries the transfer.
+topology (shared bus, crossbar, mesh NoC) carries the transfer.  A slave
+is one plain call, :meth:`BusSlave.serve`; the topology holds its channel
+for the cycle count the call returns.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, List, Optional
+from typing import TYPE_CHECKING, Generator, List, Optional, Tuple
 
 from ..kernel import Event
 from .transaction import BusOp, BusRequest, BusResponse
@@ -20,37 +22,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class BusSlave:
     """Base class for everything that can be mapped on the interconnect.
 
-    Slaves implement either:
-
-    * :meth:`access` and :meth:`latency` — the convenient fixed/function
-      latency flavour (static memories, peripherals); or
-    * :meth:`serve` directly — a generator the interconnect advances once per
-      clock cycle, for cycle-true models (the wrapper FSM).
+    A slave implements exactly one method, :meth:`serve`.
     """
 
-    def access(self, request: BusRequest, offset: int) -> BusResponse:
-        """Perform the access functionally and return the response."""
-        raise NotImplementedError(
-            f"{type(self).__name__} implements neither access() nor serve()"
-        )
-
-    def latency(self, request: BusRequest) -> int:
-        """Number of cycles :meth:`serve` should consume (default 1)."""
-        return 1
-
     def serve(self, request: BusRequest, offset: int
-              ) -> Generator[None, None, BusResponse]:
-        """Cycle-driven service generator.
+              ) -> Tuple[BusResponse, int]:
+        """Serve ``request`` at byte ``offset`` of the slave's window.
 
-        Each ``yield`` consumes one interconnect clock cycle; the returned
-        value is the transaction response.  The default implementation calls
-        :meth:`access` once and stretches the transfer to :meth:`latency`
-        cycles.
+        A plain call, returning the response and the number of
+        interconnect cycles the service takes (at least 1).  The slave
+        acts when it is called, which is the first cycle of that service
+        window: every side effect (a register hook, a memory update)
+        lands at the window's start, and the topology then holds the
+        channel for the returned cycles before it delivers the response.
         """
-        cycles = max(1, self.latency(request))
-        for _ in range(cycles - 1):
-            yield None
-        return self.access(request, offset)
+        raise NotImplementedError(f"{type(self).__name__} implements no serve()")
 
 
 class MasterPort:

@@ -4,9 +4,10 @@ The :class:`SharedBus` serialises transfers from several masters onto a
 single channel, as in the AMBA-style interconnects targeted by the paper's
 framework.  Timing is transaction-accurate with cycle granularity: each
 transfer occupies the bus for ``arbitration_cycles`` plus however many cycles
-the addressed slave spends serving it (slaves are driven one cycle at a
-time, so cycle-true slave models such as the dynamic shared-memory wrapper's
-FSM behave exactly as the paper describes).
+the addressed slave spends serving it: the slave acts at the first cycle of
+its window and returns the window's length (the dynamic shared-memory
+wrapper's FSM sums its per-state cycles, exactly as the paper describes),
+and the channel is held one cycle at a time for that length.
 
 Masters interact with the bus through a
 :class:`~repro.fabric.port.MasterPort`::
@@ -111,7 +112,7 @@ class SharedBus(Fabric):
             # Address phase / arbitration overhead.
             for _ in range(self.arbitration_cycles):
                 yield self.period
-            # Data phase, inline: a busy cycle resumes three frames.
+            # Data phase: the slave acts now; the bus is held for its cycles.
             try:
                 slave, offset, _region = self.address_map.decode(request.address)
             except AddressDecodeError:
@@ -122,8 +123,9 @@ class SharedBus(Fabric):
                 self.stats.decode_errors += 1
                 response, slave_cycles = decode_error_response(), 1
             else:
-                response, slave_cycles = yield from self._drive_slave(
-                    slave, request, offset)
+                response, slave_cycles = self._serve(slave, request, offset)
+                for _ in range(slave_cycles):
+                    yield self.period
             response.slave_cycles = slave_cycles
             response.total_cycles = slave_cycles + self.arbitration_cycles
             self._finish(port, request, response)

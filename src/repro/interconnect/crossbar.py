@@ -104,8 +104,9 @@ class Crossbar(Fabric):
             port, request, offset = channel.pending.pop(winner)
             for _ in range(self.arbitration_cycles):
                 yield self.period
-            response, cycles = yield from self._drive_slave(
-                channel.slave, request, offset)
+            response, cycles = self._serve(channel.slave, request, offset)
+            for _ in range(cycles):
+                yield self.period
             response.slave_cycles = cycles
             response.total_cycles = cycles + self.arbitration_cycles
             channel.busy_cycles += response.total_cycles

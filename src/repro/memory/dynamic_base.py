@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import struct
 from collections import Counter
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..fabric import BusSlave
 from ..fabric import BusOp, BusRequest, BusResponse, ResponseStatus
@@ -146,6 +146,9 @@ def to_signed(value: int, data_type: DataType) -> int:
 # The common slave base class.
 # ---------------------------------------------------------------------------
 
+#: Cycles charged for a plain register / I/O-array access.
+REGISTER_ACCESS_CYCLES = 1
+
 
 class DynamicMemorySlave(BusSlave):
     """Bus-facing front end shared by all dynamic memory modules."""
@@ -171,11 +174,6 @@ class DynamicMemorySlave(BusSlave):
         #: ``PlatformConfig.idle_tick_memories``).
         self.idle_cycles = 0
         self._staged: Dict[int, int] = {}
-        self._current_master: int = -1
-
-    def idle_tick(self) -> None:
-        """Account one idle-cycle evaluation of this memory module."""
-        self.idle_cycles += 1
 
     def account_idle_cycles(self, cycles: int) -> None:
         """Account ``cycles`` idle evaluations at once (batched bookkeeping)."""
@@ -187,12 +185,6 @@ class DynamicMemorySlave(BusSlave):
         if master_id not in self._io_arrays:
             self._io_arrays[master_id] = [0] * (IO_ARRAY_BYTES // 4)
         return self._io_arrays[master_id]
-
-    @property
-    def io_array(self) -> List[int]:
-        """The I/O array of the most recent requester (kept for tests/tools)."""
-        return self.io_array_for(self._current_master if self._current_master >= 0
-                                 else 0)
 
     # -- subclass hooks -------------------------------------------------------
     def _execute(self, command: MemCommand, io_words: List[int],
@@ -214,26 +206,18 @@ class DynamicMemorySlave(BusSlave):
         """Bytes currently allocated (diagnostic register)."""
         raise NotImplementedError
 
-    def register_access_cycles(self) -> int:
-        """Cycles charged for a plain register/IO-array access."""
-        return 1
-
     # -- BusSlave protocol ------------------------------------------------------
     def serve(self, request: BusRequest, offset: int
-              ) -> Generator[None, None, BusResponse]:
+              ) -> Tuple[BusResponse, int]:
         if offset >= REGISTER_WINDOW_BYTES:
-            yield None
-            return BusResponse(status=ResponseStatus.SLAVE_ERROR)
-        self._current_master = request.master_id
+            return BusResponse(status=ResponseStatus.SLAVE_ERROR), 2
         if self._is_command(request, offset):
             response, cycles = self._handle_command(request)
         elif offset >= IO_ARRAY_BASE:
             response, cycles = self._handle_io_array(request, offset)
         else:
             response, cycles = self._handle_register(request, offset)
-        for _ in range(max(0, cycles - 1)):
-            yield None
-        return response
+        return response, max(1, cycles)
 
     # -- command handling ----------------------------------------------------------
     @staticmethod
@@ -250,7 +234,7 @@ class DynamicMemorySlave(BusSlave):
             self.last_result = 0
             return (BusResponse(status=ResponseStatus.NACK,
                                 data=int(MemStatus.ERR_MALFORMED)),
-                    self.register_access_cycles() + len(request.burst_data))
+                    REGISTER_ACCESS_CYCLES + len(request.burst_data))
         result = self._run_command(command, request.master_id)
         cycles = self._cycles_for(command, result)
         # Delivering the command words costs one cycle per word on top of the
@@ -281,7 +265,7 @@ class DynamicMemorySlave(BusSlave):
     # -- register file handling --------------------------------------------------------
     def _handle_register(self, request: BusRequest, offset: int):
         self.register_accesses += 1
-        cycles = self.register_access_cycles()
+        cycles = REGISTER_ACCESS_CYCLES
         if request.op is BusOp.WRITE:
             if offset == REG_GO:
                 command = self._command_from_staged()
@@ -336,7 +320,7 @@ class DynamicMemorySlave(BusSlave):
         io_array = self.io_array_for(request.master_id)
         index = (offset - IO_ARRAY_BASE) // 4
         words = request.word_count
-        cycles = self.register_access_cycles() + max(0, words - 1)
+        cycles = REGISTER_ACCESS_CYCLES + max(0, words - 1)
         if index + words > len(io_array):
             return BusResponse(status=ResponseStatus.SLAVE_ERROR), cycles
         if request.op is BusOp.WRITE:

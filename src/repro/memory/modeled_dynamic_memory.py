@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .dynamic_base import (
+    REGISTER_ACCESS_CYCLES,
     DynamicMemorySlave,
     decode_array,
     decode_element,
@@ -278,7 +279,7 @@ class ModeledDynamicMemory(DynamicMemorySlave):
             return model.burst_write(command.dim, command.dim * 4) + heap_cost
         if opcode == MemOpcode.READ_ARRAY:
             return model.burst_read(command.dim, command.dim * 4) + heap_cost
-        return max(1, self.register_access_cycles() + heap_cost)
+        return max(1, REGISTER_ACCESS_CYCLES + heap_cost)
 
     # -- bench helpers -------------------------------------------------------------------------
     def heap_accesses(self) -> int:

@@ -10,7 +10,7 @@ memory baseline.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..fabric import BusSlave
 from ..fabric import BusOp, BusRequest, BusResponse, ResponseStatus
@@ -60,21 +60,18 @@ class StaticMemory(BusSlave):
         self.load_bytes(offset, (value & 0xFFFFFFFF).to_bytes(4, self.endianness.value))
 
     # -- BusSlave protocol ----------------------------------------------------------
-    def latency(self, request: BusRequest) -> int:
+    def serve(self, request: BusRequest, offset: int
+              ) -> Tuple[BusResponse, int]:
+        model = self.latency_model
         if request.is_burst:
-            if request.op is BusOp.READ:
-                return self.latency_model.burst_read(request.word_count,
-                                                     request.word_count * 4)
-            return self.latency_model.burst_write(request.word_count,
-                                                  request.word_count * 4)
-        if request.op is BusOp.READ:
-            return self.latency_model.scalar_read(request.size)
-        return self.latency_model.scalar_write(request.size)
-
-    def access(self, request: BusRequest, offset: int) -> BusResponse:
-        if request.is_burst:
-            return self._burst_access(request, offset)
-        return self._scalar_access(request, offset)
+            words = request.word_count
+            cycles = (model.burst_read(words, words * 4)
+                      if request.op is BusOp.READ
+                      else model.burst_write(words, words * 4))
+            return self._burst_access(request, offset), max(1, cycles)
+        cycles = (model.scalar_read(request.size) if request.op is BusOp.READ
+                  else model.scalar_write(request.size))
+        return self._scalar_access(request, offset), max(1, cycles)
 
     # -- helpers -----------------------------------------------------------------------
     def _scalar_access(self, request: BusRequest, offset: int) -> BusResponse:

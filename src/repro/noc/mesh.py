@@ -409,8 +409,10 @@ class MeshNoc(Fabric):
             winner = self._grant(server.arbiter, sorted(server.pending))
             packet = server.pending.pop(winner)
             request = packet.request
-            response, cycles = yield from self._drive_slave(
-                server.slave, request, packet.offset)
+            response, cycles = self._serve(server.slave, request,
+                                           packet.offset)
+            for _ in range(cycles):
+                yield self.period
             response.slave_cycles = cycles
             # Packet completion: the transaction took effect at the slave.
             # Snoopers observe it here, in service order, before any other

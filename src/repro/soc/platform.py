@@ -166,8 +166,8 @@ class MemoryIdleTicker(Module):
     def end_of_simulation(self) -> None:
         """Flush the accumulated idle-cycle counts into every memory.
 
-        One batched ``account_idle_cycles`` per memory replaces the per-cycle
-        ``idle_tick`` calls; the final counter values are identical.
+        One batched ``account_idle_cycles`` per memory stands for one idle
+        evaluation per tick; the final counter values are identical.
         """
         new_ticks = self.ticks - self._ticks_flushed
         if not new_ticks:

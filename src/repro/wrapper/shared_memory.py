@@ -87,16 +87,13 @@ class SharedMemoryWrapper(DynamicMemorySlave):
         self.fsm = WrapperFsm(self.delays)
 
     # -- diagnostics ------------------------------------------------------------------
-    def idle_tick(self) -> None:
-        """Evaluate the FSM's idle state for one cycle (cycle-driven mode)."""
-        self.account_idle_cycles(1)
-
     def account_idle_cycles(self, cycles: int) -> None:
         """Account ``cycles`` idle-state FSM evaluations at once.
 
         Cycle-driven platforms batch their idle bookkeeping (see
         :meth:`repro.soc.platform.MemoryIdleTicker.end_of_simulation`); the
-        counters end up exactly as if ``idle_tick`` had run every cycle.
+        counters end up exactly as if the FSM's idle state had been
+        evaluated every cycle.
         """
         self.idle_cycles += cycles
         self.fsm.account_idle(cycles)

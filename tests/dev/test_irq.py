@@ -69,10 +69,11 @@ class TestControllerWires:
         from repro.fabric.transaction import BusOp, BusRequest
 
         def bus_write(dev, reg, value):
-            dev.access(BusRequest(0, BusOp.WRITE, 0, data=value), 4 * reg)
+            dev.serve(BusRequest(0, BusOp.WRITE, 0, data=value), 4 * reg)
 
         def bus_read(dev, reg):
-            return dev.access(BusRequest(0, BusOp.READ, 0), 4 * reg).data
+            response, _ = dev.serve(BusRequest(0, BusOp.READ, 0), 4 * reg)
+            return response.data
 
         irqc = self.make()
         bus_write(irqc, REG_PENDING, 0b101)    # software doorbell (W1S)

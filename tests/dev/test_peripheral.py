@@ -24,8 +24,9 @@ class Scratch(RegisterFilePeripheral):
 
 
 def serve(slave, request, offset):
-    """Drive the slave's access() directly (no interconnect)."""
-    return slave.access(request, offset)
+    """The slave's response to one access (no interconnect)."""
+    response, _cycles = slave.serve(request, offset)
+    return response
 
 
 class TestRegisterFile:
@@ -66,8 +67,10 @@ class TestRegisterFile:
     def test_window_and_latency(self):
         dev = Scratch()
         assert dev.window_bytes() == 16
-        assert dev.latency(BusRequest(0, BusOp.READ, 0)) == 1
-        assert dev.latency(BusRequest(0, BusOp.READ, 0, burst_length=4)) == 4
+        _, cycles = dev.serve(BusRequest(0, BusOp.READ, 0), 0)
+        assert cycles == 1
+        _, cycles = dev.serve(BusRequest(0, BusOp.READ, 0, burst_length=4), 0)
+        assert cycles == 4
 
     def test_report_shape(self):
         dev = Scratch()

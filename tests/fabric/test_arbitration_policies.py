@@ -45,15 +45,12 @@ class ScratchSlave(BusSlave):
         self.storage = [0] * words
         self.cycles = cycles
 
-    def latency(self, request):
-        return self.cycles
-
-    def access(self, request, offset):
+    def serve(self, request, offset):
         index = offset // 4
         if request.op is BusOp.WRITE:
             self.storage[index] = request.data
-            return BusResponse()
-        return BusResponse(data=self.storage[index])
+            return BusResponse(), self.cycles
+        return BusResponse(data=self.storage[index]), self.cycles
 
 
 class MasterHarness(Module):

@@ -27,8 +27,8 @@ TOPOLOGIES = ["shared_bus", "crossbar", "mesh"]
 
 
 class NullSlave(BusSlave):
-    def access(self, request, offset):
-        return BusResponse(data=offset)
+    def serve(self, request, offset):
+        return BusResponse(data=offset), 1
 
 
 def make_fabric(topology, top=None):
@@ -287,11 +287,11 @@ class TestRequestHelpers:
         written = {}
 
         class Probe(NullSlave):
-            def access(self, request, offset):
+            def serve(self, request, offset):
                 if request.op is BusOp.WRITE:
                     written[offset] = request.data
-                    return BusResponse()
-                return BusResponse(data=written.get(offset, 0))
+                    return BusResponse(), 1
+                return BusResponse(data=written.get(offset, 0)), 1
 
         noc.attach_slave("ram", 0x0, 0x1000, Probe())
 

@@ -1,6 +1,6 @@
 """The fabric's per-slave traffic column (``Fabric.monitor``).
 
-A monitored slave's served transfers are counted where the fabric drives
+A monitored slave's served transfers are counted where the fabric calls
 the slave, per ``BusOp``, and reported as one block per slave with
 nearest-rank latency percentiles (``repro.fabric.stats``).
 """
@@ -23,13 +23,10 @@ class FixedLatencySlave(BusSlave):
         self.latencies = list(latencies)
         self.calls = 0
 
-    def access(self, request, offset):
-        return BusResponse(data=offset)
-
-    def latency(self, request):
+    def serve(self, request, offset):
         latency = self.latencies[self.calls % len(self.latencies)]
         self.calls += 1
-        return latency
+        return BusResponse(data=offset), latency
 
 
 def make_fabric(topology, top):

@@ -112,20 +112,10 @@ def test_bulk_codec_property(values, codec):
 # ---------------------------------------------------------------------------
 
 
-def serve(memory, request, offset):
-    """Drive one request through the slave; returns its response."""
-    generator = memory.serve(request, offset)
-    while True:
-        try:
-            next(generator)
-        except StopIteration as stop:
-            return stop.value
-
-
 def command(memory, **fields):
     request = BusRequest(0, BusOp.WRITE, 0,
                          burst_data=MemCommand(**fields).to_words())
-    response = serve(memory, request, 0)
+    response, _ = memory.serve(request, 0)
     return memory.last_status, response
 
 
@@ -184,10 +174,10 @@ class TestArrayCommandVsIoWindow:
         for register, value in ((REG_OPCODE, int(MemOpcode.WRITE_ARRAY)),
                                 (REG_VPTR, vptr), (REG_DIM, self.DIM),
                                 (REG_GO, 1)):
-            response = serve(memory, BusRequest(0, BusOp.WRITE, 0, data=value),
-                             register)
+            response, _ = memory.serve(
+                BusRequest(0, BusOp.WRITE, 0, data=value), register)
         assert not response.ok
-        status = serve(memory, BusRequest(0, BusOp.READ, 0), REG_STATUS)
+        status, _ = memory.serve(BusRequest(0, BusOp.READ, 0), REG_STATUS)
         assert status.data == int(MemStatus.ERR_MALFORMED)
         assert self.element(memory, vptr, 300) == 1300
 

@@ -25,23 +25,10 @@ from repro.memory import (
 )
 
 
-def run_slave(slave, request, offset):
-    generator = slave.serve(request, offset)
-    cycles = 0
-    while True:
-        try:
-            next(generator)
-            cycles += 1
-        except StopIteration as stop:
-            cycles += 1
-            return stop.value, cycles
-
-
 def send_command(memory, command, master_id=0):
     """Send a packed command burst to the command port."""
     request = BusRequest(master_id, BusOp.WRITE, 0, burst_data=command.to_words())
-    response, cycles = run_slave(memory, request, REG_COMMAND)
-    return response, cycles
+    return memory.serve(request, REG_COMMAND)
 
 
 class TestProtocolEncoding:
@@ -160,15 +147,15 @@ class TestArraysAndReservation:
         )
         vptr = response.data
         payload = list(range(100, 116))
-        run_slave(memory, BusRequest(0, BusOp.WRITE, 0, burst_data=payload),
-                  IO_ARRAY_BASE)
+        memory.serve(BusRequest(0, BusOp.WRITE, 0, burst_data=payload),
+                     IO_ARRAY_BASE)
         send_command(memory, MemCommand(MemOpcode.WRITE_ARRAY, vptr=vptr, dim=16))
         response, _ = send_command(
             memory, MemCommand(MemOpcode.READ_ARRAY, vptr=vptr, dim=16)
         )
         assert response.ok
-        readback, _ = run_slave(
-            memory, BusRequest(0, BusOp.READ, 0, burst_length=16), IO_ARRAY_BASE
+        readback, _ = memory.serve(
+            BusRequest(0, BusOp.READ, 0, burst_length=16), IO_ARRAY_BASE
         )
         assert readback.burst_data == payload
 
@@ -203,35 +190,35 @@ class TestRegisterInterface:
             (REG_TYPE, int(DataType.UINT32)),
         ]
         for offset, value in pokes:
-            run_slave(memory, BusRequest(0, BusOp.WRITE, 0, data=value), offset)
-        response, _ = run_slave(memory, BusRequest(0, BusOp.WRITE, 0, data=1), REG_GO)
+            memory.serve(BusRequest(0, BusOp.WRITE, 0, data=value), offset)
+        response, _ = memory.serve(BusRequest(0, BusOp.WRITE, 0, data=1), REG_GO)
         assert response.ok and response.data > 0
-        status, _ = run_slave(memory, BusRequest(0, BusOp.READ, 0), REG_STATUS)
+        status, _ = memory.serve(BusRequest(0, BusOp.READ, 0), REG_STATUS)
         assert status.data == int(MemStatus.OK)
-        live, _ = run_slave(memory, BusRequest(0, BusOp.READ, 0), REG_LIVE_COUNT)
+        live, _ = memory.serve(BusRequest(0, BusOp.READ, 0), REG_LIVE_COUNT)
         assert live.data == 1
-        used, _ = run_slave(memory, BusRequest(0, BusOp.READ, 0), REG_USED_BYTES)
+        used, _ = memory.serve(BusRequest(0, BusOp.READ, 0), REG_USED_BYTES)
         assert used.data == 32
 
     def test_operand_registers_read_back(self):
         memory = ModeledDynamicMemory(4096)
-        run_slave(memory, BusRequest(0, BusOp.WRITE, 0, data=0x77), REG_VPTR)
-        response, _ = run_slave(memory, BusRequest(0, BusOp.READ, 0), REG_VPTR)
+        memory.serve(BusRequest(0, BusOp.WRITE, 0, data=0x77), REG_VPTR)
+        response, _ = memory.serve(BusRequest(0, BusOp.READ, 0), REG_VPTR)
         assert response.data == 0x77
-        run_slave(memory, BusRequest(0, BusOp.WRITE, 0, data=5), REG_DATA_IN)
-        response, _ = run_slave(memory, BusRequest(0, BusOp.READ, 0), REG_DATA_IN)
+        memory.serve(BusRequest(0, BusOp.WRITE, 0, data=5), REG_DATA_IN)
+        response, _ = memory.serve(BusRequest(0, BusOp.READ, 0), REG_DATA_IN)
         assert response.data == 5
 
     def test_malformed_command_burst(self):
         memory = ModeledDynamicMemory(4096)
         request = BusRequest(0, BusOp.WRITE, 0, burst_data=[0xFF, 0])
-        response, _ = run_slave(memory, request, REG_COMMAND)
+        response, _ = memory.serve(request, REG_COMMAND)
         assert response.status is ResponseStatus.NACK
         assert memory.last_status == MemStatus.ERR_MALFORMED
 
     def test_access_outside_window(self):
         memory = ModeledDynamicMemory(4096)
-        response, _ = run_slave(memory, BusRequest(0, BusOp.READ, 0), 0x10000)
+        response, _ = memory.serve(BusRequest(0, BusOp.READ, 0), 0x10000)
         assert response.status is ResponseStatus.SLAVE_ERROR
 
 

@@ -112,13 +112,8 @@ def test_decoding_reads_the_burst_without_changing_it():
 ])
 def test_memory_answers_err_malformed_on_the_bus(make_memory, burst):
     memory = make_memory()
-    served = memory.serve(BusRequest(0, BusOp.WRITE, 0, burst_data=burst),
-                          REG_COMMAND)
-    try:
-        while True:
-            next(served)
-    except StopIteration as stop:
-        response = stop.value
+    response, _ = memory.serve(
+        BusRequest(0, BusOp.WRITE, 0, burst_data=burst), REG_COMMAND)
     assert response.status is ResponseStatus.NACK
     assert response.data == int(MemStatus.ERR_MALFORMED)
     assert memory.last_status is MemStatus.ERR_MALFORMED

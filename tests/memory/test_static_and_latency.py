@@ -18,59 +18,46 @@ from repro.memory import (
 )
 
 
-def run_slave(slave, request, offset):
-    """Drive a BusSlave generator to completion outside a simulator."""
-    generator = slave.serve(request, offset)
-    cycles = 0
-    while True:
-        try:
-            next(generator)
-            cycles += 1
-        except StopIteration as stop:
-            cycles += 1
-            return stop.value, cycles
-
-
 class TestStaticMemory:
     def test_word_write_read(self):
         mem = StaticMemory(256)
-        run_slave(mem, BusRequest(0, BusOp.WRITE, 0, data=0x12345678), 0x10)
-        response, _ = run_slave(mem, BusRequest(0, BusOp.READ, 0), 0x10)
+        mem.serve(BusRequest(0, BusOp.WRITE, 0, data=0x12345678), 0x10)
+        response, _ = mem.serve(BusRequest(0, BusOp.READ, 0), 0x10)
         assert response.data == 0x12345678
 
     def test_byte_and_halfword_access(self):
         mem = StaticMemory(64)
-        run_slave(mem, BusRequest(0, BusOp.WRITE, 0, data=0xAB, size=1), 3)
-        response, _ = run_slave(mem, BusRequest(0, BusOp.READ, 0, size=1), 3)
+        mem.serve(BusRequest(0, BusOp.WRITE, 0, data=0xAB, size=1), 3)
+        response, _ = mem.serve(BusRequest(0, BusOp.READ, 0, size=1), 3)
         assert response.data == 0xAB
-        run_slave(mem, BusRequest(0, BusOp.WRITE, 0, data=0xBEEF, size=2), 8)
-        response, _ = run_slave(mem, BusRequest(0, BusOp.READ, 0, size=2), 8)
+        mem.serve(BusRequest(0, BusOp.WRITE, 0, data=0xBEEF, size=2), 8)
+        response, _ = mem.serve(BusRequest(0, BusOp.READ, 0, size=2), 8)
         assert response.data == 0xBEEF
 
     def test_endianness_little_vs_big(self):
         little = StaticMemory(16, endianness=Endianness.LITTLE)
         big = StaticMemory(16, endianness=Endianness.BIG)
         for mem in (little, big):
-            run_slave(mem, BusRequest(0, BusOp.WRITE, 0, data=0x11223344), 0)
+            mem.serve(BusRequest(0, BusOp.WRITE, 0, data=0x11223344), 0)
         assert little.dump_bytes(0, 4) == b"\x44\x33\x22\x11"
         assert big.dump_bytes(0, 4) == b"\x11\x22\x33\x44"
 
     def test_out_of_bounds(self):
         mem = StaticMemory(16)
-        response, _ = run_slave(mem, BusRequest(0, BusOp.READ, 0), 20)
+        response, _ = mem.serve(BusRequest(0, BusOp.READ, 0), 20)
         assert response.status is ResponseStatus.SLAVE_ERROR
 
     def test_burst(self):
         mem = StaticMemory(64)
-        run_slave(mem, BusRequest(0, BusOp.WRITE, 0, burst_data=[1, 2, 3]), 0)
-        response, _ = run_slave(mem, BusRequest(0, BusOp.READ, 0, burst_length=3), 0)
+        mem.serve(BusRequest(0, BusOp.WRITE, 0, burst_data=[1, 2, 3]), 0)
+        response, _ = mem.serve(BusRequest(0, BusOp.READ, 0, burst_length=3), 0)
         assert response.burst_data == [1, 2, 3]
         assert mem.reads == 3 and mem.writes == 3
 
     def test_burst_out_of_bounds(self):
         mem = StaticMemory(8)
-        response, _ = run_slave(
-            mem, BusRequest(0, BusOp.WRITE, 0, burst_data=[1, 2, 3]), 0
+        response, _ = mem.serve(
+            BusRequest(0, BusOp.WRITE, 0, burst_data=[1, 2, 3]), 0
         )
         assert response.status is ResponseStatus.SLAVE_ERROR
 
@@ -87,8 +74,8 @@ class TestStaticMemory:
 
     def test_latency_follows_model(self):
         mem = StaticMemory(64, latency=LatencyModel(read_cycles=3, write_cycles=2))
-        _, read_cycles = run_slave(mem, BusRequest(0, BusOp.READ, 0), 0)
-        _, write_cycles = run_slave(mem, BusRequest(0, BusOp.WRITE, 0, data=1), 0)
+        _, read_cycles = mem.serve(BusRequest(0, BusOp.READ, 0), 0)
+        _, write_cycles = mem.serve(BusRequest(0, BusOp.WRITE, 0, data=1), 0)
         assert read_cycles == 3
         assert write_cycles == 2
 
@@ -99,8 +86,8 @@ class TestStaticMemory:
     @given(st.integers(min_value=0, max_value=0xFFFFFFFF), st.integers(0, 15))
     def test_word_roundtrip_property(self, value, word_index):
         mem = StaticMemory(64)
-        run_slave(mem, BusRequest(0, BusOp.WRITE, 0, data=value), word_index * 4)
-        response, _ = run_slave(mem, BusRequest(0, BusOp.READ, 0), word_index * 4)
+        mem.serve(BusRequest(0, BusOp.WRITE, 0, data=value), word_index * 4)
+        response, _ = mem.serve(BusRequest(0, BusOp.READ, 0), word_index * 4)
         assert response.data == value
 
 

@@ -22,10 +22,10 @@ class ScratchSlave(BusSlave):
         self.cycles = cycles
         self.accesses = 0
 
-    def latency(self, request):
-        return self.cycles
+    def serve(self, request, offset):
+        return self._access(request, offset), self.cycles
 
-    def access(self, request, offset):
+    def _access(self, request, offset):
         self.accesses += 1
         index = offset // 4
         if index >= len(self.storage):

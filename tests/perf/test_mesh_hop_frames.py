@@ -7,12 +7,15 @@ the activations the goldens pin.  ``sys.setprofile`` counts every
 Python-level ``call`` event (a generator resumption is one per frame of the
 ``yield from`` chain) around 256 reads on a 1-PE, 1-memory 2x2 mesh.
 
-The bound fails when a port visit goes back to building and sorting a lane
-list twice, to a ``_forward`` generator per hand-over, to a route computed
-per packet, or when an immediate ``notify()`` nobody waits on walks the
-collect-and-wake chain again: that path cost 300 calls per read (PR 14),
-the single-scan path costs 207.  It sits beside ``test_l1_hit_frames``: a
-host-speed guard that a loaded CI host cannot flake.
+A read costs 182 calls: one lane scan and one grant per port visit, and a
+slave that is one plain ``serve`` call while its server process holds the
+channel.  The bound fails when a
+port visit goes back to building and sorting a lane list twice, to a
+``_forward`` generator per hand-over, to a route computed per packet, when
+an immediate ``notify()`` nobody waits on walks the collect-and-wake chain
+again, or when the slave becomes a generator resumed once per busy cycle.
+It sits beside ``test_l1_hit_frames``: a host-speed guard that a loaded CI
+host cannot flake.
 """
 
 import sys
@@ -22,8 +25,8 @@ from repro.memory import DataType
 from repro.soc import Platform
 
 READS = 256
-#: 207 calls per read on the single-scan path, plus ~16 % headroom.
-MAX_CALLS_PER_READ = 240
+#: 182 calls per read, plus ~16 % headroom.
+MAX_CALLS_PER_READ = 210
 
 
 def test_mesh_read_stays_within_the_call_budget():

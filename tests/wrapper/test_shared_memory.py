@@ -15,21 +15,9 @@ from repro.memory import (
 from repro.wrapper import SharedMemoryWrapper, WrapperDelays
 
 
-def run_slave(slave, request, offset):
-    generator = slave.serve(request, offset)
-    cycles = 0
-    while True:
-        try:
-            next(generator)
-            cycles += 1
-        except StopIteration as stop:
-            cycles += 1
-            return stop.value, cycles
-
-
 def send_command(memory, command, master_id=0):
     request = BusRequest(master_id, BusOp.WRITE, 0, burst_data=command.to_words())
-    return run_slave(memory, request, 0)
+    return memory.serve(request, 0)
 
 
 class TestAllocFree:
@@ -151,12 +139,12 @@ class TestArrays:
         response, _ = send_command(wrapper, MemCommand(MemOpcode.ALLOC, dim=32))
         vptr = response.data
         payload = [i * 3 for i in range(32)]
-        run_slave(wrapper, BusRequest(0, BusOp.WRITE, 0, burst_data=payload),
-                  IO_ARRAY_BASE)
+        wrapper.serve(BusRequest(0, BusOp.WRITE, 0, burst_data=payload),
+                      IO_ARRAY_BASE)
         send_command(wrapper, MemCommand(MemOpcode.WRITE_ARRAY, vptr=vptr, dim=32))
         send_command(wrapper, MemCommand(MemOpcode.READ_ARRAY, vptr=vptr, dim=32))
-        readback, _ = run_slave(
-            wrapper, BusRequest(0, BusOp.READ, 0, burst_length=32), IO_ARRAY_BASE
+        readback, _ = wrapper.serve(
+            BusRequest(0, BusOp.READ, 0, burst_length=32), IO_ARRAY_BASE
         )
         assert readback.burst_data == payload
 
@@ -164,8 +152,8 @@ class TestArrays:
         wrapper = SharedMemoryWrapper()
         response, _ = send_command(wrapper, MemCommand(MemOpcode.ALLOC, dim=16))
         vptr = response.data
-        run_slave(wrapper, BusRequest(0, BusOp.WRITE, 0, burst_data=[5, 6, 7, 8]),
-                  IO_ARRAY_BASE)
+        wrapper.serve(BusRequest(0, BusOp.WRITE, 0, burst_data=[5, 6, 7, 8]),
+                      IO_ARRAY_BASE)
         send_command(wrapper, MemCommand(MemOpcode.WRITE_ARRAY, vptr=vptr, offset=4,
                                          dim=4))
         response, _ = send_command(wrapper, MemCommand(MemOpcode.READ, vptr=vptr, offset=5))
