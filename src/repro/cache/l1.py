@@ -241,10 +241,8 @@ class CachedPort:
         #: ``transfer`` is the cache's own bound method: a facade generator
         #: in between would cost every access a frame and add nothing.
         self.transfer = cache.transfer
-
-    @property
-    def master_id(self) -> int:
-        return self._port.master_id
+        #: A port's id never changes: read it once, not per request.
+        self.master_id = port.master_id
 
     @property
     def name(self) -> str:
@@ -300,13 +298,18 @@ class L1Cache:
             name + suffix for suffix in CACHE_TAG_SUFFIXES)
         self.config = config
         self.geometry = config.geometry
+        #: Geometry the line directory reads on every lookup, hoisted.
+        self._n_sets = config.geometry.sets
+        self._line_bytes = config.geometry.line_bytes
         self.policy = config.policy
         self._raw = port
+        self.master_id = port.master_id
         self.domain = domain
         #: memory index -> window base address (the forward map, address ->
         #: window, is the domain's :meth:`CoherenceDomain.window_of`).
         self._window_base = {mem: base for base, mem in windows.items()}
         self._hit_wait = config.hit_cycles * clock_period
+        self._hit_cycles = config.hit_cycles
         #: Back-off while a foreign reservation blocks a write, and the
         #: stall bound after which the write is forwarded anyway (so true
         #: reservation misuse still surfaces as the wrapper's error).
@@ -329,10 +332,6 @@ class L1Cache:
 
     # -- identity ------------------------------------------------------------------
     @property
-    def master_id(self) -> int:
-        return self._raw.master_id
-
-    @property
     def raw_port(self):
         """The underlying (uncached) master port, used by snoop writebacks."""
         return self._raw
@@ -340,7 +339,7 @@ class L1Cache:
     # -- line directory ------------------------------------------------------------
     def _lookup(self, mem_index: int, alloc_uid: int, line_no: int
                 ) -> Optional[CacheLine]:
-        ways = self._sets[self.geometry.set_index(line_no)]
+        ways = self._sets[line_no % self._n_sets]
         for position, line in enumerate(ways):
             alloc = line.alloc
             if (line.line_no == line_no and alloc.uid == alloc_uid
@@ -425,18 +424,13 @@ class L1Cache:
         last = min(alloc.dim - 1, (line_hi - 1 - alloc.vptr) // size)
         return first, max(0, last - first + 1)
 
-    # -- request classification ------------------------------------------------------
-    @staticmethod
-    def _is_command(request: BusRequest, offset: int) -> bool:
-        return (offset == REG_COMMAND and request.op is BusOp.WRITE
-                and request.burst_data is not None)
-
+    # -- local answers -----------------------------------------------------------------
     def _local(self, data: int = 0, burst: Optional[List[int]] = None
                ) -> BusResponse:
         return BusResponse(status=ResponseStatus.OK, data=data,
                            burst_data=list(burst) if burst is not None else [],
                            slave_cycles=0,
-                           total_cycles=self.config.hit_cycles)
+                           total_cycles=self._hit_cycles)
 
     # -- main entry point --------------------------------------------------------------
     def transfer(self, request: BusRequest
@@ -456,7 +450,9 @@ class L1Cache:
                 return self._local(data=0, burst=words)
             # Unexpected interleaving: drop the staged words and fall through.
 
-        is_command = window is not None and self._is_command(request, window[2])
+        is_command = (window is not None and window[2] == REG_COMMAND
+                      and request.op is BusOp.WRITE
+                      and request.burst_data is not None)
 
         # 2. A buffered io stage must reach the memory before any other
         #    traffic that is not its WRITE_ARRAY command.
@@ -591,8 +587,8 @@ class L1Cache:
         if store and (self.policy is not WritePolicy.WRITE_BACK
                       or alloc.reserved_by is not None):
             return None, located  # goes to memory or stalls: no lookup
-        line = self._lookup(mem_index, alloc.uid, self.geometry.line_number(
-            alloc.vptr + index * alloc.element_size))
+        line = self._lookup(mem_index, alloc.uid, (
+            alloc.vptr + index * alloc.element_size) // self._line_bytes)
         if line is None:
             return None, located
         slot = index - line.first_index
@@ -606,7 +602,8 @@ class L1Cache:
         else:
             return None, located
         self.stats.hits += 1
-        return self._local(data), located
+        return BusResponse(ResponseStatus.OK, data, [], 0,
+                           self._hit_cycles), located
 
     def _op_read(self, request: BusRequest, alloc: SharedAllocation,
                  index: int) -> Generator[object, None, BusResponse]:

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional
 
-from ..fabric import MasterPort
-from ..fabric import BusResponse
+from ..fabric import BusResponse, MasterPort, ResponseStatus
 from ..memory.dynamic_base import to_signed
 from ..memory.protocol import (
     IO_ARRAY_BASE,
@@ -29,7 +28,6 @@ from ..memory.protocol import (
     REG_COMMAND,
     REG_STATUS,
     DataType,
-    MemCommand,
     MemOpcode,
     MemStatus,
 )
@@ -37,6 +35,13 @@ from .errors import ApiError
 
 #: Maximum number of words one I/O-array transfer can stage.
 IO_ARRAY_WORDS = IO_ARRAY_BYTES // 4
+
+# Opcodes as the plain ints ``MemCommand.to_words()`` puts on the wire: each
+# operation writes its ``[opcode, sm_addr, operands...]`` list itself.
+_ALLOC, _FREE, _QUERY = int(MemOpcode.ALLOC), int(MemOpcode.FREE), int(MemOpcode.QUERY)
+_READ, _WRITE = int(MemOpcode.READ), int(MemOpcode.WRITE)
+_READ_ARRAY, _WRITE_ARRAY = int(MemOpcode.READ_ARRAY), int(MemOpcode.WRITE_ARRAY)
+_RESERVE, _RELEASE = int(MemOpcode.RESERVE), int(MemOpcode.RELEASE)
 
 #: Every operation name that tags a transaction (``<tag_prefix>.<name>``).
 _OPERATIONS = ("alloc", "free", "query", "write", "read", "write_array",
@@ -60,6 +65,8 @@ class SharedMemoryAPI:
         self.sm_addr = sm_addr
         self.raise_on_error = raise_on_error
         self.tag_prefix = tag_prefix
+        self._command_addr = base_address + REG_COMMAND
+        self._io_array_addr = base_address + IO_ARRAY_BASE
         #: Operation name -> transaction tag, formatted once per API object.
         self._tags = {op: f"{tag_prefix}.{op}" for op in _OPERATIONS}
         #: Status of the most recent operation (updated on every call).
@@ -68,20 +75,12 @@ class SharedMemoryAPI:
         self.calls = 0
 
     # -- low-level helpers ------------------------------------------------------------
-    def _command_address(self) -> int:
-        return self.base_address + REG_COMMAND
-
-    def _io_array_address(self) -> int:
-        return self.base_address + IO_ARRAY_BASE
-
-    def _send(self, command: MemCommand, tag: str
+    def _send(self, words: List[int], tag: str
               ) -> Generator[object, None, BusResponse]:
         self.calls += 1
-        command.sm_addr = self.sm_addr
         response = yield from self.port.burst_write(
-            self._command_address(), command.to_words(), tag=self._tags[tag],
-        )
-        if response.ok:
+            self._command_addr, words, tag=self._tags[tag])
+        if response.status is ResponseStatus.OK:
             self.last_status = MemStatus.OK
         else:
             yield from self._fetch_error_status(tag)
@@ -89,13 +88,7 @@ class SharedMemoryAPI:
 
     def _fetch_error_status(self, tag: str) -> Generator[object, None, None]:
         """Read the status register after a refused command (and raise)."""
-        status_response = yield from self.port.read(
-            self.base_address + REG_STATUS, tag=self._tags["status"]
-        )
-        try:
-            self.last_status = MemStatus(status_response.data)
-        except ValueError:
-            self.last_status = MemStatus.ERR_MALFORMED
+        self.last_status = yield from self.status()
         if self.raise_on_error:
             raise ApiError(
                 f"shared-memory operation {tag!r} failed with "
@@ -107,37 +100,49 @@ class SharedMemoryAPI:
               ) -> Generator[object, None, Optional[int]]:
         """``sm_calloc(dim, type)`` — returns the new Vptr (None on failure)."""
         response = yield from self._send(
-            MemCommand(MemOpcode.ALLOC, dim=dim, data_type=data_type), "alloc"
-        )
+            [_ALLOC, self.sm_addr, dim, int(data_type)], "alloc")
         return response.data if response.ok else None
 
     def free(self, vptr: int) -> Generator[object, None, bool]:
         """``sm_free(vptr)`` — returns True on success."""
-        response = yield from self._send(MemCommand(MemOpcode.FREE, vptr=vptr), "free")
+        response = yield from self._send([_FREE, self.sm_addr, vptr], "free")
         return response.ok
 
     def query(self, vptr: int) -> Generator[object, None, Optional[int]]:
         """Size in bytes of the allocation holding ``vptr`` (None if unknown)."""
-        response = yield from self._send(MemCommand(MemOpcode.QUERY, vptr=vptr), "query")
+        response = yield from self._send([_QUERY, self.sm_addr, vptr], "query")
         return response.data if response.ok else None
 
     # -- scalar accesses -----------------------------------------------------------------
+    # ``write`` and ``read`` are ``_send`` written out: a scalar access that
+    # hits in an L1 is the hottest path of a cached platform, and every
+    # resume of the ``yield from`` chain re-enters each frame in it.
     def write(self, vptr: int, value: int, offset: int = 0
               ) -> Generator[object, None, bool]:
         """Store one element at ``vptr[offset]``."""
-        response = yield from self._send(
-            MemCommand(MemOpcode.WRITE, vptr=vptr, offset=offset,
-                       data=value & 0xFFFFFFFF), "write"
-        )
-        return response.ok
+        self.calls += 1
+        response = yield from self.port.burst_write(
+            self._command_addr,
+            [_WRITE, self.sm_addr, vptr, offset, value & 0xFFFFFFFF],
+            tag=self._tags["write"])
+        if response.status is ResponseStatus.OK:
+            self.last_status = MemStatus.OK
+            return True
+        yield from self._fetch_error_status("write")
+        return False
 
     def read(self, vptr: int, offset: int = 0
              ) -> Generator[object, None, Optional[int]]:
         """Load one element from ``vptr[offset]`` as a raw unsigned word."""
-        response = yield from self._send(
-            MemCommand(MemOpcode.READ, vptr=vptr, offset=offset), "read"
-        )
-        return response.data if response.ok else None
+        self.calls += 1
+        response = yield from self.port.burst_write(
+            self._command_addr, [_READ, self.sm_addr, vptr, offset],
+            tag=self._tags["read"])
+        if response.status is ResponseStatus.OK:
+            self.last_status = MemStatus.OK
+            return response.data
+        yield from self._fetch_error_status("read")
+        return None
 
     def read_signed(self, vptr: int, data_type: DataType, offset: int = 0
                     ) -> Generator[object, None, Optional[int]]:
@@ -155,12 +160,11 @@ class SharedMemoryAPI:
         while position < len(values):
             chunk = values[position:position + IO_ARRAY_WORDS]
             yield from self.port.burst_write(
-                self._io_array_address(), [v & 0xFFFFFFFF for v in chunk],
+                self._io_array_addr, [v & 0xFFFFFFFF for v in chunk],
                 tag=self._tags["io_stage"],
             )
             response = yield from self._send(
-                MemCommand(MemOpcode.WRITE_ARRAY, vptr=vptr,
-                           offset=offset + position, dim=len(chunk)),
+                [_WRITE_ARRAY, self.sm_addr, vptr, offset + position, len(chunk)],
                 "write_array",
             )
             if not response.ok:
@@ -176,14 +180,13 @@ class SharedMemoryAPI:
         while position < dim:
             chunk_len = min(IO_ARRAY_WORDS, dim - position)
             response = yield from self._send(
-                MemCommand(MemOpcode.READ_ARRAY, vptr=vptr,
-                           offset=offset + position, dim=chunk_len),
+                [_READ_ARRAY, self.sm_addr, vptr, offset + position, chunk_len],
                 "read_array",
             )
             if not response.ok:
                 return None
             data = yield from self.port.burst_read(
-                self._io_array_address(), chunk_len,
+                self._io_array_addr, chunk_len,
                 tag=self._tags["io_fetch"],
             )
             values.extend(data.burst_data)
@@ -202,14 +205,12 @@ class SharedMemoryAPI:
     # -- coherence -----------------------------------------------------------------------------
     def reserve(self, vptr: int) -> Generator[object, None, bool]:
         """Set the reservation bit of ``vptr`` (semaphore acquire)."""
-        response = yield from self._send(MemCommand(MemOpcode.RESERVE, vptr=vptr),
-                                         "reserve")
+        response = yield from self._send([_RESERVE, self.sm_addr, vptr], "reserve")
         return response.ok
 
     def release(self, vptr: int) -> Generator[object, None, bool]:
         """Clear the reservation bit of ``vptr`` (semaphore release)."""
-        response = yield from self._send(MemCommand(MemOpcode.RELEASE, vptr=vptr),
-                                         "release")
+        response = yield from self._send([_RELEASE, self.sm_addr, vptr], "release")
         return response.ok
 
     def try_reserve(self, vptr: int) -> Generator[object, None, bool]:
