@@ -31,6 +31,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
+from ..kernel.simulator import SimulationStats
+
 SCHEMA = "repro.api.perf/v2"
 
 #: Environment variable overriding the default output path.
@@ -38,8 +40,7 @@ ENV_PATH = "REPRO_BENCH_JSON"
 DEFAULT_PATH = "BENCH_kernel.json"
 
 #: The deterministic fields of a row beside its key and ``params``.
-LEDGER_FIELDS = ("simulated_time", "simulated_cycles", "delta_cycles",
-                 "timed_steps", "process_activations", "events_fired")
+LEDGER_FIELDS = ("simulated_time", "simulated_cycles") + SimulationStats.COUNTERS
 
 
 class BenchFileError(ValueError):
@@ -108,17 +109,13 @@ class BenchResult:
     def from_report(cls, bench: str, scenario: str, report,
                     params: Optional[Dict[str, object]] = None) -> "BenchResult":
         """Build a record from a :class:`~repro.soc.stats.SimulationReport`."""
-        kernel = report.kernel_stats
         return cls(
             bench=bench,
             scenario=scenario,
             params=dict(params or {}),
             simulated_time=report.simulated_time,
             simulated_cycles=report.simulated_cycles,
-            delta_cycles=int(kernel.get("delta_cycles", 0)),
-            timed_steps=int(kernel.get("timed_steps", 0)),
-            process_activations=int(kernel.get("process_activations", 0)),
-            events_fired=int(kernel.get("events_fired", 0)),
+            **{counter: int(count) for counter, count in report.cost().items()},
         )
 
     @classmethod

@@ -485,8 +485,7 @@ class ExperimentRunner:
         counters: Dict[str, object] = {"passed": result.passed}
         if result.report is not None:
             counters["simulated_cycles"] = result.report.simulated_cycles
-            counters["events_fired"] = int(
-                result.report.kernel_stats.get("events_fired", 0))
+            counters["events_fired"] = result.report.cost()["events_fired"]
         return counters
 
     @staticmethod

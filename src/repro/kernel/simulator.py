@@ -72,14 +72,11 @@ from .process import (
 class SimulationStats:
     """Counters describing a completed (or in-progress) simulation run."""
 
-    __slots__ = (
-        "delta_cycles",
-        "timed_steps",
-        "process_activations",
-        "events_fired",
-        "wallclock_seconds",
-        "end_time",
-    )
+    #: The scheduler counters: what a run cost the host, not what it
+    #: simulated (see :meth:`repro.soc.stats.SimulationReport.cost`).
+    COUNTERS = ("delta_cycles", "timed_steps", "process_activations",
+                "events_fired")
+    __slots__ = COUNTERS + ("wallclock_seconds", "end_time")
 
     def __init__(self) -> None:
         self.delta_cycles = 0

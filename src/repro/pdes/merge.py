@@ -2,9 +2,9 @@
 
 Every helper here is exact arithmetic over disjoint contributions:
 
-* kernel counters (``events_fired``, ``delta_cycles``,
-  ``process_activations``, ``timed_steps``) sum over partitions — each
-  wake/evaluation happens in exactly one partition's kernel;
+* the scheduler counters (``SimulationStats.COUNTERS``) sum over
+  partitions — each wake/evaluation happens in exactly one partition's
+  kernel;
 * transactions and latency samples are recorded once, master-side, at
   packet completion — a boundary-crossing transaction is accounted only
   by the partition that owns its master, so summing never double-counts;
@@ -29,28 +29,23 @@ from array import array
 from typing import Dict, List, Optional
 
 from ..fabric.stats import BusStats, percentile_summary
+from ..kernel.simulator import SimulationStats
 from ..noc.stats import NocStats
 from ..obs.export import chrome_trace
 from ..soc.stats import SimulationReport
 from .partition import PartitionPayload
 from .plan import PartitionPlan
 
-#: Kernel counters that sum exactly across partitions.
-_SUMMED_KERNEL_COUNTERS = ("delta_cycles", "timed_steps",
-                           "process_activations", "events_fired",
-                           "wallclock_seconds")
-
 
 def merge_kernel_stats(stats_dicts: List[dict]) -> dict:
-    """Sum the scheduler counters; the end time is the latest partition's."""
-    merged = {counter: 0 for counter in _SUMMED_KERNEL_COUNTERS}
-    merged["wallclock_seconds"] = 0.0
-    merged["end_time"] = 0
-    for stats in stats_dicts:
-        for counter in _SUMMED_KERNEL_COUNTERS:
-            merged[counter] += stats.get(counter, 0)
-        merged["end_time"] = max(merged["end_time"],
-                                 stats.get("end_time", 0))
+    """Sum the scheduler counters and host seconds; the end time is the
+    latest partition's."""
+    merged = {counter: sum(stats.get(counter, 0) for stats in stats_dicts)
+              for counter in SimulationStats.COUNTERS}
+    merged["wallclock_seconds"] = sum(
+        (stats.get("wallclock_seconds", 0.0) for stats in stats_dicts), 0.0)
+    merged["end_time"] = max(
+        (stats.get("end_time", 0) for stats in stats_dicts), default=0)
     return merged
 
 

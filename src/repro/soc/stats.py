@@ -6,6 +6,12 @@ platform grows).  :class:`SimulationReport` gathers everything one platform
 run produces — wall-clock time, simulated cycles, per-PE and per-memory
 summaries — and :func:`speed_degradation` compares two runs the way the
 paper's Section 4 does.
+
+A report keeps what was simulated apart from what it cost.
+:meth:`SimulationReport.observables` is the former: two runs of the same
+simulation agree on it exactly, however the host got there.
+:meth:`SimulationReport.cost` is the scheduler work (the kernel counters),
+which a faster kernel may lower without simulating anything differently.
 """
 
 from __future__ import annotations
@@ -16,19 +22,20 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-#: Host-time keys: the only entries of :meth:`SimulationReport.as_dict`, at
-#: any depth, that may differ between two runs of the same simulation.
-HOST_TIME_KEYS = frozenset({"wallclock_seconds", "simulation_speed",
-                            "host_seconds", "sync_wait_seconds",
-                            "host_profile"})
+#: The entries of :meth:`SimulationReport.as_dict`, at any depth, that are
+#: not simulated behaviour: host time, and the scheduler counters that
+#: :meth:`SimulationReport.cost` reports.
+NON_OBSERVABLE_KEYS = frozenset({"wallclock_seconds", "simulation_speed",
+                                 "host_seconds", "sync_wait_seconds",
+                                 "host_profile", "kernel_stats"})
 
 
-def _without_host_time(value: object) -> object:
+def _observable(value: object) -> object:
     if isinstance(value, dict):
-        return {key: _without_host_time(item) for key, item in value.items()
-                if key not in HOST_TIME_KEYS}
+        return {key: _observable(item) for key, item in value.items()
+                if key not in NON_OBSERVABLE_KEYS}
     if isinstance(value, list):
-        return [_without_host_time(item) for item in value]
+        return [_observable(item) for item in value]
     return value
 
 
@@ -230,9 +237,16 @@ class SimulationReport:
         return data
 
     def observables(self) -> dict:
-        """:meth:`as_dict` without :data:`HOST_TIME_KEYS`: what two runs of
-        the same simulation must agree on exactly."""
-        return _without_host_time(self.as_dict())
+        """:meth:`as_dict` without :data:`NON_OBSERVABLE_KEYS`: what two
+        runs of the same simulation must agree on exactly."""
+        return _observable(self.as_dict())
+
+    def cost(self) -> Dict[str, int]:
+        """The scheduler counters of the run (summed over partitions)."""
+        # Deferred: sweep set-up imports this module but not the kernel.
+        from ..kernel.simulator import SimulationStats
+        return {counter: self.kernel_stats.get(counter, 0)
+                for counter in SimulationStats.COUNTERS}
 
     def observables_sha256(self) -> str:
         """SHA-256 of :meth:`observables` as canonical JSON."""

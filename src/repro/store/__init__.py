@@ -20,15 +20,14 @@ The query front door over all of it is ``python -m repro.analysis.serve``.
 from .._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(globals(), {
-    ".hashing": ["CODE_VERSION", "UncacheableScenarioError",
-                 "canonical_scenario", "canonical_value", "scenario_key"],
+    ".hashing": ["UncacheableScenarioError", "canonical_scenario",
+                 "canonical_value", "default_code_version", "scenario_key"],
     ".store": ["DEFAULT_FILENAME", "SCHEMA_VERSION", "ResultStore"],
     ".telemetry": ["EVENT_KINDS", "TERMINAL_KINDS", "SweepEvent",
                    "SweepMonitor", "read_events", "sweep_progress"],
 })
 
 __all__ = [
-    "CODE_VERSION",
     "DEFAULT_FILENAME",
     "EVENT_KINDS",
     "ResultStore",
@@ -39,6 +38,7 @@ __all__ = [
     "UncacheableScenarioError",
     "canonical_scenario",
     "canonical_value",
+    "default_code_version",
     "read_events",
     "scenario_key",
     "sweep_progress",

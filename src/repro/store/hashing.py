@@ -9,11 +9,10 @@ by class+field map, floats by ``repr``) and hashes it with SHA-256.  The key
 is what :class:`~repro.store.store.ResultStore` indexes results by — equal
 key means "this exact simulation has already been run".
 
-Every key is salted with a *code version* (:data:`CODE_VERSION`, bumped with
-the package version) so results cached by an older build of the simulator
-never masquerade as results of the current one; callers running from a
-working tree can pass their own salt (e.g. a git commit hash) for stricter
-invalidation.
+Every key is salted with a *code version* (:func:`default_code_version`, a
+digest of the package's own source files) so results cached by any other
+build of the simulator never masquerade as results of the current one;
+callers can pass their own salt (e.g. a git commit hash) instead.
 
 Not everything is hashable: a scenario whose workload is an inline factory
 (not a registry name) has behaviour the key cannot see, and
@@ -27,18 +26,31 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
+import os
 from typing import Optional
-
-from .. import __version__
 
 #: Schema tag of the canonical document; bump on canonicalization changes.
 KEY_SCHEMA = "repro.store.key/v2"
 
-#: Default code-version salt: results cached by one package version are
-#: invisible to every other version.
-CODE_VERSION = f"repro/{__version__}"
+
+@functools.lru_cache(maxsize=None)
+def default_code_version() -> str:
+    """Default salt: SHA-256 over the package's ``*.py`` files, one line of
+    relative path and content digest each, in sorted path order.  Computed
+    once per process, on the first key; any change to the simulator's
+    source makes every earlier result a miss."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digest = hashlib.sha256()
+    for path in sorted(os.path.relpath(os.path.join(directory, name), root)
+                       for directory, _dirs, files in os.walk(root)
+                       for name in files if name.endswith(".py")):
+        with open(os.path.join(root, path), "rb") as handle:
+            content = hashlib.sha256(handle.read()).hexdigest()
+        digest.update(f"{path.replace(os.sep, '/')}\0{content}\n".encode())
+    return "repro-src/" + digest.hexdigest()
 
 
 class UncacheableScenarioError(ValueError):
@@ -123,7 +135,7 @@ def canonical_scenario(scenario, *, code_version: Optional[str] = None) -> dict:
         )
     return {
         "schema": KEY_SCHEMA,
-        "code_version": code_version or CODE_VERSION,
+        "code_version": code_version or default_code_version(),
         "name": scenario.name,
         # Partitioning is execution strategy, not simulated hardware: a
         # partitioned run only enters the store when bit-identical to the

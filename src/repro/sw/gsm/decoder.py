@@ -15,7 +15,7 @@ from .encoder import GsmFrameParameters
 from .lpc import ShortTermState, short_term_synthesis
 from .ltp import ltp_synthesis
 from .rpe import rpe_decode
-from .tables import FRAME_SAMPLES, LTP_MAX_LAG, SUBFRAMES_PER_FRAME
+from .tables import LTP_MAX_LAG, SUBFRAMES_PER_FRAME
 
 
 @dataclass
@@ -64,24 +64,9 @@ class GsmDecoder:
         self.frames_decoded += 1
         return output
 
-    def decode_words(self, words: Sequence[int]) -> List[int]:
-        """Decode one frame given as the flat 76-word parameter list."""
-        return self.decode_frame(GsmFrameParameters.from_words(words))
-
     def decode_stream(self, frames: Sequence[GsmFrameParameters]) -> List[int]:
         """Decode a sequence of frames into one continuous sample stream."""
         samples: List[int] = []
         for frame in frames:
             samples.extend(self.decode_frame(frame))
         return samples
-
-
-def signed16(value: int) -> int:
-    """Helper for tests: reinterpret a decoder output word as signed."""
-    value &= 0xFFFF
-    return value - 0x10000 if value >= 0x8000 else value
-
-
-def frames_to_samples(count: int) -> int:
-    """Number of PCM samples carried by ``count`` frames."""
-    return count * FRAME_SAMPLES

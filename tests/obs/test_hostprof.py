@@ -23,17 +23,23 @@ def test_host_profile_buckets_land_in_obs_summary():
 
 
 def test_host_profiled_runs_compare_equal_by_observables():
-    config = (PlatformBuilder().pes(2).wrapper_memories(1)
-              .trace(host_profile=True).build())
-
-    def run():
+    def run(host_profile):
+        config = (PlatformBuilder().pes(2).wrapper_memories(1)
+                  .trace(host_profile=host_profile).build())
         result = run_scenario(Scenario(
             name="hp", config=config, workload="producer_consumer",
             params={"num_items": 8, "seed": 3}, seed=3))
         return result.raise_for_status().report
 
-    first, second = run(), run()
+    first, second, off = run(True), run(True), run(False)
     assert first.obs_summary["host_profile"]
     assert "host_profile" not in first.observables()["obs_summary"]
     assert first.observables() == second.observables()
     assert first.observables_sha256() == second.observables_sha256()
+    # Profiling the host costs no scheduler work and changes nothing
+    # simulated: only the configuration's name tells the runs apart.
+    assert first.cost() == second.cost() == off.cost()
+    views = [first.observables(), off.observables()]
+    for view in views:
+        del view["description"], view["obs_summary"]["config"]
+    assert views[0] == views[1]

@@ -2,7 +2,7 @@
 
 The acceptance bar of ``repro.obs`` (same shape as the sanitizers'
 ``tests/check/test_bit_identical.py``): an observed run reaches exactly
-the same simulated time, kernel counters and results as the unobserved
+the same simulated time, ``cost()`` and results as the unobserved
 run of the same scenario — on every topology, with devices and caches —
 and the default ``obs=None`` platform subscribes nothing to the probe bus.
 """
@@ -15,11 +15,6 @@ from repro.api import PlatformBuilder
 from repro.kernel.probes import POINTS
 from repro.soc.platform import Platform
 from repro.sw.registry import workload
-
-#: Golden kernel counters that must not move when observability attaches.
-COUNTERS = ("delta_cycles", "timed_steps", "process_activations",
-            "events_fired")
-
 
 def _builder(kind):
     builder = PlatformBuilder().pes(2).wrapper_memories(1)
@@ -47,8 +42,7 @@ def test_obs_does_not_perturb_simulated_time(kind):
     on, platform = _run(_builder(kind), "producer_consumer", True,
                         num_items=8, seed=3)
     assert on.simulated_time == off.simulated_time
-    for counter in COUNTERS:
-        assert on.kernel_stats[counter] == off.kernel_stats[counter], counter
+    assert on.cost() == off.cost()
     assert on.results == off.results
     # ... while actually having observed something.
     assert len(platform.obs.trace) > 0
@@ -63,8 +57,7 @@ def test_obs_transparent_with_devices_and_caches():
     off, _ = _run(builder(), "stress_dma_copy", False, words=32, seed=5)
     on, platform = _run(builder(), "stress_dma_copy", True, words=32, seed=5)
     assert on.simulated_time == off.simulated_time
-    for counter in COUNTERS:
-        assert on.kernel_stats[counter] == off.kernel_stats[counter], counter
+    assert on.cost() == off.cost()
     assert on.results == off.results
     trace = platform.obs.trace
     assert trace.by_category("dma"), "DMA transfer spans expected"
@@ -101,8 +94,7 @@ def test_obs_transparent_alongside_sanitizers():
     both = platform.run()
 
     assert both.simulated_time == base.simulated_time
-    for counter in COUNTERS:
-        assert both.kernel_stats[counter] == base.kernel_stats[counter]
+    assert both.cost() == base.cost()
     assert both.results == base.results
     assert both.sanitizer_reports == []
     transactions = platform.interconnect.stats.transactions

@@ -67,10 +67,7 @@ def test_cut_free_run_is_bit_identical_to_sequential(sequential, partitions):
         windowed = run(partitions, epoch_cycles=epoch_cycles, **CUT_FREE)
         rounds.add(windowed.pdes["rounds"])
         assert windowed.results == sequential.results
-        for counter in ("events_fired", "process_activations",
-                        "delta_cycles", "timed_steps"):
-            assert (windowed.kernel_stats[counter]
-                    == report.kernel_stats[counter]), (counter, epoch_cycles)
+        assert windowed.cost() == report.cost(), epoch_cycles
     assert len(rounds) == 3 and min(rounds) == 1
     mine, theirs = report.interconnect_stats, sequential.interconnect_stats
     assert mine["per_master"] == theirs["per_master"]
@@ -122,6 +119,7 @@ def test_cross_partition_run_to_run_identity(partitions):
     first = run(partitions, **kwargs)
     second = run(partitions, **kwargs)
     assert first.observables() == second.observables()
+    assert first.cost() == second.cost()
 
 
 def test_inprocess_mode_matches_process_mode():
@@ -136,6 +134,7 @@ def test_inprocess_mode_matches_process_mode():
     first["pdes"].pop("mode")
     second["pdes"].pop("mode")
     assert first == second
+    assert in_process.cost() == across.cost()
 
 
 def test_max_time_expiry_matches_sequential():

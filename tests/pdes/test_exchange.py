@@ -120,6 +120,7 @@ def test_far_corner_fir_across_four_workers_equals_inprocess():
     assert first["pdes"].pop("mode") == "process"
     assert second["pdes"].pop("mode") == "inprocess"
     assert first == second
+    assert across.cost() == local.cost()
     waits = [row["sync_wait_seconds"]
              for row in across.pdes["per_partition"]]
     assert all(wait > 0 for wait in waits)

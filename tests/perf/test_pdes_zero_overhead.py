@@ -36,6 +36,7 @@ def test_partitions_1_report_is_identical_to_unpartitioned():
     assert tagged.report.pdes is None
     assert "pdes" not in tagged.report.as_dict()
     assert plain.report.observables() == tagged.report.observables()
+    assert plain.report.cost() == tagged.report.cost()
     assert base.describe() == explicit.describe()
 
 

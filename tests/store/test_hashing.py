@@ -1,15 +1,21 @@
 """Scenario content-key semantics: stability, sensitivity, uncacheability."""
 
 import dataclasses
+import os
+import shutil
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.api import PlatformBuilder, Scenario
 from repro.soc.config import InterconnectKind
 from repro.store import (
-    CODE_VERSION,
     UncacheableScenarioError,
     canonical_value,
+    default_code_version,
     scenario_key,
 )
 
@@ -24,6 +30,25 @@ def _scenario(**kwargs):
                     params={"num_samples": 8, "seed": 3}, seed=42)
     defaults.update(kwargs)
     return Scenario(**defaults)
+
+
+_KEY_OF_DEFAULT_SCENARIO = r"""
+from repro.api import PlatformBuilder, Scenario
+print(Scenario(name="point", config=PlatformBuilder().pes(2).wrapper_memories(1)
+               .build(), workload="fir", params={"num_samples": 8, "seed": 3},
+               seed=42).cache_key())
+"""
+
+
+def _key_under(root):
+    """``_scenario().cache_key()`` in a fresh interpreter importing the
+    ``repro`` package found under ``root``."""
+    done = subprocess.run(
+        [sys.executable, "-c", _KEY_OF_DEFAULT_SCENARIO],
+        env=dict(os.environ, PYTHONPATH=str(root), PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-3000:]
+    return done.stdout.strip()
 
 
 class TestKeyStability:
@@ -81,9 +106,22 @@ class TestKeySensitivity:
     def test_code_version_salt_misses(self):
         scenario = _scenario()
         assert (scenario.cache_key()
-                == scenario.cache_key(code_version=CODE_VERSION))
+                == scenario.cache_key(code_version=default_code_version()))
         assert (scenario.cache_key(code_version="a")
                 != scenario.cache_key(code_version="b"))
+
+    def test_one_changed_source_byte_misses(self, tmp_path):
+        """The default salt digests the package's own sources: a copy of
+        the package with one byte changed keys the same scenario anew."""
+        copy = tmp_path / "repro"
+        shutil.copytree(os.path.dirname(repro.__file__), copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        assert _key_under(tmp_path) == _scenario().cache_key()
+        source = copy / "kernel" / "simulator.py"
+        data = bytearray(source.read_bytes())
+        data[data.index(b"discrete-event")] = ord("D")
+        source.write_bytes(bytes(data))
+        assert _key_under(tmp_path) != _scenario().cache_key()
 
 
 class TestUncacheable:

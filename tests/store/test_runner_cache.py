@@ -65,6 +65,7 @@ class TestCachedRuns:
             _grid(), shards=2, store=str(tmp_path / "b.sqlite")).run()
         for a, b in zip(serial, sharded):
             assert a.report.observables() == b.report.observables()
+            assert a.report.cost() == b.report.cost()
             assert a.cache_key == b.cache_key
 
     def test_partial_store_runs_only_missing(self, tmp_path):
