@@ -17,13 +17,16 @@ interface, and the cache decodes the command bursts flowing through it:
   the coherence domain's shadow allocation map — the wrapper FSM command
   region itself is never cached, only the *data* behind it.
 
-Structure: *probe, then generator*.  :meth:`L1Cache.transfer` decodes a
-command burst once; for a scalar READ or WRITE the plain method
-:meth:`L1Cache.probe` resolves ``vptr + offset`` in the shadow map, looks
-the line up and answers a hit on the spot.  Only what it cannot serve (a
-miss, a SHARED line awaiting the upgrade snoop, a write that must reach
-memory, array transfers, barriers) enters the per-opcode generators, which
-take over the probe's resolution instead of resolving again.
+Structure: *probe, then generator*.  :meth:`CachedPort.burst_write` reads
+a scalar READ or WRITE's fields straight from the words the API wrote and
+calls the plain method :meth:`L1Cache.probe`, which resolves ``vptr +
+offset`` in the shadow map, looks the line up and answers a hit on the
+spot: no bus request, no decode.  :meth:`L1Cache.transfer` decodes any
+other command burst once, and calls the same probe for a scalar that
+arrives as a request.  Only what the probe cannot serve (a miss, a SHARED
+line awaiting the upgrade snoop, a write that must reach memory or stall,
+array transfers, barriers) enters the per-opcode generators, which take
+over the probe's resolution and build the bus request for memory.
 
 Cached words are stored in the exact canonical form the wrapper returns
 (element encode/decode round trip, i.e. ``to_signed(value) & 0xFFFFFFFF``),
@@ -44,7 +47,7 @@ after frees can never alias stale data.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Generator, Iterator, List, Optional, Tuple
 
 from ..fabric import (
@@ -65,6 +68,9 @@ from ..memory.protocol import (
 )
 from .coherence import CoherenceDomain, SharedAllocation
 from .geometry import CacheConfig, WritePolicy
+
+#: Opcode words of the scalar commands the port probes without decoding.
+_READ, _WRITE = int(MemOpcode.READ), int(MemOpcode.WRITE)
 
 
 def canonical_word(value: int, data_type: DataType) -> int:
@@ -210,22 +216,7 @@ class CacheStats:
         return (self.hits + self.array_hits) / lookups
 
     def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "array_hits": self.array_hits,
-            "array_misses": self.array_misses,
-            "array_absorbs": self.array_absorbs,
-            "fills": self.fills,
-            "evictions": self.evictions,
-            "writebacks": self.writebacks,
-            "write_throughs": self.write_throughs,
-            "invalidations_received": self.invalidations_received,
-            "uncached_ops": self.uncached_ops,
-            "fallbacks": self.fallbacks,
-            "reservation_stalls": self.reservation_stalls,
-            "hit_rate": round(self.hit_rate, 4),
-        }
+        return {**asdict(self), "hit_rate": round(self.hit_rate, 4)}
 
 
 class CachedPort:
@@ -237,6 +228,7 @@ class CachedPort:
     """
 
     def __init__(self, cache: "L1Cache", port) -> None:
+        self._cache = cache
         self._port = port
         #: ``transfer`` is the cache's own bound method: a facade generator
         #: in between would cost every access a frame and add nothing.
@@ -275,10 +267,29 @@ class CachedPort:
 
     def burst_write(self, address: int, words: List[int], tag: str = ""
                     ) -> Generator[object, None, BusResponse]:
-        return self.transfer(
-            BusRequest(self.master_id, BusOp.WRITE, address,
-                       burst_data=list(words), tag=tag)
-        )
+        """A well-formed scalar READ / WRITE to its memory's command
+        register is probed from ``words`` as they are; everything else, and
+        any access while an io stage or fetch is pending, goes to
+        :meth:`L1Cache.transfer` as a request."""
+        cache = self._cache
+        mem_index = cache._command_mem.get(address)
+        if (mem_index is not None and len(words) >= 4 and words[1] == mem_index
+                and cache._pending_stage is None
+                and cache._pending_fetch is None):
+            store = words[0] == _WRITE and len(words) >= 5
+            if store or words[0] == _READ:
+                fields = (store, mem_index, words[2], words[3],
+                          words[4] if store else 0)
+                probed = cache.probe(*fields)
+                if probed[0] is not None:
+                    yield cache._hit_wait
+                    return probed[0]
+                return (yield from cache._scalar(BusRequest(
+                    self.master_id, BusOp.WRITE, address,
+                    burst_data=list(words), tag=tag), *fields, probed))
+        return (yield from cache.transfer(BusRequest(
+            self.master_id, BusOp.WRITE, address, burst_data=list(words),
+            tag=tag)))
 
 
 class L1Cache:
@@ -308,6 +319,9 @@ class L1Cache:
         #: memory index -> window base address (the forward map, address ->
         #: window, is the domain's :meth:`CoherenceDomain.window_of`).
         self._window_base = {mem: base for base, mem in windows.items()}
+        #: command register address -> memory index, for the port's probe.
+        self._command_mem = {base + REG_COMMAND: mem
+                             for base, mem in windows.items()}
         self._hit_wait = config.hit_cycles * clock_period
         self._hit_cycles = config.hit_cycles
         #: Back-off while a foreign reservation blocks a write, and the
@@ -362,24 +376,17 @@ class L1Cache:
         """
         if hi_byte <= lo_byte:
             return []
-        found = []
-        first_line = self.geometry.line_number(lo_byte)
-        last_line = self.geometry.line_number(hi_byte - 1)
-        span = last_line - first_line + 1
-        if span <= self.geometry.sets:
-            for line_no in range(first_line, last_line + 1):
-                for line in self._sets[self.geometry.set_index(line_no)]:
-                    if (line.line_no == line_no and line.mem_index == mem_index
-                            and line.lo_byte < hi_byte
-                            and lo_byte < line.hi_byte):
-                        found.append(line)
-            return found
-        for ways in self._sets:
-            for line in ways:
-                if (line.mem_index == mem_index and line.lo_byte < hi_byte
-                        and lo_byte < line.hi_byte):
-                    found.append(line)
-        return found
+        line_nos = range(self.geometry.line_number(lo_byte),
+                         self.geometry.line_number(hi_byte - 1) + 1)
+        if len(line_nos) <= self.geometry.sets:
+            candidates = [line for line_no in line_nos
+                          for line in self._sets[self.geometry.set_index(line_no)]
+                          if line.line_no == line_no]
+        else:
+            candidates = [line for ways in self._sets for line in ways]
+        return [line for line in candidates
+                if line.mem_index == mem_index and line.lo_byte < hi_byte
+                and lo_byte < line.hi_byte]
 
     def dirty_lines_overlapping(self, alloc: SharedAllocation, lo_byte: int,
                                 hi_byte: int) -> List[CacheLine]:
@@ -427,10 +434,8 @@ class L1Cache:
     # -- local answers -----------------------------------------------------------------
     def _local(self, data: int = 0, burst: Optional[List[int]] = None
                ) -> BusResponse:
-        return BusResponse(status=ResponseStatus.OK, data=data,
-                           burst_data=list(burst) if burst is not None else [],
-                           slave_cycles=0,
-                           total_cycles=self._hit_cycles)
+        return BusResponse(ResponseStatus.OK, data, list(burst or ()), 0,
+                           self._hit_cycles)
 
     # -- main entry point --------------------------------------------------------------
     def transfer(self, request: BusRequest
@@ -474,26 +479,10 @@ class L1Cache:
                     and opcode is not MemOpcode.WRITE_ARRAY):
                 yield from self._flush_stage()
             if opcode is MemOpcode.READ or opcode is MemOpcode.WRITE:
-                # The probe answers a hit before any per-opcode generator
-                # exists; a miss hands its resolution to the fill / upgrade
-                # code.  A write refused by a foreign reservation (``None``)
-                # stalls, then starts over from the probe.
-                for _attempt in range(self._max_stalls):
-                    response, located = self.probe(command, mem_index)
-                    if response is not None:
-                        yield self._hit_wait
-                        return response
-                    if located is None:
-                        break  # not a live element: the wrapper answers
-                    if opcode is MemOpcode.READ:
-                        return (yield from self._op_read(request, *located))
-                    response = yield from self._op_write_once(
-                        command, request, *located)
-                    if response is not None:
-                        return response
-                    self.stats.reservation_stalls += 1
-                    yield self._stall_wait
-            elif opcode is not None:
+                return (yield from self._scalar(
+                    request, opcode is MemOpcode.WRITE, mem_index,
+                    command.vptr, command.offset, command.data))
+            if opcode is not None:
                 return (yield from self._dispatch(command, request, base,
                                                   mem_index))
             self.stats.uncached_ops += 1
@@ -531,8 +520,10 @@ class L1Cache:
                     self._finalize_install(alloc, start, words, lines,
                                            dirty=False)
             self.domain.end_fill(guard)
-        else:
-            self._clear_pending_install()
+        elif self._pending_install is not None:
+            # Unexpected interleaving: abandon the staged install.
+            self.domain.end_fill(self._pending_install[4])
+            self._pending_install = None
         return response
 
     # -- opcode dispatch -----------------------------------------------------------------
@@ -567,9 +558,11 @@ class L1Cache:
         return (yield from self._raw.transfer(request))
 
     # -- scalar accesses ------------------------------------------------------------------
-    def probe(self, command: MemCommand, mem_index: int) -> Tuple[
-            Optional[BusResponse], Optional[Tuple[SharedAllocation, int]]]:
-        """Synchronous front of a scalar READ/WRITE: ``(response, located)``.
+    def probe(self, store: bool, mem_index: int, vptr: int, offset: int,
+              data: int) -> Tuple[Optional[BusResponse],
+                                  Optional[Tuple[SharedAllocation, int]]]:
+        """Synchronous front of a scalar READ (``store`` false) or WRITE of
+        ``data``: ``(response, located)``.
 
         A plain method (no generator, no simulator).  Resolves the access in
         the shadow map once and serves a hit from the line directory: a READ
@@ -577,13 +570,12 @@ class L1Cache:
         MODIFIED line of an unreserved allocation; the caller owes the hit
         latency.  Otherwise ``response`` is ``None`` and ``located`` —
         ``(allocation, index)``, or ``None`` for no live element — goes on
-        to the miss path.
+        to :meth:`_scalar`.
         """
-        located = self.domain.resolve(mem_index, command.vptr, command.offset)
+        located = self.domain.resolve(mem_index, vptr, offset)
         if located is None:
             return None, None
         alloc, index = located
-        store = command.opcode is MemOpcode.WRITE
         if store and (self.policy is not WritePolicy.WRITE_BACK
                       or alloc.reserved_by is not None):
             return None, located  # goes to memory or stalls: no lookup
@@ -595,7 +587,7 @@ class L1Cache:
         if store:
             if line.state is not MSIState.MODIFIED:
                 return None, located  # resident but SHARED: upgrade first
-            line.store(slot, canonical_word(command.data, alloc.data_type))
+            line.store(slot, canonical_word(data, alloc.data_type))
             data = 0
         elif 0 <= slot < len(line.present) and line.present[slot]:
             data = line.words[slot]
@@ -604,6 +596,36 @@ class L1Cache:
         self.stats.hits += 1
         return BusResponse(ResponseStatus.OK, data, [], 0,
                            self._hit_cycles), located
+
+    def _scalar(self, request: BusRequest, store: bool, mem_index: int,
+                vptr: int, offset: int, data: int, probed=None
+                ) -> Generator[object, None, BusResponse]:
+        """A scalar READ / WRITE: the probe, then what it did not serve.
+
+        ``probed`` is the first probe's result when the caller already has
+        it.  A read miss fills; a write refused by a foreign reservation
+        (``None`` from :meth:`_op_write_once`) stalls, then starts over from
+        the probe.
+        """
+        for _attempt in range(self._max_stalls):
+            response, located = probed or self.probe(store, mem_index, vptr,
+                                                     offset, data)
+            probed = None
+            if response is not None:
+                yield self._hit_wait
+                return response
+            if located is None:
+                break  # not a live element: the wrapper answers
+            if not store:
+                return (yield from self._op_read(request, *located))
+            response = yield from self._op_write_once(request, vptr, data,
+                                                      *located)
+            if response is not None:
+                return response
+            self.stats.reservation_stalls += 1
+            yield self._stall_wait
+        self.stats.uncached_ops += 1
+        return (yield from self._raw.transfer(request))
 
     def _op_read(self, request: BusRequest, alloc: SharedAllocation,
                  index: int) -> Generator[object, None, BusResponse]:
@@ -623,11 +645,11 @@ class L1Cache:
         """True when a *different* master currently holds the semaphore."""
         return self.domain.is_foreign_reserved(mem_index, vptr, self.master_id)
 
-    def _op_write_once(self, command: MemCommand, request: BusRequest,
+    def _op_write_once(self, request: BusRequest, vptr: int, data: int,
                        alloc: SharedAllocation, index: int
                        ) -> Generator[object, None, Optional[BusResponse]]:
         """One attempt at a scalar write the probe did not serve; ``None``
-        asks :meth:`transfer` to stall and retry.
+        asks :meth:`_scalar` to stall and retry.
 
         A foreign master may hold (or acquire, while this write is in
         flight on the bus) the allocation's coherence semaphore; the
@@ -640,31 +662,15 @@ class L1Cache:
         mem_index = alloc.mem_index
         if alloc.reserved_by is not None and alloc.reserved_by != self.master_id:
             return None
-        value = canonical_word(command.data, alloc.data_type)
-        write_through = (self.policy is WritePolicy.WRITE_THROUGH
-                         or alloc.reserved_by is not None)
-        if write_through:
+        value = canonical_word(data, alloc.data_type)
+        if (self.policy is WritePolicy.WRITE_THROUGH
+                or alloc.reserved_by is not None):
             # Reservation-held writes always go to memory so their
             # visibility matches the uncached platform.
-            yield from self.domain.acquire_exclusive(self, alloc, index, 1)
-            guard = self.domain.begin_fill(self, alloc.mem_index,
-                                           alloc.element_byte(index),
-                                           alloc.element_byte(index + 1))
-            try:
-                response = yield from self._raw.transfer(request)
-            finally:
-                self.domain.end_fill(guard)
-            if response.ok:
+            response = yield from self._write_to_memory(request, vptr, value,
+                                                        alloc, index)
+            if response is not None and response.ok:
                 self.stats.write_throughs += 1
-                # A remote fill may have re-installed the pre-write value
-                # while the write was waiting for the bus: scrub again.
-                self.domain.invalidate_range(
-                    alloc.mem_index, alloc.element_byte(index),
-                    alloc.element_byte(index + 1), requester=self)
-                if not guard.poisoned:
-                    self._update_clean(alloc, index, value)
-            elif self._foreign_reserved(mem_index, command.vptr):
-                return None  # a reservation won the bus race: retry
             return response
         line_no = self.geometry.line_number(alloc.element_byte(index))
         line = self._lookup(mem_index, alloc.uid, line_no)
@@ -673,12 +679,12 @@ class L1Cache:
             _first, _words, line = yield from self._fill(alloc, line_no)
         else:
             self.stats.hits += 1  # resident but SHARED (else the probe stored)
-        if self._foreign_reserved(mem_index, command.vptr):
+        if self._foreign_reserved(mem_index, vptr):
             return None  # reservation acquired while the fill was on the bus
         if line is not None:
             yield from self.domain.acquire_exclusive(
                 self, alloc, line.first_index, line.n_slots)
-            if self._foreign_reserved(mem_index, command.vptr):
+            if self._foreign_reserved(mem_index, vptr):
                 return None
             if self.domain.any_remote_modified(self, mem_index, line.lo_byte,
                                                line.hi_byte):
@@ -689,29 +695,38 @@ class L1Cache:
             # No way available, or the line was invalidated while the
             # upgrade snoop was writing remote data back: write to memory.
             self.stats.fallbacks += 1
-            yield from self.domain.acquire_exclusive(self, alloc, index, 1)
-            guard = self.domain.begin_fill(self, alloc.mem_index,
-                                           alloc.element_byte(index),
-                                           alloc.element_byte(index + 1))
-            try:
-                response = yield from self._raw.transfer(request)
-            finally:
-                self.domain.end_fill(guard)
-            if response.ok:
-                self.domain.invalidate_range(
-                    alloc.mem_index, alloc.element_byte(index),
-                    alloc.element_byte(index + 1), requester=self)
-                if not guard.poisoned:
-                    self._update_clean(alloc, index, value)
-            elif self._foreign_reserved(mem_index, command.vptr):
-                return None
-            return response
+            return (yield from self._write_to_memory(request, vptr, value,
+                                                     alloc, index))
         # acquire_exclusive returns with no surviving remote copy and no
         # trailing yield, so taking MODIFIED here cannot race a remote fill.
         line.state = MSIState.MODIFIED
         line.store(line.slot_of(index), value)
         yield self._hit_wait
         return self._local()
+
+    def _write_to_memory(self, request: BusRequest, vptr: int, value: int,
+                         alloc: SharedAllocation, index: int
+                         ) -> Generator[object, None, Optional[BusResponse]]:
+        """Forward a scalar write, then refresh this cache's copy with the
+        canonical ``value``; ``None`` when a reservation won the bus race."""
+        lo_byte = alloc.element_byte(index)
+        hi_byte = alloc.element_byte(index + 1)
+        yield from self.domain.acquire_exclusive(self, alloc, index, 1)
+        guard = self.domain.begin_fill(self, alloc.mem_index, lo_byte, hi_byte)
+        try:
+            response = yield from self._raw.transfer(request)
+        finally:
+            self.domain.end_fill(guard)
+        if response.ok:
+            # A remote fill may have re-installed the pre-write value
+            # while the write was waiting for the bus: scrub again.
+            self.domain.invalidate_range(alloc.mem_index, lo_byte, hi_byte,
+                                         requester=self)
+            if not guard.poisoned:
+                self._update_clean(alloc, index, value)
+        elif self._foreign_reserved(alloc.mem_index, vptr):
+            return None  # a reservation won the bus race: retry
+        return response
 
     def _update_clean(self, alloc: SharedAllocation, index: int, value: int
                       ) -> None:
@@ -746,9 +761,9 @@ class L1Cache:
         guard = self.domain.begin_fill(
             self, mem_index, alloc.element_byte(start),
             alloc.element_byte(start + command.dim))
-        # The guard deliberately outlives this call on success (it is
-        # consumed when the io fetch installs, or by
-        # _clear_pending_install), so only failure paths may end it here.
+        # The guard deliberately outlives this call on success (the io
+        # fetch, or any other transfer after it, ends it in transfer()),
+        # so only failure paths may end it here.
         try:
             response = yield from self._raw.transfer(request)
         except BaseException:
@@ -935,12 +950,6 @@ class L1Cache:
             if line is None or not self._is_resident(line):
                 return False
         return True
-
-    def _clear_pending_install(self) -> None:
-        """Abandon a staged READ_ARRAY install (unexpected interleaving)."""
-        if self._pending_install is not None:
-            self.domain.end_fill(self._pending_install[4])
-            self._pending_install = None
 
     # -- staging helpers ---------------------------------------------------------------
     def _flush_stage(self) -> Generator[object, None, None]:
@@ -1167,18 +1176,6 @@ class L1Cache:
             ok = yield from self.writeback_line(line, self._raw)
             if ok:
                 line.downgrade()
-
-    def flush(self) -> Generator[object, None, int]:
-        """Write back every dirty line (explicit barrier); returns the count."""
-        flushed = 0
-        for ways in self._sets:
-            for line in list(ways):
-                if line.has_dirty():
-                    ok = yield from self.writeback_line(line, self._raw)
-                    if ok:
-                        line.downgrade()
-                        flushed += 1
-        return flushed
 
     # -- reporting -----------------------------------------------------------------------
     def report(self) -> dict:

@@ -20,7 +20,7 @@ from repro.api import PlatformBuilder
 from repro.cache import (CacheConfig, CacheGeometry, CacheLine,
                          CoherenceDomain, L1Cache, MSIState, SharedAllocation,
                          WritePolicy)
-from repro.memory import DataType, MemCommand, MemOpcode
+from repro.memory import DataType
 from repro.soc import Platform
 from repro.wrapper.errors import ApiError
 
@@ -229,11 +229,17 @@ def install(cache, alloc, line_no, words, state=MSIState.SHARED):
 
 
 def read(vptr, offset=0):
-    return MemCommand(MemOpcode.READ, vptr=vptr, offset=offset)
+    return False, vptr, offset, 0
 
 
 def write(vptr, value, offset=0):
-    return MemCommand(MemOpcode.WRITE, vptr=vptr, offset=offset, data=value)
+    return True, vptr, offset, value
+
+
+def probe(cache, access, mem_index):
+    """``cache.probe`` of a ``read`` / ``write`` access on ``mem_index``."""
+    store, vptr, offset, data = access
+    return cache.probe(store, mem_index, vptr, offset, data)
 
 
 class TestProbe:
@@ -241,7 +247,7 @@ class TestProbe:
         cache, domain = make_cache()
         alloc = domain.on_alloc(0, 0x40, 8, DataType.UINT32)
         install(cache, alloc, 5, [None, None, 77, None])  # bytes 0x50-0x5F
-        response, located = cache.probe(read(0x40, offset=6), 0)
+        response, located = probe(cache, read(0x40, offset=6), 0)
         assert located == (alloc, 6)
         assert response.ok and response.data == 77
         assert response.total_cycles == 1 and response.slave_cycles == 0
@@ -251,42 +257,42 @@ class TestProbe:
         cache, domain = make_cache()
         alloc = domain.on_alloc(0, 0x40, 8, DataType.UINT32)
         install(cache, alloc, 5, [None, None, 77, None])
-        response, located = cache.probe(read(0x40 + 4 * 4, offset=2), 0)
+        response, located = probe(cache, read(0x40 + 4 * 4, offset=2), 0)
         assert located == (alloc, 6) and response.data == 77
 
     def test_absent_slot_and_absent_line_miss_without_counting(self):
         cache, domain = make_cache()
         alloc = domain.on_alloc(0, 0x40, 8, DataType.UINT32)
         install(cache, alloc, 5, [None, None, 77, None])
-        assert cache.probe(read(0x40, offset=5), 0) == (None, (alloc, 5))
-        assert cache.probe(read(0x40, offset=0), 0) == (None, (alloc, 0))
+        assert probe(cache, read(0x40, offset=5), 0) == (None, (alloc, 5))
+        assert probe(cache, read(0x40, offset=0), 0) == (None, (alloc, 0))
         assert cache.stats.hits == 0 and cache.stats.misses == 0
 
     def test_access_outside_every_allocation_is_not_located(self):
         cache, domain = make_cache()
         domain.on_alloc(0, 0x40, 8, DataType.UINT32)
-        assert cache.probe(read(0x40, offset=8), 0) == (None, None)
-        assert cache.probe(read(0x10), 0) == (None, None)
-        assert cache.probe(read(0x40), 1) == (None, None)  # other memory
+        assert probe(cache, read(0x40, offset=8), 0) == (None, None)
+        assert probe(cache, read(0x10), 0) == (None, None)
+        assert probe(cache, read(0x40), 1) == (None, None)  # other memory
 
     def test_write_to_a_modified_line_stores_the_canonical_word(self):
         cache, domain = make_cache()
         alloc = domain.on_alloc(0, 0, 8, DataType.INT16)
         line = install(cache, alloc, 0, [1] * 8, state=MSIState.MODIFIED)
-        response, located = cache.probe(write(0, 0x1_8000, offset=3), 0)
+        response, located = probe(cache, write(0, 0x1_8000, offset=3), 0)
         assert located == (alloc, 3)
         assert response.ok and response.data == 0
         assert line.words[3] == 0xFFFF8000  # truncated, sign-extended
         assert line.present[3] and line.dirty[3]
         assert line.dirty.count(True) == 1
         assert cache.stats.hits == 1
-        assert cache.probe(read(0, offset=3), 0)[0].data == 0xFFFF8000
+        assert probe(cache, read(0, offset=3), 0)[0].data == 0xFFFF8000
 
     def test_write_to_a_shared_line_leaves_it_alone(self):
         cache, domain = make_cache()
         alloc = domain.on_alloc(0, 0, 4, DataType.UINT32)
         line = install(cache, alloc, 0, [1, 2, 3, 4])
-        assert cache.probe(write(0, 9, offset=1), 0) == (None, (alloc, 1))
+        assert probe(cache, write(0, 9, offset=1), 0) == (None, (alloc, 1))
         assert line.words == [1, 2, 3, 4] and not line.has_dirty()
         assert line.state is MSIState.SHARED and cache.stats.hits == 0
 
@@ -294,9 +300,9 @@ class TestProbe:
         cache, domain = make_cache(WritePolicy.WRITE_THROUGH)
         alloc = domain.on_alloc(0, 0, 4, DataType.UINT32)
         line = install(cache, alloc, 0, [1, 2, 3, 4], state=MSIState.MODIFIED)
-        assert cache.probe(write(0, 9), 0) == (None, (alloc, 0))
+        assert probe(cache, write(0, 9), 0) == (None, (alloc, 0))
         assert line.words[0] == 1
-        assert cache.probe(read(0), 0)[0].data == 1  # reads still hit
+        assert probe(cache, read(0), 0)[0].data == 1  # reads still hit
 
     @pytest.mark.parametrize("holder", [0, 1], ids=["own", "foreign"])
     def test_write_to_a_reserved_allocation_is_left_to_the_slow_path(
@@ -309,13 +315,13 @@ class TestProbe:
         domain.on_reserve(alloc, holder)
         ways = cache._sets[0]
         order = list(ways)
-        assert cache.probe(write(0, 9, offset=4), 0) == (None, (alloc, 4))
-        assert cache.probe(write(0, 9, offset=0), 0) == (None, (alloc, 0))
+        assert probe(cache, write(0, 9, offset=4), 0) == (None, (alloc, 4))
+        assert probe(cache, write(0, 9, offset=0), 0) == (None, (alloc, 0))
         assert ways == order  # no lookup: the LRU order did not move
         assert line.words[0] == 1 and other.words[0] == 5
-        assert cache.probe(read(0, offset=4), 0)[0].data == 5  # reads hit
+        assert probe(cache, read(0, offset=4), 0)[0].data == 5  # reads hit
         domain.on_release(alloc)
-        assert cache.probe(write(0, 9), 0)[0].ok and line.words[0] == 9
+        assert probe(cache, write(0, 9), 0)[0].ok and line.words[0] == 9
 
     def test_stale_generation_after_vptr_reuse_does_not_hit(self):
         cache, domain = make_cache()
@@ -325,10 +331,10 @@ class TestProbe:
         assert new.uid != old.uid and new.vptr == old.vptr
         # A line of the dead generation (the domain would have dropped it).
         install(cache, old, 0, [1, 2, 3, 4], state=MSIState.MODIFIED)
-        assert cache.probe(read(0, offset=2), 0) == (None, (new, 2))
-        assert cache.probe(write(0, 9, offset=2), 0) == (None, (new, 2))
+        assert probe(cache, read(0, offset=2), 0) == (None, (new, 2))
+        assert probe(cache, write(0, 9, offset=2), 0) == (None, (new, 2))
         install(cache, new, 0, [0, 0, 8, 0])
-        assert cache.probe(read(0, offset=2), 0)[0].data == 8
+        assert probe(cache, read(0, offset=2), 0)[0].data == 8
 
     def test_a_hit_moves_the_line_to_mru(self):
         cache, domain = make_cache()
@@ -336,7 +342,7 @@ class TestProbe:
         first = install(cache, alloc, 0, [1, 2, 3, 4])
         second = install(cache, alloc, 2, [5, 6, 7, 8])  # same set, now MRU
         assert cache._sets[0] == [second, first]
-        assert cache.probe(read(0, offset=1), 0)[0].data == 2
+        assert probe(cache, read(0, offset=1), 0)[0].data == 2
         assert cache._sets[0] == [first, second]
 
 

@@ -237,10 +237,10 @@ class Row(NamedTuple):
 
 #: ``measured`` on CPython 3.11; 3.12 counts the same or fewer.
 ROWS = [
-    Row("l1-read-hit", platform(l1wb()), l1_read_hits, "read", 16.0, 17),
+    Row("l1-read-hit", platform(l1wb()), l1_read_hits, "read", 10.0, 11),
     Row("l1-write-back-write-hit", platform(l1wb()), l1_write_hits, "write",
-        19.0, 20),
-    Row("l1-read-miss", platform(l1wb()), l1_read_misses, "miss", 169.1, 186),
+        13.0, 14),
+    Row("l1-read-miss", platform(l1wb()), l1_read_misses, "miss", 168.1, 184),
     Row("mesh-2x2-read",
         platform(PlatformBuilder().pes(1).wrapper_memories(1).mesh(2, 2)),
         mesh_reads, "read", 175.0, 192),
