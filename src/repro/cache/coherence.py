@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
+from ..memory.dynamic_base import Allocation
 from ..memory.protocol import (
-    DATA_TYPE_SIZES,
     DataType,
     MemCommand,
     MemOpcode,
@@ -44,35 +44,15 @@ from ..memory.protocol import (
 from ..fabric import BusOp, BusRequest, BusResponse, Fabric
 
 
-@dataclass
-class SharedAllocation:
-    """Shadow-map row mirroring one live pointer-table entry.
-
-    ``vptr``, ``dim`` and ``data_type`` never change once the row exists, so
-    the sizes derived from them are fixed at construction.
-    """
+@dataclass(slots=True, eq=False)
+class SharedAllocation(Allocation):
+    """Shadow-map row mirroring one live pointer-table entry."""
 
     #: Monotonically increasing identity: vptr ranges are *reused* after
     #: frees (the wrapper restarts generation from the last surviving
     #: entry), so cached lines are keyed by ``uid`` rather than by address.
-    uid: int
-    mem_index: int
-    vptr: int
-    dim: int
-    data_type: DataType
-    reserved_by: Optional[int] = None
-    element_size: int = field(init=False)
-    size_bytes: int = field(init=False)
-    end_vptr: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.element_size = DATA_TYPE_SIZES[self.data_type]
-        self.size_bytes = self.dim * self.element_size
-        self.end_vptr = self.vptr + self.size_bytes
-
-    def element_byte(self, index: int) -> int:
-        """Byte address (in vptr space) of element ``index``."""
-        return self.vptr + index * self.element_size
+    uid: int = field(kw_only=True)
+    mem_index: int = field(kw_only=True)
 
 
 @dataclass
@@ -162,8 +142,8 @@ class CoherenceDomain:
     def on_alloc(self, mem_index: int, vptr: int, dim: int,
                  data_type: DataType) -> SharedAllocation:
         """Record a successful ALLOC and scrub stale lines in its range."""
-        alloc = SharedAllocation(self._next_uid, mem_index, vptr, dim,
-                                 DataType(data_type))
+        alloc = SharedAllocation(vptr, dim, DataType(data_type),
+                                 uid=self._next_uid, mem_index=mem_index)
         self._next_uid += 1
         self._allocs.setdefault(mem_index, []).append(alloc)
         # Vptr ranges may be reused after frees; drop any line (of any

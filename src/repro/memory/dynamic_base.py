@@ -1,23 +1,31 @@
-"""Shared bus-side machinery for dynamic memory modules.
+"""Shared bus-side machinery and protocol rules for dynamic memory modules.
 
 Both the paper's host-backed shared-memory wrapper and the traditional
 fully-modelled baseline expose the same register window (defined in
 :mod:`repro.memory.protocol`), so the software API can target either.  This
-module implements the common plumbing once:
+module implements everything they have in common once:
 
 * decoding of command-port bursts and of individual register pokes,
+* the protocol's semantics (:meth:`DynamicMemorySlave._execute`): ALLOC
+  validation, exact-base FREE / RESERVE / RELEASE / QUERY, interior-pointer
+  READ / WRITE and array transfers, the check order (pointer, then bounds,
+  then reservation) and the reservation semaphore, over one
+  :class:`Allocation` row,
 * the I/O array staging buffer used for indexed-structure transfers,
 * element encode/decode helpers (data type width, signedness, endianness),
 * per-opcode operation counters used by the evaluation benches.
 
-Concrete modules implement :meth:`DynamicMemorySlave._execute` (functional
-behaviour) and :meth:`DynamicMemorySlave._cycles_for` (timing).
+Concrete modules supply only storage — where rows and bytes live, through
+the eight hooks ``_allocate``, ``_free``, ``_lookup``, ``_containing``,
+``_load``, ``_store``, ``_load_array`` and ``_store_array`` — and timing
+(:meth:`DynamicMemorySlave._cycles_for`).
 """
 
 from __future__ import annotations
 
 import struct
 from collections import Counter
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..fabric import BusSlave
@@ -142,9 +150,58 @@ def to_signed(value: int, data_type: DataType) -> int:
     return raw
 
 
+#: Commands addressing elements, which accept interior pointers.
+_ELEMENT_OPCODES = frozenset((MemOpcode.READ, MemOpcode.WRITE, *ARRAY_OPCODES))
+
 # ---------------------------------------------------------------------------
-# The common slave base class.
+# The allocation row and the common slave base class.
 # ---------------------------------------------------------------------------
+
+
+@dataclass(slots=True, eq=False)
+class Allocation:
+    """One live allocation: its virtual range, element typing and the
+    reservation bit (the master holding the semaphore, or ``None``).
+
+    ``vptr``, ``dim`` and ``data_type`` never change once the row exists, so
+    the sizes derived from them are fixed at construction.  Rows compare by
+    identity: a freed range may be reissued to an equal-looking new row.
+    """
+
+    vptr: int
+    dim: int
+    data_type: DataType
+    reserved_by: Optional[int] = None
+    #: Size in bytes of one element of this allocation.
+    element_size: int = field(init=False)
+    #: Total payload size of the allocation in bytes.
+    size_bytes: int = field(init=False)
+    #: First virtual address *after* this allocation.
+    end_vptr: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.element_size = DATA_TYPE_SIZES[self.data_type]
+        self.size_bytes = self.dim * self.element_size
+        self.end_vptr = self.vptr + self.size_bytes
+
+    def contains(self, vptr: int) -> bool:
+        """True when ``vptr`` points inside this allocation."""
+        return self.vptr <= vptr < self.end_vptr
+
+    def element_byte(self, index: int) -> int:
+        """Byte address (in vptr space) of element ``index``."""
+        return self.vptr + index * self.element_size
+
+    def locate(self, vptr: int, offset: int, count: int) -> Optional[int]:
+        """Index of the first of ``count`` elements starting ``offset``
+        elements past the one ``vptr`` points into, or ``None`` unless all
+        of them lie inside this allocation (``vptr`` must, see
+        :meth:`contains`)."""
+        index = (vptr - self.vptr) // self.element_size + offset
+        if index < 0 or count < 0 or index + count > self.dim:
+            return None
+        return index
+
 
 #: Cycles charged for a plain register / I/O-array access.
 REGISTER_ACCESS_CYCLES = 1
@@ -168,8 +225,6 @@ class DynamicMemorySlave(BusSlave):
         self.last_status: MemStatus = MemStatus.OK
         self.last_result: int = 0
         self.op_counts: Counter = Counter()
-        self.op_cycles: Counter = Counter()
-        self.register_accesses = 0
         #: Idle evaluations performed by cycle-driven platforms (see
         #: ``PlatformConfig.idle_tick_memories``).
         self.idle_cycles = 0
@@ -186,16 +241,106 @@ class DynamicMemorySlave(BusSlave):
             self._io_arrays[master_id] = [0] * (IO_ARRAY_BYTES // 4)
         return self._io_arrays[master_id]
 
-    # -- subclass hooks -------------------------------------------------------
+    # -- the protocol ------------------------------------------------------------
     def _execute(self, command: MemCommand, io_words: List[int],
                  master_id: int) -> MemResult:
-        """Perform the operation functionally and return its result.
+        """Perform ``command`` for ``master_id`` over the storage hooks.
 
-        ``io_words`` is the requester's live I/O array: read-only here."""
+        FREE / RESERVE / RELEASE / QUERY name an allocation by its exact
+        base; READ / WRITE and the array commands accept interior pointers.
+        A command is checked for its pointer, then its bounds, then a
+        foreign reservation, which only modifying commands honour.
+        ``io_words`` is the requester's live I/O array: read-only here.
+        """
+        if command.sm_addr != self.sm_addr:
+            return MemResult(MemStatus.ERR_BAD_SM_ADDR)
+        opcode = command.opcode
+        if opcode in _ELEMENT_OPCODES:
+            count = command.dim if opcode in ARRAY_OPCODES else 1
+            if count > len(io_words):
+                # More words than the I/O array can stage: refuse, execute nothing.
+                return MemResult(MemStatus.ERR_MALFORMED)
+            alloc = self._containing(command.vptr)
+            if alloc is None:
+                return MemResult(MemStatus.ERR_INVALID_PTR)
+            index = alloc.locate(command.vptr, command.offset, count)
+            if index is None:
+                return MemResult(MemStatus.ERR_OUT_OF_RANGE)
+            if opcode is MemOpcode.READ:
+                return MemResult(MemStatus.OK,
+                                 self._load(alloc, index) & 0xFFFFFFFF)
+            if opcode is MemOpcode.READ_ARRAY:
+                return MemResult(MemStatus.OK, count,
+                                 self._load_array(alloc, index, count))
+            if alloc.reserved_by is not None and alloc.reserved_by != master_id:
+                return MemResult(MemStatus.ERR_RESERVED)
+            if opcode is MemOpcode.WRITE:
+                self._store(alloc, index, command.data)
+                return MemResult(MemStatus.OK)
+            self._store_array(alloc, index, io_words[:count])
+            return MemResult(MemStatus.OK, count)
+        if opcode is MemOpcode.ALLOC:
+            if command.dim <= 0:
+                return MemResult(MemStatus.ERR_MALFORMED)
+            alloc = self._allocate(command.dim, command.data_type)
+            if alloc is None:
+                return MemResult(MemStatus.ERR_FULL)
+            return MemResult(MemStatus.OK, alloc.vptr)
+        if opcode is MemOpcode.NOP:
+            return MemResult(MemStatus.OK)
+        # FREE, RESERVE, RELEASE, QUERY.
+        alloc = self._lookup(command.vptr)
+        if alloc is None:
+            return MemResult(MemStatus.ERR_INVALID_PTR)
+        if opcode is MemOpcode.QUERY:
+            return MemResult(MemStatus.OK, alloc.size_bytes)
+        if alloc.reserved_by is not None and alloc.reserved_by != master_id:
+            return MemResult(MemStatus.ERR_RESERVED)
+        if opcode is MemOpcode.FREE:
+            self._free(alloc)
+        else:
+            # The semaphore: only a free bit or its holder gets this far.
+            alloc.reserved_by = master_id if opcode is MemOpcode.RESERVE else None
+        return MemResult(MemStatus.OK)
+
+    # -- storage hooks ---------------------------------------------------------------
+    def _allocate(self, dim: int, data_type: DataType) -> Optional[Allocation]:
+        """Create a row of ``dim`` (> 0) elements, or ``None`` when full."""
         raise NotImplementedError
 
-    def _cycles_for(self, command: MemCommand, result: MemResult) -> int:
-        """Number of slave cycles the operation should consume."""
+    def _free(self, alloc: Allocation) -> None:
+        """Delete ``alloc`` and its storage."""
+        raise NotImplementedError
+
+    def _lookup(self, vptr: int) -> Optional[Allocation]:
+        """The row whose base is exactly ``vptr``."""
+        raise NotImplementedError
+
+    def _containing(self, vptr: int) -> Optional[Allocation]:
+        """The row whose range holds ``vptr`` (the paper's pointer arithmetic)."""
+        raise NotImplementedError
+
+    def _load(self, alloc: Allocation, index: int) -> int:
+        """Element ``index`` of ``alloc``, sign-extended per its data type."""
+        raise NotImplementedError
+
+    def _store(self, alloc: Allocation, index: int, value: int) -> None:
+        """Store ``value`` as element ``index`` of ``alloc``."""
+        raise NotImplementedError
+
+    def _load_array(self, alloc: Allocation, index: int, count: int) -> List[int]:
+        """``count`` elements of ``alloc`` from ``index``, as canonical words."""
+        raise NotImplementedError
+
+    def _store_array(self, alloc: Allocation, index: int,
+                     words: List[int]) -> None:
+        """Store ``words`` as consecutive elements of ``alloc`` from ``index``."""
+        raise NotImplementedError
+
+    # -- timing and diagnostics --------------------------------------------------------
+    def _cycles_for(self, command: MemCommand, words: int) -> int:
+        """Number of slave cycles the operation should consume; ``words`` is
+        how many an array command moved (0 for a refused one)."""
         raise NotImplementedError
 
     def live_count(self) -> int:
@@ -235,8 +380,7 @@ class DynamicMemorySlave(BusSlave):
             return (BusResponse(status=ResponseStatus.NACK,
                                 data=int(MemStatus.ERR_MALFORMED)),
                     REGISTER_ACCESS_CYCLES + len(request.burst_data))
-        result = self._run_command(command, request.master_id)
-        cycles = self._cycles_for(command, result)
+        result, cycles = self._run_command(command, request.master_id)
         # Delivering the command words costs one cycle per word on top of the
         # operation itself (opcode + sm_addr + operands, as in the paper's
         # cycle-by-cycle handshake).
@@ -244,15 +388,11 @@ class DynamicMemorySlave(BusSlave):
         status = ResponseStatus.OK if result.ok else ResponseStatus.NACK
         return BusResponse(status=status, data=result.value), cycles
 
-    def _run_command(self, command: MemCommand, master_id: int) -> MemResult:
+    def _run_command(self, command: MemCommand, master_id: int
+                     ) -> Tuple[MemResult, int]:
+        """Execute ``command``: its result and the cycles it took."""
         io_array = self.io_array_for(master_id)
-        if command.sm_addr != self.sm_addr:
-            result = MemResult(MemStatus.ERR_BAD_SM_ADDR)
-        elif command.opcode in ARRAY_OPCODES and command.dim > len(io_array):
-            # More words than the I/O array can stage: refuse, execute nothing.
-            result = MemResult(MemStatus.ERR_MALFORMED)
-        else:
-            result = self._execute(command, io_array, master_id)
+        result = self._execute(command, io_array, master_id)
         self.last_status = result.status
         self.last_result = result.value
         self.op_counts[command.opcode] += 1
@@ -260,17 +400,19 @@ class DynamicMemorySlave(BusSlave):
             # Stage read-array results in the I/O array for later burst reads.
             io_array[:len(result.burst)] = [word & 0xFFFFFFFF
                                             for word in result.burst]
-        return result
+        # Only an array command that completed moved any words.
+        words = (command.dim if result.status is MemStatus.OK
+                 and command.opcode in ARRAY_OPCODES else 0)
+        return result, self._cycles_for(command, words)
 
     # -- register file handling --------------------------------------------------------
     def _handle_register(self, request: BusRequest, offset: int):
-        self.register_accesses += 1
         cycles = REGISTER_ACCESS_CYCLES
         if request.op is BusOp.WRITE:
             if offset == REG_GO:
-                command = self._command_from_staged()
-                result = self._run_command(command, request.master_id)
-                cycles = self._cycles_for(command, result) + cycles
+                result, run_cycles = self._run_command(
+                    self._command_from_staged(), request.master_id)
+                cycles += run_cycles
                 status = ResponseStatus.OK if result.ok else ResponseStatus.NACK
                 return BusResponse(status=status, data=result.value), cycles
             self._staged[offset] = request.data

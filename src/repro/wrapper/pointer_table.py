@@ -6,7 +6,9 @@ functional part.  Each live allocation has one entry holding:
 * the **virtual pointer** (Vptr) handed to the simulated software,
 * the **host pointer** (Hptr) — here a :class:`~repro.memory.HostBlock`,
 * the element **type** and **dimension** of the allocation,
-* the **reservation bit** used as a semaphore for data coherence.
+* the **reservation bit** used as a semaphore for data coherence (the
+  protocol rule that sets and clears it lives in
+  :class:`~repro.memory.dynamic_base.DynamicMemorySlave`).
 
 Virtual pointers are generated exactly as described in the paper: every new
 Vptr is the previous entry's Vptr plus the previous allocation's size in
@@ -26,46 +28,20 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
+from ..memory.dynamic_base import Allocation
 from ..memory.host_memory import HostBlock
 from ..memory.protocol import DATA_TYPE_SIZES, DataType
 from .errors import PointerTableError
 
 
-@dataclass(slots=True)
-class PointerEntry:
-    """One row of the pointer table.
+@dataclass(slots=True, eq=False)
+class PointerEntry(Allocation):
+    """One row of the pointer table: an :class:`Allocation` plus its host
+    block (the paper's Hptr)."""
 
-    ``vptr``, ``dim`` and ``data_type`` never change once the row exists, so
-    the sizes derived from them are fixed at construction.
-    """
-
-    vptr: int
-    hptr: HostBlock
-    dim: int
-    data_type: DataType
-    reserved_by: Optional[int] = None
-    #: Size in bytes of one element of this allocation.
-    element_size: int = field(init=False)
-    #: Total payload size of the allocation in bytes.
-    size_bytes: int = field(init=False)
-    #: First virtual address *after* this allocation.
-    end_vptr: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.element_size = DATA_TYPE_SIZES[self.data_type]
-        self.size_bytes = self.dim * self.element_size
-        self.end_vptr = self.vptr + self.size_bytes
-
-    @property
-    def reserved(self) -> bool:
-        """True when some master holds the reservation bit."""
-        return self.reserved_by is not None
-
-    def contains(self, vptr: int) -> bool:
-        """True when ``vptr`` points inside this allocation."""
-        return self.vptr <= vptr < self.end_vptr
+    hptr: HostBlock = field(kw_only=True)
 
 
 class PointerTable:
@@ -91,28 +67,11 @@ class PointerTable:
         """Sum of the live allocations' sizes."""
         return self._used_bytes
 
-    def free_bytes(self) -> Optional[int]:
-        """Remaining capacity, or ``None`` when the table is unlimited."""
-        if self.capacity_bytes is None:
-            return None
-        return self.capacity_bytes - self._used_bytes
-
     def would_fit(self, size_bytes: int) -> bool:
         """True if an allocation of ``size_bytes`` respects the capacity limit."""
         if self.capacity_bytes is None:
             return True
         return self._used_bytes + size_bytes <= self.capacity_bytes
-
-    # -- Vptr generation ---------------------------------------------------------------
-    def next_vptr(self) -> int:
-        """The Vptr the next allocation will receive.
-
-        Paper rule: previous entry's Vptr plus previous allocation's size;
-        zero (plus the configured base) for the first entry.
-        """
-        if not self._entries:
-            return self.base_vptr
-        return self._entries[-1].end_vptr
 
     # -- table operations ------------------------------------------------------------------
     def insert(self, hptr: HostBlock, dim: int, data_type: DataType) -> PointerEntry:
@@ -125,7 +84,10 @@ class PointerTable:
                 f"allocation of {size_bytes} bytes exceeds capacity "
                 f"{self.capacity_bytes}"
             )
-        entry = PointerEntry(self.next_vptr(), hptr, dim, data_type)
+        # Paper rule: previous entry's Vptr plus previous allocation's size;
+        # zero (plus the configured base) for the first entry.
+        vptr = self._entries[-1].end_vptr if self._entries else self.base_vptr
+        entry = PointerEntry(vptr, dim, data_type, hptr=hptr)
         self._entries.append(entry)
         self._vptrs.append(entry.vptr)
         self._used_bytes += size_bytes
@@ -135,11 +97,11 @@ class PointerTable:
         return entry
 
     def _base_index(self, vptr: int) -> int:
-        """Position of the entry whose Vptr is exactly ``vptr``."""
+        """Position of the entry whose Vptr is exactly ``vptr``, or -1."""
         index = bisect_right(self._vptrs, vptr) - 1
-        if index < 0 or self._vptrs[index] != vptr:
-            raise PointerTableError(f"no allocation with Vptr {vptr:#x}")
-        return index
+        if index >= 0 and self._vptrs[index] == vptr:
+            return index
+        return -1
 
     def remove(self, vptr: int) -> PointerEntry:
         """Remove the entry whose Vptr is exactly ``vptr`` and re-compact.
@@ -148,68 +110,34 @@ class PointerTable:
         entries (only the lists are compacted, as in the paper).
         """
         index = self._base_index(vptr)
+        if index < 0:
+            raise PointerTableError(f"no allocation with Vptr {vptr:#x}")
         entry = self._entries.pop(index)
         del self._vptrs[index]
         self._used_bytes -= entry.size_bytes
         self.total_frees += 1
         return entry
 
-    def lookup(self, vptr: int) -> PointerEntry:
-        """Find the entry whose Vptr is exactly ``vptr``."""
-        return self._entries[self._base_index(vptr)]
+    def lookup(self, vptr: int) -> Optional[PointerEntry]:
+        """The entry whose Vptr is exactly ``vptr``, or ``None``."""
+        index = self._base_index(vptr)
+        return self._entries[index] if index >= 0 else None
 
-    def resolve(self, vptr: int) -> Tuple[PointerEntry, int]:
-        """Resolve a possibly-interior pointer to ``(entry, byte_offset)``.
+    def containing(self, vptr: int) -> Optional[PointerEntry]:
+        """The entry whose range holds a possibly-interior ``vptr``, or ``None``.
 
-        This implements the paper's pointer-arithmetic support: a Vptr that
-        is not in the table is matched against the allocation that contains
-        it, and the host pointer is later offset accordingly.
+        This is the paper's pointer-arithmetic support: a Vptr that is not
+        in the table is matched against the allocation that contains it,
+        and the host pointer is later offset accordingly.
         """
         # Ranges are disjoint: only the last entry starting at or below
         # ``vptr`` can contain it.
         index = bisect_right(self._vptrs, vptr) - 1
         if index >= 0 and self._entries[index].contains(vptr):
-            return self._entries[index], vptr - self._vptrs[index]
-        raise PointerTableError(f"Vptr {vptr:#x} does not fall in any allocation")
-
-    def try_resolve(self, vptr: int) -> Optional[Tuple[PointerEntry, int]]:
-        """Like :meth:`resolve` but returns ``None`` instead of raising."""
-        try:
-            return self.resolve(vptr)
-        except PointerTableError:
-            return None
-
-    # -- reservation bits --------------------------------------------------------------------
-    def reserve(self, vptr: int, master_id: int) -> PointerEntry:
-        """Set the reservation bit of ``vptr`` on behalf of ``master_id``."""
-        entry = self.lookup(vptr)
-        if entry.reserved and entry.reserved_by != master_id:
-            raise PointerTableError(
-                f"Vptr {vptr:#x} already reserved by master {entry.reserved_by}"
-            )
-        entry.reserved_by = master_id
-        return entry
-
-    def release(self, vptr: int, master_id: int) -> PointerEntry:
-        """Clear the reservation bit (only the holder may clear it)."""
-        entry = self.lookup(vptr)
-        if entry.reserved and entry.reserved_by != master_id:
-            raise PointerTableError(
-                f"Vptr {vptr:#x} is reserved by master {entry.reserved_by}"
-            )
-        entry.reserved_by = None
-        return entry
-
-    def check_access(self, entry: PointerEntry, master_id: int) -> bool:
-        """True when ``master_id`` may modify ``entry`` (reservation honoured)."""
-        return not entry.reserved or entry.reserved_by == master_id
+            return self._entries[index]
+        return None
 
     # -- inspection ---------------------------------------------------------------------------
-    @property
-    def entries(self) -> List[PointerEntry]:
-        """Live entries in table order (oldest first)."""
-        return list(self._entries)
-
     def live_count(self) -> int:
         """Number of live allocations."""
         return len(self._entries)

@@ -1,21 +1,17 @@
 """The dynamic shared memory wrapper — the paper's contribution.
 
-:class:`SharedMemoryWrapper` is a bus slave exposing the dynamic-memory
-protocol (the same register window as the fully-modelled baseline) while
-storing the application data in *host* memory:
+:class:`SharedMemoryWrapper` is a bus slave answering the dynamic-memory
+protocol — whose rules live once in
+:meth:`~repro.memory.dynamic_base.DynamicMemorySlave._execute`, shared with
+the fully-modelled baseline — while storing the application data in *host*
+memory.  It supplies only storage and timing:
 
-* ALLOC → host ``calloc`` through the translator; the new (Vptr, Hptr, type,
-  dim, reservation bit) row is added to the pointer table; the Vptr is
-  returned to the master.
-* WRITE/READ → pointer-table lookup (with pointer-arithmetic resolution for
-  interior pointers), then a single native host access through the
-  translator.
-* WRITE_ARRAY/READ_ARRAY → the I/O arrays stage the words, the translator
-  moves the whole block with one host operation.
-* FREE → table entry removed (table re-compacted), host ``free`` issued,
-  used-bytes counter decremented.
-* RESERVE/RELEASE → the reservation bit provides the paper's data-coherence
-  semaphore.
+* rows are the pointer table's (Vptr, Hptr, type, dim, reservation bit)
+  entries; exact and interior pointers resolve through the table;
+* ALLOC → host ``calloc`` through the translator plus a new table row, FREE
+  → row removed (table re-compacted) and host ``free`` issued;
+* READ/WRITE → one native host access through the translator,
+  WRITE_ARRAY/READ_ARRAY → the whole I/O-array block in one host operation.
 
 Timing comes from the cycle-true FSM (:class:`~repro.wrapper.wrapper_fsm.WrapperFsm`)
 parameterised by :class:`~repro.wrapper.delays.WrapperDelays`; the host work
@@ -33,15 +29,14 @@ from ..memory.host_memory import HostMemory
 from ..memory.protocol import (
     ARRAY_OPCODES,
     DATA_TYPE_SIZES,
+    DataType,
     Endianness,
     MemCommand,
     MemOpcode,
-    MemResult,
-    MemStatus,
 )
 from .delays import WrapperDelays
-from .errors import PointerTableError, TranslationError
-from .pointer_table import PointerTable
+from .errors import TranslationError
+from .pointer_table import PointerEntry, PointerTable
 from .translator import Translator
 from .wrapper_fsm import WrapperFsm
 
@@ -109,153 +104,51 @@ class SharedMemoryWrapper(DynamicMemorySlave):
         """The configured simulated capacity (None = unlimited)."""
         return self.table.capacity_bytes
 
-    # -- functional behaviour --------------------------------------------------------------
-    def _execute(self, command: MemCommand, io_words: List[int],
-                 master_id: int) -> MemResult:
-        opcode = command.opcode
-        if opcode == MemOpcode.ALLOC:
-            return self._op_alloc(command)
-        if opcode == MemOpcode.FREE:
-            return self._op_free(command, master_id)
-        if opcode == MemOpcode.WRITE:
-            return self._op_write(command, master_id)
-        if opcode == MemOpcode.READ:
-            return self._op_read(command)
-        if opcode == MemOpcode.WRITE_ARRAY:
-            return self._op_write_array(command, io_words, master_id)
-        if opcode == MemOpcode.READ_ARRAY:
-            return self._op_read_array(command)
-        if opcode == MemOpcode.RESERVE:
-            return self._op_reserve(command, master_id)
-        if opcode == MemOpcode.RELEASE:
-            return self._op_release(command, master_id)
-        if opcode == MemOpcode.QUERY:
-            return self._op_query(command)
-        if opcode == MemOpcode.NOP:
-            return MemResult(MemStatus.OK)
-        return MemResult(MemStatus.ERR_BAD_OPCODE)
-
-    # -- operations ---------------------------------------------------------------------------
-    def _op_alloc(self, command: MemCommand) -> MemResult:
-        if command.dim <= 0:
-            return MemResult(MemStatus.ERR_MALFORMED)
-        size_bytes = command.dim * DATA_TYPE_SIZES[command.data_type]
-        if not self.table.would_fit(size_bytes):
-            return MemResult(MemStatus.ERR_FULL)
+    # -- storage ------------------------------------------------------------------------
+    def _allocate(self, dim: int, data_type: DataType) -> Optional[PointerEntry]:
+        if not self.table.would_fit(dim * DATA_TYPE_SIZES[data_type]):
+            return None
         try:
-            block = self.translator.host_calloc(command.dim, command.data_type)
+            block = self.translator.host_calloc(dim, data_type)
         except TranslationError:
-            return MemResult(MemStatus.ERR_FULL)
-        entry = self.table.insert(block, command.dim, command.data_type)
-        return MemResult(MemStatus.OK, value=entry.vptr)
+            return None
+        return self.table.insert(block, dim, data_type)
 
-    def _op_free(self, command: MemCommand, master_id: int) -> MemResult:
-        try:
-            entry = self.table.lookup(command.vptr)
-        except PointerTableError:
-            return MemResult(MemStatus.ERR_INVALID_PTR)
-        if not self.table.check_access(entry, master_id):
-            return MemResult(MemStatus.ERR_RESERVED)
-        self.table.remove(command.vptr)
+    def _free(self, entry: PointerEntry) -> None:
+        self.table.remove(entry.vptr)
         self.translator.host_free(entry.hptr)
-        return MemResult(MemStatus.OK)
 
-    def _resolve_element(self, command: MemCommand):
-        """Resolve vptr+offset to (entry, byte offset); MemResult on error."""
-        resolved = self.table.try_resolve(command.vptr)
-        if resolved is None:
-            return MemResult(MemStatus.ERR_INVALID_PTR)
-        entry, byte_offset = resolved
-        element_index = byte_offset // entry.element_size + command.offset
-        if element_index < 0 or element_index >= entry.dim:
-            return MemResult(MemStatus.ERR_OUT_OF_RANGE)
-        return entry, element_index * entry.element_size
+    def _lookup(self, vptr: int) -> Optional[PointerEntry]:
+        return self.table.lookup(vptr)
 
-    def _op_write(self, command: MemCommand, master_id: int) -> MemResult:
-        resolved = self._resolve_element(command)
-        if isinstance(resolved, MemResult):
-            return resolved
-        entry, byte_offset = resolved
-        if not self.table.check_access(entry, master_id):
-            return MemResult(MemStatus.ERR_RESERVED)
-        self.translator.store_element(entry.hptr, byte_offset, command.data,
-                                      entry.data_type)
-        return MemResult(MemStatus.OK)
+    def _containing(self, vptr: int) -> Optional[PointerEntry]:
+        return self.table.containing(vptr)
 
-    def _op_read(self, command: MemCommand) -> MemResult:
-        resolved = self._resolve_element(command)
-        if isinstance(resolved, MemResult):
-            return resolved
-        entry, byte_offset = resolved
-        value = self.translator.load_element(entry.hptr, byte_offset, entry.data_type)
-        return MemResult(MemStatus.OK, value=value & 0xFFFFFFFF)
+    def _load(self, entry: PointerEntry, index: int) -> int:
+        return self.translator.load_element(
+            entry.hptr, index * entry.element_size, entry.data_type)
 
-    def _array_bounds(self, command: MemCommand):
-        resolved = self.table.try_resolve(command.vptr)
-        if resolved is None:
-            return MemResult(MemStatus.ERR_INVALID_PTR)
-        entry, byte_offset = resolved
-        start = byte_offset // entry.element_size + command.offset
-        if command.dim < 0 or start < 0 or start + command.dim > entry.dim:
-            return MemResult(MemStatus.ERR_OUT_OF_RANGE)
-        return entry, start * entry.element_size
+    def _store(self, entry: PointerEntry, index: int, value: int) -> None:
+        self.translator.store_element(
+            entry.hptr, index * entry.element_size, value, entry.data_type)
 
-    def _op_write_array(self, command: MemCommand, io_words: List[int],
-                        master_id: int) -> MemResult:
-        bounds = self._array_bounds(command)
-        if isinstance(bounds, MemResult):
-            return bounds
-        entry, byte_offset = bounds
-        if not self.table.check_access(entry, master_id):
-            return MemResult(MemStatus.ERR_RESERVED)
-        self.translator.store_array(entry.hptr, byte_offset,
-                                    io_words[:command.dim], entry.data_type)
-        return MemResult(MemStatus.OK, value=command.dim)
+    def _load_array(self, entry: PointerEntry, index: int,
+                    count: int) -> List[int]:
+        return self.translator.load_array(
+            entry.hptr, index * entry.element_size, count, entry.data_type)
 
-    def _op_read_array(self, command: MemCommand) -> MemResult:
-        bounds = self._array_bounds(command)
-        if isinstance(bounds, MemResult):
-            return bounds
-        entry, byte_offset = bounds
-        words = self.translator.load_array(entry.hptr, byte_offset, command.dim,
-                                           entry.data_type)
-        return MemResult(MemStatus.OK, value=command.dim, burst=words)
-
-    def _op_reserve(self, command: MemCommand, master_id: int) -> MemResult:
-        try:
-            self.table.reserve(command.vptr, master_id)
-        except PointerTableError:
-            if self.table.try_resolve(command.vptr) is None:
-                return MemResult(MemStatus.ERR_INVALID_PTR)
-            return MemResult(MemStatus.ERR_RESERVED)
-        return MemResult(MemStatus.OK)
-
-    def _op_release(self, command: MemCommand, master_id: int) -> MemResult:
-        try:
-            self.table.release(command.vptr, master_id)
-        except PointerTableError:
-            if self.table.try_resolve(command.vptr) is None:
-                return MemResult(MemStatus.ERR_INVALID_PTR)
-            return MemResult(MemStatus.ERR_RESERVED)
-        return MemResult(MemStatus.OK)
-
-    def _op_query(self, command: MemCommand) -> MemResult:
-        try:
-            entry = self.table.lookup(command.vptr)
-        except PointerTableError:
-            return MemResult(MemStatus.ERR_INVALID_PTR)
-        return MemResult(MemStatus.OK, value=entry.size_bytes)
+    def _store_array(self, entry: PointerEntry, index: int,
+                     words: List[int]) -> None:
+        self.translator.store_array(
+            entry.hptr, index * entry.element_size, words, entry.data_type)
 
     # -- timing ------------------------------------------------------------------------------------
-    def _cycles_for(self, command: MemCommand, result: MemResult) -> int:
-        words = byte_count = 0
+    def _cycles_for(self, command: MemCommand, words: int) -> int:
+        byte_count = 0
         if command.opcode == MemOpcode.ALLOC:
             byte_count = command.dim * DATA_TYPE_SIZES[command.data_type]
         elif command.opcode in ARRAY_OPCODES:
             byte_count = command.dim * 4
-            # Only an array command that completed moved any words.
-            if result.ok:
-                words = command.dim
         return self.fsm.run_operation(command.opcode, words=words,
                                       byte_count=byte_count)
 

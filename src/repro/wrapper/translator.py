@@ -25,7 +25,6 @@ from ..memory.dynamic_base import (
     decode_element,
     encode_array,
     encode_element,
-    to_signed,
 )
 from ..memory.host_memory import HostAllocationError, HostBlock, HostMemory
 from ..memory.protocol import DATA_TYPE_SIZES, DataType, Endianness
@@ -100,9 +99,3 @@ class Translator:
         payload = block.read_bytes(byte_offset, count * DATA_TYPE_SIZES[data_type])
         self.stats.array_elements_moved += count
         return decode_array(payload, count, data_type, self.endianness)
-
-    # -- value reinterpretation helpers ----------------------------------------------------
-    @staticmethod
-    def as_signed(value: int, data_type: DataType) -> int:
-        """Reinterpret a raw register word as a (possibly signed) element value."""
-        return to_signed(value, data_type)

@@ -12,6 +12,7 @@ must account for each scalar call exactly once.
 checked on a hand-built line directory with no simulator at all.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -351,5 +352,7 @@ def test_shared_allocation_geometry_is_fixed_at_construction():
                              data_type=DataType.INT16)
     assert (alloc.element_size, alloc.size_bytes, alloc.end_vptr) == (2, 10,
                                                                       0x2A)
-    assert "element_size" in vars(alloc)  # a field, not a property chain
+    # Fields, not a property chain.
+    assert {"element_size", "size_bytes", "end_vptr"} <= {
+        item.name for item in dataclasses.fields(alloc)}
     assert alloc.element_byte(3) == 0x26

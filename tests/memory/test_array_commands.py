@@ -197,3 +197,29 @@ class TestArrayCommandVsIoWindow:
         assert status is MemStatus.ERR_OUT_OF_RANGE
         assert not response.ok and response.data == 0
         assert memory.io_array_for(0) == staged
+
+
+@pytest.mark.parametrize("kind", MEMORIES)
+@pytest.mark.parametrize("opcode", [MemOpcode.WRITE_ARRAY, MemOpcode.READ_ARRAY],
+                         ids=["write_array", "read_array"])
+def test_refused_array_command_charges_no_word_cycles(kind, opcode):
+    """A refused array command moved no words, so its cycles do not depend
+    on ``dim``, whether it is out of range, negative or past the window."""
+    memory = MEMORIES[kind]()
+    _, response = command(memory, opcode=MemOpcode.ALLOC, dim=4)
+    vptr = response.data
+
+    def cycles(dim, offset=0):
+        request = BusRequest(0, BusOp.WRITE, 0, burst_data=MemCommand(
+            opcode, vptr=vptr, offset=offset, dim=dim).to_words())
+        return memory.serve(request, 0)[1], memory.last_status
+
+    refused = {}
+    for dim, offset in ((5, 0), (200, 0), (1, 4), (-5, 0),
+                        (IO_ARRAY_WORDS + 1, 0), (600, 0)):
+        refused[dim, offset], status = cycles(dim, offset)
+        assert status is not MemStatus.OK
+    assert len(set(refused.values())) == 1, refused
+    moved, status = cycles(4)
+    assert status is MemStatus.OK
+    assert moved > refused[5, 0]

@@ -240,7 +240,7 @@ ROWS = [
     Row("l1-read-hit", platform(l1wb()), l1_read_hits, "read", 10.0, 11),
     Row("l1-write-back-write-hit", platform(l1wb()), l1_write_hits, "write",
         13.0, 14),
-    Row("l1-read-miss", platform(l1wb()), l1_read_misses, "miss", 168.1, 184),
+    Row("l1-read-miss", platform(l1wb()), l1_read_misses, "miss", 167.1, 183),
     Row("mesh-2x2-read",
         platform(PlatformBuilder().pes(1).wrapper_memories(1).mesh(2, 2)),
         mesh_reads, "read", 175.0, 192),
@@ -250,9 +250,9 @@ ROWS = [
         platform(PlatformBuilder().pes(1).wrapper_memories(1).crossbar()),
         busy_cycles, "busy cycle", 0.995, 1),
     Row("wrapper-array-pair", SharedMemoryWrapper, array_command_pairs,
-        "WRITE_ARRAY + READ_ARRAY", 58, 63),
+        "WRITE_ARRAY + READ_ARRAY", 54, 59),
     Row("modeled-array-pair", lambda: ModeledDynamicMemory(1 << 16),
-        array_command_pairs, "WRITE_ARRAY + READ_ARRAY", 47, 51),
+        array_command_pairs, "WRITE_ARRAY + READ_ARRAY", 44, 48),
 ]
 
 

@@ -1,4 +1,8 @@
-"""Tests for the pointer table: Vptr generation, lookup, reservation, capacity."""
+"""Tests for the pointer table: Vptr generation, lookup, capacity.
+
+The reservation rule lives in the protocol, not the table: see
+``tests/memory/test_protocol_rules.py``.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,25 +70,21 @@ class TestLookupAndResolve:
         entry = insert(table, host, 8)
         assert table.lookup(entry.vptr) is entry
 
-    def test_lookup_unknown_raises(self):
+    def test_lookup_unknown_is_none(self):
         table, _ = make_table()
-        with pytest.raises(PointerTableError):
-            table.lookup(0x40)
+        assert table.lookup(0x40) is None
 
     def test_resolve_interior_pointer(self):
         table, host = make_table()
         insert(table, host, 10)                  # [0, 40)
         entry = insert(table, host, 10)          # [40, 80)
-        found, offset = table.resolve(52)
-        assert found is entry
-        assert offset == 12
+        assert table.containing(52) is entry
+        assert entry.locate(52, 0, 1) == 3  # byte 12 is element 3
 
-    def test_resolve_out_of_range_raises(self):
+    def test_resolve_out_of_range_is_none(self):
         table, host = make_table()
         insert(table, host, 4)
-        with pytest.raises(PointerTableError):
-            table.resolve(100)
-        assert table.try_resolve(100) is None
+        assert table.containing(100) is None
 
     def test_remove_keeps_other_vptrs(self):
         table, host = make_table()
@@ -94,8 +94,7 @@ class TestLookupAndResolve:
         table.remove(b.vptr)
         assert table.lookup(a.vptr).vptr == a.vptr
         assert table.lookup(c.vptr).vptr == c.vptr
-        with pytest.raises(PointerTableError):
-            table.lookup(b.vptr)
+        assert table.lookup(b.vptr) is None
 
     def test_remove_unknown_raises(self):
         table, _ = make_table()
@@ -120,14 +119,14 @@ class TestCapacity:
 
     def test_unlimited_capacity(self):
         table, host = make_table(capacity=None)
-        assert table.free_bytes() is None
+        assert table.would_fit(1 << 40)
         insert(table, host, 10_000)
 
     def test_used_and_free_bytes(self):
         table, host = make_table(capacity=200)
         insert(table, host, 10)
         assert table.used_bytes() == 40
-        assert table.free_bytes() == 160
+        assert table.would_fit(160) and not table.would_fit(161)
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -138,35 +137,6 @@ class TestCapacity:
         block = host.calloc(1, 4)
         with pytest.raises(PointerTableError):
             table.insert(block, 0, DataType.UINT32)
-
-
-class TestReservation:
-    def test_reserve_and_release(self):
-        table, host = make_table()
-        entry = insert(table, host, 4)
-        table.reserve(entry.vptr, master_id=1)
-        assert entry.reserved and entry.reserved_by == 1
-        assert table.check_access(entry, 1)
-        assert not table.check_access(entry, 2)
-        table.release(entry.vptr, master_id=1)
-        assert not entry.reserved
-        assert table.check_access(entry, 2)
-
-    def test_reserve_conflict(self):
-        table, host = make_table()
-        entry = insert(table, host, 4)
-        table.reserve(entry.vptr, master_id=1)
-        with pytest.raises(PointerTableError):
-            table.reserve(entry.vptr, master_id=2)
-        with pytest.raises(PointerTableError):
-            table.release(entry.vptr, master_id=2)
-
-    def test_reserve_is_idempotent_for_holder(self):
-        table, host = make_table()
-        entry = insert(table, host, 4)
-        table.reserve(entry.vptr, master_id=1)  # noqa: RC004
-        table.reserve(entry.vptr, master_id=1)  # noqa: RC004
-        assert entry.reserved_by == 1
 
 
 class TestStatsAndConsistency:
@@ -180,7 +150,6 @@ class TestStatsAndConsistency:
         assert table.peak_entries == 2
         assert table.peak_used_bytes == 32
         assert table.live_count() == 1
-        assert len(table.entries) == 1
 
     def test_consistency_check_passes(self):
         table, host = make_table(capacity=1024)
@@ -215,18 +184,18 @@ class NaiveTable:
 
     def __init__(self, capacity=None, base_vptr=0):
         self.capacity, self.base_vptr = capacity, base_vptr
-        self.rows = []  # [vptr, size_bytes, reserved_by], oldest first
+        self.rows = []  # [vptr, size_bytes], oldest first
         self.peak_entries = self.peak_used_bytes = 0
 
     def used_bytes(self):
-        return sum(size for _, size, _ in self.rows)
+        return sum(size for _, size in self.rows)
 
     def insert(self, dim, data_type):
         size = dim * DATA_TYPE_SIZES[data_type]
         if self.capacity is not None and self.used_bytes() + size > self.capacity:
             raise PointerTableError("full")
         vptr = self.rows[-1][0] + self.rows[-1][1] if self.rows else self.base_vptr
-        self.rows.append([vptr, size, None])
+        self.rows.append([vptr, size])
         self.peak_entries = max(self.peak_entries, len(self.rows))
         self.peak_used_bytes = max(self.peak_used_bytes, self.used_bytes())
         return vptr
@@ -242,22 +211,15 @@ class NaiveTable:
         return vptr
 
     def resolve(self, vptr):
-        for base, size, _ in self.rows:
+        for base, size in self.rows:
             if base <= vptr < base + size:
                 return base, vptr - base
         raise PointerTableError("outside")
 
-    def set_reservation(self, vptr, master_id, holder):
-        row = self.lookup(vptr)
-        if row[2] not in (None, master_id):
-            raise PointerTableError("reserved")
-        row[2] = holder
-        return holder
-
 
 def row_of(entry):
     """A table entry in the model's row shape."""
-    return [entry.vptr, entry.size_bytes, entry.reserved_by]
+    return [entry.vptr, entry.size_bytes]
 
 
 def outcome(call):
@@ -268,20 +230,17 @@ def outcome(call):
         return PointerTableError
 
 
-#: One step of a random program: (operation, pointer source, pick, delta,
-#: master).  The pointer is a live base, a live base plus ``delta`` (interior,
+#: One step of a random program: (operation, pointer source, pick, delta).  The pointer is a live base, a live base plus ``delta`` (interior,
 #: or past the end into the next range or a gap), a live range's end (the next
 #: base, a gap, or one past the table), a Vptr freed earlier (stale, or
 #: reissued since), or ``base_vptr + pick - 8`` (mostly never issued,
 #: sometimes below the window).
 STEPS = st.lists(
     st.tuples(
-        st.sampled_from(["alloc", "alloc", "free", "free", "lookup", "resolve",
-                         "reserve", "release"]),
+        st.sampled_from(["alloc", "alloc", "free", "free", "lookup", "resolve"]),
         st.sampled_from(["base", "base", "base", "interior", "end", "freed", "raw"]),
         st.integers(min_value=0, max_value=400),
         st.integers(min_value=1, max_value=70),
-        st.integers(min_value=0, max_value=2),
     ),
     min_size=1, max_size=80,
 )
@@ -299,9 +258,9 @@ class TestAgainstNaiveModel:
         table, host = make_table(capacity, base_vptr)
         model = NaiveTable(capacity, base_vptr)
         freed = []
-        for operation, source, pick, delta, master in steps:
+        for operation, source, pick, delta in steps:
             if source in ("base", "interior", "end") and model.rows:
-                vptr, size, _ = model.rows[pick % len(model.rows)]
+                vptr, size = model.rows[pick % len(model.rows)]
                 vptr += {"base": 0, "interior": delta, "end": size}[source]
             elif source == "freed" and freed:
                 vptr = freed[pick % len(freed)]
@@ -317,26 +276,21 @@ class TestAgainstNaiveModel:
                 if want == vptr:
                     freed.append(vptr)
             elif operation == "lookup":
-                got = outcome(lambda: row_of(table.lookup(vptr)))
+                entry = table.lookup(vptr)
+                got = PointerTableError if entry is None else row_of(entry)
                 want = outcome(lambda: model.lookup(vptr))
-            elif operation == "resolve":
-                got = outcome(lambda: table.resolve(vptr))
-                if got is not PointerTableError:
-                    got = (got[0].vptr, got[1])
-                want = outcome(lambda: model.resolve(vptr))
-                assert (table.try_resolve(vptr) is None) == (want is PointerTableError)
-            elif operation == "reserve":
-                got = outcome(lambda: table.reserve(vptr, master).reserved_by)
-                want = outcome(lambda: model.set_reservation(vptr, master, master))
             else:
-                got = outcome(lambda: table.release(vptr, master).reserved_by)
-                want = outcome(lambda: model.set_reservation(vptr, master, None))
+                entry = table.containing(vptr)
+                got = (PointerTableError if entry is None
+                       else (entry.vptr, vptr - entry.vptr))
+                want = outcome(lambda: model.resolve(vptr))
             assert got == want, (operation, vptr)
             table.check_consistency()
-            assert [row_of(entry) for entry in table.entries] == model.rows
+            assert [row_of(entry) for entry in table._entries] == model.rows
             assert table.used_bytes() == model.used_bytes()
-            assert table.free_bytes() == (None if capacity is None
-                                          else capacity - model.used_bytes())
+            if capacity is not None:
+                free = capacity - model.used_bytes()
+                assert table.would_fit(free) and not table.would_fit(free + 1)
             assert table.peak_used_bytes == model.peak_used_bytes
             assert table.peak_entries == model.peak_entries
 
@@ -393,27 +347,26 @@ class TestCostDoesNotGrowWithLiveEntries:
             assert table.lookup(entry.vptr) is entry
             assert 1 <= number.ops <= LOG_BOUND
         number.ops = 0
-        with pytest.raises(PointerTableError):
-            table.lookup(entries[-1].vptr + number(4))
+        assert table.lookup(entries[-1].vptr + number(4)) is None
         assert 1 <= number.ops <= LOG_BOUND
 
     def test_interior_resolve_compares_logarithmically_many(self, filled):
         table, entries, number, _ = filled
         for entry in (entries[0], entries[LIVE // 2], entries[-1]):
             number.ops = 0
-            assert table.resolve(entry.vptr + number(8)) == (entry, 8)
+            assert table.containing(entry.vptr + number(8)) is entry
             assert 1 <= number.ops <= LOG_BOUND
         number.ops = 0
-        assert table.try_resolve(entries[-1].end_vptr) is None
+        assert table.containing(entries[-1].end_vptr) is None
         assert 1 <= number.ops <= LOG_BOUND
 
     def test_byte_accounting_touches_no_entry(self, filled):
         table, _, number, _ = filled
         used = table.used_bytes()
         assert number.ops == 0
-        fits, free = table.would_fit(number(8)), table.free_bytes()
+        fits = table.would_fit(number(8))
         assert number.ops <= 3
-        assert (used, fits, free) == (LIVE * 12, True, (1 << 30) - LIVE * 12)
+        assert (used, fits) == (LIVE * 12, True)
 
     def test_insert_and_remove_touch_no_other_entry(self, filled):
         table, entries, number, host = filled

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.memory import DataType, Endianness, HostMemory, MemOpcode
+from repro.memory import DataType, Endianness, HostMemory, MemOpcode, to_signed
 from repro.wrapper import (
     S_ACCESS,
     S_DECODE,
@@ -64,8 +64,8 @@ class TestTranslator:
         assert translator.load_array(block, 0, 4, DataType.UINT16) == values
         assert translator.stats.array_elements_moved == 8
 
-    def test_as_signed(self):
-        assert Translator.as_signed(0xFFFE, DataType.INT16) == -2
+    def test_to_signed(self):
+        assert to_signed(0xFFFE, DataType.INT16) == -2
 
     @given(st.lists(st.integers(min_value=-(2 ** 31), max_value=2 ** 31 - 1),
                     min_size=1, max_size=32))
@@ -75,7 +75,7 @@ class TestTranslator:
         translator.store_array(block, 0, [v & 0xFFFFFFFF for v in values],
                                DataType.INT32)
         loaded = translator.load_array(block, 0, len(values), DataType.INT32)
-        assert [Translator.as_signed(v, DataType.INT32) for v in loaded] == values
+        assert [to_signed(v, DataType.INT32) for v in loaded] == values
 
 
 class TestWrapperDelays:
