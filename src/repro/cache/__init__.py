@@ -21,10 +21,11 @@ Enable them declaratively::
 from .._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(globals(), {
-    ".coherence": ["CoherenceDomain", "DomainStats", "SharedAllocation"],
+    ".coherence": ["CoherenceDomain", "DomainStats"],
     ".geometry": ["CacheConfig", "CacheError", "CacheGeometry", "WritePolicy"],
-    ".l1": ["CachedPort", "CacheLine", "CacheStats", "L1Cache", "MSIState",
-            "canonical_word"],
+    ".l1": ["CachedPort", "CacheStats", "L1Cache"],
+    ".lines": ["CacheLine", "LineDirectory", "MSIState", "canonical_word"],
+    ".shadow": ["ShadowMap", "SharedAllocation"],
 })
 
 __all__ = [
@@ -37,7 +38,9 @@ __all__ = [
     "CoherenceDomain",
     "DomainStats",
     "L1Cache",
+    "LineDirectory",
     "MSIState",
+    "ShadowMap",
     "SharedAllocation",
     "WritePolicy",
     "canonical_word",

@@ -3,18 +3,23 @@
 One :class:`CoherenceDomain` per platform ties the per-PE L1 caches
 (:class:`~repro.cache.l1.L1Cache`) together:
 
-* it keeps a *shadow allocation map* mirroring every dynamic memory's
-  pointer table (fed by the ALLOC/FREE/RESERVE/RELEASE commands all caches
-  forward), so caches can resolve ``vptr + offset`` to allocation-clamped
-  line ranges exactly the way the wrapper's translator does;
+* it holds the platform's :class:`~repro.cache.shadow.ShadowMap`, the
+  mirror of every dynamic memory's pointer table, so caches can resolve
+  ``vptr + offset`` to allocation-clamped line ranges exactly the way the
+  memory does;
 * it implements the snoop channel of the MSI protocol: before a cache
   fills a line it snoops the others (a remote MODIFIED overlap is written
   back and downgraded to SHARED); before a cache takes a line MODIFIED the
   other caches' overlapping lines are written back if dirty and invalidated;
-* it hooks into the interconnect (:meth:`attach_interconnect`) so command
-  bursts issued by *uncached* masters (raw testbench traffic, ISS register
-  programs) still invalidate stale lines conservatively: their writes
-  supersede any cached dirty copy of the written range.  The one gap raw
+* it hooks into the interconnect (:meth:`attach_interconnect`) so commands
+  issued by *uncached* masters (raw testbench traffic, ISS programs) still
+  invalidate stale lines conservatively: their writes supersede any cached
+  dirty copy of the written range.  A command may arrive as one burst on
+  ``REG_COMMAND`` or as single-word pokes of the operand registers
+  (``REG_OPCODE`` … ``REG_OFFSET``) launched by ``REG_GO``; the hook keeps
+  a copy of each memory's operand registers from the pokes it observes,
+  and since it fires in slave service order that copy equals the memory's
+  own registers at every ``REG_GO``.  The one gap raw
   masters keep under the write-back policy: their *reads* cannot trigger a
   snoop writeback (the hook runs synchronously inside the bus process and
   cannot issue bus transactions), so a raw read may observe pre-writeback
@@ -29,30 +34,20 @@ are), which matches the dedicated snoop networks of bus-based MPSoCs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
-from ..memory.dynamic_base import Allocation
 from ..memory.protocol import (
-    DataType,
+    IO_ARRAY_BASE,
     MemCommand,
     MemOpcode,
     ProtocolError,
     REG_COMMAND,
+    REG_GO,
     REGISTER_WINDOW_BYTES,
 )
 from ..fabric import BusOp, BusRequest, BusResponse, Fabric
-
-
-@dataclass(slots=True, eq=False)
-class SharedAllocation(Allocation):
-    """Shadow-map row mirroring one live pointer-table entry."""
-
-    #: Monotonically increasing identity: vptr ranges are *reused* after
-    #: frees (the wrapper restarts generation from the last surviving
-    #: entry), so cached lines are keyed by ``uid`` rather than by address.
-    uid: int = field(kw_only=True)
-    mem_index: int = field(kw_only=True)
+from .shadow import BOOKKEEPING_OPCODES, SharedAllocation, ShadowMap
 
 
 @dataclass
@@ -70,15 +65,7 @@ class DomainStats:
     bus_snoops: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "snoop_reads": self.snoop_reads,
-            "snoop_upgrades": self.snoop_upgrades,
-            "snoop_writebacks": self.snoop_writebacks,
-            "invalidations": self.invalidations,
-            "scrubs": self.scrubs,
-            "flush_barriers": self.flush_barriers,
-            "bus_snoops": self.bus_snoops,
-        }
+        return asdict(self)
 
 
 class FillGuard:
@@ -115,15 +102,15 @@ class CoherenceDomain:
         self._caches: List[object] = []
         #: Master ids that own a cache in this domain.
         self._cached_master_ids: set = set()
-        #: mem_index -> list of live allocations (wrapper table order).
-        self._allocs: Dict[int, List[SharedAllocation]] = {}
-        self._next_uid = 1
+        self.shadow = ShadowMap()
         self.stats = DomainStats()
         #: In-flight clean fetches awaiting install (see :class:`FillGuard`).
         self._fills: List[FillGuard] = []
         #: Interconnect window map used by the bus snooper:
         #: window base address -> memory index.
         self._windows: Dict[int, int] = {}
+        #: mem_index -> operand register offset -> last word poked there.
+        self._registers: Dict[int, Dict[int, int]] = {}
 
     # -- cache registration ------------------------------------------------------
     def register_cache(self, cache) -> None:
@@ -131,88 +118,8 @@ class CoherenceDomain:
         self._caches.append(cache)
         self._cached_master_ids.add(cache.master_id)
 
-    @property
-    def caches(self) -> List[object]:
-        return list(self._caches)
-
     def _others(self, requester):
         return [cache for cache in self._caches if cache is not requester]
-
-    # -- shadow allocation map ---------------------------------------------------
-    def on_alloc(self, mem_index: int, vptr: int, dim: int,
-                 data_type: DataType) -> SharedAllocation:
-        """Record a successful ALLOC and scrub stale lines in its range."""
-        alloc = SharedAllocation(vptr, dim, DataType(data_type),
-                                 uid=self._next_uid, mem_index=mem_index)
-        self._next_uid += 1
-        self._allocs.setdefault(mem_index, []).append(alloc)
-        # Vptr ranges may be reused after frees; drop any line (of any
-        # generation) overlapping the new range so calloc-zeroed memory can
-        # never be shadowed by stale data.
-        self._drop_range(mem_index, alloc.vptr, alloc.end_vptr)
-        return alloc
-
-    def on_free(self, alloc: SharedAllocation) -> None:
-        """Record a successful FREE: drop the row and every cached line."""
-        rows = self._allocs.get(alloc.mem_index, [])
-        if alloc in rows:
-            rows.remove(alloc)
-        self._drop_range(alloc.mem_index, alloc.vptr, alloc.end_vptr)
-
-    def on_reserve(self, alloc: SharedAllocation, master_id: int) -> None:
-        alloc.reserved_by = master_id
-
-    def on_release(self, alloc: SharedAllocation) -> None:
-        alloc.reserved_by = None
-
-    def is_foreign_reserved(self, mem_index: int, vptr: int,
-                            master_id: int) -> bool:
-        """True when a master other than ``master_id`` holds the semaphore
-        of the allocation containing ``vptr`` (no-copy hot-path helper)."""
-        for alloc in self._allocs.get(mem_index, ()):
-            if alloc.vptr <= vptr < alloc.end_vptr:
-                return (alloc.reserved_by is not None
-                        and alloc.reserved_by != master_id)
-        return False
-
-    def find_alloc(self, mem_index: int, vptr: int) -> Optional[SharedAllocation]:
-        """Exact-base lookup (FREE/RESERVE/RELEASE/QUERY semantics)."""
-        for alloc in self._allocs.get(mem_index, ()):
-            if alloc.vptr == vptr:
-                return alloc
-        return None
-
-    def resolve(self, mem_index: int, vptr: int, offset: int
-                ) -> Optional[Tuple[SharedAllocation, int]]:
-        """Mirror the wrapper's scalar READ/WRITE element resolution.
-
-        Returns ``(allocation, element_index)`` for an in-bounds access,
-        ``None`` otherwise (interior pointers supported, exactly like
-        ``PointerTable.resolve`` plus the wrapper's bounds check).
-        """
-        for alloc in self._allocs.get(mem_index, ()):
-            if alloc.vptr <= vptr < alloc.end_vptr:
-                index = (vptr - alloc.vptr) // alloc.element_size + offset
-                if 0 <= index < alloc.dim:
-                    return alloc, index
-                return None
-        return None
-
-    def resolve_range(self, mem_index: int, vptr: int, offset: int, dim: int
-                      ) -> Optional[Tuple[SharedAllocation, int]]:
-        """Mirror the wrapper's READ_ARRAY/WRITE_ARRAY bounds resolution."""
-        if dim <= 0:
-            return None
-        for alloc in self._allocs.get(mem_index, ()):
-            if alloc.vptr <= vptr < alloc.end_vptr:
-                start = (vptr - alloc.vptr) // alloc.element_size + offset
-                if start >= 0 and start + dim <= alloc.dim:
-                    return alloc, start
-                return None
-        return None
-
-    def live_allocations(self, mem_index: int) -> List[SharedAllocation]:
-        return list(self._allocs.get(mem_index, ()))
 
     # -- snoop channel -----------------------------------------------------------
     #: Upper bound on snoop passes before giving up on a line another
@@ -241,7 +148,7 @@ class CoherenceDomain:
             flagged = [
                 (cache, line)
                 for cache in self._others(requester)
-                for line in cache.lines_overlapping(alloc.mem_index, lo, hi)
+                for line in cache.lines.overlapping(alloc.mem_index, lo, hi)
                 if line.has_dirty() or line.is_modified()
             ]
             if not flagged:
@@ -278,7 +185,7 @@ class CoherenceDomain:
             overlapping = [
                 (cache, line)
                 for cache in self._others(requester)
-                for line in cache.lines_overlapping(alloc.mem_index, lo, hi)
+                for line in cache.lines.overlapping(alloc.mem_index, lo, hi)
             ]
             if not overlapping:
                 return
@@ -310,7 +217,7 @@ class CoherenceDomain:
         check that keeps a fetched-but-outdated line out of the cache.
         """
         for cache in self._others(requester):
-            for line in cache.lines_overlapping(mem_index, lo_byte, hi_byte):
+            for line in cache.lines.overlapping(mem_index, lo_byte, hi_byte):
                 if line.has_dirty() or line.is_modified():
                     return True
         return False
@@ -321,8 +228,8 @@ class CoherenceDomain:
         ``alloc`` (lines stay valid, downgraded to SHARED)."""
         self.stats.flush_barriers += 1
         for cache in self._caches:
-            for line in cache.dirty_lines_overlapping(alloc, alloc.vptr,
-                                                      alloc.end_vptr):
+            for line in cache.lines.dirty_overlapping(
+                    alloc.mem_index, alloc.vptr, alloc.end_vptr):
                 ok = yield from cache.writeback_line(line, requester.raw_port)
                 if ok:
                     self.stats.snoop_writebacks += 1
@@ -352,7 +259,7 @@ class CoherenceDomain:
 
     # -- non-bus invalidation ----------------------------------------------------
     def invalidate_range(self, mem_index: int, lo_byte: int, hi_byte: int,
-                         requester=None, supersede_dirty: bool = False) -> int:
+                         requester=None, supersede_dirty: bool = False) -> None:
         """Scrub stale copies after a write went to memory around the caches.
 
         Clean lines overlapping ``[lo_byte, hi_byte)`` are dropped.  A
@@ -364,29 +271,24 @@ class CoherenceDomain:
         uncached master's write on the bus).
         """
         self._poison_fills(mem_index, lo_byte, hi_byte, requester=requester)
-        dropped = 0
         for cache in self._caches:
             if cache is requester:
                 continue
-            for line in cache.lines_overlapping(mem_index, lo_byte, hi_byte):
+            for line in cache.lines.overlapping(mem_index, lo_byte, hi_byte):
                 if line.has_dirty():
                     line.scrub_slots(lo_byte, hi_byte,
                                      supersede_dirty=supersede_dirty)
                     self.stats.scrubs += 1
                 else:
                     cache.drop_line(line)
-                    dropped += 1
-        self.stats.invalidations += dropped
-        return dropped
+                    self.stats.invalidations += 1
 
     def _drop_range(self, mem_index: int, lo_byte: int, hi_byte: int) -> None:
         # Allocation-lifetime scrub: in-flight fetches of the dead (or
         # recycled) range must not install either, whoever owns them.
-        for guard in self._fills:
-            if guard.overlaps(mem_index, lo_byte, hi_byte):
-                guard.poisoned = True
+        self._poison_fills(mem_index, lo_byte, hi_byte)
         for cache in self._caches:
-            for line in cache.lines_overlapping(mem_index, lo_byte, hi_byte):
+            for line in cache.lines.overlapping(mem_index, lo_byte, hi_byte):
                 cache.drop_line(line, silent=True)
 
     # -- interconnect snoop hook ---------------------------------------------------
@@ -423,57 +325,49 @@ class CoherenceDomain:
         return None
 
     def _on_bus_transfer(self, request: BusRequest, response: BusResponse) -> None:
-        if not response.ok:
-            return
-        if request.op is not BusOp.WRITE or request.burst_data is None:
+        if not response.ok or request.op is not BusOp.WRITE:
             return
         window = self.window_of(request.address)
-        if window is None or window[2] != REG_COMMAND:
+        if window is None:
             return
-        mem_index = window[1]
-        try:
-            command = MemCommand.from_words(request.burst_data)
-        except ProtocolError:
+        _base, mem_index, offset = window
+        if offset == REG_COMMAND and request.burst_data is not None:
+            try:
+                command = MemCommand.from_words(request.burst_data)
+            except ProtocolError:
+                return
+        elif offset == REG_GO:
+            command = MemCommand.from_registers(
+                self._registers.get(mem_index, {}), mem_index)
+        else:
+            if offset < IO_ARRAY_BASE:  # an operand register poke
+                self._registers.setdefault(mem_index, {})[offset] = \
+                    request.data
             return
         self.stats.bus_snoops += 1
         opcode = command.opcode
-        # Bookkeeping opcodes: authoritative for every master.
-        if opcode == MemOpcode.ALLOC:
-            if command.dim > 0:
-                self.on_alloc(mem_index, response.data, command.dim,
-                              command.data_type)
-            return
-        if opcode == MemOpcode.FREE:
-            alloc = self.find_alloc(mem_index, command.vptr)
-            if alloc is not None:
-                self.on_free(alloc)
-            return
-        if opcode == MemOpcode.RESERVE:
-            alloc = self.find_alloc(mem_index, command.vptr)
-            if alloc is not None:
-                self.on_reserve(alloc, request.master_id)
-            return
-        if opcode == MemOpcode.RELEASE:
-            alloc = self.find_alloc(mem_index, command.vptr)
-            if alloc is not None:
-                self.on_release(alloc)
+        # Bookkeeping opcodes: authoritative for every master.  A new or
+        # dead range drops every line (of any generation) overlapping it,
+        # so calloc-zeroed or recycled memory is never shadowed by stale
+        # data.
+        if opcode in BOOKKEEPING_OPCODES:
+            alloc = self.shadow.apply(mem_index, command, request.master_id,
+                                      response.data)
+            if alloc is not None and (opcode is MemOpcode.ALLOC
+                                      or opcode is MemOpcode.FREE):
+                self._drop_range(mem_index, alloc.vptr, alloc.end_vptr)
             return
         # Data writes: cached masters ran the full MSI protocol already;
         # only uncached traffic needs the conservative invalidation.
-        if request.master_id in self._cached_master_ids:
+        if (request.master_id in self._cached_master_ids
+                or (opcode is not MemOpcode.WRITE
+                    and opcode is not MemOpcode.WRITE_ARRAY)):
             return
-        if opcode == MemOpcode.WRITE:
-            located = self.resolve(mem_index, command.vptr, command.offset)
-            if located is not None:
-                alloc, index = located
-                self.invalidate_range(mem_index, alloc.element_byte(index),
-                                      alloc.element_byte(index + 1),
-                                      supersede_dirty=True)
-        elif opcode == MemOpcode.WRITE_ARRAY:
-            located = self.resolve_range(mem_index, command.vptr,
-                                         command.offset, command.dim)
-            if located is not None:
-                alloc, start = located
-                self.invalidate_range(mem_index, alloc.element_byte(start),
-                                      alloc.element_byte(start + command.dim),
-                                      supersede_dirty=True)
+        count = command.dim if opcode is MemOpcode.WRITE_ARRAY else 1
+        located = self.shadow.resolve(mem_index, command.vptr, command.offset,
+                                      count)
+        if located is not None:
+            alloc, start = located
+            self.invalidate_range(mem_index, alloc.element_byte(start),
+                                  alloc.element_byte(start + count),
+                                  supersede_dirty=True)

@@ -14,8 +14,9 @@ interface, and the cache decodes the command bursts flowing through it:
   the cache when every element is covered, and install their data on the
   way through otherwise;
 * ALLOC / FREE / RESERVE / RELEASE always reach the memory module and feed
-  the coherence domain's shadow allocation map — the wrapper FSM command
-  region itself is never cached, only the *data* behind it.
+  the coherence domain's :class:`~repro.cache.shadow.ShadowMap` — the
+  wrapper FSM command region itself is never cached, only the *data*
+  behind it.
 
 Structure: *probe, then generator*.  :meth:`CachedPort.burst_write` reads
 a scalar READ or WRITE's fields straight from the words the API wrote and
@@ -41,14 +42,14 @@ acquiring the bit acts as a flush barrier (see
 Cache lines are *allocation-clamped*: a line covers the intersection of its
 byte range (in the memory's virtual-pointer space) with one live
 allocation, and is keyed by the allocation's generation uid, so vptr reuse
-after frees can never alias stale data.
+after frees can never alias stale data.  The lines and their set directory
+live in :mod:`repro.cache.lines`.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import asdict, dataclass
-from typing import Dict, Generator, Iterator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Tuple
 
 from ..fabric import (
     CACHE_TAG_SUFFIXES,
@@ -57,133 +58,20 @@ from ..fabric import (
     BusResponse,
     ResponseStatus,
 )
-from ..memory.dynamic_base import to_signed
 from ..memory.protocol import (
     IO_ARRAY_BASE,
     REG_COMMAND,
-    DataType,
     MemCommand,
     MemOpcode,
     ProtocolError,
 )
-from .coherence import CoherenceDomain, SharedAllocation
+from .coherence import CoherenceDomain
 from .geometry import CacheConfig, WritePolicy
+from .lines import CacheLine, LineDirectory, MSIState, canonical_word
+from .shadow import SharedAllocation
 
 #: Opcode words of the scalar commands the port probes without decoding.
 _READ, _WRITE = int(MemOpcode.READ), int(MemOpcode.WRITE)
-
-
-def canonical_word(value: int, data_type: DataType) -> int:
-    """The raw word the wrapper would return for a stored ``value``.
-
-    Mirrors the translator's element encode/decode round trip (truncate to
-    the element width, sign-extend signed types, mask to 32 bits).
-    """
-    return to_signed(value, data_type) & 0xFFFFFFFF
-
-
-class MSIState(enum.Enum):
-    """Stable states of a resident line (INVALID = not resident)."""
-
-    SHARED = "S"
-    MODIFIED = "M"
-
-
-class CacheLine:
-    """One resident line: the slice of an allocation a line range covers."""
-
-    __slots__ = ("alloc", "line_no", "first_index", "words", "present",
-                 "dirty", "state")
-
-    def __init__(self, alloc: SharedAllocation, line_no: int,
-                 first_index: int, count: int) -> None:
-        self.alloc = alloc
-        self.line_no = line_no
-        #: Element index (within the allocation) stored in slot 0.
-        self.first_index = first_index
-        self.words: List[int] = [0] * count
-        self.present: List[bool] = [False] * count
-        self.dirty: List[bool] = [False] * count
-        self.state = MSIState.SHARED
-
-    # -- geometry ----------------------------------------------------------------
-    @property
-    def mem_index(self) -> int:
-        return self.alloc.mem_index
-
-    @property
-    def n_slots(self) -> int:
-        return len(self.words)
-
-    @property
-    def lo_byte(self) -> int:
-        return self.alloc.element_byte(self.first_index)
-
-    @property
-    def hi_byte(self) -> int:
-        return self.alloc.element_byte(self.first_index + self.n_slots)
-
-    def slot_of(self, element_index: int) -> int:
-        return element_index - self.first_index
-
-    def covers(self, element_index: int) -> bool:
-        return 0 <= element_index - self.first_index < self.n_slots
-
-    # -- state -------------------------------------------------------------------
-    def store(self, slot: int, word: int) -> None:
-        """Hold ``word`` (canonical form) in ``slot`` as newer than memory."""
-        self.words[slot] = word
-        self.present[slot] = True
-        self.dirty[slot] = True
-
-    def has_dirty(self) -> bool:
-        return any(self.dirty)
-
-    def is_modified(self) -> bool:
-        return self.state is MSIState.MODIFIED
-
-    def downgrade(self) -> None:
-        """MODIFIED -> SHARED after a successful writeback."""
-        if not self.has_dirty():
-            self.state = MSIState.SHARED
-
-    def scrub_slots(self, lo_byte: int, hi_byte: int,
-                    supersede_dirty: bool = False) -> None:
-        """Mark the slots inside ``[lo_byte, hi_byte)`` absent.
-
-        Used after a write reached memory without going through this cache.
-        By default only clean slots are scrubbed (a concurrently racing
-        *cached* writer's dirty data is still owed a writeback); with
-        ``supersede_dirty`` the dirty slots in the range are discarded too —
-        the caller knows the memory write serialized *after* them (an
-        uncached master's write observed on the bus), so writing them back
-        later would clobber the newer value.
-        """
-        size = self.alloc.element_size
-        for slot in range(self.n_slots):
-            byte = self.alloc.element_byte(self.first_index + slot)
-            if lo_byte < byte + size and byte < hi_byte:
-                if supersede_dirty:
-                    self.dirty[slot] = False
-                    self.present[slot] = False
-                elif not self.dirty[slot]:
-                    self.present[slot] = False
-        if supersede_dirty:
-            self.downgrade()
-
-    def dirty_runs(self) -> List[Tuple[int, int]]:
-        """Contiguous runs of dirty slots as ``(slot_start, length)``."""
-        runs: List[Tuple[int, int]] = []
-        start = None
-        for slot, is_dirty in enumerate(self.dirty):
-            if is_dirty and start is None:
-                start = slot
-            elif not is_dirty and start is not None:
-                runs.append((start, slot - start))
-                start = None
-        if start is not None:
-            runs.append((start, len(self.dirty) - start))
-        return runs
 
 
 @dataclass
@@ -235,10 +123,6 @@ class CachedPort:
         self.transfer = cache.transfer
         #: A port's id never changes: read it once, not per request.
         self.master_id = port.master_id
-
-    @property
-    def name(self) -> str:
-        return self._port.name
 
     @property
     def _interconnect(self):
@@ -309,13 +193,13 @@ class L1Cache:
             name + suffix for suffix in CACHE_TAG_SUFFIXES)
         self.config = config
         self.geometry = config.geometry
-        #: Geometry the line directory reads on every lookup, hoisted.
-        self._n_sets = config.geometry.sets
+        #: Line size the probe reads on every access, hoisted.
         self._line_bytes = config.geometry.line_bytes
         self.policy = config.policy
         self._raw = port
         self.master_id = port.master_id
         self.domain = domain
+        self._shadow = domain.shadow
         #: memory index -> window base address (the forward map, address ->
         #: window, is the domain's :meth:`CoherenceDomain.window_of`).
         self._window_base = {mem: base for base, mem in windows.items()}
@@ -330,7 +214,7 @@ class L1Cache:
         self._stall_wait = 8 * clock_period
         self._max_stalls = 1024
         self.stats = CacheStats()
-        self._sets: List[List[CacheLine]] = [[] for _ in range(self.geometry.sets)]
+        self.lines = LineDirectory(config.geometry)
         #: Buffered I/O-array stage awaiting its WRITE_ARRAY (write-back).
         self._pending_stage: Optional[Tuple[int, BusRequest]] = None
         #: Copy of the last forwarded stage (write-through install).
@@ -351,49 +235,6 @@ class L1Cache:
         return self._raw
 
     # -- line directory ------------------------------------------------------------
-    def _lookup(self, mem_index: int, alloc_uid: int, line_no: int
-                ) -> Optional[CacheLine]:
-        ways = self._sets[line_no % self._n_sets]
-        for position, line in enumerate(ways):
-            alloc = line.alloc
-            if (line.line_no == line_no and alloc.uid == alloc_uid
-                    and alloc.mem_index == mem_index):
-                if position:  # move to MRU
-                    ways.pop(position)
-                    ways.insert(0, line)
-                return line
-        return None
-
-    def lines_overlapping(self, mem_index: int, lo_byte: int, hi_byte: int
-                          ) -> List[CacheLine]:
-        """Every resident line overlapping ``[lo_byte, hi_byte)`` byte range.
-
-        An overlapping line's ``line_no`` necessarily falls inside the
-        range's line-number span (lines are clamped to their line's byte
-        window), so small ranges probe only their sets instead of walking
-        the whole directory; ranges wider than the directory fall back to
-        the full scan.
-        """
-        if hi_byte <= lo_byte:
-            return []
-        line_nos = range(self.geometry.line_number(lo_byte),
-                         self.geometry.line_number(hi_byte - 1) + 1)
-        if len(line_nos) <= self.geometry.sets:
-            candidates = [line for line_no in line_nos
-                          for line in self._sets[self.geometry.set_index(line_no)]
-                          if line.line_no == line_no]
-        else:
-            candidates = [line for ways in self._sets for line in ways]
-        return [line for line in candidates
-                if line.mem_index == mem_index and line.lo_byte < hi_byte
-                and lo_byte < line.hi_byte]
-
-    def dirty_lines_overlapping(self, alloc: SharedAllocation, lo_byte: int,
-                                hi_byte: int) -> List[CacheLine]:
-        return [line for line in self.lines_overlapping(alloc.mem_index,
-                                                        lo_byte, hi_byte)
-                if line.has_dirty()]
-
     def drop_line(self, line: CacheLine, evicted: bool = False,
                   silent: bool = False) -> None:
         """Remove a line (invalidate); dirty data is discarded by the caller's
@@ -403,33 +244,11 @@ class L1Cache:
         scrubbing) and count neither as evictions nor as coherence
         invalidations, so the MSI diagnostics stay meaningful.
         """
-        ways = self._sets[self.geometry.set_index(line.line_no)]
-        if line in ways:
-            ways.remove(line)
-            if silent:
-                pass
-            elif evicted:
+        if self.lines.discard(line) and not silent:
+            if evicted:
                 self.stats.evictions += 1
             else:
                 self.stats.invalidations_received += 1
-
-    def resident_lines(self) -> int:
-        return sum(len(ways) for ways in self._sets)
-
-    def iter_lines(self) -> Iterator[CacheLine]:
-        """Every resident line (snapshot order; safe against mutation)."""
-        for ways in self._sets:
-            yield from list(ways)
-
-    def _element_span(self, alloc: SharedAllocation, line_no: int
-                      ) -> Tuple[int, int]:
-        """Element range ``(first, count)`` of ``alloc`` inside ``line_no``."""
-        line_lo = self.geometry.line_base(line_no)
-        line_hi = line_lo + self.geometry.line_bytes
-        size = alloc.element_size
-        first = max(0, -((line_lo - alloc.vptr) // -size))
-        last = min(alloc.dim - 1, (line_hi - 1 - alloc.vptr) // size)
-        return first, max(0, last - first + 1)
 
     # -- local answers -----------------------------------------------------------------
     def _local(self, data: int = 0, burst: Optional[List[int]] = None
@@ -539,14 +358,14 @@ class L1Cache:
         # interconnect snoop hook, synchronously at bus completion — the
         # shim only runs the flush barriers that must precede the command.
         if opcode is MemOpcode.RESERVE:
-            alloc = self.domain.find_alloc(mem_index, command.vptr)
+            alloc = self._shadow.find(mem_index, command.vptr)
             if alloc is not None and alloc.reserved_by is None:
                 # Acquiring the semaphore is a flush barrier: every cache's
                 # dirty data of the allocation reaches memory first.
                 yield from self.domain.flush_alloc(self, alloc)
             return (yield from self._raw.transfer(request))
         if opcode is MemOpcode.RELEASE:
-            alloc = self.domain.find_alloc(mem_index, command.vptr)
+            alloc = self._shadow.find(mem_index, command.vptr)
             if alloc is not None:
                 yield from self._flush_own_dirty(alloc, alloc.vptr,
                                                  alloc.end_vptr)
@@ -572,14 +391,14 @@ class L1Cache:
         ``(allocation, index)``, or ``None`` for no live element — goes on
         to :meth:`_scalar`.
         """
-        located = self.domain.resolve(mem_index, vptr, offset)
+        located = self._shadow.resolve(mem_index, vptr, offset)
         if located is None:
             return None, None
         alloc, index = located
         if store and (self.policy is not WritePolicy.WRITE_BACK
                       or alloc.reserved_by is not None):
             return None, located  # goes to memory or stalls: no lookup
-        line = self._lookup(mem_index, alloc.uid, (
+        line = self.lines.lookup(mem_index, alloc.uid, (
             alloc.vptr + index * alloc.element_size) // self._line_bytes)
         if line is None:
             return None, located
@@ -643,7 +462,8 @@ class L1Cache:
 
     def _foreign_reserved(self, mem_index: int, vptr: int) -> bool:
         """True when a *different* master currently holds the semaphore."""
-        return self.domain.is_foreign_reserved(mem_index, vptr, self.master_id)
+        holder = self._shadow.reserved_by(mem_index, vptr)
+        return holder is not None and holder != self.master_id
 
     def _op_write_once(self, request: BusRequest, vptr: int, data: int,
                        alloc: SharedAllocation, index: int
@@ -673,7 +493,7 @@ class L1Cache:
                 self.stats.write_throughs += 1
             return response
         line_no = self.geometry.line_number(alloc.element_byte(index))
-        line = self._lookup(mem_index, alloc.uid, line_no)
+        line = self.lines.lookup(mem_index, alloc.uid, line_no)
         if line is None:
             self.stats.misses += 1
             _first, _words, line = yield from self._fill(alloc, line_no)
@@ -691,7 +511,7 @@ class L1Cache:
                 # The upgrade snoop gave up on a blocked writeback: do not
                 # take MODIFIED against a surviving remote owner.
                 line = None
-        if line is None or not self._is_resident(line):
+        if line is None or not self.lines.holds(line):
             # No way available, or the line was invalidated while the
             # upgrade snoop was writing remote data back: write to memory.
             self.stats.fallbacks += 1
@@ -732,7 +552,7 @@ class L1Cache:
                       ) -> None:
         """Refresh a resident slot after a write that reached memory."""
         line_no = self.geometry.line_number(alloc.element_byte(index))
-        line = self._lookup(alloc.mem_index, alloc.uid, line_no)
+        line = self.lines.lookup(alloc.mem_index, alloc.uid, line_no)
         if line is not None and line.covers(index):
             slot = line.slot_of(index)
             line.words[slot] = value
@@ -742,8 +562,8 @@ class L1Cache:
     # -- array read -----------------------------------------------------------------------
     def _op_read_array(self, command: MemCommand, request: BusRequest,
                        mem_index: int) -> Generator[object, None, BusResponse]:
-        located = self.domain.resolve_range(mem_index, command.vptr,
-                                            command.offset, command.dim)
+        located = self._shadow.resolve(mem_index, command.vptr,
+                                       command.offset, command.dim)
         if located is None:
             self.stats.uncached_ops += 1
             return (yield from self._raw.transfer(request))
@@ -783,7 +603,7 @@ class L1Cache:
         index = start
         while index < start + dim:
             line_no = self.geometry.line_number(alloc.element_byte(index))
-            line = self._lookup(alloc.mem_index, alloc.uid, line_no)
+            line = self.lines.lookup(alloc.mem_index, alloc.uid, line_no)
             if line is None or not line.covers(index):
                 return None
             upto = min(start + dim, line.first_index + line.n_slots)
@@ -824,8 +644,9 @@ class L1Cache:
                              staged: Optional[List[int]]
                              ) -> Generator[object, None, Optional[BusResponse]]:
         """One attempt of :meth:`_op_write_array`; ``None`` asks to retry."""
-        located = self.domain.resolve_range(mem_index, command.vptr,
-                                            command.offset, command.dim)
+        dim = command.dim
+        located = self._shadow.resolve(mem_index, command.vptr,
+                                       command.offset, dim)
         if located is None:
             if self._pending_stage is not None:
                 yield from self._flush_stage()
@@ -834,78 +655,62 @@ class L1Cache:
         alloc, start = located
         if alloc.reserved_by is not None and alloc.reserved_by != self.master_id:
             return None
-        absorb = (self.policy is WritePolicy.WRITE_BACK and staged is not None
-                  and alloc.reserved_by is None)
-        canon = [canonical_word(word, alloc.data_type)
-                 for word in (staged or [])]
-        if absorb:
+        lo_byte = alloc.element_byte(start)
+        hi_byte = alloc.element_byte(start + dim)
+        if (self.policy is WritePolicy.WRITE_BACK and staged is not None
+                and alloc.reserved_by is None):
             self._pending_stage = None
-            lines = yield from self._prepare_lines(alloc, start, command.dim)
-            yield from self.domain.acquire_exclusive(self, alloc, start,
-                                                     command.dim)
+            lines = yield from self._prepare_lines(alloc, start, dim)
+            yield from self.domain.acquire_exclusive(self, alloc, start, dim)
             # acquire_exclusive ends synchronously, and the readiness check
             # plus _finalize_install never suspend, so MODIFIED ownership
             # cannot race remote fills.  The check runs *before* anything
             # is installed: a write that ends up forwarded (and possibly
             # NACKed) must never leave speculative dirty data behind.
-            ready = (
-                self._range_prepared(alloc, start, command.dim, lines)
-                and not self.domain.any_remote_modified(
-                    self, alloc.mem_index, alloc.element_byte(start),
-                    alloc.element_byte(start + command.dim)))
-            if ready:
-                self._finalize_install(alloc, start, canon, lines, dirty=True)
+            if (self._range_prepared(alloc, start, dim, lines)
+                    and not self.domain.any_remote_modified(
+                        self, mem_index, lo_byte, hi_byte)):
+                self._finalize_install(
+                    alloc, start,
+                    [canonical_word(word, alloc.data_type) for word in staged],
+                    lines, dirty=True)
                 self.stats.array_absorbs += 1
                 yield self._hit_wait
-                return self._local(data=command.dim)
+                return self._local(data=dim)
             # Cannot keep the whole range resident: send the data to memory
-            # instead, exactly like the passthrough path (own dirty flushed
-            # before the payload is staged — the writebacks reuse the io
-            # array — and the cache only updated after memory accepted it).
+            # instead, exactly like the passthrough path.
             self.stats.fallbacks += 1
-            yield from self._flush_own_dirty(
-                alloc, alloc.element_byte(start),
-                alloc.element_byte(start + command.dim))
-            yield from self._restage(mem_index, staged or [], base)
-            guard = self.domain.begin_fill(
-                self, mem_index, alloc.element_byte(start),
-                alloc.element_byte(start + command.dim))
-            try:
-                response = yield from self._raw.transfer(request)
-                if not response.ok:
-                    if self._foreign_reserved(mem_index, command.vptr):
-                        return None  # a reservation won the bus race: retry
-                    return response
-                self.domain.invalidate_range(
-                    mem_index, alloc.element_byte(start),
-                    alloc.element_byte(start + command.dim), requester=self)
-                if not guard.poisoned:
-                    lines = yield from self._prepare_lines(alloc, start,
-                                                           command.dim)
-                    if not guard.poisoned:
-                        self._finalize_install(alloc, start, canon, lines,
-                                               dirty=False)
-            finally:
-                self.domain.end_fill(guard)
-            return response
-        # Passthrough (write-through, reservation held by self, or nothing
-        # staged through this shim).  Writebacks run *before* the payload
-        # is (re)staged: flush_own_dirty and the upgrade snoop reuse the
-        # wrapper's per-master io array and would clobber a staged payload.
-        yield from self._flush_own_dirty(
-            alloc, alloc.element_byte(start),
-            alloc.element_byte(start + command.dim))
-        yield from self.domain.acquire_exclusive(self, alloc, start,
-                                                 command.dim)
+            yield from self._flush_own_dirty(alloc, lo_byte, hi_byte)
+        else:
+            # Passthrough (write-through, reservation held by self, or
+            # nothing staged through this shim).
+            yield from self._flush_own_dirty(alloc, lo_byte, hi_byte)
+            yield from self.domain.acquire_exclusive(self, alloc, start, dim)
+        return (yield from self._forward_array(command, request, base, alloc,
+                                               start, staged))
+
+    def _forward_array(self, command: MemCommand, request: BusRequest,
+                       base: int, alloc: SharedAllocation, start: int,
+                       staged: Optional[List[int]]
+                       ) -> Generator[object, None, Optional[BusResponse]]:
+        """Send a WRITE_ARRAY to memory: stage its payload, forward it,
+        scrub remote copies, and install what was written clean; ``None``
+        when a reservation won the bus race.
+
+        Callers write their own dirty data of the range back first: the
+        writebacks reuse the wrapper's per-master io array and would
+        clobber a payload staged before them.
+        """
+        mem_index, dim = alloc.mem_index, command.dim
+        lo_byte = alloc.element_byte(start)
+        hi_byte = alloc.element_byte(start + dim)
         if self._pending_stage is not None:
             yield from self._flush_stage()
         elif staged is not None:
             # Retry (or write-back fallback): the io array no longer holds
             # the payload — stage it again before re-issuing.
             yield from self._restage(mem_index, staged, base)
-        guard = self.domain.begin_fill(
-            self, mem_index, alloc.element_byte(start),
-            alloc.element_byte(start + command.dim))
+        guard = self.domain.begin_fill(self, mem_index, lo_byte, hi_byte)
         try:
             response = yield from self._raw.transfer(request)
             if not response.ok:
@@ -914,40 +719,37 @@ class L1Cache:
                 return response
             # The data just landed in memory: scrub remote copies that were
             # re-installed while the write waited for the bus.
-            self.domain.invalidate_range(
-                mem_index, alloc.element_byte(start),
-                alloc.element_byte(start + command.dim), requester=self)
-            observed = None
-            if staged is not None:
-                observed = canon
-            elif (self._observed_stage is not None
-                  and self._observed_stage[0] == mem_index
-                  and len(self._observed_stage[1]) >= command.dim):
-                observed = [canonical_word(word, alloc.data_type)
-                            for word in self._observed_stage[1][:command.dim]]
+            self.domain.invalidate_range(mem_index, lo_byte, hi_byte,
+                                         requester=self)
+            written = staged
+            observed = self._observed_stage
+            if (written is None and observed is not None
+                    and observed[0] == mem_index and len(observed[1]) >= dim):
+                written = observed[1][:dim]
             self._observed_stage = None
-            if observed is not None and not guard.poisoned:
-                lines = yield from self._prepare_lines(alloc, start,
-                                                       command.dim)
+            if written is not None and not guard.poisoned:
+                lines = yield from self._prepare_lines(alloc, start, dim)
                 if not guard.poisoned:
-                    self._finalize_install(alloc, start, observed, lines,
-                                           dirty=False)
+                    self._finalize_install(
+                        alloc, start,
+                        [canonical_word(word, alloc.data_type)
+                         for word in written],
+                        lines, dirty=False)
             else:
-                for line in self.lines_overlapping(
-                        mem_index, alloc.element_byte(start),
-                        alloc.element_byte(start + command.dim)):
+                for line in self.lines.overlapping(mem_index, lo_byte,
+                                                   hi_byte):
                     self.drop_line(line)
         finally:
             self.domain.end_fill(guard)
         return response
 
     def _range_prepared(self, alloc: SharedAllocation, start: int, count: int,
-                        lines: Dict[int, "CacheLine"]) -> bool:
+                        lines: Dict[int, CacheLine]) -> bool:
         """Synchronous: every line covering the range is prepared and still
         resident, so a dirty install of the whole range cannot fail."""
-        for line_no in self._line_numbers(alloc, start, count):
+        for line_no in self.lines.line_numbers(alloc, start, count):
             line = lines.get(line_no)
-            if line is None or not self._is_resident(line):
+            if line is None or not self.lines.holds(line):
                 return False
         return True
 
@@ -967,17 +769,6 @@ class L1Cache:
             tag=self._restage_tag)
 
     # -- fills, installs, evictions ------------------------------------------------------
-    def _is_resident(self, line: CacheLine) -> bool:
-        return line in self._sets[self.geometry.set_index(line.line_no)]
-
-    def _line_numbers(self, alloc: SharedAllocation, start: int, count: int
-                      ) -> List[int]:
-        """Distinct line numbers covering ``alloc[start:start+count]``."""
-        first_line = self.geometry.line_number(alloc.element_byte(start))
-        last_line = self.geometry.line_number(
-            alloc.element_byte(start + count) - 1)
-        return list(range(first_line, last_line + 1))
-
     def _fill(self, alloc: SharedAllocation, line_no: int
               ) -> Generator[object, None,
                              Tuple[int, Optional[List[int]], Optional[CacheLine]]]:
@@ -991,15 +782,10 @@ class L1Cache:
         so that remote upgrades drop it and the stale payload is never
         installed).
         """
-        first, count = self._element_span(alloc, line_no)
+        first, count = self.lines.span(alloc, line_no)
         if count <= 0:
             return first, None, None
-        line = self._lookup(alloc.mem_index, alloc.uid, line_no)
-        if line is None:
-            room = yield from self._make_room(self.geometry.set_index(line_no))
-            if room:
-                line = CacheLine(alloc, line_no, first, count)
-                self._sets[self.geometry.set_index(line_no)].insert(0, line)
+        line = yield from self._place(alloc, line_no, first, count)
         yield from self.domain.snoop_read(self, alloc, first, count)
         base = self._window_base[alloc.mem_index]
         fill_command = MemCommand(MemOpcode.READ_ARRAY, sm_addr=alloc.mem_index,
@@ -1029,7 +815,7 @@ class L1Cache:
             # the fill was served) but are stale *now* — do not install.
             self._drop_if_empty(line)
             return first, words, None
-        if line is None or not self._is_resident(line):
+        if line is None or not self.lines.holds(line):
             return first, words, None
         for slot, word in enumerate(words):
             if not line.dirty[slot]:  # dirty data is newer than memory
@@ -1039,28 +825,34 @@ class L1Cache:
 
     def _drop_if_empty(self, line: Optional[CacheLine]) -> None:
         """Remove a placeholder that never received any data."""
-        if line is not None and not any(line.present) and self._is_resident(line):
-            ways = self._sets[self.geometry.set_index(line.line_no)]
-            ways.remove(line)
+        if line is not None and not any(line.present):
+            self.lines.discard(line)
+
+    def _place(self, alloc: SharedAllocation, line_no: int, first: int,
+               count: int) -> Generator[object, None, Optional[CacheLine]]:
+        """The resident line ``line_no`` of ``alloc``, else a new empty
+        placeholder for its ``count`` elements from ``first``, at MRU;
+        ``None`` when no way can be freed.  May suspend for an eviction
+        writeback."""
+        line = self.lines.lookup(alloc.mem_index, alloc.uid, line_no)
+        if line is None:
+            ways = self.lines.ways_of(line_no)
+            if (yield from self._make_room(ways)):
+                line = CacheLine(alloc, line_no, first, count)
+                ways.insert(0, line)
+        return line
 
     def _prepare_lines(self, alloc: SharedAllocation, start: int, count: int
                        ) -> Generator[object, None, Dict[int, CacheLine]]:
         """Make every line covering the range resident (placeholders for the
         missing ones); may suspend for eviction writebacks."""
         prepared: Dict[int, CacheLine] = {}
-        for line_no in self._line_numbers(alloc, start, count):
-            span_first, span_count = self._element_span(alloc, line_no)
-            if span_count <= 0:
-                continue
-            line = self._lookup(alloc.mem_index, alloc.uid, line_no)
-            if line is None:
-                room = yield from self._make_room(
-                    self.geometry.set_index(line_no))
-                if not room:
-                    continue
-                line = CacheLine(alloc, line_no, span_first, span_count)
-                self._sets[self.geometry.set_index(line_no)].insert(0, line)
-            prepared[line_no] = line
+        for line_no in self.lines.line_numbers(alloc, start, count):
+            first, span = self.lines.span(alloc, line_no)
+            if span > 0:
+                line = yield from self._place(alloc, line_no, first, span)
+                if line is not None:
+                    prepared[line_no] = line
         return prepared
 
     def _finalize_install(self, alloc: SharedAllocation, start: int,
@@ -1076,9 +868,9 @@ class L1Cache:
         """
         complete = True
         end = start + len(words)
-        for line_no in self._line_numbers(alloc, start, len(words)):
+        for line_no in self.lines.line_numbers(alloc, start, len(words)):
             line = lines.get(line_no)
-            if line is None or not self._is_resident(line):
+            if line is None or not self.lines.holds(line):
                 complete = False
                 continue
             if not dirty and self.domain.any_remote_modified(
@@ -1097,9 +889,10 @@ class L1Cache:
                 line.state = MSIState.MODIFIED
         return complete
 
-    def _make_room(self, set_index: int) -> Generator[object, None, bool]:
-        """Free one way in ``set_index`` (LRU victim, writeback when dirty)."""
-        ways = self._sets[set_index]
+    def _make_room(self, ways: List[CacheLine]
+                   ) -> Generator[object, None, bool]:
+        """Free one way of the set ``ways`` (LRU victim, writeback when
+        dirty)."""
         if len(ways) < self.geometry.ways:
             return True
         for line in reversed(list(ways)):
@@ -1129,7 +922,7 @@ class L1Cache:
             return False
         base = self._window_base[line.mem_index]
         for slot_start, length in line.dirty_runs():
-            if self.domain.find_alloc(line.mem_index, alloc.vptr) is not alloc:
+            if self._shadow.find(line.mem_index, alloc.vptr) is not alloc:
                 # The allocation died (FREE, possibly re-ALLOC reusing the
                 # vptr range) while an earlier run's transfer suspended us:
                 # writing the dead data now would corrupt the new owner.
@@ -1153,7 +946,7 @@ class L1Cache:
                     tag=self._writeback_tag)
                 if not stage.ok:
                     return False
-                if self.domain.find_alloc(line.mem_index,
+                if self._shadow.find(line.mem_index,
                                           alloc.vptr) is not alloc:
                     return False  # allocation died while the stage ran
                 command = MemCommand(
@@ -1172,7 +965,8 @@ class L1Cache:
 
     def _flush_own_dirty(self, alloc: SharedAllocation, lo_byte: int,
                          hi_byte: int) -> Generator[object, None, None]:
-        for line in self.dirty_lines_overlapping(alloc, lo_byte, hi_byte):
+        for line in self.lines.dirty_overlapping(alloc.mem_index, lo_byte,
+                                                  hi_byte):
             ok = yield from self.writeback_line(line, self._raw)
             if ok:
                 line.downgrade()
@@ -1186,6 +980,6 @@ class L1Cache:
             "geometry": self.geometry.describe(),
             "policy": self.policy.value,
             "capacity_bytes": self.geometry.capacity_bytes,
-            "resident_lines": self.resident_lines(),
+            "resident_lines": len(self.lines),
             **self.stats.as_dict(),
         }

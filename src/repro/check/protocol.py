@@ -133,11 +133,11 @@ class CoherenceChecker:
         """Check every pair of caches; returns violations found this scan."""
         found = 0
         for index, cache in enumerate(self.caches):
-            for line in cache.iter_lines():
+            for line in cache.lines:
                 if not line.has_dirty():
                     continue
                 for other_cache in self.caches[index + 1:]:
-                    for other in other_cache.lines_overlapping(
+                    for other in other_cache.lines.overlapping(
                             line.mem_index, line.lo_byte, line.hi_byte):
                         if not other.has_dirty():
                             continue

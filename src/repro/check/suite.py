@@ -8,10 +8,9 @@ address map off the platform and subscribes to five points of its
 ``port_complete`` (fabric transfers), ``sync`` (kernel event
 notify/wake) and ``irq_raise`` / ``irq_claim`` (interrupt controller) —
 feeding the race detector, the protocol checkers and the coherence
-checker.  A private :class:`~repro.cache.coherence.CoherenceDomain` acts
-as the *shadow allocation map*: it replays ALLOC/FREE/RESERVE/RELEASE
-commands observed on the fabric, so word state is keyed by allocation
-generation uid and vptr reuse never aliases.
+checker.  A :class:`~repro.cache.shadow.ShadowMap` of its own replays the
+ALLOC/FREE/RESERVE/RELEASE commands observed on the fabric, so word state
+is keyed by allocation generation uid and vptr reuse never aliases.
 
 Everything here only observes.  No event is notified, no process is
 created, no wait is issued: a sanitized run is counter-identical (delta
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..cache.coherence import CoherenceDomain
+from ..cache.shadow import BOOKKEEPING_OPCODES, ShadowMap
 from ..fabric.address_map import Region
 from ..fabric.transaction import (
     WORD_SIZE,
@@ -39,6 +38,7 @@ from ..fabric.transaction import (
     cache_transfer_kind,
 )
 from ..memory.protocol import (
+    ARRAY_OPCODES,
     IO_ARRAY_BASE,
     REG_COMMAND,
     REG_LIVE_COUNT,
@@ -58,6 +58,11 @@ from .vclock import Actor
 #: Scalar writes to these memory-window offsets are documented read-only.
 _MEM_READONLY = frozenset({REG_STATUS, REG_RESULT, REG_LIVE_COUNT,
                            REG_USED_BYTES})
+
+#: The access a completed data command is to the race detector.
+_ACCESS_LABELS = {MemOpcode.READ: "scalar read", MemOpcode.WRITE: "scalar write",
+                  MemOpcode.READ_ARRAY: "array read",
+                  MemOpcode.WRITE_ARRAY: "array write"}
 
 #: Documented read-only word registers per device kind.
 _DEVICE_READONLY = {
@@ -103,7 +108,7 @@ class SanitizerSuite:
             ProtocolChecker(self.sink) if config.protocol else None)
         self.coherence: Optional[CoherenceChecker] = None
         #: Shadow allocation map replayed from observed fabric commands.
-        self.shadow = CoherenceDomain()
+        self.shadow = ShadowMap()
         self._actor_of_process: Dict[object, Actor] = {}
         self._process_of_actor: Dict[Actor, object] = {}
         self._labels: Dict[Actor, str] = {}
@@ -269,100 +274,63 @@ class SanitizerSuite:
                         response: BusResponse, time: int) -> None:
         ok = response.ok
         opcode = command.opcode
-        shadow = self.shadow
         race = self.race
         tracked = race is not None and race.is_actor(actor)
         cache_internal = cache_transfer_kind(request.tag) is not None
         if tracked and not cache_internal:
             race.begin_op(actor)
 
-        if opcode is MemOpcode.ALLOC:
-            if ok and command.dim > 0:
-                shadow.on_alloc(mem_index, response.data, command.dim,
-                                command.data_type)
-            return
-
-        alloc = shadow.find_alloc(mem_index, command.vptr)
-
-        if opcode is MemOpcode.FREE:
-            if not ok or alloc is None:
+        if opcode in BOOKKEEPING_OPCODES:
+            alloc = (self.shadow.apply(mem_index, command, actor, response.data)
+                     if ok else None)
+            if alloc is None or opcode is MemOpcode.ALLOC:
                 return
             key = (mem_index, alloc.uid)
-            if tracked and not cache_internal:
-                race.free_alloc(actor, key, self._site(
-                    actor, "free", time, mem_index, command.vptr, -1))
-            elif race is not None:
-                race.words.pop(key, None)
-                race.lock_vc.pop(key, None)
-            if self.protocol is not None:
-                self.protocol.freed(key)
-            shadow.on_free(alloc)
+            if opcode is MemOpcode.FREE:
+                if tracked and not cache_internal:
+                    race.free_alloc(actor, key, self._site(
+                        actor, "free", time, mem_index, command.vptr, -1))
+                elif race is not None:
+                    race.words.pop(key, None)
+                    race.lock_vc.pop(key, None)
+                if self.protocol is not None:
+                    self.protocol.freed(key)
+            elif opcode is MemOpcode.RESERVE:
+                if tracked:
+                    race.acquire(actor, key)
+                if self.protocol is not None:
+                    self.protocol.reserved(
+                        key, self._label(actor), command.vptr,
+                        self._site(actor, "reserve", time, mem_index,
+                                   command.vptr))
+            else:
+                if tracked:
+                    race.release(actor, key)
+                if self.protocol is not None:
+                    self.protocol.released(key)
             self._scan_coherence(time)
             return
 
-        if opcode is MemOpcode.RESERVE:
-            if not ok or alloc is None:
-                return
-            key = (mem_index, alloc.uid)
-            if tracked:
-                race.acquire(actor, key)
-            if self.protocol is not None:
-                self.protocol.reserved(key, self._label(actor), command.vptr,
-                                       self._site(actor, "reserve", time,
-                                                  mem_index, command.vptr))
-            shadow.on_reserve(alloc, actor if isinstance(actor, int) else -1)
-            self._scan_coherence(time)
+        label = _ACCESS_LABELS.get(opcode)
+        if not ok or not tracked or cache_internal or label is None:
             return
-
-        if opcode is MemOpcode.RELEASE:
-            if not ok or alloc is None:
-                return
-            key = (mem_index, alloc.uid)
-            if tracked:
-                race.release(actor, key)
-            if self.protocol is not None:
-                self.protocol.released(key)
-            shadow.on_release(alloc)
-            self._scan_coherence(time)
+        array = opcode in ARRAY_OPCODES
+        count = command.dim if array else 1
+        located = self.shadow.resolve(mem_index, command.vptr, command.offset,
+                                      count)
+        if located is None:
             return
-
-        if not ok or not tracked or cache_internal:
-            return
-
-        if opcode is MemOpcode.WRITE:
-            located = shadow.resolve(mem_index, command.vptr, command.offset)
-            if located is not None:
-                alloc, element = located
-                race.atomic_write(actor, (mem_index, alloc.uid), element,
-                                  self._site(actor, "scalar write", time,
-                                             mem_index, command.vptr,
-                                             element))
-        elif opcode is MemOpcode.READ:
-            located = shadow.resolve(mem_index, command.vptr, command.offset)
-            if located is not None:
-                alloc, element = located
-                race.atomic_read(actor, (mem_index, alloc.uid), element,
-                                 self._site(actor, "scalar read", time,
-                                            mem_index, command.vptr,
-                                            element))
-        elif opcode is MemOpcode.WRITE_ARRAY:
-            located = shadow.resolve_range(mem_index, command.vptr,
-                                           command.offset, command.dim)
-            if located is not None:
-                alloc, start = located
-                race.plain_write(actor, (mem_index, alloc.uid),
-                                 range(start, start + command.dim),
-                                 self._site(actor, "array write", time,
-                                            mem_index, command.vptr, start))
-        elif opcode is MemOpcode.READ_ARRAY:
-            located = shadow.resolve_range(mem_index, command.vptr,
-                                           command.offset, command.dim)
-            if located is not None:
-                alloc, start = located
-                race.plain_read(actor, (mem_index, alloc.uid),
-                                range(start, start + command.dim),
-                                self._site(actor, "array read", time,
-                                           mem_index, command.vptr, start))
+        alloc, start = located
+        key = (mem_index, alloc.uid)
+        site = self._site(actor, label, time, mem_index, command.vptr, start)
+        if array:
+            access = (race.plain_write if opcode is MemOpcode.WRITE_ARRAY
+                      else race.plain_read)
+            access(actor, key, range(start, start + count), site)
+        else:
+            access = (race.atomic_write if opcode is MemOpcode.WRITE
+                      else race.atomic_read)
+            access(actor, key, start, site)
 
     # -- kernel ``sync`` probe ---------------------------------------------------------
     def on_kernel_sync(self, kind: str, event, process) -> None:

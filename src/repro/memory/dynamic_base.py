@@ -37,18 +37,11 @@ from .protocol import (
     IO_ARRAY_BASE,
     IO_ARRAY_BYTES,
     REG_COMMAND,
-    REG_DATA_IN,
-    REG_DIM,
     REG_GO,
     REG_LIVE_COUNT,
-    REG_OFFSET,
-    REG_OPCODE,
     REG_RESULT,
-    REG_SM_ADDR,
     REG_STATUS,
-    REG_TYPE,
     REG_USED_BYTES,
-    REG_VPTR,
     REGISTER_WINDOW_BYTES,
     DataType,
     Endianness,
@@ -411,7 +404,8 @@ class DynamicMemorySlave(BusSlave):
         if request.op is BusOp.WRITE:
             if offset == REG_GO:
                 result, run_cycles = self._run_command(
-                    self._command_from_staged(), request.master_id)
+                    MemCommand.from_registers(self._staged, self.sm_addr),
+                    request.master_id)
                 cycles += run_cycles
                 status = ResponseStatus.OK if result.ok else ResponseStatus.NACK
                 return BusResponse(status=status, data=result.value), cycles
@@ -436,26 +430,6 @@ class DynamicMemorySlave(BusSlave):
             # Operand registers read back their staged value.
             return self._staged.get(offset, 0)
         return None
-
-    def _command_from_staged(self) -> MemCommand:
-        opcode_raw = self._staged.get(REG_OPCODE, int(MemOpcode.NOP))
-        try:
-            opcode = MemOpcode(opcode_raw)
-        except ValueError:
-            opcode = MemOpcode.NOP
-        try:
-            data_type = DataType(self._staged.get(REG_TYPE, int(DataType.UINT32)))
-        except ValueError:
-            data_type = DataType.UINT32
-        return MemCommand(
-            opcode=opcode,
-            sm_addr=self._staged.get(REG_SM_ADDR, self.sm_addr),
-            vptr=self._staged.get(REG_VPTR, 0),
-            dim=self._staged.get(REG_DIM, 0),
-            data_type=data_type,
-            data=self._staged.get(REG_DATA_IN, 0),
-            offset=self._staged.get(REG_OFFSET, 0),
-        )
 
     # -- I/O array handling ----------------------------------------------------------------
     def _handle_io_array(self, request: BusRequest, offset: int):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 
 class MemOpcode(enum.IntEnum):
@@ -226,6 +226,27 @@ class MemCommand:
         elif count > 2:
             command.dim = words[4]
         return command
+
+    @classmethod
+    def from_registers(cls, staged: Mapping[int, int],
+                       sm_addr: int) -> "MemCommand":
+        """The command a ``REG_GO`` launches from the operand registers.
+
+        ``staged`` maps register offsets to the words last poked there; an
+        unwritten register reads as its default (``sm_addr`` for
+        ``REG_SM_ADDR``), and an unknown opcode or data type as NOP or
+        UINT32.
+        """
+        return cls(
+            opcode=_OPCODE_OF.get(staged.get(REG_OPCODE), MemOpcode.NOP),
+            sm_addr=staged.get(REG_SM_ADDR, sm_addr),
+            vptr=staged.get(REG_VPTR, 0),
+            dim=staged.get(REG_DIM, 0),
+            data_type=_DATA_TYPE_OF.get(staged.get(REG_TYPE),
+                                        DataType.UINT32),
+            data=staged.get(REG_DATA_IN, 0),
+            offset=staged.get(REG_OFFSET, 0),
+        )
 
 
 @dataclass

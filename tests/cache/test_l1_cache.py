@@ -149,7 +149,7 @@ class TestEvictions:
             return True
 
         platform, _report = build_platform([task], sets=2, ways=2)
-        assert platform.caches[0].resident_lines() <= 4
+        assert len(platform.caches[0].lines) <= 4
 
 
 class TestArrayTransfers:

@@ -21,7 +21,7 @@ from repro.api import PlatformBuilder
 from repro.cache import (CacheConfig, CacheGeometry, CacheLine,
                          CoherenceDomain, L1Cache, MSIState, SharedAllocation,
                          WritePolicy)
-from repro.memory import DataType
+from repro.memory import DataType, MemCommand, MemOpcode
 from repro.soc import Platform
 from repro.wrapper.errors import ApiError
 
@@ -37,7 +37,7 @@ TYPES = {
 
 def model_word(value, data_type):
     """What the memory returns for a stored ``value`` (independent of
-    ``repro.cache.l1.canonical_word``): truncate, sign-extend, mask."""
+    ``repro.cache.lines.canonical_word``): truncate, sign-extend, mask."""
     size, signed = TYPES[data_type]
     bits = 8 * size
     value &= (1 << bits) - 1
@@ -189,8 +189,8 @@ def test_random_programs_match_the_model_and_the_uncached_run(seed):
             assert stats.uncached_ops == counter["stray"]
             assert stats.fallbacks <= stats.misses
             assert stats.reservation_stalls == 0  # allocations are private
-            assert cache.resident_lines() <= SETS * WAYS
-            for ways in cache._sets:
+            assert len(cache.lines) <= SETS * WAYS
+            for ways in cache.lines.sets:
                 assert len(ways) <= WAYS
         if policy == "write_back":
             # The tiny cache really was exercised on both sides of the probe.
@@ -218,15 +218,27 @@ def make_cache(policy=WritePolicy.WRITE_BACK):
 def install(cache, alloc, line_no, words, state=MSIState.SHARED):
     """Hand-build one resident line of ``alloc`` holding ``words`` (``None``
     leaves the slot absent)."""
-    first, count = cache._element_span(alloc, line_no)
+    first, count = cache.lines.span(alloc, line_no)
     line = CacheLine(alloc, line_no, first, count)
     for slot, word in enumerate(words):
         if word is not None:
             line.words[slot] = word
             line.present[slot] = True
     line.state = state
-    cache._sets[cache.geometry.set_index(line_no)].insert(0, line)
+    cache.lines.ways_of(line_no).insert(0, line)
     return line
+
+
+def replay(domain, opcode, master_id=0, value=0, **fields):
+    """Replay one command completed on memory 0 into the domain's shadow
+    map, as its bus hook would."""
+    return domain.shadow.apply(0, MemCommand(opcode, 0, **fields), master_id,
+                               value)
+
+
+def alloc_at(domain, vptr, dim, data_type):
+    return replay(domain, MemOpcode.ALLOC, value=vptr, dim=dim,
+                  data_type=data_type)
 
 
 def read(vptr, offset=0):
@@ -246,7 +258,7 @@ def probe(cache, access, mem_index):
 class TestProbe:
     def test_present_slot_is_a_read_hit(self):
         cache, domain = make_cache()
-        alloc = domain.on_alloc(0, 0x40, 8, DataType.UINT32)
+        alloc = alloc_at(domain, 0x40, 8, DataType.UINT32)
         install(cache, alloc, 5, [None, None, 77, None])  # bytes 0x50-0x5F
         response, located = probe(cache, read(0x40, offset=6), 0)
         assert located == (alloc, 6)
@@ -256,14 +268,14 @@ class TestProbe:
 
     def test_interior_pointer_resolves_to_the_same_slot(self):
         cache, domain = make_cache()
-        alloc = domain.on_alloc(0, 0x40, 8, DataType.UINT32)
+        alloc = alloc_at(domain, 0x40, 8, DataType.UINT32)
         install(cache, alloc, 5, [None, None, 77, None])
         response, located = probe(cache, read(0x40 + 4 * 4, offset=2), 0)
         assert located == (alloc, 6) and response.data == 77
 
     def test_absent_slot_and_absent_line_miss_without_counting(self):
         cache, domain = make_cache()
-        alloc = domain.on_alloc(0, 0x40, 8, DataType.UINT32)
+        alloc = alloc_at(domain, 0x40, 8, DataType.UINT32)
         install(cache, alloc, 5, [None, None, 77, None])
         assert probe(cache, read(0x40, offset=5), 0) == (None, (alloc, 5))
         assert probe(cache, read(0x40, offset=0), 0) == (None, (alloc, 0))
@@ -271,14 +283,14 @@ class TestProbe:
 
     def test_access_outside_every_allocation_is_not_located(self):
         cache, domain = make_cache()
-        domain.on_alloc(0, 0x40, 8, DataType.UINT32)
+        alloc_at(domain, 0x40, 8, DataType.UINT32)
         assert probe(cache, read(0x40, offset=8), 0) == (None, None)
         assert probe(cache, read(0x10), 0) == (None, None)
         assert probe(cache, read(0x40), 1) == (None, None)  # other memory
 
     def test_write_to_a_modified_line_stores_the_canonical_word(self):
         cache, domain = make_cache()
-        alloc = domain.on_alloc(0, 0, 8, DataType.INT16)
+        alloc = alloc_at(domain, 0, 8, DataType.INT16)
         line = install(cache, alloc, 0, [1] * 8, state=MSIState.MODIFIED)
         response, located = probe(cache, write(0, 0x1_8000, offset=3), 0)
         assert located == (alloc, 3)
@@ -291,7 +303,7 @@ class TestProbe:
 
     def test_write_to_a_shared_line_leaves_it_alone(self):
         cache, domain = make_cache()
-        alloc = domain.on_alloc(0, 0, 4, DataType.UINT32)
+        alloc = alloc_at(domain, 0, 4, DataType.UINT32)
         line = install(cache, alloc, 0, [1, 2, 3, 4])
         assert probe(cache, write(0, 9, offset=1), 0) == (None, (alloc, 1))
         assert line.words == [1, 2, 3, 4] and not line.has_dirty()
@@ -299,7 +311,7 @@ class TestProbe:
 
     def test_write_through_cache_never_stores_in_the_probe(self):
         cache, domain = make_cache(WritePolicy.WRITE_THROUGH)
-        alloc = domain.on_alloc(0, 0, 4, DataType.UINT32)
+        alloc = alloc_at(domain, 0, 4, DataType.UINT32)
         line = install(cache, alloc, 0, [1, 2, 3, 4], state=MSIState.MODIFIED)
         assert probe(cache, write(0, 9), 0) == (None, (alloc, 0))
         assert line.words[0] == 1
@@ -309,26 +321,26 @@ class TestProbe:
     def test_write_to_a_reserved_allocation_is_left_to_the_slow_path(
             self, holder):
         cache, domain = make_cache()
-        alloc = domain.on_alloc(0, 0, 8, DataType.UINT32)
+        alloc = alloc_at(domain, 0, 8, DataType.UINT32)
         other = install(cache, alloc, 1, [5, 6, 7, 8])
         line = install(cache, alloc, 0, [1, 2, 3, 4], state=MSIState.MODIFIED)
-        install(cache, domain.on_alloc(0, 0x40, 4, DataType.UINT32), 4, [0] * 4)
-        domain.on_reserve(alloc, holder)
-        ways = cache._sets[0]
+        install(cache, alloc_at(domain, 0x40, 4, DataType.UINT32), 4, [0] * 4)
+        replay(domain, MemOpcode.RESERVE, holder, vptr=alloc.vptr)
+        ways = cache.lines.sets[0]
         order = list(ways)
         assert probe(cache, write(0, 9, offset=4), 0) == (None, (alloc, 4))
         assert probe(cache, write(0, 9, offset=0), 0) == (None, (alloc, 0))
         assert ways == order  # no lookup: the LRU order did not move
         assert line.words[0] == 1 and other.words[0] == 5
         assert probe(cache, read(0, offset=4), 0)[0].data == 5  # reads hit
-        domain.on_release(alloc)
+        replay(domain, MemOpcode.RELEASE, holder, vptr=alloc.vptr)
         assert probe(cache, write(0, 9), 0)[0].ok and line.words[0] == 9
 
     def test_stale_generation_after_vptr_reuse_does_not_hit(self):
         cache, domain = make_cache()
-        old = domain.on_alloc(0, 0, 4, DataType.UINT32)
-        domain.on_free(old)
-        new = domain.on_alloc(0, 0, 4, DataType.UINT32)  # same Vptr range
+        old = alloc_at(domain, 0, 4, DataType.UINT32)
+        replay(domain, MemOpcode.FREE, vptr=old.vptr)
+        new = alloc_at(domain, 0, 4, DataType.UINT32)  # same Vptr range
         assert new.uid != old.uid and new.vptr == old.vptr
         # A line of the dead generation (the domain would have dropped it).
         install(cache, old, 0, [1, 2, 3, 4], state=MSIState.MODIFIED)
@@ -339,12 +351,12 @@ class TestProbe:
 
     def test_a_hit_moves_the_line_to_mru(self):
         cache, domain = make_cache()
-        alloc = domain.on_alloc(0, 0, 16, DataType.UINT32)
+        alloc = alloc_at(domain, 0, 16, DataType.UINT32)
         first = install(cache, alloc, 0, [1, 2, 3, 4])
         second = install(cache, alloc, 2, [5, 6, 7, 8])  # same set, now MRU
-        assert cache._sets[0] == [second, first]
+        assert cache.lines.sets[0] == [second, first]
         assert probe(cache, read(0, offset=1), 0)[0].data == 2
-        assert cache._sets[0] == [first, second]
+        assert cache.lines.sets[0] == [first, second]
 
 
 def test_shared_allocation_geometry_is_fixed_at_construction():

@@ -194,7 +194,7 @@ class TestAllocationLifetime:
         assert report.results["pe1"] == 5
         # After the FREE, no cache may retain lines of the dead allocation.
         for cache in platform.caches:
-            assert cache.resident_lines() == 0
+            assert len(cache.lines) == 0
 
 
 class TestUncachedMasters:
@@ -244,6 +244,74 @@ class TestUncachedMasters:
         # The raw write (222) is the last one on the bus: the earlier
         # cached 111 may not resurface via a later writeback.
         assert report.results["pe0"] == 222
+
+    @pytest.mark.parametrize("topology", ["shared_bus", "crossbar", "mesh"])
+    @pytest.mark.parametrize("policy", ["write_back", "write_through"])
+    @pytest.mark.parametrize("launch", ["burst", "registers"])
+    def test_raw_write_invalidates_however_it_is_launched(
+            self, launch, policy, topology):
+        """A raw master's WRITE reaches the snooper whether it arrives as
+        one command burst or as operand-register pokes launched by
+        ``REG_GO``: the cached PE's next read sees the new value."""
+        from repro.kernel import Module
+        from repro.memory.protocol import (
+            REG_COMMAND, REG_DATA_IN, REG_GO, REG_OFFSET, REG_OPCODE,
+            REG_SM_ADDR, REG_VPTR, MemCommand, MemOpcode)
+
+        builder = (PlatformBuilder().pes(1).wrapper_memories(1)
+                   .l1_cache(sets=8, ways=2, line_bytes=16, policy=policy))
+        if topology == "crossbar":
+            builder = builder.crossbar()
+        elif topology == "mesh":
+            builder = builder.mesh(rows=2, cols=2)
+        platform = Platform(builder.build())
+        shared = {}
+
+        def cached_task(ctx):
+            smem = ctx.smem(0)
+            vptr = yield from smem.alloc(4, DataType.UINT32)
+            yield from smem.write(vptr, 111, offset=0)
+            yield from smem.read(vptr, offset=0)
+            before = yield from smem.read(vptr, offset=0)  # an L1 hit
+            shared["vptr"] = vptr
+            while "raw_done" not in shared:
+                yield 16 * ctx.clock_period
+            after = yield from smem.read(vptr, offset=0)
+            return before, after
+
+        platform.add_task(cached_task)
+        port = platform.interconnect.master_port(99, name="raw")
+        base = platform.config.memory_base(0)
+
+        class RawMaster(Module):
+            def __init__(self, parent):
+                super().__init__("raw", parent)
+                self.add_process(self._run)
+
+            def _run(self):
+                while "vptr" not in shared:
+                    yield 160
+                command = MemCommand(MemOpcode.WRITE, sm_addr=0,
+                                     vptr=shared["vptr"], offset=0, data=222)
+                if launch == "burst":
+                    response = yield from port.burst_write(
+                        base + REG_COMMAND, command.to_words())
+                else:
+                    for register, word in (
+                            (REG_OPCODE, int(command.opcode)),
+                            (REG_SM_ADDR, command.sm_addr),
+                            (REG_VPTR, command.vptr),
+                            (REG_OFFSET, command.offset),
+                            (REG_DATA_IN, command.data)):
+                        yield from port.write(base + register, word)
+                    response = yield from port.write(base + REG_GO, 1)
+                shared["raw_done"] = response.ok
+
+        RawMaster(platform.top)
+        report = platform.run()
+        assert shared["raw_done"]
+        assert report.results["pe0"] == (111, 222)
+        assert platform.caches[0].stats.hits >= 1
 
     def test_lifetime_drops_do_not_count_as_invalidations(self):
         """ALLOC/FREE bookkeeping drops are not coherence invalidations."""

@@ -31,18 +31,17 @@ class _Line:
         return self._dirty
 
 
+class _StubLines(list):
+    def overlapping(self, mem_index, lo_byte, hi_byte):
+        return [line for line in self
+                if line.mem_index == mem_index and line.lo_byte < hi_byte
+                and lo_byte < line.hi_byte]
+
+
 class _StubCache:
     def __init__(self, master_id, lines):
         self.master_id = master_id
-        self._lines = lines
-
-    def iter_lines(self):
-        return iter(self._lines)
-
-    def lines_overlapping(self, mem_index, lo_byte, hi_byte):
-        return [line for line in self._lines
-                if line.mem_index == mem_index and line.lo_byte < hi_byte
-                and lo_byte < line.hi_byte]
+        self.lines = _StubLines(lines)
 
 
 def test_planted_dirty_dirty_is_reported_once():

@@ -139,7 +139,7 @@ def test_nothing_is_imported_once_the_platform_runs(name):
 def test_probed_platform_without_caches_does_not_load_the_l1():
     """The suites tell cache-internal transfers by ``BusRequest.tag`` and
     take the predicate from where the tag lives; only the sanitizer's
-    shadow map (``cache.coherence``) comes from the cache package."""
+    shadow map (``cache.shadow``) comes from the cache package."""
     modules = _child(r"""
 from repro.api import run_scenario
 scenario = workloads.SPECS["stencil_mesh_probed"].scenario(
@@ -152,3 +152,4 @@ print(json.dumps(loaded()))
     assert "repro.check.suite" in modules and "repro.obs.suite" in modules
     assert "repro.noc.mesh" in modules
     assert "repro.cache.l1" not in modules
+    assert "repro.cache.coherence" not in modules

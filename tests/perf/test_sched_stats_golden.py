@@ -5,9 +5,10 @@ Each scenario runs a deterministic fixed-seed workload against
 ``golden_sched_stats.json``.  Two kinds of numbers are compared, the way
 :class:`~repro.soc.stats.SimulationReport` separates them:
 
-* what was simulated: the final simulated time, every per-PE cache counter
-  of the cached scenario and the whole NoC block of the mesh scenario must
-  equal the golden values exactly;
+* what was simulated: the final simulated time, every per-PE
+  :class:`~repro.cache.l1.CacheStats` counter of the cached scenarios and
+  the whole NoC block of the mesh scenario must equal the golden values
+  exactly;
 * what it cost: the four scheduler counters (``report.cost()``) must not
   rise above the golden values.  A kernel or topology that reaches the
   same simulated state with fewer activations passes; one that needs more
@@ -20,10 +21,12 @@ delta in the commit message.
 
 import json
 import os
+from dataclasses import fields
 
 import pytest
 
 from repro.api import ExperimentRunner, PlatformBuilder, Scenario
+from repro.cache import CacheStats
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden_sched_stats.json")
@@ -52,11 +55,22 @@ def golden_scenarios():
              "alloc_churn",
              {"iterations": 8, "block_words": 16, "gsm_frames": 1, "seed": 9},
              9),
-        # The one cached scenario: scalar traffic served by write-back L1s.
+        # Cached scenarios.  Scalar traffic served by write-back L1s:
         scen("golden-stencil-l1wb",
              PlatformBuilder().pes(2).wrapper_memories(2).crossbar()
              .l1_cache(sets=8, ways=2, line_bytes=16, policy="write_back"),
              "stencil", {"size": 32, "iterations": 2, "seed": 7}, 7),
+        # array writes absorbed into, or forced past, a tiny write-back L1
+        # (absorbs, fallbacks, evictions and writebacks all nonzero):
+        scen("golden-alloc-churn-l1wb",
+             PlatformBuilder().pes(2).wrapper_memories(1).crossbar()
+             .l1_cache(sets=4, ways=2, line_bytes=16, policy="write_back"),
+             "alloc_churn", {"seed": 7}, 7),
+        # and a write-through L1 whose writes invalidate the peer's lines:
+        scen("golden-producer-consumer-l1wt",
+             PlatformBuilder().pes(2).wrapper_memories(1)
+             .l1_cache(sets=4, ways=2, line_bytes=16, policy="write_through"),
+             "producer_consumer", {"seed": 7}, 7),
         # The one mesh scenario, sized so router ports both arbitrate between
         # lanes and stall on a full downstream buffer (credit wait).
         scen("golden-stencil-mesh",
@@ -85,6 +99,8 @@ def test_golden_covers_every_scenario(golden, results):
 
 
 SCENARIOS = [scenario.name for scenario in golden_scenarios()]
+CACHED_SCENARIOS = ["golden-stencil-l1wb", "golden-alloc-churn-l1wb",
+                    "golden-producer-consumer-l1wt"]
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -105,14 +121,15 @@ def test_cost_does_not_rise_above_golden(scenario, golden, results):
 
 
 def test_cache_counters_match_golden(golden, results):
-    """An L1 host-speed change must leave every per-PE cache counter alone."""
-    expected = golden["golden-stencil-l1wb"]["cache_reports"]
-    reports = results["golden-stencil-l1wb"].report.cache_reports
-    observed = {
-        cache["name"]: {name: cache[name] for name in expected[cache["name"]]}
-        for cache in reports
-    }
-    assert observed == expected
+    """An L1 change that keeps behaviour must leave every per-PE
+    :class:`CacheStats` counter of every cached scenario alone."""
+    counters = [field.name for field in fields(CacheStats)]
+    for scenario in CACHED_SCENARIOS:
+        observed = {
+            cache["name"]: {name: cache[name] for name in counters}
+            for cache in results[scenario].report.cache_reports
+        }
+        assert observed == golden[scenario]["cache_reports"], scenario
 
 
 def test_noc_counters_match_golden(golden, results):

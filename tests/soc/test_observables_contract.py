@@ -10,6 +10,8 @@ test-local bus below must leave ``observables_sha256()`` unchanged and
 lower ``cost()``.
 """
 
+import json
+
 import pytest
 
 import repro.soc.platform
@@ -72,6 +74,17 @@ def test_one_wait_bus_simulates_the_same_at_a_lower_cost(workload, monkeypatch):
             < stock.cost()["process_activations"])
 
 
+def keys(value):
+    """Every dict key of a report tree, at any depth."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from keys(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from keys(item)
+
+
 def test_observables_hold_no_scheduler_counters_at_any_depth():
     config = (PlatformBuilder().pes(2).wrapper_memories(2).mesh(2, 2)
               .partitions(2).build())
@@ -81,17 +94,27 @@ def test_observables_hold_no_scheduler_counters_at_any_depth():
                              mode="inprocess")
     assert "kernel_stats" in report.as_dict()
     assert "kernel_stats" in report.as_dict()["pdes"]["per_partition"][0]
-
-    def keys(value):
-        if isinstance(value, dict):
-            for key, item in value.items():
-                yield key
-                yield from keys(item)
-        elif isinstance(value, list):
-            for item in value:
-                yield from keys(item)
-
     assert "kernel_stats" not in set(keys(report.observables()))
     assert report.cost() == {counter: report.kernel_stats[counter]
                              for counter in report.cost()}
     assert report.cost()["process_activations"] > 0
+
+
+def test_observables_hold_no_host_code_locations():
+    """A sanitizer finding's tracebacks name host files and line numbers:
+    kept in ``as_dict()``, left out of ``observables()``, so the hash does
+    not move with the checkout directory or an edited line."""
+    config = (PlatformBuilder().pes(2).wrapper_memories(1)
+              .l1_cache(sets=4, ways=2, line_bytes=16,
+                        policy="write_through")
+              .sanitize().build())
+    report = run_scenario(Scenario(
+        name="races", config=config, workload="matmul",
+        params={"seed": 7}, seed=7)).raise_for_status().report
+    findings = report.as_dict()["sanitizer_reports"]
+    assert findings and all(site["traceback"] for finding in findings
+                            for site in finding["sites"])
+    observables = report.observables()
+    assert len(observables["sanitizer_reports"]) == len(findings)
+    assert "traceback" not in set(keys(observables))
+    assert ".py" not in json.dumps(observables, default=str)
