@@ -5,7 +5,7 @@
 interconnect topology: `PlatformBuilder.arbitration(...)` selects
 round-robin, fixed-priority, weighted round-robin or TDMA, and the same
 policy drives every grant point of the chosen fabric (the bus channel,
-each crossbar channel, each mesh slave server).
+each crossbar channel, each mesh slave's channel).
 
 This example sets up the classic *priority inversion* scenario: two
 producer/consumer FIFO pairs share one memory and one bus, and

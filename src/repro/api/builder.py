@@ -181,7 +181,7 @@ class PlatformBuilder:
         """Arbitration policy of every grant point of the interconnect.
 
         Works on every topology — the bus channel, each crossbar channel
-        and each mesh slave server apply the same policy.  ``kind`` is an
+        and each mesh slave's channel apply the same policy.  ``kind`` is an
         :class:`~repro.soc.config.ArbitrationKind` or its value string;
         the fabric aliases (``"priority"``, ``"weighted"``, ``"rr"``...)
         are accepted.  Optional parameters:

@@ -4,15 +4,17 @@ One memory-access surface, many transports: every interconnect topology of
 the platform (shared bus, crossbar, 2D-mesh NoC) subclasses
 :class:`Fabric`, which owns the shared machinery — slave attachment via a
 validating address map, the :class:`MasterPort` issue/complete lifecycle,
-snooper registration, decode-error accounting, uniform
-:class:`BusStats`/:class:`MasterStats` counters with latency percentiles —
-while a pluggable :class:`ArbitrationPolicy` family (round-robin,
-fixed-priority, weighted round-robin, TDMA) decides who wins each
-contended grant, identically on every topology.
+the one arbitration point (``Fabric._run_channel``, which holds a channel
+for a slave's service window), snooper registration, decode-error
+accounting, uniform :class:`BusStats`/:class:`MasterStats` counters with
+latency percentiles — while a pluggable :class:`ArbitrationPolicy` family
+(round-robin, fixed-priority, weighted round-robin, TDMA) decides who wins
+each contended grant, identically on every topology.
 
 Adding an arbitration policy or a topology is a one-class plug-in:
-policies implement :meth:`ArbitrationPolicy.grant`, topologies implement
-:meth:`Fabric._post` plus their transport timing.
+policies implement :meth:`ArbitrationPolicy.grant`; topologies map each
+slave to a channel (and the mesh routes requests to it and responses
+back).
 """
 
 from .._lazy import lazy_exports

@@ -1,7 +1,7 @@
 """The interconnect fabric base class.
 
 :class:`Fabric` owns everything the platform's interconnects have in
-common, so a topology only implements transport timing:
+common, so a topology only says where a request waits to be served:
 
 * slave attachment through one shared, validating
   :class:`~repro.fabric.address_map.AddressMap` path (overlapping,
@@ -9,29 +9,34 @@ common, so a topology only implements transport timing:
 * the :class:`~repro.fabric.port.MasterPort` issue/complete lifecycle —
   port registration, request posting, response delivery and per-master
   wait accounting;
-* snooper registration, fired once per completed transfer at the
-  topology's completion point (functional MSI coherence);
+* the one arbitration point, :meth:`_run_channel`: a :class:`Channel`
+  grants one pending request, holds for ``arbitration_cycles``, calls the
+  slave (:meth:`_serve`) and holds for the cycles it returns — the single
+  place that says how a channel is held for a slave's service window;
+* snooper registration, fired once per served transfer, in service order
+  (functional MSI coherence);
 * the ``port_issue`` / ``port_complete`` probe points of the platform's
   :class:`~repro.kernel.probes.Probes` bus (instrumentation);
 * decode-error accounting and the immediate-completion error path;
 * uniform :class:`~repro.fabric.stats.BusStats` accounting plus a
   per-transaction latency sample, emitted by :meth:`interconnect_stats`
   with the same ``percentile_summary`` columns for every topology;
-* the one call into a slave, :meth:`_serve` (the topology then holds its
-  channel for the returned cycles);
 * per-slave traffic columns for the slaves registered with
   :meth:`monitor`: the slave cycles of every transfer they serve, recorded
   by :meth:`_serve`;
 * arbitration-policy creation from one :class:`ArbitrationSpec`, so every
-  arbitration point of a topology (single bus channel, per-slave crossbar
-  channels, mesh slave servers) applies the same pluggable policy.
+  channel of a topology applies the same pluggable policy.
 
-Subclasses implement :meth:`_post` (route a request into the transport)
-and may hook :meth:`_on_attach` (per-slave transport state) and
-:meth:`_decorate_stats` (topology-specific report blocks).  They must
-assign ``self._anchor_event`` to one of their kernel events — the fabric
-uses it to observe simulated time and to bind completion events on the
-immediate decode-error path.
+A topology creates its channels with :meth:`_add_channel` and maps each
+slave to one in :meth:`_on_attach` (the shared bus maps every slave to its
+one channel, the crossbar gives each slave its own); the default
+:meth:`_post` then decodes the address and queues the request on that
+channel.  The mesh overrides :meth:`_post` to route a request packet to
+the slave's node, queues it there, and overrides :meth:`_served` to send
+the response back as a packet.  Every topology must assign
+``self._anchor_event`` to one of its kernel events — the fabric uses it to
+observe simulated time and to bind completion events on the immediate
+decode-error path.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from array import array
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..kernel import Event, Module, Probes
-from .address_map import AddressMap, Region
+from .address_map import AddressDecodeError, AddressMap, Region
 from .transaction import (
     BusOp,
     BusRequest,
@@ -48,29 +53,31 @@ from .transaction import (
     ResponseStatus,
     decode_error_response,
 )
-from .policy import (
-    ArbitrationPolicy,
-    ArbitrationSpec,
-    FixedPriorityArbiter,
-    RoundRobinArbiter,
-    TdmaArbiter,
-    WeightedRoundRobinArbiter,
-)
+from .policy import ArbitrationPolicy, ArbitrationSpec
 from .port import BusSlave, MasterPort
 from .stats import BusStats, monitor_block, percentile_summary
 
 
-def _infer_kind(policy: ArbitrationPolicy) -> str:
-    """Reported policy kind of a ready instance (legacy ``arbiter=``)."""
-    if isinstance(policy, TdmaArbiter):
-        return "tdma"
-    if isinstance(policy, WeightedRoundRobinArbiter):
-        return "weighted_round_robin"
-    if isinstance(policy, FixedPriorityArbiter):
-        return "fixed_priority"
-    if isinstance(policy, RoundRobinArbiter):
-        return "round_robin"
-    return type(policy).__name__
+class Channel:
+    """One arbitration point: the requests waiting for one service window.
+
+    ``pending`` maps a master id to ``(token, request, slave, offset)``;
+    the token is what :meth:`Fabric._served` completes (the master port
+    on the bus and crossbar, the request packet on the mesh).
+    """
+
+    __slots__ = ("name", "arbiter", "pending", "event", "busy_cycles",
+                 "transactions")
+
+    def __init__(self, name: str, arbiter: ArbitrationPolicy,
+                 event: Event) -> None:
+        self.name = name
+        self.arbiter = arbiter
+        self.pending: Dict[int, Tuple[object, BusRequest, BusSlave,
+                                      int]] = {}
+        self.event = event
+        self.busy_cycles = 0
+        self.transactions = 0
 
 
 class Fabric(Module):
@@ -87,9 +94,7 @@ class Fabric(Module):
         phase); topologies without a per-transfer address phase pass 0.
     arbitration:
         Arbitration policy description: an :class:`ArbitrationSpec`, a
-        policy-kind string, a ready :class:`ArbitrationPolicy` instance
-        (single-arbitration-point topologies only) or ``None`` for the
-        round-robin default.
+        policy-kind string or ``None`` for the round-robin default.
     probes:
         The platform's probe bus (a private, unsubscribed one by default).
     """
@@ -99,7 +104,7 @@ class Fabric(Module):
         name: str,
         period: int,
         arbitration_cycles: int = 1,
-        arbitration: Union[ArbitrationSpec, ArbitrationPolicy, str, None] = None,
+        arbitration: Union[ArbitrationSpec, str, None] = None,
         parent: Optional[Module] = None,
         probes: Optional[Probes] = None,
     ) -> None:
@@ -111,17 +116,16 @@ class Fabric(Module):
             raise ValueError("arbitration cycles must be >= 0")
         self.period = period
         self.arbitration_cycles = arbitration_cycles
-        if isinstance(arbitration, ArbitrationPolicy):
-            self._policy_instance: Optional[ArbitrationPolicy] = arbitration
-            self.arbitration = ArbitrationSpec()
-            self._arbitration_kind = _infer_kind(arbitration)
-        else:
-            self._policy_instance = None
-            self.arbitration = ArbitrationSpec.coerce(arbitration)
-            self._arbitration_kind = self.arbitration.kind
-        self._instance_consumed = False
+        self.arbitration = ArbitrationSpec.coerce(arbitration)
         #: Policy instances handed out so far (for merged grant reporting).
         self._policies: List[ArbitrationPolicy] = []
+        #: Every channel, in creation order, and the channel of each
+        #: attached slave.
+        self._channels: List[Channel] = []
+        self._slave_channels: Dict[BusSlave, Channel] = {}
+        #: The slave a misdecoded request is queued against, so it holds
+        #: a channel like a served one; ``None`` completes it at once.
+        self._unmapped: Optional[BusSlave] = None
         self.address_map = AddressMap()
         self.stats = BusStats()
         self._master_ports: Dict[int, MasterPort] = {}
@@ -144,20 +148,8 @@ class Fabric(Module):
 
         Every grant point of a topology calls this once, so all points run
         the same :class:`ArbitrationSpec`-described policy with independent
-        state.  A ready policy *instance* passed at construction is handed
-        out exactly once (it cannot be cloned): only single-point
-        topologies such as the shared bus accept one.
+        state.
         """
-        if self._policy_instance is not None:
-            policy, self._policy_instance = self._policy_instance, None
-            self._instance_consumed = True
-            self._policies.append(policy)
-            return policy
-        if self._instance_consumed:
-            raise RuntimeError(
-                f"{self.name}: a ready ArbitrationPolicy instance serves a "
-                f"single arbitration point; pass an ArbitrationSpec instead"
-            )
         policy = self.arbitration.create()
         self._policies.append(policy)
         return policy
@@ -203,7 +195,7 @@ class Fabric(Module):
         self._on_attach(region, slave)
 
     def _on_attach(self, region: Region, slave: BusSlave) -> None:
-        """Topology hook: build per-slave transport state (default none)."""
+        """Topology hook: map ``slave`` to the channel that serves it."""
 
     def monitor(self, slave: BusSlave, name: str) -> None:
         """Keep a traffic column for ``slave``, reported under ``name`` in
@@ -212,14 +204,9 @@ class Fabric(Module):
 
     def add_snooper(self, snooper) -> None:
         """Register ``snooper(request, response)``, called once per
-        completed transfer at the topology's completion point (cache
-        coherence; instrumentation subscribes to :attr:`probes`)."""
+        served transfer as its service window closes, in service order
+        (cache coherence; instrumentation subscribes to :attr:`probes`)."""
         self._snoopers.append(snooper)
-
-    def _fire_snoopers(self, request: BusRequest,
-                       response: BusResponse) -> None:
-        for snooper in self._snoopers:
-            snooper(request, response)
 
     def _register_port(self, port: MasterPort) -> None:
         if port.master_id in self._master_ports:
@@ -243,10 +230,68 @@ class Fabric(Module):
         """Convert a kernel duration to whole interconnect cycles."""
         return duration // self.period
 
+    # -- channels ----------------------------------------------------------------
+    def _add_channel(self, name: str, event_name: str,
+                     process_name: str) -> Channel:
+        """Create one channel: its policy, its request event and the
+        process that runs :meth:`_run_channel` on it."""
+        channel = Channel(name, self.new_policy(),
+                          self.add_event(Event(event_name)))
+        self._channels.append(channel)
+        self.add_process(lambda: self._run_channel(channel),
+                         name=process_name)
+        return channel
+
+    def _run_channel(self, channel: Channel):
+        """The one arbitration point of every topology.
+
+        Grant one pending request, hold the channel ``arbitration_cycles``
+        (the address phase), call the slave — it acts at the first cycle of
+        its service window — and hold the channel for the cycles it
+        returns.  Snoopers then observe the transfer, in service order,
+        before :meth:`_served` completes it.
+        """
+        pending = channel.pending
+        period = self.period
+        arbitration_cycles = self.arbitration_cycles
+        snoopers = self._snoopers
+        while True:
+            if not pending:
+                yield channel.event
+                continue
+            winner = self._grant(channel.arbiter, sorted(pending))
+            token, request, slave, offset = pending.pop(winner)
+            for _ in range(arbitration_cycles):
+                yield period
+            response, cycles = self._serve(slave, request, offset)
+            for _ in range(cycles):
+                yield period
+            response.slave_cycles = cycles
+            response.total_cycles = cycles + arbitration_cycles
+            channel.busy_cycles += response.total_cycles
+            channel.transactions += 1
+            for snooper in snoopers:
+                snooper(request, response)
+            self._served(token, request, response)
+
     # -- master-side entry point ---------------------------------------------------
     def _post(self, port: MasterPort, request: BusRequest) -> None:
-        """Route ``request`` into the transport (topology-specific)."""
-        raise NotImplementedError
+        """Decode ``request`` and queue it on its slave's channel."""
+        try:
+            slave, offset, _region = self.address_map.decode(request.address)
+        except AddressDecodeError:
+            if self._unmapped is None:
+                self._complete_decode_error(port, request)
+                return
+            slave, offset = self._unmapped, 0
+        channel = self._slave_channels[slave]
+        if port.master_id in channel.pending:
+            raise RuntimeError(
+                f"master {port.master_id} posted a request while one is "
+                f"outstanding"
+            )
+        channel.pending[port.master_id] = (port, request, slave, offset)
+        channel.event.notify()
 
     # -- shared transfer machinery --------------------------------------------------
     def _serve(self, slave: BusSlave, request: BusRequest,
@@ -254,25 +299,29 @@ class Fabric(Module):
         """Call ``slave.serve`` at the start of its service window.
 
         Returns ``(response, slave_cycles)`` and appends the cycles to the
-        slave's traffic column if it is monitored; the calling topology
-        holds its channel for those cycles.
+        slave's traffic column if it is monitored; :meth:`_run_channel`
+        holds the channel for those cycles.
         """
         response, cycles = slave.serve(request, offset)
         if self._monitors and slave in self._monitors:
             self._monitors[slave][1][request.op].append(cycles)
         return response, cycles
 
-    def _finish(self, port: MasterPort, request: BusRequest,
-                response: BusResponse) -> None:
-        """Complete a transfer: account, snoop, probe, deliver, wake the
-        master."""
+    def _deliver(self, port: MasterPort, request: BusRequest,
+                 response: BusResponse, delay: Optional[int] = None) -> None:
+        """Complete a transfer: account, probe, deliver, wake the master
+        (after ``delay``, immediately by default)."""
         self._account(request, response)
-        self._fire_snoopers(request, response)
         probe = self.probes.port_complete
         if probe is not None:
             probe(port, request, response)
         port._response = response
-        port._completion.notify()
+        port._completion.notify(delay)
+
+    #: Topology hook called by :meth:`_run_channel` with the token the
+    #: request was queued with once its service window closed; the bus
+    #: and the crossbar queue the master port, so it is :meth:`_deliver`.
+    _served = _deliver
 
     def _complete_decode_error(self, port: MasterPort,
                                request: BusRequest) -> None:
@@ -289,16 +338,11 @@ class Fabric(Module):
         response = decode_error_response()
         response.slave_cycles = 1
         response.total_cycles = 1
-        self._account(request, response)
-        probe = self.probes.port_complete
-        if probe is not None:
-            probe(port, request, response)
-        port._response = response
         assert self._anchor_event is not None
         sim = self._anchor_event._sim
         if sim is not None:
             port._completion._bind(sim)
-        port._completion.notify(self.period)
+        self._deliver(port, request, response, self.period)
 
     # -- accounting ---------------------------------------------------------------
     def _account(self, request: BusRequest, response: BusResponse) -> None:
@@ -343,7 +387,7 @@ class Fabric(Module):
             "utilization": self.utilization(elapsed_time),
             "latency_percentiles": percentile_summary(self._latencies),
             "arbitration": {
-                "kind": self._arbitration_kind,
+                "kind": self.arbitration.kind,
                 "grant_counts": {master_id: count for master_id, count in
                                  sorted(self.merged_grant_counts().items())},
             },

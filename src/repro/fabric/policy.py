@@ -20,7 +20,7 @@ Four families are provided:
   interconnects (work-conserving: an idle slot falls back to round-robin).
 
 Because a fabric may have *several* arbitration points (one per crossbar
-channel, one per mesh slave server), policies are usually described by an
+channel, one per mesh slave), policies are usually described by an
 :class:`ArbitrationSpec` — a small, picklable value object the fabric turns
 into fresh policy instances wherever it needs one.
 """
@@ -231,7 +231,7 @@ class ArbitrationSpec:
     """Picklable description of an arbitration policy family.
 
     A fabric may need many policy instances (one per crossbar channel, one
-    per mesh slave server); the spec is the single source they are all
+    per mesh slave); the spec is the single source they are all
     created from, so every arbitration point applies the same rules.
     """
 

@@ -20,32 +20,42 @@ Masters interact with the bus through a
 The ``yield from`` suspends the calling process until the bus grants and the
 slave completes the transfer.
 
-The bus is the simplest :class:`~repro.fabric.Fabric` topology: one channel
-process, one arbitration point.  Everything but the grant loop — slave
-attachment, master ports, snoopers, statistics — is inherited from the
-fabric layer in :mod:`repro.fabric`.
+The bus is the simplest :class:`~repro.fabric.Fabric` topology: it maps
+every slave to its one channel, which the fabric's
+:meth:`~repro.fabric.Fabric._run_channel` serves.  A misdecoded address
+still occupies that channel — arbitration plus one error cycle — because
+it is queued against a private slave that answers every request with a
+decode error.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Union
 
 from ..fabric import (
-    AddressDecodeError,
-    ArbitrationPolicy,
     ArbitrationSpec,
-    BusOp,
-    BusRequest,
+    BusSlave,
     Fabric,
-    MasterPort,
+    Region,
     decode_error_response,
 )
-from ..kernel import Event, Module, Probes
+from ..kernel import Module, Probes
 from ..kernel.simtime import NS
 
 __all__ = [
     "SharedBus",
 ]
+
+
+class _Unmapped(BusSlave):
+    """What a misdecoded request is served by: one error cycle."""
+
+    def __init__(self, fabric: Fabric) -> None:
+        self.fabric = fabric
+
+    def serve(self, request, offset):
+        self.fabric.stats.decode_errors += 1
+        return decode_error_response(), 1
 
 
 class SharedBus(Fabric):
@@ -59,13 +69,10 @@ class SharedBus(Fabric):
         Clock period of the interconnect in kernel time units.
     arbitration_cycles:
         Fixed overhead cycles added to every granted transfer (address phase).
-    arbiter:
-        Ready arbitration policy instance (legacy spelling); defaults to
-        round-robin.  Mutually exclusive with ``arbitration``.
     arbitration:
         :class:`~repro.fabric.ArbitrationSpec` (or policy-kind string)
-        describing the policy — the fabric-era spelling shared with the
-        crossbar and the mesh.
+        describing the policy, shared with the crossbar and the mesh;
+        defaults to round-robin.
     """
 
     def __init__(
@@ -73,59 +80,19 @@ class SharedBus(Fabric):
         name: str = "bus",
         period: int = 10 * NS,
         arbitration_cycles: int = 1,
-        arbiter: Optional[ArbitrationPolicy] = None,
         parent: Optional[Module] = None,
         arbitration: Union[ArbitrationSpec, str, None] = None,
         probes: Optional[Probes] = None,
     ) -> None:
-        if arbiter is not None and arbitration is not None:
-            raise ValueError("pass either arbiter= or arbitration=, not both")
         super().__init__(name, period,
                          arbitration_cycles=arbitration_cycles,
-                         arbitration=arbiter if arbiter is not None
-                         else arbitration,
-                         parent=parent, probes=probes)
+                         arbitration=arbitration, parent=parent,
+                         probes=probes)
         #: The single arbitration point of the serialized channel.
-        self.arbiter = self.new_policy()
-        self._pending: Dict[int, Tuple[MasterPort, BusRequest]] = {}
-        self._request_event = self.add_event(Event(f"{name}.request"))
-        self._anchor_event = self._request_event
-        self.add_process(self._run, name="channel")
+        self.channel = self._add_channel(name, f"{name}.request", "channel")
+        self._anchor_event = self.channel.event
+        self._unmapped = _Unmapped(self)
+        self._slave_channels[self._unmapped] = self.channel
 
-    # -- master-side entry point ---------------------------------------------------
-    def _post(self, port: MasterPort, request: BusRequest) -> None:
-        if port.master_id in self._pending:
-            raise RuntimeError(
-                f"master {port.master_id} posted a request while one is outstanding"
-            )
-        self._pending[port.master_id] = (port, request)
-        self._request_event.notify()
-
-    # -- channel process --------------------------------------------------------------
-    def _run(self):
-        while True:
-            if not self._pending:
-                yield self._request_event
-                continue
-            winner = self._grant(self.arbiter, sorted(self._pending))
-            port, request = self._pending.pop(winner)
-            # Address phase / arbitration overhead.
-            for _ in range(self.arbitration_cycles):
-                yield self.period
-            # Data phase: the slave acts now; the bus is held for its cycles.
-            try:
-                slave, offset, _region = self.address_map.decode(request.address)
-            except AddressDecodeError:
-                # The bus channel is held for the error cycle, unlike the
-                # concurrent topologies' immediate-completion decode path —
-                # a misdecoded address still occupied the shared channel.
-                yield self.period
-                self.stats.decode_errors += 1
-                response, slave_cycles = decode_error_response(), 1
-            else:
-                response, slave_cycles = self._serve(slave, request, offset)
-                for _ in range(slave_cycles):
-                    yield self.period
-            response.slave_cycles = slave_cycles
-            response.total_cycles = slave_cycles + self.arbitration_cycles
-            self._finish(port, request, response)
+    def _on_attach(self, region: Region, slave: BusSlave) -> None:
+        self._slave_channels[slave] = self.channel

@@ -6,42 +6,20 @@ to the same slave are serialised (per-slave arbitration).  The master-side
 interface is identical (:class:`~repro.fabric.port.MasterPort`), so
 platforms can swap interconnects without touching the processing elements.
 
-As a :class:`~repro.fabric.Fabric` topology the crossbar only owns its
-transport: one channel process per attached slave, each with its own
-arbitration point created from the fabric's shared
-:class:`~repro.fabric.ArbitrationSpec`.
+As a :class:`~repro.fabric.Fabric` topology the crossbar only gives each
+attached slave its own channel, with its own arbitration point created
+from the fabric's shared :class:`~repro.fabric.ArbitrationSpec`; the
+fabric's :meth:`~repro.fabric.Fabric._run_channel` serves every one.  A
+misdecoded address reaches no channel and completes after one cycle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
-from ..fabric import (
-    AddressDecodeError,
-    ArbitrationPolicy,
-    ArbitrationSpec,
-    BusRequest,
-    BusSlave,
-    Fabric,
-    MasterPort,
-    Region,
-)
+from ..fabric import ArbitrationSpec, BusSlave, Fabric, Region
 from ..kernel import Event, Module, Probes
 from ..kernel.simtime import NS
-
-
-class _Channel:
-    """Book-keeping for one slave-side channel of the crossbar."""
-
-    def __init__(self, name: str, slave: BusSlave,
-                 arbiter: ArbitrationPolicy) -> None:
-        self.name = name
-        self.slave = slave
-        self.arbiter = arbiter
-        self.pending: Dict[int, Tuple[MasterPort, BusRequest, int]] = {}
-        self.request_event: Optional[Event] = None
-        self.busy_cycles = 0
-        self.transactions = 0
 
 
 class Crossbar(Fabric):
@@ -60,58 +38,14 @@ class Crossbar(Fabric):
                          arbitration_cycles=arbitration_cycles,
                          arbitration=arbitration, parent=parent,
                          probes=probes)
-        self._channels: List[_Channel] = []
-        self._slave_to_channel: Dict[int, _Channel] = {}
         self._anchor_event = self.add_event(Event(f"{name}.decode_error"))
 
-    # -- construction-time wiring -------------------------------------------------
     def _on_attach(self, region: Region, slave: BusSlave) -> None:
         """Create the dedicated channel of a newly mapped slave."""
-        if id(slave) not in self._slave_to_channel:
-            channel = _Channel(region.name, slave, self.new_policy())
-            channel.request_event = self.add_event(
-                Event(f"{self.name}.{region.name}.req"))
-            self._channels.append(channel)
-            self._slave_to_channel[id(slave)] = channel
-            self.add_process(
-                lambda ch=channel: self._run_channel(ch),
-                name=f"channel_{region.name}",
-            )
-
-    # -- master-side entry point ----------------------------------------------------
-    def _post(self, port: MasterPort, request: BusRequest) -> None:
-        try:
-            slave, offset, _region = self.address_map.decode(request.address)
-        except AddressDecodeError:
-            self._complete_decode_error(port, request)
-            return
-        channel = self._slave_to_channel[id(slave)]
-        if port.master_id in channel.pending:
-            raise RuntimeError(
-                f"master {port.master_id} posted a request while one is outstanding"
-            )
-        channel.pending[port.master_id] = (port, request, offset)
-        assert channel.request_event is not None
-        channel.request_event.notify()
-
-    # -- per-channel process ------------------------------------------------------------
-    def _run_channel(self, channel: _Channel):
-        while True:
-            if not channel.pending:
-                yield channel.request_event
-                continue
-            winner = self._grant(channel.arbiter, sorted(channel.pending))
-            port, request, offset = channel.pending.pop(winner)
-            for _ in range(self.arbitration_cycles):
-                yield self.period
-            response, cycles = self._serve(channel.slave, request, offset)
-            for _ in range(cycles):
-                yield self.period
-            response.slave_cycles = cycles
-            response.total_cycles = cycles + self.arbitration_cycles
-            channel.busy_cycles += response.total_cycles
-            channel.transactions += 1
-            self._finish(port, request, response)
+        if slave not in self._slave_channels:
+            self._slave_channels[slave] = self._add_channel(
+                region.name, f"{self.name}.{region.name}.req",
+                f"channel_{region.name}")
 
     # -- reporting ------------------------------------------------------------------------
     def channel_stats(self) -> Dict[str, Dict[str, int]]:

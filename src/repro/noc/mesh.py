@@ -26,12 +26,15 @@ Internally it is a ``rows x cols`` grid of wormhole routers:
   geometry, so request/response dependencies can never cycle — the
   classic two-network deadlock-freedom argument;
 * the addressed slave is served one request at a time by its node's
-  server process — the mesh's master-facing arbitration point, created
-  from the fabric's shared :class:`~repro.fabric.ArbitrationSpec` (lane
-  arbitration inside the routers stays round-robin: lanes are entry
-  sides, not masters); snoopers fire at request packet completion —
-  synchronously, in slave service order — which is what keeps the MSI
-  coherence domain's shadow state authoritative.
+  channel — the mesh's master-facing arbitration point, a fabric
+  :class:`~repro.fabric.base.Channel` served by the same
+  :meth:`~repro.fabric.Fabric._run_channel` as the bus and the crossbar
+  (lane arbitration inside the routers stays round-robin: lanes are
+  entry sides, not masters).  An ejected request packet is queued on that
+  channel; when its service window closes, snoopers fire — synchronously,
+  in slave service order, which is what keeps the MSI coherence domain's
+  shadow state authoritative — and :meth:`MeshNoc._served` sends the
+  response packet back from the slave's node.
 
 In scheduler terms every port is one process and a *port visit* — one
 packet through one port — is one wake on the port's event, one scan of its
@@ -111,21 +114,6 @@ class _OutputPort:
         self.event.notify()
 
 
-class _SlaveServer:
-    """Per-slave service point at the slave's mesh node."""
-
-    __slots__ = ("slave", "node", "name", "pending", "arbiter", "event")
-
-    def __init__(self, slave: BusSlave, node: int, name: str,
-                 arbiter) -> None:
-        self.slave = slave
-        self.node = node
-        self.name = name
-        self.pending: Dict[int, Packet] = {}
-        self.arbiter = arbiter
-        self.event: Optional[Event] = None
-
-
 class MeshNoc(Fabric):
     """A 2D-mesh wormhole NoC with the SharedBus/Crossbar port surface."""
 
@@ -153,8 +141,8 @@ class MeshNoc(Fabric):
         self.noc_stats = NocStats()
         self._inflight: set = set()
         self._routes: Dict[Tuple[int, int, int], Tuple[List, List]] = {}
-        self._servers: Dict[int, _SlaveServer] = {}
-        self._slave_count = 0
+        #: Mesh node of every attached slave.
+        self._slave_nodes: Dict[BusSlave, int] = {}
         #: One port dict per physical network ("req" carries requests
         #: outward, "resp" carries responses back — separate networks).
         self._nets: Dict[str, Dict[Tuple, _OutputPort]] = {
@@ -231,16 +219,13 @@ class MeshNoc(Fabric):
 
     # -- construction-time wiring --------------------------------------------------
     def _on_attach(self, region: Region, slave: BusSlave) -> None:
-        """Give a newly mapped slave a node and its service process."""
-        if id(slave) not in self._servers:
-            node = self.node_of_slave(self._slave_count)
-            self._slave_count += 1
-            server = _SlaveServer(slave, node, region.name, self.new_policy())
-            server.event = self.add_event(
-                Event(f"{self.name}.{region.name}.serve"))
-            self._servers[id(slave)] = server
-            self.add_process(lambda s=server: self._run_server(s),
-                             name=f"serve_{region.name}")
+        """Give a newly mapped slave a node and its channel."""
+        if slave not in self._slave_channels:
+            self._slave_nodes[slave] = self.node_of_slave(
+                len(self._channels))
+            self._slave_channels[slave] = self._add_channel(
+                region.name, f"{self.name}.{region.name}.serve",
+                f"serve_{region.name}")
 
     # -- master-side entry point -----------------------------------------------------
     def _post(self, port: MasterPort, request: BusRequest) -> None:
@@ -257,7 +242,7 @@ class MeshNoc(Fabric):
         self._inflight.add(port.master_id)
         now = self.sim_now()
         src = self.node_of_master(port.master_id)
-        dst = self._servers[id(slave)].node
+        dst = self._slave_nodes[slave]
         packet = Packet(
             request=request,
             src_node=src,
@@ -396,60 +381,39 @@ class MeshNoc(Fabric):
         if packet.is_response:
             self._complete(packet)
             return
-        server = self._servers[id(packet.slave)]
-        server.pending[packet.request.master_id] = packet
-        server.event.notify()
+        channel = self._slave_channels[packet.slave]
+        channel.pending[packet.request.master_id] = (
+            packet, packet.request, packet.slave, packet.offset)
+        channel.event.notify()
 
     # -- slave service ------------------------------------------------------------
-    def _run_server(self, server: _SlaveServer):
-        while True:
-            if not server.pending:
-                yield server.event
-                continue
-            winner = self._grant(server.arbiter, sorted(server.pending))
-            packet = server.pending.pop(winner)
-            request = packet.request
-            response, cycles = self._serve(server.slave, request,
-                                           packet.offset)
-            for _ in range(cycles):
-                yield self.period
-            response.slave_cycles = cycles
-            # Packet completion: the transaction took effect at the slave.
-            # Snoopers observe it here, in service order, before any other
-            # master can see the new state — identical to the bus hook.
-            self._fire_snoopers(request, response)
-            self._inject_response(server, packet, response)
-
-    def _inject_response(self, server: _SlaveServer, packet: Packet,
-                         response: BusResponse) -> None:
+    def _served(self, packet: Packet, request: BusRequest,
+                response: BusResponse) -> None:
+        """Send the response packet back from the slave's node."""
         reply = Packet(
-            request=packet.request,
-            src_node=server.node,
+            request=request,
+            src_node=packet.dst_node,
             dst_node=packet.src_node,
             flits=flits_for_payload(
-                response_payload_bytes(packet.request, response),
+                response_payload_bytes(request, response),
                 self.config.flit_bytes),
             inject_time=self.sim_now(),
             post_time=packet.post_time,
             response=response,
         )
-        reply.path, reply.lanes = self._route(server.node, packet.src_node,
-                                              packet.request.master_id)
+        reply.path, reply.lanes = self._route(packet.dst_node,
+                                              packet.src_node,
+                                              request.master_id)
         self._inject("resp", reply)
 
     def _complete(self, packet: Packet) -> None:
         response = packet.response
-        now = self.sim_now()
-        response.total_cycles = (now - packet.post_time) // self.period
-        self._account(packet.request, response)
+        response.total_cycles = (
+            self.sim_now() - packet.post_time) // self.period
         self.noc_stats.record_latency(response.total_cycles)
         self._inflight.discard(packet.request.master_id)
-        port = self._master_ports[packet.request.master_id]
-        probe = self.probes.port_complete
-        if probe is not None:
-            probe(port, packet.request, response)
-        port._response = response
-        port._completion.notify()
+        self._deliver(self._master_ports[packet.request.master_id],
+                      packet.request, response)
 
     # -- reporting ----------------------------------------------------------------
     def utilization(self, elapsed_time: int) -> float:

@@ -192,7 +192,7 @@ class PartitionSim:
             bus_stats=noc.stats,
             latencies=noc._latencies,
             grant_counts=noc.merged_grant_counts(),
-            arbitration_kind=noc._arbitration_kind,
+            arbitration_kind=noc.arbitration.kind,
             noc_stats=noc.noc_stats,
             ports_total=sum(len(net) for net in noc._nets.values()),
         )

@@ -24,12 +24,14 @@ from typing import Dict, List, Optional
 
 #: The entries of :meth:`SimulationReport.as_dict`, at any depth, that are
 #: not simulated behaviour: host time, the scheduler counters that
-#: :meth:`SimulationReport.cost` reports, and the host code locations
-#: (file paths, line numbers) of a sanitizer finding's access sites.
+#: :meth:`SimulationReport.cost` reports, the metrics time series'
+#: ``runnable`` gauge (the kernel's runnable-queue depth), and the host
+#: code locations (file paths, line numbers) of a sanitizer finding's
+#: access sites.
 NON_OBSERVABLE_KEYS = frozenset({"wallclock_seconds", "simulation_speed",
                                  "host_seconds", "sync_wait_seconds",
                                  "host_profile", "kernel_stats",
-                                 "traceback"})
+                                 "runnable", "traceback"})
 
 
 def _observable(value: object) -> object:

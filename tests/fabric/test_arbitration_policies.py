@@ -104,7 +104,8 @@ def build_fabric(topology, arbitration, top, slave, instrument_log=None):
                          arbitration=arbitration, parent=top)
     if instrument_log is not None:
         if topology == "shared_bus":
-            fabric.arbiter = RecordingPolicy(fabric.arbiter, instrument_log)
+            fabric.channel.arbiter = RecordingPolicy(fabric.channel.arbiter,
+                                                     instrument_log)
         else:
             original = fabric.new_policy
             fabric.new_policy = (

@@ -17,6 +17,7 @@ from repro.fabric import (
     BusResponse,
     BusSlave,
     Fabric,
+    ResponseStatus,
     percentile_summary,
 )
 from repro.interconnect import Crossbar, SharedBus
@@ -72,13 +73,10 @@ class TestSharedAttachValidation:
         fab.attach_slave("a", 0x1000, 0x100, NullSlave())
         with pytest.raises(AddressMapConflict):
             fab.attach_slave("b", 0x1000, 0x100, NullSlave())
-        # Only the successful region is mapped, and only its transport
-        # state (crossbar channel / mesh server) exists.
+        # Only the successful region is mapped, and only one channel (the
+        # bus's own, or the slave's on the crossbar and the mesh) exists.
         assert [region.name for region in fab.address_map.regions] == ["a"]
-        if topology == "crossbar":
-            assert len(fab._channels) == 1
-        elif topology == "mesh":
-            assert len(fab._servers) == 1
+        assert len(fab._channels) == 1
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
@@ -136,6 +134,56 @@ class TestUniformStatsEmission:
         }
 
 
+class SlowSlave(BusSlave):
+    def serve(self, request, offset):
+        return BusResponse(data=offset), 3
+
+
+#: ``(time, status, total_cycles)`` per master of the race below.  The bus
+#: holds its one channel for the misdecoded read (arbitration + one error
+#: cycle), so master 1 waits behind it; the concurrent topologies answer a
+#: decode error at once, and master 1's read crosses the mesh both ways.
+DECODE_ERROR_TIMING = {
+    "shared_bus": {0: (20, ResponseStatus.DECODE_ERROR, 2),
+                   1: (60, ResponseStatus.OK, 4)},
+    "crossbar": {0: (0, ResponseStatus.DECODE_ERROR, 1),
+                 1: (40, ResponseStatus.OK, 4)},
+    "mesh": {0: (0, ResponseStatus.DECODE_ERROR, 1),
+             1: (160, ResponseStatus.OK, 16)},
+}
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_decode_error_timing(topology):
+    """Master 0 reads an unmapped address while master 1 reads a 3-cycle
+    slave, both at t=0: every topology completes them when it always
+    has."""
+    top = Module("top")
+    fab = make_fabric(topology, top)
+    fab.attach_slave("ram", 0x0, 0x1000, SlowSlave())
+    completions = {}
+    fab.probes.subscribe(port_complete=lambda port, request, response:
+                         completions.__setitem__(port.master_id, (
+                             fab.sim_now(), response.status,
+                             response.total_cycles)))
+
+    class Driver(Module):
+        def __init__(self, name, port, address, parent):
+            super().__init__(name, parent)
+            self.port = port
+            self.address = address
+            self.add_process(self._run)
+
+        def _run(self):
+            yield from self.port.read(self.address)
+
+    Driver("m0", fab.master_port(0), 0x8000, top)
+    Driver("m1", fab.master_port(1), 0x10, top)
+    Simulator(top).run()
+    assert completions == DECODE_ERROR_TIMING[topology]
+    assert fab.stats.decode_errors == 1
+
+
 class TestEmptyPercentileSummary:
     """Regression: empty sample sets must yield an explicit no-data row."""
 
@@ -152,28 +200,14 @@ class TestEmptyPercentileSummary:
 
 
 class TestFabricArbitrationWiring:
-    def test_bus_accepts_legacy_arbiter_instance(self):
-        top = Module("top")
-        arbiter = fabric.FixedPriorityArbiter()
-        bus = SharedBus("bus", period=10, arbiter=arbiter, parent=top)
-        assert bus.arbiter is arbiter
-        assert bus.arbitration_policies == [arbiter]
-
-    def test_legacy_instance_reports_its_real_kind(self):
-        # Regression: a ready instance used to be reported as round_robin.
-        top = Module("top")
-        bus = SharedBus("bus", period=10,
-                        arbiter=fabric.TdmaArbiter([0, 1]), parent=top)
-        block = bus.interconnect_stats(0)
-        assert block["arbitration"]["kind"] == "tdma"
-
     def test_policy_granting_nobody_raises_instead_of_spinning(self):
         class BrokenPolicy(fabric.ArbitrationPolicy):
             def grant(self, requesters):
                 return None
 
         top = Module("top")
-        bus = SharedBus("bus", period=10, arbiter=BrokenPolicy(), parent=top)
+        bus = SharedBus("bus", period=10, parent=top)
+        bus.channel.arbiter = BrokenPolicy()
         bus.attach_slave("ram", 0x0, 0x100, NullSlave())
 
         class Driver(Module):
@@ -192,12 +226,6 @@ class TestFabricArbitrationWiring:
 
         with pytest.raises(ProcessError, match="granted nobody"):
             Simulator(top).run()
-
-    def test_bus_rejects_both_spellings(self):
-        with pytest.raises(ValueError, match="not both"):
-            SharedBus("bus", period=10,
-                      arbiter=fabric.RoundRobinArbiter(),
-                      arbitration="round_robin", parent=Module("top"))
 
     def test_one_policy_instance_per_grant_point(self):
         top = Module("top")

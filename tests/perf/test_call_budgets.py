@@ -240,7 +240,7 @@ ROWS = [
     Row("l1-read-hit", platform(l1wb()), l1_read_hits, "read", 10.0, 11),
     Row("l1-write-back-write-hit", platform(l1wb()), l1_write_hits, "write",
         13.0, 14),
-    Row("l1-read-miss", platform(l1wb()), l1_read_misses, "miss", 165.1, 181),
+    Row("l1-read-miss", platform(l1wb()), l1_read_misses, "miss", 163.1, 179),
     Row("mesh-2x2-read",
         platform(PlatformBuilder().pes(1).wrapper_memories(1).mesh(2, 2)),
         mesh_reads, "read", 175.0, 192),

@@ -3,49 +3,46 @@
 :meth:`~repro.soc.stats.SimulationReport.observables` leaves the scheduler
 counters out, and :meth:`~repro.soc.stats.SimulationReport.cost` holds
 them.  A slave acts at the first cycle of its service window, so no process
-can observe the instants while the channel is held: a bus that holds it in
+can observe the instants while a channel is held: a fabric that holds it in
 one timed wait instead of one wait per cycle simulates exactly the same
-thing with fewer activations.  Swapped in for the stock ``SharedBus``, the
-test-local bus below must leave ``observables_sha256()`` unchanged and
-lower ``cost()``.
+thing with fewer activations.  Swapped in for the stock
+``Fabric._run_channel`` — the one arbitration point of the bus, the
+crossbar and the mesh — the test-local loop below must leave
+``observables_sha256()`` unchanged and lower ``cost()`` on every topology,
+with and without the sanitizers, the tracer and the metrics sampler
+attached.
 """
 
+import itertools
 import json
 
 import pytest
 
-import repro.soc.platform
 from repro.api import PlatformBuilder, Scenario, run_scenario
-from repro.fabric import AddressDecodeError, decode_error_response
-from repro.interconnect.bus import SharedBus
+from repro.fabric import Fabric
 from repro.pdes import run_partitioned
 
 
-class OneWaitBus(SharedBus):
-    """``SharedBus`` holding arbitration and service windows in one wait."""
-
-    def _run(self):
-        while True:
-            if not self._pending:
-                yield self._request_event
-                continue
-            winner = self._grant(self.arbiter, sorted(self._pending))
-            port, request = self._pending.pop(winner)
-            if self.arbitration_cycles:
-                yield self.period * self.arbitration_cycles
-            try:
-                slave, offset, _region = self.address_map.decode(request.address)
-            except AddressDecodeError:
-                yield self.period
-                self.stats.decode_errors += 1
-                response, slave_cycles = decode_error_response(), 1
-            else:
-                response, slave_cycles = self._serve(slave, request, offset)
-                if slave_cycles:
-                    yield self.period * slave_cycles
-            response.slave_cycles = slave_cycles
-            response.total_cycles = slave_cycles + self.arbitration_cycles
-            self._finish(port, request, response)
+def one_wait_channel(self, channel):
+    """``Fabric._run_channel`` holding each window in one timed wait."""
+    pending = channel.pending
+    while True:
+        if not pending:
+            yield channel.event
+            continue
+        winner = self._grant(channel.arbiter, sorted(pending))
+        token, request, slave, offset = pending.pop(winner)
+        if self.arbitration_cycles:
+            yield self.period * self.arbitration_cycles
+        response, cycles = self._serve(slave, request, offset)
+        yield self.period * cycles
+        response.slave_cycles = cycles
+        response.total_cycles = cycles + self.arbitration_cycles
+        channel.busy_cycles += response.total_cycles
+        channel.transactions += 1
+        for snooper in self._snoopers:
+            snooper(request, response)
+        self._served(token, request, response)
 
 
 SCENARIOS = {
@@ -55,20 +52,36 @@ SCENARIOS = {
     "producer_consumer": {"num_items": 16, "fifo_depth": 4, "seed": 3},
 }
 
+TOPOLOGIES = {
+    "bus": lambda builder: builder,
+    "crossbar": lambda builder: builder.crossbar(),
+    "mesh": lambda builder: builder.mesh(2, 2),
+}
 
-def run(workload):
-    config = PlatformBuilder().pes(4).wrapper_memories(2).build()
+HOOKS = {
+    "plain": lambda builder: builder,
+    "probed": lambda builder: builder.sanitize().trace().metrics(50),
+}
+
+CELLS = list(itertools.product(SCENARIOS, TOPOLOGIES, HOOKS))
+
+
+def run(workload, topology, hooks):
+    builder = PlatformBuilder().pes(4).wrapper_memories(2)
+    config = HOOKS[hooks](TOPOLOGIES[topology](builder)).build()
     result = run_scenario(Scenario(name=workload, config=config,
                                    workload=workload,
                                    params=SCENARIOS[workload], seed=11))
     return result.raise_for_status().report
 
 
-@pytest.mark.parametrize("workload", SCENARIOS)
-def test_one_wait_bus_simulates_the_same_at_a_lower_cost(workload, monkeypatch):
-    stock = run(workload)
-    monkeypatch.setattr(repro.soc.platform, "SharedBus", OneWaitBus)
-    one_wait = run(workload)
+@pytest.mark.parametrize("workload, topology, hooks", CELLS,
+                         ids=["-".join(cell) for cell in CELLS])
+def test_one_wait_channel_simulates_the_same_at_a_lower_cost(
+        workload, topology, hooks, monkeypatch):
+    stock = run(workload, topology, hooks)
+    monkeypatch.setattr(Fabric, "_run_channel", one_wait_channel)
+    one_wait = run(workload, topology, hooks)
     assert one_wait.observables_sha256() == stock.observables_sha256()
     assert (one_wait.cost()["process_activations"]
             < stock.cost()["process_activations"])
@@ -118,3 +131,12 @@ def test_observables_hold_no_host_code_locations():
     assert len(observables["sanitizer_reports"]) == len(findings)
     assert "traceback" not in set(keys(observables))
     assert ".py" not in json.dumps(observables, default=str)
+
+
+def test_observables_hold_no_runnable_queue_depth():
+    """The metrics rows' ``runnable`` gauge is the kernel's queue depth:
+    kept in ``as_dict()``, left out of ``observables()``."""
+    report = run("producer_consumer", "mesh", "probed")
+    rows = report.as_dict()["timeseries"]
+    assert rows and all("runnable" in row for row in rows)
+    assert "runnable" not in set(keys(report.observables()))
