@@ -59,7 +59,7 @@ from multiprocessing import connection as _mp_connection
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..store.hashing import UncacheableScenarioError
-from ..store.store import DEFAULT_FILENAME, ResultStore
+from ..store.store import ResultStore
 from ..store.telemetry import SweepEvent, SweepMonitor
 from .scenario import Scenario, ScenarioResult
 
@@ -301,9 +301,14 @@ class ExperimentRunner:
                                   counters={"total": len(self.scenarios)}))
         for index, scenario in enumerate(self.scenarios):
             self._emit(SweepEvent.now("scheduled", scenario.name, index))
+        # One batched lookup; keep_platforms runs need a live platform.
+        looked_up = [] if self.keep_platforms else [
+            index for index, key in enumerate(keys) if key is not None]
+        found = dict(zip(looked_up, self.store.get_many(
+            [keys[index] for index in looked_up]))) if looked_up else {}
         pending: List[int] = []
         for index, scenario in enumerate(self.scenarios):
-            cached = self._lookup(keys[index])
+            cached = found.get(index)
             if cached is not None:
                 cached.index = index
                 cached.cached = True
@@ -446,13 +451,6 @@ class ExperimentRunner:
         except UncacheableScenarioError:
             return None
 
-    def _lookup(self, key: Optional[str]) -> Optional[ScenarioResult]:
-        """Store lookup; ``keep_platforms`` runs always re-simulate (a
-        cached result cannot carry a live platform)."""
-        if self.store is None or key is None or self.keep_platforms:
-            return None
-        return self.store.get(key)
-
     def _complete(self, index: int, key: Optional[str],
                   result: ScenarioResult,
                   results: List[Optional[ScenarioResult]]) -> None:
@@ -507,7 +505,3 @@ def run_tasks(config, tasks, max_time: Optional[int] = None, host=None):
     platform = Platform(config, host=host)
     platform.add_tasks(list(tasks))
     return platform.run(max_time=max_time)
-
-
-#: Re-exported for convenience: the default store filename sweeps use.
-DEFAULT_STORE_FILENAME = DEFAULT_FILENAME

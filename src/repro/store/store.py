@@ -11,9 +11,13 @@ JSON summary row the dashboard can query without unpickling.  Design rules:
   database file that fails to open) is treated as a cache *miss*, never a
   crash: the bad row is dropped, the bad file is rebuilt, and the sweep
   recomputes what it lost;
-* **incremental** — every :meth:`put` commits immediately, so a sweep
-  killed mid-grid has everything it completed on disk and the next run
-  resumes from there.
+* **incremental** — every :meth:`put` commits at once to SQLite's
+  write-ahead log (``synchronous=NORMAL``): an append to the ``-wal`` file,
+  no fsync, and it outlives a killed process, so a sweep killed mid-grid
+  resumes from what it completed; an OS crash may lose the last commits,
+  which then read as misses and simulate again;
+* **one write per replay** — :meth:`get_many` pays one transaction for a
+  whole pass's hit counters, not one per hit.
 
 The store keeps in-memory :attr:`stats` (hits / misses / puts / corrupt /
 invalidated) for progress reporting and tests.
@@ -28,7 +32,7 @@ import os
 import pickle
 import sqlite3
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 #: Bump whenever the table layout or payload format changes: stores written
 #: by other schema versions are rebuilt empty on open.
@@ -43,15 +47,13 @@ class ResultStore:
 
     def __init__(self, path: str) -> None:
         self.path = os.fspath(path)
-        self.stats: Dict[str, int] = {
-            "hits": 0, "misses": 0, "puts": 0, "corrupt": 0, "invalidated": 0,
-        }
+        self.stats: Dict[str, int] = dict.fromkeys(
+            ("hits", "misses", "puts", "corrupt", "invalidated"), 0)
         self._conn = self._open()
 
     # -- lifecycle -----------------------------------------------------------
     def _open(self) -> sqlite3.Connection:
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
+        os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
         try:
             return self._connect()
         except sqlite3.DatabaseError:
@@ -63,6 +65,8 @@ class ResultStore:
 
     def _connect(self) -> sqlite3.Connection:
         conn = sqlite3.connect(self.path)
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=NORMAL")
         version = conn.execute("PRAGMA user_version").fetchone()[0]
         if version not in (0, SCHEMA_VERSION):
             # Another schema generation wrote this file; rebuild empty.
@@ -96,32 +100,36 @@ class ResultStore:
 
     # -- cache interface -----------------------------------------------------
     def get(self, key: str):
-        """The cached :class:`ScenarioResult` for ``key``, or ``None``.
+        """The cached :class:`ScenarioResult` for ``key``, or ``None``."""
+        return self.get_many([key])[0]
 
-        A row that exists but cannot be decoded counts as corrupt, is
-        deleted, and reads as a miss.
+    def get_many(self, keys: Sequence[str]) -> list:
+        """The cached :class:`ScenarioResult` (or ``None``) for each key.
+
+        Payloads decode as their rows arrive; an undecodable row counts as
+        corrupt and reads as a miss.  Its delete and every hit's counter
+        increment land in one write transaction (none when there is none).
         """
-        row = self._conn.execute(
-            "SELECT payload FROM results WHERE key = ?", (key,)).fetchone()
-        if row is None:
-            self.stats["misses"] += 1
-            return None
-        try:
-            result = _restricted_loads(row[0])
-            if type(result).__name__ != "ScenarioResult":
-                raise pickle.UnpicklingError(
-                    f"payload is a {type(result).__name__}")
-        except Exception:
-            self.stats["corrupt"] += 1
-            self.stats["misses"] += 1
-            self._conn.execute("DELETE FROM results WHERE key = ?", (key,))
-            self._conn.commit()
-            return None
-        self.stats["hits"] += 1
-        self._conn.execute(
-            "UPDATE results SET hits = hits + 1 WHERE key = ?", (key,))
+        results, hits, corrupt = [], [], []
+        for key in keys:
+            row = None if (key,) in corrupt else self._conn.execute(
+                "SELECT payload FROM results WHERE key = ?", (key,)).fetchone()
+            result = None if row is None else _decode(row[0])
+            if result is not None:
+                hits.append((key,))
+            elif row is not None:
+                corrupt.append((key,))
+            results.append(result)
+        self.stats["hits"] += len(hits)
+        self.stats["misses"] += len(results) - len(hits)
+        self.stats["corrupt"] += len(corrupt)
+        if corrupt:
+            self._conn.executemany("DELETE FROM results WHERE key = ?", corrupt)
+        if hits:
+            self._conn.executemany(
+                "UPDATE results SET hits = hits + 1 WHERE key = ?", hits)
         self._conn.commit()
-        return result
+        return results
 
     def put(self, key: str, result, *, workload: str = "") -> None:
         """Persist one result under ``key`` (committed immediately).
@@ -157,13 +165,9 @@ class ResultStore:
     def invalidate(self, key: Optional[str] = None) -> int:
         """Drop one cached result (or every result with ``key=None``);
         returns the number of rows removed."""
-        if key is None:
-            cursor = self._conn.execute("DELETE FROM results")
-        else:
-            cursor = self._conn.execute(
-                "DELETE FROM results WHERE key = ?", (key,))
+        where, args = ("", ()) if key is None else (" WHERE key = ?", (key,))
+        removed = self._conn.execute("DELETE FROM results" + where, args).rowcount
         self._conn.commit()
-        removed = cursor.rowcount if cursor.rowcount >= 0 else 0
         self.stats["invalidated"] += removed
         return removed
 
@@ -174,11 +178,6 @@ class ResultStore:
     def __contains__(self, key: str) -> bool:
         return self._conn.execute(
             "SELECT 1 FROM results WHERE key = ?", (key,)).fetchone() is not None
-
-    def keys(self) -> List[str]:
-        """Every stored content key, sorted by scenario name."""
-        return [row[0] for row in self._conn.execute(
-            "SELECT key FROM results ORDER BY scenario, key")]
 
     def rows(self) -> List[dict]:
         """Summary rows for tables and the dashboard (no payload decode).
@@ -196,13 +195,11 @@ class ResultStore:
                 details = json.loads(summary)
             except ValueError:
                 details = {"note": "unreadable summary"}
-            row = dict(details)
-            row.update({
-                "key": key, "scenario": scenario, "workload": workload,
-                "passed": bool(passed), "host_seconds": host_seconds,
-                "created": created, "hits": hits,
+            rows.append({
+                **details, "key": key, "scenario": scenario,
+                "workload": workload, "passed": bool(passed),
+                "host_seconds": host_seconds, "created": created, "hits": hits,
             })
-            rows.append(row)
         return rows
 
     def describe(self) -> str:
@@ -247,6 +244,15 @@ class _RestrictedUnpickler(pickle.Unpickler):
 
 def _restricted_loads(payload: bytes):
     return _RestrictedUnpickler(io.BytesIO(payload)).load()
+
+
+def _decode(payload: bytes):
+    """The :class:`ScenarioResult` in ``payload``, or ``None`` if none."""
+    try:
+        result = _restricted_loads(payload)
+    except Exception:
+        return None
+    return result if type(result).__name__ == "ScenarioResult" else None
 
 
 def _plain(value: object) -> object:

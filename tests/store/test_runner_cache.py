@@ -140,6 +140,63 @@ class TestCachedRuns:
         assert second.failures == first.failures
 
 
+def _statements(store):
+    """Every SQL statement ``store`` runs from here on, as SQLite traces it."""
+    statements = []
+    store._conn.set_trace_callback(statements.append)
+    return statements
+
+
+class TestOneWritePerReplay:
+    def test_warm_pass_commits_once(self, tmp_path):
+        store = ResultStore(str(tmp_path / "s.sqlite"))
+        ExperimentRunner(_grid(4), store=store).run()
+        statements = _statements(store)
+        warm = ExperimentRunner(_grid(4), store=store).run()
+        assert [r.cached for r in warm] == [True] * 4
+        assert statements.count("COMMIT") == 1
+        assert [r["hits"] for r in store.rows()] == [1] * 4
+
+    def test_all_miss_lookup_writes_nothing(self, tmp_path):
+        store = ResultStore(str(tmp_path / "s.sqlite"))
+        statements = _statements(store)
+        keys = [scenario.cache_key() for scenario in _grid(4)]
+        assert store.get_many(keys) == [None] * 4
+        assert statements and all(s.startswith("SELECT") for s in statements)
+        assert store.stats["misses"] == 4
+
+    def test_corrupt_row_is_dropped_in_the_lookup_transaction(self, tmp_path):
+        store = ResultStore(str(tmp_path / "s.sqlite"))
+        grid = _grid(4)
+        ExperimentRunner(grid, store=store).run()
+        store._conn.execute("UPDATE results SET payload = ? WHERE key = ?",
+                            (b"not a pickle", grid[1].cache_key()))
+        store._conn.commit()
+        statements = _statements(store)
+        results = ExperimentRunner(grid, store=store).run()
+        assert [r.cached for r in results] == [True, False, True, True]
+        assert all(r.passed for r in results)
+        assert store.stats["corrupt"] == 1
+        # The lookup's one transaction: the delete, then the three hits.
+        writes = [s.split()[0] for s in statements
+                  if not s.startswith("SELECT")]
+        assert writes[:6] == ["BEGIN", "DELETE", "UPDATE", "UPDATE",
+                              "UPDATE", "COMMIT"]
+        # Then only the re-simulated scenario's put commits.
+        assert writes[6:] == ["BEGIN", "INSERT", "COMMIT"]
+
+    def test_duplicate_scenario_replays_twice(self, tmp_path):
+        store = ResultStore(str(tmp_path / "s.sqlite"))
+        [point] = _grid(1)
+        ExperimentRunner([point], store=store).run()
+        before = store.rows()[0]["hits"]
+        results = ExperimentRunner([point, point], store=store).run()
+        assert [r.cached for r in results] == [True, True]
+        assert results[0] is not results[1]
+        assert [r.index for r in results] == [0, 1]
+        assert store.rows()[0]["hits"] == before + 2
+
+
 class TestResumeAfterKill:
     def test_killed_sweep_resumes_missing_scenarios_only(self, tmp_path):
         """A sweep hard-killed mid-grid resumes: cached scenarios replay,
@@ -173,8 +230,13 @@ class TestResumeAfterKill:
                                    capture_output=True, text=True,
                                    timeout=120, env=env)
         assert completed.returncode == 137, completed.stderr
+        # The puts were never checkpointed or fsynced: they live in the
+        # write-ahead log the killed process left behind.
+        assert os.path.exists(store_path + "-wal")
         with ResultStore(store_path) as peek:
             assert len(peek) == 2  # incremental puts survived the kill
+            keys = [scenario.cache_key() for scenario in _grid()]
+            assert sum(r is not None for r in peek.get_many(keys)) == 2
 
         log_path = str(tmp_path / "resume.events.jsonl")
         monitor = SweepMonitor(log_path=log_path, live=False)

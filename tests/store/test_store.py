@@ -92,6 +92,24 @@ class TestRoundTrip:
             assert store.rows()[0]["hits"] == 2
 
 
+class TestJournal:
+    def test_journal_mode_is_wal(self, tmp_path):
+        with ResultStore(str(tmp_path / "s.sqlite")) as store:
+            [mode] = store._conn.execute("PRAGMA journal_mode").fetchone()
+        assert mode == "wal"
+
+    def test_close_folds_the_log_into_the_store_file(self, tmp_path):
+        scenario, result = _result()
+        path = str(tmp_path / "s.sqlite")
+        with ResultStore(path) as store:
+            store.put(scenario.cache_key(), result)
+            assert os.path.exists(path + "-wal")
+        assert not os.path.exists(path + "-wal")
+        conn = sqlite3.connect(path)
+        assert conn.execute("SELECT COUNT(*) FROM results").fetchone()[0] == 1
+        conn.close()
+
+
 class TestCorruptionTolerance:
     def test_corrupt_payload_row_is_a_miss(self, tmp_path):
         scenario, result = _result()
