@@ -2,7 +2,7 @@
 
 This package reproduces, in Python, the scheduling semantics the paper's
 framework relies on (GEZEL / SystemC-style): hierarchical modules,
-generator-based processes, events and delta cycles.
+generator processes that wait on time or on an event, and delta cycles.
 
 Typical usage::
 
@@ -11,11 +11,14 @@ Typical usage::
     class Counter(Module):
         def __init__(self, name, tick, parent=None):
             super().__init__(name, parent)
+            self.tick = tick
             self.value = 0
-            self.add_method(self.count, sensitivity=[tick])
+            self.add_process(self.count)
 
         def count(self):
-            self.value += 1
+            while True:
+                yield self.tick
+                self.value += 1
 
     top = Module("top")
     tick = top.add_event(Event("tick"))
@@ -35,41 +38,27 @@ from .._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".errors": ["DeltaCycleLimitExceeded", "ElaborationError", "KernelError",
                 "ProcessError", "SchedulerError", "SimulationError"],
-    ".event": ["Event", "EventQueue"],
+    ".event": ["Event"],
     ".module": ["Module"],
     ".probes": ["Probes"],
-    ".process": ["Process", "WaitAny", "WaitCycles", "WaitDelta", "WaitEvent",
-                 "WaitTime"],
-    ".simtime": ["MS", "NS", "PS", "SEC", "US", "ClockPeriod", "format_time",
-                 "parse_time"],
+    ".process": ["Process"],
+    ".simtime": ["NS", "PS"],
     ".simulator": ["SimulationStats", "Simulator"],
 })
 
 __all__ = [
-    "ClockPeriod",
     "DeltaCycleLimitExceeded",
     "ElaborationError",
     "Event",
-    "EventQueue",
     "KernelError",
     "Module",
-    "MS",
     "NS",
     "Probes",
     "Process",
     "ProcessError",
     "PS",
     "SchedulerError",
-    "SEC",
     "SimulationError",
     "SimulationStats",
     "Simulator",
-    "US",
-    "WaitAny",
-    "WaitCycles",
-    "WaitDelta",
-    "WaitEvent",
-    "WaitTime",
-    "format_time",
-    "parse_time",
 ]

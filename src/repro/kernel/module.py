@@ -2,8 +2,7 @@
 
 A :class:`Module` groups processes, events and child modules, giving each a
 hierarchical name (``top.bus.arbiter``).  Subclasses declare behaviour by
-registering processes in ``__init__`` (or in :meth:`elaborate`) with
-:meth:`add_process` / :meth:`add_method`.
+registering processes in ``__init__`` with :meth:`add_process`.
 """
 
 from __future__ import annotations
@@ -68,37 +67,10 @@ class Module:
         return module
 
     # -- behavioural registration -------------------------------------------
-    def add_process(
-        self,
-        body: Callable,
-        name: Optional[str] = None,
-        sensitivity: Sequence[Event] = (),
-    ) -> Process:
-        """Register a generator-function process (SystemC ``SC_THREAD``-like)."""
-        process = Process(
-            name=f"{self.full_name}.{name or body.__name__}",
-            body=body,
-            static_events=sensitivity,
-        )
-        self._processes.append(process)
-        return process
-
-    def add_method(
-        self,
-        body: Callable[[], None],
-        sensitivity: Sequence[Event],
-        name: Optional[str] = None,
-    ) -> Process:
-        """Register a method process re-run on every sensitivity trigger."""
-        if not sensitivity:
-            raise ElaborationError(
-                "method processes require at least one sensitivity event"
-            )
-        process = Process(
-            name=f"{self.full_name}.{name or body.__name__}",
-            body=body,
-            static_events=sensitivity,
-        )
+    def add_process(self, body: Callable, name: Optional[str] = None) -> Process:
+        """Register a process: a generator function, or a factory returning
+        a generator (see :mod:`repro.kernel.process`)."""
+        process = Process(f"{self.full_name}.{name or body.__name__}", body)
         self._processes.append(process)
         return process
 
@@ -107,10 +79,7 @@ class Module:
         self._events.append(event)
         return event
 
-    # -- elaboration hooks ----------------------------------------------------
-    def elaborate(self) -> None:
-        """Hook called once before simulation starts; override to finish wiring."""
-
+    # -- hooks ------------------------------------------------------------------
     def end_of_simulation(self) -> None:
         """Hook called once after the simulation finishes; override for reports."""
 

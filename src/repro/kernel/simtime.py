@@ -1,98 +1,12 @@
 """Simulation time representation.
 
 The kernel keeps time as a plain integer number of *time units*.  A time unit
-is, by convention, one picosecond; helper constants are provided so that
-models can write ``10 * NS`` instead of magic numbers.  Using integers keeps
-event ordering exact (no floating point ties) and cheap to compare.
+is, by convention, one picosecond; the constants below let models write
+``10 * NS`` instead of magic numbers.  Using integers keeps event ordering
+exact (no floating point ties) and cheap to compare.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
 
 #: One picosecond — the base resolution of the kernel.
 PS = 1
 #: One nanosecond expressed in base units.
 NS = 1_000 * PS
-#: One microsecond expressed in base units.
-US = 1_000 * NS
-#: One millisecond expressed in base units.
-MS = 1_000 * US
-#: One second expressed in base units.
-SEC = 1_000 * MS
-
-#: Mapping from unit suffix to multiplier, used by :func:`parse_time`.
-_UNITS = {
-    "ps": PS,
-    "ns": NS,
-    "us": US,
-    "ms": MS,
-    "s": SEC,
-    "sec": SEC,
-}
-
-
-def parse_time(text: str) -> int:
-    """Parse a human-readable duration such as ``"10 ns"`` into base units.
-
-    The numeric part may be an integer or a decimal; the result is always an
-    integer number of picoseconds.
-
-    >>> parse_time("10 ns")
-    10000
-    >>> parse_time("2.5us")
-    2500000
-    """
-    stripped = text.strip().lower()
-    for suffix in sorted(_UNITS, key=len, reverse=True):
-        if stripped.endswith(suffix):
-            number = stripped[: -len(suffix)].strip()
-            if not number:
-                raise ValueError(f"missing numeric value in {text!r}")
-            return int(round(float(number) * _UNITS[suffix]))
-    raise ValueError(f"unknown time unit in {text!r}")
-
-
-def format_time(value: int) -> str:
-    """Format a base-unit duration using the largest unit that stays integral.
-
-    >>> format_time(10000)
-    '10 ns'
-    >>> format_time(1500)
-    '1500 ps'
-    """
-    for name, mult in (("s", SEC), ("ms", MS), ("us", US), ("ns", NS)):
-        if value and value % mult == 0:
-            return f"{value // mult} {name}"
-    return f"{value} ps"
-
-
-@dataclass(frozen=True)
-class ClockPeriod:
-    """A clock period expressed both in base time units and in frequency.
-
-    Instances are immutable; they are convenient for passing clock
-    configuration between platform components.
-    """
-
-    period: int
-
-    @classmethod
-    def from_frequency_mhz(cls, mhz: float) -> "ClockPeriod":
-        """Build a period from a frequency in MHz (e.g. 200 MHz -> 5 ns)."""
-        if mhz <= 0:
-            raise ValueError("frequency must be positive")
-        return cls(int(round(US / mhz)))
-
-    @property
-    def frequency_mhz(self) -> float:
-        """The equivalent frequency in MHz."""
-        return US / self.period
-
-    def cycles_to_time(self, cycles: int) -> int:
-        """Convert a number of clock cycles to base time units."""
-        return cycles * self.period
-
-    def time_to_cycles(self, time: int) -> int:
-        """Convert base time units to whole elapsed clock cycles."""
-        return time // self.period

@@ -24,8 +24,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable, Generator, List, Optional
 
-from ..kernel import Probes, WaitCycles
-from ..kernel.process import WaitCycleCache
+from ..kernel import Probes
 from ..wrapper.api import SharedMemoryAPI
 from .instruction_costs import ARM7_LIKE, CostModel
 
@@ -66,10 +65,8 @@ class TaskContext:
         #: (``None`` without devices) — how drivers find register windows.
         self.devices = devices
         self.poll_interval_cycles = max(1, poll_interval_cycles)
-        #: Reusable wait objects (scheduler fast path: no per-yield
-        #: allocation for recurring waits like the poll back-off).
-        self._wait_cache = WaitCycleCache(clock_period)
-        self._poll_wait = self.wait_cycles(self.poll_interval_cycles)
+        #: The poll back-off, in time units.
+        self._poll_wait = self.poll_interval_cycles * clock_period
         #: Simulated cycles charged for local computation so far.
         self.compute_cycles = 0
         #: Number of compute() calls (handy to sanity-check annotations).
@@ -100,15 +97,6 @@ class TaskContext:
         return self._apis[key % len(self._apis)]
 
     # -- computation accounting -------------------------------------------------------
-    def wait_cycles(self, cycles: int) -> WaitCycles:
-        """A reusable ``yield``-able wait for ``cycles`` PE clock cycles.
-
-        Cached per cycle count: tasks (and the context's own poll loops)
-        that wait recurring cycle counts allocate nothing per yield — the
-        kernel's timer fast path re-schedules the same wait object.
-        """
-        return self._wait_cache.get(cycles)
-
     def compute(self, cycles: int) -> Generator[object, None, None]:
         """Advance simulated time by ``cycles`` of local computation."""
         if cycles < 0:

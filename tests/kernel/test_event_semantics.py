@@ -1,31 +1,24 @@
-"""Event notification semantics: override, cancel and end-time invariants.
+"""Event notification semantics: overrides and end-time invariants.
 
 Covers the corner cases the epoch-checked queues were introduced for:
 
-* cancel-then-renotify (a cancelled notification must never fire, the
-  renotified one must fire exactly once at the right time);
 * delta-overrides-timed (the stale timed heap entry must not fire — the
   historical double-wake);
 * earlier-timed-overrides-later (with the stale later entry ignored);
-* immediate ``notify()`` over every waiter-list shape (none, static-only,
-  stale token, terminated, probed) — the wake order, the ``sync`` probe's
-  call sequence and ``events_fired``;
+* re-notification: a repeated request fires once, an immediate ``notify()``
+  ends a pending one, and a fired event can be notified again;
+* immediate ``notify()`` with and without waiters — the wake order, the
+  ``sync`` probe's call sequence and ``events_fired`` — and a process
+  woken exactly once per wait;
 * ``run(duration)`` / ``run_until`` end-time invariants: ``now`` always
   lands on the requested deadline (SystemC ``sc_start`` semantics), and
-  ``stats.end_time`` equals the final ``now``.
+  ``stats.end_time`` equals the final ``now``;
+* ``int`` waits, including the task context's poll back-off.
 """
 
 import pytest
 
-from repro.kernel import (
-    Event,
-    Module,
-    Probes,
-    Simulator,
-    WaitAny,
-    WaitCycles,
-    WaitDelta,
-)
+from repro.kernel import Event, Module, Probes, Simulator
 
 
 def build(top_builder):
@@ -33,85 +26,6 @@ def build(top_builder):
     top_builder(top)
     sim = Simulator(top)
     return sim
-
-
-class TestCancelAndRenotify:
-    def test_cancelled_delta_notification_does_not_fire(self):
-        wakes = []
-
-        def builder(top):
-            mod = Module("m", parent=top)
-            ev = mod.add_event(Event("go"))
-
-            def waiter():
-                yield ev
-                wakes.append(sim.now)
-
-            def driver():
-                yield 5
-                ev.notify(0)
-                ev.cancel()  # same evaluation: the delta must not fire
-                yield 10
-
-            mod.add_process(waiter)
-            mod.add_process(driver)
-
-        sim = build(builder)
-        sim.run()
-        assert wakes == []
-
-    def test_cancel_then_renotify_timed_fires_once_at_new_time(self):
-        wakes = []
-
-        def builder(top):
-            mod = Module("m", parent=top)
-            ev = mod.add_event(Event("go"))
-
-            def waiter():
-                while True:
-                    yield ev
-                    wakes.append(sim.now)
-
-            def driver():
-                yield 2
-                ev.notify(10)   # heap entry @12
-                yield 1
-                ev.cancel()     # @12 is now stale
-                ev.notify(4)    # fires @7
-                yield 20
-
-            mod.add_process(waiter)
-            mod.add_process(driver)
-
-        sim = build(builder)
-        sim.run()
-        assert wakes == [7]
-
-    def test_cancel_then_renotify_delta_fires_once(self):
-        wakes = []
-
-        def builder(top):
-            mod = Module("m", parent=top)
-            ev = mod.add_event(Event("go"))
-
-            def waiter():
-                while True:
-                    yield ev
-                    wakes.append(sim.now)
-
-            def driver():
-                yield 3
-                ev.notify(0)
-                ev.cancel()
-                ev.notify(0)  # only this delta notification may fire
-                yield 5
-
-            mod.add_process(waiter)
-            mod.add_process(driver)
-
-        sim = build(builder)
-        sim.run()
-        assert wakes == [3]
 
 
 class TestNotificationOverrides:
@@ -125,29 +39,31 @@ class TestNotificationOverrides:
             ev = mod.add_event(Event("go"))
             builder.ev = ev
 
+            # The watcher waits on the event again after every wake, so a
+            # double fire is observable as a double wake.
             def watcher():
-                wakes.append(sim.now)
+                while True:
+                    yield ev
+                    wakes.append(sim.now)
 
-            # Static sensitivity: *every* fire of the event wakes the
-            # watcher, so a double fire is observable as a double wake.
             def arm():
                 yield 2
                 ev.notify(10)   # timed: heap entry @12
                 ev.notify(0)    # delta override: fires next delta @2
+                yield 5         # the stale @12 entry is still queued at 7
+                builder.heap = list(sim._heap)
                 yield 20        # run past the stale @12 entry
 
-            method = mod.add_method(watcher, sensitivity=[ev])
+            mod.add_process(watcher)
             mod.add_process(arm)
-            builder.method = method
 
         sim = build(builder)
         sim.run()
-        # One wake at elaboration (SystemC runs methods once at time zero)
-        # plus exactly one notification wake at t=2 — nothing at t=12.
-        assert wakes == [0, 2]
+        # Exactly one notification wake at t=2 — nothing at t=12.
+        assert wakes == [2]
         # White-box: the stale heap entry's epoch no longer matches.
-        stale = [entry for entry in sim._timed_events._heap
-                 if entry[2] is builder.ev]
+        stale = [entry for entry in builder.heap if entry[2] is builder.ev]
+        assert len(stale) == 1
         assert all(entry[3] != builder.ev._epoch for entry in stale)
 
     def test_earlier_timed_overrides_later_stale_entry_ignored(self):
@@ -226,6 +142,115 @@ class TestNotificationOverrides:
         assert wakes == [4]
 
 
+class TestRenotify:
+    """A notification fires once however often it is requested before it
+    fires, an immediate ``notify()`` ends whatever was pending, and an event
+    that fired can be notified again."""
+
+    def test_repeated_delta_notification_fires_once(self):
+        wakes = []
+
+        def builder(top):
+            mod = Module("m", parent=top)
+            ev = mod.add_event(Event("go"))
+
+            def waiter():
+                while True:
+                    yield ev
+                    wakes.append(sim.now)
+
+            def driver():
+                yield 3
+                ev.notify(0)
+                ev.notify(0)  # already pending as a delta: no second entry
+                yield 5
+
+            mod.add_process(waiter)
+            mod.add_process(driver)
+
+        sim = build(builder)
+        stats = sim.run()
+        assert wakes == [3]
+        assert stats.events_fired == 3  # driver's two timers + one delta
+
+    def test_immediate_notify_ends_a_pending_delta_notification(self):
+        wakes = []
+
+        def builder(top):
+            mod = Module("m", parent=top)
+            ev = mod.add_event(Event("go"))
+
+            def waiter():
+                while True:
+                    yield ev
+                    wakes.append(sim.now)
+
+            def driver():
+                yield 2
+                ev.notify(0)  # delta entry, made stale by the next line
+                ev.notify()
+                yield 5
+
+            mod.add_process(waiter)
+            mod.add_process(driver)
+
+        sim = build(builder)
+        stats = sim.run()
+        assert wakes == [2]
+        assert stats.events_fired == 3  # two timers + the immediate fire
+
+    def test_immediate_notify_ends_a_pending_timed_notification(self):
+        wakes = []
+
+        def builder(top):
+            mod = Module("m", parent=top)
+            ev = mod.add_event(Event("go"))
+
+            def waiter():
+                while True:
+                    yield ev
+                    wakes.append(sim.now)
+
+            def driver():
+                yield 2
+                ev.notify(10)  # heap entry @12, made stale by the next line
+                ev.notify()
+                yield 20
+
+            mod.add_process(waiter)
+            mod.add_process(driver)
+
+        sim = build(builder)
+        sim.run()
+        assert wakes == [2]
+
+    def test_event_fires_again_when_notified_after_it_fired(self):
+        wakes = []
+
+        def builder(top):
+            mod = Module("m", parent=top)
+            ev = mod.add_event(Event("go"))
+
+            def waiter():
+                while True:
+                    yield ev
+                    wakes.append(sim.now)
+
+            def driver():
+                yield 1
+                ev.notify(5)   # fires @6
+                yield 10
+                ev.notify(5)   # fires @16: the first one is no longer pending
+                yield 10
+
+            mod.add_process(waiter)
+            mod.add_process(driver)
+
+        sim = build(builder)
+        sim.run()
+        assert wakes == [6, 16]
+
+
 class TestRunEndTimeInvariants:
     def test_run_duration_clamps_now_when_activity_drains(self):
         def builder(top):
@@ -275,23 +300,6 @@ class TestRunEndTimeInvariants:
         assert sim.now == 35
         assert stats.end_time == 35
 
-    def test_stop_suppresses_the_deadline_clamp(self):
-        def builder(top):
-            mod = Module("m", parent=top)
-
-            def proc():
-                while True:
-                    yield 10
-                    if sim.now >= 30:
-                        sim.stop()
-
-            mod.add_process(proc)
-
-        sim = build(builder)
-        stats = sim.run(1000)
-        assert sim.now == 30
-        assert stats.end_time == 30
-
     def test_end_time_recorded_after_clamp(self):
         """stats.end_time must equal the *final* now, not the pre-clamp one
         (it used to be recorded before the post-loop clamp ran)."""
@@ -307,43 +315,96 @@ class TestRunEndTimeInvariants:
         stats = sim.run(50)
         assert (sim.now, stats.end_time) == (50, 50)
 
+    def test_process_returning_early_still_ends_on_the_deadline(self):
+        def builder(top):
+            mod = Module("m", parent=top)
 
-class TestWaitCycles:
-    def test_wait_cycles_precomputes_duration(self):
-        wait = WaitCycles(5, period=10)
-        assert wait.duration == 50
-        with pytest.raises(ValueError):
-            WaitCycles(-1, period=10)
-        with pytest.raises(ValueError):
-            WaitCycles(1, period=0)
+            def proc():
+                for _ in range(3):
+                    yield 10  # then returns at 30
 
-    def test_reused_wait_cycles_object_schedules_every_yield(self):
+            mod.add_process(proc)
+
+        sim = build(builder)
+        stats = sim.run(1000)
+        assert (sim.now, stats.end_time) == (1000, 1000)
+        assert sim.last_activity_time == 30
+        # Drain semantics on request: back to the last timed step.
+        sim.trim_to_last_activity()
+        assert (sim.now, sim.stats.end_time) == (30, 30)
+
+    def test_trim_is_a_no_op_while_activity_is_pending(self):
+        def builder(top):
+            mod = Module("m", parent=top)
+
+            def proc():
+                while True:
+                    yield 7
+
+            mod.add_process(proc)
+
+        sim = build(builder)
+        sim.run(100)
+        assert sim.pending_activity
+        sim.trim_to_last_activity()
+        assert (sim.now, sim.stats.end_time) == (100, 100)
+
+
+class TestIntWaits:
+    def test_an_int_wait_schedules_every_yield(self):
         times = []
 
         def builder(top):
             mod = Module("m", parent=top)
-            wait = WaitCycles(3, period=10)
 
             def proc():
                 for _ in range(4):
-                    yield wait  # the same object, reused across yields
+                    yield 30  # the same int, yielded again and again
                     times.append(sim.now)
 
             mod.add_process(proc)
 
         sim = build(builder)
-        sim.run()
+        stats = sim.run()
         assert times == [30, 60, 90, 120]
+        assert stats.timed_steps == 4
 
-    def test_task_context_wait_cycles_cache(self):
+    def test_task_context_poll_wait_is_the_interval_in_time_units(self):
         from repro.sw.task import TaskContext
 
         class _StubApi:
             calls = 0
 
-        ctx = TaskContext(pe_id=0, apis=[_StubApi()], clock_period=10)
-        assert ctx.wait_cycles(2) is ctx.wait_cycles(2)
-        assert ctx.wait_cycles(2).duration == 20
+        ctx = TaskContext(pe_id=0, apis=[_StubApi()], clock_period=10,
+                          poll_interval_cycles=2)
+        assert ctx._poll_wait == 20 and ctx._poll_wait.__class__ is int
+        # The interval is at least one cycle.
+        ctx = TaskContext(pe_id=0, apis=[_StubApi()], clock_period=10,
+                          poll_interval_cycles=0)
+        assert ctx._poll_wait == 10
+
+    def test_wait_flag_backs_off_with_a_plain_int_wait(self):
+        from repro.sw.task import TaskContext
+
+        class _FlagApi:
+            calls = 0
+
+            def __init__(self, values):
+                self.values = iter(values)
+
+            def read(self, vptr, offset=0):
+                return next(self.values)
+                yield  # a generator, like the real API's read
+
+        ctx = TaskContext(pe_id=0, apis=[_FlagApi([0, 0, 1])],
+                          clock_period=10, poll_interval_cycles=3)
+        flag = ctx.wait_flag(0x100)
+        waits = []
+        with pytest.raises(StopIteration) as done:
+            while True:
+                waits.append(next(flag))
+        assert waits == [30, 30]
+        assert done.value.value == 3  # the poll count
 
 
 class TestDeltaWaitOrdering:
@@ -361,7 +422,7 @@ class TestDeltaWaitOrdering:
 
             def delta_waiter():
                 yield 1
-                yield WaitDelta()
+                yield 0
                 order.append("delta")
 
             def driver():
@@ -374,16 +435,16 @@ class TestDeltaWaitOrdering:
 
         sim = build(builder)
         sim.run()
-        # delta_waiter's WaitDelta is scheduled during its activation, which
+        # delta_waiter's delta wait is scheduled during its activation, which
         # precedes driver's notify(0) in the same evaluation phase — so the
         # direct delta wake fires first, exactly as the per-wait waker event
         # did before the fast path.
         assert order == ["delta", "event"]
 
+
 class TestImmediateNotify:
     """``notify()`` with no delay: who wakes, what the ``sync`` probe sees
-    and what ``events_fired`` counts — for every shape of waiter list the
-    single wake loop in ``Simulator._trigger_event_now`` has to handle."""
+    and what ``events_fired`` counts."""
 
     def test_no_waiter_fires_counts_and_cancels_the_pending_one(self):
         wakes = []
@@ -414,43 +475,24 @@ class TestImmediateNotify:
         # entry pops without firing.
         assert stats.events_fired == 5
 
-    def test_static_only_wakes_on_every_fire(self):
-        runs = []
-
-        def builder(top):
-            mod = Module("m", parent=top)
-            ev = mod.add_event(Event("go"))
-            mod.add_method(lambda: runs.append(sim.now), sensitivity=[ev])
-
-            def driver():
-                for _ in range(3):
-                    yield 4
-                    ev.notify()
-
-            mod.add_process(driver)
-
-        sim = build(builder)
-        sim.run()
-        assert runs == [0, 4, 8, 12]  # once at time zero, then per fire
-
-    def test_stale_token_waiter_is_not_woken(self):
+    def test_a_woken_waiter_is_not_woken_again_by_its_old_event(self):
         wakes = []
 
         def builder(top):
             mod = Module("m", parent=top)
-            a, b, c = (mod.add_event(Event(n)) for n in "abc")
+            a, c = mod.add_event(Event("a")), mod.add_event(Event("c"))
 
             def waiter():
-                yield WaitAny(a, b)
-                wakes.append(("any", sim.now))
-                yield c  # b still holds the registration made above
+                yield a
+                wakes.append(("a", sim.now))
+                yield c  # a's second fire must not resume this wait
                 wakes.append(("c", sim.now))
 
             def driver():
                 yield 1
                 a.notify()
                 yield 1
-                b.notify()  # stale: the waiter moved on to c
+                a.notify()
                 yield 1
                 c.notify()
 
@@ -459,27 +501,88 @@ class TestImmediateNotify:
 
         sim = build(builder)
         sim.run()
-        assert wakes == [("any", 1), ("c", 3)]
+        assert wakes == [("a", 1), ("c", 3)]
 
-    def test_terminated_static_thread_is_skipped(self):
+    def test_a_looping_waiter_wakes_on_every_fire(self):
+        runs = []
+
+        def builder(top):
+            mod = Module("m", parent=top)
+            ev = mod.add_event(Event("go"))
+
+            def watcher():
+                while True:
+                    yield ev
+                    runs.append(sim.now)
+
+            def driver():
+                for _ in range(3):
+                    yield 4
+                    ev.notify()
+
+            mod.add_process(watcher)
+            mod.add_process(driver)
+
+        sim = build(builder)
+        sim.run()
+        assert runs == [4, 8, 12]
+
+    def test_a_finished_process_is_not_resumed(self):
         def builder(top):
             mod = Module("m", parent=top)
             ev = mod.add_event(Event("go"))
 
             def one_shot():
-                yield 1  # then returns: terminated, still statically listed
+                yield ev  # then returns: terminated
 
             def driver():
                 yield 3
                 ev.notify()
+                yield 3
+                ev.notify()  # nobody waits any more
 
-            builder.one_shot = mod.add_process(one_shot, sensitivity=[ev])
+            builder.one_shot = mod.add_process(one_shot)
             mod.add_process(driver)
 
         sim = build(builder)
-        sim.run()
+        stats = sim.run()
         assert builder.one_shot.terminated
-        assert sim.stats.process_activations == 4
+        # t=0: one_shot, driver; t=3: driver, then one_shot returns;
+        # t=6: driver returns.
+        assert stats.process_activations == 5
+        assert stats.events_fired == 4  # two timers + two immediate fires
+
+    def test_immediate_wakes_run_ahead_of_that_cycles_delta_wakes(self):
+        order = []
+
+        def builder(top):
+            mod = Module("m", parent=top)
+            now_ev = mod.add_event(Event("now"))
+            delta_ev = mod.add_event(Event("delta"))
+
+            def delta_waiter():
+                yield delta_ev
+                order.append(("delta", sim.now))
+
+            def immediate_waiter():
+                yield now_ev
+                order.append(("immediate", sim.now))
+
+            def driver():
+                yield 1
+                delta_ev.notify(0)  # scheduled first ...
+                now_ev.notify()     # ... but this waiter is runnable at once
+
+            mod.add_process(delta_waiter)
+            mod.add_process(immediate_waiter)
+            mod.add_process(driver)
+
+        sim = build(builder)
+        stats = sim.run()
+        assert order == [("immediate", 1), ("delta", 1)]
+        # One delta cycle at 0, one at 1 for the driver, and one more at 1
+        # that runs both waiters together.
+        assert stats.delta_cycles == 3
 
     def test_sync_probe_sees_one_notify_then_the_wakes_in_order(self):
         calls = []
@@ -488,7 +591,6 @@ class TestImmediateNotify:
             mod = Module("m", parent=top)
             ev = mod.add_event(Event("go"))
             idle = mod.add_event(Event("idle"))
-            mod.add_method(lambda: None, sensitivity=[ev], name="static")
 
             def first():
                 yield ev
@@ -514,8 +616,7 @@ class TestImmediateNotify:
         assert calls == [
             ("notify", "idle", "driver"),
             ("notify", "go", "driver"),
-            ("wake", "go", "static"),   # static sensitivities first,
-            ("wake", "go", "first"),    # then waiters in registration order
+            ("wake", "go", "first"),    # waiters in the order they waited
             ("wake", "go", "second"),
         ]
         assert stats.events_fired == 3  # driver's timer + the two notifies

@@ -5,7 +5,7 @@ resumes it in place instead of pushing its timer and popping it again.
 Each case below pins the exact ``(now, process)`` activation trace and the
 four scheduler counters ``(delta_cycles, timed_steps, process_activations,
 events_fired)`` at an edge of that shortcut: the ``run(duration)``
-deadline, a stale heap entry, ``stop()``, an exception, a notify made
+deadline, a stale heap entry, a return, an exception, a notify made
 during a lone step, a timer yielded while other processes still wait to
 run in the same delta cycle, and the per-timestep delta-cycle limit.  The
 expected values are worked out by hand from the general scheduling
@@ -89,7 +89,7 @@ def test_stale_heap_entry_costs_its_timed_step(stale_at, timed_steps):
 
     def body():
         ev.notify(stale_at)
-        ev.cancel()  # the heap entry stays behind, stale
+        ev.notify(0)  # overrides: the heap entry stays behind, stale
         bench.log("tick")
         yield 10
         bench.log("tick")
@@ -100,26 +100,31 @@ def test_stale_heap_entry_costs_its_timed_step(stale_at, timed_steps):
     bench.sim.run()
     assert bench.trace == [(0, "tick"), (10, "tick"), (20, "tick")]
     assert bench.sim.now == 20
-    # The cancelled notification never fires: only the two timers do.
-    assert bench.counters() == (3, timed_steps, 3, 2)
+    # Three delta cycles (0, 10, 20) and activations.  The overriding
+    # delta notification fires at 0 with nobody waiting (no delta cycle)
+    # and the two timers fire; the stale entry never does, but its pop
+    # costs a timed step unless it shares the one at 10.
+    assert bench.counters() == (3, timed_steps, 3, 3)
 
 
-def test_stop_inside_a_lone_step_stops_at_once():
+@pytest.mark.parametrize("duration, end", [(None, 30), (100, 100)])
+def test_return_inside_a_lone_step_ends_the_run(duration, end):
     bench = Bench()
 
     def body():
-        for _ in range(10):
+        for _ in range(3):
             bench.log("tick")
-            if bench.sim.now == 20:
-                bench.sim.stop()
-            yield 10
+            yield 10  # the third wake, at 30, returns
 
     bench.top.add_process(body)
-    stats = bench.sim.run(100)
+    stats = bench.sim.run(duration)
     assert bench.trace == [(0, "tick"), (10, "tick"), (20, "tick")]
-    # Stopped: no clamp to the deadline.
-    assert bench.sim.now == stats.end_time == 20
-    assert bench.counters() == (3, 2, 3, 2)
+    # Without a deadline the run ends at the return; with one, on it.
+    assert bench.sim.now == stats.end_time == end
+    assert bench.sim.last_activity_time == 30
+    # Four delta cycles (0, 10, 20, 30) and activations, three timed steps
+    # and three fired timers.
+    assert bench.counters() == (4, 3, 4, 3)
 
 
 def test_exception_in_a_lone_step_is_a_process_error():

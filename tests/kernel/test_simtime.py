@@ -1,80 +1,9 @@
-"""Tests for simulation-time helpers."""
+"""Tests for simulation-time constants."""
 
-import pytest
-
-from repro.kernel.simtime import (
-    MS,
-    NS,
-    PS,
-    SEC,
-    US,
-    ClockPeriod,
-    format_time,
-    parse_time,
-)
+from repro.kernel.simtime import NS, PS
 
 
 class TestUnits:
     def test_unit_ratios(self):
+        assert PS == 1
         assert NS == 1000 * PS
-        assert US == 1000 * NS
-        assert MS == 1000 * US
-        assert SEC == 1000 * MS
-
-    def test_parse_integer_ns(self):
-        assert parse_time("10 ns") == 10 * NS
-
-    def test_parse_without_space(self):
-        assert parse_time("5us") == 5 * US
-
-    def test_parse_decimal(self):
-        assert parse_time("2.5us") == 2500 * NS
-
-    def test_parse_seconds(self):
-        assert parse_time("1 s") == SEC
-        assert parse_time("1 sec") == SEC
-
-    def test_parse_unknown_unit(self):
-        with pytest.raises(ValueError):
-            parse_time("3 parsecs")
-
-    def test_parse_missing_number(self):
-        with pytest.raises(ValueError):
-            parse_time("ns")
-
-    def test_format_round_trip(self):
-        assert format_time(parse_time("10 ns")) == "10 ns"
-        assert format_time(parse_time("3 ms")) == "3 ms"
-
-    def test_format_non_integral_falls_back_to_ps(self):
-        assert format_time(1500) == "1500 ps"
-
-    def test_format_zero(self):
-        assert format_time(0) == "0 ps"
-
-
-class TestClockPeriod:
-    def test_from_frequency(self):
-        clk = ClockPeriod.from_frequency_mhz(200)
-        assert clk.period == 5 * NS
-
-    def test_frequency_round_trip(self):
-        clk = ClockPeriod(10 * NS)
-        assert clk.frequency_mhz == pytest.approx(100.0)
-
-    def test_invalid_frequency(self):
-        with pytest.raises(ValueError):
-            ClockPeriod.from_frequency_mhz(0)
-
-    def test_cycles_to_time(self):
-        clk = ClockPeriod(10 * NS)
-        assert clk.cycles_to_time(3) == 30 * NS
-
-    def test_time_to_cycles(self):
-        clk = ClockPeriod(10 * NS)
-        assert clk.time_to_cycles(35 * NS) == 3
-
-    def test_immutable(self):
-        clk = ClockPeriod(10)
-        with pytest.raises(AttributeError):
-            clk.period = 20

@@ -9,9 +9,6 @@ from repro.kernel import (
     ProcessError,
     SchedulerError,
     Simulator,
-    WaitAny,
-    WaitDelta,
-    WaitEvent,
 )
 
 
@@ -85,8 +82,28 @@ class TestBasicScheduling:
         # first (slow, at t=15) is activated first — deterministic ordering.
         assert order == ["fast", "slow", "fast", "slow", "fast"]
 
-    def test_stop_ends_run(self):
+    def test_a_process_that_returns_ends_the_run(self):
         count = []
+
+        def builder(top):
+            mod = Module("m", parent=top)
+
+            def proc():
+                for _ in range(5):
+                    yield 10
+                    count.append(1)
+
+            builder.process = mod.add_process(proc)
+
+        sim, _ = build(builder)
+        sim.run()
+        assert len(count) == 5
+        assert sim.now == 50
+        assert builder.process.terminated
+        assert not sim.pending_activity
+
+    def test_run_continues_where_the_last_run_left_off(self):
+        ticks = []
 
         def builder(top):
             mod = Module("m", parent=top)
@@ -94,20 +111,73 @@ class TestBasicScheduling:
             def proc():
                 while True:
                     yield 10
-                    count.append(1)
-                    if len(count) == 5:
-                        sim.stop()
+                    ticks.append(sim.now)
 
             mod.add_process(proc)
 
         sim, _ = build(builder)
+        sim.run(25)
+        assert (ticks, sim.now) == ([10, 20], 25)
+        sim.run(30)
+        assert (ticks, sim.now) == ([10, 20, 30, 40, 50], 55)
+
+    def test_same_time_timers_wake_in_scheduling_order(self):
+        order = []
+
+        def builder(top):
+            mod = Module("m", parent=top)
+
+            def late_scheduler():
+                yield 10
+                yield 10  # due at 20, scheduled at 10
+                order.append("late")
+
+            def early_scheduler():
+                yield 20  # due at 20, scheduled at 0
+                order.append("early")
+
+            mod.add_process(late_scheduler)
+            mod.add_process(early_scheduler)
+
+        sim, _ = build(builder)
         sim.run()
-        assert len(count) == 5
+        assert order == ["early", "late"]
+
+    def test_zero_wait_resumes_at_the_same_time_in_a_new_delta_cycle(self):
+        log = []
+
+        def builder(top):
+            mod = Module("m", parent=top)
+
+            def proc():
+                yield 5
+                yield 0
+                log.append(sim.now)
+
+            mod.add_process(proc)
+
+        sim, _ = build(builder)
+        stats = sim.run()
+        assert log == [5]
+        # Delta cycles at 0, at 5 and after the zero wait at 5.
+        assert (stats.delta_cycles, stats.timed_steps) == (3, 1)
 
     def test_no_top_module_raises(self):
         sim = Simulator()
         with pytest.raises(SchedulerError):
             sim.run()
+
+    def test_add_top_after_elaboration_raises(self):
+        sim = Simulator(Module("top"))
+        sim.elaborate()
+        with pytest.raises(SchedulerError):
+            sim.add_top(Module("late"))
+
+    def test_run_until_a_past_time_raises(self):
+        sim = Simulator(Module("top"))
+        sim.run(50)
+        with pytest.raises(SchedulerError):
+            sim.run_until(10)
 
     def test_run_until(self):
         def builder(top):
@@ -152,7 +222,7 @@ class TestEvents:
             ev = mod.add_event(Event("go"))
 
             def waiter():
-                yield WaitEvent(ev)
+                yield ev
                 log.append(("woke", sim.now))
 
             def notifier():
@@ -233,31 +303,7 @@ class TestEvents:
         sim.run()
         assert log == [15]
 
-    def test_cancelled_notification_does_not_fire(self):
-        log = []
-
-        def builder(top):
-            mod = Module("m", parent=top)
-            ev = mod.add_event(Event("go"))
-
-            def waiter():
-                yield ev
-                log.append(sim.now)
-
-            def canceller():
-                yield 5
-                ev.notify(10)
-                yield 2
-                ev.cancel()
-
-            mod.add_process(waiter)
-            mod.add_process(canceller)
-
-        sim, _ = build(builder)
-        sim.run()
-        assert log == []
-
-    def test_wait_any(self):
+    def test_waiting_on_one_of_two_events_ignores_the_other(self):
         log = []
 
         def builder(top):
@@ -266,11 +312,13 @@ class TestEvents:
             ev_b = mod.add_event(Event("b"))
 
             def waiter():
-                yield WaitAny(ev_a, ev_b)
+                yield ev_b
                 log.append(sim.now)
 
             def notifier():
-                yield 30
+                yield 10
+                ev_a.notify()
+                yield 20
                 ev_b.notify()
 
             mod.add_process(waiter)
@@ -279,6 +327,84 @@ class TestEvents:
         sim, _ = build(builder)
         sim.run()
         assert log == [30]
+
+    def test_delta_override_fires_before_the_timed_notification(self):
+        log = []
+
+        def builder(top):
+            mod = Module("m", parent=top)
+            ev = mod.add_event(Event("go"))
+
+            def waiter():
+                while True:
+                    yield ev
+                    log.append(sim.now)
+
+            def notifier():
+                yield 5
+                ev.notify(10)  # due at 15
+                yield 2
+                ev.notify(0)   # overrides: fires at 7, and not again at 15
+
+            mod.add_process(waiter)
+            mod.add_process(notifier)
+
+        sim, _ = build(builder)
+        sim.run()
+        assert log == [7]
+
+    def test_waiters_wake_in_the_order_they_waited(self):
+        log = []
+
+        def builder(top):
+            mod = Module("m", parent=top)
+            ev = mod.add_event(Event("go"))
+
+            def waiter(name, delay):
+                def body():
+                    yield delay
+                    yield ev
+                    log.append(name)
+                return body
+
+            mod.add_process(waiter("second", 2), name="second")
+            mod.add_process(waiter("first", 1), name="first")
+
+            def notifier():
+                yield 5
+                ev.notify()
+
+            mod.add_process(notifier)
+
+        sim, _ = build(builder)
+        sim.run()
+        assert log == ["first", "second"]
+
+    def test_an_event_waited_on_is_bound_without_add_event(self):
+        log = []
+        ev = Event("loose")
+
+        def builder(top):
+            mod = Module("m", parent=top)
+
+            def waiter():
+                yield ev  # binds the event to the simulator
+                log.append(sim.now)
+
+            def notifier():
+                yield 5
+                ev.notify()
+
+            mod.add_process(waiter)
+            mod.add_process(notifier)
+
+        sim, _ = build(builder)
+        sim.run()
+        assert log == [5]
+
+    def test_notify_on_an_unbound_event_raises(self):
+        with pytest.raises(RuntimeError, match="not attached"):
+            Event("loose").notify()
 
     def test_negative_delay_rejected(self):
         def builder(top):
@@ -364,8 +490,31 @@ def periodic_trigger(top, period=10):
     return tick
 
 
-class TestMethodProcesses:
-    def test_method_process_runs_on_each_trigger(self):
+class TestModuleProcesses:
+    def test_process_on_a_module_counts_a_free_running_trigger(self):
+        class Counter(Module):
+            def __init__(self, name, tick, parent=None):
+                super().__init__(name, parent)
+                self.tick = tick
+                self.value = 0
+                self.add_process(self.count)
+
+            def count(self):
+                while True:
+                    yield self.tick
+                    self.value += 1
+
+        top = Module("top")
+        tick = periodic_trigger(top)
+        counter = Counter("counter", tick, parent=top)
+        sim = Simulator(top)
+        sim.run(105)
+        # One wake per tick at 10..100.
+        assert counter.value == 10
+        assert sim.now == 105
+        assert [p.name for p in counter.processes] == ["top.counter.count"]
+
+    def test_process_runs_on_each_trigger(self):
         counts = {"n": 0}
 
         def builder(top):
@@ -373,38 +522,75 @@ class TestMethodProcesses:
             mod = Module("m", parent=top)
 
             def on_tick():
-                counts["n"] += 1
+                while True:
+                    yield tick
+                    counts["n"] += 1
 
-            mod.add_method(on_tick, sensitivity=[tick])
+            mod.add_process(on_tick)
 
         sim, _ = build(builder)
         sim.run(100)
-        # Once at time zero (as in SystemC), then on every tick 10..100.
-        assert counts["n"] == 11
+        # Once on every tick 10..100.
+        assert counts["n"] == 10
         assert sim.now == 100
 
-    def test_method_process_on_a_module_counts_a_free_running_trigger(self):
-        class Counter(Module):
-            def __init__(self, name, tick, parent=None):
-                super().__init__(name, parent)
-                self.value = 0
-                self.add_method(self.count, sensitivity=[tick])
+    def test_a_factory_returning_a_generator_is_a_process(self):
+        log = []
 
-            def count(self):
-                self.value += 1
+        def wait_then_log(delay):
+            yield delay
+            log.append(sim.now)
+
+        def builder(top):
+            mod = Module("m", parent=top)
+            builder.process = mod.add_process(lambda: wait_then_log(7),
+                                              name="factory")
+
+        sim, _ = build(builder)
+        sim.run()
+        assert log == [7]
+        assert builder.process.name == "top.m.factory"
+        assert builder.process.terminated
+
+    def test_process_name_defaults_to_the_body_name(self):
+        mod = Module("m", parent=Module("top"))
+
+        def body():
+            yield 1
+
+        assert mod.add_process(body).name == "top.m.body"
+        assert mod.add_process(body, name="other").name == "top.m.other"
+
+    def test_add_process_takes_no_sensitivity(self):
+        mod = Module("m")
+        ev = mod.add_event(Event("go"))
+
+        def body():
+            yield ev
+
+        with pytest.raises(TypeError):
+            mod.add_process(body, sensitivity=[ev])
+
+    def test_processes_start_at_time_zero_in_hierarchy_order(self):
+        order = []
+
+        def starter(name):
+            def body():
+                order.append((name, sim.now))
+                yield 1
+            return body
 
         top = Module("top")
-        tick = periodic_trigger(top)
-        counter = Counter("counter", tick, parent=top)
+        child = Module("child", parent=top)
+        Module("grandchild", parent=child).add_process(
+            starter("grandchild"), name="p")
+        top.add_process(starter("top"), name="p")
+        child.add_process(starter("child"), name="p")
         sim = Simulator(top)
-        sim.run(105)
-        assert counter.value == 11
-        assert sim.now == 105
-
-    def test_method_requires_sensitivity(self):
-        mod = Module("m")
-        with pytest.raises(Exception):
-            mod.add_method(lambda: None, sensitivity=[])
+        sim.run()
+        # Depth-first over the hierarchy, each module's processes in
+        # registration order.
+        assert order == [("top", 0), ("child", 0), ("grandchild", 0)]
 
 
 class TestErrorHandling:
@@ -435,6 +621,66 @@ class TestErrorHandling:
         with pytest.raises(ProcessError):
             sim.run()
 
+    def test_negative_wait_is_a_process_error_naming_the_process(self):
+        def builder(top):
+            mod = Module("m", parent=top)
+
+            def bad():
+                yield 5
+                yield -1
+
+            builder.process = mod.add_process(bad)
+
+        sim, _ = build(builder)
+        with pytest.raises(ProcessError,
+                           match=r"'top\.m\.bad' yielded negative wait -1"):
+            sim.run()
+        assert builder.process.terminated
+        assert sim.now == 5
+
+    @pytest.mark.parametrize("request_", [True, 2.5, None, [3]])
+    def test_any_other_yield_is_a_process_error(self, request_):
+        def builder(top):
+            mod = Module("m", parent=top)
+
+            def bad():
+                yield request_
+
+            builder.process = mod.add_process(bad)
+
+        sim, _ = build(builder)
+        with pytest.raises(ProcessError, match=r"'top\.m\.bad' yielded "
+                                               r"non-wait object"):
+            sim.run()
+        assert builder.process.terminated
+
+    def test_factory_returning_no_generator_is_a_process_error(self):
+        def builder(top):
+            mod = Module("m", parent=top)
+            builder.process = mod.add_process(lambda: 7, name="seven")
+
+        sim, _ = build(builder)
+        with pytest.raises(ProcessError,
+                           match=r"'top\.m\.seven' raised TypeError"
+                                 r".*returned int, not a generator"):
+            sim.run()
+        assert builder.process.terminated
+        assert sim.stats.process_activations == 1
+
+    def test_run_reentered_from_a_process_is_a_process_error(self):
+        def builder(top):
+            mod = Module("m", parent=top)
+
+            def reenter():
+                yield 1
+                sim.run()
+
+            mod.add_process(reenter)
+
+        sim, _ = build(builder)
+        with pytest.raises(ProcessError, match=r"raised SchedulerError"):
+            sim.run()
+
     def test_delta_cycle_limit(self):
         def builder(top):
             mod = Module("m", parent=top)
@@ -443,7 +689,7 @@ class TestErrorHandling:
             def ping_pong():
                 while True:
                     ev.notify(0)
-                    yield WaitDelta()
+                    yield 0
 
             mod.add_process(ping_pong)
 

@@ -1,12 +1,12 @@
 """Perf smoke test: the timer fast path must beat the Event-per-wait pattern.
 
-Before the scheduler fast path, every ``yield WaitTime(t)`` allocated a
-fresh :class:`Event`, notified it, registered the process as a waiter and
-routed the wake through the generic notification machinery.  That exact
-pattern is still expressible by hand (allocate an event, notify it, wait on
-it), which gives an in-process A/B measurement of the removed overhead:
+A ``yield n`` pushes the waiting process itself onto the timed heap.  The
+pattern it replaced — allocate a fresh :class:`Event`, notify it after
+``n``, wait on it, and route the wake through the generic notification
+machinery — is still expressible by hand, which gives an in-process A/B
+measurement of the overhead the fast path removes:
 
-* ``legacy``: one fresh Event per wait (the pre-PR ``WaitTime`` lowering);
+* ``legacy``: one fresh Event per wait;
 * ``fast``:   plain ``yield <int>`` (the timer fast path).
 
 The assertion uses a *generous* margin (the observed gap is well above 2x;
