@@ -15,9 +15,12 @@ queue) ends whatever notification was pending.
 
 **Scheduling epochs** keep the override cheap: every state change of a
 pending notification (schedule, fire) bumps :attr:`Event._epoch`.  Queue
-entries (timed heap and delta queue) carry the epoch they were scheduled
+entries (timed queue and delta queue) carry the epoch they were scheduled
 under, and the scheduler only fires an entry whose epoch still matches, so
 the entry an override left behind is skipped, never fired twice.
+
+:meth:`Event.notify` schedules in place: an immediate notify fires at once,
+a delta or timed one appends to the delta queue or its time's bucket.
 
 A process waits on one thing at a time, so an event's waiters are plain
 processes in wait order: firing hands the list over and starts a new one.
@@ -25,6 +28,7 @@ processes in wait order: firing hands the list over and starts a new one.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -45,10 +49,6 @@ class Event:
     """
 
     __slots__ = ("name", "_sim", "_waiters", "_pending_at", "_epoch")
-
-    #: Class marker letting the scheduler discriminate heap payloads
-    #: (events vs. process timers) without ``isinstance``.
-    _is_process = False
 
     def __init__(self, name: str = "event") -> None:
         self.name = name
@@ -74,27 +74,45 @@ class Event:
             raise RuntimeError(
                 f"event {self.name!r} is not attached to a running simulator"
             )
+        sync = sim.probes.sync
         if delay is None:
-            sim._trigger_event_now(self)
-            return
-        if delay == 0:
-            if self._pending_at == _DELTA_PENDING:
-                return
-            # A delta notification overrides any pending timed notification.
-            self._pending_at = _DELTA_PENDING
+            # Immediate: fire in place (ending any pending notification);
+            # most notifies wake nobody.
+            sim.stats.events_fired += 1
+            if sync is not None:
+                sync("notify", self, sim._current_process)
+            self._pending_at = _NOT_PENDING
             self._epoch += 1
-            sim._schedule_delta_event(self, self._epoch)
+            waiters = self._waiters
+            if waiters:
+                self._waiters = []
+                if sync is not None:
+                    for process in waiters:
+                        sync("wake", self, process)
+                sim._immediate_runnable.extend(waiters)
             return
         if delay < 0:
             raise ValueError("notification delay must be >= 0")
         if self._pending_at == _DELTA_PENDING:
             return  # an earlier (delta) notification wins
-        target = sim.now + delay
-        if self._pending_at != _NOT_PENDING and self._pending_at <= target:
-            return  # an earlier timed notification wins
-        self._pending_at = target
+        if delay:
+            target = sim.now + delay
+            if self._pending_at != _NOT_PENDING and self._pending_at <= target:
+                return  # an earlier timed notification wins
+            self._pending_at = target
+        else:  # a delta notification overrides any pending timed one
+            self._pending_at = _DELTA_PENDING
         self._epoch += 1
-        sim._schedule_timed_event(self, target, self._epoch)
+        if sync is not None:
+            sync("notify", self, sim._current_process)
+        entry = (self, self._epoch)
+        if not delay:
+            sim._delta_queue.append(entry)
+        elif target in sim._buckets:
+            sim._buckets[target].append(entry)
+        else:
+            sim._buckets[target] = [entry]
+            heappush(sim._heap, target)
 
     def _fire(self) -> List["Process"]:
         """Mark the event fired and hand over its waiters."""

@@ -13,15 +13,16 @@ one thing at a time:
 
 Anything else a process yields (a negative ``int``, a ``bool``, any other
 object) is a :class:`~repro.kernel.errors.ProcessError` naming the process.
-Since a process is in exactly one place while it waits (the timed heap, the
-delta queue or one event's waiter list), it is woken exactly once per wait,
-and the scheduler keeps no bookkeeping to discard stale wakes.
+Since a process is in exactly one place while it waits (a timed-queue
+bucket, the delta queue or one event's waiter list), it is woken exactly
+once per wait, and the scheduler keeps no bookkeeping to discard stale
+wakes.
 
 Timed waits take a scheduler fast path: instead of allocating an
-:class:`~repro.kernel.event.Event` per wait, the process itself is pushed
-onto the timed queue and woken directly when its deadline pops (the
-:attr:`Process._is_process` marker tells the two kinds of heap entry
-apart).
+:class:`~repro.kernel.event.Event` per wait, the process itself is the
+entry in its wake time's bucket of the timed queue, stored bare next to
+the ``(event, epoch)`` tuples of timed notifies, and is woken directly when
+that time comes.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ class Process:
     whether it has finished."""
 
     __slots__ = ("name", "_body", "_generator", "_terminated")
-
-    #: Marker used by the scheduler to discriminate timed-queue payloads
-    #: (process timers vs. events) without ``isinstance`` checks.
-    _is_process = True
 
     def __init__(self, name: str, body: Callable[[], Generator]) -> None:
         self.name = name

@@ -28,36 +28,37 @@ subscribers of any probe can attribute what they see.
 Scheduler fast paths (semantics-preserving; see ``tests/kernel`` and
 ``tests/perf``):
 
-* **Per-process timers** — ``yield n`` pushes the process itself onto the
-  timed heap instead of allocating an :class:`~repro.kernel.event.Event`
-  per wait; the pop wakes the process directly.
+* **Time buckets** — the timed heap holds each pending time once, and its
+  bucket lists that time's entries in scheduling order: a process that
+  yielded ``n`` bare (no :class:`~repro.kernel.event.Event` per wait), a
+  timed notify as ``(event, epoch)``.  Scheduling at a time already
+  pending is one ``append``; the timed phase pops a time, walks its bucket.
 * **Direct delta waits** — ``yield 0`` enqueues the process on the delta
   queue instead of routing through ``Event.notify(0)``.  Delta-queue
   entries preserve exact notification order (events and process wakes
   interleave as they were scheduled).
 * **Inline event waits and notifies** — ``yield event`` appends the process
   to the event's waiters inside the loop, and an immediate ``notify()``
-  wakes straight from that list, building nothing when nobody waits.
+  fires inside ``Event.notify``, building nothing when nobody waits.
 * **Epoch-checked queue entries** — overridden timed and delta
   notifications are skipped by comparing the entry's scheduling epoch with
   the event's current one (see :mod:`repro.kernel.event`).
 * **Lone-timer run-ahead** — when the delta cycle ran one process, it
-  yielded an exact ``int`` > 0, nothing else is queued, the heap's head
-  (valid or stale) lies strictly after the wake time and that time is
-  within the deadline, the timed phase would pop this process's own entry
-  next: ``now`` advances, the four counters move as that phase would move
-  them, and the generator resumes in place.
+  yielded an exact ``int`` > 0, nothing else is queued, the earliest
+  pending time (valid or stale) lies strictly after the wake time and that
+  time is within the deadline, the timed phase would wake this process
+  alone next: ``now`` advances, the four counters move as that phase would
+  move them, and the generator resumes in place.
 """
 
 from __future__ import annotations
 
-import itertools
 import time as _wallclock
 from heapq import heappop, heappush
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .errors import DeltaCycleLimitExceeded, ProcessError, SchedulerError
-from .event import _NOT_PENDING, Event
+from .event import Event
 from .module import Module
 from .probes import Probes
 from .process import Process
@@ -101,12 +102,12 @@ class Simulator:
         self.last_activity_time: int = 0
         self._elaborated = False
         self._running = False
-        #: The timed heap: ``(time, sequence, payload, epoch)`` entries,
-        #: where the payload is an :class:`Event` (fired only while the
-        #: epoch matches) or a waiting :class:`Process` (epoch unused).
-        #: The sequence keeps same-time entries in scheduling order.
-        self._heap: List[Tuple[int, int, object, int]] = []
-        self._counter = itertools.count()
+        #: The timed queue: a heap of distinct pending times, and each
+        #: time's bucket in scheduling order — a waiting :class:`Process`
+        #: bare, a timed notify as ``(event, epoch)`` (fired only while the
+        #: epoch matches).
+        self._heap: List[int] = []
+        self._buckets: Dict[int, List[object]] = {}
         #: Mixed delta queue preserving notification order: ``(event, epoch)``
         #: tuples for ``notify(0)``, bare processes for direct delta waits.
         self._delta_queue: List[object] = []
@@ -142,38 +143,6 @@ class Simulator:
                 self._immediate_runnable.extend(module._processes)
         self._elaborated = True
 
-    # -- hooks used by events -------------------------------------------------
-    def _schedule_timed_event(self, event: Event, when: int, epoch: int) -> None:
-        sync = self.probes.sync
-        if sync is not None:
-            sync("notify", event, self._current_process)
-        heappush(self._heap, (when, next(self._counter), event, epoch))
-
-    def _schedule_delta_event(self, event: Event, epoch: int) -> None:
-        sync = self.probes.sync
-        if sync is not None:
-            sync("notify", event, self._current_process)
-        self._delta_queue.append((event, epoch))
-
-    def _trigger_event_now(self, event: Event) -> None:
-        """Immediate notification: fire ``event`` (ending any pending
-        notification) and make its waiters runnable.  With nobody waiting
-        — most notifies — nothing is built."""
-        self.stats.events_fired += 1
-        sync = self.probes.sync
-        if sync is not None:
-            sync("notify", event, self._current_process)
-        # ``Event._fire`` inlined: most notifies wake nobody.
-        event._pending_at = _NOT_PENDING
-        event._epoch += 1
-        waiters = event._waiters
-        if waiters:
-            event._waiters = []
-            if sync is not None:
-                for process in waiters:
-                    sync("wake", event, process)
-            self._immediate_runnable.extend(waiters)
-
     @staticmethod
     def _refuse(process: Process, request: object) -> ProcessError:
         """The error for a yield that is not a wait; ends the process."""
@@ -205,7 +174,7 @@ class Simulator:
         start_wall = _wallclock.perf_counter()
         stats = self.stats
         heap = self._heap
-        counter = self._counter
+        buckets = self._buckets
         push = heappush
         pop = heappop
         max_deltas = self.MAX_DELTA_CYCLES_PER_TIMESTEP
@@ -222,6 +191,9 @@ class Simulator:
         # A run-ahead step counts one delta cycle, timed step and fired
         # timer (its activation is counted where the process resumes).
         n_deltas = n_steps = n_activations = n_fired = n_ahead = 0
+        # The entries to wake before the next evaluation phase: the delta
+        # queue's, or the bucket the timed phase popped (never both).
+        due = None
         clean_exit = False
         try:
             while True:
@@ -229,12 +201,15 @@ class Simulator:
                 deltas_here = 0
                 while True:
                     if delta_queue:
-                        # Delta notification phase: wake processes in exact
-                        # notification order (``notify(0)`` events and direct
-                        # delta waits interleave as they were scheduled).
-                        entries = delta_queue[:]
+                        due = delta_queue[:]
                         delta_queue.clear()
-                        for entry in entries:
+                    if due:
+                        # Delta (or timed) notification phase: wake in exact
+                        # scheduling order.  A bare process (a timer or a
+                        # direct delta wait) is always live: it waits on
+                        # nothing else.  An ``(event, epoch)`` entry fires
+                        # only while its scheduling epoch is still current.
+                        for entry in due:
                             if entry.__class__ is tuple:
                                 event, epoch = entry
                                 if event._epoch == epoch:
@@ -244,9 +219,10 @@ class Simulator:
                                         for p in waiters:
                                             sync("wake", event, p)
                                     extend(waiters)
-                            else:  # a process woken by a direct delta wait
+                            else:
                                 n_fired += 1
                                 wake(entry)
+                        due = None
                     count = len(runnable)
                     if not count:
                         break
@@ -283,7 +259,7 @@ class Simulator:
                                     when = now + request
                                     if (count == 1 and not runnable
                                             and not delta_queue
-                                            and (not heap or heap[0][0] > when)
+                                            and (not heap or heap[0] > when)
                                             and (deadline is None
                                                  or when <= deadline)):
                                         # Lone-timer run-ahead (see the
@@ -293,7 +269,12 @@ class Simulator:
                                         n_ahead += 1
                                         deltas_here = 1
                                         continue
-                                    push(heap, (when, next(counter), process, 0))
+                                    bucket = buckets.get(when)
+                                    if bucket is None:
+                                        buckets[when] = [process]
+                                        push(heap, when)
+                                    else:
+                                        bucket.append(process)
                                 elif request == 0:
                                     delta_queue.append(process)
                                 else:
@@ -309,31 +290,19 @@ class Simulator:
                 # -- timed notification phase ----------------------------------
                 if not heap:
                     break
-                next_time = heap[0][0]
-                if deadline is not None and next_time > deadline:
+                now = heap[0]
+                if deadline is not None and now > deadline:
                     break  # the post-loop clamp advances now to the deadline
-                self.now = self.last_activity_time = now = next_time
+                pop(heap)
+                self.now = self.last_activity_time = now
                 n_steps += 1
-                # Wake everything scheduled for ``now`` (the first pop is
-                # unconditional: the heap head *is* the entry that set
-                # ``now``).  A process entry is always live: the process
-                # waits on nothing else.  An event entry fires only when
-                # its scheduling epoch is still current.
-                while True:
-                    __, __, payload, epoch = pop(heap)
-                    if payload._is_process:
-                        n_fired += 1
-                        wake(payload)
-                    elif payload._epoch == epoch:
-                        n_fired += 1
-                        waiters = payload._fire()
-                        if sync is not None:
-                            for p in waiters:
-                                sync("wake", payload, p)
-                        extend(waiters)
-                    if not heap or heap[0][0] > now:
-                        break
+                due = buckets.pop(now)
             clean_exit = True
+        except ProcessError:
+            # Put back the rest of the batch, so a later ``run()`` still
+            # evaluates it at this time.
+            runnable[:0] = processes[processes.index(process) + 1:]
+            raise
         finally:
             self._running = False
             stats.delta_cycles += n_deltas + n_ahead
@@ -385,15 +354,15 @@ class Simulator:
     def next_activity_time(self) -> Optional[int]:
         """Earliest time at which this simulator has work, or ``None``.
 
-        ``now`` when delta/immediate work is queued, else the head of the
-        timed heap.  The heap may hold stale (overridden) entries, so the
-        returned bound can be earlier than the first entry that actually
-        fires — a conservative lower bound, which is exactly what the PDES
-        coordinator needs for a sound lookahead horizon.
+        ``now`` when delta/immediate work is queued, else the earliest
+        pending time.  Its bucket may hold only stale (overridden) entries,
+        so the returned bound can be earlier than the first entry that
+        actually fires — a conservative lower bound, which is exactly what
+        the PDES coordinator needs for a sound lookahead horizon.
         """
         if self._immediate_runnable or self._delta_queue:
             return self.now
-        return self._heap[0][0] if self._heap else None
+        return self._heap[0] if self._heap else None
 
     @property
     def current_process(self) -> Optional[Process]:

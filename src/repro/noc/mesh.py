@@ -37,13 +37,15 @@ Internally it is a ``rows x cols`` grid of wormhole routers:
   response packet back from the slave's node.
 
 In scheduler terms every port is one process and a *port visit* — one
-packet through one port — is one wake on the port's event, one scan of its
-lane queues, one grant, then ``router_cycles`` timed waits, the head-flit
-link wait and (for a multi-flit packet) one tail wait; a credit wait is
-added only when the downstream buffer is full.  Those activations are what
-``tests/perf/golden_sched_stats.json`` and ``perfbench/golden.json`` pin,
-so merging the waits is a re-gold, not a refactor.  Routes are static and
-memoized per ``(source, destination, injection lane)``.
+packet through one port — is one wake on the port's event, one grant (a
+port keeps only its non-empty lanes, so nothing is scanned, and a lone
+ready lane skips the arbiter call), then ``router_cycles`` timed waits,
+the head-flit link wait and (for a multi-flit packet) one tail wait; a
+credit wait is added only when the downstream buffer is full.  Those
+activations are what ``tests/perf/golden_sched_stats.json`` and
+``perfbench/golden.json`` pin, so merging the waits is a re-gold, not a
+refactor.  Routes are static and memoized per ``(source, destination,
+injection lane)``.
 
 Per-link, per-router and end-to-end latency counters are collected in a
 :class:`~repro.noc.stats.NocStats` and surfaced through the platform's
@@ -83,8 +85,8 @@ from .stats import NocStats
 class _OutputPort:
     """One directed channel: a router output port (or inject/eject port).
 
-    Holds per-input-lane packet queues, the round-robin lane arbiter, the
-    wakeup events and the occupancy bookkeeping used for backpressure.
+    Holds its non-empty input lanes' packet queues, the round-robin lane
+    arbiter, the wakeup events and the occupancy count for backpressure.
     ``capacity`` is in packets; ``None`` means unbounded (injection ports,
     which model the master-side network-interface queue).
     """
@@ -313,31 +315,37 @@ class MeshNoc(Fabric):
         head_link_time = link_cycles * period
         queues = port.queues
         wake = port.event
-        grant = port.arbiter.grant
+        arbiter = port.arbiter
+        grant_counts = arbiter.grant_counts
         stats = port.stats
         return_credit = port.credit_event.notify
         hand_over = self._hand_over
         terminal = port.key[0] == "ej"  # paths end at an ejection port
         while True:
-            lanes = []
-            for lane, queue in queues.items():
-                if queue:
-                    lanes.append(lane)
-            if not lanes:
+            if not queues:
                 yield wake
                 continue
-            if len(lanes) > 1:
+            if len(queues) == 1:
+                # What ``grant`` does for a lone requester, without the call.
+                (lane,) = queues
+                arbiter._last_granted = lane
+                grant_counts[lane] = grant_counts.get(lane, 0) + 1
+            else:
                 stats.contended_grants += 1
-                waiting = sum(len(queues[lane]) for lane in lanes) - 1
+                waiting = sum(map(len, queues.values())) - 1
                 self.noc_stats.record_contention(port.node, waiting)
-            packet = queues[grant(lanes)].popleft()
+                lane = arbiter.grant(sorted(queues))
+            queue = queues[lane]
+            packet = queue.popleft()
+            if not queue:
+                del queues[lane]
             # Router pipeline: route computation, VC and switch allocation.
             for _ in router_waits:
                 yield period
             # The head flit crosses the link...
             yield head_link_time
             flits = packet.flits
-            tail_time = (flits - 1) * link_cycles * period
+            tail_time = (flits - 1) * head_link_time
             if terminal:
                 # Ejection port: the payload is in the body flits, so
                 # delivery happens once the tail arrived.

@@ -2,7 +2,7 @@
 
 Covers the corner cases the epoch-checked queues were introduced for:
 
-* delta-overrides-timed (the stale timed heap entry must not fire — the
+* delta-overrides-timed (the stale timed queue entry must not fire — the
   historical double-wake);
 * earlier-timed-overrides-later (with the stale later entry ignored);
 * re-notification: a repeated request fires once, an immediate ``notify()``
@@ -31,7 +31,8 @@ def build(top_builder):
 class TestNotificationOverrides:
     def test_delta_overrides_timed_no_double_wake(self):
         """The historical double-wake: a delta override leaves a stale timed
-        heap entry behind; when it pops it must not fire the event again."""
+        queue entry behind; when its time comes it must not fire the event
+        again."""
         wakes = []
 
         def builder(top):
@@ -48,10 +49,10 @@ class TestNotificationOverrides:
 
             def arm():
                 yield 2
-                ev.notify(10)   # timed: heap entry @12
+                ev.notify(10)   # timed: queue entry @12
                 ev.notify(0)    # delta override: fires next delta @2
                 yield 5         # the stale @12 entry is still queued at 7
-                builder.heap = list(sim._heap)
+                builder.bucket = list(sim._buckets[12])
                 yield 20        # run past the stale @12 entry
 
             mod.add_process(watcher)
@@ -61,10 +62,12 @@ class TestNotificationOverrides:
         sim.run()
         # Exactly one notification wake at t=2 — nothing at t=12.
         assert wakes == [2]
-        # White-box: the stale heap entry's epoch no longer matches.
-        stale = [entry for entry in builder.heap if entry[2] is builder.ev]
+        # White-box: the t=12 bucket holds the stale ``(event, epoch)``
+        # entry, and its epoch no longer matches.
+        stale = [entry for entry in builder.bucket
+                 if entry.__class__ is tuple and entry[0] is builder.ev]
         assert len(stale) == 1
-        assert all(entry[3] != builder.ev._epoch for entry in stale)
+        assert all(epoch != builder.ev._epoch for _, epoch in stale)
 
     def test_earlier_timed_overrides_later_stale_entry_ignored(self):
         wakes = []
@@ -80,7 +83,7 @@ class TestNotificationOverrides:
 
             def driver():
                 yield 1
-                ev.notify(50)  # heap entry @51
+                ev.notify(50)  # queue entry @51
                 ev.notify(5)   # earlier wins: fires @6
                 yield 100      # run past the stale @51 entry
 
@@ -213,7 +216,7 @@ class TestRenotify:
 
             def driver():
                 yield 2
-                ev.notify(10)  # heap entry @12, made stale by the next line
+                ev.notify(10)  # queue entry @12, made stale by the next line
                 ev.notify()
                 yield 20
 
@@ -460,7 +463,7 @@ class TestImmediateNotify:
 
             def driver():
                 yield 2
-                ev.notify(10)  # heap entry @12
+                ev.notify(10)  # queue entry @12
                 ev.notify()    # nobody waits: fires, and @12 is now stale
                 yield 18
                 ev.notify()    # @20

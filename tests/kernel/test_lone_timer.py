@@ -5,7 +5,7 @@ resumes it in place instead of pushing its timer and popping it again.
 Each case below pins the exact ``(now, process)`` activation trace and the
 four scheduler counters ``(delta_cycles, timed_steps, process_activations,
 events_fired)`` at an edge of that shortcut: the ``run(duration)``
-deadline, a stale heap entry, a return, an exception, a notify made
+deadline, a stale timed entry, a return, an exception, a notify made
 during a lone step, a timer yielded while other processes still wait to
 run in the same delta cycle, and the per-timestep delta-cycle limit.  The
 expected values are worked out by hand from the general scheduling
@@ -89,7 +89,7 @@ def test_stale_heap_entry_costs_its_timed_step(stale_at, timed_steps):
 
     def body():
         ev.notify(stale_at)
-        ev.notify(0)  # overrides: the heap entry stays behind, stale
+        ev.notify(0)  # overrides: the timed entry stays behind, stale
         bench.log("tick")
         yield 10
         bench.log("tick")

@@ -681,6 +681,36 @@ class TestErrorHandling:
         with pytest.raises(ProcessError, match=r"raised SchedulerError"):
             sim.run()
 
+    @pytest.mark.parametrize("fault", ["raise", "refuse"])
+    def test_a_process_error_keeps_the_rest_of_its_batch(self, fault):
+        """Two processes woken at t=1, the first fails: a later ``run()``
+        still evaluates the second at t=1."""
+        log = []
+
+        def builder(top):
+            mod = Module("m", parent=top)
+
+            def bad():
+                yield 1
+                if fault == "raise":
+                    raise ValueError("boom")
+                yield -1
+
+            def good():
+                yield 1
+                log.append(sim.now)
+
+            mod.add_process(bad)
+            mod.add_process(good)
+
+        sim, _ = build(builder)
+        with pytest.raises(ProcessError):
+            sim.run()
+        assert sim.now == 1 and log == []
+        assert sim.pending_activity
+        sim.run()
+        assert log == [1]
+
     def test_delta_cycle_limit(self):
         def builder(top):
             mod = Module("m", parent=top)

@@ -240,10 +240,10 @@ ROWS = [
     Row("l1-read-hit", platform(l1wb()), l1_read_hits, "read", 10.0, 11),
     Row("l1-write-back-write-hit", platform(l1wb()), l1_write_hits, "write",
         13.0, 14),
-    Row("l1-read-miss", platform(l1wb()), l1_read_misses, "miss", 163.1, 179),
+    Row("l1-read-miss", platform(l1wb()), l1_read_misses, "miss", 159.1, 175),
     Row("mesh-2x2-read",
         platform(PlatformBuilder().pes(1).wrapper_memories(1).mesh(2, 2)),
-        mesh_reads, "read", 175.0, 192),
+        mesh_reads, "read", 149.0, 163),
     Row("bus-busy-cycle", platform(PlatformBuilder().pes(1).wrapper_memories(1)),
         busy_cycles, "busy cycle", 0.995, 1),
     Row("crossbar-busy-cycle",

@@ -1,6 +1,6 @@
 """Perf smoke test: the timer fast path must beat the Event-per-wait pattern.
 
-A ``yield n`` pushes the waiting process itself onto the timed heap.  The
+A ``yield n`` queues the waiting process itself in the timed queue.  The
 pattern it replaced — allocate a fresh :class:`Event`, notify it after
 ``n``, wait on it, and route the wake through the generic notification
 machinery — is still expressible by hand, which gives an in-process A/B
