@@ -121,7 +121,7 @@ class DmaEngine(RegisterFilePeripheral):
             if value & CTRL_GO and self.status != STATUS_BUSY:
                 self._regs[REG_STATUS] = STATUS_BUSY
                 self._regs[REG_WORDS_DONE] = 0
-                self._go_event.notify(None)
+                self._go_event.notify()
             return
         if index == REG_STATUS:
             if self.status != STATUS_BUSY:

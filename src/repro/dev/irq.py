@@ -145,7 +145,7 @@ class InterruptController(RegisterFilePeripheral):
                 # Unbound outside a simulation (direct wire tests): the
                 # latch still records the raise, there is no one to wake.
                 if event._sim is not None:
-                    event.notify(None)
+                    event.notify()
 
     # -- software-side register semantics ------------------------------------------
     def on_read(self, index: int, value: int) -> int:
@@ -175,7 +175,7 @@ class InterruptController(RegisterFilePeripheral):
         self.enable[pe] = mask & self.line_mask
         event = self._pe_events[pe]
         if self.pending_mask & self.enable[pe] and event._sim is not None:
-            event.notify(None)
+            event.notify()
 
     # -- reporting ---------------------------------------------------------------------
     def report(self) -> dict:

@@ -93,7 +93,7 @@ class TimerPeripheral(RegisterFilePeripheral):
         self._regs[index] = value
         if index in (REG_CTRL, REG_COMPARE):
             self._generation += 1
-            self._program_event.notify(None)
+            self._program_event.notify()
 
     # -- counting process ----------------------------------------------------------
     def _run(self) -> Generator[object, None, None]:

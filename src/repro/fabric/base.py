@@ -17,7 +17,8 @@ common, so a topology only says where a request waits to be served:
   (functional MSI coherence);
 * the ``port_issue`` / ``port_complete`` probe points of the platform's
   :class:`~repro.kernel.probes.Probes` bus (instrumentation);
-* decode-error accounting and the immediate-completion error path;
+* decode-error accounting and the error path that completes without a
+  channel, on the master's own timer;
 * uniform :class:`~repro.fabric.stats.BusStats` accounting plus a
   per-transaction latency sample, emitted by :meth:`interconnect_stats`
   with the same ``percentile_summary`` columns for every topology;
@@ -35,8 +36,7 @@ channel.  The mesh overrides :meth:`_post` to route a request packet to
 the slave's node, queues it there, and overrides :meth:`_served` to send
 the response back as a packet.  Every topology must assign
 ``self._anchor_event`` to one of its kernel events — the fabric uses it to
-observe simulated time and to bind completion events on the immediate
-decode-error path.
+observe simulated time.
 """
 
 from __future__ import annotations
@@ -275,14 +275,17 @@ class Fabric(Module):
             self._served(token, request, response)
 
     # -- master-side entry point ---------------------------------------------------
-    def _post(self, port: MasterPort, request: BusRequest) -> None:
-        """Decode ``request`` and queue it on its slave's channel."""
+    def _post(self, port: MasterPort, request: BusRequest) -> Optional[int]:
+        """Decode ``request`` and queue it on its slave's channel.
+
+        Returns ``None`` once it is queued, or the delay after which a
+        decode error completes (:meth:`_complete_decode_error`).
+        """
         try:
             slave, offset, _region = self.address_map.decode(request.address)
         except AddressDecodeError:
             if self._unmapped is None:
-                self._complete_decode_error(port, request)
-                return
+                return self._complete_decode_error(port, request)
             slave, offset = self._unmapped, 0
         channel = self._slave_channels[slave]
         if port.master_id in channel.pending:
@@ -292,6 +295,7 @@ class Fabric(Module):
             )
         channel.pending[port.master_id] = (port, request, slave, offset)
         channel.event.notify()
+        return None
 
     # -- shared transfer machinery --------------------------------------------------
     def _serve(self, slave: BusSlave, request: BusRequest,
@@ -307,16 +311,21 @@ class Fabric(Module):
             self._monitors[slave][1][request.op].append(cycles)
         return response, cycles
 
-    def _deliver(self, port: MasterPort, request: BusRequest,
-                 response: BusResponse, delay: Optional[int] = None) -> None:
-        """Complete a transfer: account, probe, deliver, wake the master
-        (after ``delay``, immediately by default)."""
+    def _respond(self, port: MasterPort, request: BusRequest,
+                 response: BusResponse) -> None:
+        """Account a finished transfer, probe it and hand the master its
+        response."""
         self._account(request, response)
         probe = self.probes.port_complete
         if probe is not None:
             probe(port, request, response)
         port._response = response
-        port._completion.notify(delay)
+
+    def _deliver(self, port: MasterPort, request: BusRequest,
+                 response: BusResponse) -> None:
+        """Complete a transfer and wake the master."""
+        self._respond(port, request, response)
+        port._completion.notify()
 
     #: Topology hook called by :meth:`_run_channel` with the token the
     #: request was queued with once its service window closed; the bus
@@ -324,25 +333,22 @@ class Fabric(Module):
     _served = _deliver
 
     def _complete_decode_error(self, port: MasterPort,
-                               request: BusRequest) -> None:
-        """Immediate-completion decode-error path (no channel involved).
+                               request: BusRequest) -> int:
+        """The decode-error path that involves no channel.
 
-        Completes after one interconnect cycle with a decode error; the
-        completion event may not have been bound yet (that normally
-        happens when the master first waits on it), so it is bound
-        explicitly here.  The failed transfer is accounted per master
-        exactly like a served one, so topology comparisons see the same
-        columns, and ``port_complete`` fires (snoopers never see it).
+        Completes after one interconnect cycle with a decode error: it
+        returns that delay, which the master waits as its own timer
+        instead of its completion event.  The failed transfer is
+        accounted per master exactly like a served one, so topology
+        comparisons see the same columns, and ``port_complete`` fires
+        (snoopers never see it).
         """
         self.stats.decode_errors += 1
         response = decode_error_response()
         response.slave_cycles = 1
         response.total_cycles = 1
-        assert self._anchor_event is not None
-        sim = self._anchor_event._sim
-        if sim is not None:
-            port._completion._bind(sim)
-        self._deliver(port, request, response, self.period)
+        self._respond(port, request, response)
+        return self.period
 
     # -- accounting ---------------------------------------------------------------
     def _account(self, request: BusRequest, response: BusResponse) -> None:

@@ -65,8 +65,8 @@ class MasterPort:
         if probe is not None:
             probe(self, request)
         post_time = self._interconnect.sim_now()
-        self._interconnect._post(self, request)
-        yield self._completion
+        delay = self._interconnect._post(self, request)
+        yield self._completion if delay is None else delay
         response = self._response
         assert response is not None, "bus completed a transfer without a response"
         wait_cycles = self._interconnect.time_to_cycles(

@@ -18,11 +18,9 @@ bucket, the delta queue or one event's waiter list), it is woken exactly
 once per wait, and the scheduler keeps no bookkeeping to discard stale
 wakes.
 
-Timed waits take a scheduler fast path: instead of allocating an
-:class:`~repro.kernel.event.Event` per wait, the process itself is the
-entry in its wake time's bucket of the timed queue, stored bare next to
-the ``(event, epoch)`` tuples of timed notifies, and is woken directly when
-that time comes.
+Timed and delta waits need no :class:`~repro.kernel.event.Event`: the
+process itself is the entry in its wake time's bucket of the timed queue,
+or in the delta queue, and is woken directly when its turn comes.
 """
 
 from __future__ import annotations

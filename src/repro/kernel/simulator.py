@@ -4,16 +4,13 @@ The scheduler follows the SystemC reference algorithm:
 
 1. *Evaluation phase*: run every runnable process, in the order it became
    runnable, until it yields its next wait (see :mod:`repro.kernel.process`).
-   Processes may notify events, immediately, in the next delta cycle or
-   after a delay.  An immediate notify makes the event's waiters runnable
-   at once: they run in the next delta cycle, ahead of its delta wakes.
-2. *Delta notification phase*: wake, in the exact order they were
-   scheduled, the waiters of every ``notify(0)`` event and every process
-   that yielded ``0``; if anything is runnable, loop back to the
-   evaluation phase (a new delta cycle at the same time).
-3. *Timed notification phase*: advance time to the earliest pending timed
-   notification or timed wait and wake everything due then, in the order
-   it was scheduled.
+   Processes may notify events, which fire at once: an event's waiters are
+   runnable in the next delta cycle, ahead of its delta wakes.
+2. *Delta notification phase*: wake, in the order they yielded ``0``, the
+   processes waiting a delta cycle; if anything is runnable, loop back to
+   the evaluation phase (a new delta cycle at the same time).
+3. *Timed notification phase*: advance time to the earliest timed wait and
+   wake every process due then, in the order it yielded.
 
 Simulation ends when there is nothing left to do or a configured time limit
 is reached.  Like SystemC's ``sc_start`` (with the default starvation
@@ -29,26 +26,18 @@ Scheduler fast paths (semantics-preserving; see ``tests/kernel`` and
 ``tests/perf``):
 
 * **Time buckets** — the timed heap holds each pending time once, and its
-  bucket lists that time's entries in scheduling order: a process that
-  yielded ``n`` bare (no :class:`~repro.kernel.event.Event` per wait), a
-  timed notify as ``(event, epoch)``.  Scheduling at a time already
-  pending is one ``append``; the timed phase pops a time, walks its bucket.
-* **Direct delta waits** — ``yield 0`` enqueues the process on the delta
-  queue instead of routing through ``Event.notify(0)``.  Delta-queue
-  entries preserve exact notification order (events and process wakes
-  interleave as they were scheduled).
+  bucket lists the processes due then in the order they yielded.
+  Scheduling at a time already pending is one ``append``; the timed phase
+  pops a time and wakes its bucket.
 * **Inline event waits and notifies** — ``yield event`` appends the process
-  to the event's waiters inside the loop, and an immediate ``notify()``
-  fires inside ``Event.notify``, building nothing when nobody waits.
-* **Epoch-checked queue entries** — overridden timed and delta
-  notifications are skipped by comparing the entry's scheduling epoch with
-  the event's current one (see :mod:`repro.kernel.event`).
+  to the event's waiters inside the loop, and ``notify()`` fires inside
+  ``Event.notify``, building nothing when nobody waits.
 * **Lone-timer run-ahead** — when the delta cycle ran one process, it
   yielded an exact ``int`` > 0, nothing else is queued, the earliest
-  pending time (valid or stale) lies strictly after the wake time and that
-  time is within the deadline, the timed phase would wake this process
-  alone next: ``now`` advances, the four counters move as that phase would
-  move them, and the generator resumes in place.
+  pending time lies strictly after the wake time and that time is within
+  the deadline, the timed phase would wake this process alone next:
+  ``now`` advances, the four counters move as that phase would move them,
+  and the generator resumes in place.
 """
 
 from __future__ import annotations
@@ -103,18 +92,18 @@ class Simulator:
         self._elaborated = False
         self._running = False
         #: The timed queue: a heap of distinct pending times, and each
-        #: time's bucket in scheduling order — a waiting :class:`Process`
-        #: bare, a timed notify as ``(event, epoch)`` (fired only while the
-        #: epoch matches).
+        #: time's bucket of waiting processes in the order they yielded.
         self._heap: List[int] = []
-        self._buckets: Dict[int, List[object]] = {}
-        #: Mixed delta queue preserving notification order: ``(event, epoch)``
-        #: tuples for ``notify(0)``, bare processes for direct delta waits.
-        self._delta_queue: List[object] = []
+        self._buckets: Dict[int, List[Process]] = {}
+        #: The processes that yielded ``0``, in the order they yielded.
+        self._delta_queue: List[Process] = []
         self._immediate_runnable: List[Process] = []
+        #: How many processes at the head of ``_immediate_runnable`` are the
+        #: rest of a batch a :class:`ProcessError` cut short.
+        self._cut_short = 0
         #: The probe bus; the kernel emits ``sync`` (every event notify and
-        #: every event-driven wake).  Unsubscribed, that costs one hoisted
-        #: ``is not None`` test per wake in the hot loop.
+        #: every event-driven wake).  Unsubscribed, that costs one
+        #: ``is not None`` test per notify.
         self.probes = probes if probes is not None else Probes()
         #: The process being evaluated right now (see :attr:`current_process`).
         self._current_process: Optional[Process] = None
@@ -182,60 +171,25 @@ class Simulator:
         # so they and their bound methods hoist out of the loop.
         runnable = self._immediate_runnable
         delta_queue = self._delta_queue
-        wake = runnable.append
         extend = runnable.extend
-        # The ``sync`` probe (``None`` with no subscriber): one hoisted test
-        # per event-driven wake; timer and delta-wait wakes resume the same
-        # process and carry no cross-process edge, so they skip it.
-        sync = self.probes.sync
         # A run-ahead step counts one delta cycle, timed step and fired
         # timer (its activation is counted where the process resumes).
         n_deltas = n_steps = n_activations = n_fired = n_ahead = 0
-        # The entries to wake before the next evaluation phase: the delta
-        # queue's, or the bucket the timed phase popped (never both).
-        due = None
+        # The first evaluation phase ends the delta cycle a ProcessError
+        # cut short (counted already): the rest of its batch runs alone,
+        # before the next delta cycle's wakes.  Usually it is empty.
+        count = self._cut_short
+        processes = runnable[:count]
+        del runnable[:count]
+        self._cut_short = 0
+        now = self.now
         clean_exit = False
         try:
             while True:
                 # -- delta cycles at the current time --------------------------
                 deltas_here = 0
                 while True:
-                    if delta_queue:
-                        due = delta_queue[:]
-                        delta_queue.clear()
-                    if due:
-                        # Delta (or timed) notification phase: wake in exact
-                        # scheduling order.  A bare process (a timer or a
-                        # direct delta wait) is always live: it waits on
-                        # nothing else.  An ``(event, epoch)`` entry fires
-                        # only while its scheduling epoch is still current.
-                        for entry in due:
-                            if entry.__class__ is tuple:
-                                event, epoch = entry
-                                if event._epoch == epoch:
-                                    n_fired += 1
-                                    waiters = event._fire()
-                                    if sync is not None:
-                                        for p in waiters:
-                                            sync("wake", event, p)
-                                    extend(waiters)
-                            else:
-                                n_fired += 1
-                                wake(entry)
-                        due = None
-                    count = len(runnable)
-                    if not count:
-                        break
-                    n_deltas += 1
-                    deltas_here += 1
-                    if deltas_here > max_deltas:
-                        raise DeltaCycleLimitExceeded(max_deltas)
-                    # Evaluation set: the runnable list is recycled in place
-                    # (wakes during evaluation land in the next delta cycle).
-                    processes = runnable[:]
-                    runnable.clear()
                     # Evaluation phase.
-                    now = self.now
                     for process in processes:
                         self._current_process = process
                         while True:  # re-entered only by the run-ahead below
@@ -287,6 +241,24 @@ class Simulator:
                             else:
                                 raise self._refuse(process, request)
                             break
+                    # Delta notification phase: wake the delta waits in the
+                    # order they were yielded, after the immediate wakes.
+                    if delta_queue:
+                        n_fired += len(delta_queue)
+                        extend(delta_queue)
+                        delta_queue.clear()
+                    count = len(runnable)
+                    if not count:
+                        break
+                    n_deltas += 1
+                    deltas_here += 1
+                    if deltas_here > max_deltas:
+                        raise DeltaCycleLimitExceeded(max_deltas)
+                    # The next evaluation set: the runnable list is recycled
+                    # in place (wakes during evaluation land in the next
+                    # delta cycle).
+                    processes = runnable[:]
+                    runnable.clear()
                 # -- timed notification phase ----------------------------------
                 if not heap:
                     break
@@ -297,11 +269,16 @@ class Simulator:
                 self.now = self.last_activity_time = now
                 n_steps += 1
                 due = buckets.pop(now)
+                n_fired += len(due)
+                extend(due)
+                processes = ()  # the last batch ran; the bucket is next
             clean_exit = True
         except ProcessError:
-            # Put back the rest of the batch, so a later ``run()`` still
-            # evaluates it at this time.
-            runnable[:0] = processes[processes.index(process) + 1:]
+            # Put back the rest of the batch at the head of the runnable
+            # list, so a later ``run()`` still evaluates it at this time.
+            rest = processes[processes.index(process) + 1:]
+            runnable[:0] = rest
+            self._cut_short = len(rest)
             raise
         finally:
             self._running = False
@@ -354,11 +331,9 @@ class Simulator:
     def next_activity_time(self) -> Optional[int]:
         """Earliest time at which this simulator has work, or ``None``.
 
-        ``now`` when delta/immediate work is queued, else the earliest
-        pending time.  Its bucket may hold only stale (overridden) entries,
-        so the returned bound can be earlier than the first entry that
-        actually fires — a conservative lower bound, which is exactly what
-        the PDES coordinator needs for a sound lookahead horizon.
+        ``now`` when delta or immediate work is queued, else the earliest
+        pending time.  Every queued entry is a live wait, so the value is
+        exact: the time at which the next process resumes.
         """
         if self._immediate_runnable or self._delta_queue:
             return self.now
@@ -372,7 +347,7 @@ class Simulator:
 
     @property
     def runnable_depth(self) -> int:
-        """Processes/events queued for the current delta cycle.
+        """Processes runnable at the current time, not yet evaluated.
 
         A point-in-time congestion gauge (how much work the scheduler has
         stacked up *right now*), sampled by the observability metrics

@@ -230,7 +230,7 @@ class MeshNoc(Fabric):
                 f"serve_{region.name}")
 
     # -- master-side entry point -----------------------------------------------------
-    def _post(self, port: MasterPort, request: BusRequest) -> None:
+    def _post(self, port: MasterPort, request: BusRequest) -> Optional[int]:
         if port.master_id in self._inflight:
             raise RuntimeError(
                 f"master {port.master_id} posted a request while one is "
@@ -239,8 +239,7 @@ class MeshNoc(Fabric):
         try:
             slave, offset, _region = self.address_map.decode(request.address)
         except AddressDecodeError:
-            self._complete_decode_error(port, request)
-            return
+            return self._complete_decode_error(port, request)
         self._inflight.add(port.master_id)
         now = self.sim_now()
         src = self.node_of_master(port.master_id)
@@ -258,6 +257,7 @@ class MeshNoc(Fabric):
         )
         packet.path, packet.lanes = self._route(src, dst, request.master_id)
         self._inject("req", packet)
+        return None
 
     # -- routing -----------------------------------------------------------------
     def _route(self, src: int, dst: int, lane0: int

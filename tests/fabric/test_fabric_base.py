@@ -21,7 +21,7 @@ from repro.fabric import (
     percentile_summary,
 )
 from repro.interconnect import Crossbar, SharedBus
-from repro.kernel import Module, Simulator
+from repro.kernel import Module, SimulationStats, Simulator
 from repro.noc import MeshNoc, NocConfig
 
 TOPOLOGIES = ["shared_bus", "crossbar", "mesh"]
@@ -139,10 +139,11 @@ class SlowSlave(BusSlave):
         return BusResponse(data=offset), 3
 
 
-#: ``(time, status, total_cycles)`` per master of the race below.  The bus
-#: holds its one channel for the misdecoded read (arbitration + one error
-#: cycle), so master 1 waits behind it; the concurrent topologies answer a
-#: decode error at once, and master 1's read crosses the mesh both ways.
+#: ``(time, status, total_cycles)`` of each master's first read in the race
+#: below.  The bus holds its one channel for the misdecoded read
+#: (arbitration + one error cycle), so master 1 waits behind it; the
+#: concurrent topologies answer a decode error at once, and master 1's read
+#: crosses the mesh both ways.
 DECODE_ERROR_TIMING = {
     "shared_bus": {0: (20, ResponseStatus.DECODE_ERROR, 2),
                    1: (60, ResponseStatus.OK, 4)},
@@ -152,20 +153,32 @@ DECODE_ERROR_TIMING = {
              1: (160, ResponseStatus.OK, 16)},
 }
 
+#: When each master resumes after each of its three reads, master 0's
+#: ``wait_cycles`` and the four scheduler counters of the whole race.  On
+#: the crossbar and the mesh a decode error completes one cycle after its
+#: post, with no wait.
+DECODE_ERROR_RESUMES = {
+    "shared_bus": ({0: [20, 80, 140], 1: [60, 120, 180]}, 8,
+                   (26, 18, 28, 30)),
+    "crossbar": ({0: [10, 20, 30], 1: [40, 80, 120]}, 0, (19, 12, 24, 21)),
+    "mesh": ({0: [10, 20, 30], 1: [160, 320, 480]}, 0, (73, 48, 116, 99)),
+}
+
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_decode_error_timing(topology):
-    """Master 0 reads an unmapped address while master 1 reads a 3-cycle
-    slave, both at t=0: every topology completes them when it always
-    has."""
+    """Master 0 reads an unmapped address three times back to back while
+    master 1 reads a 3-cycle slave three times, both from t=0: every
+    topology completes and resumes them when it always has."""
     top = Module("top")
     fab = make_fabric(topology, top)
     fab.attach_slave("ram", 0x0, 0x1000, SlowSlave())
     completions = {}
     fab.probes.subscribe(port_complete=lambda port, request, response:
-                         completions.__setitem__(port.master_id, (
+                         completions.setdefault(port.master_id, (
                              fab.sim_now(), response.status,
                              response.total_cycles)))
+    resumes = {0: [], 1: []}
 
     class Driver(Module):
         def __init__(self, name, port, address, parent):
@@ -175,13 +188,20 @@ def test_decode_error_timing(topology):
             self.add_process(self._run)
 
         def _run(self):
-            yield from self.port.read(self.address)
+            for _ in range(3):
+                yield from self.port.read(self.address)
+                resumes[self.port.master_id].append(fab.sim_now())
 
     Driver("m0", fab.master_port(0), 0x8000, top)
     Driver("m1", fab.master_port(1), 0x10, top)
-    Simulator(top).run()
+    sim = Simulator(top)
+    sim.run()
     assert completions == DECODE_ERROR_TIMING[topology]
-    assert fab.stats.decode_errors == 1
+    assert fab.stats.decode_errors == 3
+    assert (resumes, fab.stats.master(0).wait_cycles,
+            tuple(getattr(sim.stats, name)
+                  for name in SimulationStats.COUNTERS)
+            ) == DECODE_ERROR_RESUMES[topology]
 
 
 class TestEmptyPercentileSummary:

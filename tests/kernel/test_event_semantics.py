@@ -1,15 +1,17 @@
-"""Event notification semantics: overrides and end-time invariants.
+"""Event notification semantics and end-time invariants.
 
-Covers the corner cases the epoch-checked queues were introduced for:
+Covers:
 
-* delta-overrides-timed (the stale timed queue entry must not fire — the
-  historical double-wake);
-* earlier-timed-overrides-later (with the stale later entry ignored);
-* re-notification: a repeated request fires once, an immediate ``notify()``
-  ends a pending one, and a fired event can be notified again;
-* immediate ``notify()`` with and without waiters — the wake order, the
-  ``sync`` probe's call sequence and ``events_fired`` — and a process
-  woken exactly once per wait;
+* re-notification: every notify fires and counts, a waiter wakes once per
+  wait however often its event is notified, and a fired event can be
+  notified again;
+* immediate ``notify()`` with and without waiters — the wake order (ahead
+  of that delta cycle's ``yield 0`` wakes), the ``sync`` probe's call
+  sequence and ``events_fired`` — a notify that nobody waits for is not
+  remembered, and a process is woken exactly once per wait;
+* delta waits woken in the order they were yielded;
+* ``next_activity_time()``, which is exact: ``now`` while work is runnable
+  at the current time, else the time the next timed wait resumes;
 * ``run(duration)`` / ``run_until`` end-time invariants: ``now`` always
   lands on the requested deadline (SystemC ``sc_start`` semantics), and
   ``stats.end_time`` equals the final ``now``;
@@ -18,7 +20,7 @@ Covers the corner cases the epoch-checked queues were introduced for:
 
 import pytest
 
-from repro.kernel import Event, Module, Probes, Simulator
+from repro.kernel import Event, Module, ProcessError, Probes, Simulator
 
 
 def build(top_builder):
@@ -28,129 +30,11 @@ def build(top_builder):
     return sim
 
 
-class TestNotificationOverrides:
-    def test_delta_overrides_timed_no_double_wake(self):
-        """The historical double-wake: a delta override leaves a stale timed
-        queue entry behind; when its time comes it must not fire the event
-        again."""
-        wakes = []
-
-        def builder(top):
-            mod = Module("m", parent=top)
-            ev = mod.add_event(Event("go"))
-            builder.ev = ev
-
-            # The watcher waits on the event again after every wake, so a
-            # double fire is observable as a double wake.
-            def watcher():
-                while True:
-                    yield ev
-                    wakes.append(sim.now)
-
-            def arm():
-                yield 2
-                ev.notify(10)   # timed: queue entry @12
-                ev.notify(0)    # delta override: fires next delta @2
-                yield 5         # the stale @12 entry is still queued at 7
-                builder.bucket = list(sim._buckets[12])
-                yield 20        # run past the stale @12 entry
-
-            mod.add_process(watcher)
-            mod.add_process(arm)
-
-        sim = build(builder)
-        sim.run()
-        # Exactly one notification wake at t=2 — nothing at t=12.
-        assert wakes == [2]
-        # White-box: the t=12 bucket holds the stale ``(event, epoch)``
-        # entry, and its epoch no longer matches.
-        stale = [entry for entry in builder.bucket
-                 if entry.__class__ is tuple and entry[0] is builder.ev]
-        assert len(stale) == 1
-        assert all(epoch != builder.ev._epoch for _, epoch in stale)
-
-    def test_earlier_timed_overrides_later_stale_entry_ignored(self):
-        wakes = []
-
-        def builder(top):
-            mod = Module("m", parent=top)
-            ev = mod.add_event(Event("go"))
-
-            def waiter():
-                while True:
-                    yield ev
-                    wakes.append(sim.now)
-
-            def driver():
-                yield 1
-                ev.notify(50)  # queue entry @51
-                ev.notify(5)   # earlier wins: fires @6
-                yield 100      # run past the stale @51 entry
-
-            mod.add_process(waiter)
-            mod.add_process(driver)
-
-        sim = build(builder)
-        sim.run()
-        assert wakes == [6]
-
-    def test_later_timed_notification_is_ignored(self):
-        wakes = []
-
-        def builder(top):
-            mod = Module("m", parent=top)
-            ev = mod.add_event(Event("go"))
-
-            def waiter():
-                while True:
-                    yield ev
-                    wakes.append(sim.now)
-
-            def driver():
-                yield 1
-                ev.notify(5)    # fires @6
-                ev.notify(50)   # later: ignored entirely
-                yield 100
-
-            mod.add_process(waiter)
-            mod.add_process(driver)
-
-        sim = build(builder)
-        sim.run()
-        assert wakes == [6]
-
-    def test_delta_pending_wins_over_new_timed(self):
-        wakes = []
-
-        def builder(top):
-            mod = Module("m", parent=top)
-            ev = mod.add_event(Event("go"))
-
-            def waiter():
-                while True:
-                    yield ev
-                    wakes.append(sim.now)
-
-            def driver():
-                yield 4
-                ev.notify(0)    # delta pending
-                ev.notify(3)    # timed after a pending delta: ignored
-                yield 10
-
-            mod.add_process(waiter)
-            mod.add_process(driver)
-
-        sim = build(builder)
-        sim.run()
-        assert wakes == [4]
-
-
 class TestRenotify:
-    """A notification fires once however often it is requested before it
-    fires, an immediate ``notify()`` ends whatever was pending, and an event
-    that fired can be notified again."""
+    """Every notify fires and counts; a waiter wakes once per wait, and an
+    event that fired can be notified again."""
 
-    def test_repeated_delta_notification_fires_once(self):
+    def test_repeated_notify_wakes_a_waiter_once_and_counts_each(self):
         wakes = []
 
         def builder(top):
@@ -164,8 +48,8 @@ class TestRenotify:
 
             def driver():
                 yield 3
-                ev.notify(0)
-                ev.notify(0)  # already pending as a delta: no second entry
+                ev.notify()
+                ev.notify()  # the waiter is already runnable: wakes nobody
                 yield 5
 
             mod.add_process(waiter)
@@ -174,9 +58,9 @@ class TestRenotify:
         sim = build(builder)
         stats = sim.run()
         assert wakes == [3]
-        assert stats.events_fired == 3  # driver's two timers + one delta
+        assert stats.events_fired == 4  # driver's two timers + two notifies
 
-    def test_immediate_notify_ends_a_pending_delta_notification(self):
+    def test_a_waiter_that_waits_again_wakes_on_a_later_notify_at_once(self):
         wakes = []
 
         def builder(top):
@@ -189,43 +73,21 @@ class TestRenotify:
                     wakes.append(sim.now)
 
             def driver():
-                yield 2
-                ev.notify(0)  # delta entry, made stale by the next line
+                yield 3
                 ev.notify()
-                yield 5
+                yield 0  # runs beside the woken waiter, which waits again
+                ev.notify()
 
             mod.add_process(waiter)
             mod.add_process(driver)
 
         sim = build(builder)
         stats = sim.run()
-        assert wakes == [2]
-        assert stats.events_fired == 3  # two timers + the immediate fire
-
-    def test_immediate_notify_ends_a_pending_timed_notification(self):
-        wakes = []
-
-        def builder(top):
-            mod = Module("m", parent=top)
-            ev = mod.add_event(Event("go"))
-
-            def waiter():
-                while True:
-                    yield ev
-                    wakes.append(sim.now)
-
-            def driver():
-                yield 2
-                ev.notify(10)  # queue entry @12, made stale by the next line
-                ev.notify()
-                yield 20
-
-            mod.add_process(waiter)
-            mod.add_process(driver)
-
-        sim = build(builder)
-        sim.run()
-        assert wakes == [2]
+        assert wakes == [3, 3]
+        # One at 0; at 3 the driver, then the waiter with the driver's
+        # delta wake, then the waiter again.
+        assert stats.delta_cycles == 4
+        assert stats.events_fired == 4  # a timer, a delta wake, two notifies
 
     def test_event_fires_again_when_notified_after_it_fired(self):
         wakes = []
@@ -240,10 +102,10 @@ class TestRenotify:
                     wakes.append(sim.now)
 
             def driver():
-                yield 1
-                ev.notify(5)   # fires @6
+                yield 6
+                ev.notify()
                 yield 10
-                ev.notify(5)   # fires @16: the first one is no longer pending
+                ev.notify()
                 yield 10
 
             mod.add_process(waiter)
@@ -411,45 +273,140 @@ class TestIntWaits:
 
 
 class TestDeltaWaitOrdering:
-    def test_direct_delta_wait_interleaves_with_event_deltas(self):
-        """Delta wakes preserve notification order across both mechanisms."""
+    def test_delta_waits_wake_in_the_order_they_were_yielded(self):
         order = []
 
         def builder(top):
             mod = Module("m", parent=top)
             ev = mod.add_event(Event("go"))
 
-            def event_waiter():
-                yield ev
-                order.append("event")
+            def delta_waiter(name, wait):
+                def body():
+                    yield wait
+                    yield 0
+                    order.append(name)
+                return body
 
-            def delta_waiter():
-                yield 1
-                yield 0
-                order.append("delta")
+            # Registered first, but it yields 0 last: after the notify.
+            mod.add_process(delta_waiter("c", ev), name="c")
+            mod.add_process(delta_waiter("a", 1), name="a")
 
             def driver():
                 yield 1
-                ev.notify(0)
+                ev.notify()
+                yield 0
+                order.append("b")
 
-            mod.add_process(event_waiter)
-            mod.add_process(delta_waiter)
             mod.add_process(driver)
 
         sim = build(builder)
+        stats = sim.run()
+        assert order == ["a", "b", "c"]
+        # One at 0; at 1 a and the driver, then c (woken at once) with
+        # their delta wakes, then c's.
+        assert stats.delta_cycles == 4
+
+
+class TestNextActivityTime:
+    """``next_activity_time()`` is exact: ``now`` while work is runnable
+    at the current time, else when the next timed wait resumes."""
+
+    def test_is_none_once_nothing_is_left(self):
+        def builder(top):
+            mod = Module("m", parent=top)
+
+            def proc():
+                yield 10
+
+            mod.add_process(proc)
+
+        sim = build(builder)
         sim.run()
-        # delta_waiter's delta wait is scheduled during its activation, which
-        # precedes driver's notify(0) in the same evaluation phase — so the
-        # direct delta wake fires first, exactly as the per-wait waker event
-        # did before the fast path.
-        assert order == ["delta", "event"]
+        assert sim.next_activity_time() is None
+
+    @pytest.mark.parametrize("window, next_wake", [
+        (5, 10),   # the window ends before the wake at 10
+        (10, 20),  # it ends on the wake at 10, which waits again
+        (15, 20),  # it ends between the wakes at 10 and 20
+    ])
+    def test_is_the_next_wake_after_a_window(self, window, next_wake):
+        def builder(top):
+            mod = Module("m", parent=top)
+
+            def proc():
+                while True:
+                    yield 10
+
+            mod.add_process(proc)
+
+        sim = build(builder)
+        sim.run(window)
+        assert sim.now == window
+        assert sim.next_activity_time() == next_wake
+
+    def test_is_the_earliest_of_several_pending_times(self):
+        def builder(top):
+            mod = Module("m", parent=top)
+            for name, wait in (("a", 30), ("b", 20), ("c", 50), ("d", 20)):
+                def proc(wait=wait):
+                    yield wait
+                mod.add_process(proc, name=name)
+
+        sim = build(builder)
+        sim.run(0)
+        assert sim.next_activity_time() == 20
+        sim.run(20)
+        assert sim.next_activity_time() == 30
+
+    def test_a_process_parked_on_an_event_adds_no_time(self):
+        def builder(top):
+            mod = Module("m", parent=top)
+            ev = mod.add_event(Event("never"))
+
+            def parked():
+                yield ev
+
+            def timer():
+                yield 40
+
+            mod.add_process(parked)
+            mod.add_process(timer)
+
+        sim = build(builder)
+        sim.run(0)
+        assert sim.next_activity_time() == 40
+        sim.run()
+        assert sim.next_activity_time() is None
+        assert not sim.pending_activity
+
+    def test_is_now_while_a_failed_batch_waits_to_finish(self):
+        def builder(top):
+            mod = Module("m", parent=top)
+
+            def failing():
+                yield 6
+                raise ValueError("boom")
+
+            def rest():
+                yield 6
+                yield 10
+
+            mod.add_process(failing)
+            mod.add_process(rest)
+
+        sim = build(builder)
+        with pytest.raises(ProcessError, match="boom"):
+            sim.run()
+        assert (sim.now, sim.next_activity_time()) == (6, 6)
+        sim.run(0)  # evaluates the rest of the batch, which waits 10
+        assert sim.next_activity_time() == 16
 
 
 class TestImmediateNotify:
-    """``notify()`` with no delay: who wakes, what the ``sync`` probe sees
+    """``notify()``: who wakes, what the ``sync`` probe sees
     and what ``events_fired`` counts."""
 
-    def test_no_waiter_fires_counts_and_cancels_the_pending_one(self):
+    def test_no_waiter_fires_counts_and_is_not_remembered(self):
         wakes = []
 
         def builder(top):
@@ -463,8 +420,7 @@ class TestImmediateNotify:
 
             def driver():
                 yield 2
-                ev.notify(10)  # queue entry @12
-                ev.notify()    # nobody waits: fires, and @12 is now stale
+                ev.notify()    # nobody waits: fires, and nothing is kept
                 yield 18
                 ev.notify()    # @20
 
@@ -474,9 +430,64 @@ class TestImmediateNotify:
         sim = build(builder)
         stats = sim.run()
         assert wakes == [20]
-        # Three timer wakes and the two immediate fires; the stale @12
-        # entry pops without firing.
+        # Three timer wakes and the two immediate fires.
         assert stats.events_fired == 5
+
+    def test_a_notify_before_the_wait_in_one_delta_cycle_is_missed(self):
+        wakes = []
+
+        def builder(top):
+            mod = Module("m", parent=top)
+            ev = mod.add_event(Event("go"))
+
+            def driver():
+                yield 2
+                ev.notify()  # evaluated first at 2: nobody waits yet
+                yield 5
+                ev.notify()  # @7
+
+            def late_waiter():
+                yield 2
+                yield ev  # the same delta cycle, after the notify
+                wakes.append(sim.now)
+
+            mod.add_process(driver)
+            mod.add_process(late_waiter)
+
+        sim = build(builder)
+        sim.run()
+        assert wakes == [7]
+
+    def test_a_notify_chain_costs_one_delta_cycle_per_link(self):
+        wakes = []
+
+        def builder(top):
+            mod = Module("m", parent=top)
+            links = [mod.add_event(Event(f"link{i}")) for i in range(3)]
+
+            def relay(i):
+                def body():
+                    yield links[i]
+                    wakes.append((i, sim.now))
+                    if i + 1 < len(links):
+                        links[i + 1].notify()
+                return body
+
+            for i in reversed(range(3)):  # registration order is irrelevant
+                mod.add_process(relay(i), name=f"relay{i}")
+
+            def driver():
+                yield 4
+                links[0].notify()
+
+            mod.add_process(driver)
+
+        sim = build(builder)
+        stats = sim.run()
+        assert wakes == [(0, 4), (1, 4), (2, 4)]
+        # One at 0, one at 4 for the driver, then one per relay.
+        assert stats.delta_cycles == 5
+        assert stats.events_fired == 4  # the timer and three notifies
 
     def test_a_woken_waiter_is_not_woken_again_by_its_old_event(self):
         wakes = []
@@ -561,10 +572,10 @@ class TestImmediateNotify:
         def builder(top):
             mod = Module("m", parent=top)
             now_ev = mod.add_event(Event("now"))
-            delta_ev = mod.add_event(Event("delta"))
 
             def delta_waiter():
-                yield delta_ev
+                yield 1
+                yield 0  # queued first ...
                 order.append(("delta", sim.now))
 
             def immediate_waiter():
@@ -573,8 +584,7 @@ class TestImmediateNotify:
 
             def driver():
                 yield 1
-                delta_ev.notify(0)  # scheduled first ...
-                now_ev.notify()     # ... but this waiter is runnable at once
+                now_ev.notify()  # ... but this waiter is runnable at once
 
             mod.add_process(delta_waiter)
             mod.add_process(immediate_waiter)
@@ -583,8 +593,8 @@ class TestImmediateNotify:
         sim = build(builder)
         stats = sim.run()
         assert order == [("immediate", 1), ("delta", 1)]
-        # One delta cycle at 0, one at 1 for the driver, and one more at 1
-        # that runs both waiters together.
+        # One delta cycle at 0, one at 1 for the delta waiter and the
+        # driver, and one more at 1 that runs both waiters together.
         assert stats.delta_cycles == 3
 
     def test_sync_probe_sees_one_notify_then_the_wakes_in_order(self):

@@ -5,9 +5,10 @@ resumes it in place instead of pushing its timer and popping it again.
 Each case below pins the exact ``(now, process)`` activation trace and the
 four scheduler counters ``(delta_cycles, timed_steps, process_activations,
 events_fired)`` at an edge of that shortcut: the ``run(duration)``
-deadline, a stale timed entry, a return, an exception, a notify made
-during a lone step, a timer yielded while other processes still wait to
-run in the same delta cycle, and the per-timestep delta-cycle limit.  The
+deadline, another process's timer before, at or after the lone wake, a
+return, an exception, a notify made during a lone step (with and without
+a waiter), a timer yielded while other processes still wait
+to run in the same delta cycle, and the per-timestep delta-cycle limit.  The
 expected values are worked out by hand from the general scheduling
 algorithm (push the timer, pop it in the timed phase, evaluate the woken
 process in a new delta cycle), so they hold with or without the run-ahead.
@@ -78,33 +79,31 @@ def test_deadline_between_lone_wakes_splits_a_run_exactly(split):
     assert whole.counters() == sliced.counters()
 
 
-@pytest.mark.parametrize("stale_at, timed_steps", [
-    (5, 3),   # its own step before the wake at 10
-    (10, 2),  # popped in the same step as the wake at 10
-    (15, 3),  # its own step between the wakes at 10 and 20
+@pytest.mark.parametrize("other_at, timed_steps", [
+    (5, 4),   # its own step before the wake at 10
+    (10, 3),  # popped in the same step as the wake at 10
+    (15, 4),  # its own step between the wakes at 10 and 20
 ])
-def test_stale_heap_entry_costs_its_timed_step(stale_at, timed_steps):
+def test_another_timer_costs_its_timed_step_unless_it_shares_one(
+        other_at, timed_steps):
     bench = Bench()
-    ev = bench.top.add_event(Event("ev"))
+    bench.top.add_process(ticker(bench, ticks=3))
 
-    def body():
-        ev.notify(stale_at)
-        ev.notify(0)  # overrides: the timed entry stays behind, stale
-        bench.log("tick")
-        yield 10
-        bench.log("tick")
-        yield 10
-        bench.log("tick")
+    def other():
+        yield other_at
+        bench.log("other")
 
-    bench.top.add_process(body)
+    bench.top.add_process(other)
     bench.sim.run()
-    assert bench.trace == [(0, "tick"), (10, "tick"), (20, "tick")]
-    assert bench.sim.now == 20
-    # Three delta cycles (0, 10, 20) and activations.  The overriding
-    # delta notification fires at 0 with nobody waiting (no delta cycle)
-    # and the two timers fire; the stale entry never does, but its pop
-    # costs a timed step unless it shares the one at 10.
-    assert bench.counters() == (3, timed_steps, 3, 3)
+    assert bench.trace == sorted(
+        [(0, "tick"), (10, "tick"), (20, "tick"), (other_at, "other")],
+        key=lambda entry: entry[0])  # stable: the ticker yielded first
+    # One delta cycle per distinct time (0, 10, 20, 30 and other_at) and
+    # one timed step per distinct time after 0; four ticker activations
+    # (the last ends its loop at 30) and two of ``other``; four timers
+    # fired.  The ticker's wake at 20 is a run-ahead only when ``other``
+    # fired first.
+    assert bench.counters() == (timed_steps + 1, timed_steps, 6, 4)
 
 
 @pytest.mark.parametrize("duration, end", [(None, 30), (100, 100)])
@@ -149,13 +148,8 @@ def test_exception_in_a_lone_step_is_a_process_error():
     assert bench.counters() == (3, 2, 3, 2)
 
 
-@pytest.mark.parametrize("delay, woken_at, timed_steps", [
-    (None, 10, 3),  # immediate: the next delta cycle at 10
-    (0, 10, 3),     # delta: the next delta cycle at 10
-    (5, 15, 4),     # timed: its own step at 15, before the wake at 20
-])
-def test_notify_inside_a_lone_step_wakes_its_waiter_in_order(
-        delay, woken_at, timed_steps):
+@pytest.mark.parametrize("waiting", [True, False])
+def test_notify_inside_a_lone_step_wakes_its_waiter_in_order(waiting):
     bench = Bench()
     ev = bench.top.add_event(Event("ev"))
 
@@ -167,21 +161,30 @@ def test_notify_inside_a_lone_step_wakes_its_waiter_in_order(
     def body():
         bench.log("tick")
         yield 10
-        bench.log("tick")  # alone here: the waiter is parked on ev
-        ev.notify(delay)
+        bench.log("tick")  # alone here: the waiter (if any) is parked on ev
+        ev.notify()
         yield 10
         bench.log("tick")
         yield 10
         bench.log("tick")
 
-    bench.top.add_process(waiter)
+    if waiting:
+        bench.top.add_process(waiter)
     bench.top.add_process(body)
     bench.sim.run()
-    assert bench.trace == [(0, "waiter"), (0, "tick"), (10, "tick"),
-                           (woken_at, "waiter"), (20, "tick"), (30, "tick")]
-    # Delta cycles at 0, 10, woken_at (10 again or 15), 20 and 30; two
-    # waiter and four ticker activations; three timers and ev fired.
-    assert bench.counters() == (5, timed_steps, 6, 4)
+    ticks = [(0, "tick"), (10, "tick"), (20, "tick"), (30, "tick")]
+    if waiting:
+        assert bench.trace == [(0, "waiter")] + ticks[:2] + [
+            (10, "waiter")] + ticks[2:]
+        # Delta cycles at 0, 10 (twice: the waiter runs in the next one),
+        # 20 and 30; two waiter and four ticker activations; three timers
+        # and ev fired.
+        assert bench.counters() == (5, 3, 6, 4)
+    else:
+        # Nobody woke, so the ticker stays alone: one delta cycle at each
+        # of 0, 10, 20 and 30; ev's notify counts as fired all the same.
+        assert bench.trace == ticks
+        assert bench.counters() == (4, 3, 4, 4)
 
 
 def test_timer_yielded_in_a_shared_delta_cycle_waits_for_the_rest_of_it():

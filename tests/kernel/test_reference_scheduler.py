@@ -1,18 +1,17 @@
 """The kernel against a reference scheduler, on generated process scripts.
 
 :class:`Reference` restates the algorithm of :mod:`repro.kernel.simulator`
-in the plainest form: every wait, timed or delta, is a fresh
-:class:`RefEvent` with one waiter, notified with the wait's delay; the
-delta queue and the runnable set are plain lists swapped out whole; and
-there is no run-ahead, no process acting as its own timer and no immediate
-wake shortcut.  Hypothesis draws scripts of two to six processes, each a
-list of ``wait n`` / ``wait 0`` / ``wait event k`` / ``notify k``
-(immediate, delta or timed) steps, sometimes under a delta-cycle limit of
-three, and runs them on the kernel and on the reference, once in one
-``run()`` and once sliced into random ``run(duration)`` windows.  The
-``(time, process, step)`` trace, the end time, the time of the last timed
-step, the four scheduler counters and whether the delta-cycle limit
-tripped must all agree.
+in the plainest form: the timed queue is one heap of ``(time, sequence,
+process)`` entries, the delta queue and the runnable set are plain lists
+swapped out whole, and there is no run-ahead, no time bucket and no
+immediate wake shortcut.  Hypothesis draws scripts of two to six
+processes, each a list of ``wait n`` / ``wait 0`` / ``wait event k`` /
+``notify k`` steps, sometimes under a delta-cycle limit of three, and runs
+them on the kernel and on the reference, once in one ``run()`` and once
+sliced into random ``run(duration)`` windows.  The ``(time, process,
+step)`` trace, the end time, the time of the last timed step, the four
+scheduler counters, ``next_activity_time()`` after every window and
+whether the delta-cycle limit tripped must all agree.
 """
 
 import heapq
@@ -24,31 +23,15 @@ from repro.kernel import DeltaCycleLimitExceeded, Event, Module, Simulator
 
 
 class RefEvent:
-    """An event of the reference: waiters, the pending notification
-    (``None``, ``"delta"`` or an absolute time) and its epoch."""
+    """An event of the reference: the processes waiting on it."""
 
     def __init__(self, ref):
-        self.ref, self.waiters, self.pending, self.epoch = ref, [], None, 0
+        self.ref, self.waiters = ref, []
 
-    def notify(self, delay=None):
-        ref = self.ref
-        if delay is None:
-            ref.counters[3] += 1
-            ref.runnable += self.fire()
-        elif delay == 0:
-            if self.pending != "delta":
-                self.pending, self.epoch = "delta", self.epoch + 1
-                ref.deltas.append((self, self.epoch))
-        elif self.pending != "delta" and (self.pending is None
-                                          or self.pending > ref.now + delay):
-            self.pending, self.epoch = ref.now + delay, self.epoch + 1
-            heapq.heappush(ref.timed,
-                           (self.pending, next(ref.seq), self, self.epoch))
-
-    def fire(self):
-        self.pending, self.epoch = None, self.epoch + 1
-        waiters, self.waiters = self.waiters, []
-        return waiters
+    def notify(self):
+        self.ref.counters[3] += 1
+        self.ref.runnable += self.waiters
+        self.waiters = []
 
 
 class Reference:
@@ -62,6 +45,11 @@ class Reference:
         #: delta_cycles, timed_steps, process_activations, events_fired
         self.counters = [0, 0, 0, 0]
 
+    def next_activity_time(self):
+        if self.runnable or self.deltas:
+            return self.now
+        return self.timed[0][0] if self.timed else None
+
     def run(self, duration=None):
         deadline = None if duration is None else self.now + duration
         self.last_activity_time = self.now
@@ -69,11 +57,9 @@ class Reference:
         while True:
             deltas_here = 0
             while True:
-                entries, self.deltas = self.deltas, []
-                for event, epoch in entries:
-                    if event.epoch == epoch:
-                        counters[3] += 1
-                        self.runnable += event.fire()
+                counters[3] += len(self.deltas)
+                self.runnable += self.deltas
+                self.deltas = []
                 if not self.runnable:
                     break
                 counters[0] += 1
@@ -89,20 +75,19 @@ class Reference:
                         continue
                     if isinstance(request, RefEvent):
                         request.waiters.append(process)
-                    else:  # a wait of ``request`` time units
-                        timer = RefEvent(self)
-                        timer.waiters.append(process)
-                        timer.notify(request)
+                    elif request == 0:
+                        self.deltas.append(process)
+                    else:
+                        heapq.heappush(self.timed, (self.now + request,
+                                                    next(self.seq), process))
             if not self.timed or (deadline is not None
                                   and self.timed[0][0] > deadline):
                 break
             self.now = self.last_activity_time = self.timed[0][0]
             counters[1] += 1
             while self.timed and self.timed[0][0] == self.now:
-                __, __, event, epoch = heapq.heappop(self.timed)
-                if event.epoch == epoch:
-                    counters[3] += 1
-                    self.runnable += event.fire()
+                counters[3] += 1
+                self.runnable.append(heapq.heappop(self.timed)[2])
         if deadline is not None and self.now < deadline:
             self.now = deadline
 
@@ -114,14 +99,14 @@ def scripted(index, script, trace):
     """A process body logging ``(now, process, step)`` before each step;
     ``env`` is the simulator or the reference, with ``env.events``."""
     def body(env):
-        for step, (op, arg, delay) in enumerate(script):
+        for step, (op, arg) in enumerate(script):
             trace.append((env.now, index, step))
             if op == "wait":
                 yield arg
             elif op == "wait_event":
                 yield env.events[arg]
             else:
-                env.events[arg].notify(delay)
+                env.events[arg].notify()
         trace.append((env.now, index, len(script)))
     return body
 
@@ -133,9 +118,11 @@ def execute(make, scripts, windows):
     env = make([scripted(index, script, trace)
                 for index, script in enumerate(scripts)])
     tripped = False
+    next_times = []
     try:
         for duration in windows:
             env.run(duration)
+            next_times.append(env.next_activity_time())
         env.run()
     except DeltaCycleLimitExceeded:
         tripped = True
@@ -143,7 +130,8 @@ def execute(make, scripts, windows):
     counters = (list(env.counters) if stats is None else
                 [stats.delta_cycles, stats.timed_steps,
                  stats.process_activations, stats.events_fired])
-    return trace, env.now, env.last_activity_time, counters, tripped
+    return (trace, env.now, env.last_activity_time, counters, next_times,
+            tripped)
 
 
 def kernel(max_deltas):
@@ -167,11 +155,10 @@ def reference(max_deltas):
 
 
 steps = st.one_of(
-    st.tuples(st.just("wait"), st.integers(1, 12), st.none()),
-    st.tuples(st.just("wait"), st.just(0), st.none()),
-    st.tuples(st.just("wait_event"), st.integers(0, EVENTS - 1), st.none()),
-    st.tuples(st.just("notify"), st.integers(0, EVENTS - 1),
-              st.one_of(st.none(), st.just(0), st.integers(1, 12))),
+    st.tuples(st.just("wait"), st.integers(1, 12)),
+    st.tuples(st.just("wait"), st.just(0)),
+    st.tuples(st.just("wait_event"), st.integers(0, EVENTS - 1)),
+    st.tuples(st.just("notify"), st.integers(0, EVENTS - 1)),
 )
 scripts = st.lists(st.lists(steps, max_size=8), min_size=2, max_size=6)
 windows = st.lists(st.integers(0, 15), max_size=4)

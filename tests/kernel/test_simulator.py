@@ -271,7 +271,8 @@ class TestEvents:
 
             def notifier():
                 yield 5
-                ev.notify(20)
+                yield 20  # a later notify is the notifier's own timer
+                ev.notify()
 
             mod.add_process(waiter)
             mod.add_process(notifier)
@@ -279,29 +280,6 @@ class TestEvents:
         sim, _ = build(builder)
         sim.run()
         assert log == [25]
-
-    def test_earlier_notification_overrides_later(self):
-        log = []
-
-        def builder(top):
-            mod = Module("m", parent=top)
-            ev = mod.add_event(Event("go"))
-
-            def waiter():
-                yield ev
-                log.append(sim.now)
-
-            def notifier():
-                yield 5
-                ev.notify(50)
-                ev.notify(10)  # earlier, should win
-
-            mod.add_process(waiter)
-            mod.add_process(notifier)
-
-        sim, _ = build(builder)
-        sim.run()
-        assert log == [15]
 
     def test_waiting_on_one_of_two_events_ignores_the_other(self):
         log = []
@@ -327,31 +305,6 @@ class TestEvents:
         sim, _ = build(builder)
         sim.run()
         assert log == [30]
-
-    def test_delta_override_fires_before_the_timed_notification(self):
-        log = []
-
-        def builder(top):
-            mod = Module("m", parent=top)
-            ev = mod.add_event(Event("go"))
-
-            def waiter():
-                while True:
-                    yield ev
-                    log.append(sim.now)
-
-            def notifier():
-                yield 5
-                ev.notify(10)  # due at 15
-                yield 2
-                ev.notify(0)   # overrides: fires at 7, and not again at 15
-
-            mod.add_process(waiter)
-            mod.add_process(notifier)
-
-        sim, _ = build(builder)
-        sim.run()
-        assert log == [7]
 
     def test_waiters_wake_in_the_order_they_waited(self):
         log = []
@@ -406,24 +359,13 @@ class TestEvents:
         with pytest.raises(RuntimeError, match="not attached"):
             Event("loose").notify()
 
-    def test_negative_delay_rejected(self):
-        def builder(top):
-            mod = Module("m", parent=top)
-            ev = mod.add_event(Event("go"))
-
-            def proc():
-                yield 1
-                ev.notify(-3)
-
-            mod.add_process(proc)
-
-        sim, _ = build(builder)
-        with pytest.raises(ProcessError):
-            sim.run()
+    def test_notify_takes_no_delay(self):
+        with pytest.raises(TypeError):
+            Event("go").notify(5)
 
 
 class TestDeltaCycles:
-    def test_delta_notification_wakes_at_the_same_time_one_delta_later(self):
+    def test_a_notify_and_a_delta_wait_wake_in_one_delta_cycle(self):
         observed = []
 
         def builder(top):
@@ -432,7 +374,7 @@ class TestDeltaCycles:
 
             def writer():
                 yield 10
-                ev.notify(0)
+                ev.notify()
                 observed.append(("notified", sim.now))
                 yield 0
                 observed.append(("writer, next delta", sim.now))
@@ -446,8 +388,8 @@ class TestDeltaCycles:
 
         sim, _ = build(builder)
         sim.run()
-        # The notification and the direct delta wait land in one delta
-        # cycle, in the order they were scheduled.
+        # The notified reader and the writer's delta wait land in one delta
+        # cycle at 10, the immediate wake first.
         assert observed == [("notified", 10), ("reader woke", 10),
                             ("writer, next delta", 10)]
         assert sim.stats.delta_cycles == 3
@@ -711,17 +653,77 @@ class TestErrorHandling:
         sim.run()
         assert log == [1]
 
+    @pytest.mark.parametrize("first", ["delta_wait", "immediate_notify"])
+    def test_a_recovered_process_error_ends_its_delta_cycle_first(self,
+                                                                  first):
+        """At t=1, p1 waits a delta (or notifies ``ev``, which w waits on),
+        p2 fails and p3, the rest of the batch, wakes x at once and waits a
+        delta.  A later ``run()`` evaluates p3 alone before the next delta
+        cycle's wakes, so the trace and the four counters equal a run in
+        which p2 returns instead of raising."""
+        def scenario(fail):
+            trace = []
+
+            def builder(top):
+                mod = Module("m", parent=top)
+                ev = mod.add_event(Event("ev"))
+                kick = mod.add_event(Event("kick"))
+
+                def p1():
+                    yield 1
+                    trace.append("p1")
+                    if first == "delta_wait":
+                        yield 0
+                        trace.append("p1 again")
+                    else:
+                        ev.notify()
+
+                def p2():
+                    yield 1
+                    trace.append("p2")
+                    if fail:
+                        raise ValueError("boom")
+
+                def p3():
+                    yield 1
+                    trace.append("p3")
+                    kick.notify()
+                    yield 0
+                    trace.append("p3 again")
+
+                def waiter(event, name):
+                    def body():
+                        yield event
+                        trace.append(name)
+                    return body
+
+                for body in (p1, p2, p3):
+                    mod.add_process(body)
+                mod.add_process(waiter(ev, "w"), name="w")
+                mod.add_process(waiter(kick, "x"), name="x")
+
+            sim, _ = build(builder)
+            if fail:
+                with pytest.raises(ProcessError, match="boom"):
+                    sim.run()
+                assert trace == ["p1", "p2"]
+            sim.run()
+            stats = sim.stats
+            return trace, sim.now, (stats.delta_cycles, stats.timed_steps,
+                                    stats.process_activations,
+                                    stats.events_fired)
+
+        assert scenario(fail=True) == scenario(fail=False)
+
     def test_delta_cycle_limit(self):
         def builder(top):
             mod = Module("m", parent=top)
-            ev = mod.add_event(Event("ping"))
 
-            def ping_pong():
+            def spin():
                 while True:
-                    ev.notify(0)
                     yield 0
 
-            mod.add_process(ping_pong)
+            mod.add_process(spin)
 
         sim, _ = build(builder)
         with pytest.raises(DeltaCycleLimitExceeded):
