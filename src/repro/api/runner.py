@@ -8,12 +8,13 @@ scenario, in scenario order, regardless of how the runs were scheduled:
   mode for speed measurements, where concurrent runs would steal host
   cycles from each other, and the only mode that can hand back the live
   ``Platform`` objects (``keep_platforms=True``);
-* **sharded** (``shards > 1`` or ``timeout_s`` set): each scenario runs in
-  its own child process, at most ``shards`` at a time, with an optional
-  per-run wall-clock timeout enforced by terminating the child.  Results
-  travel back as pickled reports, so sharded scenarios should reference
-  their workloads by registry name (plain data pickles; closures only
-  survive on fork-based platforms).  The scheduler blocks in
+* **sharded** (``shards > 1`` or ``timeout_s`` set): ``min(shards,
+  misses)`` workers, forked once per run, each run the scenarios the parent
+  feeds them one at a time.  A worker that dies or passes ``timeout_s``
+  fails only the scenario it held and is replaced while scenarios remain.
+  Results travel back as pickled reports, so sharded scenarios should
+  reference their workloads by registry name (plain data pickles; closures
+  only survive on fork-based platforms).  The scheduler blocks in
   :func:`multiprocessing.connection.wait` on the worker pipes — no polling
   loop burns host CPU while workers simulate.
 
@@ -41,15 +42,16 @@ same grid produce identical simulated results.
 Importing this module loads the scenario and store layers, not the
 simulator: :func:`run_scenario` and :func:`run_tasks` import
 :class:`~repro.soc.platform.Platform` when they build one, so a sweep
-replayed from the store never pays for it.  A sharded run forks one
-process per scenario, and a child that had to import the simulator itself
-would do so once per scenario; ``_run_sharded`` therefore loads, in the
-parent and before the first fork, what its scenarios need
-(:func:`~repro.soc.platform.load_layers`), and the workers inherit it.
+replayed from the store never pays for it.  A worker that had to import
+the simulator itself would do so once per worker, replacements included;
+``_run_sharded`` therefore loads, in the parent and before the first
+fork, what its scenarios need (:func:`~repro.soc.platform.load_layers`),
+and the workers inherit it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import random
@@ -158,8 +160,8 @@ def _run_check(check, report) -> List[str]:
 
 
 def _preload(scenario: Scenario) -> None:
-    """Import here, in the process about to fork, everything a worker
-    running ``scenario`` would otherwise import on its own."""
+    """Import here, in the process about to fork its workers, everything a
+    worker running ``scenario`` would otherwise import on its own."""
     partitioned = scenario.config.partitions > 1
     if partitioned:
         # A daemon worker cannot fork again: it runs the partitions itself.
@@ -182,56 +184,60 @@ def _cacheable_report(report) -> bool:
     return pdes is None or pdes.get("boundary_messages") == 0
 
 
-def _scenario_worker(connection, scenario: Scenario, index: int,
+def _scenario_worker(connection, scenarios: Sequence[Scenario],
                      heartbeat_s: Optional[float] = None) -> None:
-    """Child-process entry: run one scenario, stream telemetry, ship the
-    result back.
+    """Child-process entry: run the scenarios whose indices arrive on the
+    pipe, one at a time, until ``None`` (or EOF) arrives.
 
-    The pipe carries tagged messages: ``("event", dict)`` telemetry frames
-    (a ``started`` event at entry, then ``heartbeat`` frames every
-    ``heartbeat_s`` while the simulation runs) and one final
+    For each index the pipe carries back tagged messages: ``("event",
+    dict)`` telemetry frames (a ``started`` event, then ``heartbeat`` frames
+    every ``heartbeat_s`` while the simulation runs) and one final
     ``("result", ScenarioResult)``.  A lock serialises the heartbeat
-    thread's sends against the main thread's.
+    thread's sends against the main thread's; the thread is joined before
+    the result goes, so nothing of a scenario follows its result.
     """
     send_lock = threading.Lock()
-    stop = threading.Event()
 
     def send(message) -> None:
-        with send_lock:
-            try:
-                connection.send(message)
-            except (OSError, ValueError):  # parent went away mid-send
-                stop.set()
+        # A parent gone mid-send is noticed by the next recv, which ends us.
+        with send_lock, contextlib.suppress(OSError, ValueError):
+            connection.send(message)
 
-    started = time.perf_counter()
-    send(("event", SweepEvent.now("started", scenario.name, index).as_dict()))
-    heartbeat_thread = None
-    if heartbeat_s is not None and heartbeat_s > 0:
-        def _beat() -> None:
-            while not stop.wait(heartbeat_s):
-                send(("event", SweepEvent.now(
-                    "heartbeat", scenario.name, index,
-                    host_seconds=time.perf_counter() - started).as_dict()))
+    def beat(name: str, index: int, started: float, stop) -> None:
+        while not stop.wait(heartbeat_s):
+            send(("event", SweepEvent.now(
+                "heartbeat", name, index,
+                host_seconds=time.perf_counter() - started).as_dict()))
 
-        heartbeat_thread = threading.Thread(target=_beat, daemon=True)
-        heartbeat_thread.start()
     try:
-        result = run_scenario(scenario, index=index)
-        stop.set()
-        send(("result", result))
-    except Exception as exc:  # pragma: no cover - transport-level failure
-        stop.set()
-        send(("result", ScenarioResult(
-            scenario=scenario.name, params=dict(scenario.params),
-            overrides=dict(scenario.overrides), index=index,
-            error=f"worker failed: {type(exc).__name__}: {exc}",
-        )))
+        for index in iter(connection.recv, None):
+            scenario, started = scenarios[index], time.perf_counter()
+            send(("event",
+                  SweepEvent.now("started", scenario.name, index).as_dict()))
+            stop = threading.Event()
+            heartbeat = threading.Thread(
+                target=beat, args=(scenario.name, index, started, stop),
+                daemon=True)
+            if heartbeat_s:
+                heartbeat.start()
+            result = run_scenario(scenario, index=index)
+            stop.set()
+            if heartbeat_s:
+                heartbeat.join()
+            send(("result", result))
+    except (EOFError, OSError):  # the parent went away
+        pass
     finally:
-        stop.set()
-        if heartbeat_thread is not None:
-            heartbeat_thread.join()
         with send_lock:
             connection.close()
+
+
+def _failure(scenario: Scenario, index: int, message: str,
+             **fields) -> ScenarioResult:
+    return ScenarioResult(
+        scenario=scenario.name, params=dict(scenario.params),
+        overrides=dict(scenario.overrides), index=index, error=message,
+        **fields)
 
 
 class ExperimentRunner:
@@ -345,101 +351,102 @@ class ExperimentRunner:
         context = multiprocessing.get_context(self.start_method)
         for index in pending:
             _preload(self.scenarios[index])
-        position = 0
-        #: index -> (process, parent connection, start timestamp)
-        active: Dict[int, tuple] = {}
+        queue = pending[::-1]  # pop() hands out the next pending index
         heartbeat_s = self.heartbeat_s if self.monitor is not None else None
+        #: parent connection -> [process, scenario index, start timestamp]
+        busy: Dict[object, list] = {}
+        processes = []
+
+        def feed(conn, process) -> None:
+            """Hand a free worker the next pending index, or retire it."""
+            if not queue:
+                conn.send(None)
+                conn.close()
+                return
+            busy[conn] = [process, queue.pop(), time.monotonic()]
+            conn.send(busy[conn][1])
+
+        def fork() -> None:
+            parent_conn, child_conn = context.Pipe()
+            process = context.Process(
+                target=_scenario_worker,
+                args=(child_conn, self.scenarios, heartbeat_s), daemon=True)
+            process.start()
+            processes.append(process)
+            child_conn.close()
+            feed(parent_conn, process)
+
+        def lose(conn, timed_out: bool) -> None:
+            """Fail a dead or timed-out worker's scenario; replace it."""
+            process, index, started = busy.pop(conn)
+            conn.close()
+            if timed_out:
+                process.terminate()
+            process.join()
+            scenario = self.scenarios[index]
+            result = _failure(
+                scenario, index, f"timed out after {self.timeout_s:.3g}s",
+                timed_out=True, host_seconds=time.monotonic() - started,
+            ) if timed_out else _failure(
+                scenario, index,
+                f"worker process died (exit code {process.exitcode})")
+            self._complete(index, keys[index], result, results)
+            if queue:
+                fork()
+
         try:
-            while position < len(pending) or active:
-                while position < len(pending) and len(active) < self.shards:
-                    index = pending[position]
-                    position += 1
-                    parent_conn, child_conn = context.Pipe(duplex=False)
-                    process = context.Process(
-                        target=_scenario_worker,
-                        args=(child_conn, self.scenarios[index], index,
-                              heartbeat_s),
-                        daemon=True,
-                    )
-                    process.start()
-                    child_conn.close()
-                    active[index] = (process, parent_conn, time.monotonic())
+            for _ in range(min(self.shards, len(pending))):
+                fork()
+            while busy:
                 # Block on the worker pipes: a message, a worker death
                 # (EOF) and the nearest per-run deadline all wake us —
                 # no polling interval, no idle host burn.
-                by_conn = {conn: index
-                           for index, (_, conn, _) in active.items()}
-                ready = _mp_connection.wait(list(by_conn),
-                                            self._wait_timeout(active))
-                finished = []
-                for conn in ready:
-                    index = by_conn[conn]
-                    process = active[index][0]
-                    if self._drain_worker(index, conn, process, keys, results):
-                        finished.append(index)
-                if self.timeout_s is not None:
-                    now = time.monotonic()
-                    for index, (process, _conn, started) in active.items():
-                        if index in finished or results[index] is not None:
-                            continue
-                        if now - started > self.timeout_s:
-                            process.terminate()
-                            process.join()
-                            scenario = self.scenarios[index]
-                            result = self._failure(
-                                scenario, index,
-                                f"timed out after {self.timeout_s:.3g}s")
-                            result.timed_out = True
-                            result.host_seconds = now - started
-                            self._complete(index, keys[index], result, results)
-                            finished.append(index)
-                for index in finished:
-                    process, conn, _ = active.pop(index)
-                    conn.close()
+                for conn in _mp_connection.wait(list(busy),
+                                                self._wait_timeout(busy)):
+                    done = self._drain_worker(conn, busy[conn][1], keys,
+                                              results)
+                    if done:
+                        feed(conn, busy.pop(conn)[0])
+                    elif done is not None:
+                        lose(conn, timed_out=False)
+                now = time.monotonic()
+                for conn, (_, _, started) in list(busy.items()):
+                    if (self.timeout_s is not None
+                            and now - started > self.timeout_s):
+                        lose(conn, timed_out=True)
         finally:
-            for process, conn, _ in active.values():
+            for conn, (process, _, _) in busy.items():
                 process.terminate()
-                process.join()
                 conn.close()
+            for process in processes:
+                process.join()
 
-    def _drain_worker(self, index: int, conn, process, keys, results) -> bool:
+    def _drain_worker(self, conn, index: int, keys, results) -> Optional[bool]:
         """Consume every available message of one ready worker pipe.
 
-        Returns True when the worker is done — its result arrived or the
-        pipe hit EOF (worker death).  ``multiprocessing.connection.wait``
+        Returns None while its scenario runs, True once the result arrived
+        (the worker is free for the next index) and False when the pipe
+        hit EOF (the worker died).  ``multiprocessing.connection.wait``
         guarantees the first ``recv`` will not block.
         """
-        scenario = self.scenarios[index]
-        first = True
-        while first or conn.poll(0):
-            first = False
+        while True:
             try:
-                message = conn.recv()
+                kind, payload = conn.recv()
             except EOFError:
-                process.join()
-                if results[index] is None:
-                    result = self._failure(
-                        scenario, index,
-                        f"worker process died "
-                        f"(exit code {process.exitcode})")
-                    self._complete(index, keys[index], result, results)
-                return True
-            kind, payload = message
-            if kind == "event":
-                self._emit(SweepEvent.from_dict(payload))
-            elif kind == "result":
-                process.join()
+                return False
+            if kind == "result":
                 self._complete(index, keys[index], payload, results)
                 return True
-        return False
+            self._emit(SweepEvent.from_dict(payload))
+            if not conn.poll(0):
+                return None
 
-    def _wait_timeout(self, active: Dict[int, tuple]) -> Optional[float]:
+    def _wait_timeout(self, busy: Dict[object, list]) -> Optional[float]:
         """Seconds until the nearest per-run deadline (None = no timeout)."""
-        if self.timeout_s is None or not active:
+        if self.timeout_s is None:
             return None
-        now = time.monotonic()
-        nearest = min(started for _, _, started in active.values())
-        return max(0.0, nearest + self.timeout_s - now)
+        nearest = min(started for _, _, started in busy.values())
+        return max(0.0, nearest + self.timeout_s - time.monotonic())
 
     # -- store & telemetry --------------------------------------------------------------
     def _cache_key(self, scenario: Scenario) -> Optional[str]:
@@ -485,13 +492,6 @@ class ExperimentRunner:
             counters["simulated_cycles"] = result.report.simulated_cycles
             counters["events_fired"] = result.report.cost()["events_fired"]
         return counters
-
-    @staticmethod
-    def _failure(scenario: Scenario, index: int, message: str) -> ScenarioResult:
-        return ScenarioResult(
-            scenario=scenario.name, params=dict(scenario.params),
-            overrides=dict(scenario.overrides), index=index, error=message,
-        )
 
 
 def run_tasks(config, tasks, max_time: Optional[int] = None, host=None):

@@ -34,9 +34,7 @@ one channel, the crossbar gives each slave its own); the default
 :meth:`_post` then decodes the address and queues the request on that
 channel.  The mesh overrides :meth:`_post` to route a request packet to
 the slave's node, queues it there, and overrides :meth:`_served` to send
-the response back as a packet.  Every topology must assign
-``self._anchor_event`` to one of its kernel events — the fabric uses it to
-observe simulated time.
+the response back as a packet.
 """
 
 from __future__ import annotations
@@ -137,10 +135,6 @@ class Fabric(Module):
         self._latencies = array("q")
         #: Monitored slave -> (report name, slave cycles per :class:`BusOp`).
         self._monitors: Dict[BusSlave, Tuple[str, Dict[BusOp, array]]] = {}
-        #: Subclasses must point this at one of their events; the fabric
-        #: reads simulated time through it (no event of its own, so the
-        #: kernel event set of each topology stays exactly as designed).
-        self._anchor_event: Optional[Event] = None
 
     # -- arbitration -------------------------------------------------------------
     def new_policy(self) -> ArbitrationPolicy:
@@ -220,10 +214,7 @@ class Fabric(Module):
     # -- time helpers ------------------------------------------------------------
     def sim_now(self) -> int:
         """Current simulated time (0 before elaboration)."""
-        assert self._anchor_event is not None, (
-            f"{type(self).__name__} never assigned its anchor event"
-        )
-        sim = self._anchor_event._sim
+        sim = self._sim
         return sim.now if sim is not None else 0
 
     def time_to_cycles(self, duration: int) -> int:

@@ -90,7 +90,6 @@ class SharedBus(Fabric):
                          probes=probes)
         #: The single arbitration point of the serialized channel.
         self.channel = self._add_channel(name, f"{name}.request", "channel")
-        self._anchor_event = self.channel.event
         self._unmapped = _Unmapped(self)
         self._slave_channels[self._unmapped] = self.channel
 

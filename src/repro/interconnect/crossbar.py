@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Union
 
 from ..fabric import ArbitrationSpec, BusSlave, Fabric, Region
-from ..kernel import Event, Module, Probes
+from ..kernel import Module, Probes
 from ..kernel.simtime import NS
 
 
@@ -38,7 +38,6 @@ class Crossbar(Fabric):
                          arbitration_cycles=arbitration_cycles,
                          arbitration=arbitration, parent=parent,
                          probes=probes)
-        self._anchor_event = self.add_event(Event(f"{name}.decode_error"))
 
     def _on_attach(self, region: Region, slave: BusSlave) -> None:
         """Create the dedicated channel of a newly mapped slave."""

@@ -25,6 +25,8 @@ class Module:
         self._children: Dict[str, "Module"] = {}
         self._processes: List[Process] = []
         self._events: List[Event] = []
+        #: The simulator that elaborated this module (None before that).
+        self._sim = None
         if parent is not None:
             parent._register_child(self)
 

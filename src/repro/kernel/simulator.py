@@ -127,6 +127,7 @@ class Simulator:
             raise SchedulerError("no top-level module registered")
         for top in self._tops:
             for module in top.descendants():
+                module._sim = self
                 for event in module._events:
                     event._bind(self)
                 self._immediate_runnable.extend(module._processes)

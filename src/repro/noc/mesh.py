@@ -150,7 +150,6 @@ class MeshNoc(Fabric):
         self._nets: Dict[str, Dict[Tuple, _OutputPort]] = {
             "req": {}, "resp": {},
         }
-        self._anchor_event = self.add_event(Event(f"{name}.decode_error"))
         for label in ("req", "resp"):
             self._build_network(label)
 

@@ -70,8 +70,8 @@ def load_layers(config: PlatformConfig, workload: object = None,
     :class:`Platform` builds its optional parts from the namespace returned
     here, and the two fork sites (``ExperimentRunner._run_sharded``, the
     PDES coordinator) call it in the parent before the first fork, so every
-    worker inherits the modules it will run instead of importing — one
-    process per scenario — the simulator again.
+    worker inherits the modules it will run instead of importing the
+    simulator again.
     """
     layers = SimpleNamespace()
 

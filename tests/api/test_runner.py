@@ -2,6 +2,8 @@
 
 import csv
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.api import (
     write_csv,
     write_json,
 )
+from repro.store import SweepMonitor
 
 
 def _base_config():
@@ -43,6 +46,15 @@ def _spin_forever(config, **params):
 
 def _raise_on_build(config, **params):
     raise RuntimeError("deliberately broken workload")
+
+
+def _die(config, **params):
+    os._exit(3)
+
+
+def _report_pid(report):
+    """A check whose message is the pid of the process running it."""
+    return str(os.getpid())
 
 
 class TestGridExpansion:
@@ -155,17 +167,95 @@ class TestShardedRunner:
         assert all(r.passed for r in results)
 
     def test_per_run_timeout_terminates_worker(self):
+        """With one worker (``shards=1``) the stuck scenario times out
+        alone and a fresh worker runs the rest."""
         config = _base_config()
         scenarios = [
             Scenario(name="stuck", config=config, workload=_spin_forever),
-            _fir_grid()[0],
+            *_fir_grid()[:2],
         ]
-        results = ExperimentRunner(scenarios, shards=2, timeout_s=2.0).run()
+        results = ExperimentRunner(scenarios, shards=1, timeout_s=1.0).run()
         assert results[0].timed_out
         assert not results[0].passed
         assert "timed out" in results[0].error
-        # The healthy scenario still completes normally.
-        assert results[1].passed, (results[1].failures, results[1].error)
+        # The healthy scenarios still complete normally.
+        for result in results[1:]:
+            assert result.passed, (result.failures, result.error)
+            assert not result.timed_out
+        assert multiprocessing.active_children() == []
+
+
+class TestWorkerPool:
+    """The sharded runner's long-lived workers, with ``shards=1`` (and a
+    ``timeout_s``, so the sharded path runs) wherever one worker must be
+    replaced."""
+
+    @staticmethod
+    def _fir(name):
+        return Scenario(name=name, config=_base_config(), workload="fir",
+                        params={"num_samples": 8})
+
+    def test_death_fails_only_its_scenario(self):
+        scenarios = [self._fir("a"),
+                     Scenario(name="dies", config=_base_config(),
+                              workload=_die),
+                     self._fir("b"), self._fir("c")]
+        results = ExperimentRunner(scenarios, shards=1, timeout_s=60).run()
+        assert "exit code 3" in results[1].error
+        assert not results[1].passed and not results[1].timed_out
+        for result in results[:1] + results[2:]:
+            assert result.passed, (result.failures, result.error)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_run_or_its_abort(self):
+        class Explodes(Exception):
+            pass
+
+        class ExplodingMonitor(SweepMonitor):
+            def emit(self, event):
+                if event.kind == "started":
+                    raise Explodes(event.scenario)
+
+        ExperimentRunner([self._fir("a"), self._fir("b")], shards=1,
+                         timeout_s=60).run()
+        assert multiprocessing.active_children() == []
+        with pytest.raises(Explodes):
+            ExperimentRunner([self._fir("a"), self._fir("b")], shards=2,
+                             monitor=ExplodingMonitor(live=False)).run()
+        assert multiprocessing.active_children() == []
+
+    def test_no_state_leaks_between_scenarios_of_one_worker(self):
+        bus_fir = Scenario(name="bus-fir", config=_base_config(),
+                           workload="fir", params={"num_samples": 16})
+        mesh = (PlatformBuilder().pes(2).wrapper_memories(2).mesh(2, 2)
+                .l1_cache(sets=8, ways=2, line_bytes=16, policy="write_back")
+                .sanitize().build())
+        mesh_stencil = Scenario(name="mesh-stencil", config=mesh,
+                                workload="stencil", params={"size": 16})
+
+        def fingerprint(result):
+            result.raise_for_status()
+            return result.report.observables_sha256(), result.report.cost()
+
+        serial = {result.scenario: fingerprint(result) for result in
+                  ExperimentRunner([bus_fir, mesh_stencil]).run()}
+        for order in ([bus_fir, mesh_stencil], [mesh_stencil, bus_fir]):
+            pooled = ExperimentRunner(order, shards=1, timeout_s=60).run()
+            assert {r.scenario: fingerprint(r) for r in pooled} == serial
+
+    def test_workers_outlive_one_scenario(self):
+        scenarios = [Scenario(name=f"fir{n}", config=_base_config(),
+                              workload="fir", params={"num_samples": n},
+                              checks=(_report_pid,))
+                     for n in (8, 9, 10, 11, 12, 13)]
+        results = ExperimentRunner(scenarios, shards=2).run()
+        pids = set()
+        for result in results:
+            assert result.error is None, result.error
+            [message] = result.failures  # the check's message is the only one
+            pids.add(int(message))
+        assert os.getpid() not in pids
+        assert 1 <= len(pids) <= 2
 
 
 class TestWriters:

@@ -1,9 +1,9 @@
 """Sharded workers inherit the simulator from the parent; none imports it.
 
-``ExperimentRunner`` forks one process per scenario, so a module a worker
-has to import itself is imported once per scenario.  ``_run_sharded``
-therefore loads, before the first fork, what its scenarios' platforms and
-workloads need.  Run in a fresh interpreter (in this one, earlier tests
+``ExperimentRunner`` forks its workers once per run and forks a fresh one
+for each worker that dies or times out, so a module a worker has to import
+itself is imported once per worker.  ``_run_sharded`` therefore loads,
+before the first fork, what its scenarios' platforms and workloads need.  Run in a fresh interpreter (in this one, earlier tests
 have imported everything): a 2-shard sweep over {bus, mesh + write-back L1
 + sanitizers, a partitioned mesh} x {fir, stencil} whose workers report
 their ``sys.modules``; every worker's list must be a subset of the

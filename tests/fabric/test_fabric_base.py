@@ -204,6 +204,26 @@ def test_decode_error_timing(topology):
             ) == DECODE_ERROR_RESUMES[topology]
 
 
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_sim_now_follows_the_simulator(topology):
+    """``sim_now()`` reads 0 before elaboration and the simulator's ``now``
+    during a run — also on a fabric with no slave, so no channel, attached."""
+    top = Module("top")
+    fab = make_fabric(topology, top)
+    seen = []
+
+    def ticker():
+        for delay in (0, 7, 30):
+            yield delay
+            seen.append((fab.sim_now(), sim.now))
+
+    top.add_process(ticker)
+    sim = Simulator(top)
+    assert fab.sim_now() == 0
+    sim.run()
+    assert seen == [(0, 0), (7, 7), (37, 37)]
+
+
 class TestEmptyPercentileSummary:
     """Regression: empty sample sets must yield an explicit no-data row."""
 

@@ -10,7 +10,7 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
-MAX_SRC_LINES = 21_128
+MAX_SRC_LINES = 21_119
 
 
 def test_src_lines_within_budget():
