@@ -28,7 +28,8 @@ from repro.api import (
     PlatformBuilder,
     scenario_grid,
 )
-from repro.soc import ArbitrationKind, InterconnectKind, speed_degradation
+from repro.fabric import POLICY_KINDS
+from repro.soc import InterconnectKind, speed_degradation
 
 from common import emit, format_rows, ledger
 
@@ -48,10 +49,7 @@ TOPOLOGIES = [InterconnectKind.SHARED_BUS, InterconnectKind.CROSSBAR,
 #: Arbitration-axis sweep: every fabric policy on every topology.
 ARBITRATION_PES = 4
 ARBITRATION_MEMORIES = 2
-ARBITRATION_POLICIES = [ArbitrationKind.ROUND_ROBIN,
-                        ArbitrationKind.FIXED_PRIORITY,
-                        ArbitrationKind.WEIGHTED_ROUND_ROBIN,
-                        ArbitrationKind.TDMA]
+ARBITRATION_POLICIES = list(POLICY_KINDS)
 
 
 def make_scenarios(pe_counts, memory_counts):
@@ -260,19 +258,19 @@ def test_e4_arbitration_sweep(benchmark, request):
     for result in collected["results"]:
         result.raise_for_status()
         key = (result.overrides["interconnect"].value,
-               result.overrides["arbitration"].value)
+               result.overrides["arbitration"])
         reports[key] = result.report
 
     rows = []
     for topology in TOPOLOGIES:
         for policy in ARBITRATION_POLICIES:
-            report = reports[(topology.value, policy.value)]
+            report = reports[(topology.value, policy)]
             grants = report.interconnect_stats["arbitration"]["grant_counts"]
             waits = [row["wait_cycles"] for _master, row in
                      sorted(report.interconnect_stats["per_master"].items())]
             rows.append({
                 "topology": topology.value,
-                "policy": policy.value,
+                "policy": policy,
                 "simulated_cycles": report.simulated_cycles,
                 "interconnect p95 (cyc)":
                     report.interconnect_stats["latency_percentiles"]["p95"],
@@ -292,11 +290,11 @@ def test_e4_arbitration_sweep(benchmark, request):
     for topology in TOPOLOGIES:
         baseline = reports[(topology.value, "round_robin")]
         for policy in ARBITRATION_POLICIES:
-            report = reports[(topology.value, policy.value)]
+            report = reports[(topology.value, policy)]
             # The arbitration policy must never change computed results.
             assert report.results == baseline.results
             # Every master was granted: even fixed priority drains all PEs.
             grants = report.interconnect_stats["arbitration"]["grant_counts"]
             assert set(grants) == set(range(ARBITRATION_PES))
             assert report.interconnect_stats["arbitration"]["kind"] \
-                == policy.value
+                == policy

@@ -12,7 +12,7 @@ The builder is the declarative front door for composing platforms::
 The configs validate themselves: ``PlatformConfig`` and every layer config
 (``NocConfig``, ``CacheConfig``, ``DmaConfig``...) check their own fields
 in ``__post_init__``.  The builder only translates: each method parses
-names (``"sdram"``, ``"priority"``, ``"write_back"``), stages one aspect of
+names (``"sdram"``, ``"fast"``, ``"write_back"``), stages one aspect of
 the configuration and returns the builder, so a platform description
 reads as a single expression.  Unknown names and invalid layer configs
 raise at once; every other bad value surfaces from :meth:`build`, which
@@ -29,17 +29,12 @@ from typing import Dict, Optional, Sequence, Union
 from ..cache.geometry import CacheConfig, CacheGeometry, WritePolicy
 from ..check.config import CheckConfig
 from ..dev.config import DmaConfig, IrqControllerConfig, TimerConfig
-from ..fabric import POLICY_ALIASES
+from ..fabric.policy import check_kind
 from ..memory.latency import LatencyModel
 from ..memory.protocol import Endianness
 from ..noc.config import NocConfig
 from ..obs.config import ObsConfig
-from ..soc.config import (
-    ArbitrationKind,
-    InterconnectKind,
-    MemoryKind,
-    PlatformConfig,
-)
+from ..soc.config import InterconnectKind, MemoryKind, PlatformConfig
 from ..sw.instruction_costs import ARM7_LIKE, FAST_CORE, CostModel
 from ..wrapper.delays import WrapperDelays
 
@@ -172,19 +167,16 @@ class PlatformBuilder:
         """
         return self._set(partitions=count, pdes_epoch_cycles=epoch_cycles)
 
-    def arbitration(self,
-                    kind: Union[ArbitrationKind, str] = ArbitrationKind.ROUND_ROBIN,
-                    *,
+    def arbitration(self, kind: str = "round_robin", *,
                     weights=None,
                     priority_order=None,
                     schedule=None) -> "PlatformBuilder":
         """Arbitration policy of every grant point of the interconnect.
 
         Works on every topology — the bus channel, each crossbar channel
-        and each mesh slave's channel apply the same policy.  ``kind`` is an
-        :class:`~repro.soc.config.ArbitrationKind` or its value string;
-        the fabric aliases (``"priority"``, ``"weighted"``, ``"rr"``...)
-        are accepted.  Optional parameters:
+        and each mesh slave's channel apply the same policy.  ``kind`` is
+        one of :data:`~repro.fabric.policy.POLICY_KINDS`.  Optional
+        parameters:
 
         * ``weights`` — weighted-RR grant budgets: a sequence indexed by
           master id, or a ``{master_id: weight}`` mapping (gaps get 1);
@@ -194,10 +186,11 @@ class PlatformBuilder:
         Unset parameters fall back to PE-count-derived defaults (see
         :meth:`~repro.soc.config.PlatformConfig.arbitration_spec`).
         """
-        if isinstance(kind, str):
-            kind = POLICY_ALIASES.get(kind, kind)
-        staged: Dict[str, object] = {
-            "arbitration": _choice(kind, ArbitrationKind, "arbitration")}
+        try:
+            check_kind(kind)
+        except ValueError as exc:
+            raise BuilderError(str(exc)) from None
+        staged: Dict[str, object] = {"arbitration": kind}
         if weights is not None:
             if isinstance(weights, dict):
                 if not weights or not all(
@@ -217,13 +210,13 @@ class PlatformBuilder:
         return self._set(**staged)
 
     def shared_bus(self,
-                   arbitration: Union[ArbitrationKind, str, None] = None,
+                   arbitration: Optional[str] = None,
                    arbitration_cycles: Optional[int] = None) -> "PlatformBuilder":
         """Use the shared bus, optionally selecting an arbitration policy.
 
         ``arbitration`` left unset keeps whatever :meth:`arbitration`
         staged (or the round-robin default); passing a value delegates to
-        :meth:`arbitration`, so the same kinds and aliases are accepted.
+        :meth:`arbitration`, so the same kinds are accepted.
         """
         self._set(interconnect=InterconnectKind.SHARED_BUS)
         if arbitration is not None:

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
 from ..kernel.simulator import SimulationStats
+from ..store.store import plain_value
 
 SCHEMA = "repro.api.perf/v2"
 
@@ -99,7 +100,8 @@ class BenchResult:
         row = {
             "bench": self.bench,
             "scenario": self.scenario,
-            "params": {key: _plain(value) for key, value in self.params.items()},
+            "params": {key: plain_value(value)
+                       for key, value in self.params.items()},
         }
         row.update((name, getattr(self, name)) for name in LEDGER_FIELDS)
         return row
@@ -123,13 +125,6 @@ class BenchResult:
         """Build a record from a passed :class:`ScenarioResult`."""
         return cls.from_report(bench, result.scenario, result.report,
                                params=dict(result.overrides, **result.params))
-
-
-def _plain(value: object) -> object:
-    """JSON-safe view of a parameter value."""
-    if isinstance(value, (int, float, str, bool)) or value is None:
-        return value
-    return str(getattr(value, "value", value))
 
 
 class PerfRecorder:

@@ -8,31 +8,19 @@ bespoke printing loops of the evaluation benches.
 
 from __future__ import annotations
 
-import csv
 import json
 from typing import Iterable, List, Optional, Sequence
 
+from ..obs.metrics import row_columns, write_rows_csv
 from ..soc.stats import format_table
 from .scenario import ScenarioResult
-
-
-def _columns(rows: List[dict]) -> List[str]:
-    """Union of all row keys, first-seen order, so sparse grids render."""
-    columns: List[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    return columns
 
 
 def results_table(results: Iterable[ScenarioResult],
                   columns: Optional[List[str]] = None) -> str:
     """Aligned text table over the flat rows of every result."""
     rows = [result.row() for result in results]
-    if columns is None and rows:
-        columns = _columns(rows)
-    return format_table(rows, columns)
+    return format_table(rows, row_columns(rows) if columns is None else columns)
 
 
 def write_json(results: Sequence[ScenarioResult], path: str, *,
@@ -52,11 +40,4 @@ def write_json(results: Sequence[ScenarioResult], path: str, *,
 
 def write_csv(results: Sequence[ScenarioResult], path: str) -> str:
     """Write the flat result rows as CSV (one line per scenario)."""
-    rows = [result.row() for result in results]
-    columns = _columns(rows)
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns, restval="")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    return path
+    return write_rows_csv([result.row() for result in results], path)

@@ -3,8 +3,9 @@
 An :class:`L1Cache` sits between one processing element's master port and
 the interconnect.  The software stack is unchanged: the PE's
 :class:`~repro.wrapper.api.SharedMemoryAPI` talks to a
-:class:`CachedPort` exposing the exact :class:`~repro.interconnect.bus.MasterPort`
-interface, and the cache decodes the command bursts flowing through it:
+:class:`CachedPort` exposing the exact :class:`~repro.fabric.port.MasterPort`
+interface (the :class:`~repro.fabric.port.PortHelpers` over the cache's own
+``transfer``), and the cache decodes the command bursts flowing through it:
 
 * scalar READs hit in the cache or trigger a line-sized burst fill
   (READ_ARRAY through the real port, clamped to the owning allocation);
@@ -56,6 +57,7 @@ from ..fabric import (
     BusOp,
     BusRequest,
     BusResponse,
+    PortHelpers,
     ResponseStatus,
 )
 from ..memory.protocol import (
@@ -107,12 +109,11 @@ class CacheStats:
         return {**asdict(self), "hit_rate": round(self.hit_rate, 4)}
 
 
-class CachedPort:
-    """Drop-in :class:`~repro.interconnect.bus.MasterPort` facade.
+class CachedPort(PortHelpers):
+    """Drop-in :class:`~repro.fabric.port.MasterPort` facade.
 
-    Everything the task processor and the shared-memory API use
-    (``transfer``/``read``/``write``/``burst_read``/``burst_write``,
-    ``master_id``, ``_interconnect``) is forwarded through the cache.
+    ``transfer`` is the cache's own, so the inherited helpers all go
+    through the cache; only ``burst_write`` adds a scalar front.
     """
 
     def __init__(self, cache: "L1Cache", port) -> None:
@@ -127,27 +128,6 @@ class CachedPort:
     @property
     def _interconnect(self):
         return self._port._interconnect
-
-    # -- MasterPort protocol -----------------------------------------------------
-    def read(self, address: int, size: int = 4, tag: str = ""
-             ) -> Generator[object, None, BusResponse]:
-        return self.transfer(
-            BusRequest(self.master_id, BusOp.READ, address, size=size, tag=tag)
-        )
-
-    def write(self, address: int, data: int, size: int = 4, tag: str = ""
-              ) -> Generator[object, None, BusResponse]:
-        return self.transfer(
-            BusRequest(self.master_id, BusOp.WRITE, address, data=data,
-                       size=size, tag=tag)
-        )
-
-    def burst_read(self, address: int, length: int, tag: str = ""
-                   ) -> Generator[object, None, BusResponse]:
-        return self.transfer(
-            BusRequest(self.master_id, BusOp.READ, address,
-                       burst_length=length, tag=tag)
-        )
 
     def burst_write(self, address: int, words: List[int], tag: str = ""
                     ) -> Generator[object, None, BusResponse]:

@@ -23,12 +23,10 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".address_map": ["AddressDecodeError", "AddressMap", "AddressMapConflict",
                      "Region"],
     ".base": ["Fabric"],
-    ".policy": ["POLICY_ALIASES", "POLICY_KINDS", "Arbiter",
-                "ArbitrationPolicy", "ArbitrationSpec", "FixedPriorityArbiter",
-                "RoundRobinArbiter", "TdmaArbiter",
-                "WeightedRoundRobinArbiter", "canonical_kind", "make_arbiter",
-                "make_policy"],
-    ".port": ["BusSlave", "MasterPort"],
+    ".policy": ["POLICY_KINDS", "ArbitrationPolicy", "ArbitrationSpec",
+                "FixedPriorityArbiter", "RoundRobinArbiter", "TdmaArbiter",
+                "WeightedRoundRobinArbiter"],
+    ".port": ["BusSlave", "MasterPort", "PortHelpers"],
     ".stats": ["BusStats", "MasterStats", "percentile_summary"],
     ".transaction": ["CACHE_TAG_SUFFIXES", "WORD_SIZE", "BusOp", "BusRequest",
                      "BusResponse", "ResponseStatus", "cache_transfer_kind",
@@ -39,7 +37,6 @@ __all__ = [
     "AddressDecodeError",
     "AddressMap",
     "AddressMapConflict",
-    "Arbiter",
     "ArbitrationPolicy",
     "ArbitrationSpec",
     "BusOp",
@@ -52,8 +49,8 @@ __all__ = [
     "FixedPriorityArbiter",
     "MasterPort",
     "MasterStats",
-    "POLICY_ALIASES",
     "POLICY_KINDS",
+    "PortHelpers",
     "Region",
     "ResponseStatus",
     "RoundRobinArbiter",
@@ -61,9 +58,6 @@ __all__ = [
     "WORD_SIZE",
     "WeightedRoundRobinArbiter",
     "cache_transfer_kind",
-    "canonical_kind",
     "decode_error_response",
-    "make_arbiter",
-    "make_policy",
     "percentile_summary",
 ]

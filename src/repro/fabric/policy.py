@@ -22,7 +22,10 @@ Four families are provided:
 Because a fabric may have *several* arbitration points (one per crossbar
 channel, one per mesh slave), policies are usually described by an
 :class:`ArbitrationSpec` — a small, picklable value object the fabric turns
-into fresh policy instances wherever it needs one.
+into fresh policy instances wherever it needs one (its :meth:`create` is
+the one factory).  :data:`POLICY_KINDS` holds the one spelling of each
+kind: ``PlatformConfig.arbitration``, ``PlatformBuilder.arbitration()`` and
+the spec take exactly these strings and reject anything else.
 """
 
 from __future__ import annotations
@@ -40,10 +43,6 @@ class ArbitrationPolicy:
 
     def reset(self) -> None:
         """Forget any internal rotation/slot state."""
-
-
-#: Historical name of the policy interface (pre-fabric API).
-Arbiter = ArbitrationPolicy
 
 
 class FixedPriorityArbiter(ArbitrationPolicy):
@@ -202,28 +201,16 @@ class TdmaArbiter(ArbitrationPolicy):
         self.slot_misses = 0
 
 
-#: Canonical policy kind names.
+#: The policy kinds: the one spelling of each, for every config layer.
 POLICY_KINDS = ("round_robin", "fixed_priority", "weighted_round_robin",
                 "tdma")
 
-#: Accepted shorthand spellings of the canonical kinds.
-POLICY_ALIASES = {
-    "rr": "round_robin",
-    "priority": "fixed_priority",
-    "weighted": "weighted_round_robin",
-    "wrr": "weighted_round_robin",
-}
 
-
-def canonical_kind(kind: str) -> str:
-    """Resolve ``kind`` (canonical name or alias) or raise ``ValueError``."""
-    resolved = POLICY_ALIASES.get(kind, kind)
-    if resolved not in POLICY_KINDS:
-        raise ValueError(
-            f"unknown arbitration policy {kind!r}; use one of "
-            f"{list(POLICY_KINDS)} (aliases: {sorted(POLICY_ALIASES)})"
-        )
-    return resolved
+def check_kind(kind: object) -> None:
+    """Raise ``ValueError`` unless ``kind`` is one of :data:`POLICY_KINDS`."""
+    if kind not in POLICY_KINDS:
+        raise ValueError(f"unknown arbitration policy {kind!r}; use one of "
+                         f"{list(POLICY_KINDS)}")
 
 
 @dataclass(frozen=True)
@@ -235,7 +222,7 @@ class ArbitrationSpec:
     created from, so every arbitration point applies the same rules.
     """
 
-    #: Policy kind: one of :data:`POLICY_KINDS` (aliases accepted).
+    #: Policy kind: one of :data:`POLICY_KINDS`.
     kind: str = "round_robin"
     #: Fixed-priority order, most important first (``None`` = by master id).
     priority_order: Optional[Tuple[int, ...]] = None
@@ -245,7 +232,7 @@ class ArbitrationSpec:
     schedule: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", canonical_kind(self.kind))
+        check_kind(self.kind)
         for name in ("priority_order", "weights", "schedule"):
             value = getattr(self, name)
             if value is not None:
@@ -278,23 +265,3 @@ class ArbitrationSpec:
             f"arbitration must be an ArbitrationSpec, a policy kind string "
             f"or None, got {type(value).__name__}"
         )
-
-
-def make_arbiter(kind: str, **kwargs) -> ArbitrationPolicy:
-    """Factory used by platform configuration files.
-
-    ``kind`` is one of :data:`POLICY_KINDS` (or an alias); keyword
-    arguments not used by the selected policy are ignored, so callers can
-    pass one uniform parameter set for a whole sweep.  One-call shorthand
-    for ``ArbitrationSpec(...).create()`` (the single kind dispatch).
-    """
-    return ArbitrationSpec(
-        kind=kind,
-        priority_order=kwargs.get("priority_order"),
-        weights=kwargs.get("weights"),
-        schedule=kwargs.get("schedule"),
-    ).create()
-
-
-#: Fabric-era name of the factory.
-make_policy = make_arbiter

@@ -39,7 +39,48 @@ class BusSlave:
         raise NotImplementedError(f"{type(self).__name__} implements no serve()")
 
 
-class MasterPort:
+class PortHelpers:
+    """The scalar and burst helpers every master-side port offers.
+
+    Each one builds a :class:`BusRequest` and hands it to ``transfer``; a
+    port supplies ``master_id`` and ``transfer``.
+    """
+
+    master_id: int
+
+    def read(self, address: int, size: int = 4, tag: str = ""
+             ) -> Generator[object, None, BusResponse]:
+        """Scalar read helper (``yield from port.read(addr)``)."""
+        return self.transfer(
+            BusRequest(self.master_id, BusOp.READ, address, size=size, tag=tag)
+        )
+
+    def write(self, address: int, data: int, size: int = 4, tag: str = ""
+              ) -> Generator[object, None, BusResponse]:
+        """Scalar write helper."""
+        return self.transfer(
+            BusRequest(self.master_id, BusOp.WRITE, address, data=data, size=size,
+                       tag=tag)
+        )
+
+    def burst_read(self, address: int, length: int, tag: str = ""
+                   ) -> Generator[object, None, BusResponse]:
+        """Burst read helper (``length`` words)."""
+        return self.transfer(
+            BusRequest(self.master_id, BusOp.READ, address, burst_length=length,
+                       tag=tag)
+        )
+
+    def burst_write(self, address: int, words: List[int], tag: str = ""
+                    ) -> Generator[object, None, BusResponse]:
+        """Burst write helper."""
+        return self.transfer(
+            BusRequest(self.master_id, BusOp.WRITE, address, burst_data=list(words),
+                       tag=tag)
+        )
+
+
+class MasterPort(PortHelpers):
     """A master-side handle used to issue transactions on an interconnect."""
 
     def __init__(self, interconnect: "Fabric", master_id: int,
@@ -75,35 +116,3 @@ class MasterPort:
         stats = self._interconnect.stats.master(self.master_id)
         stats.wait_cycles += max(0, wait_cycles - response.total_cycles)
         return response
-
-    # Convenience wrappers -----------------------------------------------------
-    def read(self, address: int, size: int = 4, tag: str = ""
-             ) -> Generator[object, None, BusResponse]:
-        """Scalar read helper (``yield from port.read(addr)``)."""
-        return self.transfer(
-            BusRequest(self.master_id, BusOp.READ, address, size=size, tag=tag)
-        )
-
-    def write(self, address: int, data: int, size: int = 4, tag: str = ""
-              ) -> Generator[object, None, BusResponse]:
-        """Scalar write helper."""
-        return self.transfer(
-            BusRequest(self.master_id, BusOp.WRITE, address, data=data, size=size,
-                       tag=tag)
-        )
-
-    def burst_read(self, address: int, length: int, tag: str = ""
-                   ) -> Generator[object, None, BusResponse]:
-        """Burst read helper (``length`` words)."""
-        return self.transfer(
-            BusRequest(self.master_id, BusOp.READ, address, burst_length=length,
-                       tag=tag)
-        )
-
-    def burst_write(self, address: int, words: List[int], tag: str = ""
-                    ) -> Generator[object, None, BusResponse]:
-        """Burst write helper."""
-        return self.transfer(
-            BusRequest(self.master_id, BusOp.WRITE, address, burst_data=list(words),
-                       tag=tag)
-        )

@@ -15,7 +15,7 @@ observed samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 
@@ -33,15 +33,7 @@ class MasterStats:
 
     def as_dict(self) -> Dict[str, int]:
         """JSON-ready view (one row of the per-master stats table)."""
-        return {
-            "transactions": self.transactions,
-            "reads": self.reads,
-            "writes": self.writes,
-            "words": self.words,
-            "busy_cycles": self.busy_cycles,
-            "wait_cycles": self.wait_cycles,
-            "errors": self.errors,
-        }
+        return asdict(self)
 
 
 @dataclass

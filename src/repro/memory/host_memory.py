@@ -12,7 +12,7 @@ experiments can report how much host memory the simulation actually holds.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
 
@@ -39,16 +39,7 @@ class HostMemoryStats:
 
     def as_dict(self) -> dict:
         """Plain-dict view used by reports."""
-        return {
-            "alloc_calls": self.alloc_calls,
-            "free_calls": self.free_calls,
-            "bytes_allocated": self.bytes_allocated,
-            "bytes_freed": self.bytes_freed,
-            "live_bytes": self.live_bytes,
-            "peak_live_bytes": self.peak_live_bytes,
-            "native_reads": self.native_reads,
-            "native_writes": self.native_writes,
-        }
+        return asdict(self)
 
 
 class HostBlock:

@@ -175,7 +175,17 @@ class ModeledDynamicMemory(DynamicMemorySlave):
             return model.burst_read(words, command.dim * 4) + heap_cost
         return max(1, REGISTER_ACCESS_CYCLES + heap_cost)
 
-    # -- bench helpers -------------------------------------------------------------------------
+    # -- reporting -----------------------------------------------------------------------------
     def heap_accesses(self) -> int:
         """Total allocator header-word accesses performed so far."""
         return self._accessor.accesses
+
+    def report(self) -> dict:
+        """Summary of the memory's activity (its block of platform reports)."""
+        return {
+            "name": self.name,
+            "live_allocations": self.live_count(),
+            "used_bytes": self.used_bytes(),
+            "heap_accesses": self.heap_accesses(),
+            "op_counts": {op.name: count for op, count in self.op_counts.items()},
+        }

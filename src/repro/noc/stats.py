@@ -41,13 +41,11 @@ class LinkStats:
         return min(1.0, self.busy_cycles / elapsed_cycles)
 
     def as_dict(self) -> dict:
-        return {
-            "busy_cycles": self.busy_cycles,
-            "packets": self.packets,
-            "flits": self.flits,
-            "blocked_cycles": self.blocked_cycles,
-            "contended_grants": self.contended_grants,
-        }
+        """The counters, without the link's name (the key it is filed
+        under).  ``vars``, not ``asdict``: the fields are plain ints, and
+        the deep copy would cost an 8x8 mesh's ~700 links 10 ms a report."""
+        return {key: value for key, value in vars(self).items()
+                if key != "name"}
 
 
 @dataclass

@@ -99,21 +99,24 @@ class MetricsSampler:
 
 
 # -- writers ----------------------------------------------------------------------------
-def timeseries_columns(rows: List[dict]) -> List[str]:
+def row_columns(rows: List[dict]) -> List[str]:
     """Union of row keys, first-seen order (sparse columns render blank)."""
-    from ..api.results import _columns
-    return _columns(rows)
+    return list(dict.fromkeys(key for row in rows for key in row))
+
+
+def write_rows_csv(rows: List[dict], path: str) -> str:
+    """Write dict rows as CSV under the :func:`row_columns` header."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=row_columns(rows),
+                                restval="")
+        writer.writeheader()
+        writer.writerows(rows)
+    return path
 
 
 def write_timeseries_csv(rows: List[dict], path: str) -> str:
     """Write ``SimulationReport.timeseries`` rows as CSV."""
-    columns = timeseries_columns(rows)
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns, restval="")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    return path
+    return write_rows_csv(rows, path)
 
 
 def write_timeseries_json(rows: List[dict], path: str, *,
@@ -122,7 +125,7 @@ def write_timeseries_json(rows: List[dict], path: str, *,
     payload = {
         "schema": "repro.obs.timeseries/v1",
         "count": len(rows),
-        "columns": timeseries_columns(rows),
+        "columns": row_columns(rows),
         "rows": rows,
     }
     with open(path, "w") as handle:

@@ -205,7 +205,7 @@ class PartitionSim:
         monitors = noc.monitor_stats()
         for memory_index in owned_memories:
             payload.memory_rows.append(
-                (memory_index, self._memory_report(memory_index)))
+                (memory_index, platform.memories[memory_index].report()))
             if monitors:
                 payload.monitor_rows.append(
                     (memory_index, monitors[memory_index]))
@@ -217,19 +217,3 @@ class PartitionSim:
             payload.timeseries = list(platform.obs.timeseries)
             payload.obs_summary = platform.obs.summary()
         return payload
-
-    def _memory_report(self, index: int) -> dict:
-        """Per-memory block, same shape as the sequential report."""
-        from ..wrapper.shared_memory import SharedMemoryWrapper
-
-        memory = self.platform.memories[index]
-        if isinstance(memory, SharedMemoryWrapper):
-            return memory.report()
-        return {
-            "name": memory.name,
-            "live_allocations": memory.live_count(),
-            "used_bytes": memory.used_bytes(),
-            "heap_accesses": memory.heap_accesses(),
-            "op_counts": {op.name: count
-                          for op, count in memory.op_counts.items()},
-        }

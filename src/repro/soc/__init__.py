@@ -3,14 +3,12 @@
 from .._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(globals(), {
-    ".config": ["ArbitrationKind", "InterconnectKind", "MemoryKind",
-                "PlatformConfig"],
+    ".config": ["InterconnectKind", "MemoryKind", "PlatformConfig"],
     ".platform": ["MemoryIdleTicker", "Platform"],
     ".stats": ["SimulationReport", "format_table", "speed_degradation"],
 })
 
 __all__ = [
-    "ArbitrationKind",
     "InterconnectKind",
     "MemoryIdleTicker",
     "MemoryKind",

@@ -19,7 +19,7 @@ from ..cache.geometry import CacheConfig
 from ..check.config import CheckConfig
 from ..obs.config import ObsConfig
 from ..dev.config import DeviceLayout, resolve_layout
-from ..fabric import ArbitrationSpec
+from ..fabric.policy import ArbitrationSpec, check_kind
 from ..kernel.simtime import NS
 from ..memory.latency import LatencyModel
 from ..memory.protocol import Endianness
@@ -45,17 +45,6 @@ class InterconnectKind(enum.Enum):
     MESH = "mesh"
 
 
-class ArbitrationKind(enum.Enum):
-    """Arbitration policy applied at every grant point of the interconnect
-    fabric (the bus channel, each crossbar channel, each mesh slave
-    server) — see :mod:`repro.fabric.policy`."""
-
-    ROUND_ROBIN = "round_robin"
-    FIXED_PRIORITY = "fixed_priority"
-    WEIGHTED_ROUND_ROBIN = "weighted_round_robin"
-    TDMA = "tdma"
-
-
 #: Integer fields of :class:`PlatformConfig` and the lowest value of each.
 _LOWEST = (
     ("num_pes", 1), ("num_memories", 1), ("memory_capacity_bytes", 1),
@@ -67,7 +56,7 @@ _LOWEST = (
 #: Model and layer-object fields of :class:`PlatformConfig` and their types.
 _TYPES = (
     ("memory_kind", MemoryKind), ("interconnect", InterconnectKind),
-    ("arbitration", ArbitrationKind), ("noc", NocConfig),
+    ("noc", NocConfig),
     ("wrapper_delays", WrapperDelays), ("modeled_latency", LatencyModel),
     ("endianness", Endianness), ("cost_model", CostModel),
     ("cache", CacheConfig), ("check", CheckConfig), ("obs", ObsConfig),
@@ -92,8 +81,9 @@ class PlatformConfig:
     memory_capacity_bytes: Optional[int] = 1 << 20
     #: Interconnect topology.
     interconnect: InterconnectKind = InterconnectKind.SHARED_BUS
-    #: Arbitration policy, applied uniformly on every topology.
-    arbitration: ArbitrationKind = ArbitrationKind.ROUND_ROBIN
+    #: Arbitration policy, one of :data:`~repro.fabric.policy.POLICY_KINDS`,
+    #: applied uniformly on every topology.
+    arbitration: str = "round_robin"
     #: Weighted-RR grant budgets indexed by master id (``None`` = PE count
     #: down to 1, so lower-id masters get proportionally more bandwidth).
     arbitration_weights: Optional[Tuple[int, ...]] = None
@@ -206,6 +196,7 @@ class PlatformConfig:
                     f"got {type(value).__name__}")
         if not self.name:
             raise ValueError("name must be a non-empty string")
+        check_kind(self.arbitration)
         for name in ("arbitration_weights", "arbitration_priority",
                      "arbitration_schedule"):
             value = getattr(self, name)
@@ -279,7 +270,7 @@ class PlatformConfig:
         box; override the ``arbitration_*`` fields for exact control).
         """
         return ArbitrationSpec(
-            kind=self.arbitration.value,
+            kind=self.arbitration,
             priority_order=(self.arbitration_priority
                             if self.arbitration_priority is not None
                             else tuple(range(self.num_pes))),
@@ -319,7 +310,7 @@ class PlatformConfig:
             topology = f"mesh {noc.rows}x{noc.cols}"
         text = (
             f"{self.num_pes} PE / {self.num_memories} x {self.memory_kind.value} "
-            f"memory / {topology} ({self.arbitration.value})"
+            f"memory / {topology} ({self.arbitration})"
         )
         if self.cache is not None:
             text += f" / {self.cache.describe()}"

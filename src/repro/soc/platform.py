@@ -501,19 +501,6 @@ class Platform:
             self.simulator.now)
         if self.coherence is not None:
             interconnect_stats["coherence"] = self.coherence.stats.as_dict()
-        memory_reports = []
-        for memory in self.memories:
-            if isinstance(memory, SharedMemoryWrapper):
-                memory_reports.append(memory.report())
-            else:
-                memory_reports.append({
-                    "name": memory.name,
-                    "live_allocations": memory.live_count(),
-                    "used_bytes": memory.used_bytes(),
-                    "heap_accesses": memory.heap_accesses(),
-                    "op_counts": {op.name: count
-                                  for op, count in memory.op_counts.items()},
-                })
         return SimulationReport(
             description=self.config.describe(),
             simulated_time=self.simulator.now,
@@ -521,7 +508,7 @@ class Platform:
             wallclock_seconds=wallclock_seconds,
             kernel_stats=self.simulator.stats.as_dict(),
             pe_reports=[p.report() for p in self.processors],
-            memory_reports=memory_reports,
+            memory_reports=[memory.report() for memory in self.memories],
             interconnect_stats=interconnect_stats,
             cache_reports=[cache.report() for cache in self.caches],
             device_reports=[device.report() for device in self.devices],

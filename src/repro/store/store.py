@@ -143,8 +143,9 @@ class ResultStore:
         summary = json.dumps({
             "scenario": stored.scenario,
             "workload": workload,
-            "params": {k: _plain(v) for k, v in stored.params.items()},
-            "overrides": {k: _plain(v) for k, v in stored.overrides.items()},
+            "params": {k: plain_value(v) for k, v in stored.params.items()},
+            "overrides": {k: plain_value(v)
+                          for k, v in stored.overrides.items()},
             "passed": stored.passed,
             "failures": list(stored.failures),
             "error": stored.error,
@@ -255,7 +256,8 @@ def _decode(payload: bytes):
     return result if type(result).__name__ == "ScenarioResult" else None
 
 
-def _plain(value: object) -> object:
+def plain_value(value: object) -> object:
+    """JSON-safe view of a parameter value (an enum becomes its value)."""
     if isinstance(value, (int, float, str, bool)) or value is None:
         return value
     return str(getattr(value, "value", value))

@@ -22,6 +22,7 @@ compaction), which is what makes the model fast on the host.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import List, Optional
 
 from ..memory.dynamic_base import DynamicMemorySlave
@@ -168,11 +169,5 @@ class SharedMemoryWrapper(DynamicMemorySlave):
             "fsm_occupancy": self.fsm.occupancy(),
             "op_counts": {op.name: count for op, count in self.op_counts.items()},
             "host_stats": self.host.stats.as_dict(),
-            "translator_stats": {
-                "host_allocs": self.translator.stats.host_allocs,
-                "host_frees": self.translator.stats.host_frees,
-                "element_reads": self.translator.stats.element_reads,
-                "element_writes": self.translator.stats.element_writes,
-                "array_elements_moved": self.translator.stats.array_elements_moved,
-            },
+            "translator_stats": asdict(self.translator.stats),
         }

@@ -1,10 +1,13 @@
 """Tests for the fluent platform builder."""
 
+import re
+
 import pytest
 
 from repro.api import BuilderError, PlatformBuilder
+from repro.fabric import POLICY_KINDS
 from repro.memory import Endianness
-from repro.soc import ArbitrationKind, InterconnectKind, MemoryKind, PlatformConfig
+from repro.soc import InterconnectKind, MemoryKind, PlatformConfig
 from repro.sw import FAST_CORE
 from repro.wrapper import WrapperDelays
 
@@ -42,7 +45,7 @@ class TestBuilderHappyPath:
                   .delays("sdram")
                   .build())
         assert config.memory_kind is MemoryKind.MODELED
-        assert config.arbitration is ArbitrationKind.TDMA
+        assert config.arbitration == "tdma"
         assert config.endianness is Endianness.BIG
         assert config.cost_model is FAST_CORE
         assert config.wrapper_delays == WrapperDelays.sdram_like()
@@ -76,13 +79,20 @@ class TestBuilderHappyPath:
 
 
 class TestArbitrationStaging:
-    def test_kind_enum_string_and_aliases(self):
-        for spelling in (ArbitrationKind.FIXED_PRIORITY, "fixed_priority",
-                         "priority"):
-            config = PlatformBuilder().arbitration(spelling).build()
-            assert config.arbitration is ArbitrationKind.FIXED_PRIORITY
-        assert (PlatformBuilder().arbitration("weighted").build()
-                .arbitration is ArbitrationKind.WEIGHTED_ROUND_ROBIN)
+    def test_kind_is_a_policy_kind_string(self):
+        for kind in POLICY_KINDS:
+            assert PlatformBuilder().arbitration(kind).build() \
+                .arbitration == kind
+            assert PlatformBuilder().shared_bus(kind).build() \
+                .arbitration == kind
+
+    @pytest.mark.parametrize("alias", ["rr", "priority", "weighted", "wrr"])
+    def test_former_aliases_rejected_listing_the_kinds(self, alias):
+        listed = re.escape(str(list(POLICY_KINDS)))
+        with pytest.raises(BuilderError, match=listed):
+            PlatformBuilder().arbitration(alias)
+        with pytest.raises(BuilderError, match=listed):
+            PlatformBuilder().shared_bus(alias)
 
     def test_parameters_are_staged_as_tuples(self):
         config = (PlatformBuilder().pes(3)
@@ -94,13 +104,13 @@ class TestArbitrationStaging:
                   .build())
         assert config.arbitration_schedule == (0, 0, 1, 2)
         config = (PlatformBuilder().pes(3)
-                  .arbitration("priority", priority_order=[2, 1, 0])
+                  .arbitration("fixed_priority", priority_order=[2, 1, 0])
                   .build())
         assert config.arbitration_priority == (2, 1, 0)
 
     def test_weight_mapping_fills_gaps_with_one(self):
         config = (PlatformBuilder().pes(4)
-                  .arbitration("weighted", weights={0: 5, 3: 2})
+                  .arbitration("weighted_round_robin", weights={0: 5, 3: 2})
                   .build())
         assert config.arbitration_weights == (5, 1, 1, 2)
 
@@ -109,41 +119,42 @@ class TestArbitrationStaging:
             .arbitration_spec()
         assert spec.kind == "tdma"
         assert spec.schedule == (0, 1, 2)
-        spec = (PlatformBuilder().pes(4).arbitration("weighted").build()
-                .arbitration_spec())
+        spec = (PlatformBuilder().pes(4).arbitration("weighted_round_robin")
+                .build().arbitration_spec())
         assert spec.weights == (4, 3, 2, 1)
 
     def test_applies_to_every_topology(self):
         for stage in ("crossbar", "mesh", "shared_bus"):
-            builder = PlatformBuilder().pes(2).arbitration("priority")
+            builder = PlatformBuilder().pes(2).arbitration("fixed_priority")
             config = getattr(builder, stage)().build()
-            assert config.arbitration is ArbitrationKind.FIXED_PRIORITY
+            assert config.arbitration == "fixed_priority"
 
-    def test_shared_bus_keeps_staged_policy_and_accepts_aliases(self):
+    def test_shared_bus_keeps_staged_policy(self):
         # shared_bus() without an explicit policy must not reset a staged
-        # one; with one it delegates to arbitration() (same aliases).
+        # one; with one it delegates to arbitration() (same kinds).
         config = (PlatformBuilder().arbitration("tdma").shared_bus().build())
-        assert config.arbitration is ArbitrationKind.TDMA
-        config = PlatformBuilder().shared_bus("weighted").build()
-        assert config.arbitration is ArbitrationKind.WEIGHTED_ROUND_ROBIN
+        assert config.arbitration == "tdma"
+        config = PlatformBuilder().shared_bus("weighted_round_robin").build()
+        assert config.arbitration == "weighted_round_robin"
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(BuilderError, match="unknown arbitration"):
             PlatformBuilder().arbitration("lottery")
-        with pytest.raises(BuilderError, match="ArbitrationKind"):
-            PlatformBuilder().arbitration(3).build()
+        with pytest.raises(BuilderError, match="unknown arbitration"):
+            PlatformBuilder().arbitration(3)
         with pytest.raises(BuilderError, match="not be empty"):
-            PlatformBuilder().arbitration("weighted", weights={})
+            PlatformBuilder().arbitration("weighted_round_robin", weights={})
         with pytest.raises(BuilderError, match="weights must be >= 1"):
-            PlatformBuilder().arbitration("weighted", weights=(0,)).build()
+            PlatformBuilder().arbitration("weighted_round_robin",
+                                          weights=(0,)).build()
 
     def test_weight_mapping_keys_must_be_master_ids(self):
         # Regression: string keys used to escape as a raw TypeError and
         # negative ids were silently dropped from the expanded tuple.
         with pytest.raises(BuilderError, match="master ids"):
-            PlatformBuilder().arbitration("weighted", weights={"0": 5})
+            PlatformBuilder().arbitration("weighted_round_robin", weights={"0": 5})
         with pytest.raises(BuilderError, match="master ids"):
-            PlatformBuilder().arbitration("weighted", weights={-1: 9, 1: 2})
+            PlatformBuilder().arbitration("weighted_round_robin", weights={-1: 9, 1: 2})
 
 
 class TestBuilderValidation:
@@ -212,10 +223,10 @@ REJECTED = {
     "arbitration name": lambda b: b.arbitration("lottery"),
     "arbitration type": lambda b: b.arbitration(3),
     "shared_bus arbitration": lambda b: b.shared_bus(arbitration="coin_flip"),
-    "empty weights": lambda b: b.arbitration("weighted", weights={}),
-    "weight key": lambda b: b.arbitration("weighted", weights={"0": 5}),
-    "weight id": lambda b: b.arbitration("weighted", weights={-1: 9}),
-    "weight value": lambda b: b.arbitration("weighted", weights=(0,)),
+    "empty weights": lambda b: b.arbitration("weighted_round_robin", weights={}),
+    "weight key": lambda b: b.arbitration("weighted_round_robin", weights={"0": 5}),
+    "weight id": lambda b: b.arbitration("weighted_round_robin", weights={-1: 9}),
+    "weight value": lambda b: b.arbitration("weighted_round_robin", weights=(0,)),
     "mesh": lambda b: b.mesh(flit_bytes=0),
     "write policy": lambda b: b.l1_cache(policy="write_sometimes"),
     "cache geometry": lambda b: b.l1_cache(sets=0),

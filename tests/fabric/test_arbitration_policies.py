@@ -13,11 +13,13 @@ Policies are verified at three levels:
 """
 
 import random
+import re
 
 import pytest
 
 from repro.api import ExperimentRunner, PlatformBuilder, Scenario
 from repro.fabric import (
+    POLICY_KINDS,
     ArbitrationPolicy,
     ArbitrationSpec,
     BusOp,
@@ -28,7 +30,6 @@ from repro.fabric import (
     RoundRobinArbiter,
     TdmaArbiter,
     WeightedRoundRobinArbiter,
-    make_arbiter,
 )
 from repro.interconnect import Crossbar, SharedBus
 from repro.kernel import Module, Simulator
@@ -231,10 +232,10 @@ class TestRoundRobinAgainstReference:
 
 
 class TestArbitrationSpec:
-    def test_coerce_and_aliases(self):
+    def test_coerce(self):
         assert ArbitrationSpec.coerce(None).kind == "round_robin"
-        assert ArbitrationSpec.coerce("priority").kind == "fixed_priority"
-        assert ArbitrationSpec.coerce("wrr").kind == "weighted_round_robin"
+        for kind in POLICY_KINDS:
+            assert ArbitrationSpec.coerce(kind).kind == kind
         spec = ArbitrationSpec(kind="tdma", schedule=[1, 0])
         assert ArbitrationSpec.coerce(spec) is spec
         assert spec.schedule == (1, 0)
@@ -244,6 +245,11 @@ class TestArbitrationSpec:
             ArbitrationSpec(kind="lottery")
         with pytest.raises(TypeError):
             ArbitrationSpec.coerce(42)
+
+    @pytest.mark.parametrize("alias", ["rr", "priority", "weighted", "wrr"])
+    def test_former_aliases_rejected_listing_the_kinds(self, alias):
+        with pytest.raises(ValueError, match=re.escape(str(list(POLICY_KINDS)))):
+            ArbitrationSpec(kind=alias)
 
     def test_create_maps_kinds_to_policies(self):
         assert isinstance(ArbitrationSpec("round_robin").create(),
@@ -259,12 +265,6 @@ class TestArbitrationSpec:
     def test_tdma_without_schedule_rejected_at_create(self):
         with pytest.raises(ValueError, match="schedule"):
             ArbitrationSpec("tdma").create()
-
-    def test_make_arbiter_accepts_aliases_and_extra_kwargs(self):
-        arb = make_arbiter("weighted", weights=(2, 1), schedule=(0,))
-        assert isinstance(arb, WeightedRoundRobinArbiter)
-        with pytest.raises(ValueError):
-            make_arbiter("nope")
 
 
 # -- fabric level -------------------------------------------------------------------

@@ -9,7 +9,10 @@ re-export none of what moved to ``repro.fabric``.
 import pytest
 
 import repro.fabric as fabric
+import repro.fabric.policy as policy
 import repro.interconnect as interconnect
+import repro.soc as soc
+import repro.soc.config as soc_config
 from repro.fabric import (
     AddressMapConflict,
     ArbitrationSpec,
@@ -303,6 +306,17 @@ class TestShimRemoval:
                 f"repro.interconnect still re-exports {moved}; it lives in "
                 f"repro.fabric now"
             )
+
+    def test_policy_kinds_have_one_spelling(self):
+        # POLICY_KINDS is the only spelling of an arbitration kind: no
+        # aliases, no enum beside it, no factory shims beside
+        # ArbitrationSpec.create.
+        for gone in ("Arbiter", "make_arbiter", "make_policy",
+                     "POLICY_ALIASES", "canonical_kind"):
+            assert not hasattr(fabric, gone), f"repro.fabric still has {gone}"
+            assert not hasattr(policy, gone), f"fabric.policy still has {gone}"
+        assert not hasattr(soc, "ArbitrationKind")
+        assert not hasattr(soc_config, "ArbitrationKind")
 
     def test_topologies_are_fabric_subclasses(self):
         assert issubclass(SharedBus, Fabric)

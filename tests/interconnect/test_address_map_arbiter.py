@@ -7,10 +7,10 @@ from repro.fabric import (
     AddressDecodeError,
     AddressMap,
     AddressMapConflict,
+    ArbitrationSpec,
     FixedPriorityArbiter,
     RoundRobinArbiter,
     TdmaArbiter,
-    make_arbiter,
 )
 
 
@@ -300,16 +300,21 @@ class TestTdmaSlotWraparound:
 
 
 class TestFactory:
+    """``ArbitrationSpec.create`` is the one policy factory."""
+
     def test_make_round_robin(self):
-        assert isinstance(make_arbiter("round_robin"), RoundRobinArbiter)
+        assert isinstance(ArbitrationSpec("round_robin").create(),
+                          RoundRobinArbiter)
 
     def test_make_fixed_priority(self):
-        arb = make_arbiter("fixed_priority", priority_order=[1, 0])
+        arb = ArbitrationSpec("fixed_priority", priority_order=[1, 0]).create()
         assert isinstance(arb, FixedPriorityArbiter)
+        assert arb.grant([0, 1]) == 1
 
     def test_make_tdma(self):
-        assert isinstance(make_arbiter("tdma", schedule=[0, 1]), TdmaArbiter)
+        assert isinstance(ArbitrationSpec("tdma", schedule=[0, 1]).create(),
+                          TdmaArbiter)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            make_arbiter("magic")
+            ArbitrationSpec("magic")

@@ -98,6 +98,30 @@ def test_monitored_cut_free_run_reports_the_sequential_monitors():
     assert monitors(2) == sequential_json
 
 
+def test_modeled_memories_report_the_sequential_memory_blocks():
+    """The modelled baseline memories' blocks, each reported by the
+    partition that owns the memory, merge into the sequential run's."""
+    def memory_reports(partitions):
+        builder = (PlatformBuilder().pes(4).modeled_memories(4)
+                   .mesh(4, 4, **CUT_FREE))
+        if partitions > 1:
+            builder = builder.partitions(partitions)
+        result = run_scenario(Scenario(
+            name=f"modeled-{partitions}", config=builder.build(),
+            workload="fir", params={"num_samples": 48}, seed=11))
+        result.raise_for_status()
+        if partitions > 1:
+            assert result.report.pdes["boundary_messages"] == 0
+        return result.report.memory_reports
+
+    sequential_reports = memory_reports(1)
+    assert [list(block) for block in sequential_reports] == [
+        ["name", "live_allocations", "used_bytes", "heap_accesses",
+         "op_counts"]] * 4
+    assert all(block["heap_accesses"] > 0 for block in sequential_reports)
+    assert memory_reports(2) == sequential_reports
+
+
 def test_cross_partition_traffic_is_correct_and_counted(sequential):
     """All four PEs hammer one memory across the cuts: workload results
     stay correct (timing-independent), boundary traffic is visible."""

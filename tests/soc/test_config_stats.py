@@ -1,11 +1,12 @@
 """Tests for platform configuration and the reporting/statistics helpers."""
 
 import dataclasses
+import re
 
 import pytest
 
+from repro.fabric import POLICY_KINDS
 from repro.soc import (
-    ArbitrationKind,
     InterconnectKind,
     MemoryKind,
     PlatformConfig,
@@ -35,7 +36,17 @@ class TestPlatformConfig:
         assert config.num_memories == 1
         assert config.memory_kind is MemoryKind.WRAPPER
         assert config.interconnect is InterconnectKind.SHARED_BUS
-        assert config.arbitration is ArbitrationKind.ROUND_ROBIN
+        assert config.arbitration == "round_robin"
+
+    def test_arbitration_is_a_policy_kind(self):
+        for kind in POLICY_KINDS:
+            assert PlatformConfig(arbitration=kind).arbitration_spec().kind \
+                == kind
+
+    @pytest.mark.parametrize("alias", ["rr", "priority", "weighted", "wrr"])
+    def test_former_aliases_rejected_listing_the_kinds(self, alias):
+        with pytest.raises(ValueError, match=re.escape(str(list(POLICY_KINDS)))):
+            PlatformConfig(arbitration=alias)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -37,7 +37,6 @@ RANK = {package: rank for rank, layer in enumerate(LAYERS)
 #: The lazy imports that reach a peer or a higher layer: (file, target).
 LAZY_UPWARD = {
     ("obs/export.py", "api"),      # the export CLI's demo scenario
-    ("obs/metrics.py", "api"),     # timeseries writers reuse _columns
     ("pdes/partition.py", "api"),  # _build_seeded_workload
 }
 
