@@ -14,17 +14,13 @@ One :class:`CoherenceDomain` per platform ties the per-PE L1 caches
 * it hooks into the interconnect (:meth:`attach_interconnect`) so commands
   issued by *uncached* masters (raw testbench traffic, ISS programs) still
   invalidate stale lines conservatively: their writes supersede any cached
-  dirty copy of the written range.  A command may arrive as one burst on
-  ``REG_COMMAND`` or as single-word pokes of the operand registers
-  (``REG_OPCODE`` … ``REG_OFFSET``) launched by ``REG_GO``; the hook keeps
-  a copy of each memory's operand registers from the pokes it observes,
-  and since it fires in slave service order that copy equals the memory's
-  own registers at every ``REG_GO``.  The one gap raw
-  masters keep under the write-back policy: their *reads* cannot trigger a
-  snoop writeback (the hook runs synchronously inside the bus process and
-  cannot issue bus transactions), so a raw read may observe pre-writeback
-  memory; mixed platforms that need raw readers should use write-through
-  caches.
+  dirty copy of the written range.  A command reaches a memory only as
+  one burst on ``REG_COMMAND``, so that burst is all the hook decodes.
+  The one gap raw masters keep under the write-back policy: their *reads*
+  cannot trigger a snoop writeback (the hook runs synchronously inside the
+  bus process and cannot issue bus transactions), so a raw read may
+  observe pre-writeback memory; mixed platforms that need raw readers
+  should use write-through caches.
 
 Snoop-triggered writebacks are issued through the *requesting* master's
 port, inside the requesting PE's process — the snoop channel itself is not
@@ -38,12 +34,10 @@ from dataclasses import asdict, dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..memory.protocol import (
-    IO_ARRAY_BASE,
     MemCommand,
     MemOpcode,
     ProtocolError,
     REG_COMMAND,
-    REG_GO,
     REGISTER_WINDOW_BYTES,
 )
 from ..fabric import BusOp, BusRequest, BusResponse, Fabric
@@ -109,8 +103,6 @@ class CoherenceDomain:
         #: Interconnect window map used by the bus snooper:
         #: window base address -> memory index.
         self._windows: Dict[int, int] = {}
-        #: mem_index -> operand register offset -> last word poked there.
-        self._registers: Dict[int, Dict[int, int]] = {}
 
     # -- cache registration ------------------------------------------------------
     def register_cache(self, cache) -> None:
@@ -331,18 +323,11 @@ class CoherenceDomain:
         if window is None:
             return
         _base, mem_index, offset = window
-        if offset == REG_COMMAND and request.burst_data is not None:
-            try:
-                command = MemCommand.from_words(request.burst_data)
-            except ProtocolError:
-                return
-        elif offset == REG_GO:
-            command = MemCommand.from_registers(
-                self._registers.get(mem_index, {}), mem_index)
-        else:
-            if offset < IO_ARRAY_BASE:  # an operand register poke
-                self._registers.setdefault(mem_index, {})[offset] = \
-                    request.data
+        if offset != REG_COMMAND or request.burst_data is None:
+            return
+        try:
+            command = MemCommand.from_words(request.burst_data)
+        except ProtocolError:
             return
         self.stats.bus_snoops += 1
         opcode = command.opcode

@@ -41,10 +41,6 @@ from ..memory.protocol import (
     ARRAY_OPCODES,
     IO_ARRAY_BASE,
     REG_COMMAND,
-    REG_LIVE_COUNT,
-    REG_RESULT,
-    REG_STATUS,
-    REG_USED_BYTES,
     MemCommand,
     MemOpcode,
     ProtocolError,
@@ -54,10 +50,6 @@ from .protocol import CoherenceChecker, ProtocolChecker
 from .race import RaceDetector
 from .report import AccessSite, Frame, ReportSink
 from .vclock import Actor
-
-#: Scalar writes to these memory-window offsets are documented read-only.
-_MEM_READONLY = frozenset({REG_STATUS, REG_RESULT, REG_LIVE_COUNT,
-                           REG_USED_BYTES})
 
 #: The access a completed data command is to the race detector.
 _ACCESS_LABELS = {MemOpcode.READ: "scalar read", MemOpcode.WRITE: "scalar write",
@@ -246,21 +238,23 @@ class SanitizerSuite:
                        time: int) -> None:
         offset = request.address - window.base
         actor = request.master_id
+        launch = (offset == REG_COMMAND and request.op is BusOp.WRITE
+                  and request.burst_data is not None)
         if self.protocol is not None and offset < IO_ARRAY_BASE:
+            # Below the I/O array a memory takes one write: the command burst.
             if not request.is_burst and request.size != WORD_SIZE:
                 self.protocol.register_misuse(
                     f"{self._label(actor)}: {request.size}-byte access to "
                     f"{window.name}+{offset:#x} (memory registers are "
                     f"word-access only)",
                     self._site(actor, "sub-word access", time))
-            elif request.op is BusOp.WRITE and not request.is_burst \
-                    and offset in _MEM_READONLY:
+            elif request.op is BusOp.WRITE and not launch:
                 self.protocol.register_misuse(
                     f"{self._label(actor)}: write to read-only register "
-                    f"{window.name}+{offset:#x}",
+                    f"{window.name}+{offset:#x} (only the command burst at "
+                    f"+{REG_COMMAND:#x} is written below the I/O array)",
                     self._site(actor, "read-only write", time))
-        if (offset != REG_COMMAND or request.op is not BusOp.WRITE
-                or request.burst_data is None):
+        if not launch:
             return
         try:
             command = MemCommand.from_words(request.burst_data)

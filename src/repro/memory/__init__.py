@@ -20,14 +20,11 @@ __getattr__, __dir__ = lazy_exports(globals(), {
               "HeapStats", "WordAccessor"],
     ".host_memory": ["HostAccessError", "HostAllocationError", "HostBlock",
                      "HostMemory", "HostMemoryStats"],
-    ".latency": ["LatencyModel", "make_page_hit_model", "sdram_latency",
-                 "sram_latency"],
+    ".latency": ["LatencyModel"],
     ".modeled_dynamic_memory": ["ModeledDynamicMemory"],
     ".protocol": ["DATA_TYPE_SIZES", "IO_ARRAY_BASE", "IO_ARRAY_BYTES",
-                  "REG_COMMAND", "REG_DATA_IN", "REG_DIM", "REG_GO",
-                  "REG_LIVE_COUNT", "REG_OFFSET", "REG_OPCODE", "REG_RESULT",
-                  "REG_SM_ADDR", "REG_STATUS", "REG_TYPE", "REG_USED_BYTES",
-                  "REG_VPTR", "REGISTER_WINDOW_BYTES", "DataType",
+                  "REG_COMMAND", "REG_LIVE_COUNT", "REG_RESULT", "REG_STATUS",
+                  "REG_USED_BYTES", "REGISTER_WINDOW_BYTES", "DataType",
                   "Endianness", "MemCommand", "MemOpcode", "MemResult",
                   "MemStatus", "ProtocolError", "data_type_size"],
     ".static_memory": ["StaticMemory"],
@@ -58,18 +55,10 @@ __all__ = [
     "ModeledDynamicMemory",
     "ProtocolError",
     "REG_COMMAND",
-    "REG_DATA_IN",
-    "REG_DIM",
-    "REG_GO",
     "REG_LIVE_COUNT",
-    "REG_OFFSET",
-    "REG_OPCODE",
     "REG_RESULT",
-    "REG_SM_ADDR",
     "REG_STATUS",
-    "REG_TYPE",
     "REG_USED_BYTES",
-    "REG_VPTR",
     "REGISTER_WINDOW_BYTES",
     "StaticMemory",
     "WordAccessor",
@@ -78,8 +67,5 @@ __all__ = [
     "decode_element",
     "encode_array",
     "encode_element",
-    "make_page_hit_model",
-    "sdram_latency",
-    "sram_latency",
     "to_signed",
 ]

@@ -5,7 +5,7 @@ fully-modelled baseline expose the same register window (defined in
 :mod:`repro.memory.protocol`), so the software API can target either.  This
 module implements everything they have in common once:
 
-* decoding of command-port bursts and of individual register pokes,
+* decoding of command-port bursts, the one way a command is launched,
 * the protocol's semantics (:meth:`DynamicMemorySlave._execute`): ALLOC
   validation, exact-base FREE / RESERVE / RELEASE / QUERY, interior-pointer
   READ / WRITE and array transfers, the check order (pointer, then bounds,
@@ -37,7 +37,6 @@ from .protocol import (
     IO_ARRAY_BASE,
     IO_ARRAY_BYTES,
     REG_COMMAND,
-    REG_GO,
     REG_LIVE_COUNT,
     REG_RESULT,
     REG_STATUS,
@@ -221,7 +220,6 @@ class DynamicMemorySlave(BusSlave):
         #: Idle evaluations performed by cycle-driven platforms (see
         #: ``PlatformConfig.idle_tick_memories``).
         self.idle_cycles = 0
-        self._staged: Dict[int, int] = {}
 
     def account_idle_cycles(self, cycles: int) -> None:
         """Account ``cycles`` idle evaluations at once (batched bookkeeping)."""
@@ -373,19 +371,8 @@ class DynamicMemorySlave(BusSlave):
             return (BusResponse(status=ResponseStatus.NACK,
                                 data=int(MemStatus.ERR_MALFORMED)),
                     REGISTER_ACCESS_CYCLES + len(request.burst_data))
-        result, cycles = self._run_command(command, request.master_id)
-        # Delivering the command words costs one cycle per word on top of the
-        # operation itself (opcode + sm_addr + operands, as in the paper's
-        # cycle-by-cycle handshake).
-        cycles += len(request.burst_data)
-        status = ResponseStatus.OK if result.ok else ResponseStatus.NACK
-        return BusResponse(status=status, data=result.value), cycles
-
-    def _run_command(self, command: MemCommand, master_id: int
-                     ) -> Tuple[MemResult, int]:
-        """Execute ``command``: its result and the cycles it took."""
-        io_array = self.io_array_for(master_id)
-        result = self._execute(command, io_array, master_id)
+        io_array = self.io_array_for(request.master_id)
+        result = self._execute(command, io_array, request.master_id)
         self.last_status = result.status
         self.last_result = result.value
         self.op_counts[command.opcode] += 1
@@ -393,29 +380,27 @@ class DynamicMemorySlave(BusSlave):
             # Stage read-array results in the I/O array for later burst reads.
             io_array[:len(result.burst)] = [word & 0xFFFFFFFF
                                             for word in result.burst]
-        # Only an array command that completed moved any words.
+        # Only an array command that completed moved any words.  Delivering
+        # the command words costs one cycle per word on top of the operation
+        # itself (opcode + sm_addr + operands, as in the paper's
+        # cycle-by-cycle handshake).
         words = (command.dim if result.status is MemStatus.OK
                  and command.opcode in ARRAY_OPCODES else 0)
-        return result, self._cycles_for(command, words)
+        cycles = self._cycles_for(command, words) + len(request.burst_data)
+        status = ResponseStatus.OK if result.ok else ResponseStatus.NACK
+        return BusResponse(status=status, data=result.value), cycles
 
     # -- register file handling --------------------------------------------------------
     def _handle_register(self, request: BusRequest, offset: int):
-        cycles = REGISTER_ACCESS_CYCLES
-        if request.op is BusOp.WRITE:
-            if offset == REG_GO:
-                result, run_cycles = self._run_command(
-                    MemCommand.from_registers(self._staged, self.sm_addr),
-                    request.master_id)
-                cycles += run_cycles
-                status = ResponseStatus.OK if result.ok else ResponseStatus.NACK
-                return BusResponse(status=status, data=result.value), cycles
-            self._staged[offset] = request.data
-            return BusResponse(), cycles
-        # Reads.
-        value = self._read_register(offset)
+        """Reads of the four result registers; below the I/O array, every
+        other access (a write that is not the command burst, a read of an
+        unmapped offset) is refused and changes nothing."""
+        value = (self._read_register(offset) if request.op is BusOp.READ
+                 else None)
         if value is None:
-            return BusResponse(status=ResponseStatus.SLAVE_ERROR), cycles
-        return BusResponse(data=value), cycles
+            return (BusResponse(status=ResponseStatus.SLAVE_ERROR),
+                    REGISTER_ACCESS_CYCLES)
+        return BusResponse(data=value), REGISTER_ACCESS_CYCLES
 
     def _read_register(self, offset: int) -> Optional[int]:
         if offset == REG_STATUS:
@@ -426,9 +411,6 @@ class DynamicMemorySlave(BusSlave):
             return self.live_count()
         if offset == REG_USED_BYTES:
             return self.used_bytes()
-        if offset < REG_STATUS:
-            # Operand registers read back their staged value.
-            return self._staged.get(offset, 0)
         return None
 
     # -- I/O array handling ----------------------------------------------------------------

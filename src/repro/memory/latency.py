@@ -1,21 +1,15 @@
-"""Latency models for memory modules.
+"""Latency model of the traditional memory modules.
 
-The paper's wrapper "guarantees the simulation accuracy using parameters of
-delays which can be dynamic and data dependent".  :class:`LatencyModel`
-captures exactly that: a fixed per-operation component, a per-word transfer
-component, and an optional user-supplied callable evaluated per request for
-data-dependent behaviour (e.g. page-hit/page-miss DRAM models).
+The static table memory and the fully-modelled dynamic memory baseline
+charge their operations from a :class:`LatencyModel`: a fixed
+per-operation component plus a per-word transfer component for bursts.
+(The paper's wrapper takes its "dynamic and data dependent" delays from
+:class:`~repro.wrapper.delays.WrapperDelays` instead.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
-
-
-#: Signature of a data-dependent latency hook:
-#: ``hook(operation_name, byte_count) -> extra_cycles``.
-LatencyHook = Callable[[str, int], int]
 
 
 @dataclass
@@ -31,9 +25,6 @@ class LatencyModel:
         memory modules).
     per_word_cycles:
         Additional cycles charged per data word moved in burst transfers.
-    data_dependent:
-        Optional hook adding extra cycles as a function of the operation
-        name and the number of bytes involved.
     """
 
     read_cycles: int = 1
@@ -41,7 +32,6 @@ class LatencyModel:
     alloc_cycles: int = 2
     free_cycles: int = 2
     per_word_cycles: int = 1
-    data_dependent: Optional[LatencyHook] = None
 
     def __post_init__(self) -> None:
         for name in ("read_cycles", "write_cycles", "alloc_cycles", "free_cycles",
@@ -50,68 +40,26 @@ class LatencyModel:
                 raise ValueError(f"{name} must be >= 0")
 
     # -- cost queries --------------------------------------------------------
-    def _extra(self, operation: str, byte_count: int) -> int:
-        if self.data_dependent is None:
-            return 0
-        extra = self.data_dependent(operation, byte_count)
-        if extra < 0:
-            raise ValueError("data-dependent latency hook returned a negative value")
-        return extra
+    def scalar_read(self) -> int:
+        """Cycles for a scalar read."""
+        return max(1, self.read_cycles)
 
-    def scalar_read(self, byte_count: int = 4) -> int:
-        """Cycles for a scalar read of ``byte_count`` bytes."""
-        return max(1, self.read_cycles + self._extra("read", byte_count))
+    def scalar_write(self) -> int:
+        """Cycles for a scalar write."""
+        return max(1, self.write_cycles)
 
-    def scalar_write(self, byte_count: int = 4) -> int:
-        """Cycles for a scalar write of ``byte_count`` bytes."""
-        return max(1, self.write_cycles + self._extra("write", byte_count))
+    def burst_read(self, words: int) -> int:
+        """Cycles for a burst read of ``words`` words."""
+        return max(1, self.read_cycles + self.per_word_cycles * words)
 
-    def burst_read(self, words: int, byte_count: int) -> int:
-        """Cycles for a burst read of ``words`` words (``byte_count`` bytes)."""
-        return max(1, self.read_cycles + self.per_word_cycles * words
-                   + self._extra("read_array", byte_count))
+    def burst_write(self, words: int) -> int:
+        """Cycles for a burst write of ``words`` words."""
+        return max(1, self.write_cycles + self.per_word_cycles * words)
 
-    def burst_write(self, words: int, byte_count: int) -> int:
-        """Cycles for a burst write of ``words`` words (``byte_count`` bytes)."""
-        return max(1, self.write_cycles + self.per_word_cycles * words
-                   + self._extra("write_array", byte_count))
+    def alloc(self) -> int:
+        """Cycles for an allocation."""
+        return max(1, self.alloc_cycles)
 
-    def alloc(self, byte_count: int) -> int:
-        """Cycles for an allocation of ``byte_count`` bytes."""
-        return max(1, self.alloc_cycles + self._extra("alloc", byte_count))
-
-    def free(self, byte_count: int) -> int:
-        """Cycles for a deallocation of ``byte_count`` bytes."""
-        return max(1, self.free_cycles + self._extra("free", byte_count))
-
-
-def sram_latency() -> LatencyModel:
-    """Single-cycle on-chip SRAM."""
-    return LatencyModel(read_cycles=1, write_cycles=1, per_word_cycles=1)
-
-
-def sdram_latency() -> LatencyModel:
-    """A simple off-chip SDRAM-ish model: slower scalars, cheap streaming."""
-    return LatencyModel(read_cycles=6, write_cycles=4, per_word_cycles=1,
-                        alloc_cycles=6, free_cycles=6)
-
-
-def make_page_hit_model(page_bytes: int = 1024, hit_cycles: int = 2,
-                        miss_cycles: int = 8) -> LatencyModel:
-    """A data-dependent model distinguishing same-page and cross-page accesses.
-
-    The model keeps the last accessed "page" (derived from the byte count of
-    successive accesses, a deliberately simple stand-in for row buffers) and
-    charges ``miss_cycles`` extra when the access pattern leaves the page.
-    """
-    state = {"open_page": None}
-
-    def hook(operation: str, byte_count: int) -> int:
-        page = byte_count // max(1, page_bytes)
-        if state["open_page"] == page:
-            return hit_cycles
-        state["open_page"] = page
-        return miss_cycles
-
-    return LatencyModel(read_cycles=2, write_cycles=2, per_word_cycles=1,
-                        data_dependent=hook)
+    def free(self) -> int:
+        """Cycles for a deallocation."""
+        return max(1, self.free_cycles)

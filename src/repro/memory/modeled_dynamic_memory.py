@@ -162,17 +162,17 @@ class ModeledDynamicMemory(DynamicMemorySlave):
         heap_cost = self._last_heap_accesses * self.header_access_cycles
         opcode = command.opcode
         if opcode == MemOpcode.ALLOC:
-            return model.alloc(command.dim) + heap_cost
+            return model.alloc() + heap_cost
         if opcode == MemOpcode.FREE:
-            return model.free(0) + heap_cost
+            return model.free() + heap_cost
         if opcode == MemOpcode.WRITE:
-            return model.scalar_write(4) + heap_cost
+            return model.scalar_write() + heap_cost
         if opcode == MemOpcode.READ:
-            return model.scalar_read(4) + heap_cost
+            return model.scalar_read() + heap_cost
         if opcode == MemOpcode.WRITE_ARRAY:
-            return model.burst_write(words, command.dim * 4) + heap_cost
+            return model.burst_write(words) + heap_cost
         if opcode == MemOpcode.READ_ARRAY:
-            return model.burst_read(words, command.dim * 4) + heap_cost
+            return model.burst_read(words) + heap_cost
         return max(1, REGISTER_ACCESS_CYCLES + heap_cost)
 
     # -- reporting -----------------------------------------------------------------------------

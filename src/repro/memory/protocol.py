@@ -9,16 +9,14 @@ software written against the high-level API runs unchanged on either.
 Following Figure 2 of the paper, every transaction starts with an *opcode*
 and the *shared-memory address* (``sm_addr``, identifying the memory module)
 followed by the operands.  On our memory-mapped interconnect the command is
-delivered as a burst write to the module's command port; scalar register
-accesses are also supported for ISS-style software that pokes individual
-I/O registers.
+delivered as one burst write to the module's command port.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Optional, Sequence
 
 
 class MemOpcode(enum.IntEnum):
@@ -118,16 +116,6 @@ class Endianness(enum.Enum):
 
 #: Burst-write command port: [opcode, sm_addr, operands...] in one transfer.
 REG_COMMAND = 0x00
-#: Individual operand registers (ISS-style register pokes).
-REG_OPCODE = 0x20
-REG_SM_ADDR = 0x24
-REG_VPTR = 0x28
-REG_DIM = 0x2C
-REG_TYPE = 0x30
-REG_DATA_IN = 0x34
-REG_OFFSET = 0x38
-#: Writing any value here launches the operation staged in the registers.
-REG_GO = 0x3C
 #: Read-only: status of the last completed operation.
 REG_STATUS = 0x40
 #: Read-only: primary result of the last completed operation.
@@ -226,27 +214,6 @@ class MemCommand:
         elif count > 2:
             command.dim = words[4]
         return command
-
-    @classmethod
-    def from_registers(cls, staged: Mapping[int, int],
-                       sm_addr: int) -> "MemCommand":
-        """The command a ``REG_GO`` launches from the operand registers.
-
-        ``staged`` maps register offsets to the words last poked there; an
-        unwritten register reads as its default (``sm_addr`` for
-        ``REG_SM_ADDR``), and an unknown opcode or data type as NOP or
-        UINT32.
-        """
-        return cls(
-            opcode=_OPCODE_OF.get(staged.get(REG_OPCODE), MemOpcode.NOP),
-            sm_addr=staged.get(REG_SM_ADDR, sm_addr),
-            vptr=staged.get(REG_VPTR, 0),
-            dim=staged.get(REG_DIM, 0),
-            data_type=_DATA_TYPE_OF.get(staged.get(REG_TYPE),
-                                        DataType.UINT32),
-            data=staged.get(REG_DATA_IN, 0),
-            offset=staged.get(REG_OFFSET, 0),
-        )
 
 
 @dataclass

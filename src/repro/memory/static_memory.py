@@ -65,12 +65,11 @@ class StaticMemory(BusSlave):
         model = self.latency_model
         if request.is_burst:
             words = request.word_count
-            cycles = (model.burst_read(words, words * 4)
-                      if request.op is BusOp.READ
-                      else model.burst_write(words, words * 4))
+            cycles = (model.burst_read(words) if request.op is BusOp.READ
+                      else model.burst_write(words))
             return self._burst_access(request, offset), max(1, cycles)
-        cycles = (model.scalar_read(request.size) if request.op is BusOp.READ
-                  else model.scalar_write(request.size))
+        cycles = (model.scalar_read() if request.op is BusOp.READ
+                  else model.scalar_write())
         return self._scalar_access(request, offset), max(1, cycles)
 
     # -- helpers -----------------------------------------------------------------------

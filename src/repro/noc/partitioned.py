@@ -35,7 +35,7 @@ from ..fabric import ArbitrationSpec
 from ..fabric.transaction import BusOp
 from ..kernel import Module, Probes
 from ..kernel.simtime import NS
-from ..memory.protocol import REG_COMMAND, REG_OPCODE, MemOpcode
+from ..memory.protocol import REG_COMMAND, MemOpcode
 from .config import NocConfig
 from .mesh import MeshNoc, _OutputPort
 from .packet import Packet
@@ -96,16 +96,12 @@ _LOCK_OPCODES = (int(MemOpcode.RESERVE), int(MemOpcode.RELEASE))
 
 
 def _is_lock_command(packet: Packet) -> bool:
-    """True when the request packet carries a RESERVE/RELEASE command
-    (either the burst command-port encoding or the register-poke one)."""
+    """True when the request packet is a RESERVE/RELEASE command burst
+    (the one way a command reaches a memory's command port)."""
     request = packet.request
-    if request.op is not BusOp.WRITE:
-        return False
-    if packet.offset == REG_COMMAND and request.burst_data:
-        return int(request.burst_data[0]) in _LOCK_OPCODES
-    if packet.offset == REG_OPCODE and not request.burst_data:
-        return int(request.data) in _LOCK_OPCODES
-    return False
+    return (request.op is BusOp.WRITE and packet.offset == REG_COMMAND
+            and bool(request.burst_data)
+            and int(request.burst_data[0]) in _LOCK_OPCODES)
 
 
 class BoundaryRuntime:

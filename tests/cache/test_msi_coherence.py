@@ -247,16 +247,12 @@ class TestUncachedMasters:
 
     @pytest.mark.parametrize("topology", ["shared_bus", "crossbar", "mesh"])
     @pytest.mark.parametrize("policy", ["write_back", "write_through"])
-    @pytest.mark.parametrize("launch", ["burst", "registers"])
     def test_raw_write_invalidates_however_it_is_launched(
-            self, launch, policy, topology):
-        """A raw master's WRITE reaches the snooper whether it arrives as
-        one command burst or as operand-register pokes launched by
-        ``REG_GO``: the cached PE's next read sees the new value."""
+            self, policy, topology):
+        """A raw master's WRITE reaches the snooper as its one command
+        burst: the cached PE's next read sees the new value."""
         from repro.kernel import Module
-        from repro.memory.protocol import (
-            REG_COMMAND, REG_DATA_IN, REG_GO, REG_OFFSET, REG_OPCODE,
-            REG_SM_ADDR, REG_VPTR, MemCommand, MemOpcode)
+        from repro.memory.protocol import REG_COMMAND, MemCommand, MemOpcode
 
         builder = (PlatformBuilder().pes(1).wrapper_memories(1)
                    .l1_cache(sets=8, ways=2, line_bytes=16, policy=policy))
@@ -293,18 +289,8 @@ class TestUncachedMasters:
                     yield 160
                 command = MemCommand(MemOpcode.WRITE, sm_addr=0,
                                      vptr=shared["vptr"], offset=0, data=222)
-                if launch == "burst":
-                    response = yield from port.burst_write(
-                        base + REG_COMMAND, command.to_words())
-                else:
-                    for register, word in (
-                            (REG_OPCODE, int(command.opcode)),
-                            (REG_SM_ADDR, command.sm_addr),
-                            (REG_VPTR, command.vptr),
-                            (REG_OFFSET, command.offset),
-                            (REG_DATA_IN, command.data)):
-                        yield from port.write(base + register, word)
-                    response = yield from port.write(base + REG_GO, 1)
+                response = yield from port.burst_write(
+                    base + REG_COMMAND, command.to_words())
                 shared["raw_done"] = response.ok
 
         RawMaster(platform.top)

@@ -11,14 +11,15 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.fabric import BusOp, BusRequest
+from repro.api import PlatformBuilder
+from repro.fabric import BusOp, BusRequest, ResponseStatus
 from repro.memory import (
     IO_ARRAY_BYTES,
-    REG_DIM,
-    REG_GO,
-    REG_OPCODE,
+    REG_COMMAND,
+    REG_LIVE_COUNT,
+    REG_RESULT,
     REG_STATUS,
-    REG_VPTR,
+    REG_USED_BYTES,
     DataType,
     Endianness,
     MemCommand,
@@ -30,7 +31,9 @@ from repro.memory import (
     encode_array,
     encode_element,
 )
+from repro.memory.dynamic_base import REGISTER_ACCESS_CYCLES
 from repro.memory.protocol import DATA_TYPE_SIZES
+from repro.soc import Platform
 from repro.wrapper import S_TRANSFER, SharedMemoryWrapper
 
 IO_ARRAY_WORDS = IO_ARRAY_BYTES // 4
@@ -170,16 +173,41 @@ class TestArrayCommandVsIoWindow:
             assert memory.fsm.occupancy().get(S_TRANSFER, 0) == transfer
 
     def test_register_poke_launch_is_refused_too(self, kind):
+        """Below the I/O array a memory takes one write, the command burst,
+        and reads only its four result registers: any other access answers
+        SLAVE_ERROR in one register cycle and changes nothing, even a
+        WRITE_ARRAY spelled into 0x20-0x38 and "launched" at 0x3C."""
         memory, vptr = self.filled(kind)
-        for register, value in ((REG_OPCODE, int(MemOpcode.WRITE_ARRAY)),
-                                (REG_VPTR, vptr), (REG_DIM, self.DIM),
-                                (REG_GO, 1)):
-            response, _ = memory.serve(
-                BusRequest(0, BusOp.WRITE, 0, data=value), register)
-        assert not response.ok
-        status, _ = memory.serve(BusRequest(0, BusOp.READ, 0), REG_STATUS)
-        assert status.data == int(MemStatus.ERR_MALFORMED)
-        assert self.element(memory, vptr, 300) == 1300
+        # The words an operand-register encoding would read at 0x20-0x38:
+        # opcode, sm_addr, vptr, dim, type, data, offset.
+        spelled = dict(zip(range(0x20, 0x3C, 4), (
+            int(MemOpcode.WRITE_ARRAY), 0, vptr, 4, int(DataType.UINT32), 0,
+            296)))
+
+        def state():
+            return (memory.last_status, memory.last_result,
+                    dict(memory.op_counts), memory.live_count(),
+                    list(memory.io_array_for(0)))
+
+        def results():
+            return [memory.serve(BusRequest(0, BusOp.READ, 0), offset)[0].data
+                    for offset in (REG_STATUS, REG_RESULT, REG_LIVE_COUNT,
+                                   REG_USED_BYTES)]
+
+        before, answered = state(), results()
+        accesses = [(BusOp.WRITE, offset, spelled.get(offset, 0xDEAD))
+                    for offset in (REG_COMMAND, *range(0x04, 0x40, 4),
+                                   REG_STATUS)]
+        accesses += [(BusOp.READ, offset, 0) for offset in range(0x04, 0x40, 4)]
+        for op, offset, word in accesses:
+            response, cycles = memory.serve(
+                BusRequest(0, op, 0, data=word), offset)
+            assert response.status is ResponseStatus.SLAVE_ERROR, (op, offset)
+            assert cycles == REGISTER_ACCESS_CYCLES
+            assert state() == before, (op, offset)
+        assert results() == answered
+        for index in range(296, 300):
+            assert self.element(memory, vptr, index) == 1000 + index
 
     def test_full_window_command_still_moves_every_word(self, kind):
         memory, vptr = self.filled(kind)
@@ -223,3 +251,35 @@ def test_refused_array_command_charges_no_word_cycles(kind, opcode):
     moved, status = cycles(4)
     assert status is MemStatus.OK
     assert moved > refused[5, 0]
+
+
+@pytest.mark.parametrize("policy", ["write_back", "write_through"])
+def test_cached_register_pokes_are_refused(policy):
+    """A cached PE that spells a WRITE of 222 into 0x20-0x38 and writes 0x3C
+    is refused at every word, so its next read and the memory agree."""
+    platform = Platform(PlatformBuilder().pes(1).wrapper_memories(1)
+                        .l1_cache(sets=8, ways=2, line_bytes=16, policy=policy)
+                        .build())
+
+    def task(ctx):
+        smem = ctx.smem(0)
+        vptr = yield from smem.alloc(4, DataType.UINT32)
+        yield from smem.write(vptr, 111)
+        yield from smem.reserve(vptr)  # a flush barrier: 111 reaches memory
+        yield from smem.release(vptr)
+        statuses = []
+        for offset, word in ((0x20, int(MemOpcode.WRITE)), (0x24, 0),
+                             (0x28, vptr), (0x34, 222), (0x38, 0), (0x3C, 1)):
+            response = yield from ctx.port.write(smem.base_address + offset,
+                                                 word)
+            statuses.append(response.status)
+        value = yield from smem.read(vptr)
+        return vptr, statuses, value
+
+    platform.add_task(task)
+    vptr, statuses, value = platform.run().results["pe0"]
+    assert statuses == [ResponseStatus.SLAVE_ERROR] * 6
+    response, _ = platform.memories[0].serve(BusRequest(
+        99, BusOp.WRITE, 0, burst_data=MemCommand(
+            MemOpcode.READ, vptr=vptr).to_words()), REG_COMMAND)
+    assert response.ok and value == response.data == 111

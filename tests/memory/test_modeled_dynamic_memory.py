@@ -6,16 +6,6 @@ from repro.fabric import BusOp, BusRequest, ResponseStatus
 from repro.memory import (
     IO_ARRAY_BASE,
     REG_COMMAND,
-    REG_DATA_IN,
-    REG_DIM,
-    REG_GO,
-    REG_LIVE_COUNT,
-    REG_OPCODE,
-    REG_SM_ADDR,
-    REG_STATUS,
-    REG_TYPE,
-    REG_USED_BYTES,
-    REG_VPTR,
     DataType,
     MemCommand,
     MemOpcode,
@@ -181,34 +171,6 @@ class TestArraysAndReservation:
 
 
 class TestRegisterInterface:
-    def test_staged_register_operation(self):
-        memory = ModeledDynamicMemory(4096)
-        pokes = [
-            (REG_OPCODE, int(MemOpcode.ALLOC)),
-            (REG_SM_ADDR, 0),
-            (REG_DIM, 8),
-            (REG_TYPE, int(DataType.UINT32)),
-        ]
-        for offset, value in pokes:
-            memory.serve(BusRequest(0, BusOp.WRITE, 0, data=value), offset)
-        response, _ = memory.serve(BusRequest(0, BusOp.WRITE, 0, data=1), REG_GO)
-        assert response.ok and response.data > 0
-        status, _ = memory.serve(BusRequest(0, BusOp.READ, 0), REG_STATUS)
-        assert status.data == int(MemStatus.OK)
-        live, _ = memory.serve(BusRequest(0, BusOp.READ, 0), REG_LIVE_COUNT)
-        assert live.data == 1
-        used, _ = memory.serve(BusRequest(0, BusOp.READ, 0), REG_USED_BYTES)
-        assert used.data == 32
-
-    def test_operand_registers_read_back(self):
-        memory = ModeledDynamicMemory(4096)
-        memory.serve(BusRequest(0, BusOp.WRITE, 0, data=0x77), REG_VPTR)
-        response, _ = memory.serve(BusRequest(0, BusOp.READ, 0), REG_VPTR)
-        assert response.data == 0x77
-        memory.serve(BusRequest(0, BusOp.WRITE, 0, data=5), REG_DATA_IN)
-        response, _ = memory.serve(BusRequest(0, BusOp.READ, 0), REG_DATA_IN)
-        assert response.data == 5
-
     def test_malformed_command_burst(self):
         memory = ModeledDynamicMemory(4096)
         request = BusRequest(0, BusOp.WRITE, 0, burst_data=[0xFF, 0])

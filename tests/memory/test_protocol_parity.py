@@ -1,10 +1,9 @@
 """Protocol parity: the host-backed wrapper and the fully-modelled baseline
 answer one generated command stream alike.
 
-A random-stimulus-vs-model testbench: each step is one command — a burst on
-the command port, or register pokes followed by ``REG_GO`` — or an I/O-array
-fill, driven through :class:`SharedMemoryWrapper` and
-:class:`ModeledDynamicMemory` in turn.  After every step the two must agree
+A random-stimulus-vs-model testbench: each step is one command burst on the
+command port or an I/O-array fill, driven through :class:`SharedMemoryWrapper`
+and :class:`ModeledDynamicMemory` in turn.  After every step the two must agree
 on the bus response, the status and result registers, both masters' I/O
 arrays (where READ_ARRAY stages its burst) and the diagnostic counters.  Only
 timing may differ: that is the paper's E2 comparison.
@@ -33,14 +32,6 @@ from repro.memory import (
     IO_ARRAY_BASE,
     IO_ARRAY_BYTES,
     REG_COMMAND,
-    REG_DATA_IN,
-    REG_DIM,
-    REG_GO,
-    REG_OFFSET,
-    REG_OPCODE,
-    REG_SM_ADDR,
-    REG_TYPE,
-    REG_VPTR,
     DataType,
     MemCommand,
     MemOpcode,
@@ -97,20 +88,6 @@ def pointers(twins, pointer):
     return vptrs
 
 
-def drive(twin, master, command, via_go):
-    """Issue ``command``; the response of the command burst or of ``REG_GO``."""
-    if not via_go:
-        return twin.serve(master, REG_COMMAND, burst_data=command.to_words())
-    for register, value in ((REG_OPCODE, int(command.opcode)),
-                            (REG_SM_ADDR, command.sm_addr),
-                            (REG_VPTR, command.vptr), (REG_DIM, command.dim),
-                            (REG_TYPE, int(command.data_type)),
-                            (REG_DATA_IN, command.data),
-                            (REG_OFFSET, command.offset)):
-        twin.serve(master, register, data=value)
-    return twin.serve(master, REG_GO, data=1)
-
-
 def observed(twin, response, opcode):
     """Everything a master can see after one command."""
     memory = twin.memory
@@ -130,13 +107,13 @@ def run_step(twins, step):
             assert twin.serve(master, IO_ARRAY_BASE + 4 * index,
                               burst_data=list(words)).ok
         return
-    (_, master, opcode, pointer, offset, dim, data_type, data, sm_addr,
-     via_go) = step
+    _, master, opcode, pointer, offset, dim, data_type, data, sm_addr = step
     outcomes = []
     for twin, vptr in zip(twins, pointers(twins, pointer)):
         command = MemCommand(opcode, sm_addr=sm_addr, vptr=vptr, dim=dim,
                              data_type=data_type, data=data, offset=offset)
-        response = drive(twin, master, command, via_go)
+        response = twin.serve(master, REG_COMMAND,
+                              burst_data=command.to_words())
         outcomes.append(observed(twin, response, opcode))
         if response.ok and opcode is MemOpcode.ALLOC:
             twin.live.add(len(twin.bases))
@@ -184,8 +161,7 @@ def draw_step(rng, twins):
     return ("command", master, opcode,
             (rng.choice(KINDS), ordinal, rng.randint(1, 90)), offset, dim,
             rng.choice(list(DataType)), data,
-            0 if rng.random() < 0.9 else 3,  # 3: another memory's sm_addr
-            rng.random() < 0.3)  # launched by register pokes and REG_GO
+            0 if rng.random() < 0.9 else 3)  # 3: another memory's sm_addr
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,12 +174,12 @@ def test_wrapper_and_baseline_answer_one_stream_alike(rng):
 
 def alloc(master, dim, data_type=DataType.UINT32):
     return ("command", master, MemOpcode.ALLOC, ("foreign", 0, 1), 0, dim,
-            data_type, 0, 0, False)
+            data_type, 0, 0)
 
 
-def on(master, opcode, pointer, offset=0, dim=0, via_go=False):
+def on(master, opcode, pointer, offset=0, dim=0):
     return ("command", master, opcode, pointer, offset, dim, DataType.UINT32,
-            0, 0, via_go)
+            0, 0)
 
 
 PINNED = {
@@ -211,13 +187,13 @@ PINNED = {
     # reservation conflict.
     "interior-reserve": [
         alloc(0, 8), on(0, MemOpcode.RESERVE, ("interior", 0, 4)),
-        on(1, MemOpcode.RELEASE, ("interior", 0, 4), via_go=True)],
+        on(1, MemOpcode.RELEASE, ("interior", 0, 4))],
     # An array command out of range *and* reserved by another master is
     # out of range: bounds come before the reservation.
     "bounds-before-reservation": [
         alloc(0, 8), on(0, MemOpcode.RESERVE, ("base", 0, 1)),
         on(1, MemOpcode.WRITE_ARRAY, ("base", 0, 1), offset=4, dim=6),
-        on(1, MemOpcode.WRITE_ARRAY, ("interior", 0, 8), dim=7, via_go=True)],
+        on(1, MemOpcode.WRITE_ARRAY, ("interior", 0, 8), dim=7)],
     # ALLOC is calloc: a reused block does not show its last owner's data.
     "reused-block-reads-zero": [
         alloc(0, 4), ("stage", 0, 0, [7, 8, 9, 10]),

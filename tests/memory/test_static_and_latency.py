@@ -11,9 +11,6 @@ from repro.memory import (
     StaticMemory,
     decode_element,
     encode_element,
-    make_page_hit_model,
-    sdram_latency,
-    sram_latency,
     to_signed,
 )
 
@@ -96,31 +93,13 @@ class TestLatencyModel:
         model = LatencyModel()
         assert model.scalar_read() == 1
         assert model.scalar_write() == 1
-        assert model.burst_read(4, 16) == 1 + 4
-        assert model.alloc(64) == 2
-        assert model.free(64) == 2
+        assert model.burst_read(4) == 1 + 4
+        assert model.alloc() == 2
+        assert model.free() == 2
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             LatencyModel(read_cycles=-1)
-
-    def test_data_dependent_hook(self):
-        model = LatencyModel(read_cycles=1,
-                             data_dependent=lambda op, nbytes: nbytes // 4)
-        assert model.scalar_read(16) == 5
-
-    def test_negative_hook_rejected(self):
-        model = LatencyModel(data_dependent=lambda op, nbytes: -1)
-        with pytest.raises(ValueError):
-            model.scalar_read(4)
-
-    def test_presets(self):
-        assert sram_latency().scalar_read() == 1
-        assert sdram_latency().scalar_read() > sram_latency().scalar_read()
-        page_model = make_page_hit_model()
-        first = page_model.scalar_read(4096)
-        second = page_model.scalar_read(4096)
-        assert first >= second  # second access hits the open page
 
 
 class TestElementEncoding:
