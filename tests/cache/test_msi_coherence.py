@@ -299,6 +299,72 @@ class TestUncachedMasters:
         assert report.results["pe0"] == (111, 222)
         assert platform.caches[0].stats.hits >= 1
 
+    @pytest.mark.parametrize("topology", ["shared_bus", "crossbar", "mesh"])
+    @pytest.mark.parametrize("policy", ["write_back", "write_through"])
+    def test_raw_register_pokes_change_nothing(self, policy, topology):
+        """A raw master that spells a WRITE of 222 into the former operand
+        registers and writes 0x3C is refused at every word: the snooper
+        decodes no command, the cached line stays valid and the memory
+        keeps 111."""
+        from repro.fabric import BusOp, BusRequest, ResponseStatus
+        from repro.kernel import Module
+        from repro.memory.protocol import REG_COMMAND, MemCommand, MemOpcode
+
+        builder = (PlatformBuilder().pes(1).wrapper_memories(1)
+                   .l1_cache(sets=8, ways=2, line_bytes=16, policy=policy))
+        if topology == "crossbar":
+            builder = builder.crossbar()
+        elif topology == "mesh":
+            builder = builder.mesh(rows=2, cols=2)
+        platform = Platform(builder.build())
+        shared = {}
+
+        def cached_task(ctx):
+            smem = ctx.smem(0)
+            vptr = yield from smem.alloc(4, DataType.UINT32)
+            yield from smem.write(vptr, 111, offset=0)
+            yield from smem.reserve(vptr)  # a flush barrier: 111 in memory
+            yield from smem.release(vptr)
+            before = yield from smem.read(vptr, offset=0)
+            shared["vptr"] = vptr
+            while "statuses" not in shared:
+                yield 16 * ctx.clock_period
+            after = yield from smem.read(vptr, offset=0)
+            return before, after
+
+        platform.add_task(cached_task)
+        port = platform.interconnect.master_port(99, name="raw")
+        base = platform.config.memory_base(0)
+
+        class RawMaster(Module):
+            def __init__(self, parent):
+                super().__init__("raw", parent)
+                self.add_process(self._run)
+
+            def _run(self):
+                while "vptr" not in shared:
+                    yield 160
+                snoops = platform.coherence.stats.bus_snoops
+                statuses = []
+                for offset, word in ((0x20, int(MemOpcode.WRITE)),
+                                     (0x24, 0), (0x28, shared["vptr"]),
+                                     (0x34, 222), (0x38, 0), (0x3C, 1)):
+                    response = yield from port.write(base + offset, word)
+                    statuses.append(response.status)
+                shared["snoops"] = platform.coherence.stats.bus_snoops - snoops
+                shared["statuses"] = statuses
+
+        RawMaster(platform.top)
+        report = platform.run()
+        assert shared["statuses"] == [ResponseStatus.SLAVE_ERROR] * 6
+        assert shared["snoops"] == 0
+        assert report.results["pe0"] == (111, 111)
+        assert platform.caches[0].stats.invalidations_received == 0
+        response, _ = platform.memories[0].serve(BusRequest(
+            98, BusOp.WRITE, 0, burst_data=MemCommand(
+                MemOpcode.READ, vptr=shared["vptr"]).to_words()), REG_COMMAND)
+        assert response.ok and response.data == 111
+
     def test_lifetime_drops_do_not_count_as_invalidations(self):
         """ALLOC/FREE bookkeeping drops are not coherence invalidations."""
 

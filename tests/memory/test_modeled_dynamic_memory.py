@@ -6,6 +6,10 @@ from repro.fabric import BusOp, BusRequest, ResponseStatus
 from repro.memory import (
     IO_ARRAY_BASE,
     REG_COMMAND,
+    REG_LIVE_COUNT,
+    REG_RESULT,
+    REG_STATUS,
+    REG_USED_BYTES,
     DataType,
     MemCommand,
     MemOpcode,
@@ -171,6 +175,29 @@ class TestArraysAndReservation:
 
 
 class TestRegisterInterface:
+    def test_result_registers_after_command_burst(self):
+        memory = ModeledDynamicMemory(4096)
+        response, _ = send_command(
+            memory, MemCommand(MemOpcode.ALLOC, dim=8,
+                               data_type=DataType.UINT32))
+        assert response.ok and response.data > 0
+        for offset, expected in ((REG_STATUS, int(MemStatus.OK)),
+                                 (REG_RESULT, response.data),
+                                 (REG_LIVE_COUNT, 1), (REG_USED_BYTES, 32)):
+            read, _ = memory.serve(BusRequest(0, BusOp.READ, 0), offset)
+            assert read.ok and read.data == expected, offset
+
+    def test_former_operand_registers_are_unmapped(self):
+        memory = ModeledDynamicMemory(4096)
+        for offset in range(0x20, 0x40, 4):
+            written, _ = memory.serve(
+                BusRequest(0, BusOp.WRITE, 0, data=0x77), offset)
+            read, _ = memory.serve(BusRequest(0, BusOp.READ, 0), offset)
+            assert written.status is ResponseStatus.SLAVE_ERROR, offset
+            assert read.status is ResponseStatus.SLAVE_ERROR, offset
+        assert memory.live_count() == 0
+        assert sum(memory.op_counts.values()) == 0
+
     def test_malformed_command_burst(self):
         memory = ModeledDynamicMemory(4096)
         request = BusRequest(0, BusOp.WRITE, 0, burst_data=[0xFF, 0])

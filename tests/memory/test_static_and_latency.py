@@ -101,6 +101,19 @@ class TestLatencyModel:
         with pytest.raises(ValueError):
             LatencyModel(read_cycles=-1)
 
+    def test_bursts_charge_per_word(self):
+        model = LatencyModel(read_cycles=3, write_cycles=2, per_word_cycles=2)
+        assert model.burst_read(0) == 3
+        assert model.burst_read(5) == 3 + 2 * 5
+        assert model.burst_write(5) == 2 + 2 * 5
+
+    def test_zero_costs_still_take_one_cycle(self):
+        model = LatencyModel(read_cycles=0, write_cycles=0, alloc_cycles=0,
+                             free_cycles=0, per_word_cycles=0)
+        assert model.scalar_read() == model.scalar_write() == 1
+        assert model.burst_read(8) == model.burst_write(8) == 1
+        assert model.alloc() == model.free() == 1
+
 
 class TestElementEncoding:
     @pytest.mark.parametrize("data_type,value", [
