@@ -19,16 +19,17 @@ interface (the :class:`~repro.fabric.port.PortHelpers` over the cache's own
   wrapper FSM command region itself is never cached, only the *data*
   behind it.
 
-Structure: *probe, then generator*.  :meth:`CachedPort.burst_write` reads
-a scalar READ or WRITE's fields straight from the words the API wrote and
-calls the plain method :meth:`L1Cache.probe`, which resolves ``vptr +
-offset`` in the shadow map, looks the line up and answers a hit on the
-spot: no bus request, no decode.  :meth:`L1Cache.transfer` decodes any
-other command burst once, and calls the same probe for a scalar that
-arrives as a request.  Only what the probe cannot serve (a miss, a SHARED
-line awaiting the upgrade snoop, a write that must reach memory or stall,
-array transfers, barriers) enters the per-opcode generators, which take
-over the probe's resolution and build the bus request for memory.
+Structure: *probe, then generator*.  :meth:`L1Cache.probe` is a plain
+method: it resolves ``vptr + offset`` in the shadow map, looks the line up
+and serves a hit on the spot.  The port offers the API a front over it,
+``scalar_hit``, so a scalar ``smem.read`` / ``smem.write`` that hits is
+answered from the API's own frame: no command words, no bus request, no
+decode.  Everything else reaches :meth:`L1Cache.transfer` as a command
+burst, decoded once; a scalar that arrives there is probed again, and
+only what the probe cannot serve (a miss, a SHARED line awaiting the
+upgrade snoop, a write that must reach memory or stall, array transfers,
+barriers) enters the per-opcode generators, which take over the probe's
+resolution and build the bus request for memory.
 
 Cached words are stored in the exact canonical form the wrapper returns
 (element encode/decode round trip, i.e. ``to_signed(value) & 0xFFFFFFFF``),
@@ -72,10 +73,6 @@ from .geometry import CacheConfig, WritePolicy
 from .lines import CacheLine, LineDirectory, MSIState, canonical_word
 from .shadow import SharedAllocation
 
-#: Opcode words of the scalar commands the port probes without decoding.
-_READ, _WRITE = int(MemOpcode.READ), int(MemOpcode.WRITE)
-
-
 @dataclass
 class CacheStats:
     """Hit/miss/traffic counters of one L1 cache."""
@@ -113,47 +110,23 @@ class CachedPort(PortHelpers):
     """Drop-in :class:`~repro.fabric.port.MasterPort` facade.
 
     ``transfer`` is the cache's own, so the inherited helpers all go
-    through the cache; only ``burst_write`` adds a scalar front.
+    through the cache; ``scalar_hit`` and ``hit_wait`` are the hit front
+    :class:`~repro.wrapper.api.SharedMemoryAPI` looks for.
     """
 
     def __init__(self, cache: "L1Cache", port) -> None:
-        self._cache = cache
         self._port = port
         #: ``transfer`` is the cache's own bound method: a facade generator
         #: in between would cost every access a frame and add nothing.
         self.transfer = cache.transfer
+        self.scalar_hit = cache.scalar_hit
+        self.hit_wait = cache._hit_wait
         #: A port's id never changes: read it once, not per request.
         self.master_id = port.master_id
 
     @property
     def _interconnect(self):
         return self._port._interconnect
-
-    def burst_write(self, address: int, words: List[int], tag: str = ""
-                    ) -> Generator[object, None, BusResponse]:
-        """A well-formed scalar READ / WRITE to its memory's command
-        register is probed from ``words`` as they are; everything else, and
-        any access while an io stage or fetch is pending, goes to
-        :meth:`L1Cache.transfer` as a request."""
-        cache = self._cache
-        mem_index = cache._command_mem.get(address)
-        if (mem_index is not None and len(words) >= 4 and words[1] == mem_index
-                and cache._pending_stage is None
-                and cache._pending_fetch is None):
-            store = words[0] == _WRITE and len(words) >= 5
-            if store or words[0] == _READ:
-                fields = (store, mem_index, words[2], words[3],
-                          words[4] if store else 0)
-                probed = cache.probe(*fields)
-                if probed[0] is not None:
-                    yield cache._hit_wait
-                    return probed[0]
-                return (yield from cache._scalar(BusRequest(
-                    self.master_id, BusOp.WRITE, address,
-                    burst_data=list(words), tag=tag), *fields, probed))
-        return (yield from cache.transfer(BusRequest(
-            self.master_id, BusOp.WRITE, address, burst_data=list(words),
-            tag=tag)))
 
 
 class L1Cache:
@@ -357,19 +330,31 @@ class L1Cache:
         return (yield from self._raw.transfer(request))
 
     # -- scalar accesses ------------------------------------------------------------------
+    def scalar_hit(self, address: int, store: bool, sm_addr: int, vptr: int,
+                   offset: int, data: int) -> Optional[int]:
+        """The API's hit front: the answer :meth:`probe` serves to a scalar
+        READ / WRITE sent to the command register at ``address``, or
+        ``None`` when the command must go to :meth:`transfer` — a miss, an
+        ``sm_addr`` that is not that window's memory, or an io stage or
+        fetch still pending.  The caller owes the hit latency."""
+        if (self._pending_stage is not None or self._pending_fetch is not None
+                or self._command_mem.get(address) != sm_addr):
+            return None
+        return self.probe(store, sm_addr, vptr, offset, data)[0]
+
     def probe(self, store: bool, mem_index: int, vptr: int, offset: int,
-              data: int) -> Tuple[Optional[BusResponse],
+              data: int) -> Tuple[Optional[int],
                                   Optional[Tuple[SharedAllocation, int]]]:
         """Synchronous front of a scalar READ (``store`` false) or WRITE of
-        ``data``: ``(response, located)``.
+        ``data``: ``(word, located)``.
 
         A plain method (no generator, no simulator).  Resolves the access in
         the shadow map once and serves a hit from the line directory: a READ
-        of a present slot, or a write-back WRITE (stored here) to a resident
-        MODIFIED line of an unreserved allocation; the caller owes the hit
-        latency.  Otherwise ``response`` is ``None`` and ``located`` —
-        ``(allocation, index)``, or ``None`` for no live element — goes on
-        to :meth:`_scalar`.
+        of a present slot answers its word, a write-back WRITE to a resident
+        MODIFIED line of an unreserved allocation is stored here and answers
+        0; the caller owes the hit latency.  Otherwise ``word`` is ``None``
+        and ``located`` — ``(allocation, index)``, or ``None`` for no live
+        element — goes on to :meth:`_scalar`.
         """
         located = self._shadow.resolve(mem_index, vptr, offset)
         if located is None:
@@ -393,26 +378,23 @@ class L1Cache:
         else:
             return None, located
         self.stats.hits += 1
-        return BusResponse(ResponseStatus.OK, data, [], 0,
-                           self._hit_cycles), located
+        return data, located
 
     def _scalar(self, request: BusRequest, store: bool, mem_index: int,
-                vptr: int, offset: int, data: int, probed=None
+                vptr: int, offset: int, data: int
                 ) -> Generator[object, None, BusResponse]:
-        """A scalar READ / WRITE: the probe, then what it did not serve.
+        """A scalar READ / WRITE that arrived as a request: the probe, then
+        what it did not serve.
 
-        ``probed`` is the first probe's result when the caller already has
-        it.  A read miss fills; a write refused by a foreign reservation
+        A read miss fills; a write refused by a foreign reservation
         (``None`` from :meth:`_op_write_once`) stalls, then starts over from
         the probe.
         """
         for _attempt in range(self._max_stalls):
-            response, located = probed or self.probe(store, mem_index, vptr,
-                                                     offset, data)
-            probed = None
-            if response is not None:
+            word, located = self.probe(store, mem_index, vptr, offset, data)
+            if word is not None:
                 yield self._hit_wait
-                return response
+                return self._local(data=word)
             if located is None:
                 break  # not a live element: the wrapper answers
             if not store:

@@ -92,11 +92,6 @@ class MasterPort(PortHelpers):
         self._response: Optional[BusResponse] = None
         interconnect._register_port(self)
 
-    @property
-    def last_response(self) -> Optional[BusResponse]:
-        """The response of the most recently completed transfer."""
-        return self._response
-
     def transfer(self, request: BusRequest
                  ) -> Generator[object, None, BusResponse]:
         """Issue ``request`` and suspend until it completes (``yield from``)."""

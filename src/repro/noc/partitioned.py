@@ -62,14 +62,9 @@ class PartitionContext:
     owned_nodes: FrozenSet[int]
     #: Owning partition of every global PE index.
     pe_owner: Tuple[int, ...]
-    #: Owning partition of every memory index.
-    memory_owner: Tuple[int, ...]
 
     def owns_pe(self, pe_index: int) -> bool:
         return self.pe_owner[pe_index] == self.index
-
-    def owns_memory(self, memory_index: int) -> bool:
-        return self.memory_owner[memory_index] == self.index
 
 
 @dataclass

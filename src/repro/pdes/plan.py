@@ -94,7 +94,6 @@ class PartitionPlan:
             epoch_time=self.epoch_cycles * clock_period,
             owned_nodes=self.nodes_of(index),
             pe_owner=self.pe_owner,
-            memory_owner=self.memory_owner,
         )
 
 

@@ -282,10 +282,6 @@ class PlatformConfig:
                       else tuple(range(self.num_pes))),
         )
 
-    def device_base(self, index: int) -> int:
-        """Bus base address of device window ``index``."""
-        return self.device_base_address + index * self.device_window_stride
-
     def device_layout(self) -> Optional[DeviceLayout]:
         """The resolved device map (``None`` on a device-free platform).
 

@@ -73,6 +73,12 @@ class SharedMemoryAPI:
         self.last_status: MemStatus = MemStatus.OK
         #: Count of API calls issued, for reports.
         self.calls = 0
+        #: A cached port's hit front, looked up once: ``scalar_hit(address,
+        #: store, sm_addr, vptr, offset, data)`` answers a hit's word (0 for
+        #: a store), else ``None``; a hit then waits ``hit_wait``.  A plain
+        #: port has neither and pays one ``is None`` test per access.
+        self._scalar_hit = getattr(port, "scalar_hit", None)
+        self._hit_wait = getattr(port, "hit_wait", 0)
 
     # -- low-level helpers ------------------------------------------------------------
     def _send(self, words: List[int], tag: str
@@ -114,16 +120,22 @@ class SharedMemoryAPI:
         return response.data if response.ok else None
 
     # -- scalar accesses -----------------------------------------------------------------
-    # ``write`` and ``read`` are ``_send`` written out: a scalar access that
-    # hits in an L1 is the hottest path of a cached platform, and every
-    # resume of the ``yield from`` chain re-enters each frame in it.
+    # ``write`` and ``read`` are ``_send`` written out, after the cached
+    # port's hit front: a scalar access that hits in an L1 is the hottest
+    # path of a cached platform, and is answered here without a command.
     def write(self, vptr: int, value: int, offset: int = 0
               ) -> Generator[object, None, bool]:
         """Store one element at ``vptr[offset]``."""
         self.calls += 1
+        value &= 0xFFFFFFFF
+        if self._scalar_hit is not None and self._scalar_hit(
+                self._command_addr, True, self.sm_addr, vptr, offset,
+                value) is not None:
+            yield self._hit_wait
+            self.last_status = MemStatus.OK
+            return True
         response = yield from self.port.burst_write(
-            self._command_addr,
-            [_WRITE, self.sm_addr, vptr, offset, value & 0xFFFFFFFF],
+            self._command_addr, [_WRITE, self.sm_addr, vptr, offset, value],
             tag=self._tags["write"])
         if response.status is ResponseStatus.OK:
             self.last_status = MemStatus.OK
@@ -135,6 +147,13 @@ class SharedMemoryAPI:
              ) -> Generator[object, None, Optional[int]]:
         """Load one element from ``vptr[offset]`` as a raw unsigned word."""
         self.calls += 1
+        if self._scalar_hit is not None:
+            word = self._scalar_hit(self._command_addr, False, self.sm_addr,
+                                    vptr, offset, 0)
+            if word is not None:
+                yield self._hit_wait
+                self.last_status = MemStatus.OK
+                return word
         response = yield from self.port.burst_write(
             self._command_addr, [_READ, self.sm_addr, vptr, offset],
             tag=self._tags["read"])

@@ -8,8 +8,10 @@ write-through L1s.  Every value read must equal a dict-backed model of the
 program, the per-PE results must equal the uncached run's, and every cache
 must account for each scalar call exactly once.
 
-*Probe*: :meth:`L1Cache.probe` is a plain method, so its hit test is
-checked on a hand-built line directory with no simulator at all.
+*Probe*: :meth:`L1Cache.probe` is a plain method returning ``(word,
+located)``, so its hit test — and the guards of :meth:`L1Cache.scalar_hit`,
+the API's front over it — is checked on a hand-built line directory with no
+simulator at all.
 """
 
 import dataclasses
@@ -21,7 +23,8 @@ from repro.api import PlatformBuilder
 from repro.cache import (CacheConfig, CacheGeometry, CacheLine,
                          CoherenceDomain, L1Cache, MSIState, SharedAllocation,
                          WritePolicy)
-from repro.memory import DataType, MemCommand, MemOpcode
+from repro.memory import (REG_COMMAND, REG_STATUS, DataType, MemCommand,
+                          MemOpcode)
 from repro.soc import Platform
 from repro.wrapper.errors import ApiError
 
@@ -260,18 +263,17 @@ class TestProbe:
         cache, domain = make_cache()
         alloc = alloc_at(domain, 0x40, 8, DataType.UINT32)
         install(cache, alloc, 5, [None, None, 77, None])  # bytes 0x50-0x5F
-        response, located = probe(cache, read(0x40, offset=6), 0)
-        assert located == (alloc, 6)
-        assert response.ok and response.data == 77
-        assert response.total_cycles == 1 and response.slave_cycles == 0
+        word, located = probe(cache, read(0x40, offset=6), 0)
+        assert located == (alloc, 6) and word == 77
+        assert cache.port.hit_wait == 10  # hit_cycles of the clock period
         assert cache.stats.hits == 1 and cache.stats.misses == 0
 
     def test_interior_pointer_resolves_to_the_same_slot(self):
         cache, domain = make_cache()
         alloc = alloc_at(domain, 0x40, 8, DataType.UINT32)
         install(cache, alloc, 5, [None, None, 77, None])
-        response, located = probe(cache, read(0x40 + 4 * 4, offset=2), 0)
-        assert located == (alloc, 6) and response.data == 77
+        word, located = probe(cache, read(0x40 + 4 * 4, offset=2), 0)
+        assert located == (alloc, 6) and word == 77
 
     def test_absent_slot_and_absent_line_miss_without_counting(self):
         cache, domain = make_cache()
@@ -292,14 +294,13 @@ class TestProbe:
         cache, domain = make_cache()
         alloc = alloc_at(domain, 0, 8, DataType.INT16)
         line = install(cache, alloc, 0, [1] * 8, state=MSIState.MODIFIED)
-        response, located = probe(cache, write(0, 0x1_8000, offset=3), 0)
-        assert located == (alloc, 3)
-        assert response.ok and response.data == 0
+        word, located = probe(cache, write(0, 0x1_8000, offset=3), 0)
+        assert located == (alloc, 3) and word == 0
         assert line.words[3] == 0xFFFF8000  # truncated, sign-extended
         assert line.present[3] and line.dirty[3]
         assert line.dirty.count(True) == 1
         assert cache.stats.hits == 1
-        assert probe(cache, read(0, offset=3), 0)[0].data == 0xFFFF8000
+        assert probe(cache, read(0, offset=3), 0)[0] == 0xFFFF8000
 
     def test_write_to_a_shared_line_leaves_it_alone(self):
         cache, domain = make_cache()
@@ -315,7 +316,7 @@ class TestProbe:
         line = install(cache, alloc, 0, [1, 2, 3, 4], state=MSIState.MODIFIED)
         assert probe(cache, write(0, 9), 0) == (None, (alloc, 0))
         assert line.words[0] == 1
-        assert probe(cache, read(0), 0)[0].data == 1  # reads still hit
+        assert probe(cache, read(0), 0)[0] == 1  # reads still hit
 
     @pytest.mark.parametrize("holder", [0, 1], ids=["own", "foreign"])
     def test_write_to_a_reserved_allocation_is_left_to_the_slow_path(
@@ -332,9 +333,9 @@ class TestProbe:
         assert probe(cache, write(0, 9, offset=0), 0) == (None, (alloc, 0))
         assert ways == order  # no lookup: the LRU order did not move
         assert line.words[0] == 1 and other.words[0] == 5
-        assert probe(cache, read(0, offset=4), 0)[0].data == 5  # reads hit
+        assert probe(cache, read(0, offset=4), 0)[0] == 5  # reads hit
         replay(domain, MemOpcode.RELEASE, holder, vptr=alloc.vptr)
-        assert probe(cache, write(0, 9), 0)[0].ok and line.words[0] == 9
+        assert probe(cache, write(0, 9), 0)[0] == 0 and line.words[0] == 9
 
     def test_stale_generation_after_vptr_reuse_does_not_hit(self):
         cache, domain = make_cache()
@@ -347,7 +348,7 @@ class TestProbe:
         assert probe(cache, read(0, offset=2), 0) == (None, (new, 2))
         assert probe(cache, write(0, 9, offset=2), 0) == (None, (new, 2))
         install(cache, new, 0, [0, 0, 8, 0])
-        assert probe(cache, read(0, offset=2), 0)[0].data == 8
+        assert probe(cache, read(0, offset=2), 0)[0] == 8
 
     def test_a_hit_moves_the_line_to_mru(self):
         cache, domain = make_cache()
@@ -355,8 +356,24 @@ class TestProbe:
         first = install(cache, alloc, 0, [1, 2, 3, 4])
         second = install(cache, alloc, 2, [5, 6, 7, 8])  # same set, now MRU
         assert cache.lines.sets[0] == [second, first]
-        assert probe(cache, read(0, offset=1), 0)[0].data == 2
+        assert probe(cache, read(0, offset=1), 0)[0] == 2
         assert cache.lines.sets[0] == [first, second]
+
+    def test_scalar_hit_answers_only_its_own_window_with_nothing_pending(self):
+        cache, domain = make_cache()
+        alloc = alloc_at(domain, 0, 4, DataType.UINT32)
+        install(cache, alloc, 0, [1, 2, 3, 4])
+        command = 0x1000_0000 + REG_COMMAND
+        assert cache.scalar_hit(command, False, 0, 0, 2, 0) == 3
+        assert cache.scalar_hit(command, True, 0, 0, 2, 9) is None  # SHARED
+        assert cache.scalar_hit(command, False, 1, 0, 2, 0) is None  # sm_addr
+        assert cache.scalar_hit(0x1000_0000 + REG_STATUS, False, 0, 0, 2,
+                                0) is None
+        cache._pending_stage = (0, None)
+        assert cache.scalar_hit(command, False, 0, 0, 2, 0) is None
+        cache._pending_stage, cache._pending_fetch = None, (0, 2, [5, 6])
+        assert cache.scalar_hit(command, False, 0, 0, 2, 0) is None
+        assert cache.stats.hits == 1
 
 
 def test_shared_allocation_geometry_is_fixed_at_construction():
