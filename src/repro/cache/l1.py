@@ -110,8 +110,7 @@ class CachedPort(PortHelpers):
     """Drop-in :class:`~repro.fabric.port.MasterPort` facade.
 
     ``transfer`` is the cache's own, so the inherited helpers all go
-    through the cache; ``scalar_hit`` and ``hit_wait`` are the hit front
-    :class:`~repro.wrapper.api.SharedMemoryAPI` looks for.
+    through the cache; it fills in the hit front ``PortHelpers`` declares.
     """
 
     def __init__(self, cache: "L1Cache", port) -> None:
@@ -119,8 +118,7 @@ class CachedPort(PortHelpers):
         #: ``transfer`` is the cache's own bound method: a facade generator
         #: in between would cost every access a frame and add nothing.
         self.transfer = cache.transfer
-        self.scalar_hit = cache.scalar_hit
-        self.hit_wait = cache._hit_wait
+        self.scalar_hit, self.hit_wait = cache.scalar_hit, cache._hit_wait
         #: A port's id never changes: read it once, not per request.
         self.master_id = port.master_id
 
@@ -334,11 +332,12 @@ class L1Cache:
                    offset: int, data: int) -> Optional[int]:
         """The API's hit front: the answer :meth:`probe` serves to a scalar
         READ / WRITE sent to the command register at ``address``, or
-        ``None`` when the command must go to :meth:`transfer` — a miss, an
-        ``sm_addr`` that is not that window's memory, or an io stage or
-        fetch still pending.  The caller owes the hit latency."""
+        ``None`` when it must go to :meth:`transfer` (a miss, a write-through
+        store, another window's ``sm_addr``, a pending io stage or fetch).
+        The caller owes the hit latency."""
         if (self._pending_stage is not None or self._pending_fetch is not None
-                or self._command_mem.get(address) != sm_addr):
+                or self._command_mem.get(address) != sm_addr
+                or store and self.policy is not WritePolicy.WRITE_BACK):
             return None
         return self.probe(store, sm_addr, vptr, offset, data)[0]
 

@@ -10,7 +10,7 @@ for the cycle count the call returns.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Generator, List, Optional, Tuple
 
 from ..kernel import Event
 from .transaction import BusOp, BusRequest, BusResponse
@@ -47,6 +47,11 @@ class PortHelpers:
     """
 
     master_id: int
+    #: A caching port's hit front; a plain port has none.  ``scalar_hit(
+    #: address, store, sm_addr, vptr, offset, data)`` answers a hit's word
+    #: (0 for a store) or ``None``; a hit then waits ``hit_wait``.
+    scalar_hit: Optional[Callable[..., Optional[int]]] = None
+    hit_wait: int = 0
 
     def read(self, address: int, size: int = 4, tag: str = ""
              ) -> Generator[object, None, BusResponse]:

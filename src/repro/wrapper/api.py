@@ -73,12 +73,8 @@ class SharedMemoryAPI:
         self.last_status: MemStatus = MemStatus.OK
         #: Count of API calls issued, for reports.
         self.calls = 0
-        #: A cached port's hit front, looked up once: ``scalar_hit(address,
-        #: store, sm_addr, vptr, offset, data)`` answers a hit's word (0 for
-        #: a store), else ``None``; a hit then waits ``hit_wait``.  A plain
-        #: port has neither and pays one ``is None`` test per access.
-        self._scalar_hit = getattr(port, "scalar_hit", None)
-        self._hit_wait = getattr(port, "hit_wait", 0)
+        #: The port's hit front (``PortHelpers``), read once.
+        self._scalar_hit, self._hit_wait = port.scalar_hit, port.hit_wait
 
     # -- low-level helpers ------------------------------------------------------------
     def _send(self, words: List[int], tag: str

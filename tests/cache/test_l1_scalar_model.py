@@ -375,6 +375,19 @@ class TestProbe:
         assert cache.scalar_hit(command, False, 0, 0, 2, 0) is None
         assert cache.stats.hits == 1
 
+    def test_a_write_through_store_is_refused_before_any_lookup(self):
+        cache, domain = make_cache(WritePolicy.WRITE_THROUGH)
+        alloc = alloc_at(domain, 0, 4, DataType.UINT32)
+        install(cache, alloc, 0, [1, 2, 3, 4], state=MSIState.MODIFIED)
+        resolved = []
+        resolve = domain.shadow.resolve
+        domain.shadow.resolve = lambda *key: resolved.append(key) or resolve(*key)
+        command = 0x1000_0000 + REG_COMMAND
+        assert cache.scalar_hit(command, True, 0, 0, 2, 9) is None
+        assert resolved == []  # such a store always goes to memory
+        assert cache.scalar_hit(command, False, 0, 0, 2, 0) == 3
+        assert resolved == [(0, 0, 2)] and cache.stats.hits == 1
+
 
 def test_shared_allocation_geometry_is_fixed_at_construction():
     alloc = SharedAllocation(uid=1, mem_index=0, vptr=0x20, dim=5,

@@ -257,7 +257,7 @@ def test_a_hit_fires_no_port_probe_and_adds_no_fabric_transaction():
 def test_an_api_on_a_plain_master_port_never_takes_the_hit_path():
     phase, smem, _platform = fabric_traffic(
         PlatformBuilder().pes(1).wrapper_memories(1))
-    assert not hasattr(smem.port, "scalar_hit") and smem._scalar_hit is None
+    assert smem.port.scalar_hit is None and smem._scalar_hit is None
     every_access = 2 * HITS
     assert phase == {"probes": {"port_issue": every_access,
                                 "port_complete": every_access},

@@ -241,19 +241,19 @@ ROWS = [
     Row("l1-read-hit", platform(l1wb()), l1_read_hits, "read", 8.0, 8),
     Row("l1-write-back-write-hit", platform(l1wb()), l1_write_hits, "write",
         11.0, 11),
-    Row("l1-read-miss", platform(l1wb()), l1_read_misses, "miss", 168.0, 175),
+    Row("l1-read-miss", platform(l1wb()), l1_read_misses, "miss", 168.0, 174),
     Row("mesh-2x2-read",
         platform(PlatformBuilder().pes(1).wrapper_memories(1).mesh(2, 2)),
-        mesh_reads, "read", 149.0, 163),
+        mesh_reads, "read", 149.0, 162),
     Row("bus-busy-cycle", platform(PlatformBuilder().pes(1).wrapper_memories(1)),
-        busy_cycles, "busy cycle", 0.995, 1),
+        busy_cycles, "busy cycle", 0.9948, 1),
     Row("crossbar-busy-cycle",
         platform(PlatformBuilder().pes(1).wrapper_memories(1).crossbar()),
-        busy_cycles, "busy cycle", 0.995, 1),
+        busy_cycles, "busy cycle", 0.9948, 1),
     Row("wrapper-array-pair", SharedMemoryWrapper, array_command_pairs,
-        "WRITE_ARRAY + READ_ARRAY", 54, 59),
+        "WRITE_ARRAY + READ_ARRAY", 51, 56),
     Row("modeled-array-pair", lambda: ModeledDynamicMemory(1 << 16),
-        array_command_pairs, "WRITE_ARRAY + READ_ARRAY", 44, 48),
+        array_command_pairs, "WRITE_ARRAY + READ_ARRAY", 39, 42),
 ]
 
 

@@ -14,6 +14,7 @@ arrive masked to 32 bits.
 from hypothesis import given, strategies as st
 
 from repro.fabric import BusResponse
+from repro.fabric.port import PortHelpers
 from repro.memory import DataType, MemCommand, MemOpcode
 from repro.memory.protocol import IO_ARRAY_BASE, REG_COMMAND
 from repro.wrapper.api import SharedMemoryAPI
@@ -30,8 +31,9 @@ def _answered(response):
     yield  # pragma: no cover - makes this function a generator
 
 
-class RecordingPort:
-    """Master-port stand-in: records bursts, answers every request OK."""
+class RecordingPort(PortHelpers):
+    """Master-port stand-in: records bursts, answers every request OK.  It
+    offers no hit front, so every scalar access sends its command."""
 
     master_id = 0
 
