@@ -91,13 +91,6 @@ class AddressMap:
                 return region
         return None
 
-    def region_by_name(self, name: str) -> Region:
-        """Look a region up by its name."""
-        for region in self._regions:
-            if region.name == name:
-                return region
-        raise KeyError(f"no region named {name!r}")
-
     def base_of(self, slave: Any) -> int:
         """Base address of the first region mapping ``slave``."""
         for region in self._regions:
@@ -112,10 +105,6 @@ class AddressMap:
             if region.slave not in seen:
                 seen.append(region.slave)
         return seen
-
-    def total_mapped_bytes(self) -> int:
-        """Sum of the sizes of every region."""
-        return sum(region.size for region in self._regions)
 
     def __len__(self) -> int:
         return len(self._regions)

@@ -42,7 +42,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..kernel import Event, Module, Probes
+from ..kernel import Event, Hold, Module, Probes
 from .address_map import AddressDecodeError, AddressMap, Region
 from .transaction import (
     BusOp,
@@ -238,12 +238,13 @@ class Fabric(Module):
 
         Grant one pending request, hold the channel ``arbitration_cycles``
         (the address phase), call the slave — it acts at the first cycle of
-        its service window — and hold the channel for the cycles it
-        returns.  Snoopers then observe the transfer, in service order,
-        before :meth:`_served` completes it.
+        its service window — and hold the channel for the cycles it returns,
+        counting each hold on a :class:`~repro.kernel.Hold`.  Snoopers then
+        observe the transfer, in service order, before :meth:`_served`
+        completes it.
         """
         pending = channel.pending
-        period = self.period
+        hold = Hold(self.period)
         arbitration_cycles = self.arbitration_cycles
         snoopers = self._snoopers
         while True:
@@ -252,11 +253,13 @@ class Fabric(Module):
                 continue
             winner = self._grant(channel.arbiter, sorted(pending))
             token, request, slave, offset = pending.pop(winner)
-            for _ in range(arbitration_cycles):
-                yield period
+            hold.left = arbitration_cycles
+            while hold.left:
+                yield hold
             response, cycles = self._serve(slave, request, offset)
-            for _ in range(cycles):
-                yield period
+            hold.left = cycles
+            while hold.left:
+                yield hold
             response.slave_cycles = cycles
             response.total_cycles = cycles + arbitration_cycles
             channel.busy_cycles += response.total_cycles

@@ -43,13 +43,14 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".probes": ["Probes"],
     ".process": ["Process"],
     ".simtime": ["NS", "PS"],
-    ".simulator": ["SimulationStats", "Simulator"],
+    ".simulator": ["Hold", "SimulationStats", "Simulator"],
 })
 
 __all__ = [
     "DeltaCycleLimitExceeded",
     "ElaborationError",
     "Event",
+    "Hold",
     "KernelError",
     "Module",
     "NS",

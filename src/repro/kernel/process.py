@@ -8,11 +8,13 @@ one thing at a time:
 
 * ``yield n`` with an ``int`` ``n > 0`` — resume after ``n`` time units;
 * ``yield 0`` — resume in the next delta cycle;
+* ``yield hold`` with a :class:`~repro.kernel.Hold` — one of ``hold.left``
+  more waits of ``hold.period``;
 * ``yield e`` with an :class:`~repro.kernel.event.Event` — resume when
   ``e`` is notified.
 
-Anything else a process yields (a negative ``int``, a ``bool``, any other
-object) is a :class:`~repro.kernel.errors.ProcessError` naming the process.
+Anything else a process yields (a negative ``int``, a ``bool``, a spent
+hold, any other object) is a :class:`~repro.kernel.ProcessError` naming it.
 Since a process is in exactly one place while it waits (a timed-queue
 bucket, the delta queue or one event's waiter list), it is woken exactly
 once per wait, and the scheduler keeps no bookkeeping to discard stale

@@ -38,6 +38,9 @@ Scheduler fast paths (semantics-preserving; see ``tests/kernel`` and
   the deadline, the timed phase would wake this process alone next:
   ``now`` advances, the four counters move as that phase would move them,
   and the generator resumes in place.
+* **Counted holds** — the steps of a :class:`Hold` that would run ahead as
+  lone timers run ahead in one step, counted as the per-step schedule
+  counts them; any other step is bucketed like an ``int`` timer.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ from .process import Process
 
 
 class SimulationStats:
-    """Counters describing a completed (or in-progress) simulation run."""
+    """Counters of a completed (or in-progress) run, as the per-step
+    schedule counts them: a run-ahead step is counted, not executed."""
 
     #: The scheduler counters: what a run cost the host, not what it
     #: simulated (see :meth:`repro.soc.stats.SimulationReport.cost`).
@@ -73,6 +77,23 @@ class SimulationStats:
     def as_dict(self) -> dict:
         """Return the counters as a plain dictionary (for reports)."""
         return {name: getattr(self, name) for name in self.__slots__}
+
+
+class Hold:
+    """``left`` waits of ``period`` (see the module docstring): a process
+    sets ``hold.left = n``, then ``while hold.left: yield hold``, each yield
+    one ``yield period``; a spent hold (``left < 1``) is not a wait."""
+
+    __slots__ = ("period", "left")
+
+    def __init__(self, period: int) -> None:
+        if period.__class__ is not int or period < 1:
+            raise ValueError(f"a hold's period must be an int > 0: {period!r}")
+        self.period = period
+        self.left = 0
+
+    def __repr__(self) -> str:
+        return f"Hold({self.period}, left={self.left})"
 
 
 class Simulator:
@@ -239,6 +260,34 @@ class Simulator:
                                 # event-driven models.
                                 request._sim = self
                                 request._waiters.append(process)
+                            elif (request.__class__ is Hold
+                                  and request.left > 0):
+                                # Lone steps run ahead; others are bucketed.
+                                left, period = request.left, request.period
+                                steps = 0
+                                if (count == 1 and not runnable
+                                        and not delta_queue):
+                                    until = (heap[0] - 1 if heap
+                                             else now + left * period)
+                                    if deadline is not None:
+                                        until = min(until, deadline)
+                                    steps = min(left, (until - now) // period)
+                                if steps:
+                                    request.left = left - steps
+                                    now += steps * period
+                                    self.now = self.last_activity_time = now
+                                    n_ahead += steps
+                                    n_activations += steps - 1
+                                    deltas_here = 1
+                                    continue
+                                request.left = left - 1
+                                when = now + period
+                                bucket = buckets.get(when)
+                                if bucket is None:
+                                    buckets[when] = [process]
+                                    push(heap, when)
+                                else:
+                                    bucket.append(process)
                             else:
                                 raise self._refuse(process, request)
                             break

@@ -139,13 +139,6 @@ class HostMemory:
         """Number of currently live allocations."""
         return len(self._blocks)
 
-    def block_by_handle(self, handle: int) -> HostBlock:
-        """Look a live block up by its handle."""
-        try:
-            return self._blocks[handle]
-        except KeyError:
-            raise HostAccessError(f"no live host block with handle {handle}") from None
-
     def check_all_freed(self) -> bool:
         """True when every allocation has been released (leak check)."""
         return not self._blocks

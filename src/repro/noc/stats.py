@@ -100,12 +100,6 @@ class NocStats:
         return {name: round(link.utilization(elapsed_cycles), 4)
                 for name, link in sorted(self.links.items())}
 
-    def hottest_links(self, count: int = 5) -> List[LinkStats]:
-        """The ``count`` busiest links by busy cycles."""
-        ranked = sorted(self.links.values(),
-                        key=lambda link: (-link.busy_cycles, link.name))
-        return ranked[:count]
-
     def total_busy_cycles(self) -> int:
         return sum(link.busy_cycles for link in self.links.values())
 

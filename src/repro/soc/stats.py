@@ -120,18 +120,6 @@ class SimulationReport:
             return all(self.finished.values())
         return all(report.get("finished") for report in self.pe_reports)
 
-    def result_of(self, pe_name: str) -> object:
-        """Result of one PE, raising if its task never ran to completion."""
-        if pe_name not in self.finished:
-            known = ", ".join(sorted(self.finished)) or "(none)"
-            raise KeyError(f"unknown PE {pe_name!r}; PEs in this run: {known}")
-        if not self.finished[pe_name]:
-            raise KeyError(
-                f"PE {pe_name!r} did not finish (run ended on max_time?); "
-                f"its result is not available"
-            )
-        return self.results[pe_name]
-
     def total_api_calls(self) -> int:
         """Total shared-memory API calls issued by all PEs."""
         return sum(report.get("api_calls", 0) for report in self.pe_reports)

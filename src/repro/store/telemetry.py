@@ -247,22 +247,3 @@ class SweepMonitor:
     def summary(self) -> dict:
         """End-of-sweep digest: counts, stragglers, failures."""
         return self.progress()
-
-    def render_summary(self) -> str:
-        """Human-readable end-of-sweep summary (stragglers + failures)."""
-        snapshot = self.progress()
-        counts = snapshot["counts"]
-        lines = [
-            f"sweep: {snapshot['done']}/{snapshot['total']} done — "
-            f"{counts['finished']} simulated, {counts['cache_hit']} cached, "
-            f"{counts['failed']} failed, {counts['timeout']} timed out",
-        ]
-        if snapshot["stragglers"]:
-            slowest = ", ".join(
-                f"{row['scenario']} ({row['host_seconds']:.2f}s)"
-                for row in snapshot["stragglers"])
-            lines.append(f"stragglers: {slowest}")
-        for failure in snapshot["failures"]:
-            lines.append(f"{failure['kind']}: {failure['scenario']}"
-                         f" — {failure['detail'] or 'no detail'}")
-        return "\n".join(lines)

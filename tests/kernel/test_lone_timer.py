@@ -12,6 +12,13 @@ to run in the same delta cycle, and the per-timestep delta-cycle limit.  The
 expected values are worked out by hand from the general scheduling
 algorithm (push the timer, pop it in the timed phase, evaluate the woken
 process in a new delta cycle), so they hold with or without the run-ahead.
+
+A :class:`~repro.kernel.Hold` runs every lone step of a counted hold ahead
+at once; its cases (a deadline inside a hold, another timer due before, at
+or after its end, a :class:`ProcessError` in its batch) run the hold and
+its per-step twin of plain ``int`` waits against the same hand-worked
+values, and so does the delta-cycle limit after a hold ran ahead.  A
+spent hold and a period that is not a positive ``int`` are refused.
 """
 
 from contextlib import nullcontext
@@ -21,6 +28,7 @@ import pytest
 from repro.kernel import (
     DeltaCycleLimitExceeded,
     Event,
+    Hold,
     Module,
     ProcessError,
     Simulator,
@@ -230,3 +238,139 @@ def test_delta_cycle_limit_restarts_at_a_lone_wake(deltas_at_10, counters):
         bench.sim.run()
     assert bench.trace == [(0, "tick"), (10, "tick")]
     assert bench.counters() == counters
+
+
+# -- counted holds ----------------------------------------------------------------
+
+def holder(bench, times, period=10, use_hold=True):
+    """Logs ``start``, waits ``period`` ``times`` times — on one ``Hold``,
+    or as plain ``int`` waits for the per-step twin — then logs ``end``."""
+    def body():
+        bench.log("start")
+        if use_hold:
+            hold = Hold(period)
+            hold.left = times
+            while hold.left:
+                yield hold
+        else:
+            for _ in range(times):
+                yield period
+        bench.log("end")
+    return body
+
+
+def twins(build):
+    """A bench built by ``build(bench, use_hold)`` with holds, and its
+    per-step twin; each case checks both against the same hand-worked
+    trace and counters."""
+    benches = []
+    for use_hold in (True, False):
+        bench = Bench()
+        build(bench, use_hold)
+        benches.append(bench)
+    return benches
+
+
+def test_deadline_inside_a_hold_and_the_next_run_finishes_it():
+    for bench in twins(lambda bench, use_hold: bench.top.add_process(
+            holder(bench, 5, use_hold=use_hold))):
+        bench.sim.run(25)
+        # The steps to 10 and 20 fit in [0, 25]; the one to 30 does not.
+        assert bench.trace == [(0, "start")]
+        assert bench.sim.now == 25 and bench.sim.last_activity_time == 20
+        assert bench.sim.next_activity_time() == 30
+        # Delta cycles at 0, 10 and 20; two timed steps and fired timers.
+        assert bench.counters() == (3, 2, 3, 2)
+        bench.sim.run()
+        assert bench.trace == [(0, "start"), (50, "end")]
+        assert bench.sim.now == bench.sim.last_activity_time == 50
+        # Three more of each: the wakes at 30, 40 and 50.
+        assert bench.counters() == (6, 5, 6, 5)
+
+
+@pytest.mark.parametrize("other_at, trace, counters", [
+    # Before the end: the step to 20 waits behind it, then the hold resumes.
+    (15, [(0, "start"), (15, "other"), (30, "end")], (5, 4, 6, 4)),
+    # At the end: two steps run ahead, the last shares the step at 30.
+    (30, [(0, "start"), (30, "other"), (30, "end")], (4, 3, 6, 4)),
+    # After the end: every step from 10 runs ahead.
+    (35, [(0, "start"), (30, "end"), (35, "other")], (5, 4, 6, 4)),
+])
+def test_another_timer_splits_a_hold_that_then_resumes(
+        other_at, trace, counters):
+    def build(bench, use_hold):
+        bench.top.add_process(holder(bench, 3, use_hold=use_hold))
+
+        def other():
+            yield other_at
+            bench.log("other")
+
+        bench.top.add_process(other)
+
+    for bench in twins(build):
+        bench.sim.run()
+        assert bench.trace == trace
+        # Four holder activations (0, 10, 20, 30) and two of ``other``.
+        assert bench.counters() == counters
+
+
+def test_a_process_error_beside_a_hold_puts_the_hold_back():
+    def build(bench, use_hold):
+        def bad():
+            bench.log("bad")
+            raise RuntimeError("boom")
+            yield  # pragma: no cover - makes ``bad`` a generator
+
+        bench.top.add_process(bad)
+        bench.top.add_process(holder(bench, 3, use_hold=use_hold))
+
+    for bench in twins(build):
+        with pytest.raises(ProcessError, match="boom"):
+            bench.sim.run()
+        assert bench.trace == [(0, "bad")]
+        assert bench.counters() == (1, 0, 1, 0)
+        # The holder, put back, runs alone at 0, then every step runs ahead.
+        bench.sim.run()
+        assert bench.trace == [(0, "bad"), (0, "start"), (30, "end")]
+        assert bench.counters() == (4, 3, 5, 3)
+
+
+def test_delta_cycle_limit_restarts_after_a_hold_runs_ahead():
+    def build(bench, use_hold):
+        bench.sim.MAX_DELTA_CYCLES_PER_TIMESTEP = 3
+        hold_body = holder(bench, 2, use_hold=use_hold)
+
+        def body():
+            yield 0
+            yield 0  # the third delta cycle at 0: at the limit
+            yield from hold_body()  # logs start at 0, end at 20
+            yield 0
+            yield 0  # the third delta cycle at 20: at the limit again
+
+        bench.top.add_process(body)
+
+    for bench in twins(build):
+        bench.sim.run()
+        assert bench.trace == [(0, "start"), (20, "end")]
+        # Delta cycles: three at 0, one at 10, three at 20; two timed
+        # steps; activations likewise; four delta waits and two timers.
+        assert bench.counters() == (7, 2, 7, 6)
+
+
+def test_a_spent_hold_is_refused():
+    bench = Bench()
+
+    def body():
+        yield Hold(10)  # ``left`` is still 0
+
+    process = bench.top.add_process(body)
+    with pytest.raises(ProcessError, match=r"Hold\(10, left=0\)"):
+        bench.sim.run()
+    assert process.terminated
+    assert bench.sim.now == 0 and bench.counters() == (1, 0, 1, 0)
+
+
+@pytest.mark.parametrize("period", [0, -10, 2.0, True, "10"])
+def test_a_hold_period_must_be_a_positive_int(period):
+    with pytest.raises(ValueError, match="period must be an int > 0"):
+        Hold(period)

@@ -6,7 +6,9 @@ process)`` entries, the delta queue and the runnable set are plain lists
 swapped out whole, and there is no run-ahead, no time bucket and no
 immediate wake shortcut.  Hypothesis draws scripts of two to six
 processes, each a list of ``wait n`` / ``wait 0`` / ``wait event k`` /
-``notify k`` steps, sometimes under a delta-cycle limit of three, and runs
+``notify k`` / ``hold period n`` steps (the kernel yields one
+:class:`~repro.kernel.Hold` ``n`` times, the reference ``wait period`` ``n``
+times), sometimes under a delta-cycle limit of three, and runs
 them on the kernel and on the reference, once in one ``run()`` and once
 sliced into random ``run(duration)`` windows.  The ``(time, process,
 step)`` trace, the end time, the time of the last timed step, the four
@@ -19,7 +21,8 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.kernel import DeltaCycleLimitExceeded, Event, Module, Simulator
+from repro.kernel import (
+    DeltaCycleLimitExceeded, Event, Hold, Module, Simulator)
 
 
 class RefEvent:
@@ -97,16 +100,19 @@ EVENTS = 3
 
 def scripted(index, script, trace):
     """A process body logging ``(now, process, step)`` before each step;
-    ``env`` is the simulator or the reference, with ``env.events``."""
+    ``env`` is the simulator or the reference, with ``env.events`` and
+    ``env.hold``."""
     def body(env):
-        for step, (op, arg) in enumerate(script):
+        for step, (op, *args) in enumerate(script):
             trace.append((env.now, index, step))
             if op == "wait":
-                yield arg
+                yield args[0]
+            elif op == "hold":
+                yield from env.hold(*args)
             elif op == "wait_event":
-                yield env.events[arg]
+                yield env.events[args[0]]
             else:
-                env.events[arg].notify()
+                env.events[args[0]].notify()
         trace.append((env.now, index, len(script)))
     return body
 
@@ -134,12 +140,27 @@ def execute(make, scripts, windows):
             tripped)
 
 
+def kernel_hold(period, times):
+    """``times`` waits of ``period``, counted on one :class:`Hold`."""
+    hold = Hold(period)
+    hold.left = times
+    while hold.left:
+        yield hold
+
+
+def reference_hold(period, times):
+    """The same waits, one plain ``wait period`` each."""
+    for _ in range(times):
+        yield period
+
+
 def kernel(max_deltas):
     def make(bodies):
         top = Module("top")
         sim = Simulator(top)
         sim.MAX_DELTA_CYCLES_PER_TIMESTEP = max_deltas
         sim.events = [top.add_event(Event(f"e{k}")) for k in range(EVENTS)]
+        sim.hold = kernel_hold
         for index, body in enumerate(bodies):
             top.add_process(lambda body=body: body(sim), name=f"p{index}")
         return sim
@@ -150,6 +171,7 @@ def reference(max_deltas):
     def make(bodies):
         ref = Reference(bodies, max_deltas)
         ref.events = [RefEvent(ref) for _ in range(EVENTS)]
+        ref.hold = reference_hold
         return ref
     return make
 
@@ -159,6 +181,7 @@ steps = st.one_of(
     st.tuples(st.just("wait"), st.just(0)),
     st.tuples(st.just("wait_event"), st.integers(0, EVENTS - 1)),
     st.tuples(st.just("notify"), st.integers(0, EVENTS - 1)),
+    st.tuples(st.just("hold"), st.integers(1, 6), st.integers(1, 8)),
 )
 scripts = st.lists(st.lists(steps, max_size=8), min_size=2, max_size=6)
 windows = st.lists(st.integers(0, 15), max_size=4)

@@ -33,7 +33,6 @@ class TestCallocFree:
         a = host.calloc(1, 4)
         b = host.calloc(1, 4)
         assert a.handle != b.handle
-        assert host.block_by_handle(a.handle) is a
 
     def test_free_releases(self):
         host = HostMemory()
@@ -72,11 +71,6 @@ class TestCallocFree:
             host.calloc(-1, 4)
         with pytest.raises(HostAllocationError):
             host.calloc(4, 0)
-
-    def test_unknown_handle(self):
-        host = HostMemory()
-        with pytest.raises(HostAccessError):
-            host.block_by_handle(42)
 
 
 class TestLimitsAndStats:

@@ -56,14 +56,6 @@ class TestNocStats:
         stats.record_contention(3, 1)
         assert stats.router_contention == {3: 3}
 
-    def test_hottest_links_ranked_and_tied_by_name(self):
-        stats = NocStats()
-        stats.link("b").busy_cycles = 10
-        stats.link("a").busy_cycles = 10
-        stats.link("c").busy_cycles = 99
-        ranked = stats.hottest_links(2)
-        assert [link.name for link in ranked] == ["c", "a"]
-
     def test_as_dict_includes_utilization_when_elapsed_known(self):
         stats = NocStats()
         stats.link("req:n0->n1").busy_cycles = 25

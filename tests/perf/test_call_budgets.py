@@ -175,23 +175,40 @@ def mesh_reads(target):
     return counter.calls, ACCESSES
 
 
-def busy_cycles(target):
-    """An 8-word and a 200-word I/O-array burst: the difference in calls
-    over the difference in cycles cancels everything per-transaction."""
+def busy_cycles(target, contended=False):
+    """An 8-word and a 200-word I/O-array burst, after a warm-up burst (its
+    first-use calls): the difference in calls over the difference in
+    cycles cancels everything per-transaction.  Alone on its channel, each
+    window runs ahead in one kernel step.  ``contended`` adds a spinner due
+    every cycle, so every hold step is bucketed; its own resumes (one call
+    each) are taken off, leaving the channel's cost per bucketed step."""
     measured = {}
+    spins = [0]
+    done = []
+
+    def spinner():
+        while not done:
+            spins[0] += 1
+            yield target.config.clock_period
 
     def task(ctx):
         address = ctx.smem(0).base_address + IO_ARRAY_BASE
-        for words in (8, 200):
+        for words in (8, 8, 200):
+            spun = spins[0]
             with CallCounter() as counter:
                 response = yield from ctx.port.burst_read(address, words)
             assert response.ok and len(response.burst_data) == words
-            measured[words] = (counter.calls, response.total_cycles)
+            measured[words] = (counter.calls - (spins[0] - spun),
+                               response.total_cycles)
+        done.append(True)
 
+    if contended:
+        target.top.add_process(spinner)
     run_alone(target, task)
     (short_calls, short_cycles), (long_calls, long_cycles) = (
         measured[8], measured[200])
     assert long_cycles - short_cycles == 192  # one cycle per extra word
+    assert (spins[0] > 200) == contended
     return long_calls - short_calls, long_cycles - short_cycles
 
 
@@ -241,15 +258,19 @@ ROWS = [
     Row("l1-read-hit", platform(l1wb()), l1_read_hits, "read", 8.0, 8),
     Row("l1-write-back-write-hit", platform(l1wb()), l1_write_hits, "write",
         11.0, 11),
-    Row("l1-read-miss", platform(l1wb()), l1_read_misses, "miss", 168.0, 174),
+    Row("l1-read-miss", platform(l1wb()), l1_read_misses, "miss", 153.0, 168),
     Row("mesh-2x2-read",
         platform(PlatformBuilder().pes(1).wrapper_memories(1).mesh(2, 2)),
-        mesh_reads, "read", 149.0, 162),
+        mesh_reads, "read", 142.0, 156),
     Row("bus-busy-cycle", platform(PlatformBuilder().pes(1).wrapper_memories(1)),
-        busy_cycles, "busy cycle", 0.9948, 1),
+        busy_cycles, "busy cycle", 0, 0),
     Row("crossbar-busy-cycle",
         platform(PlatformBuilder().pes(1).wrapper_memories(1).crossbar()),
-        busy_cycles, "busy cycle", 0.9948, 1),
+        busy_cycles, "busy cycle", 0, 0),
+    Row("contended-busy-cycle",
+        platform(PlatformBuilder().pes(1).wrapper_memories(1)),
+        lambda target: busy_cycles(target, contended=True), "busy cycle",
+        1.0, 1),
     Row("wrapper-array-pair", SharedMemoryWrapper, array_command_pairs,
         "WRITE_ARRAY + READ_ARRAY", 51, 56),
     Row("modeled-array-pair", lambda: ModeledDynamicMemory(1 << 16),

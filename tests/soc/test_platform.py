@@ -192,9 +192,6 @@ class TestIdleTicker:
         # finished flag is False.
         assert report.finished == {"pe0": True, "pe1": False}
         assert report.results["pe1"] is None
-        assert report.result_of("pe0") == "done"
-        with pytest.raises(KeyError, match="did not finish"):
-            report.result_of("pe1")
         assert "finished" in report.as_dict()
 
 

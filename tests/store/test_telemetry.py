@@ -111,18 +111,3 @@ class TestMonitorRendering:
         monitor.emit(_event("scheduled", "a"))
         assert stream.getvalue() == ""
 
-    def test_render_summary_names_stragglers_and_failures(self):
-        monitor = SweepMonitor(live=False)
-        monitor.begin(3)
-        for name, index in (("a", 0), ("b", 1), ("c", 2)):
-            monitor.emit(_event("scheduled", name, index))
-        monitor.emit(_event("finished", "a", 0, host_seconds=9.0))
-        monitor.emit(_event("cache_hit", "b", 1))
-        monitor.emit(_event("failed", "c", 2, host_seconds=0.1,
-                            detail="exploded"))
-        monitor.end()
-        text = monitor.render_summary()
-        assert "3/3 done" in text
-        assert "1 simulated, 1 cached, 1 failed" in text
-        assert "a (9.00s)" in text
-        assert "failed: c — exploded" in text

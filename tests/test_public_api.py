@@ -159,3 +159,14 @@ def test_star_import_of_the_root_loads_every_subpackage():
          " for name in repro.__all__)\n"],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-3000:]
+
+
+def test_kernel_exports_every_wait_kind():
+    """A process yields an ``int``, an ``Event`` or a ``Hold``; the two
+    wait objects are public names of :mod:`repro.kernel`."""
+    import repro.kernel as kernel
+    from repro.kernel.event import Event
+    from repro.kernel.simulator import Hold
+
+    assert {"Event", "Hold"} <= set(kernel.__all__)
+    assert kernel.Event is Event and kernel.Hold is Hold
