@@ -111,8 +111,13 @@ _ARRAY_CODEC = {
 def encode_array(values: Sequence[int], data_type: DataType,
                  endianness: Endianness) -> bytes:
     """Encode ``values`` as consecutive elements: one :func:`encode_element`
-    each, packed in a single call."""
+    each, packed in a single call; a 32-bit word is masked only if out of range."""
     pack_format, mask, _, _ = _ARRAY_CODEC[data_type, endianness]
+    if mask == 0xFFFFFFFF:
+        try:
+            return struct.pack(pack_format % len(values), *values)
+        except struct.error:
+            pass
     return struct.pack(pack_format % len(values),
                        *[value & mask for value in values])
 
@@ -377,9 +382,8 @@ class DynamicMemorySlave(BusSlave):
         self.last_result = result.value
         self.op_counts[command.opcode] += 1
         if result.burst is not None:
-            # Stage read-array results in the I/O array for later burst reads.
-            io_array[:len(result.burst)] = [word & 0xFFFFFFFF
-                                            for word in result.burst]
+            # Stage read-array results (canonical words) for later burst reads.
+            io_array[:len(result.burst)] = result.burst
         # Only an array command that completed moved any words.  Delivering
         # the command words costs one cycle per word on top of the operation
         # itself (opcode + sm_addr + operands, as in the paper's
@@ -424,10 +428,11 @@ class DynamicMemorySlave(BusSlave):
         if request.op is BusOp.WRITE:
             payload = (request.burst_data if request.burst_data is not None
                        else [request.data])
-            io_array[index:index + len(payload)] = [word & 0xFFFFFFFF
-                                                    for word in payload]
+            if payload and (min(payload) < 0 or max(payload) > 0xFFFFFFFF):
+                payload = [word & 0xFFFFFFFF for word in payload]
+            io_array[index:index + len(payload)] = payload
             return BusResponse(), cycles
         if request.burst_length:
-            return (BusResponse(burst_data=list(
-                io_array[index:index + request.burst_length])), cycles)
+            return (BusResponse(burst_data=io_array[
+                index:index + request.burst_length]), cycles)
         return BusResponse(data=io_array[index]), cycles

@@ -17,16 +17,18 @@ from ..registry import Workload, expect_results, workload
 from ..task import TaskContext
 
 
+def _fir_kernel(samples: Sequence[int], taps: Sequence[int]) -> List[int]:
+    """``samples`` filtered by ``taps`` as 32-bit words: each tap's products
+    are added to the shifted outputs in one pass, and the sums masked once."""
+    acc = [0] * len(samples)
+    for shift, tap in enumerate(taps):
+        acc[shift:] = [a + tap * s for a, s in zip(acc[shift:], samples)]
+    return [a & 0xFFFFFFFF for a in acc]
+
+
 def fir_reference(samples: Sequence[int], taps: Sequence[int]) -> List[int]:
     """Pure-Python reference used to check the simulated result."""
-    output = []
-    for index in range(len(samples)):
-        accumulator = 0
-        for tap_index, tap in enumerate(taps):
-            if index - tap_index >= 0:
-                accumulator += tap * samples[index - tap_index]
-        output.append(accumulator & 0xFFFFFFFF)
-    return output
+    return _fir_kernel(samples, taps)
 
 
 def make_fir_task(samples: Sequence[int], taps: Sequence[int], memory_index: int = 0):
@@ -52,13 +54,7 @@ def make_fir_task(samples: Sequence[int], taps: Sequence[int], memory_index: int
         local_taps = yield from smem.read_array(coeff_vptr, len(taps))
         local_taps = [t if t < 0x80000000 else t - (1 << 32) for t in local_taps]
 
-        output: List[int] = []
-        for index in range(len(local_input)):
-            accumulator = 0
-            for tap_index, tap in enumerate(local_taps):
-                if index - tap_index >= 0:
-                    accumulator += tap * local_input[index - tap_index]
-            output.append(accumulator & 0xFFFFFFFF)
+        output = _fir_kernel(local_input, local_taps)
         yield from ctx.compute(
             estimate_loop_cycles(len(local_input) * len(local_taps),
                                  body_alu=1, body_mul=1, body_local=2,

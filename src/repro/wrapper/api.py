@@ -174,10 +174,10 @@ class SharedMemoryAPI:
         position = 0
         while position < len(values):
             chunk = values[position:position + IO_ARRAY_WORDS]
+            if min(chunk) < 0 or max(chunk) > 0xFFFFFFFF:
+                chunk = [v & 0xFFFFFFFF for v in chunk]
             yield from self.port.burst_write(
-                self._io_array_addr, [v & 0xFFFFFFFF for v in chunk],
-                tag=self._tags["io_stage"],
-            )
+                self._io_array_addr, chunk, tag=self._tags["io_stage"])
             response = yield from self._send(
                 [_WRITE_ARRAY, self.sm_addr, vptr, offset + position, len(chunk)],
                 "write_array",

@@ -6,13 +6,16 @@ drives one path; the count per unit of work must stay within the row's
 budget.  Counts do not flake on a loaded host, so CI's import gate runs this
 file.  Each stimulus also asserts what it exercised (hits and misses, hops,
 cycles, equal cost for short and long commands), so a row cannot pass by
-measuring some other path.
+measuring some other path.  A loop or comprehension iteration is not a
+call, so the array rows also count ``sys.settrace`` line events and require
+as many at 256 words as at 8.
 
 ``measured`` is the count per unit when the row was last set, and
 ``budget`` is at most 10 % above it: a change that makes a path cheaper
 lowers both.
 """
 
+import gc
 import sys
 from typing import Callable, NamedTuple, Tuple
 
@@ -43,6 +46,7 @@ class CallCounter:
             self.calls += 1
 
     def __enter__(self):
+        gc.collect()  # finalizers of earlier garbage are no part of the path
         self._previous = sys.getprofile()
         sys.setprofile(self._count)
         return self
@@ -50,6 +54,30 @@ class CallCounter:
     def __exit__(self, *exc_info):
         sys.setprofile(self._previous)
         self.calls -= 1  # the call event of this method itself
+
+
+class LineCounter:
+    """Counts ``line`` events, in every frame entered or resumed, while its
+    ``with`` block runs: the Python statements a path executes, including
+    each iteration of a loop or comprehension, which are not calls."""
+
+    def __init__(self):
+        self.lines = 0
+        self._previous = None
+
+    def _trace(self, _frame, event, _arg):
+        if event == "line":
+            self.lines += 1
+        return self._trace
+
+    def __enter__(self):
+        gc.collect()
+        self._previous = sys.gettrace()
+        sys.settrace(self._trace)
+        return self
+
+    def __exit__(self, *exc_info):
+        sys.settrace(self._previous)
 
 
 # -- platforms ---------------------------------------------------------------------
@@ -217,28 +245,70 @@ def command_request(**fields):
                       burst_data=MemCommand(**fields).to_words())
 
 
-def array_pair_calls(memory, vptr, words):
-    """Calls made by a ``words``-long WRITE_ARRAY then READ_ARRAY."""
+def array_pair_cost(memory, vptr, words, counter_type):
+    """``counter_type``'s count over a ``words``-long WRITE_ARRAY then
+    READ_ARRAY."""
     memory.io_array_for(0)[:words] = range(1, words + 1)
     requests = [command_request(opcode=opcode, vptr=vptr, dim=words)
                 for opcode in (MemOpcode.WRITE_ARRAY, MemOpcode.READ_ARRAY)]
-    with CallCounter() as counter:
+    with counter_type() as counter:
         responses = [memory._handle_command(request)[0] for request in requests]
     assert all(response.ok and response.data == words for response in responses)
     assert memory.io_array_for(0)[:words] == list(range(1, words + 1))
-    return counter.calls
+    return counter
+
+
+def assert_flat(counts, unit):
+    """``counts`` (words -> count) must not grow with the words moved."""
+    assert counts[8] == counts[256], (
+        f"{counts[8]} {unit} for 8 words but {counts[256]} for 256")
 
 
 def array_command_pairs(memory):
     """An array command is bookkeeping plus one host copy: 8 words and 256
-    words must cost exactly the same calls."""
+    words must cost exactly the same calls and the same traced lines (no
+    per-word Python, not even a comprehension)."""
     vptr = memory._handle_command(
         command_request(opcode=MemOpcode.ALLOC, dim=256))[0].data
-    array_pair_calls(memory, vptr, 8)  # warm-up: first-use caches
-    short = array_pair_calls(memory, vptr, 8)
-    long = array_pair_calls(memory, vptr, 256)
-    assert short == long, f"{short} calls for 8 words but {long} for 256"
-    return long, 1
+    array_pair_cost(memory, vptr, 8, CallCounter)  # warm-up: first-use caches
+    calls = {words: array_pair_cost(memory, vptr, words, CallCounter).calls
+             for words in (8, 256)}
+    lines = {words: array_pair_cost(memory, vptr, words, LineCounter).lines
+             for words in (8, 256)}
+    assert_flat(calls, "calls")
+    assert_flat(lines, "lines")
+    return calls[256], 1
+
+
+def api_array_round_trips(target):
+    """``smem.write_array`` then ``read_array`` of UINT32 words on a lone
+    bus: the API edge, the I/O stage, both array commands, the host copy and
+    the fetch.  8 and 256 words must cost the same calls and traced lines."""
+    calls, lines = {}, {}
+
+    def round_trip(smem, vptr, words, counter_type):
+        values = list(range(7, 7 + words))
+        with counter_type() as counter:
+            assert (yield from smem.write_array(vptr, values))
+            back = yield from smem.read_array(vptr, words)
+        assert back == values
+        return counter
+
+    def task(ctx):
+        smem = ctx.smem(0)
+        vptr = yield from smem.alloc(256, DataType.UINT32)
+        yield from round_trip(smem, vptr, 8, CallCounter)  # warm-up
+        for words in (8, 256):
+            calls[words] = (yield from round_trip(
+                smem, vptr, words, CallCounter)).calls
+            lines[words] = (yield from round_trip(
+                smem, vptr, words, LineCounter)).lines
+        yield from smem.free(vptr)
+
+    run_alone(target, task)
+    assert_flat(calls, "calls")
+    assert_flat(lines, "lines")
+    return calls[256], 1
 
 
 # -- the table ---------------------------------------------------------------------
@@ -258,7 +328,7 @@ ROWS = [
     Row("l1-read-hit", platform(l1wb()), l1_read_hits, "read", 8.0, 8),
     Row("l1-write-back-write-hit", platform(l1wb()), l1_write_hits, "write",
         11.0, 11),
-    Row("l1-read-miss", platform(l1wb()), l1_read_misses, "miss", 153.0, 168),
+    Row("l1-read-miss", platform(l1wb()), l1_read_misses, "miss", 152.0, 167),
     Row("mesh-2x2-read",
         platform(PlatformBuilder().pes(1).wrapper_memories(1).mesh(2, 2)),
         mesh_reads, "read", 142.0, 156),
@@ -272,9 +342,12 @@ ROWS = [
         lambda target: busy_cycles(target, contended=True), "busy cycle",
         1.0, 1),
     Row("wrapper-array-pair", SharedMemoryWrapper, array_command_pairs,
-        "WRITE_ARRAY + READ_ARRAY", 51, 56),
+        "WRITE_ARRAY + READ_ARRAY", 49, 53),
     Row("modeled-array-pair", lambda: ModeledDynamicMemory(1 << 16),
-        array_command_pairs, "WRITE_ARRAY + READ_ARRAY", 39, 42),
+        array_command_pairs, "WRITE_ARRAY + READ_ARRAY", 37, 40),
+    Row("api-array-round-trip",
+        platform(PlatformBuilder().pes(1).wrapper_memories(1)),
+        api_array_round_trips, "write_array + read_array", 196, 215),
 ]
 
 

@@ -10,7 +10,7 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
-MAX_SRC_LINES = 20_832
+MAX_SRC_LINES = 20_833
 
 
 def test_src_lines_within_budget():
