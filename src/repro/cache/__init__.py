@@ -23,7 +23,8 @@ from .._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".coherence": ["CoherenceDomain", "DomainStats"],
     ".geometry": ["CacheConfig", "CacheError", "CacheGeometry", "WritePolicy"],
-    ".l1": ["CachedPort", "CacheStats", "L1Cache"],
+    ".engine": ["CacheStats"],
+    ".l1": ["CachedPort", "L1Cache"],
     ".lines": ["CacheLine", "LineDirectory", "MSIState", "canonical_word"],
     ".shadow": ["ShadowMap", "SharedAllocation"],
 })

@@ -15,7 +15,8 @@ One :class:`CoherenceDomain` per platform ties the per-PE L1 caches
   issued by *uncached* masters (raw testbench traffic, ISS programs) still
   invalidate stale lines conservatively: their writes supersede any cached
   dirty copy of the written range.  A command reaches a memory only as
-  one burst on ``REG_COMMAND``, so that burst is all the hook decodes.
+  one burst on ``REG_COMMAND``; the hook reads that burst's one decode
+  (:func:`~repro.memory.protocol.launched_command`).
   The one gap raw masters keep under the write-back policy: their *reads*
   cannot trigger a snoop writeback (the hook runs synchronously inside the
   bus process and cannot issue bus transactions), so a raw read may
@@ -34,11 +35,10 @@ from dataclasses import asdict, dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..memory.protocol import (
+    REGISTER_WINDOW_BYTES,
     MemCommand,
     MemOpcode,
-    ProtocolError,
-    REG_COMMAND,
-    REGISTER_WINDOW_BYTES,
+    launched_command,
 )
 from ..fabric import BusOp, BusRequest, BusResponse, Fabric
 from .shadow import BOOKKEEPING_OPCODES, SharedAllocation, ShadowMap
@@ -320,15 +320,11 @@ class CoherenceDomain:
         if not response.ok or request.op is not BusOp.WRITE:
             return
         window = self.window_of(request.address)
-        if window is None:
+        command = None if window is None else launched_command(request,
+                                                               window[2])
+        if not isinstance(command, MemCommand):
             return
-        _base, mem_index, offset = window
-        if offset != REG_COMMAND or request.burst_data is None:
-            return
-        try:
-            command = MemCommand.from_words(request.burst_data)
-        except ProtocolError:
-            return
+        mem_index = window[1]
         self.stats.bus_snoops += 1
         opcode = command.opcode
         # Bookkeeping opcodes: authoritative for every master.  A new or

@@ -5,7 +5,7 @@ the interconnect.  The software stack is unchanged: the PE's
 :class:`~repro.wrapper.api.SharedMemoryAPI` talks to a
 :class:`CachedPort` exposing the exact :class:`~repro.fabric.port.MasterPort`
 interface (the :class:`~repro.fabric.port.PortHelpers` over the cache's own
-``transfer``), and the cache decodes the command bursts flowing through it:
+``transfer``), and the cache serves the command bursts flowing through it:
 
 * scalar READs hit in the cache or trigger a line-sized burst fill
   (READ_ARRAY through the real port, clamped to the owning allocation);
@@ -25,11 +25,11 @@ and serves a hit on the spot.  The port offers the API a front over it,
 ``scalar_hit``, so a scalar ``smem.read`` / ``smem.write`` that hits is
 answered from the API's own frame: no command words, no bus request, no
 decode.  Everything else reaches :meth:`L1Cache.transfer` as a command
-burst, decoded once; a scalar that arrives there is probed again, and
-only what the probe cannot serve (a miss, a SHARED line awaiting the
-upgrade snoop, a write that must reach memory or stall, array transfers,
-barriers) enters the per-opcode generators, which take over the probe's
-resolution and build the bus request for memory.
+burst, decoded once for every layer it crosses; a scalar that arrives
+there is probed again, and only what the probe cannot serve (a miss, a
+SHARED line awaiting the upgrade snoop, a write that must reach memory or
+stall, array transfers, barriers) enters the per-opcode generators.  The
+lines themselves are :class:`~repro.cache.engine.LineEngine`'s.
 
 Cached words are stored in the exact canonical form the wrapper returns
 (element encode/decode round trip, i.e. ``to_signed(value) & 0xFFFFFFFF``),
@@ -50,60 +50,21 @@ live in :mod:`repro.cache.lines`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
-from ..fabric import (
-    CACHE_TAG_SUFFIXES,
-    BusOp,
-    BusRequest,
-    BusResponse,
-    PortHelpers,
-    ResponseStatus,
-)
+from ..fabric import BusOp, BusRequest, BusResponse, PortHelpers, ResponseStatus
 from ..memory.protocol import (
     IO_ARRAY_BASE,
     REG_COMMAND,
     MemCommand,
     MemOpcode,
-    ProtocolError,
+    launched_command,
 )
 from .coherence import CoherenceDomain
+from .engine import LineEngine, reserved_by_other
 from .geometry import CacheConfig, WritePolicy
-from .lines import CacheLine, LineDirectory, MSIState, canonical_word
+from .lines import MSIState, canonical_word
 from .shadow import SharedAllocation
-
-@dataclass
-class CacheStats:
-    """Hit/miss/traffic counters of one L1 cache."""
-
-    hits: int = 0
-    misses: int = 0
-    array_hits: int = 0
-    array_misses: int = 0
-    array_absorbs: int = 0
-    fills: int = 0
-    evictions: int = 0
-    writebacks: int = 0
-    write_throughs: int = 0
-    invalidations_received: int = 0
-    uncached_ops: int = 0
-    fallbacks: int = 0
-    reservation_stalls: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses + self.array_hits + self.array_misses
-
-    @property
-    def hit_rate(self) -> float:
-        lookups = self.lookups
-        if not lookups:
-            return 0.0
-        return (self.hits + self.array_hits) / lookups
-
-    def as_dict(self) -> dict:
-        return {**asdict(self), "hit_rate": round(self.hit_rate, 4)}
 
 
 class CachedPort(PortHelpers):
@@ -127,7 +88,7 @@ class CachedPort(PortHelpers):
         return self._port._interconnect
 
 
-class L1Cache:
+class L1Cache(LineEngine):
     """One processing element's L1 data cache (see module docstring)."""
 
     def __init__(
@@ -139,21 +100,10 @@ class L1Cache:
         windows: Dict[int, int],
         clock_period: int,
     ) -> None:
-        self.name = name
-        self._fill_tag, self._writeback_tag, self._restage_tag = (
-            name + suffix for suffix in CACHE_TAG_SUFFIXES)
-        self.config = config
-        self.geometry = config.geometry
+        super().__init__(name, config, port, domain, windows)
         #: Line size the probe reads on every access, hoisted.
         self._line_bytes = config.geometry.line_bytes
         self.policy = config.policy
-        self._raw = port
-        self.master_id = port.master_id
-        self.domain = domain
-        self._shadow = domain.shadow
-        #: memory index -> window base address (the forward map, address ->
-        #: window, is the domain's :meth:`CoherenceDomain.window_of`).
-        self._window_base = {mem: base for base, mem in windows.items()}
         #: command register address -> memory index, for the port's probe.
         self._command_mem = {base + REG_COMMAND: mem
                              for base, mem in windows.items()}
@@ -164,8 +114,6 @@ class L1Cache:
         #: reservation misuse still surfaces as the wrapper's error).
         self._stall_wait = 8 * clock_period
         self._max_stalls = 1024
-        self.stats = CacheStats()
-        self.lines = LineDirectory(config.geometry)
         #: Buffered I/O-array stage awaiting its WRITE_ARRAY (write-back).
         self._pending_stage: Optional[Tuple[int, BusRequest]] = None
         #: Copy of the last forwarded stage (write-through install).
@@ -179,28 +127,6 @@ class L1Cache:
         domain.register_cache(self)
         self.port = CachedPort(self, port)
 
-    # -- identity ------------------------------------------------------------------
-    @property
-    def raw_port(self):
-        """The underlying (uncached) master port, used by snoop writebacks."""
-        return self._raw
-
-    # -- line directory ------------------------------------------------------------
-    def drop_line(self, line: CacheLine, evicted: bool = False,
-                  silent: bool = False) -> None:
-        """Remove a line (invalidate); dirty data is discarded by the caller's
-        contract (coherence invalidations write back first when needed).
-
-        ``silent`` drops are allocation-lifetime bookkeeping (FREE/ALLOC
-        scrubbing) and count neither as evictions nor as coherence
-        invalidations, so the MSI diagnostics stay meaningful.
-        """
-        if self.lines.discard(line) and not silent:
-            if evicted:
-                self.stats.evictions += 1
-            else:
-                self.stats.invalidations_received += 1
-
     # -- local answers -----------------------------------------------------------------
     def _local(self, data: int = 0, burst: Optional[List[int]] = None
                ) -> BusResponse:
@@ -210,7 +136,7 @@ class L1Cache:
     # -- main entry point --------------------------------------------------------------
     def transfer(self, request: BusRequest
                  ) -> Generator[object, None, BusResponse]:
-        """The CachedPort's transfer: decode, serve or forward ``request``."""
+        """The CachedPort's transfer: serve or forward ``request``."""
         window = self.domain.window_of(request.address)
 
         # 1. An absorbed READ_ARRAY left its payload staged for the io fetch.
@@ -225,38 +151,28 @@ class L1Cache:
                 return self._local(data=0, burst=words)
             # Unexpected interleaving: drop the staged words and fall through.
 
-        is_command = (window is not None and window[2] == REG_COMMAND
-                      and request.op is BusOp.WRITE
-                      and request.burst_data is not None)
+        command = launched_command(request, window[2]) if window else None
+        opcode = None  # stays None for what only the wrapper can answer
+        if isinstance(command, MemCommand) and command.sm_addr == window[1]:
+            opcode = command.opcode
 
         # 2. A buffered io stage must reach the memory before any other
-        #    traffic that is not its WRITE_ARRAY command.
-        if self._pending_stage is not None and not is_command:
+        #    traffic that is not its (well-formed) WRITE_ARRAY command.
+        if (self._pending_stage is not None
+                and opcode is not MemOpcode.WRITE_ARRAY):
             yield from self._flush_stage()
 
-        # 3. Command bursts: decode once, then probe (scalars) or dispatch.
-        if is_command:
-            base, mem_index, _offset = window
-            opcode = None  # stays None for what only the wrapper can answer
-            try:
-                command = MemCommand.from_words(request.burst_data)
-                if command.sm_addr == mem_index:
-                    opcode = command.opcode
-            except ProtocolError:
-                pass
-            # Only a well-formed WRITE_ARRAY consumes the buffered stage.
-            if (self._pending_stage is not None
-                    and opcode is not MemOpcode.WRITE_ARRAY):
-                yield from self._flush_stage()
-            if opcode is MemOpcode.READ or opcode is MemOpcode.WRITE:
+        # 3. Command bursts: probe (scalars) or dispatch.
+        if command is not None:
+            if opcode is MemOpcode.READ:
                 return (yield from self._scalar(
-                    request, opcode is MemOpcode.WRITE, mem_index,
-                    command.vptr, command.offset, command.data))
-            if opcode is not None:
-                return (yield from self._dispatch(command, request, base,
-                                                  mem_index))
-            self.stats.uncached_ops += 1
-            return (yield from self._raw.transfer(request))
+                    request, False, window[1], command.vptr, command.offset,
+                    0))
+            if opcode is MemOpcode.WRITE:
+                return (yield from self._retried(
+                    self._scalar, request, True, window[1], command.vptr,
+                    command.offset, command.data))
+            return (yield from self._dispatch(opcode, command, request, window))
 
         # 4. Whole-window io stages: buffer (write-back) or observe
         #    (write-through) so a following WRITE_ARRAY can use the words.
@@ -297,14 +213,23 @@ class L1Cache:
         return response
 
     # -- opcode dispatch -----------------------------------------------------------------
-    def _dispatch(self, command: MemCommand, request: BusRequest, base: int,
-                  mem_index: int) -> Generator[object, None, BusResponse]:
-        opcode = command.opcode
+    def _dispatch(self, opcode: Optional[MemOpcode], command,
+                  request: BusRequest, window: Tuple[int, int, int]
+                  ) -> Generator[object, None, BusResponse]:
+        base, mem_index, _offset = window
         if opcode is MemOpcode.READ_ARRAY:
             return (yield from self._op_read_array(command, request, mem_index))
         if opcode is MemOpcode.WRITE_ARRAY:
-            return (yield from self._op_write_array(command, request, base,
-                                                    mem_index))
+            # The staged words survive retries.
+            staged: Optional[List[int]] = None
+            if self._pending_stage is not None:
+                stage_mem, stage_request = self._pending_stage
+                if stage_mem == mem_index and stage_request.burst_data is not None \
+                        and len(stage_request.burst_data) >= command.dim:
+                    staged = list(stage_request.burst_data[:command.dim])
+            return (yield from self._retried(
+                self._write_array_once, request, command, base, mem_index,
+                staged))
         # ALLOC/FREE/RESERVE/RELEASE bookkeeping happens in the domain's
         # interconnect snoop hook, synchronously at bus completion — the
         # shim only runs the flush barriers that must precede the command.
@@ -321,9 +246,29 @@ class L1Cache:
                 yield from self._flush_own_dirty(alloc, alloc.vptr,
                                                  alloc.end_vptr)
             return (yield from self._raw.transfer(request))
-        if opcode in (MemOpcode.ALLOC, MemOpcode.FREE):
-            return (yield from self._raw.transfer(request))
-        # QUERY / NOP / unknown: plain passthrough.
+        if opcode is not MemOpcode.ALLOC and opcode is not MemOpcode.FREE:
+            # QUERY / NOP, or what only the wrapper can answer: passthrough.
+            self.stats.uncached_ops += 1
+        return (yield from self._raw.transfer(request))
+
+    def _retried(self, attempt, request: BusRequest, *args
+                 ) -> Generator[object, None, BusResponse]:
+        """``attempt(request, *args)`` until it answers a response.
+
+        An attempt answers ``None`` when a foreign master holds (or took,
+        while the write was on the bus) the allocation's semaphore, which
+        the uncached platform would refuse only under that interleaving:
+        the cache serializes the write behind the critical section, and
+        stalls, then starts over.  After the stall bound the request is
+        forwarded, so true misuse still meets the wrapper's NACK.
+        """
+        for _attempt in range(self._max_stalls):
+            response = yield from attempt(request, *args)
+            if response is not None:
+                return response
+            self.stats.reservation_stalls += 1
+            yield self._stall_wait
+        yield from self._flush_stage()
         self.stats.uncached_ops += 1
         return (yield from self._raw.transfer(request))
 
@@ -381,67 +326,35 @@ class L1Cache:
 
     def _scalar(self, request: BusRequest, store: bool, mem_index: int,
                 vptr: int, offset: int, data: int
-                ) -> Generator[object, None, BusResponse]:
-        """A scalar READ / WRITE that arrived as a request: the probe, then
-        what it did not serve.
+                ) -> Generator[object, None, Optional[BusResponse]]:
+        """One attempt at a scalar READ / WRITE that arrived as a request:
+        the probe, then what it did not serve.
 
-        A read miss fills; a write refused by a foreign reservation
-        (``None`` from :meth:`_op_write_once`) stalls, then starts over from
-        the probe.
+        A read miss fills the line and answers from it.  A write goes to
+        memory (write-through, or under a reservation) or takes its line
+        MODIFIED; ``None`` asks :meth:`_retried` to stall and retry.
         """
-        for _attempt in range(self._max_stalls):
-            word, located = self.probe(store, mem_index, vptr, offset, data)
-            if word is not None:
-                yield self._hit_wait
-                return self._local(data=word)
-            if located is None:
-                break  # not a live element: the wrapper answers
-            if not store:
-                return (yield from self._op_read(request, *located))
-            response = yield from self._op_write_once(request, vptr, data,
-                                                      *located)
-            if response is not None:
-                return response
-            self.stats.reservation_stalls += 1
-            yield self._stall_wait
-        self.stats.uncached_ops += 1
-        return (yield from self._raw.transfer(request))
-
-    def _op_read(self, request: BusRequest, alloc: SharedAllocation,
-                 index: int) -> Generator[object, None, BusResponse]:
-        """Scalar read the probe missed: fill the line, answer from it."""
-        self.stats.misses += 1
-        line_no = self.geometry.line_number(alloc.element_byte(index))
-        first, words, _line = yield from self._fill(alloc, line_no)
-        if words is None or not first <= index < first + len(words):
-            self.stats.fallbacks += 1
+        word, located = self.probe(store, mem_index, vptr, offset, data)
+        if word is not None:
+            yield self._hit_wait
+            return self._local(data=word)
+        if located is None:  # not a live element: the wrapper answers
+            self.stats.uncached_ops += 1
             return (yield from self._raw.transfer(request))
-        # Even when the fetched line could not stay resident (invalidated by
-        # a concurrent writer mid-fill), the fetched words are a correct
-        # read serialized at the moment the burst completed on the bus.
-        return self._local(data=words[index - first])
-
-    def _foreign_reserved(self, mem_index: int, vptr: int) -> bool:
-        """True when a *different* master currently holds the semaphore."""
-        holder = self._shadow.reserved_by(mem_index, vptr)
-        return holder is not None and holder != self.master_id
-
-    def _op_write_once(self, request: BusRequest, vptr: int, data: int,
-                       alloc: SharedAllocation, index: int
-                       ) -> Generator[object, None, Optional[BusResponse]]:
-        """One attempt at a scalar write the probe did not serve; ``None``
-        asks :meth:`_scalar` to stall and retry.
-
-        A foreign master may hold (or acquire, while this write is in
-        flight on the bus) the allocation's coherence semaphore; the
-        uncached platform would refuse the write only under that exact
-        interleaving.  The snooping cache instead serializes the write
-        behind the critical section: stall, then retry.  True misuse still
-        errors — after the retry bound the write is forwarded and the
-        wrapper's NACK surfaces.
-        """
-        mem_index = alloc.mem_index
-        if alloc.reserved_by is not None and alloc.reserved_by != self.master_id:
+        alloc, index = located
+        line_no = self.geometry.line_number(alloc.element_byte(index))
+        if not store:
+            self.stats.misses += 1
+            first, words, _line = yield from self._fill(alloc, line_no)
+            if words is None or not first <= index < first + len(words):
+                self.stats.fallbacks += 1
+                return (yield from self._raw.transfer(request))
+            # Even when the fetched line could not stay resident
+            # (invalidated by a concurrent writer mid-fill), the fetched
+            # words are a correct read serialized at the moment the burst
+            # completed on the bus.
+            return self._local(data=words[index - first])
+        if reserved_by_other(alloc.reserved_by, self.master_id):
             return None
         value = canonical_word(data, alloc.data_type)
         if (self.policy is WritePolicy.WRITE_THROUGH
@@ -453,7 +366,6 @@ class L1Cache:
             if response is not None and response.ok:
                 self.stats.write_throughs += 1
             return response
-        line_no = self.geometry.line_number(alloc.element_byte(index))
         line = self.lines.lookup(mem_index, alloc.uid, line_no)
         if line is None:
             self.stats.misses += 1
@@ -485,6 +397,11 @@ class L1Cache:
         yield self._hit_wait
         return self._local()
 
+    def _foreign_reserved(self, mem_index: int, vptr: int) -> bool:
+        """True when another master holds the semaphore at ``vptr``."""
+        return reserved_by_other(self._shadow.reserved_by(mem_index, vptr),
+                                 self.master_id)
+
     def _write_to_memory(self, request: BusRequest, vptr: int, value: int,
                          alloc: SharedAllocation, index: int
                          ) -> Generator[object, None, Optional[BusResponse]]:
@@ -509,17 +426,6 @@ class L1Cache:
             return None  # a reservation won the bus race: retry
         return response
 
-    def _update_clean(self, alloc: SharedAllocation, index: int, value: int
-                      ) -> None:
-        """Refresh a resident slot after a write that reached memory."""
-        line_no = self.geometry.line_number(alloc.element_byte(index))
-        line = self.lines.lookup(alloc.mem_index, alloc.uid, line_no)
-        if line is not None and line.covers(index):
-            slot = line.slot_of(index)
-            line.words[slot] = value
-            line.present[slot] = True
-            line.dirty[slot] = False
-
     # -- array read -----------------------------------------------------------------------
     def _op_read_array(self, command: MemCommand, request: BusRequest,
                        mem_index: int) -> Generator[object, None, BusResponse]:
@@ -536,12 +442,11 @@ class L1Cache:
             yield self._hit_wait
             return self._local(data=command.dim)
         self.stats.array_misses += 1
-        yield from self._flush_own_dirty(alloc, alloc.element_byte(start),
-                                         alloc.element_byte(start + command.dim))
+        lo_byte, hi_byte = (alloc.element_byte(start),
+                            alloc.element_byte(start + command.dim))
+        yield from self._flush_own_dirty(alloc, lo_byte, hi_byte)
         yield from self.domain.snoop_read(self, alloc, start, command.dim)
-        guard = self.domain.begin_fill(
-            self, mem_index, alloc.element_byte(start),
-            alloc.element_byte(start + command.dim))
+        guard = self.domain.begin_fill(self, mem_index, lo_byte, hi_byte)
         # The guard deliberately outlives this call on success (the io
         # fetch, or any other transfer after it, ends it in transfer()),
         # so only failure paths may end it here.
@@ -557,64 +462,23 @@ class L1Cache:
             self.domain.end_fill(guard)
         return response
 
-    def _collect(self, alloc: SharedAllocation, start: int, dim: int
-                 ) -> Optional[List[int]]:
-        """All ``dim`` words from resident lines, or None on any gap."""
-        words: List[int] = []
-        index = start
-        while index < start + dim:
-            line_no = self.geometry.line_number(alloc.element_byte(index))
-            line = self.lines.lookup(alloc.mem_index, alloc.uid, line_no)
-            if line is None or not line.covers(index):
-                return None
-            upto = min(start + dim, line.first_index + line.n_slots)
-            for element in range(index, upto):
-                slot = line.slot_of(element)
-                if not line.present[slot]:
-                    return None
-                words.append(line.words[slot])
-            index = upto
-        return words
-
     # -- array write ----------------------------------------------------------------------
-    def _op_write_array(self, command: MemCommand, request: BusRequest,
-                        base: int, mem_index: int
-                        ) -> Generator[object, None, BusResponse]:
-        """Array write with the same reservation-aware retry as scalar
-        writes (see :meth:`_op_write_once`); the staged words survive retries."""
-        staged: Optional[List[int]] = None
-        if self._pending_stage is not None:
-            stage_mem, stage_request = self._pending_stage
-            if stage_mem == mem_index and stage_request.burst_data is not None \
-                    and len(stage_request.burst_data) >= command.dim:
-                staged = list(stage_request.burst_data[:command.dim])
-        for _attempt in range(self._max_stalls):
-            response = yield from self._op_write_array_once(
-                command, request, base, mem_index, staged)
-            if response is not None:
-                return response
-            self.stats.reservation_stalls += 1
-            yield self._stall_wait
-        if self._pending_stage is not None:
-            yield from self._flush_stage()
-        self.stats.uncached_ops += 1
-        return (yield from self._raw.transfer(request))
-
-    def _op_write_array_once(self, command: MemCommand, request: BusRequest,
-                             base: int, mem_index: int,
-                             staged: Optional[List[int]]
-                             ) -> Generator[object, None, Optional[BusResponse]]:
-        """One attempt of :meth:`_op_write_array`; ``None`` asks to retry."""
+    def _write_array_once(self, request: BusRequest, command: MemCommand,
+                          base: int, mem_index: int,
+                          staged: Optional[List[int]]
+                          ) -> Generator[object, None, Optional[BusResponse]]:
+        """One attempt at an array write, with the same reservation-aware
+        retry as scalar writes (see :meth:`_retried`); ``None`` asks to
+        retry."""
         dim = command.dim
         located = self._shadow.resolve(mem_index, command.vptr,
                                        command.offset, dim)
         if located is None:
-            if self._pending_stage is not None:
-                yield from self._flush_stage()
+            yield from self._flush_stage()
             self.stats.uncached_ops += 1
             return (yield from self._raw.transfer(request))
         alloc, start = located
-        if alloc.reserved_by is not None and alloc.reserved_by != self.master_id:
+        if reserved_by_other(alloc.reserved_by, self.master_id):
             return None
         lo_byte = alloc.element_byte(start)
         hi_byte = alloc.element_byte(start + dim)
@@ -670,7 +534,9 @@ class L1Cache:
         elif staged is not None:
             # Retry (or write-back fallback): the io array no longer holds
             # the payload — stage it again before re-issuing.
-            yield from self._restage(mem_index, staged, base)
+            yield from self._raw.burst_write(
+                base + IO_ARRAY_BASE, [word & 0xFFFFFFFF for word in staged],
+                tag=self._restage_tag)
         guard = self.domain.begin_fill(self, mem_index, lo_byte, hi_byte)
         try:
             response = yield from self._raw.transfer(request)
@@ -704,17 +570,6 @@ class L1Cache:
             self.domain.end_fill(guard)
         return response
 
-    def _range_prepared(self, alloc: SharedAllocation, start: int, count: int,
-                        lines: Dict[int, CacheLine]) -> bool:
-        """Synchronous: every line covering the range is prepared and still
-        resident, so a dirty install of the whole range cannot fail."""
-        for line_no in self.lines.line_numbers(alloc, start, count):
-            line = lines.get(line_no)
-            if line is None or not self.lines.holds(line):
-                return False
-        return True
-
-    # -- staging helpers ---------------------------------------------------------------
     def _flush_stage(self) -> Generator[object, None, None]:
         """Forward a buffered io stage to the memory module."""
         if self._pending_stage is None:
@@ -722,215 +577,6 @@ class L1Cache:
         _mem_index, stage_request = self._pending_stage
         self._pending_stage = None
         yield from self._raw.transfer(stage_request)
-
-    def _restage(self, mem_index: int, words: List[int], base: int
-                 ) -> Generator[object, None, None]:
-        yield from self._raw.burst_write(
-            base + IO_ARRAY_BASE, [word & 0xFFFFFFFF for word in words],
-            tag=self._restage_tag)
-
-    # -- fills, installs, evictions ------------------------------------------------------
-    def _fill(self, alloc: SharedAllocation, line_no: int
-              ) -> Generator[object, None,
-                             Tuple[int, Optional[List[int]], Optional[CacheLine]]]:
-        """Fetch the allocation-clamped line ``line_no`` with one burst.
-
-        Returns ``(first_element, words, line)``.  ``words`` is ``None``
-        when the fetch itself failed; ``line`` is ``None`` when the data
-        could not stay resident (no victim available, or a concurrent
-        writer invalidated the placeholder mid-fill — the placeholder is
-        registered in the directory *before* the first suspension exactly
-        so that remote upgrades drop it and the stale payload is never
-        installed).
-        """
-        first, count = self.lines.span(alloc, line_no)
-        if count <= 0:
-            return first, None, None
-        line = yield from self._place(alloc, line_no, first, count)
-        yield from self.domain.snoop_read(self, alloc, first, count)
-        base = self._window_base[alloc.mem_index]
-        fill_command = MemCommand(MemOpcode.READ_ARRAY, sm_addr=alloc.mem_index,
-                                  vptr=alloc.vptr, offset=first, dim=count)
-        guard = self.domain.begin_fill(self, alloc.mem_index,
-                                       alloc.element_byte(first),
-                                       alloc.element_byte(first + count))
-        try:
-            ack = yield from self._raw.burst_write(
-                base + REG_COMMAND, fill_command.to_words(),
-                tag=self._fill_tag)
-            if not ack.ok:
-                self._drop_if_empty(line)
-                return first, None, None
-            payload = yield from self._raw.burst_read(
-                base + IO_ARRAY_BASE, count, tag=self._fill_tag)
-        finally:
-            self.domain.end_fill(guard)
-        if not payload.ok or len(payload.burst_data) != count:
-            self._drop_if_empty(line)
-            return first, None, None
-        self.stats.fills += 1
-        words = [word & 0xFFFFFFFF for word in payload.burst_data]
-        if guard.poisoned:
-            # A conflicting write completed at the memory while the payload
-            # was in flight: the words are a correct read (serialized when
-            # the fill was served) but are stale *now* — do not install.
-            self._drop_if_empty(line)
-            return first, words, None
-        if line is None or not self.lines.holds(line):
-            return first, words, None
-        for slot, word in enumerate(words):
-            if not line.dirty[slot]:  # dirty data is newer than memory
-                line.words[slot] = word
-                line.present[slot] = True
-        return first, words, line
-
-    def _drop_if_empty(self, line: Optional[CacheLine]) -> None:
-        """Remove a placeholder that never received any data."""
-        if line is not None and not any(line.present):
-            self.lines.discard(line)
-
-    def _place(self, alloc: SharedAllocation, line_no: int, first: int,
-               count: int) -> Generator[object, None, Optional[CacheLine]]:
-        """The resident line ``line_no`` of ``alloc``, else a new empty
-        placeholder for its ``count`` elements from ``first``, at MRU;
-        ``None`` when no way can be freed.  May suspend for an eviction
-        writeback."""
-        line = self.lines.lookup(alloc.mem_index, alloc.uid, line_no)
-        if line is None:
-            ways = self.lines.ways_of(line_no)
-            if (yield from self._make_room(ways)):
-                line = CacheLine(alloc, line_no, first, count)
-                ways.insert(0, line)
-        return line
-
-    def _prepare_lines(self, alloc: SharedAllocation, start: int, count: int
-                       ) -> Generator[object, None, Dict[int, CacheLine]]:
-        """Make every line covering the range resident (placeholders for the
-        missing ones); may suspend for eviction writebacks."""
-        prepared: Dict[int, CacheLine] = {}
-        for line_no in self.lines.line_numbers(alloc, start, count):
-            first, span = self.lines.span(alloc, line_no)
-            if span > 0:
-                line = yield from self._place(alloc, line_no, first, span)
-                if line is not None:
-                    prepared[line_no] = line
-        return prepared
-
-    def _finalize_install(self, alloc: SharedAllocation, start: int,
-                          words: List[int], lines: Dict[int, CacheLine],
-                          dirty: bool) -> bool:
-        """Synchronously copy ``words`` (canonical) into the prepared lines.
-
-        Lines that were invalidated (or evicted) while preparation or the
-        data transfer suspended are skipped — and for clean installs any
-        range a remote cache has dirty/MODIFIED is skipped too, so a fetch
-        that predates a remote write can never go resident.  Returns True
-        when the whole range ended up resident.
-        """
-        complete = True
-        end = start + len(words)
-        for line_no in self.lines.line_numbers(alloc, start, len(words)):
-            line = lines.get(line_no)
-            if line is None or not self.lines.holds(line):
-                complete = False
-                continue
-            if not dirty and self.domain.any_remote_modified(
-                    self, alloc.mem_index, line.lo_byte, line.hi_byte):
-                complete = False
-                continue
-            for element in range(max(start, line.first_index),
-                                 min(end, line.first_index + line.n_slots)):
-                slot = line.slot_of(element)
-                if dirty or not line.dirty[slot]:
-                    line.words[slot] = words[element - start]
-                    line.present[slot] = True
-                    if dirty:
-                        line.dirty[slot] = True
-            if dirty:
-                line.state = MSIState.MODIFIED
-        return complete
-
-    def _make_room(self, ways: List[CacheLine]
-                   ) -> Generator[object, None, bool]:
-        """Free one way of the set ``ways`` (LRU victim, writeback when
-        dirty)."""
-        if len(ways) < self.geometry.ways:
-            return True
-        for line in reversed(list(ways)):
-            if not line.has_dirty():
-                self.drop_line(line, evicted=True)
-                return True
-        for line in reversed(list(ways)):
-            holder = line.alloc.reserved_by
-            if holder is not None and holder != self.master_id:
-                continue  # cannot write back while a foreign master holds it
-            ok = yield from self.writeback_line(line, self._raw)
-            if ok:
-                self.drop_line(line, evicted=True)
-                return True
-        return False
-
-    # -- writebacks ----------------------------------------------------------------------
-    def writeback_line(self, line: CacheLine, port
-                       ) -> Generator[object, None, bool]:
-        """Write the line's dirty runs back to its memory module via ``port``.
-
-        Returns True when every dirty element reached memory (dirty flags
-        cleared); False leaves the remaining runs dirty for a later retry.
-        """
-        alloc = line.alloc
-        if alloc.reserved_by is not None and alloc.reserved_by != port.master_id:
-            return False
-        base = self._window_base[line.mem_index]
-        for slot_start, length in line.dirty_runs():
-            if self._shadow.find(line.mem_index, alloc.vptr) is not alloc:
-                # The allocation died (FREE, possibly re-ALLOC reusing the
-                # vptr range) while an earlier run's transfer suspended us:
-                # writing the dead data now would corrupt the new owner.
-                return False
-            first_element = line.first_index + slot_start
-            # Snapshot what actually goes on the bus: the owner may re-dirty
-            # a slot while the transfer suspends this process, and a dirty
-            # flag may only be cleared for the exact value that reached
-            # memory (the snoop loop retries until the line drains).
-            written = list(line.words[slot_start:slot_start + length])
-            if length == 1:
-                command = MemCommand(
-                    MemOpcode.WRITE, sm_addr=line.mem_index, vptr=alloc.vptr,
-                    offset=first_element, data=written[0])
-                response = yield from port.burst_write(
-                    base + REG_COMMAND, command.to_words(),
-                    tag=self._writeback_tag)
-            else:
-                stage = yield from port.burst_write(
-                    base + IO_ARRAY_BASE, written,
-                    tag=self._writeback_tag)
-                if not stage.ok:
-                    return False
-                if self._shadow.find(line.mem_index,
-                                          alloc.vptr) is not alloc:
-                    return False  # allocation died while the stage ran
-                command = MemCommand(
-                    MemOpcode.WRITE_ARRAY, sm_addr=line.mem_index,
-                    vptr=alloc.vptr, offset=first_element, dim=length)
-                response = yield from port.burst_write(
-                    base + REG_COMMAND, command.to_words(),
-                    tag=self._writeback_tag)
-            if not response.ok:
-                return False
-            for slot in range(slot_start, slot_start + length):
-                if line.words[slot] == written[slot - slot_start]:
-                    line.dirty[slot] = False
-        self.stats.writebacks += 1
-        return True
-
-    def _flush_own_dirty(self, alloc: SharedAllocation, lo_byte: int,
-                         hi_byte: int) -> Generator[object, None, None]:
-        for line in self.lines.dirty_overlapping(alloc.mem_index, lo_byte,
-                                                  hi_byte):
-            ok = yield from self.writeback_line(line, self._raw)
-            if ok:
-                line.downgrade()
 
     # -- reporting -----------------------------------------------------------------------
     def report(self) -> dict:

@@ -43,7 +43,7 @@ from ..memory.protocol import (
     REG_COMMAND,
     MemCommand,
     MemOpcode,
-    ProtocolError,
+    launched_command,
 )
 from .config import CheckConfig
 from .protocol import CoherenceChecker, ProtocolChecker
@@ -238,8 +238,7 @@ class SanitizerSuite:
                        time: int) -> None:
         offset = request.address - window.base
         actor = request.master_id
-        launch = (offset == REG_COMMAND and request.op is BusOp.WRITE
-                  and request.burst_data is not None)
+        command = launched_command(request, offset)
         if self.protocol is not None and offset < IO_ARRAY_BASE:
             # Below the I/O array a memory takes one write: the command burst.
             if not request.is_burst and request.size != WORD_SIZE:
@@ -248,20 +247,15 @@ class SanitizerSuite:
                     f"{window.name}+{offset:#x} (memory registers are "
                     f"word-access only)",
                     self._site(actor, "sub-word access", time))
-            elif request.op is BusOp.WRITE and not launch:
+            elif request.op is BusOp.WRITE and command is None:
                 self.protocol.register_misuse(
                     f"{self._label(actor)}: write to read-only register "
                     f"{window.name}+{offset:#x} (only the command burst at "
                     f"+{REG_COMMAND:#x} is written below the I/O array)",
                     self._site(actor, "read-only write", time))
-        if not launch:
-            return
-        try:
-            command = MemCommand.from_words(request.burst_data)
-        except ProtocolError:
-            return
-        self._memory_command(mem_index, actor, command, request, response,
-                             time)
+        if isinstance(command, MemCommand):
+            self._memory_command(mem_index, actor, command, request,
+                                 response, time)
 
     def _memory_command(self, mem_index: int, actor: Actor,
                         command: MemCommand, request: BusRequest,

@@ -59,6 +59,10 @@ class BusRequest:
     burst_length: int = 0
     #: Free-form label read by instrumentation (e.g. "fetch", "api.alloc").
     tag: str = ""
+    #: A slave protocol's decode of ``burst_data`` (then fixed), kept for
+    #: every layer the request crosses; opaque to the fabric.  A class
+    #: default, not a field: no constructor, comparison or repr carries it.
+    decoded = None
 
     def __post_init__(self) -> None:
         if self.size not in (1, 2, WORD_SIZE):

@@ -5,7 +5,8 @@ fully-modelled baseline expose the same register window (defined in
 :mod:`repro.memory.protocol`), so the software API can target either.  This
 module implements everything they have in common once:
 
-* decoding of command-port bursts, the one way a command is launched,
+* executing command-port bursts, the one way a command is launched, as
+  :func:`~repro.memory.protocol.launched_command` decodes them,
 * the protocol's semantics (:meth:`DynamicMemorySlave._execute`): ALLOC
   validation, exact-base FREE / RESERVE / RELEASE / QUERY, interior-pointer
   READ / WRITE and array transfers, the check order (pointer, then bounds,
@@ -36,7 +37,6 @@ from .protocol import (
     DATA_TYPE_SIZES,
     IO_ARRAY_BASE,
     IO_ARRAY_BYTES,
-    REG_COMMAND,
     REG_LIVE_COUNT,
     REG_RESULT,
     REG_STATUS,
@@ -48,7 +48,7 @@ from .protocol import (
     MemOpcode,
     MemResult,
     MemStatus,
-    ProtocolError,
+    launched_command,
 )
 
 # ---------------------------------------------------------------------------
@@ -352,8 +352,9 @@ class DynamicMemorySlave(BusSlave):
               ) -> Tuple[BusResponse, int]:
         if offset >= REGISTER_WINDOW_BYTES:
             return BusResponse(status=ResponseStatus.SLAVE_ERROR), 2
-        if self._is_command(request, offset):
-            response, cycles = self._handle_command(request)
+        command = launched_command(request, offset)
+        if command is not None:
+            response, cycles = self._handle_command(request, command)
         elif offset >= IO_ARRAY_BASE:
             response, cycles = self._handle_io_array(request, offset)
         else:
@@ -361,16 +362,9 @@ class DynamicMemorySlave(BusSlave):
         return response, max(1, cycles)
 
     # -- command handling ----------------------------------------------------------
-    @staticmethod
-    def _is_command(request: BusRequest, offset: int) -> bool:
-        return (offset == REG_COMMAND and request.op is BusOp.WRITE
-                and request.burst_data is not None)
-
-    def _handle_command(self, request: BusRequest):
-        assert request.burst_data is not None
-        try:
-            command = MemCommand.from_words(request.burst_data)
-        except ProtocolError:
+    def _handle_command(self, request: BusRequest,
+                        command: "MemCommand | MemStatus"):
+        if command is MemStatus.ERR_MALFORMED:
             self.last_status = MemStatus.ERR_MALFORMED
             self.last_result = 0
             return (BusResponse(status=ResponseStatus.NACK,

@@ -153,7 +153,7 @@ OPERAND_COUNT = {
 ARRAY_OPCODES = (MemOpcode.READ_ARRAY, MemOpcode.WRITE_ARRAY)
 
 # Wire value -> enum member: a dict probe, not an ``Enum(...)`` call, because
-# every command is decoded by each layer it crosses (cache, wrapper, snooper).
+# every launched command is decoded once on the simulation's hot path.
 _OPCODE_OF = {int(member): member for member in MemOpcode}
 _DATA_TYPE_OF = {int(member): member for member in DataType}
 
@@ -237,3 +237,26 @@ class ProtocolError(Exception):
 def _malformed(opcode: MemOpcode, words: Sequence[int]) -> ProtocolError:
     return ProtocolError(
         f"malformed operand list {list(words[2:])!r} for opcode {opcode.name}")
+
+
+def launched_command(request, offset: int
+                     ) -> "MemCommand | MemStatus | None":
+    """The command a bus ``request`` launches at byte ``offset`` of a
+    memory's register window: ``None`` unless it is a burst write to
+    :data:`REG_COMMAND`, else the decoded :class:`MemCommand`, or
+    :attr:`MemStatus.ERR_MALFORMED` (which the memory NACKs) when its words
+    do not decode.  The outcome is kept on ``request.decoded``, so each
+    burst is decoded at most once; a sender that encoded a
+    :class:`MemCommand` may set it there itself.
+    """
+    if offset != REG_COMMAND or request.burst_data is None:
+        return None
+    command = request.decoded
+    # ``BusOp.WRITE``, reached through the request: importing the fabric
+    # here would load it on a sweep's set-up path, which needs none.
+    if command is None and request.op is type(request.op).WRITE:
+        try:
+            command = request.decoded = MemCommand.from_words(request.burst_data)
+        except ProtocolError:
+            command = request.decoded = MemStatus.ERR_MALFORMED
+    return command

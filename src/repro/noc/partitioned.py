@@ -32,10 +32,9 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple, Union
 
 from ..fabric import ArbitrationSpec
-from ..fabric.transaction import BusOp
 from ..kernel import Module, Probes
 from ..kernel.simtime import NS
-from ..memory.protocol import REG_COMMAND, MemOpcode
+from ..memory.protocol import MemCommand, MemOpcode, launched_command
 from .config import NocConfig
 from .mesh import MeshNoc, _OutputPort
 from .packet import Packet
@@ -87,16 +86,7 @@ class BoundaryFlit:
         return (self.deliver_time, self.src_partition, self.seq)
 
 
-_LOCK_OPCODES = (int(MemOpcode.RESERVE), int(MemOpcode.RELEASE))
-
-
-def _is_lock_command(packet: Packet) -> bool:
-    """True when the request packet is a RESERVE/RELEASE command burst
-    (the one way a command reaches a memory's command port)."""
-    request = packet.request
-    return (request.op is BusOp.WRITE and packet.offset == REG_COMMAND
-            and bool(request.burst_data)
-            and int(request.burst_data[0]) in _LOCK_OPCODES)
+_LOCK_OPCODES = (MemOpcode.RESERVE, MemOpcode.RELEASE)
 
 
 class BoundaryRuntime:
@@ -117,7 +107,9 @@ class BoundaryRuntime:
 
     def emit(self, net: str, packet: Packet, now: int) -> None:
         """Serialize ``packet`` as it crosses the cut at time ``now``."""
-        if not packet.is_response and _is_lock_command(packet):
+        command = (None if packet.is_response
+                   else launched_command(packet.request, packet.offset))
+        if isinstance(command, MemCommand) and command.opcode in _LOCK_OPCODES:
             raise PartitionError(
                 f"cross-partition reserve/release: master "
                 f"{packet.request.master_id} sent a memory lock command "

@@ -1,8 +1,8 @@
 """Wire format of the dynamic-memory protocol: ``MemCommand`` encode/decode.
 
-Pins what every layer that decodes a command burst (cache, wrapper,
-snooper, sanitizers) relies on: one operand-count table, lossless
-round trips, and a :class:`ProtocolError` — never an ``IndexError`` or a
+Pins what the one decode of a command burst, which every layer it crosses
+(cache, wrapper, snooper, sanitizers) reads, relies on: one operand-count
+table, lossless round trips, and a :class:`ProtocolError` — never an ``IndexError`` or a
 ``ValueError`` — for anything that is not a command.
 """
 

@@ -10,7 +10,10 @@ the memory that holds it.
 import pytest
 
 from repro.api import PlatformBuilder, Scenario, run_scenario
-from repro.noc.partitioned import PartitionError
+from repro.fabric import BusOp, BusRequest
+from repro.memory import MemOpcode
+from repro.noc.packet import Packet
+from repro.noc.partitioned import BoundaryRuntime, PartitionContext, PartitionError
 
 
 def handoff_scenario(*, pe_nodes, memory_nodes, partitions=2):
@@ -67,3 +70,26 @@ def test_plain_cross_cut_reads_and_writes_are_allowed():
     assert result.error is None, result.error
     assert result.passed, result.failures
     assert result.report.pdes["boundary_messages"] > 0
+
+
+@pytest.mark.parametrize("words, refused", [
+    ([int(MemOpcode.RESERVE), 0, 0x40], True),
+    ([int(MemOpcode.RELEASE), 0, 0x40], True),
+    # Too short to decode: the memory NACKs it and no lock changes hands.
+    ([int(MemOpcode.RESERVE), 0], False),
+    ([int(MemOpcode.WRITE), 0, 0x40, 0, 1], False),
+])
+def test_a_cut_refuses_exactly_the_lock_commands(words, refused):
+    """The boundary asks the one launch test: a RESERVE / RELEASE that the
+    memory would execute is refused, anything else crosses."""
+    runtime = BoundaryRuntime(PartitionContext(
+        partitions=2, index=0, epoch_cycles=1, epoch_time=10,
+        owned_nodes=frozenset(), pe_owner=(0,)))
+    packet = Packet(BusRequest(0, BusOp.WRITE, 0, burst_data=words),
+                    src_node=0, dst_node=1, flits=2)
+    if refused:
+        with pytest.raises(PartitionError, match="reserve/release"):
+            runtime.emit("request", packet, now=0)
+    else:
+        runtime.emit("request", packet, now=0)
+        assert [flit.packet for flit in runtime.outbox] == [packet]
