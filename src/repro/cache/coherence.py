@@ -148,9 +148,8 @@ class CoherenceDomain:
             progressed = False
             for cache, line in flagged:
                 if line.has_dirty():
-                    ok = yield from cache.writeback_line(line,
-                                                         requester.raw_port)
-                    if ok:
+                    if (yield from cache.writeback_line(
+                            line, requester.raw_port)):
                         self.stats.snoop_writebacks += 1
                         progressed = True
                 line.downgrade()
@@ -190,8 +189,7 @@ class CoherenceDomain:
                 return
             progressed = False
             for cache, line in dirty:
-                ok = yield from cache.writeback_line(line, requester.raw_port)
-                if ok:
+                if (yield from cache.writeback_line(line, requester.raw_port)):
                     self.stats.snoop_writebacks += 1
                     progressed = True
             if not progressed:
@@ -220,10 +218,11 @@ class CoherenceDomain:
         ``alloc`` (lines stay valid, downgraded to SHARED)."""
         self.stats.flush_barriers += 1
         for cache in self._caches:
-            for line in cache.lines.dirty_overlapping(
-                    alloc.mem_index, alloc.vptr, alloc.end_vptr):
-                ok = yield from cache.writeback_line(line, requester.raw_port)
-                if ok:
+            dirty = [line for line in cache.lines.overlapping(
+                alloc.mem_index, alloc.vptr, alloc.end_vptr)
+                if line.has_dirty()]
+            for line in dirty:
+                if (yield from cache.writeback_line(line, requester.raw_port)):
                     self.stats.snoop_writebacks += 1
                     line.downgrade()
 

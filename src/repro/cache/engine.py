@@ -15,7 +15,7 @@ from ..fabric import CACHE_TAG_SUFFIXES, BusOp, BusRequest, BusResponse
 from ..memory.protocol import IO_ARRAY_BASE, REG_COMMAND, MemCommand, MemOpcode
 from .coherence import CoherenceDomain
 from .geometry import CacheConfig
-from .lines import CacheLine, LineDirectory, MSIState
+from .lines import CacheLine, LineDirectory, MSIState, canonical_words
 from .shadow import SharedAllocation
 
 
@@ -77,6 +77,7 @@ class LineEngine:
         self._window_base = {mem: base for base, mem in windows.items()}
         self.stats = CacheStats()
         self.lines = LineDirectory(config.geometry)
+        self._line_bytes = config.geometry.line_bytes
 
     @property
     def raw_port(self):
@@ -108,33 +109,22 @@ class LineEngine:
             else:
                 self.stats.invalidations_received += 1
 
-    def _update_clean(self, alloc: SharedAllocation, index: int, value: int
-                      ) -> None:
-        """Refresh a resident slot after a write that reached memory."""
-        line_no = self.geometry.line_number(alloc.element_byte(index))
-        line = self.lines.lookup(alloc.mem_index, alloc.uid, line_no)
-        if line is not None and line.covers(index):
-            slot = line.slot_of(index)
-            line.words[slot] = value
-            line.present[slot] = True
-            line.dirty[slot] = False
-
     def _collect(self, alloc: SharedAllocation, start: int, dim: int
                  ) -> Optional[List[int]]:
-        """All ``dim`` words from resident lines, or None on any gap."""
+        """All ``dim`` words from resident lines, or None on any gap; a
+        line's words are taken as one slice."""
         words: List[int] = []
-        index = start
-        while index < start + dim:
-            line_no = self.geometry.line_number(alloc.element_byte(index))
-            line = self.lines.lookup(alloc.mem_index, alloc.uid, line_no)
-            if line is None or not line.covers(index):
+        index, end = start, start + dim
+        while index < end:
+            line = self.lines.lookup(alloc, alloc.element_byte(index)
+                                     // self._line_bytes)
+            if line is None:
                 return None
-            upto = min(start + dim, line.first_index + line.n_slots)
-            for element in range(index, upto):
-                slot = line.slot_of(element)
-                if not line.present[slot]:
-                    return None
-                words.append(line.words[slot])
+            first = line.first_index
+            upto = min(end, first + len(line.words))
+            if not all(line.present[index - first:upto - first]):
+                return None
+            words += line.words[index - first:upto - first]
             index = upto
         return words
 
@@ -142,11 +132,8 @@ class LineEngine:
                         lines: Dict[int, CacheLine]) -> bool:
         """Synchronous: every line covering the range is prepared and still
         resident, so a dirty install of the whole range cannot fail."""
-        for line_no in self.lines.line_numbers(alloc, start, count):
-            line = lines.get(line_no)
-            if line is None or not self.lines.holds(line):
-                return False
-        return True
+        return all(line_no in lines and self.lines.holds(lines[line_no])
+                   for line_no in self.lines.line_numbers(alloc, start, count))
 
     # -- fills, installs, evictions ------------------------------------------------------
     def _fill(self, alloc: SharedAllocation, line_no: int
@@ -171,40 +158,30 @@ class LineEngine:
                                        alloc.element_byte(first),
                                        alloc.element_byte(first + count))
         try:
-            ack = yield from self._launch(self._raw, MemCommand(
+            payload = yield from self._launch(self._raw, MemCommand(
                 MemOpcode.READ_ARRAY, sm_addr=alloc.mem_index, vptr=alloc.vptr,
                 offset=first, dim=count), self._fill_tag)
-            if not ack.ok:
-                self._drop_if_empty(line)
-                return first, None, None
-            payload = yield from self._raw.burst_read(
-                self._window_base[alloc.mem_index] + IO_ARRAY_BASE, count,
-                tag=self._fill_tag)
+            if payload.ok:  # the READ_ARRAY ack: fetch the io array
+                payload = yield from self._raw.burst_read(
+                    self._window_base[alloc.mem_index] + IO_ARRAY_BASE, count,
+                    tag=self._fill_tag)
         finally:
             self.domain.end_fill(guard)
-        if not payload.ok or len(payload.burst_data) != count:
-            self._drop_if_empty(line)
-            return first, None, None
-        self.stats.fills += 1
-        words = [word & 0xFFFFFFFF for word in payload.burst_data]
-        if guard.poisoned:
-            # A conflicting write completed at the memory while the payload
-            # was in flight: the words are a correct read (serialized when
-            # the fill was served) but are stale *now* — do not install.
-            self._drop_if_empty(line)
+        words = None
+        if payload.ok and len(payload.burst_data) == count:
+            self.stats.fills += 1
+            words = canonical_words(payload.burst_data)
+        # After a poisoned fetch (a conflicting write completed at the memory
+        # while the payload was in flight) the words are a correct read,
+        # serialized when the fill was served, but stale *now*.
+        if words is None or guard.poisoned:
+            if line is not None and not any(line.present):
+                self.lines.discard(line)  # a placeholder that got no data
             return first, words, None
         if line is None or not self.lines.holds(line):
             return first, words, None
-        for slot, word in enumerate(words):
-            if not line.dirty[slot]:  # dirty data is newer than memory
-                line.words[slot] = word
-                line.present[slot] = True
+        line.install_clean(0, words)
         return first, words, line
-
-    def _drop_if_empty(self, line: Optional[CacheLine]) -> None:
-        """Remove a placeholder that never received any data."""
-        if line is not None and not any(line.present):
-            self.lines.discard(line)
 
     def _place(self, alloc: SharedAllocation, line_no: int, first: int,
                count: int) -> Generator[object, None, Optional[CacheLine]]:
@@ -212,7 +189,7 @@ class LineEngine:
         placeholder for its ``count`` elements from ``first``, at MRU;
         ``None`` when no way can be freed.  May suspend for an eviction
         writeback."""
-        line = self.lines.lookup(alloc.mem_index, alloc.uid, line_no)
+        line = self.lines.lookup(alloc, line_no)
         if line is None:
             ways = self.lines.ways_of(line_no)
             if (yield from self._make_room(ways)):
@@ -255,16 +232,16 @@ class LineEngine:
                     self, alloc.mem_index, line.lo_byte, line.hi_byte):
                 complete = False
                 continue
-            for element in range(max(start, line.first_index),
-                                 min(end, line.first_index + line.n_slots)):
-                slot = line.slot_of(element)
-                if dirty or not line.dirty[slot]:
-                    line.words[slot] = words[element - start]
-                    line.present[slot] = True
-                    if dirty:
-                        line.dirty[slot] = True
+            first = line.first_index
+            lo, hi = max(start, first), min(end, first + len(line.words))
+            run = words[lo - start:hi - start]
+            lo, hi = lo - first, hi - first  # the run's slots
             if dirty:
+                line.words[lo:hi] = run
+                line.present[lo:hi] = line.dirty[lo:hi] = [True] * len(run)
                 line.state = MSIState.MODIFIED
+            else:
+                line.install_clean(lo, run)
         return complete
 
     def _make_room(self, ways: List[CacheLine]
@@ -280,8 +257,7 @@ class LineEngine:
         for line in reversed(list(ways)):
             if reserved_by_other(line.alloc.reserved_by, self.master_id):
                 continue  # cannot write back while a foreign master holds it
-            ok = yield from self.writeback_line(line, self._raw)
-            if ok:
+            if (yield from self.writeback_line(line, self._raw)):
                 self.drop_line(line, evicted=True)
                 return True
         return False
@@ -337,8 +313,8 @@ class LineEngine:
 
     def _flush_own_dirty(self, alloc: SharedAllocation, lo_byte: int,
                          hi_byte: int) -> Generator[object, None, None]:
-        for line in self.lines.dirty_overlapping(alloc.mem_index, lo_byte,
-                                                  hi_byte):
-            ok = yield from self.writeback_line(line, self._raw)
-            if ok:
+        dirty = [line for line in self.lines.overlapping(
+            alloc.mem_index, lo_byte, hi_byte) if line.has_dirty()]
+        for line in dirty:
+            if (yield from self.writeback_line(line, self._raw)):
                 line.downgrade()

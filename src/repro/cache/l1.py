@@ -19,17 +19,18 @@ interface (the :class:`~repro.fabric.port.PortHelpers` over the cache's own
   wrapper FSM command region itself is never cached, only the *data*
   behind it.
 
-Structure: *probe, then generator*.  :meth:`L1Cache.probe` is a plain
-method: it resolves ``vptr + offset`` in the shadow map, looks the line up
-and serves a hit on the spot.  The port offers the API a front over it,
-``scalar_hit``, so a scalar ``smem.read`` / ``smem.write`` that hits is
-answered from the API's own frame: no command words, no bus request, no
-decode.  Everything else reaches :meth:`L1Cache.transfer` as a command
-burst, decoded once for every layer it crosses; a scalar that arrives
-there is probed again, and only what the probe cannot serve (a miss, a
-SHARED line awaiting the upgrade snoop, a write that must reach memory or
-stall, array transfers, barriers) enters the per-opcode generators.  The
-lines themselves are :class:`~repro.cache.engine.LineEngine`'s.
+Structure: *one decision, then generators*.  :meth:`L1Cache.scalar_hit`
+is the one place a scalar access is decided: a plain method that bisects
+the shadow map's sorted-base index, finds the line by identity and serves
+a hit on the spot.  The API calls it from its own frame, so a hit costs
+no command words, bus request or decode.  A miss leaves its located row
+for the command burst that follows (decoded once for every layer it
+crosses), and :meth:`L1Cache._scalar` goes on from there.  Only what the
+decision cannot serve (a miss, a SHARED line awaiting the upgrade snoop,
+a write that must reach memory or stall, array transfers, barriers)
+enters the per-opcode generators.  The lines themselves are
+:class:`~repro.cache.engine.LineEngine`'s, which moves array words in
+list slices.
 
 Cached words are stored in the exact canonical form the wrapper returns
 (element encode/decode round trip, i.e. ``to_signed(value) & 0xFFFFFFFF``),
@@ -50,21 +51,17 @@ live in :mod:`repro.cache.lines`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..fabric import BusOp, BusRequest, BusResponse, PortHelpers, ResponseStatus
-from ..memory.protocol import (
-    IO_ARRAY_BASE,
-    REG_COMMAND,
-    MemCommand,
-    MemOpcode,
-    launched_command,
-)
+from ..memory.protocol import (IO_ARRAY_BASE, REG_COMMAND, MemCommand,
+                               MemOpcode, launched_command)
 from .coherence import CoherenceDomain
 from .engine import LineEngine, reserved_by_other
 from .geometry import CacheConfig, WritePolicy
-from .lines import MSIState, canonical_word
-from .shadow import SharedAllocation
+from .lines import MSIState, canonical_word, canonical_words
+from .shadow import NO_ROWS, SharedAllocation
 
 
 class CachedPort(PortHelpers):
@@ -91,20 +88,16 @@ class CachedPort(PortHelpers):
 class L1Cache(LineEngine):
     """One processing element's L1 data cache (see module docstring)."""
 
-    def __init__(
-        self,
-        name: str,
-        config: CacheConfig,
-        port,
-        domain: CoherenceDomain,
-        windows: Dict[int, int],
-        clock_period: int,
-    ) -> None:
+    def __init__(self, name: str, config: CacheConfig, port,
+                 domain: CoherenceDomain, windows: Dict[int, int],
+                 clock_period: int) -> None:
         super().__init__(name, config, port, domain, windows)
-        #: Line size the probe reads on every access, hoisted.
-        self._line_bytes = config.geometry.line_bytes
+        #: What :meth:`scalar_hit` reads on every access, hoisted: the
+        #: directory's sets and the shadow map's sorted-base index.
+        self._sets, self._n_sets = self.lines.sets, config.geometry.sets
+        self._by_base = self._shadow.by_base
         self.policy = config.policy
-        #: command register address -> memory index, for the port's probe.
+        #: command register address -> memory index, for the hit front.
         self._command_mem = {base + REG_COMMAND: mem
                              for base, mem in windows.items()}
         self._hit_wait = config.hit_cycles * clock_period
@@ -124,6 +117,8 @@ class L1Cache(LineEngine):
         #: plus the fill guard covering it:
         #: ``(alloc, start, dim, mem_index, guard)``.
         self._pending_install: Optional[Tuple] = None
+        #: What :meth:`scalar_hit` located for the request path on a miss.
+        self._missed: Optional[Tuple] = None
         domain.register_cache(self)
         self.port = CachedPort(self, port)
 
@@ -162,7 +157,7 @@ class L1Cache(LineEngine):
                 and opcode is not MemOpcode.WRITE_ARRAY):
             yield from self._flush_stage()
 
-        # 3. Command bursts: probe (scalars) or dispatch.
+        # 3. Command bursts: scalars are decided, the rest dispatched.
         if command is not None:
             if opcode is MemOpcode.READ:
                 return (yield from self._scalar(
@@ -192,24 +187,21 @@ class L1Cache(LineEngine):
         # 5. Everything else passes through untouched (status/diagnostic
         #    registers, io fetches, non-memory addresses).
         response = yield from self._raw.transfer(request)
-        if (self._pending_install is not None and window is not None
-                and response.ok and request.op is BusOp.READ
-                and window[2] == IO_ARRAY_BASE):
-            alloc, start, dim, mem_index, guard = self._pending_install
-            self._pending_install = None
-            if (window[1] == mem_index and request.burst_length == dim
+        install, self._pending_install = self._pending_install, None
+        if install is not None:  # installed here, or abandoned
+            alloc, start, dim, mem_index, guard = install
+            if (window is not None and response.ok
+                    and request.op is BusOp.READ
+                    and window[2] == IO_ARRAY_BASE and window[1] == mem_index
+                    and request.burst_length == dim
                     and len(response.burst_data) == dim
                     and not guard.poisoned):
-                words = [word & 0xFFFFFFFF for word in response.burst_data]
                 lines = yield from self._prepare_lines(alloc, start, dim)
                 if not guard.poisoned:
-                    self._finalize_install(alloc, start, words, lines,
-                                           dirty=False)
+                    self._finalize_install(
+                        alloc, start, canonical_words(response.burst_data),
+                        lines, dirty=False)
             self.domain.end_fill(guard)
-        elif self._pending_install is not None:
-            # Unexpected interleaving: abandon the staged install.
-            self.domain.end_fill(self._pending_install[4])
-            self._pending_install = None
         return response
 
     # -- opcode dispatch -----------------------------------------------------------------
@@ -239,14 +231,12 @@ class L1Cache(LineEngine):
                 # Acquiring the semaphore is a flush barrier: every cache's
                 # dirty data of the allocation reaches memory first.
                 yield from self.domain.flush_alloc(self, alloc)
-            return (yield from self._raw.transfer(request))
-        if opcode is MemOpcode.RELEASE:
+        elif opcode is MemOpcode.RELEASE:
             alloc = self._shadow.find(mem_index, command.vptr)
             if alloc is not None:
                 yield from self._flush_own_dirty(alloc, alloc.vptr,
                                                  alloc.end_vptr)
-            return (yield from self._raw.transfer(request))
-        if opcode is not MemOpcode.ALLOC and opcode is not MemOpcode.FREE:
+        elif opcode is not MemOpcode.ALLOC and opcode is not MemOpcode.FREE:
             # QUERY / NOP, or what only the wrapper can answer: passthrough.
             self.stats.uncached_ops += 1
         return (yield from self._raw.transfer(request))
@@ -275,74 +265,81 @@ class L1Cache(LineEngine):
     # -- scalar accesses ------------------------------------------------------------------
     def scalar_hit(self, address: int, store: bool, sm_addr: int, vptr: int,
                    offset: int, data: int) -> Optional[int]:
-        """The API's hit front: the answer :meth:`probe` serves to a scalar
-        READ / WRITE sent to the command register at ``address``, or
-        ``None`` when it must go to :meth:`transfer` (a miss, a write-through
-        store, another window's ``sm_addr``, a pending io stage or fetch).
-        The caller owes the hit latency."""
-        if (self._pending_stage is not None or self._pending_fetch is not None
-                or self._command_mem.get(address) != sm_addr
-                or store and self.policy is not WritePolicy.WRITE_BACK):
-            return None
-        return self.probe(store, sm_addr, vptr, offset, data)[0]
+        """Decide a scalar READ (``store`` false) or WRITE of ``data`` sent to
+        the command register at ``address``: the API's hit front, and the
+        first step of :meth:`_scalar`.  Calls nothing, but
+        :func:`canonical_word` to store an 8- or 16-bit element.
 
-    def probe(self, store: bool, mem_index: int, vptr: int, offset: int,
-              data: int) -> Tuple[Optional[int],
-                                  Optional[Tuple[SharedAllocation, int]]]:
-        """Synchronous front of a scalar READ (``store`` false) or WRITE of
-        ``data``: ``(word, located)``.
-
-        A plain method (no generator, no simulator).  Resolves the access in
-        the shadow map once and serves a hit from the line directory: a READ
-        of a present slot answers its word, a write-back WRITE to a resident
-        MODIFIED line of an unreserved allocation is stored here and answers
-        0; the caller owes the hit latency.  Otherwise ``word`` is ``None``
-        and ``located`` — ``(allocation, index)``, or ``None`` for no live
-        element — goes on to :meth:`_scalar`.
+        A READ of a present slot answers its word; a write-back WRITE to a
+        resident MODIFIED line of an unreserved allocation is stored and
+        answers 0.  The caller owes the hit latency.  Otherwise ``None``:
+        at once for a pending io stage or fetch or another window's
+        ``sm_addr``, else with ``(sm_addr, vptr, offset, alloc, index,
+        line_no)`` left in ``_missed`` for the request path (``alloc``
+        ``None`` for no live element).
         """
-        located = self._shadow.resolve(mem_index, vptr, offset)
-        if located is None:
-            return None, None
-        alloc, index = located
-        if store and (self.policy is not WritePolicy.WRITE_BACK
-                      or alloc.reserved_by is not None):
-            return None, located  # goes to memory or stalls: no lookup
-        line = self.lines.lookup(mem_index, alloc.uid, (
-            alloc.vptr + index * alloc.element_size) // self._line_bytes)
-        if line is None:
-            return None, located
-        slot = index - line.first_index
-        if store:
-            if line.state is not MSIState.MODIFIED:
-                return None, located  # resident but SHARED: upgrade first
-            line.store(slot, canonical_word(data, alloc.data_type))
-            data = 0
-        elif 0 <= slot < len(line.present) and line.present[slot]:
-            data = line.words[slot]
-        else:
-            return None, located
-        self.stats.hits += 1
-        return data, located
+        if (self._pending_stage is not None or self._pending_fetch is not None
+                or self._command_mem.get(address) != sm_addr):
+            return None
+        bases, rows = self._by_base.get(sm_addr, NO_ROWS)
+        at = bisect_right(bases, vptr)
+        alloc = index = line_no = None
+        if at and vptr < rows[at - 1].end_vptr:
+            alloc = rows[at - 1]
+            size = alloc.element_size
+            index = (vptr - alloc.vptr) // size + offset
+            line_no = (alloc.vptr + index * size) // self._line_bytes
+            if not 0 <= index < alloc.dim:
+                alloc = None
+            elif not store or (self.policy is WritePolicy.WRITE_BACK
+                               and alloc.reserved_by is None):
+                # (A store that goes to memory or stalls looks no line up.)
+                ways = self._sets[line_no % self._n_sets]
+                for line in ways:
+                    if line.alloc is not alloc or line.line_no != line_no:
+                        continue
+                    if ways[0] is not line:  # move to MRU
+                        ways.remove(line)
+                        ways.insert(0, line)
+                    slot = index - line.first_index
+                    if not store:
+                        if line.present[slot]:
+                            self.stats.hits += 1
+                            return line.words[slot]
+                    elif line.state is MSIState.MODIFIED:
+                        line.words[slot] = (
+                            data & 0xFFFFFFFF if size == 4
+                            else canonical_word(data, alloc.data_type))
+                        line.present[slot] = line.dirty[slot] = True
+                        self.stats.hits += 1
+                        return 0
+                    break
+        self._missed = (sm_addr, vptr, offset, alloc, index, line_no)
+        return None
 
     def _scalar(self, request: BusRequest, store: bool, mem_index: int,
                 vptr: int, offset: int, data: int
                 ) -> Generator[object, None, Optional[BusResponse]]:
         """One attempt at a scalar READ / WRITE that arrived as a request:
-        the probe, then what it did not serve.
+        :meth:`scalar_hit`'s decision (taken from ``_missed`` when the API
+        front already missed on this access), then what it did not serve.
 
         A read miss fills the line and answers from it.  A write goes to
         memory (write-through, or under a reservation) or takes its line
         MODIFIED; ``None`` asks :meth:`_retried` to stall and retry.
         """
-        word, located = self.probe(store, mem_index, vptr, offset, data)
-        if word is not None:
-            yield self._hit_wait
-            return self._local(data=word)
-        if located is None:  # not a live element: the wrapper answers
+        missed, self._missed = self._missed, None
+        if missed is None or missed[:3] != (mem_index, vptr, offset):
+            word = self.scalar_hit(request.address, store, mem_index, vptr,
+                                   offset, data)
+            if word is not None:
+                yield self._hit_wait
+                return self._local(data=word)
+            missed, self._missed = self._missed, None
+        alloc, index, line_no = missed[3:]
+        if alloc is None:  # not a live element: the wrapper answers
             self.stats.uncached_ops += 1
             return (yield from self._raw.transfer(request))
-        alloc, index = located
-        line_no = self.geometry.line_number(alloc.element_byte(index))
         if not store:
             self.stats.misses += 1
             first, words, _line = yield from self._fill(alloc, line_no)
@@ -366,17 +363,17 @@ class L1Cache(LineEngine):
             if response is not None and response.ok:
                 self.stats.write_throughs += 1
             return response
-        line = self.lines.lookup(mem_index, alloc.uid, line_no)
+        line = self.lines.lookup(alloc, line_no)
         if line is None:
             self.stats.misses += 1
             _first, _words, line = yield from self._fill(alloc, line_no)
         else:
-            self.stats.hits += 1  # resident but SHARED (else the probe stored)
+            self.stats.hits += 1  # resident, SHARED (else scalar_hit stored)
         if self._foreign_reserved(mem_index, vptr):
             return None  # reservation acquired while the fill was on the bus
         if line is not None:
             yield from self.domain.acquire_exclusive(
-                self, alloc, line.first_index, line.n_slots)
+                self, alloc, line.first_index, len(line.words))
             if self._foreign_reserved(mem_index, vptr):
                 return None
             if self.domain.any_remote_modified(self, mem_index, line.lo_byte,
@@ -393,7 +390,9 @@ class L1Cache(LineEngine):
         # acquire_exclusive returns with no surviving remote copy and no
         # trailing yield, so taking MODIFIED here cannot race a remote fill.
         line.state = MSIState.MODIFIED
-        line.store(line.slot_of(index), value)
+        slot = index - line.first_index
+        line.words[slot] = value
+        line.present[slot] = line.dirty[slot] = True
         yield self._hit_wait
         return self._local()
 
@@ -420,8 +419,12 @@ class L1Cache(LineEngine):
             # while the write was waiting for the bus: scrub again.
             self.domain.invalidate_range(alloc.mem_index, lo_byte, hi_byte,
                                          requester=self)
-            if not guard.poisoned:
-                self._update_clean(alloc, index, value)
+            line = (None if guard.poisoned else
+                    self.lines.lookup(alloc, lo_byte // self._line_bytes))
+            if line is not None:  # refresh the resident slot, clean
+                slot = index - line.first_index
+                line.words[slot], line.present[slot] = value, True
+                line.dirty[slot] = False
         elif self._foreign_reserved(alloc.mem_index, vptr):
             return None  # a reservation won the bus race: retry
         return response
@@ -496,8 +499,7 @@ class L1Cache(LineEngine):
                     and not self.domain.any_remote_modified(
                         self, mem_index, lo_byte, hi_byte)):
                 self._finalize_install(
-                    alloc, start,
-                    [canonical_word(word, alloc.data_type) for word in staged],
+                    alloc, start, canonical_words(staged, alloc.data_type),
                     lines, dirty=True)
                 self.stats.array_absorbs += 1
                 yield self._hit_wait
@@ -535,7 +537,7 @@ class L1Cache(LineEngine):
             # Retry (or write-back fallback): the io array no longer holds
             # the payload — stage it again before re-issuing.
             yield from self._raw.burst_write(
-                base + IO_ARRAY_BASE, [word & 0xFFFFFFFF for word in staged],
+                base + IO_ARRAY_BASE, canonical_words(staged),
                 tag=self._restage_tag)
         guard = self.domain.begin_fill(self, mem_index, lo_byte, hi_byte)
         try:
@@ -559,9 +561,8 @@ class L1Cache(LineEngine):
                 if not guard.poisoned:
                     self._finalize_install(
                         alloc, start,
-                        [canonical_word(word, alloc.data_type)
-                         for word in written],
-                        lines, dirty=False)
+                        canonical_words(written, alloc.data_type), lines,
+                        dirty=False)
             else:
                 for line in self.lines.overlapping(mem_index, lo_byte,
                                                    hi_byte):

@@ -9,10 +9,11 @@ cache's generators decide *when* a line is filled, written back or evicted.
 from __future__ import annotations
 
 import enum
+from itertools import groupby
 from typing import Iterator, List, Optional, Tuple
 
 from ..memory.dynamic_base import to_signed
-from ..memory.protocol import DataType
+from ..memory.protocol import DATA_TYPE_SIZES, DataType
 from .geometry import CacheGeometry
 from .shadow import SharedAllocation
 
@@ -24,6 +25,17 @@ def canonical_word(value: int, data_type: DataType) -> int:
     the element width, sign-extend signed types, mask to 32 bits).
     """
     return to_signed(value, data_type) & 0xFFFFFFFF
+
+
+def canonical_words(words: List[int], data_type: DataType = DataType.UINT32
+                    ) -> List[int]:
+    """:func:`canonical_word` of each of ``words``; for a 32-bit type (the
+    default), ``words`` itself when all are in range: no per-word Python."""
+    if DATA_TYPE_SIZES[data_type] != 4:
+        return [canonical_word(word, data_type) for word in words]
+    if not words or (min(words) >= 0 and max(words) <= 0xFFFFFFFF):
+        return words
+    return [word & 0xFFFFFFFF for word in words]
 
 
 class MSIState(enum.Enum):
@@ -56,29 +68,26 @@ class CacheLine:
         return self.alloc.mem_index
 
     @property
-    def n_slots(self) -> int:
-        return len(self.words)
-
-    @property
     def lo_byte(self) -> int:
         return self.alloc.element_byte(self.first_index)
 
     @property
     def hi_byte(self) -> int:
-        return self.alloc.element_byte(self.first_index + self.n_slots)
-
-    def slot_of(self, element_index: int) -> int:
-        return element_index - self.first_index
-
-    def covers(self, element_index: int) -> bool:
-        return 0 <= element_index - self.first_index < self.n_slots
+        return self.alloc.element_byte(self.first_index + len(self.words))
 
     # -- state -------------------------------------------------------------------
-    def store(self, slot: int, word: int) -> None:
-        """Hold ``word`` (canonical form) in ``slot`` as newer than memory."""
-        self.words[slot] = word
-        self.present[slot] = True
-        self.dirty[slot] = True
+    def install_clean(self, slot: int, words: List[int]) -> None:
+        """Hold ``words`` (canonical, read from memory) as clean data from
+        ``slot`` on, one slice, except in dirty slots: theirs is newer."""
+        end = slot + len(words)
+        if not any(self.dirty[slot:end]):
+            self.words[slot:end] = words
+            self.present[slot:end] = [True] * len(words)
+            return
+        for at, word in enumerate(words, slot):
+            if not self.dirty[at]:
+                self.words[at] = word
+                self.present[at] = True
 
     def has_dirty(self) -> bool:
         return any(self.dirty)
@@ -104,29 +113,23 @@ class CacheLine:
         later would clobber the newer value.
         """
         size = self.alloc.element_size
-        for slot in range(self.n_slots):
-            byte = self.alloc.element_byte(self.first_index + slot)
-            if lo_byte < byte + size and byte < hi_byte:
-                if supersede_dirty:
-                    self.dirty[slot] = False
-                    self.present[slot] = False
-                elif not self.dirty[slot]:
-                    self.present[slot] = False
+        base = self.alloc.element_byte(self.first_index)
+        for slot in range(max(0, (lo_byte - base) // size),
+                          min(len(self.words), -((base - hi_byte) // size))):
+            if supersede_dirty or not self.dirty[slot]:
+                self.present[slot] = self.dirty[slot] = False
         if supersede_dirty:
             self.downgrade()
 
     def dirty_runs(self) -> List[Tuple[int, int]]:
         """Contiguous runs of dirty slots as ``(slot_start, length)``."""
         runs: List[Tuple[int, int]] = []
-        start = None
-        for slot, is_dirty in enumerate(self.dirty):
-            if is_dirty and start is None:
-                start = slot
-            elif not is_dirty and start is not None:
-                runs.append((start, slot - start))
-                start = None
-        if start is not None:
-            runs.append((start, len(self.dirty) - start))
+        slot = 0
+        for is_dirty, run in groupby(self.dirty):
+            length = len(list(run))
+            if is_dirty:
+                runs.append((slot, length))
+            slot += length
         return runs
 
 
@@ -144,17 +147,15 @@ class LineDirectory:
         """The set ``line_no`` maps to (modulo placement), MRU first."""
         return self.sets[line_no % self._n_sets]
 
-    def lookup(self, mem_index: int, alloc_uid: int, line_no: int
+    def lookup(self, alloc: SharedAllocation, line_no: int
                ) -> Optional[CacheLine]:
-        """The resident line ``line_no`` of allocation generation
-        ``alloc_uid``, moved to MRU; ``None`` when it is not resident."""
+        """The resident line ``line_no`` of the row ``alloc`` (one
+        generation, by identity), moved to MRU; ``None`` if not resident."""
         ways = self.sets[line_no % self._n_sets]
-        for position, line in enumerate(ways):
-            alloc = line.alloc
-            if (line.line_no == line_no and alloc.uid == alloc_uid
-                    and alloc.mem_index == mem_index):
-                if position:  # move to MRU
-                    ways.pop(position)
+        for line in ways:
+            if line.alloc is alloc and line.line_no == line_no:
+                if ways[0] is not line:  # move to MRU
+                    ways.remove(line)
                     ways.insert(0, line)
                 return line
         return None
@@ -194,12 +195,6 @@ class LineDirectory:
         return [line for line in candidates
                 if line.mem_index == mem_index and line.lo_byte < hi_byte
                 and lo_byte < line.hi_byte]
-
-    def dirty_overlapping(self, mem_index: int, lo_byte: int, hi_byte: int
-                          ) -> List[CacheLine]:
-        """:meth:`overlapping`, only the lines holding dirty slots."""
-        return [line for line in self.overlapping(mem_index, lo_byte, hi_byte)
-                if line.has_dirty()]
 
     def span(self, alloc: SharedAllocation, line_no: int) -> Tuple[int, int]:
         """Element range ``(first, count)`` of ``alloc`` inside ``line_no``."""

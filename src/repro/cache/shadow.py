@@ -8,12 +8,20 @@ a :class:`ShadowMap` and replays into it, with :meth:`ShadowMap.apply`, every
 ALLOC / FREE / RESERVE / RELEASE that completed on the fabric.  Replayed in
 completion order, the map equals the pointer tables at every instant a
 master can observe.
+
+:attr:`ShadowMap.by_base` holds, per memory, the live bases in ascending
+order and the row at each.  Bases are unique and live ranges are disjoint
+and non-empty, so the last base at or below a pointer is the only row that
+can hold it: :meth:`ShadowMap.resolve`, :meth:`ShadowMap.reserved_by` and
+the L1's hit front (:meth:`~repro.cache.l1.L1Cache.scalar_hit`, which
+bisects the index inline) all rely on that.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..memory.dynamic_base import Allocation
 from ..memory.protocol import MemCommand, MemOpcode
@@ -22,7 +30,8 @@ from ..memory.protocol import MemCommand, MemOpcode
 BOOKKEEPING_OPCODES = (MemOpcode.ALLOC, MemOpcode.FREE, MemOpcode.RESERVE,
                        MemOpcode.RELEASE)
 
-_NO_ROWS: Dict[int, "SharedAllocation"] = {}
+#: The index of a memory with no live row (immutable: it is shared).
+NO_ROWS: Tuple[Tuple[()], Tuple[()]] = ((), ())
 
 
 @dataclass(slots=True, eq=False)
@@ -38,11 +47,12 @@ class SharedAllocation(Allocation):
 
 
 class ShadowMap:
-    """Live allocations of every memory, keyed by memory and base vptr."""
+    """Live allocations of every memory, in base-vptr order."""
 
     def __init__(self) -> None:
-        #: mem_index -> base vptr -> row.
-        self._rows: Dict[int, Dict[int, SharedAllocation]] = {}
+        #: mem_index -> (sorted bases, the row at each base); see the
+        #: module docstring for the invariant its readers rely on.
+        self.by_base: Dict[int, Tuple[List[int], List[SharedAllocation]]] = {}
         self._next_uid = 1
 
     def apply(self, mem_index: int, command: MemCommand, master_id: int,
@@ -59,22 +69,31 @@ class ShadowMap:
             alloc = SharedAllocation(value, command.dim, command.data_type,
                                      uid=self._next_uid, mem_index=mem_index)
             self._next_uid += 1
-            self._rows.setdefault(mem_index, {})[value] = alloc
+            bases, rows = self.by_base.setdefault(mem_index, ([], []))
+            at = bisect_left(bases, value)
+            bases.insert(at, value)
+            rows.insert(at, alloc)
             return alloc
+        if opcode not in BOOKKEEPING_OPCODES:
+            return None
+        alloc = self.find(mem_index, command.vptr)
+        if alloc is None:
+            return None
         if opcode is MemOpcode.FREE:
-            return self._rows.get(mem_index, _NO_ROWS).pop(command.vptr, None)
-        if opcode is MemOpcode.RESERVE or opcode is MemOpcode.RELEASE:
-            alloc = self.find(mem_index, command.vptr)
-            if alloc is not None:
-                alloc.reserved_by = (master_id if opcode is MemOpcode.RESERVE
-                                     else None)
-            return alloc
-        return None
+            bases, rows = self.by_base[mem_index]
+            at = bisect_left(bases, alloc.vptr)
+            del bases[at], rows[at]
+        else:
+            alloc.reserved_by = (master_id if opcode is MemOpcode.RESERVE
+                                 else None)
+        return alloc
 
     def find(self, mem_index: int, vptr: int) -> Optional[SharedAllocation]:
         """The row whose base is exactly ``vptr`` (FREE / RESERVE / RELEASE /
         QUERY semantics)."""
-        return self._rows.get(mem_index, _NO_ROWS).get(vptr)
+        bases, rows = self.by_base.get(mem_index, NO_ROWS)
+        at = bisect_left(bases, vptr)
+        return rows[at] if at < len(bases) and bases[at] == vptr else None
 
     def resolve(self, mem_index: int, vptr: int, offset: int, dim: int = 1
                 ) -> Optional[Tuple[SharedAllocation, int]]:
@@ -82,20 +101,22 @@ class ShadowMap:
         access (a scalar for ``dim`` 1) ``offset`` elements past the element
         ``vptr`` points into, ``None`` otherwise.
 
-        :meth:`Allocation.locate`'s rule, inlined: every L1 probe runs it.
+        :meth:`Allocation.locate`'s rule, inlined.
         """
-        for alloc in self._rows.get(mem_index, _NO_ROWS).values():
-            if alloc.vptr <= vptr < alloc.end_vptr:
-                index = (vptr - alloc.vptr) // alloc.element_size + offset
-                if 0 <= index and 0 <= dim and index + dim <= alloc.dim:
-                    return alloc, index
-                return None
+        bases, rows = self.by_base.get(mem_index, NO_ROWS)
+        at = bisect_right(bases, vptr)
+        if at and vptr < rows[at - 1].end_vptr:
+            alloc = rows[at - 1]
+            index = (vptr - alloc.vptr) // alloc.element_size + offset
+            if 0 <= index and 0 <= dim and index + dim <= alloc.dim:
+                return alloc, index
         return None
 
     def reserved_by(self, mem_index: int, vptr: int) -> Optional[int]:
         """The master holding the semaphore of the allocation containing
         ``vptr``, or ``None``."""
-        for alloc in self._rows.get(mem_index, _NO_ROWS).values():
-            if alloc.vptr <= vptr < alloc.end_vptr:
-                return alloc.reserved_by
+        bases, rows = self.by_base.get(mem_index, NO_ROWS)
+        at = bisect_right(bases, vptr)
+        if at and vptr < rows[at - 1].end_vptr:
+            return rows[at - 1].reserved_by
         return None

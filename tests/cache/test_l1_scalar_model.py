@@ -8,10 +8,10 @@ write-through L1s.  Every value read must equal a dict-backed model of the
 program, the per-PE results must equal the uncached run's, and every cache
 must account for each scalar call exactly once.
 
-*Probe*: :meth:`L1Cache.probe` is a plain method returning ``(word,
-located)``, so its hit test — and the guards of :meth:`L1Cache.scalar_hit`,
-the API's front over it — is checked on a hand-built line directory with no
-simulator at all.
+*Probe*: :meth:`L1Cache.scalar_hit`, the one place a scalar access is
+decided, is a plain method, so its hit test, its guards and the located
+row a miss leaves for the request path are checked on a hand-built line
+directory with no simulator at all.
 """
 
 import dataclasses
@@ -213,9 +213,13 @@ def make_cache(policy=WritePolicy.WRITE_BACK):
     domain = CoherenceDomain()
     config = CacheConfig(geometry=CacheGeometry(SETS, WAYS, LINE_BYTES),
                          policy=policy, hit_cycles=1)
-    cache = L1Cache("l1", config, StubPort(), domain, {0x1000_0000: 0},
-                    clock_period=10)
+    cache = L1Cache("l1", config, StubPort(), domain,
+                    {0x1000_0000: 0, 0x2000_0000: 1}, clock_period=10)
     return cache, domain
+
+
+#: Memory index -> its command register in :func:`make_cache`'s windows.
+COMMAND = {0: 0x1000_0000 + REG_COMMAND, 1: 0x2000_0000 + REG_COMMAND}
 
 
 def install(cache, alloc, line_no, words, state=MSIState.SHARED):
@@ -253,9 +257,19 @@ def write(vptr, value, offset=0):
 
 
 def probe(cache, access, mem_index):
-    """``cache.probe`` of a ``read`` / ``write`` access on ``mem_index``."""
+    """``cache.scalar_hit`` of a ``read`` / ``write`` access on
+    ``mem_index``, as ``(word, located)``: on a miss, ``located`` is the
+    ``(allocation, index)`` it left for the request path (``None`` for no
+    live element); a hit leaves nothing, and ``located`` is ``None``."""
     store, vptr, offset, data = access
-    return cache.probe(store, mem_index, vptr, offset, data)
+    cache._missed = None
+    word = cache.scalar_hit(COMMAND[mem_index], store, mem_index, vptr,
+                            offset, data)
+    if word is not None:
+        assert cache._missed is None
+        return word, None
+    alloc, index = cache._missed[3:5]
+    return None, (None if alloc is None else (alloc, index))
 
 
 class TestProbe:
@@ -263,8 +277,7 @@ class TestProbe:
         cache, domain = make_cache()
         alloc = alloc_at(domain, 0x40, 8, DataType.UINT32)
         install(cache, alloc, 5, [None, None, 77, None])  # bytes 0x50-0x5F
-        word, located = probe(cache, read(0x40, offset=6), 0)
-        assert located == (alloc, 6) and word == 77
+        assert probe(cache, read(0x40, offset=6), 0) == (77, None)
         assert cache.port.hit_wait == 10  # hit_cycles of the clock period
         assert cache.stats.hits == 1 and cache.stats.misses == 0
 
@@ -272,8 +285,7 @@ class TestProbe:
         cache, domain = make_cache()
         alloc = alloc_at(domain, 0x40, 8, DataType.UINT32)
         install(cache, alloc, 5, [None, None, 77, None])
-        word, located = probe(cache, read(0x40 + 4 * 4, offset=2), 0)
-        assert located == (alloc, 6) and word == 77
+        assert probe(cache, read(0x40 + 4 * 4, offset=2), 0) == (77, None)
 
     def test_absent_slot_and_absent_line_miss_without_counting(self):
         cache, domain = make_cache()
@@ -294,8 +306,7 @@ class TestProbe:
         cache, domain = make_cache()
         alloc = alloc_at(domain, 0, 8, DataType.INT16)
         line = install(cache, alloc, 0, [1] * 8, state=MSIState.MODIFIED)
-        word, located = probe(cache, write(0, 0x1_8000, offset=3), 0)
-        assert located == (alloc, 3) and word == 0
+        assert probe(cache, write(0, 0x1_8000, offset=3), 0) == (0, None)
         assert line.words[3] == 0xFFFF8000  # truncated, sign-extended
         assert line.present[3] and line.dirty[3]
         assert line.dirty.count(True) == 1
@@ -375,18 +386,19 @@ class TestProbe:
         assert cache.scalar_hit(command, False, 0, 0, 2, 0) is None
         assert cache.stats.hits == 1
 
-    def test_a_write_through_store_is_refused_before_any_lookup(self):
+    def test_a_write_through_store_looks_up_no_line(self):
         cache, domain = make_cache(WritePolicy.WRITE_THROUGH)
-        alloc = alloc_at(domain, 0, 4, DataType.UINT32)
-        install(cache, alloc, 0, [1, 2, 3, 4], state=MSIState.MODIFIED)
-        resolved = []
-        resolve = domain.shadow.resolve
-        domain.shadow.resolve = lambda *key: resolved.append(key) or resolve(*key)
+        alloc = alloc_at(domain, 0, 16, DataType.UINT32)
+        line = install(cache, alloc, 0, [1, 2, 3, 4], state=MSIState.MODIFIED)
+        newer = install(cache, alloc, 2, [5, 6, 7, 8])  # same set, now MRU
         command = 0x1000_0000 + REG_COMMAND
         assert cache.scalar_hit(command, True, 0, 0, 2, 9) is None
-        assert resolved == []  # such a store always goes to memory
+        # Such a store always goes to memory: it is located once, for the
+        # request path, and no line is looked up (the LRU order holds).
+        assert cache._missed[3:5] == (alloc, 2)
+        assert cache.lines.sets[0] == [newer, line] and line.words[2] == 3
         assert cache.scalar_hit(command, False, 0, 0, 2, 0) == 3
-        assert resolved == [(0, 0, 2)] and cache.stats.hits == 1
+        assert cache.lines.sets[0] == [line, newer] and cache.stats.hits == 1
 
 
 def test_shared_allocation_geometry_is_fixed_at_construction():

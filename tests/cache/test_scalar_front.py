@@ -2,9 +2,9 @@
 
 On a cached platform :class:`~repro.wrapper.api.SharedMemoryAPI` answers a
 scalar ``read`` / ``write`` that hits from its own frame, through the
-port's ``scalar_hit`` (:meth:`L1Cache.scalar_hit` over
-:meth:`L1Cache.probe`); everything else reaches :meth:`L1Cache.transfer` as
-a command burst.  Both must be the same cache.  Generated programs drive PE
+port's ``scalar_hit`` (:meth:`L1Cache.scalar_hit`, which the request path
+reuses); everything else reaches :meth:`L1Cache.transfer` as a command
+burst.  Both must be the same cache.  Generated programs drive PE
 0 on one platform with the front and on its twin with the front switched
 off, so every scalar goes as a raw command burst through
 ``CachedPort.transfer``: scalar reads and writes through APIs whose

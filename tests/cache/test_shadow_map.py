@@ -16,7 +16,13 @@ pointers must agree with the memory:
   as an allocation base, with the same size;
 * :meth:`ShadowMap.reserved_by` names the master holding the semaphore of
   the allocation containing the pointer.
+
+The populated variant holds at least 200 live rows while it frees, reissues
+freed ranges and moves semaphores, so the sorted-base index is checked
+where a lookup has many neighbours to miss.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,6 +71,7 @@ class Bench:
         self.issued = []  # (base, size in bytes), in ALLOC order
 
     def step(self, master, opcode, pick, dim, data_type):
+        """Send one command; True when the memory accepted it."""
         if opcode is MemOpcode.ALLOC:
             command, response = send(self.memory, master, opcode, dim=dim,
                                      data_type=data_type)
@@ -76,6 +83,7 @@ class Bench:
             if opcode is MemOpcode.ALLOC:
                 self.issued.append(
                     (response.data, dim * DATA_TYPE_SIZES[data_type]))
+        return response.ok
 
     def pointer(self, pick):
         """A vptr from ``(kind, ordinal, delta)``, relative to an issued
@@ -149,3 +157,60 @@ def test_freed_base_reissued_is_a_new_generation():
     new = bench.shadow.find(0, bench.issued[1][0])
     assert new.vptr == old.vptr and new.uid != old.uid
     bench.check(("base", 0, 1), 3, 1)
+
+
+#: Live rows the populated streams never drop below.
+POPULATED = 200
+
+
+def populate(bench, rng):
+    """ALLOC past :data:`POPULATED` live rows, then churn in turn: FREE
+    (every other one the newest row, so its range is reissued), ALLOC,
+    RESERVE and RELEASE by either master; finally RESERVE every tenth live
+    row.  The ordinals (into ``bench.issued``) of the rows left live."""
+    live = []
+
+    def alloc():
+        assert bench.step(rng.choice(MASTERS), MemOpcode.ALLOC, None,
+                          rng.randint(1, 6), rng.choice(list(DataType)))
+        live.append(len(bench.issued) - 1)
+
+    for _ in range(POPULATED + 20):
+        alloc()
+    for step in range(POPULATED):
+        ordinal = live[-1] if step % 8 == 1 else rng.choice(live)
+        opcode = OPCODES[1 + step % 4]  # FREE, RESERVE, RELEASE, ALLOC
+        if opcode is MemOpcode.ALLOC:
+            alloc()
+        elif bench.step(rng.choice(MASTERS), opcode, ("base", ordinal, 1), 0,
+                        DataType.UINT32) and opcode is MemOpcode.FREE:
+            live.remove(ordinal)
+        if len(live) < POPULATED:
+            alloc()
+    for ordinal in live[::10]:
+        bench.step(ordinal % 2, MemOpcode.RESERVE, ("base", ordinal, 1), 0,
+                   DataType.UINT32)
+    return live
+
+
+@pytest.mark.parametrize("kind", MEMORIES)
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_populated_shadow_map_agrees_with_the_memory(kind, seed):
+    # A seed, not a drawn random stream: the stream is too long to shrink.
+    rng = random.Random(seed)
+    bench = Bench(MEMORIES[kind]())
+    live = populate(bench, rng)
+    bases = [base for base, _size in bench.issued]
+    assert len(set(bases)) < len(bases)  # freed ranges were reissued
+    assert len(bench.shadow.by_base[0][1]) == len(live)
+    assert len(live) >= POPULATED
+    reserved = 0
+    for ordinal in live:  # every live row, by an interior pointer
+        bench.check(("interior", ordinal, rng.randint(1, 90)),
+                    rng.randint(-1, 3), rng.choice((1, 1, 2)))
+        reserved += bench.shadow.find(0, bases[ordinal]).reserved_by is not None
+    assert reserved  # some semaphores are held at the end
+    for _ in range(POPULATED):  # stale, foreign and boundary pointers
+        bench.check(draw_pick(rng), rng.choice((0, rng.randint(-3, 8))),
+                    rng.choice((1, rng.randint(0, 8))))

@@ -1,5 +1,8 @@
 """Stress workloads: clean variants sanitize clean on every topology,
-seeded mutations are caught by the matching checker (negative tests)."""
+seeded mutations are caught by the matching checker (negative tests) — flat,
+and behind write-through and write-back L1s."""
+
+import itertools
 
 import pytest
 
@@ -9,8 +12,10 @@ from repro.sw.registry import workload
 TOPOLOGIES = ["shared_bus", "crossbar", "mesh"]
 
 
-def _builder(kind, *, irq=False, dma=0, memories=1):
+def _builder(kind, *, irq=False, dma=0, memories=1, l1=None):
     builder = PlatformBuilder().pes(2).wrapper_memories(memories)
+    if l1 is not None:
+        builder = builder.l1_cache(policy=l1)
     if kind == "crossbar":
         builder = builder.crossbar()
     elif kind == "mesh":
@@ -97,3 +102,54 @@ def test_unknown_mutation_is_rejected():
     config = _builder("shared_bus").build()
     with pytest.raises(Exception, match="mutation"):
         workload.create("stress_locked_handoff", config, mutate="bogus")
+
+
+# -- behind an L1: the same corpus on every topology and write policy ---------------
+POLICIES = ["write_through", "write_back"]
+#: stress workload -> its builder options and ``words`` for the clean run.
+CLEAN = {
+    "stress_locked_handoff": ({}, 16),
+    "stress_irq_handoff": ({"irq": True}, 16),
+    "stress_dma_copy": ({"dma": 2, "memories": 2}, 24),
+}
+#: mutation -> (workload, ``words``, the checker that must report it).
+MUTANTS = {
+    "drop_release": ("stress_locked_handoff", 16, "lock-leak"),
+    "drop_doorbell": ("stress_irq_handoff", 16, "data-race"),
+    "drop_wait": ("stress_dma_copy", 48, "data-race"),
+}
+#: (mutation, policy) cells no checker catches yet, on any topology: an L1
+#: hit is answered in the API's frame and no probe sees it.
+MISSED = {("drop_doorbell", "write_back")}
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("kind", TOPOLOGIES)
+@pytest.mark.parametrize("name", CLEAN)
+def test_clean_behind_an_l1_on_every_topology(name, kind, policy):
+    options, words = CLEAN[name]
+    report, inst = _run(_builder(kind, l1=policy, **options), name,
+                        words=words, seed=2)
+    assert report.sanitizer_reports == []
+    assert report.all_pes_finished
+    assert all(check(report) is True for check in inst.checks)
+
+
+def _mutant_cells():
+    for mutate, policy, kind in itertools.product(MUTANTS, POLICIES,
+                                                  TOPOLOGIES):
+        marks = ()
+        if (mutate, policy) in MISSED:
+            marks = pytest.mark.xfail(strict=True, reason=(
+                "ROADMAP item 19: the race detector does not observe "
+                "accesses an L1 answers"))
+        yield pytest.param(mutate, kind, policy, marks=marks,
+                           id=f"{mutate}-{kind}-{policy}")
+
+
+@pytest.mark.parametrize("mutate, kind, policy", list(_mutant_cells()))
+def test_planted_bug_is_caught_behind_an_l1(mutate, kind, policy):
+    name, words, checker = MUTANTS[mutate]
+    report, _ = _run(_builder(kind, l1=policy, **CLEAN[name][0]), name,
+                     mutate=mutate, words=words, seed=2)
+    assert checker in {r["checker"] for r in report.sanitizer_reports}

@@ -111,8 +111,8 @@ def malformed(words):
 
 
 def shadow_rows(shadow):
-    return {(mem, vptr): (row.uid, row.reserved_by)
-            for mem, rows in shadow._rows.items() for vptr, row in rows.items()}
+    return {(mem, row.vptr): (row.uid, row.reserved_by)
+            for mem, (_bases, rows) in shadow.by_base.items() for row in rows}
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,9 +8,10 @@ file.  Each stimulus also asserts what it exercised (hits and misses, hops,
 cycles, equal cost for short and long commands), so a row cannot pass by
 measuring some other path.  A loop or comprehension iteration is not a
 call, so the array rows also count ``sys.settrace`` line events and require
-as many at 256 words as at 8 — except through a write-back L1, which still
-moves array words one by one in Python: its rows budget the traced lines
-at each size.
+as many at 256 words as at 8 — except through a write-back L1, which moves
+array words in slices but places, evicts and installs line by line: its
+rows budget the traced lines at each size.  The shadow map's row requires
+one lookup to read as many lines among 1 000 live allocations as among one.
 
 ``measured`` is the count per unit when the row was last set, and
 ``budget`` is at most 10 % above it: a change that makes a path cheaper
@@ -24,6 +25,7 @@ from typing import Callable, NamedTuple, Tuple
 import pytest
 
 from repro.api import PlatformBuilder
+from repro.cache import ShadowMap
 from repro.fabric import BusOp, BusRequest
 from repro.memory import (
     IO_ARRAY_BASE,
@@ -324,13 +326,32 @@ def api_array_round_trips(target):
 
 def l1_array_round_trip_lines(words):
     """Traced lines of the round trip at ``words`` words through a
-    write-back L1, which still moves array words one by one in Python:
-    the row keeps that per-word work from growing."""
+    write-back L1, which moves 32-bit words in list slices but places,
+    evicts and installs each line in Python: the row keeps that per-line
+    work from growing, and per-word work from coming back."""
     def stimulus(target):
         _calls, lines = array_round_trips(target)
         assert target.caches[0].stats.array_absorbs > 0
         return lines[words], 1
     return stimulus
+
+
+def shadow_resolves(shadow):
+    """Traced lines of one :meth:`ShadowMap.resolve` of the most recently
+    allocated row, among 1 live row and among 1 000: a lookup through the
+    sorted-base index reads the same lines at both sizes."""
+    lines = {}
+    for rows in (1, 1000):
+        while len(shadow.by_base.get(0, ((), ()))[0]) < rows:
+            base = 16 * len(shadow.by_base.get(0, ((), ()))[0])
+            shadow.apply(0, MemCommand(MemOpcode.ALLOC, 0, dim=4,
+                                       data_type=DataType.UINT32), 0, base)
+        with LineCounter() as counter:
+            located = shadow.resolve(0, base + 4, 1)
+        assert located == (shadow.find(0, base), 2)
+        lines[rows] = counter.lines
+    assert_flat({8: lines[1], 256: lines[1000]}, "lines")
+    return lines[1000], 1
 
 
 # -- the table ---------------------------------------------------------------------
@@ -347,10 +368,10 @@ class Row(NamedTuple):
 
 #: ``measured`` on CPython 3.11; 3.12 counts the same or fewer.
 ROWS = [
-    Row("l1-read-hit", platform(l1wb()), l1_read_hits, "read", 8.0, 8),
+    Row("l1-read-hit", platform(l1wb()), l1_read_hits, "read", 5.0, 5),
     Row("l1-write-back-write-hit", platform(l1wb()), l1_write_hits, "write",
-        11.0, 11),
-    Row("l1-read-miss", platform(l1wb()), l1_read_misses, "miss", 147.0, 161),
+        5.0, 5),
+    Row("l1-read-miss", platform(l1wb()), l1_read_misses, "miss", 138.0, 140),
     Row("mesh-2x2-read",
         platform(PlatformBuilder().pes(1).wrapper_memories(1).mesh(2, 2)),
         mesh_reads, "read", 142.0, 156),
@@ -370,13 +391,14 @@ ROWS = [
     Row("api-array-round-trip",
         platform(PlatformBuilder().pes(1).wrapper_memories(1)),
         api_array_round_trips, "write_array + read_array", 196, 215),
-    # Traced lines, not calls: the budgets are the counts before the L1
-    # was split into a command front and a line engine.
+    # Traced lines, not calls, from here on.
     Row("l1-write-back-array-round-trip-8-lines", platform(l1wb()),
-        l1_array_round_trip_lines(8), "write_array + read_array", 675, 679),
+        l1_array_round_trip_lines(8), "write_array + read_array", 510, 561),
     Row("l1-write-back-array-round-trip-256-lines", platform(l1wb()),
-        l1_array_round_trip_lines(256), "write_array + read_array", 16502,
-        16580),
+        l1_array_round_trip_lines(256), "write_array + read_array", 12435,
+        13000),
+    Row("shadow-map-resolve-lines", ShadowMap, shadow_resolves, "resolve",
+        8, 8),
 ]
 
 
