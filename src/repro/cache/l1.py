@@ -281,11 +281,11 @@ class L1Cache(LineEngine):
         if (self._pending_stage is not None or self._pending_fetch is not None
                 or self._command_mem.get(address) != sm_addr):
             return None
-        bases, rows = self._by_base.get(sm_addr, NO_ROWS)
-        at = bisect_right(bases, vptr)
+        live = self._by_base.get(sm_addr, NO_ROWS)
+        at = bisect_right(live.bases, vptr)
         alloc = index = line_no = None
-        if at and vptr < rows[at - 1].end_vptr:
-            alloc = rows[at - 1]
+        if at and vptr < live.rows[at - 1].end_vptr:
+            alloc = live.rows[at - 1]
             size = alloc.element_size
             index = (vptr - alloc.vptr) // size + offset
             line_no = (alloc.vptr + index * size) // self._line_bytes

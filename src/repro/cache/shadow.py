@@ -9,29 +9,31 @@ ALLOC / FREE / RESERVE / RELEASE that completed on the fabric.  Replayed in
 completion order, the map equals the pointer tables at every instant a
 master can observe.
 
-:attr:`ShadowMap.by_base` holds, per memory, the live bases in ascending
-order and the row at each.  Bases are unique and live ranges are disjoint
-and non-empty, so the last base at or below a pointer is the only row that
-can hold it: :meth:`ShadowMap.resolve`, :meth:`ShadowMap.reserved_by` and
-the L1's hit front (:meth:`~repro.cache.l1.L1Cache.scalar_hit`, which
-bisects the index inline) all rely on that.
+:attr:`ShadowMap.by_base` holds, per memory, the
+:class:`~repro.memory.dynamic_base.AllocationIndex` the memories keep their
+own rows in.  :meth:`ShadowMap.resolve` and the L1's hit front
+(:meth:`~repro.cache.l1.L1Cache.scalar_hit`) bisect its ``bases`` and
+``rows`` inline, relying on its invariant: bases unique, live ranges
+disjoint and non-empty.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import DefaultDict, Optional, Tuple
 
-from ..memory.dynamic_base import Allocation
+from ..memory.dynamic_base import Allocation, AllocationIndex
 from ..memory.protocol import MemCommand, MemOpcode
 
 #: The commands :meth:`ShadowMap.apply` replays, whichever master issues them.
 BOOKKEEPING_OPCODES = (MemOpcode.ALLOC, MemOpcode.FREE, MemOpcode.RESERVE,
                        MemOpcode.RELEASE)
 
-#: The index of a memory with no live row (immutable: it is shared).
-NO_ROWS: Tuple[Tuple[()], Tuple[()]] = ((), ())
+#: The index of a memory with no live row; shared, so an ``add`` raises.
+NO_ROWS = AllocationIndex()
+NO_ROWS.bases = NO_ROWS.rows = ()
 
 
 @dataclass(slots=True, eq=False)
@@ -50,9 +52,9 @@ class ShadowMap:
     """Live allocations of every memory, in base-vptr order."""
 
     def __init__(self) -> None:
-        #: mem_index -> (sorted bases, the row at each base); see the
-        #: module docstring for the invariant its readers rely on.
-        self.by_base: Dict[int, Tuple[List[int], List[SharedAllocation]]] = {}
+        #: mem_index -> the index of that memory's live rows.
+        self.by_base: DefaultDict[int, AllocationIndex] = defaultdict(
+            AllocationIndex)
         self._next_uid = 1
 
     def apply(self, mem_index: int, command: MemCommand, master_id: int,
@@ -69,10 +71,7 @@ class ShadowMap:
             alloc = SharedAllocation(value, command.dim, command.data_type,
                                      uid=self._next_uid, mem_index=mem_index)
             self._next_uid += 1
-            bases, rows = self.by_base.setdefault(mem_index, ([], []))
-            at = bisect_left(bases, value)
-            bases.insert(at, value)
-            rows.insert(at, alloc)
+            self.by_base[mem_index].add(alloc)
             return alloc
         if opcode not in BOOKKEEPING_OPCODES:
             return None
@@ -80,9 +79,7 @@ class ShadowMap:
         if alloc is None:
             return None
         if opcode is MemOpcode.FREE:
-            bases, rows = self.by_base[mem_index]
-            at = bisect_left(bases, alloc.vptr)
-            del bases[at], rows[at]
+            self.by_base[mem_index].remove(alloc.vptr)
         else:
             alloc.reserved_by = (master_id if opcode is MemOpcode.RESERVE
                                  else None)
@@ -91,9 +88,7 @@ class ShadowMap:
     def find(self, mem_index: int, vptr: int) -> Optional[SharedAllocation]:
         """The row whose base is exactly ``vptr`` (FREE / RESERVE / RELEASE /
         QUERY semantics)."""
-        bases, rows = self.by_base.get(mem_index, NO_ROWS)
-        at = bisect_left(bases, vptr)
-        return rows[at] if at < len(bases) and bases[at] == vptr else None
+        return self.by_base.get(mem_index, NO_ROWS).lookup(vptr)
 
     def resolve(self, mem_index: int, vptr: int, offset: int, dim: int = 1
                 ) -> Optional[Tuple[SharedAllocation, int]]:
@@ -101,12 +96,13 @@ class ShadowMap:
         access (a scalar for ``dim`` 1) ``offset`` elements past the element
         ``vptr`` points into, ``None`` otherwise.
 
-        :meth:`Allocation.locate`'s rule, inlined.
+        :meth:`AllocationIndex.containing` and :meth:`Allocation.locate`'s
+        rule, inlined.
         """
-        bases, rows = self.by_base.get(mem_index, NO_ROWS)
-        at = bisect_right(bases, vptr)
-        if at and vptr < rows[at - 1].end_vptr:
-            alloc = rows[at - 1]
+        live = self.by_base.get(mem_index, NO_ROWS)
+        at = bisect_right(live.bases, vptr)
+        if at and vptr < live.rows[at - 1].end_vptr:
+            alloc = live.rows[at - 1]
             index = (vptr - alloc.vptr) // alloc.element_size + offset
             if 0 <= index and 0 <= dim and index + dim <= alloc.dim:
                 return alloc, index
@@ -115,8 +111,5 @@ class ShadowMap:
     def reserved_by(self, mem_index: int, vptr: int) -> Optional[int]:
         """The master holding the semaphore of the allocation containing
         ``vptr``, or ``None``."""
-        bases, rows = self.by_base.get(mem_index, NO_ROWS)
-        at = bisect_right(bases, vptr)
-        if at and vptr < rows[at - 1].end_vptr:
-            return rows[at - 1].reserved_by
-        return None
+        alloc = self.by_base.get(mem_index, NO_ROWS).containing(vptr)
+        return alloc.reserved_by if alloc is not None else None

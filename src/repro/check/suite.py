@@ -117,9 +117,7 @@ class SanitizerSuite:
         self._now = interconnect.sim_now
         self._find_region = interconnect.address_map.find_region
         #: Memory-window base -> memory index; any other region is a device.
-        self._mem_index = {
-            platform.config.memory_base(index): index
-            for index in range(platform.config.num_memories)}
+        self._mem_index = platform.windows
         self._simulator = platform.simulator
         controller = platform.irq_controller
         self._controller_base: Optional[int] = (

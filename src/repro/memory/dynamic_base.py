@@ -12,12 +12,14 @@ module implements everything they have in common once:
   READ / WRITE and array transfers, the check order (pointer, then bounds,
   then reservation) and the reservation semaphore, over one
   :class:`Allocation` row,
+* the live rows, in an :class:`AllocationIndex`: the one structure the
+  pointer table, the modelled memory and the shadow maps keep rows in,
 * the I/O array staging buffer used for indexed-structure transfers,
 * element encode/decode helpers (data type width, signedness, endianness),
 * per-opcode operation counters used by the evaluation benches.
 
-Concrete modules supply only storage — where rows and bytes live, through
-the eight hooks ``_allocate``, ``_free``, ``_lookup``, ``_containing``,
+Concrete modules supply only storage — how a row is made and dropped and
+where its bytes live, through the six hooks ``_allocate``, ``_free``,
 ``_load``, ``_store``, ``_load_array`` and ``_store_array`` — and timing
 (:meth:`DynamicMemorySlave._cycles_for`).
 """
@@ -25,6 +27,7 @@ the eight hooks ``_allocate``, ``_free``, ``_lookup``, ``_containing``,
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -181,10 +184,6 @@ class Allocation:
         self.size_bytes = self.dim * self.element_size
         self.end_vptr = self.vptr + self.size_bytes
 
-    def contains(self, vptr: int) -> bool:
-        """True when ``vptr`` points inside this allocation."""
-        return self.vptr <= vptr < self.end_vptr
-
     def element_byte(self, index: int) -> int:
         """Byte address (in vptr space) of element ``index``."""
         return self.vptr + index * self.element_size
@@ -193,11 +192,68 @@ class Allocation:
         """Index of the first of ``count`` elements starting ``offset``
         elements past the one ``vptr`` points into, or ``None`` unless all
         of them lie inside this allocation (``vptr`` must, see
-        :meth:`contains`)."""
+        :meth:`AllocationIndex.containing`)."""
         index = (vptr - self.vptr) // self.element_size + offset
         if index < 0 or count < 0 or index + count > self.dim:
             return None
         return index
+
+
+class AllocationIndex:
+    """The live rows of one memory in ascending base order: the paper's
+    table of allocations (Figure 2), where an interior pointer resolves to
+    the allocation that holds it.
+
+    Invariant, kept by every caller of :meth:`add`: bases are unique and
+    live ranges are disjoint and non-empty, so the last base at or below a
+    pointer is the only row that can hold it.  ``rows[i].vptr`` is
+    ``bases[i]``, and ``live_bytes`` is the rows' summed ``size_bytes``.
+    """
+
+    def __init__(self) -> None:
+        self.bases: List[int] = []
+        self.rows: List[Allocation] = []
+        self.live_bytes = 0
+
+    def add(self, row: Allocation) -> None:
+        """Insert ``row``: an append when it lies past every live row (the
+        wrapper's Vptr rule), else a bisected insert (a first-fit reuse, a
+        shadow replay)."""
+        bases = self.bases
+        if not bases or row.vptr > bases[-1]:
+            bases.append(row.vptr)
+            self.rows.append(row)
+        else:
+            at = bisect_left(bases, row.vptr)
+            bases.insert(at, row.vptr)
+            self.rows.insert(at, row)
+        self.live_bytes += row.size_bytes
+
+    def remove(self, vptr: int) -> Optional[Allocation]:
+        """Drop and return the row whose base is exactly ``vptr``, or
+        ``None`` when there is none."""
+        bases = self.bases
+        at = bisect_left(bases, vptr)
+        if at == len(bases) or bases[at] != vptr:
+            return None
+        row = self.rows.pop(at)
+        del bases[at]
+        self.live_bytes -= row.size_bytes
+        return row
+
+    def lookup(self, vptr: int) -> Optional[Allocation]:
+        """The row whose base is exactly ``vptr``, or ``None``."""
+        bases = self.bases
+        at = bisect_left(bases, vptr)
+        return self.rows[at] if at < len(bases) and bases[at] == vptr else None
+
+    def containing(self, vptr: int) -> Optional[Allocation]:
+        """The row whose range holds a possibly-interior ``vptr``, or
+        ``None`` (the paper's pointer arithmetic)."""
+        at = bisect_right(self.bases, vptr)
+        if at and vptr < self.rows[at - 1].end_vptr:
+            return self.rows[at - 1]
+        return None
 
 
 #: Cycles charged for a plain register / I/O-array access.
@@ -219,6 +275,8 @@ class DynamicMemorySlave(BusSlave):
         #: transactions from different processors clobbering each other's
         #: staged data.
         self._io_arrays: Dict[int, List[int]] = {}
+        #: The live allocations (the wrapper puts its pointer table here).
+        self.rows = AllocationIndex()
         self.last_status: MemStatus = MemStatus.OK
         self.last_result: int = 0
         self.op_counts: Counter = Counter()
@@ -256,7 +314,7 @@ class DynamicMemorySlave(BusSlave):
             if count > len(io_words):
                 # More words than the I/O array can stage: refuse, execute nothing.
                 return MemResult(MemStatus.ERR_MALFORMED)
-            alloc = self._containing(command.vptr)
+            alloc = self.rows.containing(command.vptr)
             if alloc is None:
                 return MemResult(MemStatus.ERR_INVALID_PTR)
             index = alloc.locate(command.vptr, command.offset, count)
@@ -285,7 +343,7 @@ class DynamicMemorySlave(BusSlave):
         if opcode is MemOpcode.NOP:
             return MemResult(MemStatus.OK)
         # FREE, RESERVE, RELEASE, QUERY.
-        alloc = self._lookup(command.vptr)
+        alloc = self.rows.lookup(command.vptr)
         if alloc is None:
             return MemResult(MemStatus.ERR_INVALID_PTR)
         if opcode is MemOpcode.QUERY:
@@ -301,19 +359,12 @@ class DynamicMemorySlave(BusSlave):
 
     # -- storage hooks ---------------------------------------------------------------
     def _allocate(self, dim: int, data_type: DataType) -> Optional[Allocation]:
-        """Create a row of ``dim`` (> 0) elements, or ``None`` when full."""
+        """Create a row of ``dim`` (> 0) elements in :attr:`rows`, or
+        ``None`` when full."""
         raise NotImplementedError
 
     def _free(self, alloc: Allocation) -> None:
-        """Delete ``alloc`` and its storage."""
-        raise NotImplementedError
-
-    def _lookup(self, vptr: int) -> Optional[Allocation]:
-        """The row whose base is exactly ``vptr``."""
-        raise NotImplementedError
-
-    def _containing(self, vptr: int) -> Optional[Allocation]:
-        """The row whose range holds ``vptr`` (the paper's pointer arithmetic)."""
+        """Delete ``alloc`` from :attr:`rows`, and its storage."""
         raise NotImplementedError
 
     def _load(self, alloc: Allocation, index: int) -> int:
@@ -341,11 +392,11 @@ class DynamicMemorySlave(BusSlave):
 
     def live_count(self) -> int:
         """Number of live allocations (diagnostic register)."""
-        raise NotImplementedError
+        return len(self.rows.rows)
 
     def used_bytes(self) -> int:
         """Bytes currently allocated (diagnostic register)."""
-        raise NotImplementedError
+        return self.rows.live_bytes
 
     # -- BusSlave protocol ------------------------------------------------------
     def serve(self, request: BusRequest, offset: int

@@ -7,15 +7,16 @@ cycles (and costs real host work) proportional to the number of header words
 it touches.  It answers the same protocol as the host-backed wrapper, whose
 rules live once in
 :meth:`~repro.memory.dynamic_base.DynamicMemorySlave._execute`; this module
-supplies only storage (rows in a dict, allocator headers and element bytes in
-the simulated table) and timing.  So the software API and workloads run
-unchanged on either and only speed and timing differ — which is precisely
-what experiment E2 needs.
+supplies only storage (allocator headers and element bytes in the simulated
+table; the rows, disjoint heap payloads, in the shared
+:class:`~repro.memory.dynamic_base.AllocationIndex`) and timing.  So the
+software API and workloads run unchanged on either and only speed and timing
+differ — which is precisely what experiment E2 needs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .dynamic_base import (
     REGISTER_ACCESS_CYCLES,
@@ -73,7 +74,6 @@ class ModeledDynamicMemory(DynamicMemorySlave):
         self._accessor = CountingAccessor(self._read_word, self._write_word)
         self.heap = FreeListHeap(self._accessor, base=0, size_bytes=size_bytes)
         self.heap.initialize()
-        self._allocations: Dict[int, Allocation] = {}
         #: (heap accessor reads+writes) of the executed command not yet
         #: charged by :meth:`_cycles_for`.
         self._last_heap_accesses = 0
@@ -84,13 +84,6 @@ class ModeledDynamicMemory(DynamicMemorySlave):
 
     def _write_word(self, address: int, value: int) -> None:
         self.storage[address:address + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
-
-    # -- diagnostics ----------------------------------------------------------------
-    def live_count(self) -> int:
-        return len(self._allocations)
-
-    def used_bytes(self) -> int:
-        return sum(a.size_bytes for a in self._allocations.values())
 
     # -- the protocol, with allocator costs counted ---------------------------------
     def _execute(self, command: MemCommand, io_words: List[int],
@@ -103,7 +96,7 @@ class ModeledDynamicMemory(DynamicMemorySlave):
         self._last_heap_accesses = self._accessor.accesses - before
         return result
 
-    # -- storage: rows in a dict, bytes in the simulated table ---------------------
+    # -- storage: bytes in the simulated table ------------------------------------
     def _allocate(self, dim: int, data_type: DataType) -> Optional[Allocation]:
         size_bytes = dim * DATA_TYPE_SIZES[data_type]
         payload = self.heap.malloc(size_bytes)
@@ -112,24 +105,12 @@ class ModeledDynamicMemory(DynamicMemorySlave):
         # ALLOC is calloc: a reused block must not show its last owner's data.
         self.storage[payload:payload + size_bytes] = bytes(size_bytes)
         allocation = Allocation(payload, dim, data_type)
-        self._allocations[payload] = allocation
+        self.rows.add(allocation)
         return allocation
 
     def _free(self, allocation: Allocation) -> None:
         self.heap.free(allocation.vptr)
-        del self._allocations[allocation.vptr]
-
-    def _lookup(self, vptr: int) -> Optional[Allocation]:
-        return self._allocations.get(vptr)
-
-    def _containing(self, vptr: int) -> Optional[Allocation]:
-        allocation = self._allocations.get(vptr)
-        if allocation is not None:
-            return allocation
-        for candidate in self._allocations.values():
-            if candidate.vptr <= vptr < candidate.end_vptr:
-                return candidate
-        return None
+        self.rows.remove(allocation.vptr)
 
     # The payload address a heap returns is the allocation's Vptr, so an
     # element's Vptr is its address in the simulated table.

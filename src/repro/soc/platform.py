@@ -222,13 +222,13 @@ class Platform:
         self.caches: List[L1Cache] = []
         self.coherence: Optional[CoherenceDomain] = None
         #: Window base address -> memory index (shared by the coherence
-        #: domain's bus snooper and every per-PE cache shim).
-        self._windows = {config.memory_base(index): index
-                         for index in range(config.num_memories)}
+        #: domain's bus snooper, every per-PE cache shim and the sanitizers).
+        self.windows = {config.memory_base(index): index
+                        for index in range(config.num_memories)}
         if config.cache is not None:
             self.coherence = self._layers.CoherenceDomain()
             self.coherence.attach_interconnect(self.interconnect,
-                                               self._windows)
+                                               self.windows)
         #: Bus-attached devices (``config.devices``), window-ordered.
         self.devices: List[RegisterFilePeripheral] = []
         self.irq_controller: Optional[InterruptController] = None
@@ -388,7 +388,7 @@ class Platform:
             assert self.config.cache is not None
             cache = self._layers.L1Cache(
                 f"pe{pe_index}.l1", self.config.cache, port, self.coherence,
-                self._windows, self.config.clock_period,
+                self.windows, self.config.clock_period,
             )
             self.caches.append(cache)
             port = cache.port

@@ -17,20 +17,21 @@ whole virtual range, which platforms use to give every shared memory its own
 virtual window).  On deallocation the entry is removed and the table is
 re-compacted; surviving Vptrs never change.
 
-That rule keeps the table strictly sorted by Vptr with disjoint ranges (a
-new entry starts where the last survivor ends), so one sorted Vptr list
-searched with ``bisect`` serves exact-base lookup and interior-pointer
-resolve alike: both O(log live), byte accounting O(1) (a running counter),
-removal O(log live) plus the list compaction.
+That rule makes every new entry start where the last survivor ends, so the
+table is an :class:`~repro.memory.dynamic_base.AllocationIndex` whose every
+insert is an append: exact-base lookup, interior-pointer resolve and removal
+are one ``bisect`` each, O(log live) plus the list compaction, and byte
+accounting is O(1) (the index's running ``live_bytes``).  This module adds
+only what the paper adds to that index: Vptr generation, the capacity limit,
+the bench counters and :meth:`PointerTable.check_consistency`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
-from ..memory.dynamic_base import Allocation
+from ..memory.dynamic_base import Allocation, AllocationIndex
 from ..memory.host_memory import HostBlock
 from ..memory.protocol import DATA_TYPE_SIZES, DataType
 from .errors import PointerTableError
@@ -44,18 +45,15 @@ class PointerEntry(Allocation):
     hptr: HostBlock = field(kw_only=True)
 
 
-class PointerTable:
+class PointerTable(AllocationIndex):
     """Ordered table of live allocations with paper-faithful Vptr generation."""
 
     def __init__(self, capacity_bytes: Optional[int] = None, base_vptr: int = 0) -> None:
         if capacity_bytes is not None and capacity_bytes <= 0:
             raise ValueError("capacity must be positive (or None for unlimited)")
+        super().__init__()
         self.capacity_bytes = capacity_bytes
         self.base_vptr = base_vptr
-        self._entries: List[PointerEntry] = []
-        #: ``_entries[i].vptr`` for every row: the strictly increasing search index.
-        self._vptrs: List[int] = []
-        self._used_bytes = 0
         #: Running counters used by the evaluation benches.
         self.total_allocations = 0
         self.total_frees = 0
@@ -63,15 +61,11 @@ class PointerTable:
         self.peak_used_bytes = 0
 
     # -- size accounting -----------------------------------------------------------
-    def used_bytes(self) -> int:
-        """Sum of the live allocations' sizes."""
-        return self._used_bytes
-
     def would_fit(self, size_bytes: int) -> bool:
         """True if an allocation of ``size_bytes`` respects the capacity limit."""
         if self.capacity_bytes is None:
             return True
-        return self._used_bytes + size_bytes <= self.capacity_bytes
+        return self.live_bytes + size_bytes <= self.capacity_bytes
 
     # -- table operations ------------------------------------------------------------------
     def insert(self, hptr: HostBlock, dim: int, data_type: DataType) -> PointerEntry:
@@ -86,22 +80,13 @@ class PointerTable:
             )
         # Paper rule: previous entry's Vptr plus previous allocation's size;
         # zero (plus the configured base) for the first entry.
-        vptr = self._entries[-1].end_vptr if self._entries else self.base_vptr
+        vptr = self.rows[-1].end_vptr if self.rows else self.base_vptr
         entry = PointerEntry(vptr, dim, data_type, hptr=hptr)
-        self._entries.append(entry)
-        self._vptrs.append(entry.vptr)
-        self._used_bytes += size_bytes
+        self.add(entry)
         self.total_allocations += 1
-        self.peak_entries = max(self.peak_entries, len(self._entries))
-        self.peak_used_bytes = max(self.peak_used_bytes, self._used_bytes)
+        self.peak_entries = max(self.peak_entries, len(self.rows))
+        self.peak_used_bytes = max(self.peak_used_bytes, self.live_bytes)
         return entry
-
-    def _base_index(self, vptr: int) -> int:
-        """Position of the entry whose Vptr is exactly ``vptr``, or -1."""
-        index = bisect_right(self._vptrs, vptr) - 1
-        if index >= 0 and self._vptrs[index] == vptr:
-            return index
-        return -1
 
     def remove(self, vptr: int) -> PointerEntry:
         """Remove the entry whose Vptr is exactly ``vptr`` and re-compact.
@@ -109,39 +94,13 @@ class PointerTable:
         Re-compaction preserves the order and the Vptrs of the surviving
         entries (only the lists are compacted, as in the paper).
         """
-        index = self._base_index(vptr)
-        if index < 0:
+        entry = super().remove(vptr)
+        if entry is None:
             raise PointerTableError(f"no allocation with Vptr {vptr:#x}")
-        entry = self._entries.pop(index)
-        del self._vptrs[index]
-        self._used_bytes -= entry.size_bytes
         self.total_frees += 1
         return entry
 
-    def lookup(self, vptr: int) -> Optional[PointerEntry]:
-        """The entry whose Vptr is exactly ``vptr``, or ``None``."""
-        index = self._base_index(vptr)
-        return self._entries[index] if index >= 0 else None
-
-    def containing(self, vptr: int) -> Optional[PointerEntry]:
-        """The entry whose range holds a possibly-interior ``vptr``, or ``None``.
-
-        This is the paper's pointer-arithmetic support: a Vptr that is not
-        in the table is matched against the allocation that contains it,
-        and the host pointer is later offset accordingly.
-        """
-        # Ranges are disjoint: only the last entry starting at or below
-        # ``vptr`` can contain it.
-        index = bisect_right(self._vptrs, vptr) - 1
-        if index >= 0 and self._entries[index].contains(vptr):
-            return self._entries[index]
-        return None
-
     # -- inspection ---------------------------------------------------------------------------
-    def live_count(self) -> int:
-        """Number of live allocations."""
-        return len(self._entries)
-
     def check_consistency(self) -> None:
         """Verify the table invariants in one pass over the sorted order.
 
@@ -150,17 +109,17 @@ class PointerTable:
         capacity is respected.  Only live entries count: Vptr ranges are
         legitimately *reused* after frees (see the generation rule).
         """
-        if self._vptrs != [entry.vptr for entry in self._entries]:
+        if self.bases != [entry.vptr for entry in self.rows]:
             raise PointerTableError("Vptr index out of step with the entries")
         floor = self.base_vptr
-        for entry in self._entries:
+        for entry in self.rows:
             if entry.dim <= 0:
                 raise PointerTableError("entry with non-positive dimension")
             if entry.vptr < floor:
                 raise PointerTableError(
                     f"virtual range at {entry.vptr:#x} starts below {floor:#x}")
             floor = entry.end_vptr
-        if self._used_bytes != sum(entry.size_bytes for entry in self._entries):
+        if self.live_bytes != sum(entry.size_bytes for entry in self.rows):
             raise PointerTableError("used-bytes counter out of step with the entries")
-        if self.capacity_bytes is not None and self._used_bytes > self.capacity_bytes:
+        if self.capacity_bytes is not None and self.live_bytes > self.capacity_bytes:
             raise PointerTableError("capacity limit exceeded")

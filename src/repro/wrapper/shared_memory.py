@@ -7,7 +7,9 @@ the fully-modelled baseline — while storing the application data in *host*
 memory.  It supplies only storage and timing:
 
 * rows are the pointer table's (Vptr, Hptr, type, dim, reservation bit)
-  entries; exact and interior pointers resolve through the table;
+  entries, and the table is the memory's
+  :class:`~repro.memory.dynamic_base.AllocationIndex`, through which exact
+  and interior pointers resolve;
 * ALLOC → host ``calloc`` through the translator plus a new table row, FREE
   → row removed (table re-compacted) and host ``free`` issued;
 * READ/WRITE → one native host access through the translator,
@@ -79,6 +81,7 @@ class SharedMemoryWrapper(DynamicMemorySlave):
         self.host = host if host is not None else HostMemory()
         self.delays = delays if delays is not None else WrapperDelays()
         self.table = PointerTable(capacity_bytes=capacity_bytes, base_vptr=base_vptr)
+        self.rows = self.table
         self.translator = Translator(self.host, endianness)
         self.fsm = WrapperFsm(self.delays)
 
@@ -94,17 +97,6 @@ class SharedMemoryWrapper(DynamicMemorySlave):
         self.idle_cycles += cycles
         self.fsm.account_idle(cycles)
 
-    def live_count(self) -> int:
-        return self.table.live_count()
-
-    def used_bytes(self) -> int:
-        return self.table.used_bytes()
-
-    @property
-    def capacity_bytes(self) -> Optional[int]:
-        """The configured simulated capacity (None = unlimited)."""
-        return self.table.capacity_bytes
-
     # -- storage ------------------------------------------------------------------------
     def _allocate(self, dim: int, data_type: DataType) -> Optional[PointerEntry]:
         if not self.table.would_fit(dim * DATA_TYPE_SIZES[data_type]):
@@ -118,12 +110,6 @@ class SharedMemoryWrapper(DynamicMemorySlave):
     def _free(self, entry: PointerEntry) -> None:
         self.table.remove(entry.vptr)
         self.translator.host_free(entry.hptr)
-
-    def _lookup(self, vptr: int) -> Optional[PointerEntry]:
-        return self.table.lookup(vptr)
-
-    def _containing(self, vptr: int) -> Optional[PointerEntry]:
-        return self.table.containing(vptr)
 
     def _load(self, entry: PointerEntry, index: int) -> int:
         return self.translator.load_element(
@@ -161,7 +147,7 @@ class SharedMemoryWrapper(DynamicMemorySlave):
             "sm_addr": self.sm_addr,
             "live_allocations": self.live_count(),
             "used_bytes": self.used_bytes(),
-            "capacity_bytes": self.capacity_bytes,
+            "capacity_bytes": self.table.capacity_bytes,
             "total_allocations": self.table.total_allocations,
             "total_frees": self.table.total_frees,
             "peak_used_bytes": self.table.peak_used_bytes,

@@ -103,7 +103,7 @@ class Bench:
                            dim=dim)
         located = shadow.resolve(0, vptr, offset, dim)
         assert (located is not None) == response.ok, (vptr, offset, dim)
-        containing = memory._containing(vptr)
+        containing = memory.rows.containing(vptr)
         if located is not None:
             row, index = located
             assert row.vptr == containing.vptr
@@ -203,7 +203,7 @@ def test_populated_shadow_map_agrees_with_the_memory(kind, seed):
     live = populate(bench, rng)
     bases = [base for base, _size in bench.issued]
     assert len(set(bases)) < len(bases)  # freed ranges were reissued
-    assert len(bench.shadow.by_base[0][1]) == len(live)
+    assert len(bench.shadow.by_base[0].rows) == len(live)
     assert len(live) >= POPULATED
     reserved = 0
     for ordinal in live:  # every live row, by an interior pointer

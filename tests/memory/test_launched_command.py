@@ -112,7 +112,7 @@ def malformed(words):
 
 def shadow_rows(shadow):
     return {(mem, row.vptr): (row.uid, row.reserved_by)
-            for mem, (_bases, rows) in shadow.by_base.items() for row in rows}
+            for mem, live in shadow.by_base.items() for row in live.rows}
 
 
 @settings(max_examples=30, deadline=None)

@@ -125,7 +125,7 @@ class TestCapacity:
     def test_used_and_free_bytes(self):
         table, host = make_table(capacity=200)
         insert(table, host, 10)
-        assert table.used_bytes() == 40
+        assert table.live_bytes == 40
         assert table.would_fit(160) and not table.would_fit(161)
 
     def test_invalid_capacity(self):
@@ -149,7 +149,7 @@ class TestStatsAndConsistency:
         assert table.total_frees == 1
         assert table.peak_entries == 2
         assert table.peak_used_bytes == 32
-        assert table.live_count() == 1
+        assert len(table.rows) == 1
 
     def test_consistency_check_passes(self):
         table, host = make_table(capacity=1024)
@@ -161,16 +161,16 @@ class TestStatsAndConsistency:
         table, host = make_table()
         insert(table, host, 4)
         insert(table, host, 4)
-        table._used_bytes += 1
+        table.live_bytes += 1
         with pytest.raises(PointerTableError, match="counter"):
             table.check_consistency()
-        table._used_bytes -= 1
-        table._vptrs[1] += 4
+        table.live_bytes -= 1
+        table.bases[1] += 4
         with pytest.raises(PointerTableError, match="index"):
             table.check_consistency()
-        table._vptrs[1] -= 4
-        table._entries.reverse()
-        table._vptrs.reverse()
+        table.bases[1] -= 4
+        table.rows.reverse()
+        table.bases.reverse()
         with pytest.raises(PointerTableError, match="starts below"):
             table.check_consistency()
 
@@ -286,8 +286,8 @@ class TestAgainstNaiveModel:
                 want = outcome(lambda: model.resolve(vptr))
             assert got == want, (operation, vptr)
             table.check_consistency()
-            assert [row_of(entry) for entry in table._entries] == model.rows
-            assert table.used_bytes() == model.used_bytes()
+            assert [row_of(entry) for entry in table.rows] == model.rows
+            assert table.live_bytes == model.used_bytes()
             if capacity is not None:
                 free = capacity - model.used_bytes()
                 assert table.would_fit(free) and not table.would_fit(free + 1)
@@ -362,7 +362,7 @@ class TestCostDoesNotGrowWithLiveEntries:
 
     def test_byte_accounting_touches_no_entry(self, filled):
         table, _, number, _ = filled
-        used = table.used_bytes()
+        used = table.live_bytes
         assert number.ops == 0
         fits = table.would_fit(number(8))
         assert number.ops <= 3
