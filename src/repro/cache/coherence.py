@@ -3,7 +3,7 @@
 One :class:`CoherenceDomain` per platform ties the per-PE L1 caches
 (:class:`~repro.cache.l1.L1Cache`) together:
 
-* it holds the platform's :class:`~repro.cache.shadow.ShadowMap`, the
+* it reads the platform's :class:`~repro.cache.shadow.ShadowMap`, the
   mirror of every dynamic memory's pointer table, so caches can resolve
   ``vptr + offset`` to allocation-clamped line ranges exactly the way the
   memory does;
@@ -11,15 +11,14 @@ One :class:`CoherenceDomain` per platform ties the per-PE L1 caches
   fills a line it snoops the others (a remote MODIFIED overlap is written
   back and downgraded to SHARED); before a cache takes a line MODIFIED the
   other caches' overlapping lines are written back if dirty and invalidated;
-* it hooks into the interconnect (:meth:`attach_interconnect`) so commands
-  issued by *uncached* masters (raw testbench traffic, ISS programs) still
+* the shadow map's fabric snooper passes it every served command
+  (:meth:`CoherenceDomain.command_served`), so commands issued by
+  *uncached* masters (raw testbench traffic, ISS programs) still
   invalidate stale lines conservatively: their writes supersede any cached
-  dirty copy of the written range.  A command reaches a memory only as
-  one burst on ``REG_COMMAND``; the hook reads that burst's one decode
-  (:func:`~repro.memory.protocol.launched_command`).
+  dirty copy of the written range.
   The one gap raw masters keep under the write-back policy: their *reads*
-  cannot trigger a snoop writeback (the hook runs synchronously inside the
-  bus process and cannot issue bus transactions), so a raw read may
+  cannot trigger a snoop writeback (the snooper runs synchronously inside
+  the bus process and cannot issue bus transactions), so a raw read may
   observe pre-writeback memory; mixed platforms that need raw readers
   should use write-through caches.
 
@@ -32,16 +31,11 @@ are), which matches the dedicated snoop networks of bus-based MPSoCs.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Generator, List
 
-from ..memory.protocol import (
-    REGISTER_WINDOW_BYTES,
-    MemCommand,
-    MemOpcode,
-    launched_command,
-)
-from ..fabric import BusOp, BusRequest, BusResponse, Fabric
-from .shadow import BOOKKEEPING_OPCODES, SharedAllocation, ShadowMap
+from ..fabric import BusRequest
+from ..memory.protocol import MemCommand, MemOpcode
+from .shadow import SharedAllocation, ShadowMap
 
 
 @dataclass
@@ -92,17 +86,15 @@ class FillGuard:
 class CoherenceDomain:
     """Snooping MSI coherence glue shared by every L1 cache of a platform."""
 
-    def __init__(self) -> None:
+    def __init__(self, shadow: ShadowMap) -> None:
         self._caches: List[object] = []
         #: Master ids that own a cache in this domain.
         self._cached_master_ids: set = set()
-        self.shadow = ShadowMap()
+        #: The platform's one allocation mirror, kept by its snooper.
+        self.shadow = shadow
         self.stats = DomainStats()
         #: In-flight clean fetches awaiting install (see :class:`FillGuard`).
         self._fills: List[FillGuard] = []
-        #: Interconnect window map used by the bus snooper:
-        #: window base address -> memory index.
-        self._windows: Dict[int, int] = {}
 
     # -- cache registration ------------------------------------------------------
     def register_cache(self, cache) -> None:
@@ -282,59 +274,25 @@ class CoherenceDomain:
             for line in cache.lines.overlapping(mem_index, lo_byte, hi_byte):
                 cache.drop_line(line, silent=True)
 
-    # -- interconnect snoop hook ---------------------------------------------------
-    def attach_interconnect(self, interconnect, windows: Dict[int, int]) -> None:
-        """Observe completed transfers on ``interconnect``.
+    # -- served commands ---------------------------------------------------------
+    def command_served(self, mem_index: int, command: MemCommand,
+                       request: BusRequest) -> None:
+        """Act on ``command``, served on memory ``mem_index`` as
+        ``request``'s service window closed, once the shadow map's snooper
+        replayed it: synchronously inside the bus process, before any
+        other master can observe the new state.
 
-        ``interconnect`` must be a :class:`~repro.fabric.Fabric`: the
-        domain relies on the fabric's completion-point snooper contract
-        (fired synchronously, in slave service order), not on per-topology
-        duck typing.  ``windows`` maps window base addresses to memory
-        indices.  The hook
-        is the domain's *authoritative* source for the shadow allocation
-        map: ALLOC/FREE/RESERVE/RELEASE take effect the moment their
-        command completes on the interconnect — synchronously inside the
-        bus process, before any other master can observe the new state —
-        so the map can never lag behind the wrapper's pointer table.
-        Writes from masters that do *not* own a cache in this domain
-        additionally invalidate overlapping lines, so raw traffic injected
+        A new or dead allocation drops every line (of any generation)
+        overlapping it, so calloc-zeroed or recycled memory is never
+        shadowed by stale data.  Writes from masters that own no cache in
+        this domain invalidate overlapping lines, so raw traffic injected
         next to cached PEs cannot leave stale data behind.
         """
-        if not isinstance(interconnect, Fabric):
-            raise TypeError(
-                f"coherence snooping requires a repro.fabric.Fabric "
-                f"interconnect, got {type(interconnect).__name__}"
-            )
-        self._windows.update(windows)
-        interconnect.add_snooper(self._on_bus_transfer)
-
-    def window_of(self, address: int) -> Optional[Tuple[int, int, int]]:
-        """``(base, mem_index, offset)`` when ``address`` hits a memory window."""
-        for base, mem_index in self._windows.items():
-            if base <= address < base + REGISTER_WINDOW_BYTES:
-                return base, mem_index, address - base
-        return None
-
-    def _on_bus_transfer(self, request: BusRequest, response: BusResponse) -> None:
-        if not response.ok or request.op is not BusOp.WRITE:
-            return
-        window = self.window_of(request.address)
-        command = None if window is None else launched_command(request,
-                                                               window[2])
-        if not isinstance(command, MemCommand):
-            return
-        mem_index = window[1]
         self.stats.bus_snoops += 1
         opcode = command.opcode
-        # Bookkeeping opcodes: authoritative for every master.  A new or
-        # dead range drops every line (of any generation) overlapping it,
-        # so calloc-zeroed or recycled memory is never shadowed by stale
-        # data.
-        if opcode in BOOKKEEPING_OPCODES:
-            alloc = self.shadow.apply(mem_index, command, request.master_id,
-                                      response.data)
-            if alloc is not None and (opcode is MemOpcode.ALLOC
-                                      or opcode is MemOpcode.FREE):
+        if opcode is MemOpcode.ALLOC or opcode is MemOpcode.FREE:
+            alloc = request.row
+            if alloc is not None:
                 self._drop_range(mem_index, alloc.vptr, alloc.end_vptr)
             return
         # Data writes: cached masters ran the full MSI protocol already;

@@ -73,7 +73,7 @@ class LineEngine:
         self.domain = domain
         self._shadow = domain.shadow
         #: memory index -> window base address (the forward map, address ->
-        #: window, is the domain's :meth:`CoherenceDomain.window_of`).
+        #: window, is :meth:`~repro.cache.l1.L1Cache._window_of`).
         self._window_base = {mem: base for base, mem in windows.items()}
         self.stats = CacheStats()
         self.lines = LineDirectory(config.geometry)

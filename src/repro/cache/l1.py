@@ -14,9 +14,9 @@ interface (the :class:`~repro.fabric.port.PortHelpers` over the cache's own
 * whole READ_ARRAY / WRITE_ARRAY transfers are served from / absorbed into
   the cache when every element is covered, and install their data on the
   way through otherwise;
-* ALLOC / FREE / RESERVE / RELEASE always reach the memory module and feed
-  the coherence domain's :class:`~repro.cache.shadow.ShadowMap` — the
-  wrapper FSM command region itself is never cached, only the *data*
+* ALLOC / FREE / RESERVE / RELEASE always reach the memory module, whose
+  service the platform's :class:`~repro.cache.shadow.ShadowMap` replays —
+  the wrapper FSM command region itself is never cached, only the *data*
   behind it.
 
 Structure: *one decision, then generators*.  :meth:`L1Cache.scalar_hit`
@@ -55,8 +55,8 @@ from bisect import bisect_right
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..fabric import BusOp, BusRequest, BusResponse, PortHelpers, ResponseStatus
-from ..memory.protocol import (IO_ARRAY_BASE, REG_COMMAND, MemCommand,
-                               MemOpcode, launched_command)
+from ..memory.protocol import (IO_ARRAY_BASE, REGISTER_WINDOW_BYTES,
+                               MemCommand, MemOpcode, launched_command)
 from .coherence import CoherenceDomain
 from .engine import LineEngine, reserved_by_other
 from .geometry import CacheConfig, WritePolicy
@@ -98,8 +98,7 @@ class L1Cache(LineEngine):
         self._by_base = self._shadow.by_base
         self.policy = config.policy
         #: command register address -> memory index, for the hit front.
-        self._command_mem = {base + REG_COMMAND: mem
-                             for base, mem in windows.items()}
+        self._command_mem = self._shadow.command_mem
         self._hit_wait = config.hit_cycles * clock_period
         self._hit_cycles = config.hit_cycles
         #: Back-off while a foreign reservation blocks a write, and the
@@ -129,10 +128,17 @@ class L1Cache(LineEngine):
                            self._hit_cycles)
 
     # -- main entry point --------------------------------------------------------------
+    def _window_of(self, address: int) -> Optional[Tuple[int, int, int]]:
+        """``(base, mem_index, offset)`` when ``address`` hits a memory window."""
+        for mem_index, base in self._window_base.items():
+            if base <= address < base + REGISTER_WINDOW_BYTES:
+                return base, mem_index, address - base
+        return None
+
     def transfer(self, request: BusRequest
                  ) -> Generator[object, None, BusResponse]:
         """The CachedPort's transfer: serve or forward ``request``."""
-        window = self.domain.window_of(request.address)
+        window = self._window_of(request.address)
 
         # 1. An absorbed READ_ARRAY left its payload staged for the io fetch.
         if self._pending_fetch is not None:
@@ -222,8 +228,8 @@ class L1Cache(LineEngine):
             return (yield from self._retried(
                 self._write_array_once, request, command, base, mem_index,
                 staged))
-        # ALLOC/FREE/RESERVE/RELEASE bookkeeping happens in the domain's
-        # interconnect snoop hook, synchronously at bus completion — the
+        # ALLOC/FREE/RESERVE/RELEASE bookkeeping happens in the shadow
+        # map's snooper, synchronously as the service window closes — the
         # shim only runs the flush barriers that must precede the command.
         if opcode is MemOpcode.RESERVE:
             alloc = self._shadow.find(mem_index, command.vptr)

@@ -3,11 +3,15 @@
 A dynamic memory's pointer table is the one record of its live allocations.
 Layers that sit beside the memory — the L1 caches' coherence domain and the
 sanitizer suite — need the same answers (which allocation holds a pointer,
-which master holds its semaphore) without issuing bus traffic, so each keeps
-a :class:`ShadowMap` and replays into it, with :meth:`ShadowMap.apply`, every
-ALLOC / FREE / RESERVE / RELEASE that completed on the fabric.  Replayed in
-completion order, the map equals the pointer tables at every instant a
-master can observe.
+which master holds its semaphore) without issuing bus traffic.  A platform
+with either keeps one :class:`ShadowMap` for both, and registers its
+:meth:`ShadowMap.snoop` as its one fabric snooper: as each ALLOC / FREE /
+RESERVE / RELEASE's service window closes, the snooper replays it with
+:meth:`ShadowMap.apply`, leaves the row it acted on at ``request.row`` for
+the sanitizers, and passes every served command on to the coherence
+domain.  Replayed in service order, the map equals the pointer tables at
+every instant a master can observe, and the row an L1 hits is the row the
+race detector keys on.
 
 :attr:`ShadowMap.by_base` holds, per memory, the
 :class:`~repro.memory.dynamic_base.AllocationIndex` the memories keep their
@@ -22,10 +26,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import DefaultDict, Optional, Tuple
+from typing import DefaultDict, Dict, Optional, Tuple
 
 from ..memory.dynamic_base import Allocation, AllocationIndex
-from ..memory.protocol import MemCommand, MemOpcode
+from ..memory.protocol import (REG_COMMAND, MemCommand, MemOpcode,
+                               launched_command)
 
 #: The commands :meth:`ShadowMap.apply` replays, whichever master issues them.
 BOOKKEEPING_OPCODES = (MemOpcode.ALLOC, MemOpcode.FREE, MemOpcode.RESERVE,
@@ -51,20 +56,37 @@ class SharedAllocation(Allocation):
 class ShadowMap:
     """Live allocations of every memory, in base-vptr order."""
 
-    def __init__(self) -> None:
+    def __init__(self, windows: Optional[Dict[int, int]] = None) -> None:
         #: mem_index -> the index of that memory's live rows.
         self.by_base: DefaultDict[int, AllocationIndex] = defaultdict(
             AllocationIndex)
         self._next_uid = 1
+        #: Command register address -> memory index, from ``windows``.
+        self.command_mem: Dict[int, int] = {
+            base + REG_COMMAND: mem for base, mem in (windows or {}).items()}
+        #: The coherence domain :meth:`snoop` passes served commands on to.
+        self.coherence = None
+
+    def snoop(self, request, response) -> None:
+        """The fabric snooper that keeps this map (see module docstring)."""
+        mem_index = self.command_mem.get(request.address)
+        if mem_index is None or not response.ok:
+            return
+        command = launched_command(request, REG_COMMAND)
+        if not isinstance(command, MemCommand):
+            return
+        if command.opcode in BOOKKEEPING_OPCODES:
+            request.row = self.apply(mem_index, command, request.master_id,
+                                     response.data)
+        if self.coherence is not None:
+            self.coherence.command_served(mem_index, command, request)
 
     def apply(self, mem_index: int, command: MemCommand, master_id: int,
               value: int) -> Optional[SharedAllocation]:
-        """Replay one command that ``master_id`` completed successfully on
-        memory ``mem_index``; ``value`` is its result word (the new vptr of
-        an ALLOC).
-
-        Returns the row an ALLOC created or a FREE / RESERVE / RELEASE
-        acted on, ``None`` for any other command.
+        """Replay one of :data:`BOOKKEEPING_OPCODES` that ``master_id``
+        completed successfully on memory ``mem_index``; ``value`` is its
+        result word (the new vptr of an ALLOC).  Returns the row an ALLOC
+        created or a FREE / RESERVE / RELEASE acted on.
         """
         opcode = command.opcode
         if opcode is MemOpcode.ALLOC:
@@ -73,8 +95,6 @@ class ShadowMap:
             self._next_uid += 1
             self.by_base[mem_index].add(alloc)
             return alloc
-        if opcode not in BOOKKEEPING_OPCODES:
-            return None
         alloc = self.find(mem_index, command.vptr)
         if alloc is None:
             return None

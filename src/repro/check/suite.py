@@ -8,9 +8,9 @@ address map off the platform and subscribes to five points of its
 ``port_complete`` (fabric transfers), ``sync`` (kernel event
 notify/wake) and ``irq_raise`` / ``irq_claim`` (interrupt controller) —
 feeding the race detector, the protocol checkers and the coherence
-checker.  A :class:`~repro.cache.shadow.ShadowMap` of its own replays the
-ALLOC/FREE/RESERVE/RELEASE commands observed on the fabric, so word state
-is keyed by allocation generation uid and vptr reuse never aliases.
+checker.  Word state is keyed by allocation generation uid, the row the
+platform's :class:`~repro.cache.shadow.ShadowMap` left at ``request.row``
+(the row the L1s key their lines by), so vptr reuse never aliases.
 
 Everything here only observes.  No event is notified, no process is
 created, no wait is issued: a sanitized run is counter-identical (delta
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..cache.shadow import BOOKKEEPING_OPCODES, ShadowMap
+from ..cache.shadow import BOOKKEEPING_OPCODES
 from ..fabric.address_map import Region
 from ..fabric.transaction import (
     WORD_SIZE,
@@ -99,8 +99,6 @@ class SanitizerSuite:
         self.protocol: Optional[ProtocolChecker] = (
             ProtocolChecker(self.sink) if config.protocol else None)
         self.coherence: Optional[CoherenceChecker] = None
-        #: Shadow allocation map replayed from observed fabric commands.
-        self.shadow = ShadowMap()
         self._actor_of_process: Dict[object, Actor] = {}
         self._process_of_actor: Dict[Actor, object] = {}
         self._labels: Dict[Actor, str] = {}
@@ -114,6 +112,7 @@ class SanitizerSuite:
         and simulator all exist.
         """
         interconnect = platform.interconnect
+        self.shadow = platform.shadow
         self._now = interconnect.sim_now
         self._find_region = interconnect.address_map.find_region
         #: Memory-window base -> memory index; any other region is a device.
@@ -267,8 +266,7 @@ class SanitizerSuite:
             race.begin_op(actor)
 
         if opcode in BOOKKEEPING_OPCODES:
-            alloc = (self.shadow.apply(mem_index, command, actor, response.data)
-                     if ok else None)
+            alloc = request.row if ok else None
             if alloc is None or opcode is MemOpcode.ALLOC:
                 return
             key = (mem_index, alloc.uid)

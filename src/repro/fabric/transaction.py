@@ -63,6 +63,9 @@ class BusRequest:
     #: every layer the request crosses; opaque to the fabric.  A class
     #: default, not a field: no constructor, comparison or repr carries it.
     decoded = None
+    #: The shadow-map row a served ALLOC / FREE / RESERVE / RELEASE acted
+    #: on, left by :meth:`ShadowMap.snoop`; a class default like ``decoded``.
+    row = None
 
     def __post_init__(self) -> None:
         if self.size not in (1, 2, WORD_SIZE):

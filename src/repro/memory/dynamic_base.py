@@ -13,7 +13,7 @@ module implements everything they have in common once:
   then reservation) and the reservation semaphore, over one
   :class:`Allocation` row,
 * the live rows, in an :class:`AllocationIndex`: the one structure the
-  pointer table, the modelled memory and the shadow maps keep rows in,
+  pointer table, the modelled memory and the shadow map keep rows in,
 * the I/O array staging buffer used for indexed-structure transfers,
 * element encode/decode helpers (data type width, signedness, endianness),
 * per-opcode operation counters used by the evaluation benches.

@@ -48,6 +48,7 @@ from .stats import SimulationReport
 if TYPE_CHECKING:
     from ..cache.coherence import CoherenceDomain
     from ..cache.l1 import L1Cache
+    from ..cache.shadow import ShadowMap
     from ..check.suite import SanitizerSuite
     from ..dev.dma import DmaEngine
     from ..dev.irq import InterruptController
@@ -93,6 +94,9 @@ def load_layers(config: PlatformConfig, workload: object = None,
     if config.memory_kind is not MemoryKind.WRAPPER:
         from ..memory.modeled_dynamic_memory import ModeledDynamicMemory
         use(ModeledDynamicMemory)
+    if config.cache is not None or config.check is not None:
+        from ..cache.shadow import ShadowMap
+        use(ShadowMap)
     if config.cache is not None:
         from ..cache.coherence import CoherenceDomain
         from ..cache.l1 import L1Cache
@@ -218,17 +222,22 @@ class Platform:
             )
             if config.monitor_memories:
                 self.interconnect.monitor(memory, f"smem{index}.monitor")
+        #: Window base address -> memory index (shared by the shadow map,
+        #: every per-PE cache shim and the sanitizers).
+        self.windows = {config.memory_base(index): index
+                        for index in range(config.num_memories)}
+        #: The one mirror of the memories' live allocations, kept by its
+        #: fabric snooper (``config.cache`` or ``config.check``).
+        self.shadow: Optional[ShadowMap] = None
+        if config.cache is not None or config.check is not None:
+            self.shadow = self._layers.ShadowMap(self.windows)
+            self.interconnect.add_snooper(self.shadow.snoop)
         #: One L1 cache per PE plus their coherence domain (``config.cache``).
         self.caches: List[L1Cache] = []
         self.coherence: Optional[CoherenceDomain] = None
-        #: Window base address -> memory index (shared by the coherence
-        #: domain's bus snooper, every per-PE cache shim and the sanitizers).
-        self.windows = {config.memory_base(index): index
-                        for index in range(config.num_memories)}
         if config.cache is not None:
-            self.coherence = self._layers.CoherenceDomain()
-            self.coherence.attach_interconnect(self.interconnect,
-                                               self.windows)
+            self.coherence = self.shadow.coherence = (
+                self._layers.CoherenceDomain(self.shadow))
         #: Bus-attached devices (``config.devices``), window-ordered.
         self.devices: List[RegisterFilePeripheral] = []
         self.irq_controller: Optional[InterruptController] = None

@@ -21,8 +21,8 @@ import pytest
 
 from repro.api import PlatformBuilder
 from repro.cache import (CacheConfig, CacheGeometry, CacheLine,
-                         CoherenceDomain, L1Cache, MSIState, SharedAllocation,
-                         WritePolicy)
+                         CoherenceDomain, L1Cache, MSIState, ShadowMap,
+                         SharedAllocation, WritePolicy)
 from repro.memory import (REG_COMMAND, REG_STATUS, DataType, MemCommand,
                           MemOpcode)
 from repro.soc import Platform
@@ -210,11 +210,12 @@ class StubPort:
 
 
 def make_cache(policy=WritePolicy.WRITE_BACK):
-    domain = CoherenceDomain()
+    windows = {0x1000_0000: 0, 0x2000_0000: 1}
+    domain = CoherenceDomain(ShadowMap(windows))
     config = CacheConfig(geometry=CacheGeometry(SETS, WAYS, LINE_BYTES),
                          policy=policy, hit_cycles=1)
-    cache = L1Cache("l1", config, StubPort(), domain,
-                    {0x1000_0000: 0, 0x2000_0000: 1}, clock_period=10)
+    cache = L1Cache("l1", config, StubPort(), domain, windows,
+                    clock_period=10)
     return cache, domain
 
 
@@ -238,7 +239,7 @@ def install(cache, alloc, line_no, words, state=MSIState.SHARED):
 
 def replay(domain, opcode, master_id=0, value=0, **fields):
     """Replay one command completed on memory 0 into the domain's shadow
-    map, as its bus hook would."""
+    map, as the platform's snooper would."""
     return domain.shadow.apply(0, MemCommand(opcode, 0, **fields), master_id,
                                value)
 

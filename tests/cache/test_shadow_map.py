@@ -4,8 +4,8 @@ A random-stimulus-vs-model testbench in the style of
 ``tests/memory/test_protocol_parity.py``: ALLOC / FREE / RESERVE / RELEASE
 streams from two masters run through a real :class:`SharedMemoryWrapper`
 and a :class:`ModeledDynamicMemory`, and each command the memory accepts is
-replayed into :meth:`ShadowMap.apply`, the way the coherence domain and the
-sanitizer suite replay what completes on the fabric.  After every step,
+replayed into :meth:`ShadowMap.apply`, the way the platform's snooper
+(:meth:`ShadowMap.snoop`) replays what is served on the fabric.  After every step,
 probes at base, interior, end, past-the-end, stale (freed) and foreign
 pointers must agree with the memory:
 

@@ -334,27 +334,6 @@ class TestShimRemoval:
                 )
 
 
-class TestCoherenceRequiresFabric:
-    def test_non_fabric_interconnect_rejected(self):
-        from repro.cache.coherence import CoherenceDomain
-
-        class FakeBus:
-            def add_snooper(self, snooper):  # pragma: no cover
-                pass
-
-        with pytest.raises(TypeError, match="repro.fabric.Fabric"):
-            CoherenceDomain().attach_interconnect(FakeBus(), {})
-
-    def test_fabric_interconnect_accepted(self):
-        from repro.cache.coherence import CoherenceDomain
-
-        top = Module("top")
-        bus = SharedBus("bus", period=10, parent=top)
-        domain = CoherenceDomain()
-        domain.attach_interconnect(bus, {0x1000_0000: 0})
-        assert len(bus._snoopers) == 1
-
-
 class TestRequestHelpers:
     def test_master_port_requires_unique_ids(self):
         top = Module("top")

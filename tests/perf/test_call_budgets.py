@@ -416,7 +416,7 @@ ROWS = [
     Row("l1-read-hit", platform(l1wb()), l1_read_hits, "read", 5, 5),
     Row("l1-write-back-write-hit", platform(l1wb()), l1_write_hits, "write",
         5, 5),
-    Row("l1-read-miss", platform(l1wb()), l1_read_misses, "miss", 138, 140),
+    Row("l1-read-miss", platform(l1wb()), l1_read_misses, "miss", 137, 139),
     Row("mesh-2x2-read",
         platform(PlatformBuilder().pes(1).wrapper_memories(1).mesh(2, 2)),
         mesh_reads, "read", 140, 154),
@@ -440,8 +440,8 @@ ROWS = [
     Row("l1-write-back-array-round-trip-8-lines", platform(l1wb()),
         l1_array_round_trip_lines(8), "write_array + read_array", 516, 561),
     Row("l1-write-back-array-round-trip-256-lines", platform(l1wb()),
-        l1_array_round_trip_lines(256), "write_array + read_array", 12537,
-        13000),
+        l1_array_round_trip_lines(256), "write_array + read_array", 12521,
+        12984),
     Row("shadow-map-resolve-lines", ShadowMap, shadow_resolves, "resolve",
         8, 8),
     Row("modeled-interior-read-lines", lambda: ModeledDynamicMemory(1 << 16),
