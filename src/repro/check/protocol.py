@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .report import AccessSite, ReportSink, SanitizerReport
+from .report import Access, AccessSite, ReportSink, SanitizerReport, site_of
 
 
 class ProtocolChecker:
@@ -31,10 +31,10 @@ class ProtocolChecker:
 
     def __init__(self, sink: ReportSink) -> None:
         self.sink = sink
-        #: (mem_index, alloc uid) -> (holder label, vptr, acquire site).
-        self.held: Dict[Tuple[int, int], Tuple[str, int, AccessSite]] = {}
-        #: id(port) -> (label, outstanding issue count, last issue time).
-        self._ports: Dict[int, Tuple[str, int, int]] = {}
+        #: (mem_index, alloc uid) -> (holder label, vptr, acquire access).
+        self.held: Dict[Tuple[int, int], Tuple[str, int, Access]] = {}
+        #: port -> (label, outstanding issue count, last issue time).
+        self._ports: Dict[object, Tuple[str, int, int]] = {}
         self.lock_leaks = 0
         self.reentries = 0
         self.lifecycle_violations = 0
@@ -42,7 +42,7 @@ class ProtocolChecker:
 
     # -- reservations ------------------------------------------------------------
     def reserved(self, key: Tuple[int, int], label: str, vptr: int,
-                 site: AccessSite) -> None:
+                 access: Access) -> None:
         holder = self.held.get(key)
         if holder is not None and holder[0] == label:
             self.reentries += 1
@@ -51,11 +51,11 @@ class ProtocolChecker:
                 message=(f"{label} RESERVEs smem{key[0]} vptr={vptr:#x} "
                          f"while already holding it (self-deadlock on a "
                          f"real semaphore)"),
-                time=site.time,
-                sites=[holder[2], site],
+                time=access[2],
+                sites=[site_of(holder[2]), site_of(access)],
             ))
             return
-        self.held[key] = (label, vptr, site)
+        self.held[key] = (label, vptr, access)
 
     def released(self, key: Tuple[int, int]) -> None:
         self.held.pop(key, None)
@@ -67,7 +67,7 @@ class ProtocolChecker:
     # -- master-port lifecycle -----------------------------------------------------
     def port_issued(self, port: object, label: str, time: int,
                     site: Optional[AccessSite] = None) -> None:
-        name, outstanding, _ = self._ports.get(id(port), (label, 0, 0))
+        name, outstanding, _ = self._ports.get(port, (label, 0, 0))
         if outstanding:
             self.lifecycle_violations += 1
             self.sink.emit(SanitizerReport(
@@ -78,11 +78,10 @@ class ProtocolChecker:
                 time=time,
                 sites=[site] if site is not None else [],
             ))
-        self._ports[id(port)] = (label, outstanding + 1, time)
+        self._ports[port] = (label, outstanding + 1, time)
 
     def port_completed(self, port: object, label: str, time: int) -> None:
-        name, outstanding, issue_time = self._ports.get(id(port),
-                                                        (label, 0, 0))
+        name, outstanding, issue_time = self._ports.get(port, (label, 0, 0))
         if outstanding <= 0:
             self.lifecycle_violations += 1
             self.sink.emit(SanitizerReport(
@@ -93,21 +92,21 @@ class ProtocolChecker:
                 sites=[],
             ))
             return
-        self._ports[id(port)] = (name, outstanding - 1, issue_time)
+        self._ports[port] = (name, outstanding - 1, issue_time)
 
     # -- register misuse -----------------------------------------------------------
-    def register_misuse(self, message: str, site: AccessSite) -> None:
+    def register_misuse(self, message: str, access: Access) -> None:
         self.register_misuses += 1
         self.sink.emit(SanitizerReport(
             checker="register-misuse",
             message=message,
-            time=site.time,
-            sites=[site],
+            time=access[2],
+            sites=[site_of(access)],
         ))
 
     # -- end of simulation -----------------------------------------------------------
     def finish(self, now: int) -> None:
-        for (mem_index, _uid), (label, vptr, site) in sorted(
+        for (mem_index, _uid), (label, vptr, access) in sorted(
                 self.held.items(), key=lambda item: item[0]):
             self.lock_leaks += 1
             self.sink.emit(SanitizerReport(
@@ -116,7 +115,7 @@ class ProtocolChecker:
                          f"RESERVEd by {label} at the end of the "
                          f"simulation (missing release)"),
                 time=now,
-                sites=[site],
+                sites=[site_of(access)],
             ))
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Tuple
 
-from .report import AccessSite, ReportSink, SanitizerReport
+from .report import Access, ReportSink, SanitizerReport, site_of
 from .vclock import Actor, Epoch, VectorClock
 
 #: Key of one allocation's shadow state: (memory index, allocation uid).
@@ -41,30 +41,34 @@ AllocKey = Tuple[int, int]
 class WordState:
     """Last-access state of one element of one allocation."""
 
-    __slots__ = ("w", "w_site", "aw", "aw_site", "reads", "areads", "msg")
+    __slots__ = ("w", "w_access", "aw", "aw_access", "reads", "areads",
+                 "msg")
 
     def __init__(self) -> None:
-        #: Last plain write: epoch + site.
+        #: Last plain write: epoch + access.
         self.w: Optional[Epoch] = None
-        self.w_site: Optional[AccessSite] = None
-        #: Last atomic (scalar) write: epoch + site.
+        self.w_access: Optional[Access] = None
+        #: Last atomic (scalar) write: epoch + access.
         self.aw: Optional[Epoch] = None
-        self.aw_site: Optional[AccessSite] = None
-        #: Plain reads since the last plain write: actor -> (clock, site).
-        self.reads: Dict[Actor, Tuple[int, AccessSite]] = {}
-        #: Atomic reads since the last plain write: actor -> (clock, site).
-        self.areads: Dict[Actor, Tuple[int, AccessSite]] = {}
+        self.aw_access: Optional[Access] = None
+        #: Plain reads since the last plain write: actor -> (clock, access).
+        self.reads: Dict[Actor, Tuple[int, Access]] = {}
+        #: Atomic reads since the last plain write: actor -> (clock, access).
+        self.areads: Dict[Actor, Tuple[int, Access]] = {}
         #: Release clock accumulated by atomic writes to this word.
         self.msg: Optional[VectorClock] = None
 
 
 class RaceDetector:
-    """Vector-clock state machine fed by the sanitizer suite."""
+    """Vector-clock state machine fed by the sanitizer suite.
+
+    Accesses arrive as :data:`~repro.check.report.Access` records; a word's
+    element is the element of both sites of a race reported on it.
+    """
 
     def __init__(self, sink: ReportSink) -> None:
         self.sink = sink
         self.clocks: Dict[Actor, VectorClock] = {}
-        self.labels: Dict[Actor, str] = {}
         #: (mem, uid) -> element -> WordState.
         self.words: Dict[AllocKey, Dict[int, WordState]] = {}
         self.lock_vc: Dict[AllocKey, VectorClock] = {}
@@ -81,15 +85,8 @@ class RaceDetector:
         self.races = 0
 
     # -- actors ------------------------------------------------------------------
-    def register_actor(self, actor: Actor, label: str) -> None:
+    def register_actor(self, actor: Actor) -> None:
         self.clocks.setdefault(actor, VectorClock())
-        self.labels[actor] = label
-
-    def is_actor(self, actor: Actor) -> bool:
-        return actor in self.clocks
-
-    def label(self, actor: Actor) -> str:
-        return self.labels.get(actor, str(actor))
 
     def begin_op(self, actor: Actor) -> VectorClock:
         """Start one observed operation of ``actor``: drain the actor's
@@ -102,36 +99,36 @@ class RaceDetector:
         return vc
 
     # -- race reporting ----------------------------------------------------------
-    def _race(self, prev: Tuple[Epoch, AccessSite], cur_epoch: Epoch,
-              site: AccessSite) -> None:
-        prev_epoch, prev_site = prev
+    def _race(self, prev_epoch: Epoch, prev: Access, cur_epoch: Epoch,
+              access: Access, element: int) -> None:
         key = (prev_epoch, cur_epoch)
         if key in self._reported:
             return
         self._reported.add(key)
         self.races += 1
+        master, op, time, mem_index, vptr, _ = access
         self.sink.emit(SanitizerReport(
             checker="data-race",
-            message=(f"unsynchronized accesses to smem{site.mem_index} "
-                     f"vptr={site.vptr:#x}[{site.element}]: "
-                     f"{site.master} {site.op} conflicts with "
-                     f"{prev_site.master} {prev_site.op}"),
-            time=site.time,
-            sites=[prev_site, site],
+            message=(f"unsynchronized accesses to smem{mem_index} "
+                     f"vptr={vptr:#x}[{element}]: "
+                     f"{master} {op} conflicts with {prev[0]} {prev[1]}"),
+            time=time,
+            sites=[site_of(prev, element), site_of(access, element)],
         ))
 
     def _check_epoch(self, vc: VectorClock, epoch: Optional[Epoch],
-                     epoch_site: Optional[AccessSite], cur_epoch: Epoch,
-                     site: AccessSite) -> None:
+                     prev: Optional[Access], cur_epoch: Epoch,
+                     access: Access, element: int) -> None:
         if epoch is not None and not vc.ordered_before(epoch):
-            self._race((epoch, epoch_site), cur_epoch, site)
+            self._race(epoch, prev, cur_epoch, access, element)
 
     def _check_read_set(self, vc: VectorClock,
-                        read_set: Dict[Actor, Tuple[int, AccessSite]],
-                        cur_epoch: Epoch, site: AccessSite) -> None:
-        for actor, (clock, read_site) in read_set.items():
+                        read_set: Dict[Actor, Tuple[int, Access]],
+                        cur_epoch: Epoch, access: Access,
+                        element: int) -> None:
+        for actor, (clock, read) in read_set.items():
             if vc.get(actor, 0) < clock:
-                self._race(((actor, clock), read_site), cur_epoch, site)
+                self._race((actor, clock), read, cur_epoch, access, element)
 
     # -- word accesses -----------------------------------------------------------
     def _word(self, key: AllocKey, element: int) -> WordState:
@@ -143,82 +140,76 @@ class RaceDetector:
             state = per_alloc[element] = WordState()
         return state
 
-    def _site_for(self, template: AccessSite, element: int) -> AccessSite:
-        if template.element == element:
-            return template
-        site = AccessSite(master=template.master, op=template.op,
-                          time=template.time, mem_index=template.mem_index,
-                          vptr=template.vptr, element=element,
-                          traceback=template.traceback)
-        return site
-
     def plain_write(self, actor: Actor, key: AllocKey,
-                    elements: Iterable[int], site: AccessSite) -> None:
+                    elements: Iterable[int], access: Access) -> None:
         vc = self.clocks[actor]
         cur = vc.epoch(actor)
         for element in elements:
             state = self._word(key, element)
-            word_site = self._site_for(site, element)
-            self._check_epoch(vc, state.w, state.w_site, cur, word_site)
-            self._check_epoch(vc, state.aw, state.aw_site, cur, word_site)
-            self._check_read_set(vc, state.reads, cur, word_site)
-            self._check_read_set(vc, state.areads, cur, word_site)
+            self._check_epoch(vc, state.w, state.w_access, cur, access,
+                              element)
+            self._check_epoch(vc, state.aw, state.aw_access, cur, access,
+                              element)
+            self._check_read_set(vc, state.reads, cur, access, element)
+            self._check_read_set(vc, state.areads, cur, access, element)
             state.w = cur
-            state.w_site = word_site
+            state.w_access = access
             state.aw = None
-            state.aw_site = None
+            state.aw_access = None
             state.reads.clear()
             state.areads.clear()
 
     def plain_read(self, actor: Actor, key: AllocKey,
-                   elements: Iterable[int], site: AccessSite) -> None:
+                   elements: Iterable[int], access: Access) -> None:
         vc = self.clocks[actor]
         cur = vc.epoch(actor)
         for element in elements:
             state = self._word(key, element)
-            word_site = self._site_for(site, element)
-            self._check_epoch(vc, state.w, state.w_site, cur, word_site)
-            self._check_epoch(vc, state.aw, state.aw_site, cur, word_site)
-            state.reads[actor] = (cur[1], word_site)
+            self._check_epoch(vc, state.w, state.w_access, cur, access,
+                              element)
+            self._check_epoch(vc, state.aw, state.aw_access, cur, access,
+                              element)
+            state.reads[actor] = (cur[1], access)
 
     def atomic_write(self, actor: Actor, key: AllocKey, element: int,
-                     site: AccessSite) -> None:
+                     access: Access) -> None:
         """A scalar WRITE: release semantics (serialised by the module)."""
         vc = self.clocks[actor]
         cur = vc.epoch(actor)
         state = self._word(key, element)
-        self._check_epoch(vc, state.w, state.w_site, cur, site)
-        self._check_read_set(vc, state.reads, cur, site)
+        self._check_epoch(vc, state.w, state.w_access, cur, access, element)
+        self._check_read_set(vc, state.reads, cur, access, element)
         if state.msg is None:
             state.msg = VectorClock()
         state.msg.join(vc)
         state.aw = cur
-        state.aw_site = site
+        state.aw_access = access
 
     def atomic_read(self, actor: Actor, key: AllocKey, element: int,
-                    site: AccessSite) -> None:
+                    access: Access) -> None:
         """A scalar READ: acquire semantics."""
         vc = self.clocks[actor]
         cur = vc.epoch(actor)
         state = self._word(key, element)
-        self._check_epoch(vc, state.w, state.w_site, cur, site)
+        self._check_epoch(vc, state.w, state.w_access, cur, access, element)
         if state.msg is not None:
             vc.join(state.msg)
-        state.areads[actor] = (cur[1], site)
+        state.areads[actor] = (cur[1], access)
 
     def free_alloc(self, actor: Actor, key: AllocKey,
-                   site: AccessSite) -> None:
+                   access: Access) -> None:
         """FREE conflicts with any unordered access to the allocation."""
         vc = self.clocks[actor]
         cur = vc.epoch(actor)
         per_alloc = self.words.pop(key, None)
         if per_alloc is not None:
             for element, state in per_alloc.items():
-                word_site = self._site_for(site, element)
-                self._check_epoch(vc, state.w, state.w_site, cur, word_site)
-                self._check_epoch(vc, state.aw, state.aw_site, cur, word_site)
-                self._check_read_set(vc, state.reads, cur, word_site)
-                self._check_read_set(vc, state.areads, cur, word_site)
+                self._check_epoch(vc, state.w, state.w_access, cur, access,
+                                  element)
+                self._check_epoch(vc, state.aw, state.aw_access, cur,
+                                  access, element)
+                self._check_read_set(vc, state.reads, cur, access, element)
+                self._check_read_set(vc, state.areads, cur, access, element)
         self.lock_vc.pop(key, None)
 
     # -- synchronisation edges ---------------------------------------------------

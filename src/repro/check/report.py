@@ -14,6 +14,11 @@ from typing import List, Tuple
 #: One workload stack frame: (filename, line, function).
 Frame = Tuple[str, int, str]
 
+#: An access as the checkers keep it until a finding names it: the
+#: :class:`AccessSite` fields but the element (the reported word's own);
+#: :func:`site_of` builds the site on emission.
+Access = Tuple[str, str, int, int, int, List[Frame]]
+
 
 @dataclass
 class AccessSite:
@@ -60,6 +65,12 @@ class AccessSite:
             "element": self.element,
             "traceback": [list(frame) for frame in self.traceback],
         }
+
+
+def site_of(access: Access, element: int = -1) -> AccessSite:
+    """The :class:`AccessSite` of ``access`` at ``element``."""
+    master, op, time, mem_index, vptr, traceback = access
+    return AccessSite(master, op, time, mem_index, vptr, element, traceback)
 
 
 @dataclass

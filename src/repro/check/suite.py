@@ -6,11 +6,14 @@ reads the actors (PE programs, DMA engines), the L1 caches and the
 address map off the platform and subscribes to five points of its
 :class:`~repro.kernel.probes.Probes` bus — ``port_issue`` /
 ``port_complete`` (fabric transfers), ``sync`` (kernel event
-notify/wake) and ``irq_raise`` / ``irq_claim`` (interrupt controller) —
-feeding the race detector, the protocol checkers and the coherence
-checker.  Word state is keyed by allocation generation uid, the row the
-platform's :class:`~repro.cache.shadow.ShadowMap` left at ``request.row``
-(the row the L1s key their lines by), so vptr reuse never aliases.
+notify/wake, watched for the actors' processes only) and ``irq_raise`` /
+``irq_claim`` (interrupt controller) — feeding the race detector, the
+protocol checkers and the coherence checker.  A transfer is placed by the
+fabric's decode (``request.region``) and a command burst is the memory's
+(``request.decoded``).  Word state is keyed by allocation generation uid,
+the row the platform's :class:`~repro.cache.shadow.ShadowMap` left at
+``request.row`` (the row the L1s key their lines by), so vptr reuse never
+aliases.
 
 Everything here only observes.  No event is notified, no process is
 created, no wait is issued: a sanitized run is counter-identical (delta
@@ -31,11 +34,11 @@ from typing import Dict, List, Optional
 from ..cache.shadow import BOOKKEEPING_OPCODES
 from ..fabric.address_map import Region
 from ..fabric.transaction import (
+    CACHE_TAG_SUFFIXES,
     WORD_SIZE,
     BusOp,
     BusRequest,
     BusResponse,
-    cache_transfer_kind,
 )
 from ..memory.protocol import (
     ARRAY_OPCODES,
@@ -43,12 +46,12 @@ from ..memory.protocol import (
     REG_COMMAND,
     MemCommand,
     MemOpcode,
-    launched_command,
+    MemStatus,
 )
 from .config import CheckConfig
 from .protocol import CoherenceChecker, ProtocolChecker
 from .race import RaceDetector
-from .report import AccessSite, Frame, ReportSink
+from .report import Access, Frame, ReportSink
 from .vclock import Actor
 
 #: The access a completed data command is to the race detector.
@@ -78,13 +81,17 @@ def _mask_lines(mask: int) -> List[int]:
 def workload_frames(process) -> List[Frame]:
     """The ``yield from`` chain of a suspended process, outermost first."""
     frames: List[Frame] = []
-    generator = getattr(process, "_generator", None)
-    while generator is not None and hasattr(generator, "gi_frame"):
-        frame = generator.gi_frame
-        if frame is not None:
-            code = frame.f_code
-            frames.append((code.co_filename, frame.f_lineno, code.co_name))
-        generator = getattr(generator, "gi_yieldfrom", None)
+    generator = process._generator
+    try:
+        while generator is not None:
+            frame = generator.gi_frame
+            if frame is not None:
+                code = frame.f_code
+                frames.append((code.co_filename, frame.f_lineno,
+                               code.co_name))
+            generator = generator.gi_yieldfrom
+    except AttributeError:  # the chain ends in an iterator, not a generator
+        pass
     return frames
 
 
@@ -113,7 +120,6 @@ class SanitizerSuite:
         """
         interconnect = platform.interconnect
         self.shadow = platform.shadow
-        self._now = interconnect.sim_now
         self._find_region = interconnect.address_map.find_region
         #: Memory-window base -> memory index; any other region is a device.
         self._mem_index = platform.windows
@@ -130,49 +136,54 @@ class SanitizerSuite:
             self._add_actor(pe_index, processor.name, processor.processes[0])
         if self.config.coherence and platform.caches:
             self.coherence = CoherenceChecker(self.sink, platform.caches)
-        platform.probes.subscribe(
+        probes = platform.probes
+        probes.subscribe(
             port_issue=self.on_port_issue,
             port_complete=self.on_port_complete,
-            sync=self.on_kernel_sync,
             irq_raise=self.irq_raised,
             irq_claim=self.irq_claimed,
         )
+        if self.race is not None:
+            probes.watch(*self._actor_of_process)
+            probes.subscribe(sync=self.on_kernel_sync)
 
     def _add_actor(self, actor: Actor, label: str, process) -> None:
         """Declare a synchronisation-carrying actor (PE, DMA engine)."""
         self._labels[actor] = label
         if self.race is not None:
-            self.race.register_actor(actor, label)
+            self.race.register_actor(actor)
         self._actor_of_process[process] = actor
         self._process_of_actor[actor] = process
 
     # -- shared helpers ------------------------------------------------------------
     def _label(self, actor: Actor) -> str:
-        return self._labels.get(actor, f"master{actor}")
+        label = self._labels.get(actor)
+        return label if label is not None else f"master{actor}"
 
-    def _site(self, actor: Actor, op: str, time: int, mem_index: int = -1,
-              vptr: int = 0, element: int = -1) -> AccessSite:
+    def _access(self, actor: Actor, op: str, time: int, mem_index: int = -1,
+                vptr: int = 0) -> Access:
+        """The record of one access; its site is built if a finding names it
+        (:func:`~repro.check.report.site_of`)."""
         traceback: List[Frame] = []
         if self.config.capture_stacks:
             process = self._process_of_actor.get(actor)
             if process is not None:
                 traceback = workload_frames(process)
-        return AccessSite(master=self._label(actor), op=op, time=time,
-                          mem_index=mem_index, vptr=vptr, element=element,
-                          traceback=traceback)
+        return (self._label(actor), op, time, mem_index, vptr, traceback)
 
     # -- fabric port probes ----------------------------------------------------------
     def on_port_issue(self, port, request: BusRequest) -> None:
-        time = self._now()
         if self.protocol is not None:
-            self.protocol.port_issued(port, self._port_label(port, request),
-                                      time)
+            self.protocol.port_issued(
+                port, port.name or f"master{request.master_id}",
+                self._simulator.now)
         race = self.race
         if race is None or request.op is not BusOp.WRITE:
             return
         actor = request.master_id
-        if not race.is_actor(actor):
-            return
+        if (actor not in race.clocks
+                or request.address in self.shadow.command_mem):
+            return  # a memory's command burst rings no device
         region = self._find_region(request.address)
         if region is None or region.base in self._mem_index:
             return
@@ -186,38 +197,35 @@ class SanitizerSuite:
 
     def on_port_complete(self, port, request: BusRequest,
                          response: BusResponse) -> None:
-        time = self._now()
         if self.protocol is not None:
-            self.protocol.port_completed(port,
-                                         self._port_label(port, request),
-                                         time)
-        region = self._find_region(request.address)
+            self.protocol.port_completed(
+                port, port.name or f"master{request.master_id}",
+                self._simulator.now)
+        region = request.region  # the fabric's decode
         if region is None:
             return
         mem_index = self._mem_index.get(region.base)
-        if mem_index is not None:
-            self._memory_access(region, mem_index, request, response, time)
-        else:
-            self._device_access(region, request, time)
-
-    @staticmethod
-    def _port_label(port, request: BusRequest) -> str:
-        name = getattr(port, "name", "")
-        return name or f"master{request.master_id}"
+        command = request.decoded  # the memory's, made as it served
+        if mem_index is None:
+            self._device_access(region, request)
+        elif isinstance(command, MemCommand):
+            self._memory_command(mem_index, command, request, response)
+        elif self.protocol is not None:
+            self._register_access(region, request, command)
 
     # -- device-window accesses --------------------------------------------------------
-    def _device_access(self, window: Region, request: BusRequest,
-                       time: int) -> None:
+    def _device_access(self, window: Region, request: BusRequest) -> None:
         if self.protocol is None:
             return
         offset = request.address - window.base
         actor = request.master_id
+        time = self._simulator.now
         if not request.is_burst and request.size != WORD_SIZE:
             self.protocol.register_misuse(
                 f"{self._label(actor)}: {request.size}-byte access to "
                 f"{window.name}+{offset:#x} (registers are word-access "
                 f"only)",
-                self._site(actor, "sub-word access", time))
+                self._access(actor, "sub-word access", time))
             return
         if request.op is BusOp.WRITE and not request.is_burst \
                 and offset % WORD_SIZE == 0 \
@@ -227,107 +235,108 @@ class SanitizerSuite:
                 f"{self._label(actor)}: write to read-only register "
                 f"{window.name}+{offset:#x} (silently ignored by the "
                 f"device)",
-                self._site(actor, "read-only write", time))
+                self._access(actor, "read-only write", time))
 
     # -- memory-window accesses --------------------------------------------------------
-    def _memory_access(self, window: Region, mem_index: int,
-                       request: BusRequest, response: BusResponse,
-                       time: int) -> None:
+    def _register_access(self, window: Region, request: BusRequest,
+                         command: Optional[MemStatus]) -> None:
+        """A memory-window transfer that launched no command (``command`` is
+        ``None``, or the NACKed :attr:`MemStatus.ERR_MALFORMED`)."""
         offset = request.address - window.base
+        if offset >= IO_ARRAY_BASE:
+            return
+        # Below the I/O array a memory takes one write: the command burst.
         actor = request.master_id
-        command = launched_command(request, offset)
-        if self.protocol is not None and offset < IO_ARRAY_BASE:
-            # Below the I/O array a memory takes one write: the command burst.
-            if not request.is_burst and request.size != WORD_SIZE:
-                self.protocol.register_misuse(
-                    f"{self._label(actor)}: {request.size}-byte access to "
-                    f"{window.name}+{offset:#x} (memory registers are "
-                    f"word-access only)",
-                    self._site(actor, "sub-word access", time))
-            elif request.op is BusOp.WRITE and command is None:
-                self.protocol.register_misuse(
-                    f"{self._label(actor)}: write to read-only register "
-                    f"{window.name}+{offset:#x} (only the command burst at "
-                    f"+{REG_COMMAND:#x} is written below the I/O array)",
-                    self._site(actor, "read-only write", time))
-        if isinstance(command, MemCommand):
-            self._memory_command(mem_index, actor, command, request,
-                                 response, time)
+        time = self._simulator.now
+        if not request.is_burst and request.size != WORD_SIZE:
+            self.protocol.register_misuse(
+                f"{self._label(actor)}: {request.size}-byte access to "
+                f"{window.name}+{offset:#x} (memory registers are "
+                f"word-access only)",
+                self._access(actor, "sub-word access", time))
+        elif request.op is BusOp.WRITE and command is None:
+            self.protocol.register_misuse(
+                f"{self._label(actor)}: write to read-only register "
+                f"{window.name}+{offset:#x} (only the command burst at "
+                f"+{REG_COMMAND:#x} is written below the I/O array)",
+                self._access(actor, "read-only write", time))
 
-    def _memory_command(self, mem_index: int, actor: Actor,
-                        command: MemCommand, request: BusRequest,
-                        response: BusResponse, time: int) -> None:
+    def _memory_command(self, mem_index: int, command: MemCommand,
+                        request: BusRequest, response: BusResponse) -> None:
+        actor = request.master_id
         ok = response.ok
         opcode = command.opcode
         race = self.race
-        tracked = race is not None and race.is_actor(actor)
-        cache_internal = cache_transfer_kind(request.tag) is not None
+        tracked = race is not None and actor in race.clocks
+        cache_internal = request.tag.endswith(CACHE_TAG_SUFFIXES)
         if tracked and not cache_internal:
             race.begin_op(actor)
 
-        if opcode in BOOKKEEPING_OPCODES:
-            alloc = request.row if ok else None
-            if alloc is None or opcode is MemOpcode.ALLOC:
+        label = _ACCESS_LABELS.get(opcode)
+        if label is not None:
+            if not ok or not tracked or cache_internal:
                 return
+            array = opcode in ARRAY_OPCODES
+            count = command.dim if array else 1
+            located = self.shadow.resolve(mem_index, command.vptr,
+                                          command.offset, count)
+            if located is None:
+                return
+            alloc, start = located
             key = (mem_index, alloc.uid)
-            if opcode is MemOpcode.FREE:
-                if tracked and not cache_internal:
-                    race.free_alloc(actor, key, self._site(
-                        actor, "free", time, mem_index, command.vptr, -1))
-                elif race is not None:
-                    race.words.pop(key, None)
-                    race.lock_vc.pop(key, None)
-                if self.protocol is not None:
-                    self.protocol.freed(key)
-            elif opcode is MemOpcode.RESERVE:
-                if tracked:
-                    race.acquire(actor, key)
-                if self.protocol is not None:
-                    self.protocol.reserved(
-                        key, self._label(actor), command.vptr,
-                        self._site(actor, "reserve", time, mem_index,
-                                   command.vptr))
+            access = self._access(actor, label, self._simulator.now,
+                                  mem_index, command.vptr)
+            if array:
+                touch = (race.plain_write if opcode is MemOpcode.WRITE_ARRAY
+                         else race.plain_read)
+                touch(actor, key, range(start, start + count), access)
             else:
-                if tracked:
-                    race.release(actor, key)
-                if self.protocol is not None:
-                    self.protocol.released(key)
-            self._scan_coherence(time)
+                touch = (race.atomic_write if opcode is MemOpcode.WRITE
+                         else race.atomic_read)
+                touch(actor, key, start, access)
             return
 
-        label = _ACCESS_LABELS.get(opcode)
-        if not ok or not tracked or cache_internal or label is None:
+        if opcode not in BOOKKEEPING_OPCODES:
             return
-        array = opcode in ARRAY_OPCODES
-        count = command.dim if array else 1
-        located = self.shadow.resolve(mem_index, command.vptr, command.offset,
-                                      count)
-        if located is None:
+        alloc = request.row if ok else None
+        if alloc is None or opcode is MemOpcode.ALLOC:
             return
-        alloc, start = located
         key = (mem_index, alloc.uid)
-        site = self._site(actor, label, time, mem_index, command.vptr, start)
-        if array:
-            access = (race.plain_write if opcode is MemOpcode.WRITE_ARRAY
-                      else race.plain_read)
-            access(actor, key, range(start, start + count), site)
+        time = self._simulator.now
+        if opcode is MemOpcode.FREE:
+            if tracked and not cache_internal:
+                race.free_alloc(actor, key, self._access(
+                    actor, "free", time, mem_index, command.vptr))
+            elif race is not None:
+                race.words.pop(key, None)
+                race.lock_vc.pop(key, None)
+            if self.protocol is not None:
+                self.protocol.freed(key)
+        elif opcode is MemOpcode.RESERVE:
+            if tracked:
+                race.acquire(actor, key)
+            if self.protocol is not None:
+                self.protocol.reserved(
+                    key, self._label(actor), command.vptr,
+                    self._access(actor, "reserve", time, mem_index,
+                                 command.vptr))
         else:
-            access = (race.atomic_write if opcode is MemOpcode.WRITE
-                      else race.atomic_read)
-            access(actor, key, start, site)
+            if tracked:
+                race.release(actor, key)
+            if self.protocol is not None:
+                self.protocol.released(key)
+        self._scan_coherence(time)
 
     # -- kernel ``sync`` probe ---------------------------------------------------------
     def on_kernel_sync(self, kind: str, event, process) -> None:
-        race = self.race
-        if race is None or process is None:
-            return
+        """A watched actor process notified ``event``, or was woken by it."""
         actor = self._actor_of_process.get(process)
-        if actor is None:
+        if actor is None:  # watched by another subscriber
             return
         if kind == "notify":
-            race.kernel_notify(actor, event)
+            self.race.kernel_notify(actor, event)
         else:
-            race.kernel_wake(actor, event)
+            self.race.kernel_wake(actor, event)
 
     # -- interrupt-controller probes (see dev.irq) -------------------------------------
     def irq_raised(self, mask: int) -> None:

@@ -8,6 +8,7 @@ lookup (slave → base address), and validates overlaps at construction time.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
@@ -40,10 +41,6 @@ class Region:
         """First byte address *after* the region."""
         return self.base + self.size
 
-    def contains(self, address: int) -> bool:
-        """True if ``address`` falls inside this region."""
-        return self.base <= address < self.end
-
     def overlaps(self, other: "Region") -> bool:
         """True if this region shares any address with ``other``."""
         return self.base < other.end and other.base < self.end
@@ -54,6 +51,9 @@ class AddressMap:
 
     def __init__(self) -> None:
         self._regions: List[Region] = []
+        #: Each region's base and end, in the order of :attr:`_regions`.
+        self._bases: List[int] = []
+        self._ends: List[int] = []
 
     def add_region(self, name: str, base: int, size: int, slave: Any) -> Region:
         """Register a new window; raises :class:`AddressMapConflict` on overlap."""
@@ -68,6 +68,8 @@ class AddressMap:
                 )
         self._regions.append(region)
         self._regions.sort(key=lambda r: r.base)
+        self._bases = [r.base for r in self._regions]
+        self._ends = [r.end for r in self._regions]
         return region
 
     @property
@@ -84,11 +86,9 @@ class AddressMap:
 
     def find_region(self, address: int) -> Optional[Region]:
         """Return the region containing ``address``, or ``None``."""
-        # Linear scan is fine: maps have a handful of regions and decode is
-        # not the bottleneck compared with slave behaviour.
-        for region in self._regions:
-            if region.contains(address):
-                return region
+        index = bisect_right(self._bases, address) - 1
+        if index >= 0 and address < self._ends[index]:
+            return self._regions[index]
         return None
 
     def base_of(self, slave: Any) -> int:

@@ -276,7 +276,8 @@ class Fabric(Module):
         decode error completes (:meth:`_complete_decode_error`).
         """
         try:
-            slave, offset, _region = self.address_map.decode(request.address)
+            slave, offset, request.region = self.address_map.decode(
+                request.address)
         except AddressDecodeError:
             if self._unmapped is None:
                 return self._complete_decode_error(port, request)

@@ -66,6 +66,10 @@ class BusRequest:
     #: The shadow-map row a served ALLOC / FREE / RESERVE / RELEASE acted
     #: on, left by :meth:`ShadowMap.snoop`; a class default like ``decoded``.
     row = None
+    #: The address-map region the fabric decoded ``address`` to when it
+    #: queued the request (``None`` on a decode error), so instrumentation
+    #: decodes nothing again; a class default like ``decoded``.
+    region = None
 
     def __post_init__(self) -> None:
         if self.size not in (1, 2, WORD_SIZE):

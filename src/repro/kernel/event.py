@@ -48,13 +48,16 @@ class Event:
         sim.stats.events_fired += 1
         sync = sim.probes.sync
         if sync is not None:
-            sync("notify", self, sim._current_process)
+            watched = sim.probes.watched
+            if sim._current_process in watched:
+                sync("notify", self, sim._current_process)
         waiters = self._waiters
         if waiters:  # most notifies wake nobody
             self._waiters = []
             if sync is not None:
                 for process in waiters:
-                    sync("wake", self, process)
+                    if process in watched:
+                        sync("wake", self, process)
             sim._immediate_runnable.extend(waiters)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

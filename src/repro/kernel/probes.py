@@ -20,7 +20,7 @@ Probe points, their emitters and call signatures:
 ==================  ==========================  ===============================
 point               emitted by                  arguments
 ==================  ==========================  ===============================
-``sync``            ``Simulator``               ``(kind, event, process)``
+``sync``            ``Event.notify``            ``(kind, event, process)``
 ``port_issue``      ``MasterPort.transfer``     ``(port, request)``
 ``port_complete``   ``Fabric`` (delivery)       ``(port, request, response)``
 ``irq_raise``       ``InterruptController``     ``(mask)``
@@ -32,19 +32,44 @@ point               emitted by                  arguments
 ==================  ==========================  ===============================
 
 ``sync`` kinds are ``"notify"`` (the running ``process`` notified
-``event``) and ``"wake"`` (``event`` woke ``process``).
+``event``) and ``"wake"`` (``event`` woke ``process``).  It fires only for
+the processes in :attr:`Probes.watched`, which its subscribers fill
+(:meth:`Probes.watch`): most notifies are a fabric or router process
+handing work on, and an unwatched process emits nothing.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Set, Tuple
 
-#: The probe points, fixed: a new one is added here and at its emit site.
-POINTS = ("sync", "port_issue", "port_complete", "irq_raise", "irq_wait",
-          "irq_claim", "dma_begin", "dma_end", "task_span")
+#: The probe points and how many arguments each is emitted with (the table
+#: above), fixed: a new one is added here and at its emit site.
+ARGUMENTS = {"sync": 3, "port_issue": 2, "port_complete": 3, "irq_raise": 1,
+             "irq_wait": 1, "irq_claim": 2, "dma_begin": 2, "dma_end": 3,
+             "task_span": 4}
+POINTS = tuple(ARGUMENTS)
 
 
-def _fan_out(subscribers: Tuple[Callable, ...]) -> Callable:
+def _fan_out(subscribers: Tuple[Callable, ...], arguments: int) -> Callable:
+    """One emitter calling every subscriber in order.  Two subscribers (a
+    sanitized, traced platform) get one naming the arguments: forwarding
+    ``*args`` takes the interpreter's slow call path per subscriber."""
+    if len(subscribers) == 2 and arguments <= 3:
+        first, second = subscribers
+        if arguments == 1:
+            def emit(a) -> None:
+                first(a)
+                second(a)
+        elif arguments == 2:
+            def emit(a, b) -> None:
+                first(a, b)
+                second(a, b)
+        else:
+            def emit(a, b, c) -> None:
+                first(a, b, c)
+                second(a, b, c)
+        return emit
+
     def emit(*args) -> None:
         for subscriber in subscribers:
             subscriber(*args)
@@ -54,12 +79,18 @@ def _fan_out(subscribers: Tuple[Callable, ...]) -> Callable:
 class Probes:
     """One attribute per probe point (see the module docstring)."""
 
-    __slots__ = POINTS + ("_subscribers",)
+    __slots__ = POINTS + ("_subscribers", "watched")
 
     def __init__(self) -> None:
         self._subscribers: Dict[str, Tuple[Callable, ...]] = {}
         for point in POINTS:
             setattr(self, point, None)
+        #: The processes ``sync`` fires for (see the module docstring).
+        self.watched: Set[object] = set()
+
+    def watch(self, *processes: object) -> None:
+        """Let ``sync`` fire for ``processes``' notifies and wakes."""
+        self.watched.update(processes)
 
     def subscribe(self, **callbacks: Callable) -> None:
         """Subscribe ``point=callback`` pairs; callbacks of one point fire
@@ -72,4 +103,4 @@ class Probes:
             subscribers = self._subscribers.get(point, ()) + (callback,)
             self._subscribers[point] = subscribers
             setattr(self, point, callback if len(subscribers) == 1
-                    else _fan_out(subscribers))
+                    else _fan_out(subscribers, ARGUMENTS[point]))

@@ -18,9 +18,10 @@ policy), ``run(duration)`` always leaves ``now`` at ``start + duration`` —
 even when activity drains early.
 
 Instrumentation: the kernel emits the ``sync`` point of its
-:class:`~repro.kernel.probes.Probes` bus on every event notify and every
-event-driven wake, and exposes :attr:`Simulator.current_process` so
-subscribers of any probe can attribute what they see.
+:class:`~repro.kernel.probes.Probes` bus on every event notify by, and
+every event-driven wake of, a process in :attr:`Probes.watched`, and
+exposes :attr:`Simulator.current_process` so subscribers of any probe can
+attribute what they see.
 
 Scheduler fast paths (semantics-preserving; see ``tests/kernel`` and
 ``tests/perf``):

@@ -236,7 +236,8 @@ class MeshNoc(Fabric):
                 f"outstanding"
             )
         try:
-            slave, offset, _region = self.address_map.decode(request.address)
+            slave, offset, request.region = self.address_map.decode(
+                request.address)
         except AddressDecodeError:
             return self._complete_decode_error(port, request)
         self._inflight.add(port.master_id)

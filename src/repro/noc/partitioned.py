@@ -116,9 +116,9 @@ class BoundaryRuntime:
                 f"across a partition cut; keep each lock's contenders "
                 f"(masters and the locked memory) inside one partition"
             )
-        # The slave object is partition-local state; the receiving side
-        # rebinds it from its own (identical) address map.
-        packet.slave = None
+        # The slave and the decoded region are partition-local state; the
+        # receiving side rebinds them from its own (identical) address map.
+        packet.slave = packet.request.region = None
         flit = BoundaryFlit(
             net=net,
             src_partition=self.context.index,
@@ -184,11 +184,12 @@ class PartitionedMeshNoc(MeshNoc):
         at exactly the delivery time.
         """
         packet = flit.packet
-        if not packet.is_response and packet.slave is None:
-            slave, offset, _region = self.address_map.decode(
-                packet.request.address)
-            packet.slave = slave
-            packet.offset = offset
+        request = packet.request
+        if packet.is_response:
+            request.region = self.address_map.find_region(request.address)
+        elif packet.slave is None:
+            packet.slave, packet.offset, request.region = \
+                self.address_map.decode(request.address)
         port = self._nets[flit.net][packet.path[packet.hop]]
         port.enqueue(packet.lanes[packet.hop], packet)
         self.runtime.received += 1

@@ -23,8 +23,8 @@ exporter):
 * ``("pes", <pe name>)`` — task-execution span, ``ctx.span`` phase
   annotations, IRQ wait spans and claim instants of one PE;
 * ``("fabric", <port name>)`` — transaction spans per master port
-  (issue→complete, named ``<op> <slave>``; cache fill/writeback/restage
-  traffic is categorised ``cache``);
+  (issue→complete, named ``<op> <slave>`` after the region the fabric
+  decoded; cache fill/writeback/restage traffic is categorised ``cache``);
 * ``("devices", <device name>)`` — DMA transfer spans and IRQ raise
   instants;
 * ``("metrics", "counters")`` — the sampler's counter track.
@@ -34,11 +34,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..fabric.transaction import cache_transfer_kind
+from ..fabric.transaction import BusOp, cache_transfer_kind
 from .config import ObsConfig
 from .hostprof import HostProfiler
 from .metrics import MetricsSampler
-from .trace import TraceCollector
+from .trace import TraceCollector, TraceEvent
 
 
 class ObsSuite:
@@ -73,6 +73,9 @@ class ObsSuite:
         self._irq_waits: Dict[int, int] = {}
         #: engine name -> DMA transfer-begin (timestamp, programmed count).
         self._dma_starts: Dict[str, Tuple[int, int]] = {}
+        #: (op is a write, slave region name) -> fabric span name; keyed
+        #: by a bool, not the op, whose enum hash is a Python call.
+        self._span_names: Dict[Tuple[bool, str], str] = {}
 
     # -- wiring -------------------------------------------------------------------------
     def attach(self, platform) -> None:
@@ -82,9 +85,8 @@ class ObsSuite:
         and simulator all exist.
         """
         self.interconnect = platform.interconnect
-        #: Current simulated time in picoseconds.
-        self.now = platform.interconnect.sim_now
-        #: Runnable-depth gauge and host-profile attribution.
+        #: The clock (``simulator.now``, in picoseconds), the runnable-depth
+        #: gauge and the host-profile attribution.
         self.simulator = platform.simulator
         self._processors = platform.processors
         #: pe_id -> PE track lane.
@@ -115,13 +117,13 @@ class ObsSuite:
 
     # -- fabric probes ------------------------------------------------------------------
     def on_port_issue(self, port, request) -> None:
-        now = self.now()
+        now = self.simulator.now
         self._issue_times[id(request)] = now
         self._outstanding[port.name] = self._outstanding.get(port.name, 0) + 1
         self._observe(now)
 
     def on_port_complete(self, port, request, response) -> None:
-        now = self.now()
+        now = self.simulator.now
         issued = self._issue_times.pop(id(request), now)
         held = self._outstanding.get(port.name, 0)
         if held:
@@ -132,33 +134,39 @@ class ObsSuite:
             if name is not None:
                 cat = "cache"
             else:
-                region = self.interconnect.address_map.find_region(
-                    request.address)
+                # Named by the region the fabric decoded: no decode here.
+                region = request.region
                 slave = region.name if region is not None else "?"
-                cat, name = "fabric", f"{request.op.value} {slave}"
+                cat = "fabric"
+                key = (request.op is BusOp.WRITE, slave)
+                name = self._span_names.get(key)
+                if name is None:
+                    name = self._span_names[key] = \
+                        f"{request.op.value} {slave}"
             args = {"addr": f"{request.address:#x}",
                     "words": request.word_count, "ok": response.ok}
             if tag:
                 args["tag"] = tag
-            self.trace.complete(name, cat, issued, now - issued,
-                                ("fabric", port.name), **args)
+            self.trace.emit(TraceEvent("X", name, cat, issued,
+                                       ("fabric", port.name), now - issued,
+                                       args))
         self._observe(now)
 
     # -- interrupt probes ---------------------------------------------------------------
     def irq_raised(self, mask: int) -> None:
-        now = self.now()
+        now = self.simulator.now
         if self.trace is not None:
             self.trace.instant("irq raise", "irq", now,
                                ("devices", "irq"), mask=f"{mask:#x}")
         self._observe(now)
 
     def irq_wait_begin(self, pe_id: int) -> None:
-        now = self.now()
+        now = self.simulator.now
         self._irq_waits[pe_id] = now
         self._observe(now)
 
     def irq_claimed(self, pe_id: int, mask: int) -> None:
-        now = self.now()
+        now = self.simulator.now
         lane = self._pe_lanes.get(pe_id, f"pe{pe_id}")
         began = self._irq_waits.pop(pe_id, now)
         if self.trace is not None:
@@ -170,12 +178,12 @@ class ObsSuite:
 
     # -- DMA probes ---------------------------------------------------------------------
     def dma_begin(self, engine, count: int) -> None:
-        now = self.now()
+        now = self.simulator.now
         self._dma_starts[engine.name] = (now, count)
         self._observe(now)
 
     def dma_end(self, engine, ok: bool, words_done: int) -> None:
-        now = self.now()
+        now = self.simulator.now
         began, count = self._dma_starts.pop(engine.name, (now, 0))
         if self.trace is not None:
             self.trace.complete("dma transfer", "dma", began, now - began,

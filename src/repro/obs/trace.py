@@ -25,13 +25,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
     """One timeline event, in simulated time.
 
     ``ph`` is the Chrome trace-event phase (``"X"``, ``"i"`` or ``"C"``);
     ``ts`` and ``dur`` are simulated picoseconds; ``track`` is the
-    ``(group, lane)`` pair the exporter maps to ``pid``/``tid``.
+    ``(group, lane)`` pair the exporter maps to ``pid``/``tid``.  Slotted
+    and built positionally, since a traced run makes one per transfer;
+    nothing mutates an event once it is emitted.
     """
 
     ph: str
@@ -79,20 +81,18 @@ class TraceCollector:
     def complete(self, name: str, cat: str, ts: int, dur: int,
                  track: Tuple[str, str], **args) -> bool:
         """Record a span (``"X"`` complete event) of ``dur`` ps at ``ts``."""
-        return self.emit(TraceEvent(ph="X", name=name, cat=cat, ts=ts,
-                                    track=track, dur=dur, args=args))
+        return self.emit(TraceEvent("X", name, cat, ts, track, dur, args))
 
     def instant(self, name: str, cat: str, ts: int,
                 track: Tuple[str, str], **args) -> bool:
         """Record a point event (``"i"`` instant) at ``ts``."""
-        return self.emit(TraceEvent(ph="i", name=name, cat=cat, ts=ts,
-                                    track=track, args=args))
+        return self.emit(TraceEvent("i", name, cat, ts, track, 0, args))
 
     def counter(self, name: str, cat: str, ts: int,
                 track: Tuple[str, str], values: Dict[str, float]) -> bool:
         """Record a ``"C"`` counter sample (one series per key)."""
-        return self.emit(TraceEvent(ph="C", name=name, cat=cat, ts=ts,
-                                    track=track, args=dict(values)))
+        return self.emit(TraceEvent("C", name, cat, ts, track, 0,
+                                    dict(values)))
 
     # -- inspection ---------------------------------------------------------------------
     def __len__(self) -> int:

@@ -18,12 +18,16 @@ reason in the commit message::
 
 The tracebacks name workload and library source lines, so editing a line
 on a traced ``yield from`` chain (a workload, ``wrapper/api.py``,
-``fabric/port.py``, ``sw/task_processor.py``) re-records too.
+``fabric/port.py``, ``sw/task_processor.py``) re-records too.  The golden
+was recorded on CPython 3.11; which line of a multi-line ``yield from``
+a suspended frame reports is the interpreter's choice, so other versions
+compare every traceback without its line numbers.
 """
 
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
@@ -115,11 +119,24 @@ def test_findings_are_the_planted_ones(observed):
                           "producer_consumer_irq": 0, "stencil": 0}
 
 
+def _lineless(cell):
+    """A copy of ``cell`` whose traceback frames carry no line number."""
+    cell = json.loads(json.dumps(cell))
+    for report in cell["sanitizer_reports"]:
+        for site in report["sites"]:
+            site["traceback"] = [[filename, function] for filename, _line,
+                                 function in site["traceback"]]
+    return cell
+
+
 @pytest.mark.parametrize("cell", CELLS)
 def test_probe_outputs_match_golden(cell, golden, observed):
-    assert observed[cell] == golden[cell]
+    want, got = golden[cell], observed[cell]
+    if sys.version_info[:2] != (3, 11):
+        want, got = (_lineless(outputs) for outputs in (want, got))
+    assert got == want
     # Dict equality ignores key order; the serialised form does not.
-    assert json.dumps(observed[cell]) == json.dumps(golden[cell])
+    assert json.dumps(got) == json.dumps(want)
 
 
 if __name__ == "__main__":

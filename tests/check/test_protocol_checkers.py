@@ -2,14 +2,14 @@
 
 from repro.api import PlatformBuilder, run_tasks
 from repro.check.protocol import ProtocolChecker
-from repro.check.report import AccessSite, ReportSink
+from repro.check.report import ReportSink
 from repro.memory import DataType
 from repro.memory.protocol import REG_STATUS
 
 
 def _site(master, op, time=0):
-    return AccessSite(master=master, op=op, time=time, mem_index=0,
-                      vptr=0x100)
+    """An access record: (master, op, time, mem_index, vptr, traceback)."""
+    return (master, op, time, 0, 0x100, [])
 
 
 def _checker():

@@ -4,20 +4,21 @@ import pytest
 
 from repro.api import PlatformBuilder, run_tasks
 from repro.check.race import RaceDetector
-from repro.check.report import AccessSite, ReportSink
+from repro.check.report import ReportSink
 from repro.memory import DataType
 
 
-def _site(master, op, element=-1, time=0):
-    return AccessSite(master=master, op=op, time=time, mem_index=0,
-                      vptr=0x100, element=element)
+def _site(master, op, time=0):
+    """An access record: (master, op, time, mem_index, vptr, traceback).
+    A reported site's element is the word's own."""
+    return (master, op, time, 0, 0x100, [])
 
 
 @pytest.fixture
 def detector():
     detector = RaceDetector(ReportSink(max_reports=16))
-    detector.register_actor(0, "pe0")
-    detector.register_actor(1, "pe1")
+    detector.register_actor(0)
+    detector.register_actor(1)
     return detector
 
 
@@ -40,24 +41,29 @@ def test_plain_write_write_race(detector):
 
 def test_plain_read_write_race(detector):
     detector.begin_op(0)
-    detector.plain_write(0, KEY, [3], _site("pe0", "array write", 3))
+    detector.plain_write(0, KEY, [3], _site("pe0", "array write"))
     detector.begin_op(1)
-    detector.plain_read(1, KEY, [3], _site("pe1", "array read", 3))
+    detector.plain_read(1, KEY, [3], _site("pe1", "array read"))
     assert detector.races == 1
+    # Both sites are built at the report, at the racing word's element.
+    [report] = detector.sink.reports
+    assert [(site.master, site.element) for site in report.sites] == [
+        ("pe0", 3), ("pe1", 3)]
+    assert "vptr=0x100[3]" in report.message
     # Two plain reads of the same word do not race each other.
     detector.begin_op(0)
     races_before = detector.races
-    detector.plain_read(0, KEY, [3], _site("pe0", "array read", 3))
+    detector.plain_read(0, KEY, [3], _site("pe0", "array read"))
     assert detector.races == races_before
 
 
 def test_lock_orders_accesses(detector):
     detector.begin_op(0)
-    detector.plain_write(0, KEY, [0], _site("pe0", "array write", 0))
+    detector.plain_write(0, KEY, [0], _site("pe0", "array write"))
     detector.release(0, KEY)
     detector.begin_op(1)
     detector.acquire(1, KEY)
-    detector.plain_read(1, KEY, [0], _site("pe1", "array read", 0))
+    detector.plain_read(1, KEY, [0], _site("pe1", "array read"))
     assert detector.races == 0
 
 
@@ -65,27 +71,27 @@ def test_atomic_flag_orders_plain_accesses(detector):
     # The wait_flag idiom: plain writes, then a scalar flag write; the
     # reader polls the flag (acquire) and then reads the payload.
     detector.begin_op(0)
-    detector.plain_write(0, KEY, [1], _site("pe0", "array write", 1))
+    detector.plain_write(0, KEY, [1], _site("pe0", "array write"))
     detector.begin_op(0)
-    detector.atomic_write(0, KEY, 0, _site("pe0", "write", 0))
+    detector.atomic_write(0, KEY, 0, _site("pe0", "write"))
     detector.begin_op(1)
-    detector.atomic_read(1, KEY, 0, _site("pe1", "read", 0))
-    detector.plain_read(1, KEY, [1], _site("pe1", "array read", 1))
+    detector.atomic_read(1, KEY, 0, _site("pe1", "read"))
+    detector.plain_read(1, KEY, [1], _site("pe1", "array read"))
     assert detector.races == 0
 
 
 def test_unordered_atomic_does_not_bless_earlier_reader(detector):
     # Reader reads the payload BEFORE acquiring the flag: still a race.
     detector.begin_op(1)
-    detector.plain_read(1, KEY, [1], _site("pe1", "array read", 1))
+    detector.plain_read(1, KEY, [1], _site("pe1", "array read"))
     detector.begin_op(0)
-    detector.plain_write(0, KEY, [1], _site("pe0", "array write", 1))
+    detector.plain_write(0, KEY, [1], _site("pe0", "array write"))
     assert detector.races == 1
 
 
 def test_free_races_with_unordered_access(detector):
     detector.begin_op(0)
-    detector.plain_write(0, KEY, [0], _site("pe0", "array write", 0))
+    detector.plain_write(0, KEY, [0], _site("pe0", "array write"))
     detector.begin_op(1)
     detector.free_alloc(1, KEY, _site("pe1", "free"))
     assert detector.races == 1
@@ -95,11 +101,11 @@ def test_free_races_with_unordered_access(detector):
 
 def test_irq_edge_orders_accesses(detector):
     detector.begin_op(0)
-    detector.plain_write(0, KEY, [0], _site("pe0", "array write", 0))
+    detector.plain_write(0, KEY, [0], _site("pe0", "array write"))
     detector.irq_raised([4], raiser=0, controller_base=None)
     detector.irq_claimed(1, [4])
     detector.begin_op(1)
-    detector.plain_read(1, KEY, [0], _site("pe1", "array read", 0))
+    detector.plain_read(1, KEY, [0], _site("pe1", "array read"))
     assert detector.races == 0
 
 
@@ -109,9 +115,9 @@ def test_kernel_event_edge_only_for_registered_actors(detector):
     detector.kernel_notify("not-an-actor", event)
     detector.kernel_wake(1, event)
     detector.begin_op(0)
-    detector.plain_write(0, KEY, [0], _site("pe0", "array write", 0))
+    detector.plain_write(0, KEY, [0], _site("pe0", "array write"))
     detector.begin_op(1)
-    detector.plain_read(1, KEY, [0], _site("pe1", "array read", 0))
+    detector.plain_read(1, KEY, [0], _site("pe1", "array read"))
     assert detector.races == 1
 
 

@@ -85,6 +85,49 @@ class TestAddressMap:
             assert 0 <= offset < region.size
 
 
+def _linear_find(regions, address):
+    """The reference decode: the first region whose range holds ``address``."""
+    for region in regions:
+        if region.base <= address < region.base + region.size:
+            return region
+    return None
+
+
+class TestFindRegionBisect:
+    """``find_region`` bisects the sorted bases; a linear scan is the
+    reference, probed where a bisect goes wrong: each region's first byte,
+    last byte and end, inside the gaps, below the first region and above
+    the last."""
+
+    @given(st.integers(min_value=0, max_value=64),
+           st.lists(st.tuples(st.integers(min_value=0, max_value=64),
+                              st.integers(min_value=1, max_value=64)),
+                    min_size=1, max_size=8),
+           st.randoms(use_true_random=False))
+    def test_bisect_matches_linear_scan(self, first_base, layout, random):
+        spans = []
+        base = first_base
+        for gap, size in layout:  # gap 0 makes two regions adjacent
+            base += gap
+            spans.append((base, size))
+            base += size
+        amap = AddressMap()
+        for index in random.sample(range(len(spans)), len(spans)):
+            amap.add_region(f"r{index}", *spans[index], f"slave{index}")
+        regions = amap.regions
+        probes = {0, first_base - 1, base, base + 1, base + 0x1000}
+        for region, following in zip(regions, regions[1:] + [None]):
+            probes.update((region.base, region.end - 1, region.end))
+            if following is not None:
+                probes.update(range(region.end, following.base))
+        for address in sorted(a for a in probes if a >= 0):
+            assert amap.find_region(address) is _linear_find(regions,
+                                                              address)
+
+    def test_empty_map_finds_nothing(self):
+        assert AddressMap().find_region(0) is None
+
+
 class TestAddressMapBoundaries:
     """Out-of-range and exact-boundary validation edge cases."""
 

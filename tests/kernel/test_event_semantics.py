@@ -7,8 +7,10 @@ Covers:
   notified again;
 * immediate ``notify()`` with and without waiters — the wake order (ahead
   of that delta cycle's ``yield 0`` wakes), the ``sync`` probe's call
-  sequence and ``events_fired`` — a notify that nobody waits for is not
-  remembered, and a process is woken exactly once per wait;
+  sequence for watched processes (none for the others, and no hook code
+  at all with nobody subscribed) and ``events_fired`` — a notify that
+  nobody waits for is not remembered, and a process is woken exactly once
+  per wait;
 * delta waits woken in the order they were yielded;
 * ``next_activity_time()``, which is exact: ``now`` while work is runnable
   at the current time, else the time the next timed wait resumes;
@@ -597,39 +599,80 @@ class TestImmediateNotify:
         # driver, and one more at 1 that runs both waiters together.
         assert stats.delta_cycles == 3
 
+    @staticmethod
+    def _sync_scene(probes):
+        """``driver`` notifies ``idle`` (nobody waits) and ``go`` (``first``,
+        ``second`` and ``third`` wait); ``bystander`` then notifies
+        ``later`` (``first`` waits again) and ``quiet`` (``lurker``
+        waits).  Watched: ``driver``, ``first`` and ``second``."""
+        top = Module("top")
+        mod = Module("m", parent=top)
+        go, idle, later, quiet = (mod.add_event(Event(name)) for name in
+                                  ("go", "idle", "later", "quiet"))
+
+        def first():
+            yield go
+            yield later
+
+        def second():
+            yield go
+
+        def third():
+            yield go
+
+        def lurker():
+            yield quiet
+
+        def driver():
+            yield 1
+            idle.notify()  # no waiter at all
+            go.notify()
+
+        def bystander():
+            yield 2
+            later.notify()
+            quiet.notify()
+
+        processes = {body.__name__: mod.add_process(body) for body in
+                     (first, second, third, lurker, driver, bystander)}
+        probes.watch(*(processes[name]
+                       for name in ("driver", "first", "second")))
+        return Simulator(top, probes=probes)
+
     def test_sync_probe_sees_one_notify_then_the_wakes_in_order(self):
+        """A watched process's notify is seen, then the wakes of the watched
+        waiters, in wait order; an unwatched process emits nothing, as
+        notifier (``bystander``) or as waiter (``third``, ``lurker``), and
+        a watched waiter's wake is seen whoever notified."""
         calls = []
-
-        def builder(top):
-            mod = Module("m", parent=top)
-            ev = mod.add_event(Event("go"))
-            idle = mod.add_event(Event("idle"))
-
-            def first():
-                yield ev
-
-            def second():
-                yield ev
-
-            def driver():
-                yield 1
-                idle.notify()  # no waiter at all
-                ev.notify()
-
-            for body in (first, second, driver):
-                mod.add_process(body)
-
         probes = Probes()
         probes.subscribe(sync=lambda kind, event, process: calls.append(
             (kind, event.name, process.name.rsplit(".", 1)[-1])))
-        top = Module("top")
-        builder(top)
-        sim = Simulator(top, probes=probes)
-        stats = sim.run()
+        stats = self._sync_scene(probes).run()
         assert calls == [
             ("notify", "idle", "driver"),
             ("notify", "go", "driver"),
             ("wake", "go", "first"),    # waiters in the order they waited
             ("wake", "go", "second"),
+            ("wake", "later", "first"),
         ]
-        assert stats.events_fired == 3  # driver's timer + the two notifies
+        # Two timers and four notifies, watched or not.
+        assert stats.events_fired == 6
+
+    def test_sync_without_a_subscriber_runs_no_hook_code(self):
+        """With nobody subscribed, a notify tests ``probes.sync`` and
+        nothing else: the watched set is never consulted."""
+        consulted = []
+
+        class Spy(set):
+            def __contains__(self, process):
+                consulted.append(process)
+                return super().__contains__(process)
+
+        probes = Probes()
+        probes.watched = Spy()
+        stats = self._sync_scene(probes).run()
+        assert probes.sync is None
+        assert len(probes.watched) == 3
+        assert consulted == []
+        assert stats.events_fired == 6

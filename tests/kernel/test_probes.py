@@ -3,7 +3,7 @@
 import pytest
 
 from repro.kernel import Probes
-from repro.kernel.probes import POINTS
+from repro.kernel.probes import ARGUMENTS, POINTS
 
 
 def test_unsubscribed_points_are_none():
@@ -44,3 +44,14 @@ def test_unknown_point_raises_and_subscribes_nothing():
     assert probes.sync is None
     with pytest.raises(AttributeError):
         probes.cache_fill = print  # the point set is fixed
+
+
+@pytest.mark.parametrize("point", POINTS)
+def test_two_subscribers_get_the_points_arguments_in_order(point):
+    probes = Probes()
+    calls = []
+    probes.subscribe(**{point: lambda *args: calls.append(("first", args))})
+    probes.subscribe(**{point: lambda *args: calls.append(("second", args))})
+    args = tuple(range(ARGUMENTS[point]))
+    getattr(probes, point)(*args)
+    assert calls == [("first", args), ("second", args)]

@@ -11,7 +11,7 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
-MAX_SRC_LINES = 20_781
+MAX_SRC_LINES = 20_844
 MAX_MODULE_LINES = 700
 
 
