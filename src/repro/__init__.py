@@ -74,7 +74,7 @@ or, with a registered workload (see :data:`repro.sw.workload`)::
     [result] = ExperimentRunner([scenario]).run()
 """
 
-__version__ = "2.15.0"
+__version__ = "2.16.0"
 
 __all__ = [
     "analysis",
